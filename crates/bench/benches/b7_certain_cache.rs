@@ -41,11 +41,18 @@ const CHURN: usize = 4;
 /// sharing one domain across the fresh-database-per-iteration tiers
 /// would accumulate counts across databases and break the per-database
 /// cache assertions below.
+///
+/// The churn can cancel itself out (seed 7 does), and a state without a
+/// standing violation is latched consistent on its first `Certain` read
+/// and never reaches the cache this bench is about: step to the next
+/// seed whose state really is violated. (Checked on a clone, so the
+/// served database still pays its first model inside the cold tier.)
 fn violated_db(seed: u64) -> ConcurrentDatabase {
-    ConcurrentDatabase::from_database(
-        workload::violation_state(CHURN, seed),
-        UniformOptions::default(),
-    )
+    let db = (seed..)
+        .map(|seed| workload::violation_state(CHURN, seed))
+        .find(|db| !db.clone().is_consistent())
+        .expect("some seed leaves a standing violation");
+    ConcurrentDatabase::from_database(db, UniformOptions::default())
 }
 
 fn prepare_all(db: &ConcurrentDatabase) -> Vec<PreparedQuery> {

@@ -215,6 +215,12 @@ pub(crate) struct CoreMetrics {
     /// `query.executes.latest` / `query.executes.certain`.
     pub(crate) executes_latest: Counter,
     pub(crate) executes_certain: Counter,
+    /// `query.certain.consistent`: `Certain` executes served as
+    /// `Latest` because the pinned state is verified consistent.
+    pub(crate) certain_consistent: Counter,
+    /// `consistency.established`: unverified states a `Certain` read
+    /// found violation-free (the queue counts `preserved`/`cleared`).
+    pub(crate) consistency_established: Counter,
     /// `query.latency.latest` / `query.latency.certain` (log₂-ns
     /// buckets; all recordings land in bucket 0 under a
     /// [`uniform_obs::NullClock`]).
@@ -240,6 +246,8 @@ impl CoreMetrics {
         CoreMetrics {
             executes_latest: obs.counter("query.executes.latest"),
             executes_certain: obs.counter("query.executes.certain"),
+            certain_consistent: obs.counter("query.certain.consistent"),
+            consistency_established: obs.counter("consistency.established"),
             latency_latest: obs.histogram("query.latency.latest"),
             latency_certain: obs.histogram("query.latency.certain"),
             commit_latency: obs.histogram("commit.latency"),
@@ -528,7 +536,7 @@ impl ConcurrentDatabase {
                 ViolationPolicy::AutoRepair => self.commit_auto_repaired(txn, tx, report),
             };
         }
-        match self.shared.queue.commit(&txn) {
+        match self.submit_checked(&txn, &report) {
             Ok(CommitReceipt {
                 version,
                 fact_rev,
@@ -562,6 +570,22 @@ impl ConcurrentDatabase {
                 })
             }
             Err(e) => Err(TxnError::from_commit(e)),
+        }
+    }
+
+    /// Submit a transaction whose check `report` was satisfied. Only a
+    /// complete check proves the induction step the consistency latch
+    /// rides on; one whose potential-update closure was truncated goes
+    /// through the plain entry point, which clears the latch.
+    fn submit_checked(
+        &self,
+        txn: &TxnBuilder,
+        report: &CheckReport,
+    ) -> Result<CommitReceipt, CommitError> {
+        if report.proves_consistency() {
+            self.shared.queue.commit_checked(txn)
+        } else {
+            self.shared.queue.commit(txn)
         }
     }
 
@@ -605,7 +629,7 @@ impl ConcurrentDatabase {
                 .closure_union()
                 .to_vec(),
         );
-        match self.shared.queue.commit(&txn) {
+        match self.submit_checked(&txn, &combined_report) {
             Ok(CommitReceipt {
                 version,
                 fact_rev: _,
@@ -731,10 +755,13 @@ impl ConcurrentDatabase {
     /// number of [`Session::execute`] calls see that one state while
     /// writers keep committing; take a fresh session to observe later
     /// commits.
-    /// Sessions opened here share the database-level certain-answer
-    /// cache: `Certain` reads pinned to the same `(db_id, fact_rev,
-    /// rule_rev, constraint_rev)` state reuse one repair enumeration
-    /// and cached row sets (see [`crate::certain_cache`]).
+    /// On a state verified consistent (see
+    /// [`Database::verified_consistent`]) `Certain` reads are served as
+    /// `Latest`. Otherwise sessions opened here share the
+    /// database-level certain-answer cache: `Certain` reads pinned to
+    /// the same `(db_id, fact_rev, rule_rev, constraint_rev)` state
+    /// reuse one repair enumeration and cached row sets (see
+    /// [`crate::certain_cache`]).
     pub fn session(&self) -> Session {
         Session::shared(
             self.snapshot(),
@@ -780,7 +807,8 @@ impl ConcurrentDatabase {
     /// / `commit.admit` / `commit.apply` / `commit.maintain` /
     /// `commit.repair` / `commit.invalidate`; `query.execute` (tagged
     /// `latest`/`certain`, closed with its outcome path `eval` /
-    /// `cache_hit` / `repair`); `repair.run` (tagged by backend).
+    /// `consistent` / `cache_hit` / `repair`); `repair.run` (tagged by
+    /// backend).
     pub fn recent_events(&self) -> Vec<SpanEvent> {
         self.shared.obs.recent_events()
     }
@@ -1021,7 +1049,9 @@ impl ConcurrentDatabase {
                     repair,
                 });
             }
-            db.add_constraint(constraint);
+            // The old constraints held if the latch says so, the new one
+            // was just evaluated: the step preserves the latch.
+            db.preserving_consistency(|db| db.add_constraint(constraint));
             Ok(true)
         })
     }
@@ -1800,7 +1830,11 @@ mod tests {
         let stats = db.certain_cache_stats();
         assert_eq!(stats.invalidated, 1, "{stats:?}");
         assert_eq!(stats.carried_forward, 0, "{stats:?}");
-        assert_eq!(stats.repair_misses, 2, "the commit forced a re-enumeration");
+        // The repaired head was looked at, found violation-free, and
+        // latched: no second enumeration, no entry for it.
+        assert_eq!(stats.repair_misses, 1, "{stats:?}");
+        assert_eq!(stats.entries, 0, "{stats:?}");
+        assert!(db.snapshot().verified_consistent());
     }
 
     #[test]
@@ -1831,7 +1865,10 @@ mod tests {
         assert_eq!(wide.len(), 2, "{wide}");
         let stats = db.certain_cache_stats();
         assert_eq!(stats.invalidated, 1, "{stats:?}");
-        assert_eq!(stats.repair_misses, 2, "{stats:?}");
+        // Nothing to repair under the empty constraint set: the plain
+        // check latched the state instead of a second enumeration.
+        assert_eq!(stats.repair_misses, 1, "{stats:?}");
+        assert!(db.snapshot().verified_consistent());
     }
 
     #[test]
@@ -1853,13 +1890,17 @@ mod tests {
         let stats = db.certain_cache_stats();
         assert_eq!(stats.invalidated, 1, "{stats:?}");
         assert_eq!(stats.entries, 0);
-        // And fresh sessions compute fresh, correct answers.
+        // And fresh sessions compute fresh, correct answers. The repair
+        // delta covered the whole would-be state — the pre-existing
+        // violation included — so the head is consistent now: the first
+        // read looks, latches, and never enumerates.
         let fresh = db
             .session()
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert!(!fresh.is_empty(), "{fresh}");
-        assert_eq!(db.certain_cache_stats().repair_misses, 2);
+        assert_eq!(db.certain_cache_stats().repair_misses, 1);
+        assert!(db.snapshot().verified_consistent());
     }
 
     #[test]
@@ -1876,8 +1917,11 @@ mod tests {
         old.execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         // A fact commit inside the closure: invalidates the cache and
-        // moves the head while `old` stays pinned behind it.
-        db.commit_updates_with_retry(&[upd(true, "q", &["a"])], 4)
+        // moves the head while `old` stays pinned behind it. `q(c)`
+        // repairs nothing — the head stays inconsistent, so both states
+        // keep going through the cache (a consistent head would bypass
+        // it; see `certain_reads_of_a_verified_state_bypass_the_cache`).
+        db.commit_updates_with_retry(&[upd(true, "q", &["c"])], 4)
             .unwrap();
         for _ in 0..4 {
             old.execute(&q, &Params::new(), Consistency::Certain)
@@ -1897,6 +1941,100 @@ mod tests {
             stats.repair_misses, 2,
             "one enumeration per state, churn notwithstanding: {stats:?}"
         );
+    }
+
+    fn counter(db: &ConcurrentDatabase, name: &str) -> u64 {
+        db.obs_report().counter(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn certain_reads_of_a_verified_state_bypass_the_cache() {
+        // `parse` checked the initial state: the latch starts set.
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
+        assert!(db.snapshot().verified_consistent());
+        let q = db.prepare("member(X, Y)").unwrap();
+        let read = |level| db.session().execute(&q, &Params::new(), level).unwrap();
+        assert_eq!(read(Consistency::Certain), read(Consistency::Latest));
+        // A guarded commit carries the latch to the post-commit state…
+        db.commit_updates_with_retry(
+            &[
+                upd(true, "department", &["hr"]),
+                upd(true, "employee", &["bob"]),
+                upd(true, "leads", &["bob", "hr"]),
+            ],
+            4,
+        )
+        .unwrap();
+        assert!(db.snapshot().verified_consistent());
+        // …and so do accepted schema additions.
+        assert!(db.try_add_rule("boss(X) :- leads(X, Y).").unwrap());
+        assert!(db
+            .try_add_constraint("some_dept", "exists X: department(X)")
+            .unwrap());
+        assert!(db.snapshot().verified_consistent());
+        assert_eq!(read(Consistency::Certain).len(), 2);
+        // Not one of those reads touched the certain cache or the
+        // repair engine.
+        let stats = db.certain_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(stats.repair_misses + stats.repair_hits, 0);
+        assert_eq!(counter(&db, "query.certain.consistent"), 2);
+        assert_eq!(counter(&db, "consistency.preserved"), 3);
+        assert_eq!(counter(&db, "consistency.established"), 0);
+        assert_eq!(counter(&db, "consistency.cleared"), 0);
+        let closes: Vec<_> = db
+            .recent_events()
+            .into_iter()
+            .filter(|e| e.close && e.name == "query.execute")
+            .map(|e| e.tag)
+            .collect();
+        assert_eq!(
+            closes,
+            [Some("consistent"), Some("eval"), Some("consistent")]
+        );
+    }
+
+    #[test]
+    fn raw_edits_clear_the_latch_and_the_first_certain_read_re_establishes_it() {
+        let db = ConcurrentDatabase::parse("q(b). constraint c: forall X: p(X) -> q(X).").unwrap();
+        let pinned = db.session();
+        // A raw edit — even a harmless one — leaves a state nobody has
+        // looked at.
+        db.update_schema(|d| d.insert_fact(&Fact::parse_like("p", &["b"])));
+        assert!(!db.snapshot().verified_consistent());
+        assert_eq!(counter(&db, "consistency.cleared"), 1);
+        // A session pinned before the edit keeps the bit of its state.
+        assert!(pinned.snapshot().verified_consistent());
+        // The first `Certain` read looks (plain constraint evaluation,
+        // no enumeration) and latches the state for everyone on it.
+        let q = db.prepare("p(X)").unwrap();
+        let rows = db
+            .session()
+            .execute(&q, &Params::new(), Consistency::Certain)
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        assert!(db.snapshot().verified_consistent());
+        assert_eq!(counter(&db, "consistency.established"), 1);
+        assert!(db.recent_events().iter().all(|e| e.name != "repair.run"));
+        assert_eq!(db.certain_cache_stats().entries, 0);
+        // A violating raw edit clears it again, and the cache path takes
+        // over unchanged.
+        db.update_schema(|d| d.insert_fact(&Fact::parse_like("p", &["a"])));
+        assert!(!db.snapshot().verified_consistent());
+        let rows = db
+            .session()
+            .execute(&q, &Params::new(), Consistency::Certain)
+            .unwrap();
+        assert_eq!(rows.len(), 1, "only p(b) is certain");
+        assert!(!db.snapshot().verified_consistent());
+        let stats = db.certain_cache_stats();
+        assert_eq!((stats.repair_misses, stats.entries), (1, 1), "{stats:?}");
+        // Guarded commits on an unverified head prove the step, not the
+        // base case: the latch stays unset.
+        db.commit_updates_with_retry(&[upd(true, "noise", &["n"])], 4)
+            .unwrap();
+        assert!(!db.snapshot().verified_consistent());
+        assert_eq!(counter(&db, "consistency.preserved"), 0);
     }
 
     #[test]

@@ -276,7 +276,13 @@ pub(crate) fn guarded_rule_update_presat(
     if !report.satisfied {
         return Err(UniformError::UpdateRejected(Box::new(report)));
     }
-    db.set_rules(rule_set);
+    // Stratification, satisfiability and a complete incremental check
+    // all passed: the induction step that carries the consistency latch.
+    if report.proves_consistency() {
+        db.preserving_consistency(|db| db.set_rules(rule_set));
+    } else {
+        db.set_rules(rule_set);
+    }
     Ok(true)
 }
 
@@ -483,14 +489,32 @@ impl UniformDatabase {
     pub fn try_apply(&mut self, tx: &Transaction) -> Result<CheckReport, UniformError> {
         self.validate_arities(tx)?;
         let report = self.check(tx);
-        if report.satisfied {
-            for u in &tx.updates {
-                self.db.apply(u).expect("arities validated above");
-            }
-            Ok(report)
-        } else {
-            Err(UniformError::UpdateRejected(Box::new(report)))
+        self.apply_checked(tx, report)
+    }
+
+    /// The tail of every guarded fact-update path: apply `tx` iff its
+    /// check was satisfied. A complete satisfied check is the induction
+    /// step, so the consistency latch is carried across; a truncated one
+    /// ([`CheckReport::truncated`]) applies as a raw edit.
+    fn apply_checked(
+        &mut self,
+        tx: &Transaction,
+        report: CheckReport,
+    ) -> Result<CheckReport, UniformError> {
+        if !report.satisfied {
+            return Err(UniformError::UpdateRejected(Box::new(report)));
         }
+        let apply = |db: &mut Database| {
+            for u in &tx.updates {
+                db.apply(u).expect("arities validated above");
+            }
+        };
+        if report.proves_consistency() {
+            self.db.preserving_consistency(apply);
+        } else {
+            apply(&mut self.db);
+        }
+        Ok(report)
     }
 
     // ---- optimistic transactions ----------------------------------------
@@ -518,14 +542,7 @@ impl UniformDatabase {
         }
         let report =
             Checker::for_snapshot_with_options(txn.snapshot(), self.options.check).check(&tx);
-        if report.satisfied {
-            for u in &tx.updates {
-                self.db.apply(u).expect("arities validated above");
-            }
-            Ok(report)
-        } else {
-            Err(UniformError::UpdateRejected(Box::new(report)))
-        }
+        self.apply_checked(&tx, report)
     }
 
     /// Insert one fact (parsed), guarded.
@@ -555,13 +572,8 @@ impl UniformDatabase {
         };
         if report.satisfied {
             self.validate_arities(&tx)?;
-            for u in &tx.updates {
-                self.db.apply(u).expect("arities validated above");
-            }
-            Ok(report)
-        } else {
-            Err(UniformError::UpdateRejected(Box::new(report)))
         }
+        self.apply_checked(&tx, report)
     }
 
     /// Apply a transaction given as `;`-free list of literal sources,
@@ -639,7 +651,10 @@ impl UniformDatabase {
             });
         }
 
-        self.db.add_constraint(constraint);
+        // The old constraints held if the latch says so, the new one
+        // was just evaluated: the step preserves the latch.
+        self.db
+            .preserving_consistency(|db| db.add_constraint(constraint));
         Ok(())
     }
 
@@ -667,7 +682,9 @@ impl UniformDatabase {
             .collect();
         let removed = remaining.len() < before;
         if removed {
-            self.db.set_constraints(remaining);
+            // Fewer constraints cannot un-satisfy a state.
+            self.db
+                .preserving_consistency(|db| db.set_constraints(remaining));
         }
         removed
     }

@@ -47,7 +47,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,8 +199,11 @@ pub enum Consistency {
     Latest,
     /// Certain answers: true in **every** subset-minimal repair of the
     /// snapshot (Arenas–Bertossi–Chomicki semantics). On a consistent
-    /// snapshot this coincides with `Latest`. Bounded by the session's
-    /// [`RepairOptions`]; refusals surface as [`QueryError::Budget`].
+    /// snapshot this coincides with `Latest` — and is served as
+    /// `Latest`, at `Latest`'s cost, once the snapshot is *verified*
+    /// consistent (see [`Snapshot::verified_consistent`]). Bounded by
+    /// the session's [`RepairOptions`]; refusals surface as
+    /// [`QueryError::Budget`].
     Certain,
 }
 
@@ -325,7 +328,7 @@ impl fmt::Display for Row {
 
 /// A typed result set: a named column schema plus zero or more [`Row`]s
 /// in a deterministic order (sorted by rendered values, column by
-/// column — independent of join order, thread count and process, and
+/// column — independent of join order and process, and
 /// digested by `tests/determinism.rs`).
 ///
 /// Boolean queries (prepared formulas) report zero columns and either
@@ -815,8 +818,10 @@ impl Session {
     ///   refused ([`QueryError::UnknownParam`]).
     /// * The plan is fetched (or built) for the snapshot's rule
     ///   revision — never a stale one.
-    /// * `Certain` enumerates this snapshot's minimal repairs on first
-    ///   use and serves the intersection semantics through the same
+    /// * `Certain` on a snapshot verified consistent is `Latest`; on
+    ///   any other it enumerates the snapshot's minimal repairs on
+    ///   first use (after looking whether there is anything to repair)
+    ///   and serves the intersection semantics through the same
     ///   prepared plan; budget refusals are [`QueryError::Budget`].
     pub fn execute(
         &self,
@@ -825,7 +830,7 @@ impl Session {
         consistency: Consistency,
     ) -> Result<Rows, QueryError> {
         for &declared in query.params() {
-            if params.get(declared.as_str()).is_none() {
+            if !params.bound.contains_key(&declared) {
                 return Err(QueryError::UnboundParam(declared));
             }
         }
@@ -850,11 +855,13 @@ impl Session {
 
         // One root span per execute, tagged with the consistency level;
         // the close tag is overridden by the outcome path — `eval`,
-        // `cache_hit` (served from the shared certain-answer cache), or
-        // `repair` (the repair enumeration actually ran). The repair
-        // engine's own `repair.run` span nests under this one. Kept to a
-        // single span (no per-phase children) so the hot read path pays
-        // one ring push; under a `NullClock` no timer is read at all.
+        // `consistent` (a `Certain` read of a state verified consistent,
+        // served as `Latest`), `cache_hit` (served from the shared
+        // certain-answer cache), or `repair` (the repair enumeration
+        // actually ran). The repair engine's own `repair.run` span nests
+        // under this one. Kept to a single span (no per-phase children)
+        // so the hot read path pays one ring push; under a `NullClock`
+        // no timer is read at all.
         let path = Cell::new("eval");
         let mut span = self.shared.as_ref().map(|shared| {
             let m = shared.query_metrics();
@@ -872,40 +879,50 @@ impl Session {
         let init = params.subst();
         let result = match (&query.inner.kind, &plan.kind) {
             (Kind::Conjunctive { literals }, PlanKind::Conjunctive { order, magic }) => {
+                let latest = || self.latest_rows(query, literals, order, &init);
                 match consistency {
-                    Consistency::Latest => Ok(self.latest_rows(query, literals, order, &init)),
-                    Consistency::Certain => {
-                        self.cached_certain(query, params, literals, &path, |s| {
-                            s.certain_rows(query, literals, magic, &init, &path)
-                        })
-                    }
+                    Consistency::Latest => Ok(latest()),
+                    Consistency::Certain => self.certain(
+                        query,
+                        params,
+                        &path,
+                        || literals.iter().map(|l| l.atom.pred).collect(),
+                        latest,
+                        |repairs| self.certain_rows(query, literals, magic, &init, repairs),
+                    ),
                 }
             }
-            (Kind::Formula { .. }, PlanKind::Formula { optimized }) => match consistency {
-                Consistency::Latest => Ok(Rows::boolean(satisfies(
-                    self.snapshot.model(),
-                    optimized,
-                    &mut init.clone(),
-                ))),
-                Consistency::Certain => {
-                    let preds: Vec<Literal> = optimized
-                        .literals()
-                        .iter()
-                        .map(|occ| occ.literal.clone())
-                        .collect();
-                    self.cached_certain(query, params, &preds, &path, |s| {
-                        let repairs =
-                            s.certain_repairs_scoped(preds.iter().map(|l| l.atom.pred), &path)?;
-                        Ok(Rows::boolean(uniform_repair::certainly_satisfies_bound(
-                            s.snapshot.facts(),
-                            s.snapshot.rules(),
-                            &repairs,
-                            optimized,
-                            &init,
-                        )))
-                    })
+            (Kind::Formula { .. }, PlanKind::Formula { optimized }) => {
+                let latest = || {
+                    Rows::boolean(satisfies(
+                        self.snapshot.model(),
+                        optimized,
+                        &mut init.clone(),
+                    ))
+                };
+                match consistency {
+                    Consistency::Latest => Ok(latest()),
+                    Consistency::Certain => self.certain(
+                        query,
+                        params,
+                        &path,
+                        || {
+                            let occs = optimized.literals();
+                            occs.iter().map(|occ| occ.literal.atom.pred).collect()
+                        },
+                        latest,
+                        |repairs| {
+                            Rows::boolean(uniform_repair::certainly_satisfies_bound(
+                                self.snapshot.facts(),
+                                self.snapshot.rules(),
+                                repairs,
+                                optimized,
+                                &init,
+                            ))
+                        },
+                    ),
                 }
-            },
+            }
             _ => unreachable!("plan kind always matches query kind"),
         };
         if let Some(span) = span.as_mut() {
@@ -914,36 +931,63 @@ impl Session {
         result
     }
 
-    /// The shared-cache wrapper around a `Certain` evaluation: sessions
-    /// opened through a [`crate::ConcurrentDatabase`] serve the row set
-    /// from the database-level cache when one is pinned to the same
-    /// `(db_id, fact_rev, rule_rev, constraint_rev)` state, and install
-    /// a freshly computed one (guarded by the query's closure unioned
-    /// with the constraint closure — the carry-forward guard) on a
-    /// miss. Plain sessions just compute.
-    fn cached_certain(
+    /// One `Certain` evaluation. The consistency latch comes first: on
+    /// a state verified consistent the only minimal repair is the empty
+    /// one, so `Certain` *is* `Latest` — `latest` answers, and nothing
+    /// below (fingerprint, shared cache, repair engine) is touched.
+    ///
+    /// Otherwise the state is inconsistent or simply not looked at yet.
+    /// Sessions opened through a [`crate::ConcurrentDatabase`] serve
+    /// the row set from the database-level cache when one is pinned to
+    /// the same `(db_id, fact_rev, rule_rev, constraint_rev)` state;
+    /// on a miss the state's minimal repairs are fetched (which, for a
+    /// state nobody has looked at, starts with the plain constraint
+    /// evaluation — see [`Session::certain_repairs`] — and may end
+    /// right there, back on the `latest` path), `over_repairs`
+    /// intersects over them, and the result is installed guarded by the
+    /// query's closure unioned with the constraint closure (the
+    /// carry-forward guard). Plain sessions just compute. `preds` — the
+    /// relations the query reads — is only called past the latch.
+    fn certain(
         &self,
         query: &PreparedQuery,
         params: &Params,
-        literals: &[Literal],
         path: &Cell<&'static str>,
-        compute: impl FnOnce(&Session) -> Result<Rows, QueryError>,
+        preds: impl FnOnce() -> Vec<Sym>,
+        latest: impl FnOnce() -> Rows,
+        over_repairs: impl FnOnce(&[RepairSet]) -> Rows,
     ) -> Result<Rows, QueryError> {
-        let Some(shared) = &self.shared else {
-            return compute(self);
-        };
-        let key = crate::certain_cache::StateKey::of(&self.snapshot);
-        let fingerprint = Self::fingerprint(query, params);
-        if let Some(rows) = shared.certain().lookup_rows(&key, &fingerprint) {
-            path.set("cache_hit");
-            return Ok(rows);
+        if !self.snapshot.verified_consistent() {
+            let cached = self.shared.as_ref().map(|shared| {
+                (
+                    shared,
+                    crate::certain_cache::StateKey::of(&self.snapshot),
+                    Self::fingerprint(query, params),
+                )
+            });
+            if let Some((shared, key, fingerprint)) = &cached {
+                if let Some(rows) = shared.certain().lookup_rows(key, fingerprint) {
+                    path.set("cache_hit");
+                    return Ok(rows);
+                }
+            }
+            let preds = preds();
+            if let Some(repairs) = self.certain_repairs_scoped(&preds, path)? {
+                let rows = over_repairs(&repairs);
+                if let Some((shared, key, fingerprint)) = cached {
+                    let closure = self.certain_row_closure(&preds);
+                    shared
+                        .certain()
+                        .install_rows(key, fingerprint, rows.clone(), &closure);
+                }
+                return Ok(rows);
+            }
         }
-        let rows = compute(self)?;
-        let closure = self.certain_row_closure(literals);
-        shared
-            .certain()
-            .install_rows(key, fingerprint, rows.clone(), &closure);
-        Ok(rows)
+        path.set("consistent");
+        if let Some(shared) = &self.shared {
+            shared.query_metrics().certain_consistent.incr();
+        }
+        Ok(latest())
     }
 
     /// The cache identity of one `Certain` evaluation under one state:
@@ -961,15 +1005,15 @@ impl Session {
     }
 
     /// Everything a cached `Certain` row set can depend on: the query's
-    /// own literals closed downward through rule bodies (its answers
+    /// own relations closed downward through rule bodies (its answers
     /// read those relations even when the repairs are unaffected),
     /// unioned with the constraint closure (its answers are
     /// intersections over the minimal repairs).
-    fn certain_row_closure(&self, literals: &[Literal]) -> Vec<Sym> {
+    fn certain_row_closure(&self, preds: &[Sym]) -> Vec<Sym> {
         let graph = self.snapshot.rules().graph();
         let mut closure: BTreeSet<Sym> = BTreeSet::new();
-        for lit in literals {
-            closure.extend(graph.reachable(lit.atom.pred));
+        for &pred in preds {
+            closure.extend(graph.reachable(pred));
         }
         // The constraint part is a pure function of the schema: sessions
         // over a `ConcurrentDatabase` take it precomputed from the shared
@@ -1025,9 +1069,8 @@ impl Session {
         literals: &[Literal],
         magic: &Option<Arc<MagicProgram>>,
         init: &Subst,
-        path: &Cell<&'static str>,
-    ) -> Result<Rows, QueryError> {
-        let repairs = self.certain_repairs_scoped(literals.iter().map(|l| l.atom.pred), path)?;
+        repairs: &[RepairSet],
+    ) -> Rows {
         let columns = query.inner.columns.clone();
         if let Some(mp) = magic {
             // Same intersection semantics as the overlay path — one
@@ -1035,7 +1078,7 @@ impl Session {
             // enumeration differs (goal-directed magic over the
             // repaired EDB instead of overlay simulation).
             let goal = init.apply_atom(&literals[0].atom);
-            let rows = uniform_repair::intersect_over_repairs(&repairs, |repair| {
+            let rows = uniform_repair::intersect_over_repairs(repairs, |repair| {
                 let repaired = repair.apply_to(self.snapshot.facts());
                 let mut answers: BTreeMap<Vec<&'static str>, Row> = BTreeMap::new();
                 for fact in answer_prepared(&repaired, mp, &goal).answers {
@@ -1047,12 +1090,12 @@ impl Session {
                 }
                 answers
             });
-            return Ok(Rows::from_rows(columns, rows));
+            return Rows::from_rows(columns, rows);
         }
         let bindings = uniform_repair::certain_answers_bound(
             self.snapshot.facts(),
             self.snapshot.rules(),
-            &repairs,
+            repairs,
             literals,
             init,
             &columns,
@@ -1069,21 +1112,27 @@ impl Session {
                 })
             })
             .collect();
-        Ok(Rows::from_rows(columns, rows))
+        Rows::from_rows(columns, rows)
     }
 
     /// The snapshot's minimal repairs: the session-local memo first,
     /// then — for sessions opened through a
     /// [`crate::ConcurrentDatabase`] — the shared certain-answer cache
     /// (any session pinned to the same semantic state reuses one
-    /// enumeration), and only then the bounded repair search, whose
-    /// result is installed shared under its verdict closure.
+    /// enumeration). A state neither knows has not been looked at yet,
+    /// so look before searching: the plain constraint evaluation on the
+    /// snapshot's already-materialised model. Zero violations
+    /// establishes the consistency latch and yields `None` — there is
+    /// nothing to repair, nothing to memoize and nothing to cache. Only
+    /// an actually inconsistent state reaches the bounded repair
+    /// search, whose result is installed shared under its verdict
+    /// closure.
     fn certain_repairs(
         &self,
         path: &Cell<&'static str>,
-    ) -> Result<Arc<Vec<RepairSet>>, QueryError> {
+    ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
         if let Some(repairs) = self.repairs.read().as_ref() {
-            return Ok(repairs.clone());
+            return Ok(Some(repairs.clone()));
         }
         let key = self
             .shared
@@ -1091,8 +1140,14 @@ impl Session {
             .map(|_| crate::certain_cache::StateKey::of(&self.snapshot));
         if let (Some(shared), Some(key)) = (&self.shared, &key) {
             if let Some(repairs) = shared.certain().lookup_repairs(key) {
-                return Ok(self.memoize_repairs(repairs));
+                return Ok(Some(self.memoize_repairs(repairs)));
             }
+        }
+        if self.snapshot.is_consistent() {
+            if let Some(shared) = &self.shared {
+                shared.query_metrics().consistency_established.incr();
+            }
+            return Ok(None);
         }
         // The enumeration actually runs: record it in the execute
         // span's close path, and hand the engine the database's obs so
@@ -1124,7 +1179,7 @@ impl Session {
                 .certain()
                 .install_repairs(key, repairs.clone(), &closure);
         }
-        Ok(self.memoize_repairs(repairs))
+        Ok(Some(self.memoize_repairs(repairs)))
     }
 
     /// [`Session::certain_repairs`], with the refusal scoped to the
@@ -1138,14 +1193,14 @@ impl Session {
     /// memo and cache are state-scoped.
     fn certain_repairs_scoped(
         &self,
-        preds: impl IntoIterator<Item = Sym>,
+        preds: &[Sym],
         path: &Cell<&'static str>,
-    ) -> Result<Arc<Vec<RepairSet>>, QueryError> {
+    ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
         match self.certain_repairs(path) {
             Err(err @ QueryError::Budget(RepairError::BudgetExhausted { .. })) => {
                 let engine = RepairEngine::for_snapshot(&self.snapshot).with_options(self.repair);
-                if engine.reads_outside_affected(preds) {
-                    Ok(Arc::new(vec![RepairSet::empty()]))
+                if engine.reads_outside_affected(preds.iter().copied()) {
+                    Ok(Some(Arc::new(vec![RepairSet::empty()])))
                 } else {
                     Err(err)
                 }
@@ -1215,12 +1270,27 @@ const CACHE_SHARDS: usize = 16;
 /// entry of that shard is evicted.
 const SHARD_CAP: usize = 64;
 
-/// One shard of the prepared-query cache: entries carry an LRU stamp
-/// from the shard-local `clock` (everything already runs under the
-/// shard mutex, so plain `u64`s suffice).
+/// One cached prepared query with the parts it was prepared from —
+/// compared part by part against the borrowed arguments of a lookup, so
+/// a hit builds no key.
+struct Entry {
+    /// Hash of `(kind, params, src)`: picks the shard and pre-filters
+    /// the scan.
+    hash: u64,
+    kind: &'static str,
+    params: Box<[Box<str>]>,
+    src: Box<str>,
+    query: PreparedQuery,
+    used: u64,
+}
+
+/// One shard of the prepared-query cache: at most [`SHARD_CAP`]
+/// entries, scanned linearly (the eviction pass is linear anyway), each
+/// carrying an LRU stamp from the shard-local `clock` (everything
+/// already runs under the shard mutex, so plain `u64`s suffice).
 #[derive(Default)]
 struct Shard {
-    map: HashMap<String, (PreparedQuery, u64)>,
+    entries: Vec<Entry>,
     clock: u64,
 }
 
@@ -1253,34 +1323,42 @@ impl PlanCache {
 
     pub(crate) fn get_or_prepare(
         &self,
-        kind: &str,
+        kind: &'static str,
         src: &str,
         params: &[&str],
         build: impl FnOnce() -> Result<PreparedQuery, QueryError>,
     ) -> Result<PreparedQuery, QueryError> {
-        let key = format!("{kind}\u{1}{}\u{1}{src}", params.join(","));
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = &self.shards[(hasher.finish() as usize) % CACHE_SHARDS];
+        (kind, params, src).hash(&mut hasher);
+        let hash = hasher.finish();
+        let shard = &self.shards[(hash as usize) % CACHE_SHARDS];
         let mut shard = shard.lock();
         shard.clock += 1;
         let clock = shard.clock;
-        if let Some((query, used)) = shard.map.get_mut(&key) {
-            *used = clock;
+        let hit = shard.entries.iter_mut().find(|e| {
+            e.hash == hash
+                && e.kind == kind
+                && *e.src == *src
+                && e.params.iter().map(|p| &**p).eq(params.iter().copied())
+        });
+        if let Some(entry) = hit {
+            entry.used = clock;
             self.hits.incr();
-            return Ok(query.clone());
+            return Ok(entry.query.clone());
         }
         self.misses.incr();
         let query = build()?;
-        shard.map.insert(key, (query.clone(), clock));
-        if shard.map.len() > SHARD_CAP {
-            if let Some(lru) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&lru);
+        shard.entries.push(Entry {
+            hash,
+            kind,
+            params: params.iter().map(|&p| p.into()).collect(),
+            src: src.into(),
+            query: query.clone(),
+            used: clock,
+        });
+        if shard.entries.len() > SHARD_CAP {
+            if let Some(lru) = (0..shard.entries.len()).min_by_key(|&i| shard.entries[i].used) {
+                shard.entries.swap_remove(lru);
             }
         }
         Ok(query)
@@ -1293,7 +1371,7 @@ impl PlanCache {
         PlanCacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            entries: self.shards.iter().map(|s| s.lock().map.len()).sum(),
+            entries: self.shards.iter().map(|s| s.lock().entries.len()).sum(),
         }
     }
 }

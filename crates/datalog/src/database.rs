@@ -17,6 +17,7 @@ use crate::txn::TxnBuilder;
 use crate::update::Update;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use uniform_logic::{normalize, parse_program, Constraint, Fact, LogicError, ParseError, Rq, Sym};
 
@@ -83,6 +84,22 @@ fn arity_in(
         }
     }
     None
+}
+
+/// The full constraint check behind [`Database::violated_constraints`]
+/// and [`Snapshot::violated_constraints`]: evaluate every constraint in
+/// `model`, and — this being an observation of exactly the state
+/// `latch` belongs to — establish the latch when none is violated.
+fn violated_in(model: &Model, constraints: &[Constraint], latch: &Latch) -> Vec<String> {
+    let violated: Vec<String> = constraints
+        .iter()
+        .filter(|c| !satisfies_closed(model, &c.rq))
+        .map(|c| c.name.clone())
+        .collect();
+    if violated.is_empty() {
+        latch.set();
+    }
+    violated
 }
 
 /// Validate a whole transaction's arities against a schema lookup,
@@ -195,6 +212,42 @@ pub struct Database {
     fact_rev: u64,
     rule_rev: u64,
     constraint_rev: u64,
+    /// The consistency latch of the *current* state (see
+    /// [`Database::verified_consistent`]).
+    consistent: Latch,
+}
+
+/// Which component revision a mutation moves (see [`Database::bump`]).
+enum Moved {
+    Facts,
+    Rules,
+    Constraints,
+}
+
+/// The consistency latch: one bit, *verified consistent*, carried with
+/// the state it describes. Each state owns its own cell — every
+/// revision bump swaps in a fresh one, unless the old one is unset and
+/// unshared — and a [`Snapshot`] shares the
+/// cell of the state it pinned, so an observation made through any
+/// handle on a state is seen by every other handle on *that* state and
+/// by none on a later one. A cell only ever goes from unset to set: the
+/// state behind it is immutable, so a zero-violation observation stays
+/// true for as long as the cell is reachable.
+///
+/// The bit publishes no data (readers already hold the immutable state
+/// it talks about); `Release`/`Acquire` pair the store in
+/// [`Latch::set`] with the load in [`Latch::get`] all the same.
+#[derive(Clone, Default)]
+struct Latch(Arc<AtomicBool>);
+
+impl Latch {
+    fn get(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+
+    fn set(&self) {
+        self.0.store(true, Ordering::Release);
+    }
 }
 
 impl Default for Database {
@@ -218,23 +271,16 @@ impl Clone for Database {
             fact_rev: self.fact_rev,
             rule_rev: self.rule_rev,
             constraint_rev: self.constraint_rev,
+            // Same state, same cell; the first mutation on either side
+            // swaps in its own.
+            consistent: self.consistent.clone(),
         }
     }
 }
 
 impl Database {
     pub fn new() -> Database {
-        Database {
-            edb: FactSet::new(),
-            rules: Arc::new(RuleSet::empty()),
-            constraints: Arc::new(Vec::new()),
-            model: RwLock::new(None),
-            db_id: fresh_db_id(),
-            version: 0,
-            fact_rev: 0,
-            rule_rev: 0,
-            constraint_rev: 0,
-        }
+        Database::with(FactSet::new(), RuleSet::empty(), Vec::new())
     }
 
     /// Build from parts.
@@ -249,6 +295,7 @@ impl Database {
             fact_rev: 0,
             rule_rev: 0,
             constraint_rev: 0,
+            consistent: Latch::default(),
         }
     }
 
@@ -305,22 +352,78 @@ impl Database {
     /// this is the subject of §4).
     pub fn set_constraints(&mut self, constraints: Vec<Constraint>) {
         self.constraints = Arc::new(constraints);
-        self.version += 1;
-        self.constraint_rev += 1;
+        self.bump(Moved::Constraints);
     }
 
     pub fn add_constraint(&mut self, c: Constraint) {
         Arc::make_mut(&mut self.constraints).push(c);
-        self.version += 1;
-        self.constraint_rev += 1;
+        self.bump(Moved::Constraints);
     }
 
     /// Replace the rule set; invalidates the cached model.
     pub fn set_rules(&mut self, rules: RuleSet) {
         self.rules = Arc::new(rules);
-        *self.model.get_mut() = None;
+        self.bump(Moved::Rules);
+    }
+
+    /// The one place a state becomes another: move the version and the
+    /// component revision, drop the cached model where it can no longer
+    /// describe the state (constraints never contribute to it), and
+    /// give the new state a fresh, unset consistency latch — nothing is
+    /// known about it until someone looks (or
+    /// [`Database::preserving_consistency`] vouches for the step).
+    fn bump(&mut self, moved: Moved) {
         self.version += 1;
-        self.rule_rev += 1;
+        match moved {
+            Moved::Facts => self.fact_rev += 1,
+            Moved::Rules => self.rule_rev += 1,
+            Moved::Constraints => self.constraint_rev += 1,
+        }
+        if !matches!(moved, Moved::Constraints) {
+            *self.model.get_mut() = None;
+        }
+        // Bulk loads bump once per fact: keep the cell while nobody
+        // else can see it and there is nothing to forget.
+        let reusable = Arc::get_mut(&mut self.consistent.0).is_some_and(|bit| !*bit.get_mut());
+        if !reusable {
+            self.consistent = Latch::default();
+        }
+    }
+
+    /// The consistency latch: is the current state *known* to satisfy
+    /// every constraint? Three rules govern the bit.
+    ///
+    /// * **Established** only by observation: a zero-violation
+    ///   [`Database::violated_constraints`] /
+    ///   [`Snapshot::violated_constraints`] of exactly this state.
+    /// * **Preserved** only through
+    ///   [`Database::preserving_consistency`], by steps that prove the
+    ///   paper's induction (consistent before ∧ every simplified
+    ///   instance holds ⇒ consistent after).
+    /// * **Cleared** by every other mutation — raw
+    ///   [`Database::apply`] / [`Database::insert_fact`],
+    ///   [`Database::set_rules`], [`Database::set_constraints`],
+    ///   [`Database::add_constraint`].
+    ///
+    /// `false` means *unknown*, not *violated*.
+    pub fn verified_consistent(&self) -> bool {
+        self.consistent.get()
+    }
+
+    /// Run a mutation the caller has **proven** consistency-preserving
+    /// — a transaction whose incremental integrity check was satisfied
+    /// against this state, a guarded rule update, a constraint that
+    /// holds in this state, the removal of a constraint — and carry the
+    /// latch across it: if the state was verified consistent before
+    /// `f`, the state after `f` is marked so too. An unverified state
+    /// stays unverified (the check proves the step, not the base case).
+    pub fn preserving_consistency<R>(&mut self, f: impl FnOnce(&mut Database) -> R) -> R {
+        let was = self.verified_consistent();
+        let out = f(self);
+        if was {
+            self.consistent.set();
+        }
+        out
     }
 
     /// The monotonic state version: distinct whenever the database state
@@ -374,9 +477,7 @@ impl Database {
         }
         let changed = update.apply(&mut self.edb);
         if changed {
-            *self.model.get_mut() = None;
-            self.version += 1;
-            self.fact_rev += 1;
+            self.bump(Moved::Facts);
         }
         Ok(changed)
     }
@@ -386,9 +487,7 @@ impl Database {
     pub fn insert_fact(&mut self, fact: &Fact) -> bool {
         let changed = self.edb.insert(fact);
         if changed {
-            *self.model.get_mut() = None;
-            self.version += 1;
-            self.fact_rev += 1;
+            self.bump(Moved::Facts);
         }
         changed
     }
@@ -432,6 +531,7 @@ impl Database {
             fact_rev: self.fact_rev,
             rule_rev: self.rule_rev,
             constraint_rev: self.constraint_rev,
+            consistent: self.consistent.clone(),
         }
     }
 
@@ -455,13 +555,10 @@ impl Database {
 
     /// Names of constraints violated in the current state (full check —
     /// the expensive operation integrity maintenance exists to avoid).
+    /// A zero-violation answer establishes the consistency latch (see
+    /// [`Database::verified_consistent`]).
     pub fn violated_constraints(&self) -> Vec<String> {
-        let model = self.model();
-        self.constraints
-            .iter()
-            .filter(|c| !satisfies_closed(model.as_ref(), &c.rq))
-            .map(|c| c.name.clone())
-            .collect()
+        violated_in(&self.model(), &self.constraints, &self.consistent)
     }
 
     /// Do all constraints hold in the current state?
@@ -498,6 +595,7 @@ pub struct Snapshot {
     fact_rev: u64,
     rule_rev: u64,
     constraint_rev: u64,
+    consistent: Latch,
 }
 
 impl Snapshot {
@@ -572,13 +670,22 @@ impl Snapshot {
         satisfies_closed(self.model.as_ref(), rq)
     }
 
-    /// Names of constraints violated at snapshot time.
+    /// Names of constraints violated at snapshot time. A zero-violation
+    /// answer establishes the consistency latch of the pinned state
+    /// (see [`Snapshot::verified_consistent`]).
     pub fn violated_constraints(&self) -> Vec<String> {
-        self.constraints
-            .iter()
-            .filter(|c| !satisfies_closed(self.model.as_ref(), &c.rq))
-            .map(|c| c.name.clone())
-            .collect()
+        violated_in(&self.model, &self.constraints, &self.consistent)
+    }
+
+    /// The consistency latch of the pinned state (see
+    /// [`Database::verified_consistent`]): shared with the originating
+    /// database for as long as it stays on this state, and with every
+    /// other snapshot of it — whoever observes zero violations first
+    /// establishes the bit for all of them. Later mutations of the
+    /// database never touch it: a session pinned before a raw edit
+    /// keeps the bit of *its* snapshot.
+    pub fn verified_consistent(&self) -> bool {
+        self.consistent.get()
     }
 
     pub fn is_consistent(&self) -> bool {
@@ -772,6 +879,62 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 1);
         }
+    }
+
+    #[test]
+    fn latch_is_established_by_observation_preserved_by_vouched_steps_cleared_otherwise() {
+        let attends = |who: &str| Update::insert(Fact::parse_like("attends", &[who, "ddb"]));
+        let mut db = Database::parse(UNIVERSITY).unwrap();
+        // Nobody has looked yet; looking at a violated state sets nothing.
+        assert!(!db.verified_consistent());
+        assert!(!db.is_consistent());
+        assert!(!db.verified_consistent());
+        // A raw edit repairs it — still a state nobody has looked at.
+        db.apply(&attends("jack")).unwrap();
+        assert!(!db.verified_consistent());
+        // Any handle on the state establishes the bit for all of them.
+        let before = db.snapshot();
+        assert!(db.snapshot().is_consistent());
+        assert!(db.verified_consistent() && before.verified_consistent());
+        assert!(db.clone().verified_consistent());
+        // A vouched step carries it; Def. 1 no-ops change nothing.
+        db.preserving_consistency(|db| {
+            db.apply(&Update::insert(Fact::parse_like("student", &["jill"])))
+                .unwrap();
+            db.apply(&attends("jill")).unwrap();
+        });
+        assert!(db.verified_consistent());
+        assert_eq!(db.apply(&attends("jill")), Ok(false));
+        assert!(db.verified_consistent());
+        // Every other mutation clears it — on the database, never on a
+        // snapshot pinned before.
+        let pinned = db.snapshot();
+        db.apply(&Update::insert(Fact::parse_like("student", &["joe"])))
+            .unwrap();
+        assert!(!db.verified_consistent());
+        assert!(pinned.verified_consistent());
+        assert!(!db.snapshot().verified_consistent());
+        for schema_edit in [
+            (|db: &mut Database| db.set_constraints(Vec::new())) as fn(&mut Database),
+            |db| db.set_rules(RuleSet::empty()),
+        ] {
+            let mut copy = pinned_copy(&pinned);
+            assert!(copy.is_consistent() && copy.verified_consistent());
+            schema_edit(&mut copy);
+            assert!(!copy.verified_consistent());
+        }
+        // A vouched step on an unverified state proves nothing about it.
+        assert!(!db.verified_consistent());
+        db.preserving_consistency(|db| db.apply(&attends("nobody")).unwrap());
+        assert!(!db.verified_consistent());
+    }
+
+    fn pinned_copy(snapshot: &Snapshot) -> Database {
+        Database::with(
+            snapshot.facts().clone(),
+            snapshot.rules().clone(),
+            snapshot.constraints().to_vec(),
+        )
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::cq::solve_conjunction;
 use crate::interp::Interp;
-use crate::par::par_map;
 use crate::program::RuleSet;
 use crate::store::FactSet;
 use std::collections::HashSet;
@@ -60,50 +59,30 @@ impl Model {
                 continue;
             }
 
-            // Naive first round: derive from everything present. Rules of
-            // a stratum are independent given the fixed pre-round state,
-            // so the batch fans out across threads; merging per-rule
-            // results in rule order keeps fact-insertion order identical
-            // to a sequential run (iteration order is load-bearing, see
-            // `store`).
+            // Naive first round: derive from everything present. Every
+            // rule of the stratum sees the fixed pre-round state; new
+            // facts join in rule order, then emission order (iteration
+            // order is load-bearing, see `store`).
             let mut delta: Vec<Fact> = Vec::new();
             let mut delta_set: HashSet<Fact> = HashSet::new();
-            let facts_ref = &facts;
-            let per_rule: Vec<Vec<Fact>> = par_map(&layer, |rule| {
-                // Dedup within the rule (a fact derivable through many
-                // bindings is emitted once); the merge below dedups
-                // across rules.
-                let mut out = Vec::new();
-                let mut seen: HashSet<Fact> = HashSet::new();
-                derive_all(facts_ref, rule, &mut |f| {
-                    if !facts_ref.contains(&f) && seen.insert(f.clone()) {
-                        out.push(f);
+            for rule in &layer {
+                derive_all(&facts, rule, &mut |f| {
+                    if !facts.contains(&f) && delta_set.insert(f.clone()) {
+                        delta.push(f);
                     }
                 });
-                out
-            });
-            for f in per_rule.into_iter().flatten() {
-                if delta_set.insert(f.clone()) {
-                    delta.push(f);
-                }
             }
             for f in &delta {
                 facts.insert(f);
             }
 
             // Semi-naive rounds: each new round only fires rules through a
-            // body literal matching a delta fact of the previous round.
-            // Same fan-out shape: every rule processes the whole delta
-            // against the fixed pre-round state, results merge in rule
-            // order.
+            // body literal matching a delta fact of the previous round,
+            // again against the fixed pre-round state.
             while !delta.is_empty() {
                 let mut next: Vec<Fact> = Vec::new();
                 let mut next_set: HashSet<Fact> = HashSet::new();
-                let facts_ref = &facts;
-                let delta_ref = &delta;
-                let per_rule: Vec<Vec<Fact>> = par_map(&layer, |rule| {
-                    let mut out = Vec::new();
-                    let mut seen: HashSet<Fact> = HashSet::new();
+                for rule in &layer {
                     for (pos, lit) in rule.body.iter().enumerate() {
                         if !lit.positive {
                             continue;
@@ -114,19 +93,13 @@ impl Model {
                         if graph.stratum(lit.atom.pred) != stratum || !graph.is_idb(lit.atom.pred) {
                             continue;
                         }
-                        for d in delta_ref {
-                            derive_through(facts_ref, rule, pos, d, &mut |f| {
-                                if !facts_ref.contains(&f) && seen.insert(f.clone()) {
-                                    out.push(f);
+                        for d in &delta {
+                            derive_through(&facts, rule, pos, d, &mut |f| {
+                                if !facts.contains(&f) && next_set.insert(f.clone()) {
+                                    next.push(f);
                                 }
                             });
                         }
-                    }
-                    out
-                });
-                for f in per_rule.into_iter().flatten() {
-                    if next_set.insert(f.clone()) {
-                        next.push(f);
                     }
                 }
                 for f in &next {

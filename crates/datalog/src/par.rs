@@ -1,99 +1,9 @@
-//! Deterministic fork–join fan-out over std scoped threads.
-//!
-//! The engine parallelizes two embarrassingly parallel loops — the
-//! per-stratum rule batch in [`crate::model`] and the per-constraint
-//! group loop in `uniform-integrity` — over read-only shared state
-//! (`&FactSet`, `&RuleSet`, snapshots). The build environment is
-//! offline, so instead of `rayon` this module provides the one primitive
-//! those loops need: an indexed parallel map whose output order equals
-//! input order regardless of scheduling, so downstream fact-insertion
-//! order (load-bearing for search determinism, see [`crate::store`])
-//! never depends on thread timing.
+//! Evaluation threading: every evaluation — a model materialization, an
+//! integrity check — runs on the calling thread. Concurrency lives
+//! between callers (snapshots, the commit queue), not inside one.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::thread;
-
-/// Upper bound on worker threads (matches the machine; override with
-/// `UNIFORM_THREADS` for experiments). Resolved once per process:
-/// `par_map` sits on hot paths (every semi-naive round re-enters it),
-/// and `std::env::var` takes the process-global environment lock.
+/// Worker threads one evaluation uses. Recorded by the benchmark's
+/// info line.
 pub fn max_threads() -> usize {
-    static MAX_THREADS: OnceLock<usize> = OnceLock::new();
-    *MAX_THREADS.get_or_init(|| match std::env::var("UNIFORM_THREADS") {
-        Ok(v) => v.parse().unwrap_or(1).max(1),
-        Err(_) => thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    })
-}
-
-/// Map `f` over `items` on up to [`max_threads`] worker threads,
-/// returning results in input order. Falls back to a plain sequential
-/// map when the machine is single-threaded, the input is trivial, or a
-/// worker would get less than two items.
-///
-/// `f` runs exactly once per item (workers pull indexes from a shared
-/// counter), so side effects behind locks — memo caches, statistics —
-/// observe the same multiset of calls as a sequential run.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = max_threads().min(items.len() / 2);
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    local.push((i, f(item)));
-                }
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-    let mut indexed = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), items.len());
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        assert_eq!(par_map(&[] as &[usize], |&x| x), Vec::<usize>::new());
-        assert_eq!(par_map(&[7usize], |&x| x + 1), vec![8]);
-        assert_eq!(par_map(&[1usize, 2, 3], |&x| x), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn calls_f_once_per_item() {
-        let count = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..257).collect();
-        let _ = par_map(&items, |_| count.fetch_add(1, Ordering::Relaxed));
-        assert_eq!(count.load(Ordering::Relaxed), 257);
-    }
+    1
 }

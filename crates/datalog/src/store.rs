@@ -360,7 +360,7 @@ impl Relation {
     /// The chunked layout, one `(slots, live)` pair per page in page
     /// order: page count, per-page arena size and tombstone count.
     /// Feeds the determinism digest (`tests/determinism.rs`) — chunk
-    /// boundaries must be identical across thread counts — and the
+    /// boundaries must be identical across runs — and the
     /// differential store tests.
     pub fn page_shape(&self) -> Vec<(usize, usize)> {
         self.pages

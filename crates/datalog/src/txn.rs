@@ -414,6 +414,11 @@ struct QueueMetrics {
     bailouts: Counter,
     schema_resets: Counter,
     constraint_only_updates: Counter,
+    /// The head state's consistency latch (see
+    /// [`Database::verified_consistent`]): steps that carried a set bit
+    /// across a mutation, and steps that dropped one.
+    consistency_preserved: Counter,
+    consistency_cleared: Counter,
 }
 
 impl QueueMetrics {
@@ -428,6 +433,19 @@ impl QueueMetrics {
             bailouts: obs.counter("maintain.bailouts"),
             schema_resets: obs.counter("maintain.schema_resets"),
             constraint_only_updates: obs.counter("maintain.constraint_only_updates"),
+            consistency_preserved: obs.counter("consistency.preserved"),
+            consistency_cleared: obs.counter("consistency.cleared"),
+        }
+    }
+
+    /// Account for one effective mutation of the head state: a latch
+    /// that was set before it either survived (`preserved`) or did not
+    /// (`cleared`); an unset one has nothing to lose.
+    fn latch_moved(&self, was: bool, is: bool) {
+        match (was, is) {
+            (true, true) => self.consistency_preserved.incr(),
+            (true, false) => self.consistency_cleared.incr(),
+            (false, _) => {}
         }
     }
 }
@@ -621,7 +639,29 @@ impl CommitQueue {
     /// *effective* write footprint is logged for later conflict checks
     /// (a Def. 1 no-op commit changes nothing, so it must not conflict
     /// anyone). On refusal the database is untouched.
+    ///
+    /// Nothing here checks integrity, so an effective commit through
+    /// this entry point clears the head state's consistency latch; a
+    /// caller that *did* check goes through
+    /// [`CommitQueue::commit_checked`].
     pub fn commit(&self, txn: &TxnBuilder) -> Result<CommitReceipt, CommitError> {
+        self.commit_inner(txn, false)
+    }
+
+    /// [`CommitQueue::commit`] for a transaction whose incremental
+    /// integrity check was **satisfied and complete** (its
+    /// potential-update closure not truncated) on its pinned snapshot,
+    /// with every access pattern of that check recorded in the
+    /// transaction's read footprint. Admission then proves the verdict still holds
+    /// against the head state (no admitted writer touched what the
+    /// check read), which is the induction step the consistency latch
+    /// rides on: if the head was verified consistent, so is the
+    /// post-commit state (see [`Database::preserving_consistency`]).
+    pub fn commit_checked(&self, txn: &TxnBuilder) -> Result<CommitReceipt, CommitError> {
+        self.commit_inner(txn, true)
+    }
+
+    fn commit_inner(&self, txn: &TxnBuilder, checked: bool) -> Result<CommitReceipt, CommitError> {
         let mut state = self.state.lock();
         {
             let _admit = self.obs.span("commit.admit");
@@ -665,11 +705,24 @@ impl CommitQueue {
                 ));
             }
 
-            let mut effective = Vec::new();
-            for u in &txn.updates {
-                if state.db.apply(u).expect("arities validated above") {
-                    effective.push(u.clone());
+            let was = state.db.verified_consistent();
+            let apply = |db: &mut Database| {
+                let mut effective = Vec::new();
+                for u in &txn.updates {
+                    if db.apply(u).expect("arities validated above") {
+                        effective.push(u.clone());
+                    }
                 }
+                effective
+            };
+            let effective = if checked {
+                state.db.preserving_consistency(apply)
+            } else {
+                apply(&mut state.db)
+            };
+            if !effective.is_empty() {
+                self.metrics
+                    .latch_moved(was, state.db.verified_consistent());
             }
             effective
         };
@@ -742,14 +795,19 @@ impl CommitQueue {
     /// constraint-only change keeps the maintained model — constraints
     /// never contribute to the canonical model, only to admission
     /// verdicts. Fact updates belong in [`CommitQueue::commit`], not
-    /// here.
+    /// here. Whatever `f` mutates clears the consistency latch, unless
+    /// `f` itself vouches for the step through
+    /// [`Database::preserving_consistency`].
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut state = self.state.lock();
         let before = state.db.version();
+        let was_consistent = state.db.verified_consistent();
         let before_facts = state.db.fact_rev();
         let before_rules = state.db.rule_rev();
         let out = f(&mut state.db);
         if state.db.version() != before {
+            self.metrics
+                .latch_moved(was_consistent, state.db.verified_consistent());
             let constraint_only =
                 state.db.fact_rev() == before_facts && state.db.rule_rev() == before_rules;
             if constraint_only {
@@ -1223,6 +1281,49 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(q.maintenance().schema_resets, 0);
         assert_eq!(q.model_path(), ModelPath::Maintained);
+    }
+
+    #[test]
+    fn checked_commits_carry_the_latch_unchecked_ones_clear_it() {
+        let q = queue("p(a). q(a). constraint c: forall X: p(X) -> q(X).");
+        let commit = |checked: bool, pred: &str, arg: &str| {
+            let mut t = q.begin();
+            t.insert(fact(pred, &[arg]));
+            if checked {
+                q.commit_checked(&t).unwrap()
+            } else {
+                q.commit(&t).unwrap()
+            }
+        };
+        // Unverified head: a vouched step proves the step, not the base.
+        commit(true, "q", "b");
+        assert!(!q.snapshot().verified_consistent());
+        // Somebody looks; from here checked commits carry the bit…
+        assert!(q.snapshot().is_consistent());
+        commit(true, "q", "c");
+        assert!(q.snapshot().verified_consistent());
+        // …a Def. 1 no-op leaves it alone whoever submits it…
+        assert!(!commit(false, "q", "c").changed());
+        assert!(q.snapshot().verified_consistent());
+        // …an unchecked effective commit drops it (rightly: c is violated)…
+        let pinned = q.snapshot();
+        commit(false, "p", "z");
+        assert!(!q.snapshot().verified_consistent());
+        assert!(
+            pinned.verified_consistent(),
+            "the pinned state is still what it was"
+        );
+        // …and so does anything a schema closure mutates, unless the
+        // closure vouches for it.
+        q.update_schema(|db| db.apply(&Update::insert(fact("q", &["z"]))).unwrap());
+        assert!(q.snapshot().is_consistent());
+        q.update_schema(|db| db.preserving_consistency(|db| db.set_constraints(Vec::new())));
+        assert!(q.snapshot().verified_consistent());
+        q.update_schema(|db| db.set_rules(crate::program::RuleSet::empty()));
+        assert!(!q.snapshot().verified_consistent());
+        let count = |name: &str| q.obs().report().counter(name).unwrap();
+        assert_eq!(count("consistency.preserved"), 2);
+        assert_eq!(count("consistency.cleared"), 2);
     }
 
     #[test]

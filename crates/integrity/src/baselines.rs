@@ -54,6 +54,7 @@ pub fn full_recheck(db: &Database, tx: &Transaction) -> CheckReport {
         reads: Vec::new(),
         read_patterns: Vec::new(),
         stats,
+        truncated: false,
     }
 }
 
@@ -74,6 +75,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
             reads: Vec::new(),
             read_patterns: Vec::new(),
             stats,
+            truncated: false,
         };
     }
     let current = db.model();
@@ -184,6 +186,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
         reads: Vec::new(),
         read_patterns: Vec::new(),
         stats,
+        truncated: false,
     }
 }
 
@@ -219,6 +222,7 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
             reads: Vec::new(),
             read_patterns: Vec::new(),
             stats,
+            truncated: false,
         };
     }
     let current = db.model();
@@ -278,6 +282,7 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
         reads: Vec::new(),
         read_patterns: Vec::new(),
         stats,
+        truncated: false,
     }
 }
 

@@ -19,12 +19,11 @@ use crate::delta::{pattern_key, DeltaEngine, DeltaStats};
 use crate::potential::potential_updates;
 use crate::relevance::RelevanceIndex;
 use crate::simplify::{simplified_instances, SimplifiedInstance};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use uniform_datalog::{
-    par::par_map, satisfies_closed, Database, FactSet, Interp, Model, OverlayEngine, ReadPattern,
-    RuleSet, Snapshot, Transaction, Update,
+    satisfies_closed, Database, FactSet, Interp, Model, OverlayEngine, ReadPattern, RuleSet,
+    Snapshot, Transaction, Update,
 };
 use uniform_logic::{match_atom, Constraint, Literal, Rq, Sym};
 
@@ -113,8 +112,7 @@ pub struct CheckStats {
     pub plan_reordered: usize,
 }
 
-/// Evaluation result of one trigger group (the fan-out unit of the
-/// parallel evaluation phase).
+/// Evaluation result of one trigger group.
 #[derive(Default)]
 struct GroupOutcome {
     violations: Vec<Violation>,
@@ -146,9 +144,21 @@ pub struct CheckReport {
     /// written since the checked snapshot — see `uniform_datalog::txn`.
     pub read_patterns: Vec<ReadPattern>,
     pub stats: CheckStats,
+    /// The potential-update closure hit [`CheckOptions::potential_limit`]
+    /// ([`CompiledCheck::truncated`]): update constraints may be missing,
+    /// so a `satisfied` verdict is best effort, not a proof.
+    pub truncated: bool,
 }
 
 impl CheckReport {
+    /// Does this report *prove* the paper's induction step — every
+    /// simplified instance the update can reach was evaluated and holds?
+    /// Only such a report may carry the consistency latch across its
+    /// transaction (see `Database::preserving_consistency`).
+    pub fn proves_consistency(&self) -> bool {
+        self.satisfied && !self.truncated
+    }
+
     fn satisfied_with(stats: CheckStats, read_patterns: Vec<ReadPattern>) -> CheckReport {
         CheckReport {
             satisfied: true,
@@ -156,6 +166,7 @@ impl CheckReport {
             reads: reads_of(&read_patterns),
             read_patterns,
             stats,
+            truncated: false,
         }
     }
 }
@@ -378,19 +389,12 @@ impl<'a> Checker<'a> {
         let mut ordered_groups: Vec<(&String, &Vec<&UpdateConstraint>)> = groups.iter().collect();
         ordered_groups.sort_by_key(|(key, _)| key.as_str());
 
-        // Per-group evaluation, shared by the sequential (fail-fast) and
-        // parallel paths. Verdicts are cached across groups; the shared
-        // engines (`updated`, `delta`) are Sync, so groups can evaluate
-        // concurrently. `stop_early` reports whether a violation should
-        // end the evaluation after this group.
-        //
-        // Each distinct ground instance gets a `OnceLock` slot: exactly
-        // one group evaluates it (racers on the *same* instance block on
-        // that slot, never on the whole cache), so `instances_evaluated`
-        // = distinct instances and `instances_shared` = re-occurrences —
-        // deterministic totals however the groups are scheduled.
-        let verdict_cache: Mutex<HashMap<Rq, Arc<OnceLock<bool>>>> = Mutex::new(HashMap::new());
-        let eval_group = |members: &[&UpdateConstraint], stop_early: bool| -> GroupOutcome {
+        // Per-group evaluation. Verdicts are cached across groups, so
+        // `instances_evaluated` = distinct ground instances and
+        // `instances_shared` = re-occurrences. `stop_early` ends a group
+        // at its first violation.
+        let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
+        let mut eval_group = |members: &[&UpdateConstraint], stop_early: bool| -> GroupOutcome {
             let mut outcome = GroupOutcome::default();
             let representative = &members[0].trigger;
             'group: for answer in delta.delta(representative) {
@@ -405,29 +409,18 @@ impl<'a> Checker<'a> {
                         // Probe before cloning: hits (the common case the
                         // cache exists for) must not deep-clone the
                         // ground formula just to look it up.
-                        let slot = {
-                            let mut cache = verdict_cache.lock();
-                            match cache.get(&ground) {
-                                Some(slot) => slot.clone(),
-                                None => {
-                                    let slot = Arc::new(OnceLock::new());
-                                    cache.insert(ground.clone(), slot.clone());
-                                    slot
-                                }
+                        match verdict_cache.get(&ground) {
+                            Some(&v) => {
+                                outcome.shared += 1;
+                                v
                             }
-                        };
-                        // Evaluate outside the cache lock.
-                        let mut evaluated_here = false;
-                        let v = *slot.get_or_init(|| {
-                            evaluated_here = true;
-                            satisfies_closed(&updated, &ground)
-                        });
-                        if evaluated_here {
-                            outcome.evaluated += 1;
-                        } else {
-                            outcome.shared += 1;
+                            None => {
+                                outcome.evaluated += 1;
+                                let v = satisfies_closed(&updated, &ground);
+                                verdict_cache.insert(ground.clone(), v);
+                                v
+                            }
                         }
-                        v
                     } else {
                         // Independent evaluation (the interleaved-style
                         // drawback of §3.2): a fresh engine per instance,
@@ -459,24 +452,18 @@ impl<'a> Checker<'a> {
             outcome
         };
 
-        let outcomes: Vec<GroupOutcome> = if self.options.fail_fast {
-            // Sequential with early exit at the first violation.
-            let mut out = Vec::new();
-            for (_, members) in &ordered_groups {
-                let outcome = eval_group(members, true);
-                let stop = !outcome.violations.is_empty();
-                out.push(outcome);
-                if stop {
-                    break;
-                }
+        // Groups run in key order, so the violation list is
+        // deterministic; `fail_fast` stops at the first violating group.
+        let fail_fast = self.options.fail_fast;
+        let mut outcomes: Vec<GroupOutcome> = Vec::new();
+        for (_, members) in &ordered_groups {
+            let outcome = eval_group(members, fail_fast);
+            let stop = fail_fast && !outcome.violations.is_empty();
+            outcomes.push(outcome);
+            if stop {
+                break;
             }
-            out
-        } else {
-            // Every group must be evaluated anyway: fan out across
-            // threads. Outcomes come back in group order, so the
-            // violation list is deterministic regardless of scheduling.
-            par_map(&ordered_groups, |(_, members)| eval_group(members, false))
-        };
+        }
 
         let mut violations = Vec::new();
         for outcome in outcomes {
@@ -495,6 +482,7 @@ impl<'a> Checker<'a> {
             reads: reads_of(&read_patterns),
             read_patterns,
             stats,
+            truncated: compiled.truncated,
         }
     }
 
@@ -516,8 +504,18 @@ impl<'a> Checker<'a> {
     pub fn check_and_apply(db: &mut Database, tx: &Transaction) -> CheckReport {
         let report = Checker::new(db).check(tx);
         if report.satisfied {
-            for u in &tx.updates {
-                db.apply(u).expect("checked transaction misuses an arity");
+            let apply = |db: &mut Database| {
+                for u in &tx.updates {
+                    db.apply(u).expect("checked transaction misuses an arity");
+                }
+            };
+            // A complete satisfied check is the induction step the
+            // consistency latch rides on; a truncated one applies as a
+            // raw edit.
+            if report.proves_consistency() {
+                db.preserving_consistency(apply);
+            } else {
+                apply(db);
             }
         }
         report

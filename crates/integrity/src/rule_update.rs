@@ -199,6 +199,7 @@ impl<'a> RuleUpdateChecker<'a> {
                 reads: Vec::new(),
                 read_patterns: Vec::new(),
                 stats,
+                truncated: compiled.check.truncated,
             };
         };
         if compiled.check.update_constraints.is_empty() {
@@ -210,6 +211,7 @@ impl<'a> RuleUpdateChecker<'a> {
                 reads: Vec::new(),
                 read_patterns: Vec::new(),
                 stats,
+                truncated: compiled.check.truncated,
             };
         }
 
@@ -290,6 +292,7 @@ impl<'a> RuleUpdateChecker<'a> {
             reads: Vec::new(),
             read_patterns: Vec::new(),
             stats,
+            truncated: compiled.check.truncated,
         }
     }
 

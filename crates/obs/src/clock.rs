@@ -13,8 +13,8 @@
 //!   can reach any user-visible output**. This is the contract
 //!   `tests/determinism.rs` relies on: under a `NullClock`, counter
 //!   values and histogram bucket counts are pure functions of the
-//!   operation sequence, so digests stay bit-identical across
-//!   `UNIFORM_THREADS=1` vs `8` and across processes.
+//!   operation sequence, so digests stay bit-identical across runs
+//!   and processes.
 
 use std::time::Instant;
 

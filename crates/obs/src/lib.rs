@@ -9,7 +9,7 @@
 //! drop. With the [`NullClock`] (the default — see [`Obs::from_env`])
 //! no timer is ever read, so every exported value is a pure function of
 //! the operation sequence and determinism digests stay bit-identical
-//! regardless of thread count.
+//! across runs and processes.
 //!
 //! Metric names are dotted paths in a single global namespace per
 //! `Obs`, e.g. `txn.conflicts.key`, `cache.certain.carried_forward`,

@@ -30,7 +30,7 @@ pub(crate) fn query_vars(query: &[Literal]) -> Vec<Sym> {
 /// The answers of the conjunctive query `query` that hold in every one
 /// of `repairs` applied (as an overlay) to `edb` under `rules`.
 /// Answers come back sorted by their rendered bindings, so the output
-/// is deterministic across runs, thread counts and processes.
+/// is deterministic across runs and processes.
 ///
 /// `repairs` must be non-empty — a consistent state contributes the
 /// single empty repair, under which this is ordinary query answering.

@@ -20,8 +20,8 @@
 //! external SAT dependency to bind to. Everything here is fully
 //! deterministic — ties in the decision order break toward the lowest
 //! variable index, and no randomization or wall-clock input exists —
-//! so repair enumeration stays digest-stable across thread counts and
-//! processes (`tests/determinism.rs`).
+//! so repair enumeration stays digest-stable across runs and processes
+//! (`tests/determinism.rs`).
 
 use std::fmt;
 

@@ -1,17 +1,16 @@
-//! Output determinism across thread counts and across processes.
+//! Output determinism within a process and across processes.
 //!
-//! `UNIFORM_THREADS` is latched once per process (`uniform_datalog::par`),
-//! so the cross-thread-count comparison re-executes this test binary as a
-//! child process per setting and compares digests of everything
-//! user-visible a workload produces: guarded-update violation lists (in
-//! order), maintained-model flip lists (in order), checker read sets,
+//! The cross-process comparison re-executes this test binary as a child
+//! process and compares digests of everything user-visible a workload
+//! produces: guarded-update violation lists (in order),
+//! maintained-model flip lists (in order), checker read sets,
 //! satisfiability outcomes, prepared-query `Rows` iteration order and
 //! plan-cache counters, and final fact/model iteration order.
 //!
 //! This is the regression net for the ROADMAP's `net_effect`-style bug
 //! class: any `HashMap`/`HashSet` iteration leaking into user-visible
-//! order shows up as a digest mismatch — across two runs in one process,
-//! across processes, or across `UNIFORM_THREADS=1` vs `8`.
+//! order shows up as a digest mismatch — across two runs in one
+//! process, or across processes (each draws its own hash seeds).
 
 use std::fmt::Write as _;
 use uniform::datalog::{Database, MaintainedModel, RuleSet};
@@ -90,7 +89,7 @@ fn observation_log() -> String {
     // The chunked page tables themselves: page count, per-page arena
     // size and live count, tombstone totals. Chunk boundaries are a
     // function of the operation sequence alone, so they must digest
-    // identically across thread counts and processes.
+    // identically across runs and processes.
     for pred in db.facts().predicates() {
         let rel = db.facts().relation(pred).unwrap();
         let _ = writeln!(
@@ -343,7 +342,7 @@ fn observation_log() -> String {
     // The shared certain-answer cache: one append outside every cached
     // closure, then re-reads through fresh sessions — the carried-
     // forward rows and the hit/miss/carry counters are user-visible
-    // and must digest identically across thread counts and processes
+    // and must digest identically across runs and processes
     // (all reads here are sequential, so the counters are exact).
     {
         // Prime the cache post-rule-update (the `try_add_rule` above
@@ -387,6 +386,82 @@ fn observation_log() -> String {
         }
         for (name, snap) in &report.histograms {
             let _ = writeln!(log, "obs {name} buckets {:?}", snap.nonzero());
+        }
+    }
+
+    // 6c. The consistency latch: the bit after every step of a mixed
+    //     schedule — a generated state and a raw load nobody has looked
+    //     at (in any build profile: the generators' sanity checks do not
+    //     latch), the `Certain` read that establishes it, guarded
+    //     commits under both policies that carry it, a guarded rule
+    //     addition, the raw edit that clears it — plus the close path of
+    //     every read and the latch counters. A pure function of the
+    //     operation sequence.
+    {
+        let ldb = ConcurrentDatabase::from_database_with_obs(
+            workload::violation_mix_db(53),
+            UniformOptions::default(),
+            std::sync::Arc::new(Obs::null()),
+        );
+        let q = ldb.prepare("p(X)").unwrap();
+        let certain = |log: &mut String, step: &str| {
+            let rows = ldb
+                .session()
+                .execute(&q, &Params::new(), Consistency::Certain)
+                .map(|rows| rows.to_string())
+                .unwrap_or_else(|e| format!("err {e}"));
+            let _ = writeln!(log, "latch {step} certain {rows}");
+        };
+        let bit = |log: &mut String, step: &str| {
+            let _ = writeln!(
+                log,
+                "latch {step} verified {}",
+                ldb.snapshot().verified_consistent()
+            );
+        };
+        bit(&mut log, "generated");
+        // A harmless raw load: still a state nobody has looked at.
+        ldb.update_schema(|d| d.insert_fact(&Fact::parse_like("latch_noise", &["n"])));
+        bit(&mut log, "loaded");
+        certain(&mut log, "first");
+        bit(&mut log, "looked");
+        for (i, tx) in workload::violation_mix_stream(0, 6, 53).iter().enumerate() {
+            let policy = if i % 2 == 0 {
+                ViolationPolicy::Reject
+            } else {
+                ViolationPolicy::AutoRepair
+            };
+            let mut txn = ldb.begin();
+            for u in &tx.updates {
+                txn.stage(u.clone());
+            }
+            let outcome = match ldb.commit_with_policy(&txn, policy) {
+                Ok(outcome) => format!("v{}", outcome.version),
+                Err(e) => format!("err {e}"),
+            };
+            let _ = writeln!(log, "latch commit {i} {outcome}");
+            bit(&mut log, &format!("commit {i}"));
+        }
+        certain(&mut log, "carried");
+        let added = ldb.try_add_rule("watched(X) :- p(X), q(X).").is_ok();
+        bit(&mut log, &format!("rule {added}"));
+        ldb.update_schema(|d| d.insert_fact(&Fact::parse_like("p", &["latch_raw"])));
+        bit(&mut log, "raw");
+        certain(&mut log, "violated");
+        bit(&mut log, "end");
+        for ev in ldb.recent_events() {
+            if ev.close && ev.name == "query.execute" {
+                let _ = writeln!(log, "latch path {:?}", ev.tag);
+            }
+        }
+        let report = ldb.obs_report();
+        for name in [
+            "consistency.established",
+            "consistency.preserved",
+            "consistency.cleared",
+            "query.certain.consistent",
+        ] {
+            let _ = writeln!(log, "latch {name} {:?}", report.counter(name));
         }
     }
 
@@ -447,12 +522,11 @@ fn determinism_digest_child() {
     println!("DIGEST={:016x}", fnv1a(&observation_log()));
 }
 
-fn child_digest(threads: &str) -> String {
+fn child_digest() -> String {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args(["determinism_digest_child", "--exact", "--nocapture"])
         .env("UNIFORM_DETERMINISM_CHILD", "1")
-        .env("UNIFORM_THREADS", threads)
         .output()
         .expect("spawn child test binary");
     assert!(out.status.success(), "child failed: {out:?}");
@@ -477,14 +551,10 @@ fn identical_output_within_one_process() {
 }
 
 #[test]
-fn identical_output_across_thread_counts() {
-    let single = child_digest("1");
-    let eight = child_digest("8");
+fn identical_output_across_processes() {
     assert_eq!(
-        single, eight,
-        "UNIFORM_THREADS=1 vs 8 must produce identical user-visible output"
+        child_digest(),
+        child_digest(),
+        "independent processes (own hash seeds) must produce identical user-visible output"
     );
-    // And across independent processes with the same setting (catches
-    // per-process hash-seed dependence).
-    assert_eq!(single, child_digest("1"));
 }

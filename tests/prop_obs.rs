@@ -1,14 +1,13 @@
 //! Properties of the unified observability layer (`uniform::obs`).
 //!
 //! * Counter totals and histogram bucket counts are identical across
-//!   `UNIFORM_THREADS=1` vs `8` on seeded randomized commit/query
-//!   schedules — internal parallelism must never leak into metrics.
-//!   Like `determinism.rs`, the thread-count comparison re-executes
-//!   this binary as a child per setting (`UNIFORM_THREADS` is latched
-//!   once per process).
+//!   processes on seeded randomized commit/query schedules — per-process
+//!   hash seeds must never leak into metrics. Like `determinism.rs`,
+//!   the comparison re-executes this binary as a child.
 //! * The span ring is well-formed: every close pairs with its open,
 //!   parentage nests per thread, and the close tags of `query.execute`
-//!   spans name real outcome paths.
+//!   spans name real outcome paths (`eval`, `consistent`, `cache_hit`,
+//!   `repair`).
 //! * The typed legacy accessors (`conflict_stats`, `maintenance`,
 //!   `certain_cache_stats`, `plan_cache_stats`) are views over the
 //!   registry: both surfaces must agree exactly.
@@ -34,9 +33,8 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// A seeded commit/query schedule over one database pinned to the
-/// `NullClock` obs domain. Everything the driver does is sequential —
-/// only the engine's *internal* parallelism varies with
-/// `UNIFORM_THREADS` — so every counter total is exact.
+/// `NullClock` obs domain. Everything the driver does is sequential,
+/// so every counter total is exact.
 fn run_schedule(seed: u64) -> ConcurrentDatabase {
     let db = ConcurrentDatabase::from_database_with_obs(
         workload::violation_mix_db(seed),
@@ -102,12 +100,11 @@ fn obs_digest_child() {
     println!("OBSDIGEST={:016x}", fnv1a(&log));
 }
 
-fn child_digest(threads: &str) -> String {
+fn child_digest() -> String {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args(["obs_digest_child", "--exact", "--nocapture"])
         .env("UNIFORM_PROP_OBS_CHILD", "1")
-        .env("UNIFORM_THREADS", threads)
         .output()
         .expect("spawn child test binary");
     assert!(out.status.success(), "child failed: {out:?}");
@@ -122,11 +119,11 @@ fn child_digest(threads: &str) -> String {
 }
 
 #[test]
-fn metrics_identical_across_thread_counts() {
+fn metrics_identical_across_processes() {
     assert_eq!(
-        child_digest("1"),
-        child_digest("8"),
-        "UNIFORM_THREADS must not leak into counter totals or bucket counts"
+        child_digest(),
+        child_digest(),
+        "per-process state must not leak into counter totals or bucket counts"
     );
 }
 
@@ -201,17 +198,35 @@ fn span_ring_is_well_formed() {
     for name in &names {
         assert!(known.contains(name), "undocumented span name {name}");
     }
+    let mut consistent_closes = 0u64;
     for ev in events.iter().filter(|e| e.close) {
         if ev.name == "query.execute" {
             assert!(
-                matches!(ev.tag, Some("eval" | "cache_hit" | "repair")),
+                matches!(ev.tag, Some("eval" | "consistent" | "cache_hit" | "repair")),
                 "query.execute closed with unknown path {:?}",
                 ev.tag
             );
+            consistent_closes += u64::from(ev.tag == Some("consistent"));
         }
         assert_eq!(ev.nanos, 0, "NullClock spans must never carry durations");
     }
     assert!(opened * 2 >= events.len(), "opens and closes must pair");
+
+    // The consistency-latch family is registered whether or not the
+    // schedule moved it, and the bypass counter is exactly the number
+    // of `consistent` closes (the ring did not wrap).
+    let report = db.obs_report();
+    for name in [
+        "consistency.established",
+        "consistency.preserved",
+        "consistency.cleared",
+    ] {
+        assert!(report.counter(name).is_some(), "{name} not registered");
+    }
+    assert_eq!(
+        report.counter("query.certain.consistent"),
+        Some(consistent_closes)
+    );
 }
 
 #[test]
