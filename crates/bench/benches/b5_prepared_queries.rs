@@ -5,9 +5,9 @@
 //! states, at both consistency levels:
 //!
 //! * `one_shot` — the legacy serving shape: every call re-parses,
-//!   re-plans and (for `Certain`) re-enumerates repairs
-//!   (`UniformDatabase::solutions` / `consistent_answer`, which are now
-//!   shims doing exactly that through the new path);
+//!   re-plans and (for `Certain`) re-enumerates repairs (a fresh
+//!   `PreparedQuery::prepare` and a fresh session per call, past the
+//!   plan cache);
 //! * `cached` — `ConcurrentDatabase::solutions` /
 //!   `consistent_answer`: parse and plan amortized by the shared
 //!   sharded plan cache, but a fresh session (fresh snapshot) per
@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 use uniform::workload;
-use uniform::{ConcurrentDatabase, Consistency, Params, UniformDatabase, UniformOptions};
+use uniform::{ConcurrentDatabase, Consistency, Params, PreparedQuery, UniformOptions};
 use uniform_bench::{obs_footer, shared_obs};
 
 const UNIVERSITY_SIZES: &[usize] = &[32, 128];
@@ -43,14 +43,20 @@ fn bench_latest(c: &mut Criterion) {
 
     for &n in UNIVERSITY_SIZES {
         group.bench_with_input(BenchmarkId::new("one_shot", n), &n, |b, &n| {
-            let db = UniformDatabase::parse_tolerant(&uniform::datalog::to_program_source(
-                &university(n),
-            ))
-            .unwrap();
+            let db = ConcurrentDatabase::from_database_with_obs(
+                university(n),
+                UniformOptions::default(),
+                obs.clone(),
+            );
             b.iter(|| {
                 let mut answers = 0usize;
                 for q in queries {
-                    answers += db.solutions(q).unwrap().len();
+                    let prepared = PreparedQuery::prepare(q).unwrap();
+                    answers += db
+                        .session()
+                        .execute(&prepared, &Params::new(), Consistency::Latest)
+                        .unwrap()
+                        .len();
                 }
                 assert!(answers > 0);
                 answers
@@ -123,7 +129,7 @@ fn bench_certain(c: &mut Criterion) {
                         // database per iteration above, the first
                         // `Certain` read also pays the repair
                         // enumeration, the legacy one-shot cost.
-                        let prepared = uniform::PreparedQuery::prepare(q).unwrap();
+                        let prepared = PreparedQuery::prepare(q).unwrap();
                         let _ = db
                             .session()
                             .execute(&prepared, &Params::new(), Consistency::Certain)

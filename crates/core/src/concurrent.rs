@@ -1,7 +1,9 @@
-//! The multi-writer guarded-update pipeline: [`ConcurrentDatabase`].
+//! The database: [`ConcurrentDatabase`], a deductive database whose
+//! every mutation is guarded by the appropriate checker of the paper.
 //!
 //! A cheaply clonable (`Arc`-shared) handle that any number of writer
-//! threads commit through. Each transaction:
+//! threads commit through — a single owner is simply the one-writer
+//! case. Each transaction:
 //!
 //! 1. **begins** against a pinned MVCC snapshot
 //!    ([`ConcurrentDatabase::begin`] → [`TxnBuilder`]);
@@ -25,7 +27,9 @@
 //! multi-writer schedules.
 
 use crate::certain_cache::{CertainCache, CertainCacheStats, StateKey};
-use crate::facade::{UniformDatabase, UniformError, UniformOptions};
+use crate::guard::{
+    guarded_rule_update, refuse_unsatisfiable_candidate, UniformError, UniformOptions,
+};
 use crate::query::{
     Consistency, Params, PlanCache, PlanCacheStats, PreparedQuery, QueryError, Session,
 };
@@ -38,12 +42,17 @@ use uniform_analyze::{AnalyzeOptions, AnalyzedProgram, Analyzer};
 use uniform_datalog::txn::{
     CommitError, CommitQueue, CommitReceipt, ConflictStats, MaintenanceCounters, ModelPath,
 };
-use uniform_datalog::{ConflictGranularity, Database, Snapshot, Transaction, TxnBuilder, Update};
-use uniform_integrity::{CheckReport, Checker, RuleUpdate};
-use uniform_logic::{normalize, parse_formula, Constraint, LogicError, Sym};
+use uniform_datalog::{
+    ConflictGranularity, Database, Provenance, Snapshot, Transaction, TxnBuilder, Update,
+};
+use uniform_integrity::{CheckReport, Checker, ConditionalUpdate, RuleUpdate};
+use uniform_logic::{
+    normalize, parse_fact, parse_formula, parse_literal, parse_rule, Constraint, LogicError,
+    ParseError, Sym,
+};
 use uniform_obs::{Counter, Gauge, Hist, Obs, ObsReport, SpanEvent};
-use uniform_repair::{RepairEngine, RepairError, RepairSet, ViolationPolicy};
-use uniform_satisfiability::SatChecker;
+use uniform_repair::{RepairEngine, RepairError, RepairOptions, RepairSet, ViolationPolicy};
+use uniform_satisfiability::{SatChecker, SatReport};
 
 /// Why a guarded concurrent commit failed.
 #[derive(Debug)]
@@ -300,7 +309,7 @@ pub(crate) struct Shared {
     /// `(rule_rev, constraint_rev)`. Schema changes move the key, so a
     /// stale entry is simply never served again; it is replaced on the
     /// next miss.
-    analyzed: crate::facade::AnalyzedSlot,
+    analyzed: Mutex<Option<(u64, u64, Arc<AnalyzedProgram>)>>,
 }
 
 impl Shared {
@@ -342,6 +351,11 @@ impl Shared {
         &self.metrics
     }
 
+    /// The repair engine's cost bounds ([`UniformOptions::repair`]).
+    pub(crate) fn repair_options(&self) -> RepairOptions {
+        self.options.repair
+    }
+
     /// The static analysis of the schema as of `snapshot`, served from
     /// the shared single-entry cache when the snapshot's schema
     /// revisions match the cached key (`analyze.cache.hits`), rebuilt
@@ -349,10 +363,10 @@ impl Shared {
     /// The satisfiability classification inside the returned program is
     /// lazy, so a cache miss costs lints + closures + templates only.
     pub(crate) fn analyzed_for_snapshot(&self, snapshot: &Snapshot) -> Arc<AnalyzedProgram> {
-        let key = (snapshot.rule_rev(), snapshot.constraint_rev());
+        let (rule_rev, constraint_rev) = (snapshot.rule_rev(), snapshot.constraint_rev());
         let mut slot = self.analyzed.lock();
-        if let Some((cached_key, analyzed)) = slot.as_ref() {
-            if *cached_key == key {
+        if let Some((r, c, analyzed)) = slot.as_ref() {
+            if (*r, *c) == (rule_rev, constraint_rev) {
                 self.metrics.analyze_hits.incr();
                 return analyzed.clone();
             }
@@ -367,7 +381,7 @@ impl Shared {
                 .with_obs(self.obs.clone())
                 .analyze(),
         );
-        *slot = Some((key, analyzed.clone()));
+        *slot = Some((rule_rev, constraint_rev, analyzed.clone()));
         analyzed
     }
 }
@@ -379,15 +393,10 @@ pub struct ConcurrentDatabase {
 }
 
 impl ConcurrentDatabase {
-    /// Share a façade database among writers. Fails never; the façade's
-    /// invariant (initial state consistent) carries over.
-    pub fn new(db: UniformDatabase) -> ConcurrentDatabase {
-        let (db, options) = db.into_parts();
-        ConcurrentDatabase::from_database(db, options)
-    }
-
-    /// Share a bare [`Database`] with explicit options. The
-    /// observability domain comes from the environment:
+    /// Share a bare [`Database`] with explicit options, as loaded: the
+    /// state is not checked, so it starts unverified (see
+    /// [`Database::verified_consistent`]) unless the caller looked
+    /// already. The observability domain comes from the environment:
     /// [`uniform_obs::Obs::from_env`] — wall-clock timing when
     /// `UNIFORM_OBS=1`, the zero-cost [`uniform_obs::NullClock`]
     /// otherwise (counters and spans are recorded either way).
@@ -408,11 +417,7 @@ impl ConcurrentDatabase {
     ) -> ConcurrentDatabase {
         let (rule_rev, constraint_rev, version) =
             (db.rule_rev(), db.constraint_rev(), db.version());
-        let queue = if options.maintain_model {
-            CommitQueue::with_obs(db, obs.clone())
-        } else {
-            CommitQueue::without_maintenance_with_obs(db, obs.clone())
-        };
+        let queue = CommitQueue::with_obs(db, obs.clone());
         let metrics = CoreMetrics::register(&obs);
         ConcurrentDatabase {
             shared: Arc::new(Shared {
@@ -430,12 +435,51 @@ impl ConcurrentDatabase {
         }
     }
 
-    /// Parse a program and share it (see [`UniformDatabase::parse`]).
+    /// Parse a program (facts, rules, constraints). Fails if the initial
+    /// facts violate the constraints — the integrity-maintenance method
+    /// requires a consistent starting point.
     pub fn parse(src: &str) -> Result<ConcurrentDatabase, UniformError> {
-        Ok(ConcurrentDatabase::new(UniformDatabase::parse(src)?))
+        ConcurrentDatabase::parse_with_options(src, UniformOptions::default())
     }
 
-    /// Pin a snapshot and open a transaction.
+    /// [`ConcurrentDatabase::parse`] with explicit options.
+    pub fn parse_with_options(
+        src: &str,
+        options: UniformOptions,
+    ) -> Result<ConcurrentDatabase, UniformError> {
+        let db = Database::parse(src)?;
+        let violated = db.violated_constraints();
+        if !violated.is_empty() {
+            return Err(UniformError::InitialViolation(violated));
+        }
+        Ok(ConcurrentDatabase::from_database(db, options))
+    }
+
+    /// Parse a program *without* requiring the initial facts to satisfy
+    /// the constraints — the entry point for inconsistency-tolerant
+    /// serving (with explicit options: [`Database::parse`] +
+    /// [`ConcurrentDatabase::from_database`]). Guarded updates assume a
+    /// consistent starting state (the incremental method's
+    /// precondition), so on a tolerant database the intended operations
+    /// are [`ConcurrentDatabase::minimal_repairs`] and `Certain` reads.
+    /// To *write* the state back to consistency, apply a chosen repair
+    /// explicitly (e.g. `minimal_repairs()?[0].to_transaction()` through
+    /// [`ConcurrentDatabase::update_schema`]) — note that
+    /// [`ViolationPolicy::AutoRepair`] repairs only transactions whose
+    /// own check fails, not pre-existing inconsistency that a
+    /// non-violating commit leaves untouched.
+    pub fn parse_tolerant(src: &str) -> Result<ConcurrentDatabase, UniformError> {
+        Ok(ConcurrentDatabase::from_database(
+            Database::parse(src)?,
+            UniformOptions::default(),
+        ))
+    }
+
+    /// Pin a snapshot and open a transaction. A transaction whose
+    /// snapshot went stale before [`ConcurrentDatabase::commit`] is
+    /// still admitted when the intervening commits wrote nothing its
+    /// check read; otherwise it is refused with the retriable
+    /// [`TxnError::Conflict`].
     pub fn begin(&self) -> TxnBuilder {
         self.shared.queue.begin()
     }
@@ -763,12 +807,7 @@ impl ConcurrentDatabase {
     /// reuse one repair enumeration and cached row sets (see
     /// [`crate::certain_cache`]).
     pub fn session(&self) -> Session {
-        Session::shared(
-            self.snapshot(),
-            self.shared.options.repair,
-            self.shared.clone(),
-            false,
-        )
+        Session::open(self.snapshot(), self.shared.clone(), false)
     }
 
     /// A *fenced* session: like [`ConcurrentDatabase::session`], but
@@ -778,12 +817,7 @@ impl ConcurrentDatabase {
     /// whose pinned verdicts predate the new schema. Use for long-lived
     /// sessions that must not serve answers across schema epochs.
     pub fn session_fenced(&self) -> Session {
-        Session::shared(
-            self.snapshot(),
-            self.shared.options.repair,
-            self.shared.clone(),
-            true,
-        )
+        Session::open(self.snapshot(), self.shared.clone(), true)
     }
 
     /// Running totals of the shared prepared-plan cache.
@@ -882,11 +916,15 @@ impl ConcurrentDatabase {
     /// [`CommitQueue::update_schema`]): the maintained model is reset
     /// and in-flight transactions are fenced with a retriable
     /// [`TxnError::SnapshotTooOld`]. Prefer the guarded
-    /// [`ConcurrentDatabase::try_add_rule`] for rule additions.
+    /// `try_add_*` / `try_remove_rule` / `remove_constraint` entry
+    /// points for schema changes.
     /// Fenced read sessions observe the change through the published
     /// revision mirrors (see [`ConcurrentDatabase::session_fenced`]).
+    /// A closure that leaves the database untouched (a refused or no-op
+    /// change) fences nothing and keeps the certain-answer cache.
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        let result = self.shared.queue.update_schema(|db| {
+        let (result, changed) = self.shared.queue.update_schema(|db| {
+            let before = db.version();
             let result = f(db);
             // Published while the queue lock still serializes schema
             // changes: racing updates must publish in revision order,
@@ -894,65 +932,70 @@ impl ConcurrentDatabase {
             // sessions would keep serving across it.
             self.shared
                 .publish_schema_revs(db.rule_rev(), db.constraint_rev(), db.version());
-            result
+            (result, db.version() != before)
         });
-        // A schema change moves the constraint closure itself; cached
-        // repair verdicts cannot be carried across it. (Raw fact edits
-        // through this entry point also land here — wholesale is the
-        // only sound answer either way.)
-        self.shared.certain.invalidate_all();
+        if changed {
+            // A schema change moves the constraint closure itself;
+            // cached repair verdicts cannot be carried across it. (Raw
+            // fact edits through this entry point also land here —
+            // wholesale is the only sound answer either way.)
+            self.shared.certain.invalidate_all();
+        }
         result
     }
 
-    /// Add a rule, guarded like [`UniformDatabase::try_add_rule`] (the
-    /// same shared protocol: stratification, schema satisfiability,
-    /// incremental integrity check), atomically with respect to
-    /// concurrent writers. The expensive part — the finite-
-    /// satisfiability search over the candidate rule set — runs
-    /// *optimistically outside the queue lock* on a pinned snapshot, so
-    /// writers are never stalled for the search's duration; before
-    /// installation the rule and constraint revisions are revalidated
-    /// under the lock, and if another schema change slipped in the
-    /// search simply re-runs there (the pre-optimization behavior).
+    /// Add a rule, guarded three ways: stratification, schema
+    /// satisfiability with the new rule, and the *incremental*
+    /// integrity check of a rule update treated like a conditional
+    /// update (§3.2) — only constraints relevant to literals the new
+    /// rule can reach are evaluated, never the full constraint set.
+    /// Atomic with respect to concurrent writers; in-flight
+    /// transactions and fenced sessions are fenced when the rule lands.
     /// Returns `false` when the rule was already present.
     pub fn try_add_rule(&self, rule: &str) -> Result<bool, UniformError> {
-        let parsed: uniform_logic::Rule = uniform_logic::parse_rule(rule)?;
+        self.rule_update(RuleUpdate::Add(parse_rule(rule)?))
+    }
+
+    /// Remove a rule (given in source syntax), guarded and fenced like
+    /// [`ConcurrentDatabase::try_add_rule`]: dropping a rule removes
+    /// derived facts, which can violate constraints with positive
+    /// occurrences of the derived predicate. Checked incrementally like
+    /// a conditional deletion of the rule's head (§3.2). Returns `false`
+    /// if no such rule exists.
+    pub fn try_remove_rule(&self, rule: &str) -> Result<bool, UniformError> {
+        self.rule_update(RuleUpdate::Remove(parse_rule(rule)?))
+    }
+
+    /// The one guarded rule update (see [`guarded_rule_update`]). The
+    /// expensive part — the finite-satisfiability search over the
+    /// candidate rule set — runs *optimistically outside the queue lock*
+    /// on a pinned snapshot, so writers are never stalled for the
+    /// search's duration; before installation the rule and constraint
+    /// revisions are revalidated under the lock, and if another schema
+    /// change slipped in the search simply re-runs there.
+    fn rule_update(&self, update: RuleUpdate) -> Result<bool, UniformError> {
         let options = &self.shared.options;
-        // Optimistic phase (no lock held): build the candidate rule set
-        // from a snapshot and run the satisfiability search on it.
-        let presat = if options.skip_satisfiability {
-            None
-        } else {
-            let (snapshot, rule_rev, constraint_rev) = self
-                .shared
-                .queue
-                .with_db(|db| (db.snapshot(), db.rule_rev(), db.constraint_rev()));
-            let mut rules = snapshot.rules().rules().to_vec();
-            if rules.contains(&parsed) {
-                None // no-op addition: nothing to search for
-            } else {
-                rules.push(parsed.clone());
-                match uniform_datalog::RuleSet::new(rules) {
-                    // Unstratifiable: let the locked path report it.
-                    Err(_) => None,
-                    Ok(candidate) => {
-                        let report = SatChecker::new(candidate, snapshot.constraints().to_vec())
-                            .with_options(options.sat.clone())
-                            .check();
-                        Some((report, rule_rev, constraint_rev))
-                    }
-                }
-            }
+        // The snapshot is gone before the lock is taken: a pin held
+        // across the mutation would turn it into a copy-on-write.
+        let (presat, pinned_revs) = {
+            let snapshot = self.snapshot();
+            // A no-op has nothing to search for; an unstratifiable
+            // addition is left to the locked path to report.
+            let candidate = update.rules_after(snapshot.rules()).ok().flatten();
+            let presat = candidate.map(|rules| {
+                SatChecker::new(rules, snapshot.constraints().to_vec())
+                    .with_options(options.sat.clone())
+                    .check()
+            });
+            (presat, (snapshot.rule_rev(), snapshot.constraint_rev()))
         };
         // Through `Self::update_schema`, so the fencing revision
-        // mirrors are re-published after the rule lands.
+        // mirrors are re-published after the rule set moves.
         self.update_schema(|db| {
             // Revalidate: the verdict transfers only if neither rules
             // nor constraints moved since the snapshot.
-            let presat = presat.as_ref().and_then(|(report, r0, c0)| {
-                (db.rule_rev() == *r0 && db.constraint_rev() == *c0).then_some(report)
-            });
-            crate::facade::guarded_rule_update_presat(db, options, RuleUpdate::Add(parsed), presat)
+            let current = (db.rule_rev(), db.constraint_rev()) == pinned_revs;
+            guarded_rule_update(db, options, update, presat.as_ref().filter(|_| current))
         })
     }
 
@@ -967,14 +1010,16 @@ impl ConcurrentDatabase {
         self.shared.analyzed_for_snapshot(&self.snapshot())
     }
 
-    /// Add a constraint, guarded like
-    /// [`UniformDatabase::try_add_constraint`] — the §4 gate refuses
+    /// Add a constraint, guarded twice: first the §4 gate refuses
     /// candidate sets proven unsatisfiable with a typed
     /// [`UniformError::Analyze`] (UA0301; no state could ever satisfy
-    /// them), then the *current* state is checked and a
-    /// violated-but-satisfiable constraint is refused with
-    /// [`UniformError::CurrentlyViolated`] carrying a suggested repair —
-    /// atomically with respect to concurrent writers. Like
+    /// them, whatever the facts say), then the *current* state is
+    /// checked and a violated-but-satisfiable constraint is refused with
+    /// [`UniformError::CurrentlyViolated`] carrying the smallest minimal
+    /// repair of the would-be state — computed by the [`RepairEngine`]
+    /// behind [`ConcurrentDatabase::minimal_repairs`], on a snapshot
+    /// pinned at the refusal, after the queue lock is released.
+    /// Atomic with respect to concurrent writers. Like
     /// [`ConcurrentDatabase::try_add_rule`], the expensive
     /// satisfiability search runs *optimistically outside the queue
     /// lock* on a pinned snapshot; the schema revisions are revalidated
@@ -992,68 +1037,91 @@ impl ConcurrentDatabase {
         let options = &self.shared.options;
 
         // Optimistic phase (no lock held): classify the candidate
-        // constraint set on a pinned snapshot.
-        let preverdict = if options.skip_satisfiability {
-            None
-        } else {
-            let (snapshot, rule_rev, constraint_rev) = self
-                .shared
-                .queue
-                .with_db(|db| (db.snapshot(), db.rule_rev(), db.constraint_rev()));
-            if duplicate(snapshot.constraints()) {
-                None // no-op addition: nothing to search for
-            } else {
+        // constraint set on a pinned snapshot — dropped before the lock
+        // is taken, so the mutation below is not a copy-on-write.
+        let (preverdict, pinned_revs) = {
+            let snapshot = self.snapshot();
+            let preverdict = (!duplicate(snapshot.constraints())).then(|| {
                 let mut candidate = snapshot.constraints().to_vec();
                 candidate.push(constraint.clone());
-                let verdict = crate::facade::refuse_unsatisfiable_candidate(
-                    snapshot.rules(),
-                    candidate,
-                    &options.sat,
-                );
-                Some((verdict, rule_rev, constraint_rev))
-            }
+                refuse_unsatisfiable_candidate(snapshot.rules(), candidate, &options.sat)
+            });
+            (preverdict, (snapshot.rule_rev(), snapshot.constraint_rev()))
         };
 
         // Through `Self::update_schema`, so the fencing revision
         // mirrors are re-published after the constraint lands.
-        self.update_schema(|db| {
+        let mut refused = None;
+        let added = self.update_schema(|db| -> Result<bool, UniformError> {
             if duplicate(db.constraints()) {
                 return Ok(false);
             }
             // Revalidate: the verdict transfers only if neither rules
             // nor constraints moved since the snapshot.
             match preverdict {
-                Some((verdict, r0, c0)) if db.rule_rev() == r0 && db.constraint_rev() == c0 => {
-                    verdict?
-                }
-                _ if options.skip_satisfiability => {}
+                Some(verdict) if (db.rule_rev(), db.constraint_rev()) == pinned_revs => verdict?,
                 _ => {
                     let mut candidate = db.constraints().to_vec();
                     candidate.push(constraint.clone());
-                    crate::facade::refuse_unsatisfiable_candidate(
-                        db.rules(),
-                        candidate,
-                        &options.sat,
-                    )?;
+                    refuse_unsatisfiable_candidate(db.rules(), candidate, &options.sat)?;
                 }
             }
             if !db.satisfies(&constraint.rq) {
-                let mut constraints = db.constraints().to_vec();
-                constraints.push(constraint.clone());
-                let engine = RepairEngine::new(db.facts().clone(), db.rules().clone(), constraints)
-                    .with_options(options.repair)
-                    .with_obs(self.shared.obs.clone());
-                let repair = engine.repairs().ok().map(|report| report.best().clone());
-                return Err(UniformError::CurrentlyViolated {
-                    constraint: name.to_string(),
-                    repair,
-                });
+                // Refused. The repair suggestion is an enumeration:
+                // pin the state and compute it once the lock is gone.
+                refused = Some(db.snapshot());
+                return Ok(false);
             }
             // The old constraints held if the latch says so, the new one
             // was just evaluated: the step preserves the latch.
-            db.preserving_consistency(|db| db.add_constraint(constraint));
+            db.preserving_consistency(|db| db.add_constraint(constraint.clone()));
             Ok(true)
+        })?;
+        let Some(refused) = refused else {
+            return Ok(added);
+        };
+        let mut constraints = refused.constraints().to_vec();
+        constraints.push(constraint);
+        let engine = RepairEngine::new(
+            refused.facts().clone(),
+            refused.rules().clone(),
+            constraints,
+        )
+        .with_options(options.repair)
+        .with_obs(self.shared.obs.clone());
+        Err(UniformError::CurrentlyViolated {
+            constraint: name.to_string(),
+            repair: engine.repairs().ok().map(|report| report.best().clone()),
         })
+    }
+
+    /// Remove a constraint by name. Always safe (removing a constraint
+    /// can only enlarge the set of acceptable states), and fenced like
+    /// every schema change. Returns `false` if no constraint with that
+    /// name exists.
+    pub fn remove_constraint(&self, name: &str) -> bool {
+        self.update_schema(|db| {
+            let remaining: Vec<Constraint> = db
+                .constraints()
+                .iter()
+                .filter(|c| c.name != name)
+                .cloned()
+                .collect();
+            let removed = remaining.len() < db.constraints().len();
+            if removed {
+                // Fewer constraints cannot un-satisfy a state.
+                db.preserving_consistency(|db| db.set_constraints(remaining));
+            }
+            removed
+        })
+    }
+
+    /// Satisfiability of the current rules + constraints (§4).
+    pub fn check_satisfiability(&self) -> SatReport {
+        let snapshot = self.snapshot();
+        SatChecker::new(snapshot.rules().clone(), snapshot.constraints().to_vec())
+            .with_options(self.shared.options.sat.clone())
+            .check()
     }
 
     /// Commit `updates` as one transaction, re-beginning against a
@@ -1094,6 +1162,90 @@ impl ConcurrentDatabase {
         }
         self.commit(&txn)
     }
+
+    // ---- parsed one-shot updates ----------------------------------------
+    //
+    // Sugar over `commit_transaction`: same check, same admission, same
+    // violation policy; integrity rejections come back as
+    // `UniformError::UpdateRejected`.
+
+    /// Check a transaction against the latest committed state without
+    /// applying it.
+    pub fn check(&self, tx: &Transaction) -> CheckReport {
+        Checker::for_snapshot_with_options(&self.snapshot(), self.shared.options.check).check(tx)
+    }
+
+    /// Insert one fact (parsed), guarded.
+    pub fn try_insert(&self, fact: &str) -> Result<CommitOutcome, UniformError> {
+        let tx = Transaction::single(Update::insert(parse_fact(fact)?));
+        Ok(self.commit_transaction(&tx)?)
+    }
+
+    /// Delete one fact (parsed), guarded.
+    pub fn try_delete(&self, fact: &str) -> Result<CommitOutcome, UniformError> {
+        let tx = Transaction::single(Update::delete(parse_fact(fact)?));
+        Ok(self.commit_transaction(&tx)?)
+    }
+
+    /// Apply a transaction given as a list of literal sources, e.g.
+    /// `["student(jack)", "not enrolled(jack, cs)"]`.
+    pub fn try_update_all(&self, literals: &[&str]) -> Result<CommitOutcome, UniformError> {
+        let mut updates = Vec::with_capacity(literals.len());
+        for l in literals {
+            let upd = Update::from_literal(&parse_literal(l)?).ok_or_else(|| {
+                UniformError::Language(LogicError::Parse(ParseError {
+                    line: 1,
+                    col: 1,
+                    message: format!("update `{l}` is not ground"),
+                }))
+            })?;
+            updates.push(upd);
+        }
+        Ok(self.commit_transaction(&Transaction::new(updates))?)
+    }
+
+    /// Apply a conditional update (BRY 87; §3.2), e.g.
+    /// `"not enrolled(X, cs) where enrolled(X, cs), failed(X)"`: the
+    /// condition is evaluated against the canonical model of a pinned
+    /// snapshot, the update pattern is instantiated per answer, and the
+    /// resulting transaction commits iff it preserves integrity. The
+    /// relations the condition read join the transaction's read set, so
+    /// a concurrent commit into any of them conflicts this one instead
+    /// of admitting a stale expansion.
+    pub fn try_apply_where(&self, src: &str) -> Result<CommitOutcome, UniformError> {
+        let cu = ConditionalUpdate::parse(src)?;
+        let mut txn = self.begin();
+        let expanded = cu.expand(txn.snapshot().model());
+        for update in expanded.updates {
+            txn.stage(update);
+        }
+        let graph = txn.snapshot().rules().graph();
+        let reads: BTreeSet<Sym> = cu
+            .condition()
+            .iter()
+            .flat_map(|l| graph.reachable(l.atom.pred))
+            .collect();
+        txn.record_reads(reads);
+        Ok(self.commit(&txn)?)
+    }
+
+    // ---- tooling ----------------------------------------------------------
+
+    /// Why is `fact` true? Renders a well-founded derivation tree
+    /// (explicit facts, rule applications, absences justifying negative
+    /// premises), or `None` when the fact is not in the canonical model.
+    pub fn explain(&self, fact: &str) -> Result<Option<String>, UniformError> {
+        let f = parse_fact(fact)?;
+        let snapshot = self.snapshot();
+        let prov = Provenance::build(snapshot.facts(), snapshot.rules());
+        Ok(prov.explain(&f).map(|d| d.to_string()))
+    }
+
+    /// Serialize the database back to its surface syntax (round-trips
+    /// through [`ConcurrentDatabase::parse`]).
+    pub fn to_program_source(&self) -> String {
+        self.with_database(uniform_datalog::to_program_source)
+    }
 }
 
 impl fmt::Debug for ConcurrentDatabase {
@@ -1110,6 +1262,16 @@ mod tests {
     const ORG: &str = "
         member(X, Y) :- leads(X, Y).
         constraint led: forall X: department(X) -> (exists Y: employee(Y) & leads(Y, X)).
+        employee(ann).
+        department(sales).
+        leads(ann, sales).
+    ";
+
+    /// [`ORG`] where every employee must also be a member somewhere.
+    const ORG_MEMBERS: &str = "
+        member(X, Y) :- leads(X, Y).
+        constraint led: forall X: department(X) -> (exists Y: employee(Y) & leads(Y, X)).
+        constraint emp_member: forall X: employee(X) -> (exists Y: member(X, Y)).
         employee(ann).
         department(sales).
         leads(ann, sales).
@@ -1184,7 +1346,7 @@ mod tests {
 
     #[test]
     fn writers_to_disjoint_keys_of_one_relation_admit_concurrently() {
-        // The b6 scenario through the full facade: two writers append
+        // The b6 scenario through the full pipeline: two writers append
         // different keys to the same hot relation from the same
         // snapshot version; neither invalidates the other.
         let db = ConcurrentDatabase::parse("seat(a).").unwrap();
@@ -1293,29 +1455,6 @@ mod tests {
         let snap = db.snapshot();
         assert!(snap.holds(&Fact::parse_like("member", &["bob", "hr"])));
         assert!(db.maintenance().maintained >= 1);
-
-        // Disabling maintenance reproduces invalidate-on-commit.
-        let plain = ConcurrentDatabase::from_database(
-            UniformDatabase::parse(ORG).unwrap().into_parts().0,
-            UniformOptions {
-                maintain_model: false,
-                ..UniformOptions::default()
-            },
-        );
-        let outcome = plain
-            .commit_updates_with_retry(
-                &[
-                    upd(true, "employee", &["zoe"]),
-                    upd(true, "leads", &["zoe", "ops"]),
-                    upd(true, "department", &["ops"]),
-                ],
-                4,
-            )
-            .unwrap();
-        assert_eq!(
-            outcome.model_path,
-            uniform_datalog::ModelPath::Rematerialized
-        );
     }
 
     #[test]
@@ -1520,7 +1659,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_constraint_addition_mirrors_the_facade() {
+    fn guarded_constraint_addition_refuses_by_kind() {
         let db = ConcurrentDatabase::parse(ORG).unwrap();
         // Satisfiable and satisfied: accepted.
         assert!(db
@@ -1947,6 +2086,13 @@ mod tests {
         db.obs_report().counter(name).unwrap_or(0)
     }
 
+    /// The outcome paths of the recorded `query.execute` spans, in order.
+    fn execute_closes(db: &ConcurrentDatabase) -> Vec<Option<&'static str>> {
+        let events = db.recent_events().into_iter();
+        let closes = events.filter(|e| e.close && e.name == "query.execute");
+        closes.map(|e| e.tag).collect()
+    }
+
     #[test]
     fn certain_reads_of_a_verified_state_bypass_the_cache() {
         // `parse` checked the initial state: the latch starts set.
@@ -1982,14 +2128,8 @@ mod tests {
         assert_eq!(counter(&db, "consistency.preserved"), 3);
         assert_eq!(counter(&db, "consistency.established"), 0);
         assert_eq!(counter(&db, "consistency.cleared"), 0);
-        let closes: Vec<_> = db
-            .recent_events()
-            .into_iter()
-            .filter(|e| e.close && e.name == "query.execute")
-            .map(|e| e.tag)
-            .collect();
         assert_eq!(
-            closes,
+            execute_closes(&db),
             [Some("consistent"), Some("eval"), Some("consistent")]
         );
     }
@@ -2062,5 +2202,433 @@ mod tests {
         db.prepare(hot).unwrap();
         let after = db.plan_cache_stats();
         assert_eq!(after.misses, misses_before, "hot entry was evicted");
+    }
+
+    // ---- the parsed one-shot surface -------------------------------------
+
+    #[test]
+    fn parse_rejects_inconsistent_start() {
+        let err = ConcurrentDatabase::parse("p(a). constraint c: forall X: p(X) -> q(X).");
+        assert!(
+            matches!(err, Err(UniformError::InitialViolation(ref v)) if v == &vec!["c".to_string()])
+        );
+    }
+
+    #[test]
+    fn guarded_inserts_and_deletes() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        // Dangling department rejected.
+        assert!(db.try_insert("department(hr).").is_err());
+        // With a leader in the same transaction it goes through.
+        db.try_update_all(&["department(hr)", "employee(bob)", "leads(bob, hr)"])
+            .unwrap();
+        assert!(db.query("member(bob, hr)").unwrap());
+        // Removing ann's leadership would orphan sales.
+        assert!(db.try_delete("leads(ann, sales)").is_err());
+    }
+
+    #[test]
+    fn stale_begins_commit_unless_an_intervening_write_hit_their_read_set() {
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
+        let open_dept = |dept: &str| {
+            let mut txn = db.begin();
+            txn.insert(Fact::parse_like("department", &[dept]));
+            txn.insert(Fact::parse_like("leads", &["ann", dept]));
+            txn
+        };
+        // This handle commits in between, outside the check's read set:
+        // the stale transaction is admitted as it stands.
+        let stale = open_dept("ops");
+        db.try_insert("veteran(v).").unwrap();
+        assert!(stale.begin_version() < db.version());
+        assert!(db.commit(&stale).unwrap().report.satisfied);
+        assert!(db.query("member(ann, ops)").unwrap());
+
+        // An intervening write into a relation the verdict read (`led`
+        // scanned `employee` for a leader) is a typed retriable
+        // conflict, and the retry loop lands the same updates.
+        let stale = open_dept("hr");
+        db.try_insert("employee(dan).").unwrap();
+        let err = db.commit(&stale).unwrap_err();
+        assert!(
+            matches!(err, TxnError::Conflict { .. }) && err.is_retriable(),
+            "{err}"
+        );
+        assert!(!db.query("department(hr)").unwrap());
+        let outcome = db.commit_updates_with_retry(stale.updates(), 4).unwrap();
+        assert!(outcome.report.satisfied);
+        assert!(db.query("member(ann, hr)").unwrap());
+
+        // Rejections carry the usual typed report.
+        let mut bad = db.begin();
+        bad.insert(Fact::parse_like("department", &["void"]));
+        let err = db.commit(&bad).unwrap_err();
+        assert!(matches!(err, TxnError::Rejected(_)), "{err}");
+        assert!(!db.query("department(void)").unwrap());
+    }
+
+    #[test]
+    fn violated_but_satisfiable_constraint_suggests_repair() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        let err = db
+            .try_add_constraint("audited", "forall X, Y: leads(X, Y) -> audited(X)")
+            .unwrap_err();
+        match err {
+            UniformError::CurrentlyViolated { constraint, repair } => {
+                assert_eq!(constraint, "audited");
+                // The suggestion is the RepairEngine's smallest minimal
+                // repair of the would-be state — here inserting the
+                // missing audit record (deleting leads(ann, sales)
+                // would cascade into `led` and `emp_member`).
+                let repair = repair.expect("repair expected");
+                assert_eq!(repair.to_string(), "{+audited(ann)}");
+                assert_eq!(
+                    repair.ops(),
+                    &[Update::insert(Fact::parse_like("audited", &["ann"]))]
+                );
+            }
+            other => panic!("unexpected {other}"),
+        }
+    }
+
+    /// The suggestion *is* a minimal repair of the would-be state, so
+    /// it cannot disagree with `minimal_repairs`.
+    #[test]
+    fn constraint_repair_suggestion_agrees_with_minimal_repairs() {
+        let db = ConcurrentDatabase::parse("p(a). p(b). q(b).").unwrap();
+        let err = db
+            .try_add_constraint("c", "forall X: p(X) -> q(X)")
+            .unwrap_err();
+        let UniformError::CurrentlyViolated { repair, .. } = err else {
+            panic!("expected CurrentlyViolated");
+        };
+        let suggested = repair.expect("repairable state");
+        // Independently enumerate the minimal repairs of the would-be
+        // state (current facts + candidate constraint).
+        let tolerant = ConcurrentDatabase::parse_tolerant(
+            "p(a). p(b). q(b). constraint c: forall X: p(X) -> q(X).",
+        )
+        .unwrap();
+        let minimal = tolerant.minimal_repairs().unwrap();
+        assert!(
+            minimal.contains(&suggested),
+            "suggestion {suggested} not among the minimal repairs {minimal:?}"
+        );
+        // And it is the smallest one (the engine's (size, name) order).
+        assert_eq!(&suggested, &minimal[0]);
+        // Applying it makes the constraint addition succeed.
+        for op in suggested.ops() {
+            if op.insert {
+                db.try_insert(&format!("{}.", op.fact)).unwrap();
+            } else {
+                db.try_delete(&format!("{}.", op.fact)).unwrap();
+            }
+        }
+        assert!(db
+            .try_add_constraint("c", "forall X: p(X) -> q(X)")
+            .unwrap());
+    }
+
+    #[test]
+    fn refused_schema_changes_keep_the_certain_cache() {
+        let db = inconsistent_pq();
+        let q = db.prepare("p(X)").unwrap();
+        let read = || {
+            db.session()
+                .execute(&q, &Params::new(), Consistency::Certain)
+                .unwrap()
+        };
+        let warm = read();
+        assert_eq!(execute_closes(&db), [Some("repair")]);
+        // Refused as unsatisfiable (UA0301), refused as currently
+        // violated, a duplicate, removals that find nothing: none of
+        // them changed the database, so none may cost the cached repair
+        // list of this inconsistent state.
+        let err = db
+            .try_add_constraint("void", "(exists X: r(X)) & (forall X: r(X) -> false)")
+            .unwrap_err();
+        assert!(matches!(err, UniformError::Analyze(_)), "{err}");
+        let err = db
+            .try_add_constraint("no_q", "forall X: q(X) -> false")
+            .unwrap_err();
+        assert!(
+            matches!(err, UniformError::CurrentlyViolated { .. }),
+            "{err}"
+        );
+        assert!(!db
+            .try_add_constraint("c", "forall X: p(X) -> q(X)")
+            .unwrap());
+        assert!(!db.remove_constraint("ghost"));
+        assert!(!db.try_remove_rule("ghost(X) :- p(X).").unwrap());
+        assert_eq!(read(), warm);
+        assert_eq!(execute_closes(&db), [Some("repair"), Some("cache_hit")]);
+        let stats = db.certain_cache_stats();
+        assert_eq!((stats.invalidated, stats.hits), (0, 1), "{stats:?}");
+        assert_eq!(stats.repair_misses, 1, "{stats:?}");
+        assert_eq!(counter(&db, "cache.certain.invalidated"), 0);
+    }
+
+    #[test]
+    fn satisfiable_and_satisfied_constraint_accepted() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        db.try_add_constraint("dom", "forall X, Y: leads(X, Y) -> employee(X)")
+            .unwrap();
+        assert_eq!(db.snapshot().constraints().last().unwrap().name, "dom");
+        // And it now guards updates.
+        assert!(db.try_insert("leads(ghost, sales).").is_err());
+    }
+
+    #[test]
+    fn rule_updates_guarded() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        // Unstratifiable addition rejected.
+        assert!(db
+            .try_add_rule("absent(X) :- employee(X), not absent(X).")
+            .is_err());
+        // A benign rule is accepted.
+        db.try_add_rule("boss(X) :- leads(X, Y).").unwrap();
+        assert!(db.query("boss(ann)").unwrap());
+        // A rule that derives facts violating a constraint is rejected
+        // by the incremental path with an UpdateRejected report (not a
+        // full re-check), carrying the culprit.
+        db.try_add_constraint("noselfsub", "forall X: subordinate(X, X) -> false")
+            .unwrap();
+        let err = db
+            .try_add_rule("subordinate(X, X) :- employee(X).")
+            .unwrap_err();
+        match err {
+            UniformError::UpdateRejected(report) => {
+                assert_eq!(report.violations[0].constraint, "noselfsub");
+                assert!(report.violations[0].culprit.is_some());
+            }
+            other => panic!("expected UpdateRejected, got {other}"),
+        }
+    }
+
+    #[test]
+    fn conditional_updates_guarded() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        db.try_update_all(&["employee(bob)", "department(hr)", "leads(bob, hr)"])
+            .unwrap();
+        // Mark every leader as a veteran: fine.
+        let outcome = db.try_apply_where("veteran(X) where leads(X, Y)").unwrap();
+        assert!(outcome.report.satisfied);
+        assert!(db.query("veteran(ann)").unwrap());
+        assert!(db.query("veteran(bob)").unwrap());
+        // Fire every veteran: would orphan both departments.
+        let err = db.try_apply_where("not leads(X, Y) where veteran(X), leads(X, Y)");
+        assert!(err.is_err(), "conditional deletion must be guarded");
+        assert!(
+            db.query("leads(ann, sales)").unwrap(),
+            "rejected update not applied"
+        );
+        // Empty expansion is a no-op.
+        let outcome = db.try_apply_where("audit(X) where intern(X)").unwrap();
+        assert!(outcome.report.satisfied && outcome.effective.is_empty());
+    }
+
+    #[test]
+    fn conditional_updates_read_what_their_condition_read() {
+        // The expansion is pinned like any check, so the relations the
+        // condition read (here `member`, and `leads` through its rule)
+        // are whole-relation reads of the submission: a concurrent
+        // write into either conflicts it. The same ground insert on
+        // its own reads one key.
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
+        db.try_insert("veteran(zed).").unwrap();
+        assert_eq!(db.conflict_stats().whole_relation_fallbacks, 0);
+        let outcome = db.try_apply_where("veteran(X) where member(X, Y)").unwrap();
+        assert_eq!(outcome.effective, [upd(true, "veteran", &["ann"])]);
+        assert_eq!(db.conflict_stats().whole_relation_fallbacks, 1);
+    }
+
+    #[test]
+    fn conditional_update_parse_errors_surface() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        assert!(
+            db.try_apply_where("veteran(X)").is_err(),
+            "unbound pattern variable"
+        );
+        assert!(db.try_apply_where("veteran(X) where ???").is_err());
+    }
+
+    #[test]
+    fn arity_mismatched_updates_rejected_politely() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        let err = db.try_insert("employee(x, y).").unwrap_err();
+        assert!(err.to_string().contains("arity"), "{err}");
+        let err = db.try_delete("leads(ann).").unwrap_err();
+        assert!(err.to_string().contains("arity"), "{err}");
+        // Fresh predicates are unconstrained…
+        assert!(db.try_insert("brand_new(a, b, c).").is_ok());
+        // …but one transaction cannot use a fresh predicate with two
+        // different arities: refused up front, nothing applied.
+        let err = db.try_update_all(&["fresh(a, b)", "fresh(c)"]).unwrap_err();
+        assert!(err.to_string().contains("arity"), "{err}");
+        assert!(db.snapshot().facts().relation(Sym::new("fresh")).is_none());
+    }
+
+    #[test]
+    fn explanations_render_derivations() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        let tree = db
+            .explain("member(ann, sales)")
+            .unwrap()
+            .expect("derived fact");
+        assert!(tree.contains("leads(ann,sales)"), "{tree}");
+        assert!(tree.contains("[explicit]"), "{tree}");
+        assert!(db.explain("member(ann, hr)").unwrap().is_none());
+        let explicit = db.explain("employee(ann)").unwrap().unwrap();
+        assert!(explicit.contains("[explicit]"));
+    }
+
+    #[test]
+    fn constraint_removal_is_unconditional() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        assert!(db.remove_constraint("led"));
+        assert!(!db.remove_constraint("led"), "already gone");
+        // With `led` gone, a dangling department is fine.
+        db.try_insert("department(hr).").unwrap();
+        assert!(db.snapshot().verified_consistent());
+    }
+
+    #[test]
+    fn rule_removal_guarded_by_recheck() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        // Removing the member rule would strip ann's membership and
+        // violate emp_member.
+        let err = db
+            .try_remove_rule("member(X, Y) :- leads(X, Y).")
+            .unwrap_err();
+        assert!(err.to_string().contains("emp_member"), "{err}");
+        // Make the membership explicit first; then removal goes through.
+        db.try_insert("member(ann, sales).").unwrap();
+        assert!(db.try_remove_rule("member(X, Y) :- leads(X, Y).").unwrap());
+        assert!(db.query("member(ann, sales)").unwrap());
+        assert!(db.snapshot().verified_consistent());
+        // Removing a rule that does not exist reports false.
+        assert!(!db.try_remove_rule("ghost(X) :- leads(X, Y).").unwrap());
+    }
+
+    #[test]
+    fn removals_fence_like_rule_additions() {
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
+        let q = db.prepare("employee(X)").unwrap();
+        let pin = || {
+            let mut inflight = db.begin();
+            inflight.stage(upd(true, "veteran", &["zed"]));
+            let fenced = db.session_fenced();
+            fenced
+                .execute(&q, &Params::new(), Consistency::Latest)
+                .unwrap();
+            (inflight, fenced)
+        };
+        let assert_fenced = |(inflight, fenced): (TxnBuilder, Session), what: &str| {
+            let err = db.commit(&inflight).unwrap_err();
+            assert!(
+                matches!(err, TxnError::SnapshotTooOld { .. }),
+                "{what}: {err}"
+            );
+            let err = fenced
+                .execute(&q, &Params::new(), Consistency::Latest)
+                .unwrap_err();
+            assert!(
+                matches!(err, QueryError::SnapshotTooOld { .. }),
+                "{what}: {err}"
+            );
+        };
+
+        let pinned = pin();
+        assert!(db.try_remove_rule("member(X, Y) :- leads(X, Y).").unwrap());
+        assert_fenced(pinned, "rule removal");
+
+        let pinned = pin();
+        assert!(db.remove_constraint("led"));
+        assert_fenced(pinned, "constraint removal");
+
+        // A removal that finds nothing fences nothing.
+        let (inflight, fenced) = pin();
+        assert!(!db.remove_constraint("led"));
+        assert!(!db.try_remove_rule("member(X, Y) :- leads(X, Y).").unwrap());
+        db.commit(&inflight).unwrap();
+        fenced
+            .execute(&q, &Params::new(), Consistency::Latest)
+            .unwrap();
+    }
+
+    #[test]
+    fn serialization_round_trips() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        let printed = db.to_program_source();
+        let db2 = ConcurrentDatabase::parse(&printed).unwrap();
+        assert_eq!(
+            db.query("member(ann, sales)").unwrap(),
+            db2.query("member(ann, sales)").unwrap()
+        );
+        assert_eq!(
+            db.snapshot().constraints().len(),
+            db2.snapshot().constraints().len()
+        );
+    }
+
+    #[test]
+    fn tolerant_parse_serves_certain_answers() {
+        // Inconsistent start: p(a) lacks q(a). The strict parser
+        // refuses it; the tolerant one serves repairs and certain
+        // answers instead.
+        let src = "p(a). p(b). q(b). constraint c: forall X: p(X) -> q(X).";
+        assert!(ConcurrentDatabase::parse(src).is_err());
+        let db = ConcurrentDatabase::parse_tolerant(src).unwrap();
+        assert!(!db.snapshot().verified_consistent());
+        let repairs = db.minimal_repairs().unwrap();
+        assert_eq!(repairs.len(), 2, "{repairs:?}");
+        let answers = db.consistent_answer("p(X)").unwrap();
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0][0].1, Sym::new("b"));
+        // Derived predicates answer consistently too.
+        let db = ConcurrentDatabase::parse_tolerant(
+            "r(X) :- p(X). p(a). p(b). q(b). constraint c: forall X: p(X) -> q(X).",
+        )
+        .unwrap();
+        let answers = db.consistent_answer("r(X)").unwrap();
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0][0].1, Sym::new("b"));
+    }
+
+    #[test]
+    fn consistent_answer_on_a_consistent_database_is_plain_answering() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        assert_eq!(db.minimal_repairs().unwrap().len(), 1);
+        assert!(db.minimal_repairs().unwrap()[0].is_empty());
+        assert_eq!(
+            db.consistent_answer("member(X, sales)").unwrap(),
+            db.solutions("member(X, sales)").unwrap()
+        );
+    }
+
+    #[test]
+    fn check_satisfiability_of_schema() {
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        assert!(db.check_satisfiability().outcome.is_satisfiable());
+    }
+
+    #[test]
+    fn every_session_reports_into_the_obs_domain() {
+        // Opened the way `examples/quickstart.rs` opens its reads: a
+        // parsed database, queries prepared on their own (not through
+        // the plan cache), a plain session.
+        let db = ConcurrentDatabase::parse(ORG_MEMBERS).unwrap();
+        let members = PreparedQuery::prepare_with_params("member(X, D)", &["D"]).unwrap();
+        let session = db.session();
+        let params = Params::new().bind("D", "sales");
+        session
+            .execute(&members, &params, Consistency::Latest)
+            .unwrap();
+        session
+            .execute(&members, &params, Consistency::Certain)
+            .unwrap();
+        assert_eq!(counter(&db, "query.executes.latest"), 1);
+        assert_eq!(counter(&db, "query.executes.certain"), 1);
+        assert_eq!(execute_closes(&db), [Some("eval"), Some("consistent")]);
     }
 }

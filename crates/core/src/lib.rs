@@ -2,7 +2,9 @@
 //!
 //! The *uniform approach to constraint satisfaction and constraint
 //! satisfiability in deductive databases* (Bry, Decker & Manthey, EDBT
-//! 1988) as a library: one façade type, [`UniformDatabase`], that guards
+//! 1988) as a library: one database type, [`ConcurrentDatabase`] — a
+//! cheaply clonable handle over one commit queue, shared by any number
+//! of readers and writers — that guards
 //!
 //! * **fact updates** with the two-phase integrity-maintenance method
 //!   (simplified instances of constraints relevant to the update and its
@@ -13,9 +15,9 @@
 //!   they are admitted.
 //!
 //! ```
-//! use uniform::UniformDatabase;
+//! use uniform::ConcurrentDatabase;
 //!
-//! let mut db = UniformDatabase::parse("
+//! let db = ConcurrentDatabase::parse("
 //!     member(X, Y) :- leads(X, Y).
 //!     constraint led: forall X: department(X) ->
 //!         (exists Y: employee(Y) & leads(Y, X)).
@@ -40,12 +42,12 @@
 
 pub mod certain_cache;
 pub mod concurrent;
-pub mod facade;
+pub mod guard;
 pub mod query;
 
 pub use certain_cache::CertainCacheStats;
 pub use concurrent::{CommitOutcome, ConcurrentDatabase, TxnError};
-pub use facade::{UniformDatabase, UniformError, UniformOptions};
+pub use guard::{UniformError, UniformOptions};
 pub use query::{
     Consistency, Params, PlanCacheStats, PreparedQuery, QueryError, Row, Rows, Session, Value,
 };

@@ -29,9 +29,9 @@
 //!   instead of the historical `Vec<Vec<(Sym, Sym)>>`.
 //!
 //! ```
-//! use uniform::{Consistency, Params, PreparedQuery, UniformDatabase};
+//! use uniform::{ConcurrentDatabase, Consistency, Params, PreparedQuery};
 //!
-//! let db = UniformDatabase::parse("
+//! let db = ConcurrentDatabase::parse("
 //!     enrolled(X, cs) :- student(X).
 //!     student(jack). student(jill).
 //! ").unwrap();
@@ -60,7 +60,7 @@ use uniform_logic::{
     Rq, Subst, Sym, Term,
 };
 use uniform_obs::{Counter, Obs};
-use uniform_repair::{RepairEngine, RepairError, RepairOptions, RepairSet};
+use uniform_repair::{RepairEngine, RepairError, RepairSet};
 
 // ---------------------------------------------------------------------------
 // Values, params, consistency
@@ -202,8 +202,8 @@ pub enum Consistency {
     /// snapshot this coincides with `Latest` — and is served as
     /// `Latest`, at `Latest`'s cost, once the snapshot is *verified*
     /// consistent (see [`Snapshot::verified_consistent`]). Bounded by
-    /// the session's [`RepairOptions`]; refusals surface as
-    /// [`QueryError::Budget`].
+    /// the database's [`uniform_repair::RepairOptions`]; refusals surface
+    /// as [`QueryError::Budget`].
     Certain,
 }
 
@@ -761,42 +761,29 @@ fn declared_params(params: &[&str], vars: &[Sym]) -> Result<Vec<Sym>, QueryError
 /// certain-answer query over the same list.
 pub struct Session {
     snapshot: Snapshot,
-    repair: RepairOptions,
     /// The minimal repairs of this snapshot, memoized per session (the
     /// fast path — no shared-cache lock on repeat `Certain` executes).
     repairs: RwLock<Option<Arc<Vec<RepairSet>>>>,
-    /// For sessions opened through a [`crate::ConcurrentDatabase`]
-    /// handle: the owning database's shared state — the commit-
-    /// invalidated certain-answer cache (see [`crate::certain_cache`])
-    /// and, when `fenced`, the schema-revision mirrors to revalidate
-    /// against (see [`QueryError::SnapshotTooOld`]).
-    shared: Option<Arc<crate::concurrent::Shared>>,
+    /// The owning database's shared state: options, observability
+    /// domain, the commit-invalidated certain-answer cache (see
+    /// [`crate::certain_cache`]), the cached static analysis and, when
+    /// `fenced`, the schema-revision mirrors to revalidate against (see
+    /// [`QueryError::SnapshotTooOld`]).
+    shared: Arc<crate::concurrent::Shared>,
     /// Refuse executes once a schema change lands after the pin.
     fenced: bool,
 }
 
 impl Session {
-    pub(crate) fn new(snapshot: Snapshot, repair: RepairOptions) -> Session {
-        Session {
-            snapshot,
-            repair,
-            repairs: RwLock::new(None),
-            shared: None,
-            fenced: false,
-        }
-    }
-
-    pub(crate) fn shared(
+    pub(crate) fn open(
         snapshot: Snapshot,
-        repair: RepairOptions,
         shared: Arc<crate::concurrent::Shared>,
         fenced: bool,
     ) -> Session {
         Session {
             snapshot,
-            repair,
             repairs: RwLock::new(None),
-            shared: Some(shared),
+            shared,
             fenced,
         }
     }
@@ -840,16 +827,14 @@ impl Session {
             }
         }
         if self.fenced {
-            if let Some(shared) = &self.shared {
-                let (rule_rev, constraint_rev, version) = shared.schema_revs();
-                if rule_rev != self.snapshot.rule_rev()
-                    || constraint_rev != self.snapshot.constraint_rev()
-                {
-                    return Err(QueryError::SnapshotTooOld {
-                        pinned: self.snapshot.version(),
-                        current: version,
-                    });
-                }
+            let (rule_rev, constraint_rev, version) = self.shared.schema_revs();
+            if rule_rev != self.snapshot.rule_rev()
+                || constraint_rev != self.snapshot.constraint_rev()
+            {
+                return Err(QueryError::SnapshotTooOld {
+                    pinned: self.snapshot.version(),
+                    current: version,
+                });
             }
         }
 
@@ -863,17 +848,16 @@ impl Session {
         // so the hot read path pays one ring push; under a `NullClock`
         // no timer is read at all.
         let path = Cell::new("eval");
-        let mut span = self.shared.as_ref().map(|shared| {
-            let m = shared.query_metrics();
-            let (tag, counter, hist) = match consistency {
-                Consistency::Latest => ("latest", &m.executes_latest, &m.latency_latest),
-                Consistency::Certain => ("certain", &m.executes_certain, &m.latency_certain),
-            };
-            counter.incr();
-            shared
-                .obs()
-                .span_timed("query.execute", Some(tag), hist.clone())
-        });
+        let m = self.shared.query_metrics();
+        let (tag, counter, hist) = match consistency {
+            Consistency::Latest => ("latest", &m.executes_latest, &m.latency_latest),
+            Consistency::Certain => ("certain", &m.executes_certain, &m.latency_certain),
+        };
+        counter.incr();
+        let mut span = self
+            .shared
+            .obs()
+            .span_timed("query.execute", Some(tag), hist.clone());
 
         let plan = query.plan_for(&self.snapshot);
         let init = params.subst();
@@ -925,9 +909,7 @@ impl Session {
             }
             _ => unreachable!("plan kind always matches query kind"),
         };
-        if let Some(span) = span.as_mut() {
-            span.set_path(path.get());
-        }
+        span.set_path(path.get());
         result
     }
 
@@ -937,17 +919,16 @@ impl Session {
     /// below (fingerprint, shared cache, repair engine) is touched.
     ///
     /// Otherwise the state is inconsistent or simply not looked at yet.
-    /// Sessions opened through a [`crate::ConcurrentDatabase`] serve
-    /// the row set from the database-level cache when one is pinned to
-    /// the same `(db_id, fact_rev, rule_rev, constraint_rev)` state;
-    /// on a miss the state's minimal repairs are fetched (which, for a
+    /// The row set is served from the database-level cache when one is
+    /// pinned to the same `(db_id, fact_rev, rule_rev, constraint_rev)`
+    /// state; on a miss the state's minimal repairs are fetched (which, for a
     /// state nobody has looked at, starts with the plain constraint
     /// evaluation — see [`Session::certain_repairs`] — and may end
     /// right there, back on the `latest` path), `over_repairs`
     /// intersects over them, and the result is installed guarded by the
     /// query's closure unioned with the constraint closure (the
-    /// carry-forward guard). Plain sessions just compute. `preds` — the
-    /// relations the query reads — is only called past the latch.
+    /// carry-forward guard). `preds` — the relations the query reads —
+    /// is only called past the latch.
     fn certain(
         &self,
         query: &PreparedQuery,
@@ -958,35 +939,23 @@ impl Session {
         over_repairs: impl FnOnce(&[RepairSet]) -> Rows,
     ) -> Result<Rows, QueryError> {
         if !self.snapshot.verified_consistent() {
-            let cached = self.shared.as_ref().map(|shared| {
-                (
-                    shared,
-                    crate::certain_cache::StateKey::of(&self.snapshot),
-                    Self::fingerprint(query, params),
-                )
-            });
-            if let Some((shared, key, fingerprint)) = &cached {
-                if let Some(rows) = shared.certain().lookup_rows(key, fingerprint) {
-                    path.set("cache_hit");
-                    return Ok(rows);
-                }
+            let cache = self.shared.certain();
+            let key = crate::certain_cache::StateKey::of(&self.snapshot);
+            let fingerprint = Self::fingerprint(query, params);
+            if let Some(rows) = cache.lookup_rows(&key, &fingerprint) {
+                path.set("cache_hit");
+                return Ok(rows);
             }
             let preds = preds();
             if let Some(repairs) = self.certain_repairs_scoped(&preds, path)? {
                 let rows = over_repairs(&repairs);
-                if let Some((shared, key, fingerprint)) = cached {
-                    let closure = self.certain_row_closure(&preds);
-                    shared
-                        .certain()
-                        .install_rows(key, fingerprint, rows.clone(), &closure);
-                }
+                let closure = self.certain_row_closure(&preds);
+                cache.install_rows(key, fingerprint, rows.clone(), &closure);
                 return Ok(rows);
             }
         }
         path.set("consistent");
-        if let Some(shared) = &self.shared {
-            shared.query_metrics().certain_consistent.incr();
-        }
+        self.shared.query_metrics().certain_consistent.incr();
         Ok(latest())
     }
 
@@ -1015,23 +984,12 @@ impl Session {
         for &pred in preds {
             closure.extend(graph.reachable(pred));
         }
-        // The constraint part is a pure function of the schema: sessions
-        // over a `ConcurrentDatabase` take it precomputed from the shared
-        // static analysis instead of re-walking the dependency graph per
-        // install (`tests/prop_analyze.rs` holds the two bit-identical).
-        match &self.shared {
-            Some(shared) => {
-                let analyzed = shared.analyzed_for_snapshot(&self.snapshot);
-                closure.extend(analyzed.closure_union().iter().copied());
-            }
-            None => {
-                for c in self.snapshot.constraints() {
-                    for occ in c.rq.literals() {
-                        closure.extend(graph.reachable(occ.literal.atom.pred));
-                    }
-                }
-            }
-        }
+        // The constraint part is a pure function of the schema, taken
+        // precomputed from the shared static analysis instead of
+        // re-walking the dependency graph per install
+        // (`tests/prop_analyze.rs` holds the two bit-identical).
+        let analyzed = self.shared.analyzed_for_snapshot(&self.snapshot);
+        closure.extend(analyzed.closure_union().iter().copied());
         closure.into_iter().collect()
     }
 
@@ -1116,10 +1074,8 @@ impl Session {
     }
 
     /// The snapshot's minimal repairs: the session-local memo first,
-    /// then — for sessions opened through a
-    /// [`crate::ConcurrentDatabase`] — the shared certain-answer cache
-    /// (any session pinned to the same semantic state reuses one
-    /// enumeration). A state neither knows has not been looked at yet,
+    /// then the shared certain-answer cache (any session pinned to the
+    /// same semantic state reuses one enumeration). A state neither knows has not been looked at yet,
     /// so look before searching: the plain constraint evaluation on the
     /// snapshot's already-materialised model. Zero violations
     /// establishes the consistency latch and yields `None` — there is
@@ -1134,51 +1090,41 @@ impl Session {
         if let Some(repairs) = self.repairs.read().as_ref() {
             return Ok(Some(repairs.clone()));
         }
-        let key = self
-            .shared
-            .as_ref()
-            .map(|_| crate::certain_cache::StateKey::of(&self.snapshot));
-        if let (Some(shared), Some(key)) = (&self.shared, &key) {
-            if let Some(repairs) = shared.certain().lookup_repairs(key) {
-                return Ok(Some(self.memoize_repairs(repairs)));
-            }
+        let shared = &self.shared;
+        let key = crate::certain_cache::StateKey::of(&self.snapshot);
+        if let Some(repairs) = shared.certain().lookup_repairs(&key) {
+            return Ok(Some(self.memoize_repairs(repairs)));
         }
         if self.snapshot.is_consistent() {
-            if let Some(shared) = &self.shared {
-                shared.query_metrics().consistency_established.incr();
-            }
+            shared.query_metrics().consistency_established.incr();
             return Ok(None);
         }
         // The enumeration actually runs: record it in the execute
         // span's close path, and hand the engine the database's obs so
         // its `repair.run` span and `repair.*` counters nest here.
         path.set("repair");
-        let mut engine = RepairEngine::for_snapshot(&self.snapshot).with_options(self.repair);
-        if let Some(shared) = &self.shared {
-            engine = engine.with_obs(shared.obs().clone());
-        }
-        let report = engine
+        let report = RepairEngine::for_snapshot(&self.snapshot)
+            .with_options(shared.repair_options())
+            .with_obs(shared.obs().clone())
             .repairs_covering_all_minimal()
             .map_err(QueryError::Budget)?;
         let repairs = Arc::new(report.repairs);
-        if let (Some(shared), Some(key)) = (&self.shared, key) {
-            // The closure this entry may be carried forward under: the
-            // static (constraint) part comes precomputed from the shared
-            // analysis, the repair-op predicates are per-report — together
-            // exactly `RepairEngine::report_closure`, without re-walking
-            // the dependency graph per state.
-            let analyzed = shared.analyzed_for_snapshot(&self.snapshot);
-            let mut closure: BTreeSet<Sym> = analyzed.closure_union().iter().copied().collect();
-            for repair in repairs.iter() {
-                for op in repair.ops() {
-                    closure.insert(op.fact.pred);
-                }
+        // The closure this entry may be carried forward under: the
+        // static (constraint) part comes precomputed from the shared
+        // analysis, the repair-op predicates are per-report — together
+        // exactly `RepairEngine::report_closure`, without re-walking
+        // the dependency graph per state.
+        let analyzed = shared.analyzed_for_snapshot(&self.snapshot);
+        let mut closure: BTreeSet<Sym> = analyzed.closure_union().iter().copied().collect();
+        for repair in repairs.iter() {
+            for op in repair.ops() {
+                closure.insert(op.fact.pred);
             }
-            let closure: Vec<Sym> = closure.into_iter().collect();
-            shared
-                .certain()
-                .install_repairs(key, repairs.clone(), &closure);
         }
+        let closure: Vec<Sym> = closure.into_iter().collect();
+        shared
+            .certain()
+            .install_repairs(key, repairs.clone(), &closure);
         Ok(Some(self.memoize_repairs(repairs)))
     }
 
@@ -1198,7 +1144,8 @@ impl Session {
     ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
         match self.certain_repairs(path) {
             Err(err @ QueryError::Budget(RepairError::BudgetExhausted { .. })) => {
-                let engine = RepairEngine::for_snapshot(&self.snapshot).with_options(self.repair);
+                let engine = RepairEngine::for_snapshot(&self.snapshot)
+                    .with_options(self.shared.repair_options());
                 if engine.reads_outside_affected(preds.iter().copied()) {
                     Ok(Some(Arc::new(vec![RepairSet::empty()])))
                 } else {
@@ -1225,7 +1172,6 @@ impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("version", &self.snapshot.version())
-            .field("shared", &self.shared.is_some())
             .field("fenced", &self.fenced)
             .finish()
     }
@@ -1391,7 +1337,7 @@ impl fmt::Display for PlanCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UniformDatabase;
+    use crate::ConcurrentDatabase;
 
     const ORG: &str = "
         member(X, Y) :- leads(X, Y).
@@ -1403,7 +1349,7 @@ mod tests {
 
     #[test]
     fn prepared_conjunctive_query_round_trips() {
-        let db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q = PreparedQuery::prepare("member(X, Y)").unwrap();
         assert_eq!(q.columns(), &[Sym::new("X"), Sym::new("Y")]);
         let session = db.session();
@@ -1419,7 +1365,7 @@ mod tests {
 
     #[test]
     fn params_bind_and_validate() {
-        let db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q = PreparedQuery::prepare_with_params("leads(X, D)", &["D"]).unwrap();
         assert_eq!(q.columns(), &[Sym::new("X")]);
         assert_eq!(q.params(), &[Sym::new("D")]);
@@ -1449,7 +1395,7 @@ mod tests {
 
     #[test]
     fn formula_queries_are_boolean_row_sets() {
-        let db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let session = db.session();
         let yes = PreparedQuery::prepare_formula("exists X: member(ann, X)").unwrap();
         let no = PreparedQuery::prepare_formula("member(ann, hr)").unwrap();
@@ -1471,7 +1417,7 @@ mod tests {
             .unwrap()
             .is_true());
         // A free variable that is not a parameter fails normalization,
-        // structured (the façade maps it onto the historical
+        // structured (`UniformError` maps it onto the historical
         // `UniformError::Language(LogicError::Normalize(..))`).
         let err = PreparedQuery::prepare_formula("member(W, sales)").unwrap_err();
         assert!(matches!(err, QueryError::Normalize(_)), "{err}");
@@ -1483,7 +1429,7 @@ mod tests {
 
     #[test]
     fn certain_and_latest_agree_on_consistent_states() {
-        let db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q = PreparedQuery::prepare("member(X, Y)").unwrap();
         let session = db.session();
         let latest = session
@@ -1497,7 +1443,7 @@ mod tests {
 
     #[test]
     fn certain_drops_uncertain_answers() {
-        let db = UniformDatabase::parse_tolerant(
+        let db = ConcurrentDatabase::parse_tolerant(
             "p(a). p(b). q(b). constraint c: forall X: p(X) -> q(X).",
         )
         .unwrap();
@@ -1516,7 +1462,7 @@ mod tests {
 
     #[test]
     fn recursive_goals_use_the_prepared_magic_program() {
-        let db = UniformDatabase::parse_tolerant(
+        let db = ConcurrentDatabase::parse_tolerant(
             "
             tc(X, Y) :- edge(X, Y).
             tc(X, Z) :- edge(X, Y), tc(Y, Z).
@@ -1543,7 +1489,7 @@ mod tests {
 
     #[test]
     fn rows_order_is_deterministic_and_sorted() {
-        let db = UniformDatabase::parse("edge(c, d). edge(a, b). edge(b, c).").unwrap();
+        let db = ConcurrentDatabase::parse("edge(c, d). edge(a, b). edge(b, c).").unwrap();
         let q = PreparedQuery::prepare("edge(X, Y)").unwrap();
         let rows = db
             .session()
@@ -1555,7 +1501,7 @@ mod tests {
 
     #[test]
     fn sessions_pin_their_snapshot() {
-        let mut db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q = PreparedQuery::prepare("employee(X)").unwrap();
         let session = db.session();
         db.try_update_all(&["employee(bob)", "department(hr)", "leads(bob, hr)"])
@@ -1582,7 +1528,7 @@ mod tests {
 
     #[test]
     fn plans_are_rebuilt_after_rule_updates() {
-        let mut db = UniformDatabase::parse(ORG).unwrap();
+        let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q = PreparedQuery::prepare("member(X, Y)").unwrap();
         assert_eq!(
             db.session()
@@ -1610,7 +1556,7 @@ mod tests {
     /// database's rules baked in silently answers for the second.
     #[test]
     fn plans_never_cross_databases_with_equal_revisions() {
-        let db1 = UniformDatabase::parse_tolerant(
+        let db1 = ConcurrentDatabase::parse_tolerant(
             "
             tc(X, Y) :- edge(X, Y).
             tc(X, Z) :- edge(X, Y), tc(Y, Z).
@@ -1620,7 +1566,7 @@ mod tests {
         ",
         )
         .unwrap();
-        let db2 = UniformDatabase::parse_tolerant(
+        let db2 = ConcurrentDatabase::parse_tolerant(
             "
             tc(X, Y) :- link(X, Y).
             tc(X, Z) :- link(X, Y), tc(Y, Z).
@@ -1631,8 +1577,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            db1.database().rule_rev(),
-            db2.database().rule_rev(),
+            db1.snapshot().rule_rev(),
+            db2.snapshot().rule_rev(),
             "the collision precondition: equal revision counters"
         );
         let q = PreparedQuery::prepare_with_params("tc(S, X)", &["S"]).unwrap();
@@ -1657,11 +1603,11 @@ mod tests {
         // being hit constantly. Six databases churn one PreparedQuery's
         // PLAN_SLOTS=4 store; the hot one is re-hit between insertions
         // and must never re-plan.
-        let dbs: Vec<UniformDatabase> = (0..6)
-            .map(|_| UniformDatabase::parse("employee(ann).").unwrap())
+        let dbs: Vec<ConcurrentDatabase> = (0..6)
+            .map(|_| ConcurrentDatabase::parse("employee(ann).").unwrap())
             .collect();
         let q = PreparedQuery::prepare("employee(X)").unwrap();
-        let run = |db: &UniformDatabase| {
+        let run = |db: &ConcurrentDatabase| {
             db.session()
                 .execute(&q, &Params::new(), Consistency::Latest)
                 .unwrap()
@@ -1679,15 +1625,17 @@ mod tests {
 
     #[test]
     fn budget_refusals_are_typed() {
-        let db = UniformDatabase::parse_tolerant("p(a). constraint c: forall X: p(X) -> q(X).")
-            .unwrap()
-            .with_options(crate::UniformOptions {
-                repair: RepairOptions {
+        let db = ConcurrentDatabase::from_database(
+            uniform_datalog::Database::parse("p(a). constraint c: forall X: p(X) -> q(X).")
+                .unwrap(),
+            crate::UniformOptions {
+                repair: uniform_repair::RepairOptions {
                     max_branches: 1,
-                    ..RepairOptions::default()
+                    ..uniform_repair::RepairOptions::default()
                 },
                 ..crate::UniformOptions::default()
-            });
+            },
+        );
         let q = PreparedQuery::prepare("p(X)").unwrap();
         let err = db
             .session()
@@ -1702,7 +1650,7 @@ mod tests {
         // fact budget of 4, so queries touching the violated closure
         // refuse — but z is disjoint from every constraint's closure
         // and its certain answers must still be served.
-        let db = UniformDatabase::parse_tolerant(
+        let db = ConcurrentDatabase::parse_tolerant(
             "
             p(a). t1(a). t2(a). t3(a). t4(a). z(a).
             constraint c: forall X: p(X) -> q(X).

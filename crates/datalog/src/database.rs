@@ -538,7 +538,7 @@ impl Database {
     /// Open a transaction: a [`TxnBuilder`] staging updates against a
     /// snapshot of the current state. Commit it through a
     /// [`crate::txn::CommitQueue`] (multi-writer, conflict-detected) or
-    /// a single-owner guarded path such as `UniformDatabase::commit`.
+    /// the guarded `uniform::ConcurrentDatabase::commit` on top of it.
     pub fn begin(&self) -> TxnBuilder {
         TxnBuilder::new(self.snapshot())
     }

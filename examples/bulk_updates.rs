@@ -13,10 +13,10 @@
 //! then checked against the expansion the way any transaction is.
 
 use uniform::integrity::{Checker, ConditionalUpdate};
-use uniform::{Database, UniformDatabase};
+use uniform::{ConcurrentDatabase, Database};
 
 fn main() {
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         % Derived: a student in good standing attends and has not failed.
         standing(S) :- enrolled(S, C), not failed(S).
@@ -39,9 +39,9 @@ fn main() {
     // 1. Award honors to every student in good standing.
     let award = "honors(S) where student(S), standing(S)";
     match db.try_apply_where(award) {
-        Ok(report) => println!(
+        Ok(outcome) => println!(
             "apply `{award}`\n  -> ok ({} instances evaluated, {} shared)\n",
-            report.stats.instances_evaluated, report.stats.instances_shared
+            outcome.report.stats.instances_evaluated, outcome.report.stats.instances_shared
         ),
         Err(e) => println!("apply `{award}`\n  -> rejected: {e}\n"),
     }

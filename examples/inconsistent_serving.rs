@@ -7,14 +7,14 @@
 //! ```
 
 use uniform::{
-    ConcurrentDatabase, Consistency, Fact, Params, PreparedQuery, UniformDatabase, UniformOptions,
-    Update, ViolationPolicy,
+    ConcurrentDatabase, Consistency, Fact, Params, PreparedQuery, UniformOptions, Update,
+    ViolationPolicy,
 };
 
 fn main() {
     // An external load left the data inconsistent: jack and jill are
     // enrolled, but only jill attends the mandatory course.
-    let db = UniformDatabase::parse_tolerant(
+    let db = ConcurrentDatabase::parse_tolerant(
         "
         enrolled(X, cs) :- student(X).
         constraint cdb: forall X: student(X) & enrolled(X, cs) -> attends(X, ddb).

@@ -9,10 +9,10 @@
 //! schema changes checked with the finite-satisfiability method — plus
 //! the typed read path: prepared queries executed through a session.
 
-use uniform::{Consistency, Params, PreparedQuery, UniformDatabase};
+use uniform::{ConcurrentDatabase, Consistency, Params, PreparedQuery};
 
 fn main() {
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         % Deduction rule: whoever leads a department is a member of it.
         member(X, Y) :- leads(X, Y).
@@ -61,7 +61,8 @@ fn main() {
     // The same change as a transaction with a leader is fine.
     let report = db
         .try_update_all(&["department(hr)", "employee(bob)", "leads(bob, hr)"])
-        .expect("transaction preserves integrity");
+        .expect("transaction preserves integrity")
+        .report;
     println!(
         "tx {{department(hr), employee(bob), leads(bob, hr)}} accepted \
          ({} instances evaluated, {} potential updates)",
@@ -112,7 +113,12 @@ fn main() {
     }
 
     println!("\n== final state ==");
-    let mut facts: Vec<String> = db.facts().map(|f| f.to_string()).collect();
+    let mut facts: Vec<String> = db
+        .snapshot()
+        .facts()
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
     facts.sort();
     println!("{}", facts.join("\n"));
 }

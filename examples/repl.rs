@@ -1,4 +1,4 @@
-//! An interactive shell over [`uniform::UniformDatabase`].
+//! An interactive shell over [`uniform::ConcurrentDatabase`].
 //!
 //! ```sh
 //! cargo run --example repl
@@ -27,10 +27,10 @@
 use std::io::{BufRead, Write};
 use uniform::datalog::{Transaction, Update};
 use uniform::logic::parse_literal;
-use uniform::{SatOutcome, UniformDatabase};
+use uniform::{ConcurrentDatabase, SatOutcome};
 
 fn main() {
-    let mut db = UniformDatabase::new();
+    let mut db = ConcurrentDatabase::parse("").expect("the empty program is consistent");
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     println!("uniform deductive database — :help for commands, :quit to leave");
@@ -58,7 +58,7 @@ enum Command {
     Quit,
 }
 
-fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
+fn dispatch(db: &mut ConcurrentDatabase, line: &str) -> Command {
     match line {
         ":quit" | ":q" => return Command::Quit,
         ":help" | ":h" => {
@@ -79,7 +79,12 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
             return Command::Done;
         }
         ":facts" => {
-            let mut facts: Vec<String> = db.facts().map(|f| f.to_string()).collect();
+            let mut facts: Vec<String> = db
+                .snapshot()
+                .facts()
+                .iter()
+                .map(|f| f.to_string())
+                .collect();
             facts.sort();
             if facts.is_empty() {
                 println!("  (none)");
@@ -90,13 +95,13 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
             return Command::Done;
         }
         ":rules" => {
-            for r in db.database().rules().rules() {
+            for r in db.snapshot().rules().rules() {
                 println!("  {r}.");
             }
             return Command::Done;
         }
         ":constraints" => {
-            for c in db.constraints() {
+            for c in db.snapshot().constraints() {
                 println!("  {c}");
             }
             return Command::Done;
@@ -135,7 +140,7 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
 
     if let Some(path) = line.strip_prefix(":load ") {
         match std::fs::read_to_string(path.trim()) {
-            Ok(src) => match UniformDatabase::parse(&src) {
+            Ok(src) => match ConcurrentDatabase::parse(&src) {
                 Ok(loaded) => {
                     *db = loaded;
                     println!("  loaded {}", path.trim());
@@ -237,7 +242,8 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
             return Command::Done;
         };
         match db.try_add_constraint(name.trim(), formula.trim().trim_end_matches('.')) {
-            Ok(()) => println!("  constraint added."),
+            Ok(true) => println!("  constraint added."),
+            Ok(false) => println!("  already present."),
             Err(e) => println!("  rejected: {e}"),
         }
         return Command::Done;
@@ -245,7 +251,8 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
 
     if line.contains(":-") {
         match db.try_add_rule(line) {
-            Ok(()) => println!("  rule added."),
+            Ok(true) => println!("  rule added."),
+            Ok(false) => println!("  already present."),
             Err(e) => println!("  rejected: {e}"),
         }
         return Command::Done;
@@ -253,9 +260,9 @@ fn dispatch(db: &mut UniformDatabase, line: &str) -> Command {
 
     if line.contains(" where ") {
         match db.try_apply_where(line.trim_end_matches('.')) {
-            Ok(report) => println!(
+            Ok(outcome) => println!(
                 "  applied ({} instance(s) evaluated).",
-                report.stats.instances_evaluated
+                outcome.report.stats.instances_evaluated
             ),
             Err(e) => println!("  rejected: {e}"),
         }

@@ -19,10 +19,10 @@
 
 use uniform::integrity::{check_rule_update, RuleUpdate};
 use uniform::logic::parse_rule;
-use uniform::{UniformDatabase, UniformError};
+use uniform::{ConcurrentDatabase, Database, UniformError};
 
 fn main() {
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         member(X, Y) :- leads(X, Y).
 
@@ -40,7 +40,7 @@ fn main() {
     // Accepted: satisfiable and already satisfied.
     let dom = "forall X, Y: leads(X, Y) -> employee(X)";
     match db.try_add_constraint("leader_dom", dom) {
-        Ok(()) => println!("add leader_dom: `{dom}`\n  -> accepted\n"),
+        Ok(_) => println!("add leader_dom: `{dom}`\n  -> accepted\n"),
         Err(e) => println!("add leader_dom -> {e}\n"),
     }
 
@@ -90,7 +90,7 @@ fn main() {
 
     // A benign derived predicate.
     match db.try_add_rule("boss(X) :- leads(X, Y).") {
-        Ok(()) => println!("add rule boss/1      -> accepted (no constraint mentions boss)"),
+        Ok(_) => println!("add rule boss/1      -> accepted (no constraint mentions boss)"),
         Err(e) => println!("add rule boss/1      -> {e}"),
     }
 
@@ -148,7 +148,7 @@ fn main() {
     // Compare the work of the incremental rule-update check against the
     // full re-check a naive system performs, on a database where only
     // one of many constraints is relevant to the rule.
-    let big = UniformDatabase::parse(
+    let big = Database::parse(
         "
         constraint c_loud: forall X: loud(X) -> warned(X).
         constraint c_a: forall X: pa(X) -> qa(X).
@@ -160,7 +160,7 @@ fn main() {
     )
     .unwrap();
     let update = RuleUpdate::Add(parse_rule("loud(X) :- speaker(X).").unwrap());
-    let report = check_rule_update(big.database(), &update).unwrap();
+    let report = check_rule_update(&big, &update).unwrap();
     println!(
         "incremental: {} of 5 constraints compiled into update constraints, {} instance(s) evaluated -> {}",
         report.stats.update_constraints,

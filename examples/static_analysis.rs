@@ -14,7 +14,7 @@
 //! façade turns into a typed refusal.
 
 use uniform::analyze::analyze_source;
-use uniform::{UniformDatabase, UniformError};
+use uniform::{ConcurrentDatabase, UniformError};
 
 fn main() {
     // 1. Lint a schema from source: findings carry stable codes and
@@ -45,11 +45,11 @@ fn main() {
     }
     println!("  set classifies as: {}", report.set_class());
 
-    // 3. The façade consults the same analysis when the schema changes:
+    // 3. The database consults the same analysis when the schema changes:
     //    an unsatisfiable candidate set is refused with UA0301 — no
     //    database state could ever satisfy it, so no repair is offered.
     println!("\n== guarded schema change ==\n");
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         constraint some_dept: exists X: department(X).
         constraint led: forall X: department(X) -> (exists Y: leads(Y, X)).

@@ -5,7 +5,7 @@
 use uniform::datalog::{Transaction, Update};
 use uniform::integrity::{verdicts_agree, CheckOptions, Checker};
 use uniform::logic::parse_literal;
-use uniform::UniformDatabase;
+use uniform::ConcurrentDatabase;
 use uniform_workload as workload;
 
 fn upd(src: &str) -> Update {
@@ -88,7 +88,7 @@ fn share_evaluations_toggle_preserves_verdicts() {
 
 #[test]
 fn facade_applies_only_consistent_transactions() {
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         stock(widget, 5).
         constraint positive: forall I, N: stock(I, N) -> known_quantity(N).
@@ -101,7 +101,12 @@ fn facade_applies_only_consistent_transactions() {
         db.try_insert("stock(gizmo, 7).").is_err(),
         "7 is not a known quantity"
     );
-    let facts: Vec<String> = db.facts().map(|f| f.to_string()).collect();
+    let facts: Vec<String> = db
+        .snapshot()
+        .facts()
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
     assert!(!facts.iter().any(|f| f.contains("gizmo")));
 }
 

@@ -6,7 +6,7 @@
 use uniform::datalog::{MaintainedModel, Transaction, Update};
 use uniform::integrity::Checker;
 use uniform::logic::parse_literal;
-use uniform::{Database, UniformDatabase};
+use uniform::{ConcurrentDatabase, Database};
 
 fn upd(src: &str) -> Update {
     Update::from_literal(&parse_literal(src).unwrap()).unwrap()
@@ -26,9 +26,9 @@ const ORG: &str = "
 
 #[test]
 fn maintained_model_mirrors_guarded_database() {
-    let mut db = UniformDatabase::parse(ORG).unwrap();
+    let db = ConcurrentDatabase::parse(ORG).unwrap();
     let mut mirror =
-        MaintainedModel::new(db.database().facts().clone(), db.database().rules().clone());
+        MaintainedModel::new(db.snapshot().facts().clone(), db.snapshot().rules().clone());
 
     let updates: Vec<(&str, &[&str])> = vec![
         ("hire bob", &["employee(bob)"]),
@@ -44,12 +44,12 @@ fn maintained_model_mirrors_guarded_database() {
         let report = db
             .try_update_all(literals)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert!(report.satisfied);
+        assert!(report.report.satisfied);
         for &l in literals {
             mirror.apply(&upd(l));
         }
         // Mirror equals the canonical model after every step.
-        let canonical = db.model();
+        let canonical = db.snapshot().model_arc();
         let mut a: Vec<String> = mirror.model().iter().map(|f| f.to_string()).collect();
         let mut b: Vec<String> = canonical.iter().map(|f| f.to_string()).collect();
         a.sort();

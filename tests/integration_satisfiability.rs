@@ -5,7 +5,7 @@
 use uniform::datalog::{FactSet, Model, RuleSet};
 use uniform::logic::Fact;
 use uniform::satisfiability::problems;
-use uniform::{SatChecker, SatOptions, SatOutcome, UniformDatabase};
+use uniform::{ConcurrentDatabase, SatChecker, SatOptions, SatOutcome};
 
 /// Any model returned by the checker must actually satisfy every
 /// constraint — verified independently through the datalog evaluator.
@@ -151,12 +151,12 @@ fn facade_schema_guard_detects_incompatibility_added_in_any_order() {
         ("c", "forall X, Y: owns(X, Y) -> false"),
     ];
     for rotation in 0..3 {
-        let mut db = UniformDatabase::new();
+        let db = ConcurrentDatabase::parse("").unwrap();
         let mut rejected = false;
         for k in 0..3 {
             let (name, f) = schema[(rotation + k) % 3];
             match db.try_add_constraint(name, f) {
-                Ok(()) => {}
+                Ok(_) => {}
                 Err(e) => {
                     rejected = true;
                     let msg = e.to_string();

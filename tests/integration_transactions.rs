@@ -5,7 +5,7 @@
 use uniform::datalog::{Transaction, Update};
 use uniform::integrity::Checker;
 use uniform::logic::parse_literal;
-use uniform::UniformDatabase;
+use uniform::ConcurrentDatabase;
 use uniform_workload as workload;
 
 fn upd(src: &str) -> Update {
@@ -16,7 +16,7 @@ fn upd(src: &str) -> Update {
 fn swap_requires_transaction() {
     // Swapping the leader of a department: neither single step is legal,
     // the transaction is.
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         member(X, Y) :- leads(X, Y).
         constraint led: forall X: department(X) -> (exists Y: leads(Y, X)).
@@ -55,7 +55,7 @@ fn cancelling_transaction_is_noop() {
 
 #[test]
 fn last_write_wins_inside_transaction() {
-    let db = UniformDatabase::parse("constraint c: forall X: p(X) -> q(X). q(a).").unwrap();
+    let db = ConcurrentDatabase::parse("constraint c: forall X: p(X) -> q(X). q(a).").unwrap();
     // insert p(b) (bad), then delete it again, then insert p(a) (fine).
     let tx = Transaction::new(vec![upd("p(b)"), upd("not p(b)"), upd("p(a)")]);
     let rep = db.check(&tx);
@@ -64,11 +64,21 @@ fn last_write_wins_inside_transaction() {
 
 #[test]
 fn transaction_atomicity_on_rejection() {
-    let mut db = UniformDatabase::parse("constraint c: forall X: p(X) -> q(X). q(a).").unwrap();
-    let before: Vec<String> = db.facts().map(|f| f.to_string()).collect();
+    let db = ConcurrentDatabase::parse("constraint c: forall X: p(X) -> q(X). q(a).").unwrap();
+    let before: Vec<String> = db
+        .snapshot()
+        .facts()
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
     let err = db.try_update_all(&["p(a)", "p(b)"]).unwrap_err();
     assert!(err.to_string().contains('c'));
-    let after: Vec<String> = db.facts().map(|f| f.to_string()).collect();
+    let after: Vec<String> = db
+        .snapshot()
+        .facts()
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
     assert_eq!(
         before, after,
         "rejected transaction must not change the database"
@@ -130,7 +140,7 @@ fn bulk_transaction_scales() {
 
 #[test]
 fn facade_transaction_report_statistics() {
-    let mut db = UniformDatabase::parse(
+    let db = ConcurrentDatabase::parse(
         "
         member(X, Y) :- leads(X, Y).
         constraint dom: forall X, Y: member(X, Y) -> department(Y).
@@ -138,7 +148,7 @@ fn facade_transaction_report_statistics() {
         ",
     )
     .unwrap();
-    let report = db.try_update_all(&["leads(ann, sales)"]).unwrap();
+    let report = db.try_update_all(&["leads(ann, sales)"]).unwrap().report;
     assert!(
         report.stats.potential_updates >= 2,
         "leads + derived member patterns"

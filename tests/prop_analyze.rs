@@ -26,7 +26,7 @@ use uniform::logic::{normalize, parse_formula, Rule, Sym, Term};
 use uniform::workload;
 use uniform::{
     AnalyzeCode, Analyzer, Checker, ConcurrentDatabase, Constraint, Database, ReadPattern,
-    RepairEngine, SatClass, Transaction, UniformDatabase, UniformError, UniformOptions, Update,
+    RepairEngine, SatClass, Transaction, UniformError, UniformOptions, Update,
 };
 
 fn cases() -> u64 {
@@ -398,16 +398,16 @@ fn unsatisfiable_candidates_are_refused_on_every_edb() {
     for seed in 0..seeds().min(16) {
         for (idx, (label, base, name, formula)) in UNSAT_BASES.iter().enumerate() {
             let src = noisy_source(base, seed.wrapping_mul(31).wrapping_add(idx as u64));
-            let mut db = UniformDatabase::parse(&src).unwrap();
+            let db = ConcurrentDatabase::parse(&src).unwrap();
 
             // The analyzer proves the candidate set unsatisfiable from
             // rules and constraints alone — it never reads the facts.
-            let mut candidate = db.constraints().to_vec();
+            let mut candidate = db.snapshot().constraints().to_vec();
             candidate.push(Constraint::new(
                 name.to_string(),
                 normalize(&parse_formula(formula).unwrap()).unwrap(),
             ));
-            let analyzed = Analyzer::new(db.database().rules().clone(), candidate).analyze();
+            let analyzed = Analyzer::new(db.snapshot().rules().clone(), candidate).analyze();
             assert_eq!(
                 analyzed.set_class(),
                 SatClass::Unsatisfiable,
@@ -419,9 +419,9 @@ fn unsatisfiable_candidates_are_refused_on_every_edb() {
                 .iter()
                 .any(|d| d.code == AnalyzeCode::UnsatisfiableSet && d.is_error()));
 
-            // And the facade refuses it with the typed UA0301 error on
+            // And the database refuses it with the typed UA0301 error on
             // this EDB — never the repairable CurrentlyViolated path.
-            let before = db.constraints().len();
+            let before = db.snapshot().constraints().len();
             match db.try_add_constraint(name, formula).unwrap_err() {
                 UniformError::Analyze(e) => {
                     let d = e.primary().expect("refusal carries a diagnostic");
@@ -431,12 +431,12 @@ fn unsatisfiable_candidates_are_refused_on_every_edb() {
                 other => panic!("{label}/{seed}: expected a static Analyze refusal, got {other}"),
             }
             assert_eq!(
-                db.constraints().len(),
+                db.snapshot().constraints().len(),
                 before,
                 "{label}/{seed}: a refused constraint must not be registered"
             );
 
-            // The concurrent gate takes the same typed path.
+            // An unchecked load takes the same typed path.
             let cdb = ConcurrentDatabase::from_database(
                 Database::parse(&src).unwrap(),
                 UniformOptions::default(),
@@ -445,14 +445,14 @@ fn unsatisfiable_candidates_are_refused_on_every_edb() {
                 UniformError::Analyze(e) => {
                     assert_eq!(e.primary().unwrap().code, AnalyzeCode::UnsatisfiableSet);
                 }
-                other => panic!("{label}/{seed} (concurrent): got {other}"),
+                other => panic!("{label}/{seed} (unchecked load): got {other}"),
             }
         }
 
         // Contrast: a satisfiable-but-currently-violated candidate is a
         // different refusal entirely — repairable, with the repair.
         let src = noisy_source(UNSAT_BASES[0].1, seed);
-        let mut db = UniformDatabase::parse(&src).unwrap();
+        let db = ConcurrentDatabase::parse(&src).unwrap();
         match db
             .try_add_constraint("p_has_q2", "forall X: p(X) -> q2(X)")
             .unwrap_err()

@@ -12,7 +12,7 @@
 //! parts, a fresh `RepairEngine` enumeration):
 //!
 //! * **soundness** — bit set ⇒ the full constraint check finds no
-//!   violation, on both facades, on the head and on every session
+//!   violation, in both schedule styles, on the head and on every session
 //!   pinned earlier (whose bit is also monotone: once set, it stays);
 //! * **equivalence** — bit set ⇒ `Certain` ≡ `Latest` ≡ the fresh
 //!   enumeration, with not one certain-cache counter moving;
@@ -37,8 +37,7 @@ use uniform::logic::{normalize, parse_formula, parse_query, parse_rule, Sym};
 use uniform::repair::{RepairEngine, RepairOptions};
 use uniform::{
     CheckOptions, ConcurrentDatabase, Consistency, Constraint, Database, Fact, Params,
-    PreparedQuery, QueryError, Session, Snapshot, UniformDatabase, UniformOptions, Update,
-    ViolationPolicy,
+    PreparedQuery, QueryError, Session, Snapshot, UniformOptions, Update, ViolationPolicy,
 };
 
 /// ≥256 randomized schedules; `PROPTEST_CASES` scales the effort like
@@ -235,11 +234,7 @@ fn run_concurrent_schedule(seed: u64, totals: &mut Totals) {
     // Half the schedules start verified (the checked `parse`), half
     // from a raw load nobody has looked at — possibly violated.
     let cdb = if rng.gen_bool(0.5) {
-        ConcurrentDatabase::new(
-            UniformDatabase::parse(BASE)
-                .expect("base is consistent")
-                .with_options(options()),
-        )
+        ConcurrentDatabase::parse_with_options(BASE, options()).expect("base is consistent")
     } else {
         let cdb = ConcurrentDatabase::from_database(
             Database::parse(BASE).expect("base parses"),
@@ -399,29 +394,29 @@ fn latch_is_sound_across_concurrent_database_schedules() {
     assert!(totals.bypassed > 0, "no Certain read ever took the bypass");
 }
 
-/// One randomized schedule through the single-owner `UniformDatabase`:
-/// every mutation it offers is guarded, so the only unverified states
-/// are tolerant loads — and those stay unverified until a read looks.
+/// One randomized single-owner schedule driven through the parsed
+/// one-shot sugar (`try_*`, `remove_constraint`): every mutation it
+/// uses is guarded, so the only unverified states are tolerant loads —
+/// and those stay unverified until a read looks.
 fn run_facade_schedule(seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00fa_cade);
     let tolerant = rng.gen_bool(0.5);
-    let mut db = if tolerant {
+    let db = if tolerant {
         let mut src = BASE.to_string();
         for i in 0..rng.gen_range(0..3usize) {
             src.push_str(&format!(" p(v{i})."));
         }
-        UniformDatabase::parse_tolerant(&src).expect("parses")
+        ConcurrentDatabase::from_database(Database::parse(&src).expect("parses"), options())
     } else {
-        UniformDatabase::parse(BASE).expect("base is consistent")
-    }
-    .with_options(options());
-    assert_eq!(db.database().verified_consistent(), !tolerant);
+        ConcurrentDatabase::parse_with_options(BASE, options()).expect("base is consistent")
+    };
+    assert_eq!(db.snapshot().verified_consistent(), !tolerant);
     let (mut set, mut unset) = (0, 0);
 
     for step in 0..rng.gen_range(4..9usize) {
         let k = KEYS[rng.gen_range(0..KEYS.len())];
         let ctx = format!("facade seed {seed} step {step}");
-        let was = db.database().verified_consistent();
+        let was = db.snapshot().verified_consistent();
         match rng.gen_range(0..10u8) {
             0 => drop(db.try_insert(&format!("q({k})."))),
             1 => drop(db.try_insert(&format!("p({k})."))),
@@ -432,7 +427,7 @@ fn run_facade_schedule(seed: u64) -> (u64, u64) {
                 let mut txn = db.begin();
                 txn.insert(fact("noise", k));
                 txn.delete(fact("p", k));
-                // Sometimes stale: the façade re-checks on current state.
+                // Sometimes stale: admitted or conflicted by the queue.
                 if rng.gen_bool(0.3) {
                     drop(db.try_insert("noise(stale)."));
                 }
@@ -452,10 +447,11 @@ fn run_facade_schedule(seed: u64) -> (u64, u64) {
             // state nobody has looked at.
             _ => assert_certain_matches_fresh(&db.session(), "p(X)", &ctx),
         }
-        // Every façade mutation is guarded: a verified state stays so.
+        // Every one of these mutations is guarded: a verified state
+        // stays so.
         assert!(
-            !was || db.database().verified_consistent(),
-            "a guarded façade step dropped the latch: {ctx}"
+            !was || db.snapshot().verified_consistent(),
+            "a guarded step dropped the latch: {ctx}"
         );
         let session = db.session();
         if assert_sound(session.snapshot(), &ctx) {
@@ -487,11 +483,7 @@ fn latch_is_sound_across_facade_schedules() {
 fn run_threaded_schedule(seed: u64) {
     const WRITERS: u64 = 3;
     const STEPS: usize = 6;
-    let cdb = ConcurrentDatabase::new(
-        UniformDatabase::parse(BASE)
-            .expect("base is consistent")
-            .with_options(options()),
-    );
+    let cdb = ConcurrentDatabase::parse_with_options(BASE, options()).expect("base is consistent");
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let cdb = cdb.clone();
@@ -550,8 +542,8 @@ fn latch_is_sound_under_three_racing_writers() {
 
 /// A check whose potential-update closure hit `potential_limit` can
 /// report `satisfied` on a transaction that violates a constraint it
-/// never reached. Such a report proves nothing, so on both facades the
-/// commit goes through as a raw edit: the latch is cleared, and
+/// never reached. Such a report proves nothing, so — via `commit` and via
+/// the sugar alike — the commit goes through as a raw edit: the latch is cleared, and
 /// `Certain` keeps repairing the violation instead of serving it.
 #[test]
 fn a_truncated_check_never_carries_the_latch() {
@@ -567,11 +559,8 @@ fn a_truncated_check_never_carries_the_latch() {
         ..options()
     };
 
-    let cdb = ConcurrentDatabase::new(
-        UniformDatabase::parse(SRC)
-            .expect("base is consistent")
-            .with_options(truncating.clone()),
-    );
+    let cdb = ConcurrentDatabase::parse_with_options(SRC, truncating.clone())
+        .expect("base is consistent");
     assert!(cdb.snapshot().verified_consistent());
     let mut txn = cdb.begin();
     txn.stage(Update::insert(fact("p", "k1")));
@@ -584,14 +573,13 @@ fn a_truncated_check_never_carries_the_latch() {
     assert_eq!(fresh_violations(session.snapshot()), ["c"]);
     assert_certain_matches_fresh(&session, "p(X)", "after a truncated commit");
 
-    let mut db = UniformDatabase::parse(SRC)
-        .expect("base is consistent")
-        .with_options(truncating);
-    assert!(db.database().verified_consistent());
+    let db = ConcurrentDatabase::parse_with_options(SRC, truncating).expect("base is consistent");
+    assert!(db.snapshot().verified_consistent());
     let report = db
         .try_insert("p(k1)")
-        .expect("the truncated check misses `c`");
+        .expect("the truncated check misses `c`")
+        .report;
     assert!(report.satisfied && report.truncated);
-    assert!(!db.database().verified_consistent());
-    assert_eq!(db.database().violated_constraints(), ["c"]);
+    assert!(!db.snapshot().verified_consistent());
+    assert_eq!(db.snapshot().violated_constraints(), ["c"]);
 }
