@@ -2291,6 +2291,26 @@ mod tests {
         }
     }
 
+    /// Hostile nesting reaches the formula parser through every text
+    /// entry point; each must answer with a parse error, not abort the
+    /// process on a stack overflow.
+    #[test]
+    fn hostile_nesting_is_refused_at_every_text_entry_point() {
+        let db = ConcurrentDatabase::parse("p(a).").unwrap();
+        for open in ["(", "~"] {
+            let text = format!("{}p(a)", open.repeat(100_000));
+            let err = db.try_add_constraint("deep", &text).unwrap_err();
+            assert!(
+                matches!(err, UniformError::Language(LogicError::Parse(_))),
+                "{open:?}: {err}"
+            );
+            assert!(db.prepare_formula(&text).is_err(), "{open:?}");
+            let program = format!("p(a). constraint deep: {text}.");
+            assert!(ConcurrentDatabase::parse(&program).is_err(), "{open:?}");
+        }
+        assert!(db.snapshot().constraints().is_empty());
+    }
+
     /// The suggestion *is* a minimal repair of the would-be state, so
     /// it cannot disagree with `minimal_repairs`.
     #[test]

@@ -233,9 +233,17 @@ impl fmt::Display for Span {
     }
 }
 
+/// Deepest nesting of parentheses, negations, quantifiers and
+/// right-nested arrows a formula may have. The parser recurses once per
+/// level (and so does everything downstream that walks the tree), so
+/// the bound is what keeps hostile text from exhausting the stack.
+const MAX_NESTING: usize = 256;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Open [`Parser::nested`] calls.
+    depth: usize,
 }
 
 impl Parser {
@@ -243,6 +251,7 @@ impl Parser {
         Ok(Parser {
             toks: Lexer::new(src).tokenize()?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -352,11 +361,28 @@ impl Parser {
         self.iff()
     }
 
+    /// Run a sub-parser one nesting level down; every recursive descent
+    /// goes through here, so [`MAX_NESTING`] bounds the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<Formula, ParseError>,
+    ) -> Result<Formula, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!(
+                "formula nested more than {MAX_NESTING} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn iff(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.implies()?;
         if self.peek() == &Tok::DArrow {
             self.bump();
-            let rhs = self.iff()?;
+            let rhs = self.nested(Parser::iff)?;
             Ok(Formula::iff(lhs, rhs))
         } else {
             Ok(lhs)
@@ -367,7 +393,7 @@ impl Parser {
         let lhs = self.or()?;
         if self.peek() == &Tok::Arrow {
             self.bump();
-            let rhs = self.implies()?;
+            let rhs = self.nested(Parser::implies)?;
             Ok(Formula::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -420,18 +446,18 @@ impl Parser {
         match self.peek().clone() {
             Tok::Tilde => {
                 self.bump();
-                Ok(Formula::not(self.unary()?))
+                Ok(Formula::not(self.nested(Parser::unary)?))
             }
             Tok::LParen => {
                 self.bump();
-                let f = self.formula()?;
+                let f = self.nested(Parser::formula)?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(f)
             }
             Tok::Ident(s) => match s.as_str() {
                 "not" => {
                     self.bump();
-                    Ok(Formula::not(self.unary()?))
+                    Ok(Formula::not(self.nested(Parser::unary)?))
                 }
                 "true" => {
                     self.bump();
@@ -445,7 +471,7 @@ impl Parser {
                     self.bump();
                     let vars = self.var_list()?;
                     self.expect(Tok::Colon, "`:` after quantifier variables")?;
-                    let body = self.formula()?;
+                    let body = self.nested(Parser::formula)?;
                     Ok(if s == "forall" {
                         Formula::forall(vars, body)
                     } else {
@@ -744,6 +770,23 @@ mod tests {
         assert!(err.col > 1);
         let err2 = parse_program("p(a)\nq(b).").unwrap_err();
         assert_eq!(err2.line, 2);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["(", "~", "not ", "forall X: ", "p -> ", "p <-> "] {
+            let err = parse_formula(&format!("{}p", open.repeat(100_000))).unwrap_err();
+            assert!(err.message.contains("nested"), "{open:?}: {err}");
+            assert_eq!(err.line, 1, "{open:?}");
+            assert!(err.col > MAX_NESTING, "{open:?}: {err}");
+        }
+        // The bound itself still parses (and drops) on a test thread.
+        let deepest = format!("{}p{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert_eq!(
+            parse_formula(&deepest).unwrap(),
+            parse_formula("p").unwrap()
+        );
+        assert!(parse_formula(&format!("({deepest})")).is_err());
     }
 
     #[test]

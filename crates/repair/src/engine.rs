@@ -1,27 +1,17 @@
 //! The bounded repair search: subset-minimal EDB deltas restoring
 //! consistency.
 //!
-//! The search is the §4 enforcement procedure extended with the dual
-//! move. At every level the violated constraint instances of the
-//! current candidate state are determined against its *recomputed
-//! canonical model* (the soundness anchor: a candidate is only recorded
-//! once a full determination finds nothing violated), then every
-//! instance is enforced, depth-first over all alternatives:
-//!
-//! * a false positive literal is made true by inserting the fact — or
-//!   by making some rule body for it true (instantiated over the active
-//!   domain);
-//! * a false negative literal is made true by deleting the explicit
-//!   fact and *falsifying every remaining rule derivation*, one body
-//!   literal per derivation (the only-if direction of the rules'
-//!   completion — a derived fact is false exactly when every body that
-//!   could produce it is false);
-//! * `∀`-instances offer, per violating substitution, the body
-//!   enforcement of the satisfiability search *plus* the repair-only
-//!   alternative of falsifying a range atom;
-//! * `∃`-instances reuse range solutions and enumerate active-domain
-//!   witnesses (no fresh constants: repairs stay within the active
-//!   domain, so the space is finite and matches the CQA convention).
+//! The search is the §4 enforcement procedure — the kernel of
+//! [`uniform_satisfiability::enforce`] — started from the stored facts
+//! with the repair move set (the table in that module's docs): beside
+//! insertion, a false atom may be made true through a rule body, a true
+//! one false by deleting it and falsifying every remaining derivation,
+//! a violating `∀`-instance by falsifying one of its range atoms; no
+//! fresh constants, so repairs stay within the active domain, the space
+//! is finite and matches the CQA convention. Violations are determined
+//! against the *recomputed canonical model* of each candidate state, in
+//! full, at every level (the soundness anchor: a delta is only recorded
+//! once a full determination finds nothing violated).
 //!
 //! Every path from one level to the next applies at least one effective
 //! EDB operation and no branch ever touches the same fact twice, so the
@@ -31,15 +21,14 @@
 //! filtered to the subset-minimal ones, verified by full recomputation,
 //! and reported in deterministic (size, then name) order.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-use uniform_datalog::{
-    all_solutions, provable, satisfies_closed, solve_conjunction, FactSet, Model, RuleSet,
-    Snapshot, Transaction, Update,
-};
-use uniform_logic::{unify_terms, Constraint, Fact, Literal, Rq, Subst, Sym, Term};
+use uniform_datalog::{FactSet, Model, RuleSet, Snapshot, Transaction, Update};
+use uniform_logic::{Constraint, Fact, Literal, Rq, Sym};
 use uniform_obs::Obs;
+use uniform_satisfiability::enforce::{consistent, violated, Enforcer, Limits, Moves};
 use uniform_satisfiability::{SatChecker, SatOptions, SatOutcome, SolverStats};
 
 use crate::sat::{self, PreferredRepair, RepairChooser};
@@ -426,9 +415,7 @@ impl RepairEngine {
     /// Names of the constraints violated in the engine's state.
     pub fn violations(&self) -> Vec<String> {
         let model = Model::compute(&self.edb, &self.rules);
-        self.constraints
-            .iter()
-            .filter(|c| !satisfies_closed(&model, &c.rq))
+        violated(&model, &self.constraints)
             .map(|c| c.name.clone())
             .collect()
     }
@@ -436,26 +423,18 @@ impl RepairEngine {
     /// Enumerate the subset-minimal repairs with the configured
     /// backend. A consistent state yields the single empty repair.
     pub fn repairs(&self) -> Result<RepairReport, RepairError> {
-        let tag = match self.options.backend {
-            RepairBackend::Search => "search",
-            RepairBackend::Sat => "sat",
-            RepairBackend::Auto => "auto",
+        let [tag, latency, runs] = match self.options.backend {
+            RepairBackend::Search => ["search", "repair.latency.search", "repair.runs.search"],
+            RepairBackend::Sat => ["sat", "repair.latency.sat", "repair.runs.sat"],
+            RepairBackend::Auto => ["auto", "repair.latency.auto", "repair.runs.auto"],
         };
-        let _span = self.obs.as_ref().map(|obs| {
-            let hist = match self.options.backend {
-                RepairBackend::Search => obs.histogram("repair.latency.search"),
-                RepairBackend::Sat => obs.histogram("repair.latency.sat"),
-                RepairBackend::Auto => obs.histogram("repair.latency.auto"),
-            };
-            obs.span_timed("repair.run", Some(tag), hist)
-        });
+        let _span = self
+            .obs
+            .as_ref()
+            .map(|obs| obs.span_timed("repair.run", Some(tag), obs.histogram(latency)));
         let result = self.dispatch_backend();
         if let (Some(obs), Ok(report)) = (self.obs.as_ref(), &result) {
-            match self.options.backend {
-                RepairBackend::Search => obs.counter("repair.runs.search").incr(),
-                RepairBackend::Sat => obs.counter("repair.runs.sat").incr(),
-                RepairBackend::Auto => obs.counter("repair.runs.auto").incr(),
-            }
+            obs.counter(runs).incr();
             let stats = &report.stats;
             obs.counter("repair.search.explored")
                 .add(stats.explored as u64);
@@ -491,28 +470,50 @@ impl RepairEngine {
     }
 
     /// The bounded enforcement search (always available as the
-    /// differential oracle for the SAT backend).
+    /// differential oracle for the SAT backend): the kernel with the
+    /// repair move set, every leaf's delta collected.
     pub(crate) fn search_repairs(&self) -> Result<RepairReport, RepairError> {
-        let mut search = Search::new(self);
-        search.settle(0);
-
+        let o = &self.options;
+        let mut found: BTreeSet<RepairSet> = BTreeSet::new();
+        let mut capped = false;
+        let mut kernel = Enforcer::new(
+            &self.rules,
+            &self.constraints,
+            self.edb.clone(),
+            Moves::repair(),
+            Limits {
+                max_nodes: o.max_branches,
+                max_changes: o.max_changes,
+                domain_cap: o.domain_cap,
+            },
+        );
+        let _ = kernel.run(&mut |_, delta| {
+            found.insert(RepairSet::from_ops(delta.iter().cloned()));
+            capped = found.len() >= o.max_repairs;
+            if capped {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        let tally = kernel.tally;
         let stats = RepairStats {
-            explored: search.explored,
-            models_computed: search.models_computed,
-            candidates: search.found.len(),
-            max_level: search.max_level,
+            explored: tally.nodes,
+            models_computed: tally.models_computed,
+            candidates: found.len(),
+            max_level: tally.max_level,
             solver: SolverStats::default(),
         };
-        let complete = !search.branch_limit_hit && !search.repair_cap_hit && !search.domain_clipped;
+        let complete = !tally.node_limit_hit && !capped && !tally.domain_clipped;
 
         // Subset-minimal filter: `found` is ordered smallest-first, so
         // every proper subset of a candidate precedes it.
         let mut minimal: Vec<RepairSet> = Vec::new();
-        for cand in &search.found {
+        for cand in &found {
             if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
                 continue;
             }
-            if self.options.verify && !self.repair_restores_consistency(cand) {
+            if o.verify && !self.repair_restores_consistency(cand) {
                 debug_assert!(false, "unsound candidate repair: {cand}");
                 continue;
             }
@@ -520,34 +521,31 @@ impl RepairEngine {
         }
 
         if minimal.is_empty() {
-            if search.branch_limit_hit || search.repair_cap_hit || search.domain_clipped {
+            if !complete {
                 return Err(RepairError::BudgetExhausted {
-                    explored: search.explored,
-                    max_branches: self.options.max_branches,
-                    budget_clipped: search.budget_clipped,
+                    explored: tally.nodes,
+                    max_branches: o.max_branches,
+                    budget_clipped: tally.change_budget_hit,
                 });
             }
             return Err(RepairError::Unrepairable {
                 schema_unsatisfiable: self.schema_unsatisfiable(),
-                budget_clipped: search.budget_clipped,
+                budget_clipped: tally.change_budget_hit,
             });
         }
         Ok(RepairReport {
             repairs: minimal,
             stats,
             complete,
-            budget_clipped: search.budget_clipped,
+            budget_clipped: tally.change_budget_hit,
         })
     }
 
     /// Does applying `repair` leave a state in which every constraint
     /// holds? Full recomputation — the independent soundness check.
     pub fn repair_restores_consistency(&self, repair: &RepairSet) -> bool {
-        let repaired = repair.apply_to(&self.edb);
-        let model = Model::compute(&repaired, &self.rules);
-        self.constraints
-            .iter()
-            .all(|c| satisfies_closed(&model, &c.rq))
+        let model = Model::compute(&repair.apply_to(&self.edb), &self.rules);
+        consistent(&model, &self.constraints)
     }
 
     /// Certain answers of a conjunctive query: the answers true in
@@ -628,26 +626,16 @@ impl RepairEngine {
     /// `Sym` order.
     pub fn affected_closure(&self) -> Vec<Sym> {
         let graph = self.rules.graph();
-        let closures: Vec<BTreeSet<Sym>> = self
-            .constraints
-            .iter()
-            .map(|c| {
-                let mut s = BTreeSet::new();
-                for occ in c.rq.literals() {
-                    s.extend(graph.reachable(occ.literal.atom.pred));
-                }
-                s
-            })
-            .collect();
+        let closure_of = |c: &Constraint| -> BTreeSet<Sym> {
+            let preds = c.rq.literals().into_iter().map(|occ| occ.literal.atom.pred);
+            preds.flat_map(|p| graph.reachable(p)).collect()
+        };
+        let closures: Vec<BTreeSet<Sym>> = self.constraints.iter().map(closure_of).collect();
         let model = Model::compute(&self.edb, &self.rules);
-        let mut affected: BTreeSet<Sym> = BTreeSet::new();
+        let mut affected: BTreeSet<Sym> = violated(&model, &self.constraints)
+            .flat_map(closure_of)
+            .collect();
         let mut included = vec![false; self.constraints.len()];
-        for (i, c) in self.constraints.iter().enumerate() {
-            if !satisfies_closed(&model, &c.rq) {
-                included[i] = true;
-                affected.extend(closures[i].iter().copied());
-            }
-        }
         // Couple in every constraint whose closure overlaps the set so
         // far, to fixpoint: a repair of an affected constraint may
         // violate an overlapping one and force further ops, but it can
@@ -753,461 +741,6 @@ impl RepairEngine {
             .with_options(SatOptions::classification())
             .check();
         matches!(report.outcome, SatOutcome::Unsatisfiable)
-    }
-}
-
-/// Depth-first enumeration state. One instance per `repairs()` call.
-struct Search<'a> {
-    eng: &'a RepairEngine,
-    edb: FactSet,
-    model_cache: Option<Arc<Model>>,
-    delta: Vec<Update>,
-    touched: HashSet<Fact>,
-    pos_active: HashSet<Fact>,
-    neg_active: HashSet<Fact>,
-    /// Canonical delta sets already settled (duplicate-state pruning).
-    visited: HashSet<Vec<(Fact, bool)>>,
-    /// Active domain: EDB constants plus rule/constraint constants,
-    /// name-sorted for deterministic alternative order.
-    domain: Vec<Sym>,
-    found: BTreeSet<RepairSet>,
-    explored: usize,
-    models_computed: usize,
-    max_level: usize,
-    branch_limit_hit: bool,
-    repair_cap_hit: bool,
-    budget_clipped: bool,
-    domain_clipped: bool,
-}
-
-impl<'a> Search<'a> {
-    fn new(eng: &'a RepairEngine) -> Search<'a> {
-        let mut domain: Vec<Sym> = eng.edb.active_domain();
-        for c in &eng.constraints {
-            for occ in c.rq.literals() {
-                for t in &occ.literal.atom.args {
-                    if let Some(s) = t.as_const() {
-                        if !domain.contains(&s) {
-                            domain.push(s);
-                        }
-                    }
-                }
-            }
-        }
-        for r in eng.rules.rules() {
-            for t in r
-                .head
-                .args
-                .iter()
-                .chain(r.body.iter().flat_map(|l| l.atom.args.iter()))
-            {
-                if let Some(s) = t.as_const() {
-                    if !domain.contains(&s) {
-                        domain.push(s);
-                    }
-                }
-            }
-        }
-        domain.sort_by_key(|s| s.as_str());
-        Search {
-            eng,
-            edb: eng.edb.clone(),
-            model_cache: None,
-            delta: Vec::new(),
-            touched: HashSet::new(),
-            pos_active: HashSet::new(),
-            neg_active: HashSet::new(),
-            visited: HashSet::new(),
-            domain,
-            found: BTreeSet::new(),
-            explored: 0,
-            models_computed: 0,
-            max_level: 0,
-            branch_limit_hit: false,
-            repair_cap_hit: false,
-            budget_clipped: false,
-            domain_clipped: false,
-        }
-    }
-
-    /// Abandon everything? (Branch limit or repair cap hit — either
-    /// way the enumeration can no longer be exhaustive.)
-    fn cut(&self) -> bool {
-        self.branch_limit_hit || self.repair_cap_hit
-    }
-
-    fn model(&mut self) -> Arc<Model> {
-        if self.model_cache.is_none() {
-            self.models_computed += 1;
-            self.model_cache = Some(Arc::new(Model::compute(&self.edb, &self.eng.rules)));
-        }
-        self.model_cache.clone().expect("just computed")
-    }
-
-    fn can_push(&mut self) -> bool {
-        if self.delta.len() >= self.eng.options.max_changes {
-            self.budget_clipped = true;
-            return false;
-        }
-        true
-    }
-
-    fn push_op(&mut self, op: Update) {
-        debug_assert!(op.is_effective(&self.edb), "ineffective repair op {op}");
-        op.apply(&mut self.edb);
-        self.touched.insert(op.fact.clone());
-        self.delta.push(op);
-        self.model_cache = None;
-    }
-
-    fn pop_op(&mut self) {
-        let op = self.delta.pop().expect("pop without push");
-        op.undo(&mut self.edb);
-        self.touched.remove(&op.fact);
-        self.model_cache = None;
-    }
-
-    fn delta_key(&self) -> Vec<(Fact, bool)> {
-        let mut key: Vec<(Fact, bool)> = self
-            .delta
-            .iter()
-            .map(|u| (u.fact.clone(), u.insert))
-            .collect();
-        key.sort();
-        key
-    }
-
-    fn record(&mut self) {
-        let rs = RepairSet::from_ops(self.delta.iter().cloned());
-        self.found.insert(rs);
-        if self.found.len() >= self.eng.options.max_repairs {
-            self.repair_cap_hit = true;
-        }
-    }
-
-    /// One saturation level: determine the violated constraint
-    /// instances against the recomputed canonical model; record the
-    /// delta when nothing is violated, otherwise enforce everything and
-    /// recurse. Every path between levels applies at least one
-    /// effective operation, so the depth is bounded by the fact budget.
-    fn settle(&mut self, level: usize) {
-        if self.cut() {
-            return;
-        }
-        if !self.visited.insert(self.delta_key()) {
-            return;
-        }
-        self.max_level = self.max_level.max(level);
-        let model = self.model();
-        let eng = self.eng;
-        let violated: Vec<Rq> = eng
-            .constraints
-            .iter()
-            .filter(|c| !satisfies_closed(model.as_ref(), &c.rq))
-            .map(|c| c.rq.clone())
-            .collect();
-        if violated.is_empty() {
-            self.record();
-            return;
-        }
-        let mut cont = |s: &mut Self| s.settle(level + 1);
-        self.enforce_seq(&violated, &mut cont);
-    }
-
-    fn enforce_seq(&mut self, agenda: &[Rq], k: &mut dyn FnMut(&mut Self)) {
-        match agenda.split_first() {
-            None => k(self),
-            Some((f, rest)) => {
-                let mut cont = |s: &mut Self| s.enforce_seq(rest, k);
-                self.enforce_one(f, &mut cont);
-            }
-        }
-    }
-
-    /// Enforce one closed formula, exploring *every* alternative (this
-    /// is an enumeration, not a satisfiability decision: success paths
-    /// call `k` and then backtrack to try the next alternative).
-    fn enforce_one(&mut self, f: &Rq, k: &mut dyn FnMut(&mut Self)) {
-        if self.cut() {
-            return;
-        }
-        self.explored += 1;
-        if self.explored > self.eng.options.max_branches {
-            self.branch_limit_hit = true;
-            return;
-        }
-        if satisfies_closed(self.model().as_ref(), f) {
-            return k(self);
-        }
-        match f {
-            Rq::True => unreachable!("true is always satisfied"),
-            Rq::False => {}
-            Rq::Lit(l) if l.positive => {
-                let fact = l.atom.to_fact().expect("enforced literals are ground");
-                self.enforce_positive(fact, k);
-            }
-            Rq::Lit(l) => {
-                let fact = l.atom.to_fact().expect("enforced literals are ground");
-                self.enforce_negative(fact, k);
-            }
-            Rq::And(gs) => self.enforce_seq(gs, k),
-            Rq::Or(gs) => {
-                for g in gs {
-                    self.enforce_one(g, k);
-                }
-            }
-            Rq::Forall { range, body, vars } => {
-                // Per violating σ (range true, body false): either
-                // enforce the body — or, the repair-only dual, falsify
-                // one of the range atoms.
-                let model = self.model();
-                let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-                let mut agenda: Vec<Rq> = Vec::new();
-                let mut seen: HashSet<Rq> = HashSet::new();
-                for sigma in all_solutions(model.as_ref(), &lits, &mut Subst::new(), vars) {
-                    let inst = body.apply(&sigma);
-                    if satisfies_closed(model.as_ref(), &inst) {
-                        continue;
-                    }
-                    let mut alts = vec![inst];
-                    for a in range {
-                        alts.push(Rq::Lit(sigma.apply_atom(a).neg()));
-                    }
-                    let node = Rq::or(alts);
-                    if seen.insert(node.clone()) {
-                        agenda.push(node);
-                    }
-                }
-                self.enforce_seq(&agenda, k);
-            }
-            Rq::Exists { vars, range, body } => {
-                let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-                // Alternative 1 (§4): reuse substitutions whose range
-                // already holds; only the body needs enforcement.
-                let model = self.model();
-                let sols = all_solutions(model.as_ref(), &lits, &mut Subst::new(), vars);
-                drop(model);
-                for sigma in sols {
-                    self.enforce_one(&body.apply(&sigma), k);
-                }
-                // Alternative 2: active-domain witnesses whose range
-                // does not hold yet — enforce range and body together.
-                if !vars.is_empty() {
-                    self.for_each_domain_combo(&vars.clone(), &mut |s, sigma| {
-                        let range_holds = {
-                            let model = s.model();
-                            let mut probe = sigma.clone();
-                            provable(model.as_ref(), &lits, &mut probe)
-                        };
-                        if range_holds {
-                            return; // covered by alternative 1
-                        }
-                        let mut agenda: Vec<Rq> = lits
-                            .iter()
-                            .map(|l| Rq::Lit(sigma.apply_literal(l)))
-                            .collect();
-                        agenda.push(body.apply(sigma));
-                        s.enforce_seq(&agenda, k);
-                    });
-                }
-            }
-        }
-    }
-
-    /// Make a false ground atom true: insert it explicitly, or make
-    /// some rule body for it true.
-    fn enforce_positive(&mut self, fact: Fact, k: &mut dyn FnMut(&mut Self)) {
-        if self.touched.contains(&fact) {
-            // This branch already deleted the fact; re-establishing it
-            // (explicitly or via rules) would make that deletion a
-            // model-level no-op — never minimal. Prune.
-            return;
-        }
-        if self.can_push() {
-            self.push_op(Update::insert(fact.clone()));
-            k(self);
-            self.pop_op();
-        }
-        if self.pos_active.contains(&fact) {
-            return; // cyclic derivation goal: no progress through here
-        }
-        self.pos_active.insert(fact.clone());
-        let eng = self.eng;
-        for (_, rule) in eng.rules.rules_for(fact.pred) {
-            if self.cut() {
-                break;
-            }
-            let rule = rule.rename_apart();
-            let mut subst = Subst::new();
-            let mut ok = true;
-            for (&arg, &c) in rule.head.args.iter().zip(&fact.args) {
-                if !unify_terms(&mut subst, arg, Term::Const(c)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            // Body variables left free by head unification: instantiate
-            // over the active domain (first-occurrence order).
-            let mut free: Vec<Sym> = Vec::new();
-            for l in &rule.body {
-                for v in l.vars() {
-                    if matches!(subst.walk(Term::Var(v)), Term::Var(_)) && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
-            }
-            let base = subst.clone();
-            self.for_each_combo_over(&free, &base, &mut |s, sigma| {
-                let agenda: Vec<Rq> = rule
-                    .body
-                    .iter()
-                    .map(|l| Rq::Lit(sigma.apply_literal(l)))
-                    .collect();
-                s.enforce_seq(&agenda, k);
-            });
-        }
-        self.pos_active.remove(&fact);
-    }
-
-    /// Make a true ground atom false: delete the explicit fact if
-    /// present, then falsify every remaining rule derivation (the
-    /// completion's only-if direction), one body literal per
-    /// derivation.
-    fn enforce_negative(&mut self, fact: Fact, k: &mut dyn FnMut(&mut Self)) {
-        if self.neg_active.contains(&fact) {
-            return; // already being falsified upstream
-        }
-        if self.edb.contains(&fact) {
-            if self.touched.contains(&fact) {
-                return; // inserted earlier in this branch: contradictory
-            }
-            if !self.can_push() {
-                return;
-            }
-            self.push_op(Update::delete(fact.clone()));
-            self.neg_active.insert(fact.clone());
-            self.falsify_derivations(&fact, k);
-            self.neg_active.remove(&fact);
-            self.pop_op();
-        } else {
-            self.neg_active.insert(fact.clone());
-            self.falsify_derivations(&fact, k);
-            self.neg_active.remove(&fact);
-        }
-    }
-
-    fn falsify_derivations(&mut self, fact: &Fact, k: &mut dyn FnMut(&mut Self)) {
-        if self.cut() {
-            return;
-        }
-        let model = self.model();
-        let eng = self.eng;
-        let active = self.neg_active.clone();
-        // The first rule instance still deriving `fact` — skipping
-        // instances whose body leans on a goal already being falsified
-        // (they collapse once that goal completes).
-        let mut chosen: Option<Vec<Literal>> = None;
-        'rules: for (_, rule) in eng.rules.rules_for(fact.pred) {
-            let rule = rule.rename_apart();
-            let mut subst = Subst::new();
-            let mut ok = true;
-            for (&arg, &c) in rule.head.args.iter().zip(&fact.args) {
-                if !unify_terms(&mut subst, arg, Term::Const(c)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let mut found: Option<Vec<Literal>> = None;
-            solve_conjunction(model.as_ref(), &rule.body, &mut subst, &mut |s| {
-                let ground: Vec<Literal> = rule.body.iter().map(|l| s.apply_literal(l)).collect();
-                let self_supported = ground
-                    .iter()
-                    .any(|l| l.positive && l.atom.to_fact().is_some_and(|f| active.contains(&f)));
-                if self_supported {
-                    return true; // keep looking
-                }
-                found = Some(ground);
-                false
-            });
-            if let Some(g) = found {
-                chosen = Some(g);
-                break 'rules;
-            }
-        }
-        match chosen {
-            // No live derivation left: the goal holds, continue.
-            None => k(self),
-            Some(body) => {
-                for lit in &body {
-                    if lit.complement().atom.to_fact().is_none() {
-                        continue; // non-ground (unsafe rule): skip
-                    }
-                    let goal = Rq::Lit(lit.complement());
-                    let mut cont = |s: &mut Self| s.falsify_derivations(fact, k);
-                    self.enforce_one(&goal, &mut cont);
-                }
-            }
-        }
-    }
-
-    /// Run `each` for every assignment of `vars` over the active
-    /// domain, starting from the empty substitution.
-    fn for_each_domain_combo(&mut self, vars: &[Sym], each: &mut dyn FnMut(&mut Self, &Subst)) {
-        let base = Subst::new();
-        self.for_each_combo_over(vars, &base, each);
-    }
-
-    /// Odometer over `domain^|vars|`, extending `base`. Skips the whole
-    /// enumeration (and marks the report incomplete) past
-    /// [`RepairOptions::domain_cap`].
-    fn for_each_combo_over(
-        &mut self,
-        vars: &[Sym],
-        base: &Subst,
-        each: &mut dyn FnMut(&mut Self, &Subst),
-    ) {
-        if vars.is_empty() {
-            each(self, base);
-            return;
-        }
-        if self.domain.is_empty() {
-            return;
-        }
-        let combos = self
-            .domain
-            .len()
-            .checked_pow(vars.len() as u32)
-            .unwrap_or(usize::MAX);
-        if combos > self.eng.options.domain_cap {
-            self.domain_clipped = true;
-            return;
-        }
-        let domain = self.domain.clone();
-        let mut assignment = vec![0usize; vars.len()];
-        'combos: loop {
-            if self.cut() {
-                return;
-            }
-            let mut sigma = base.clone();
-            for (&v, &i) in vars.iter().zip(&assignment) {
-                sigma.bind(v, Term::Const(domain[i]));
-            }
-            each(self, &sigma);
-            for slot in assignment.iter_mut() {
-                *slot += 1;
-                if *slot < domain.len() {
-                    continue 'combos;
-                }
-                *slot = 0;
-            }
-            break;
-        }
     }
 }
 

@@ -8,13 +8,17 @@
 //! search of `uniform-satisfiability` shows that the very same
 //! enforcement machinery can *construct* states in which constraints
 //! hold. This crate closes the loop for inconsistent states: given a
-//! database whose constraints are violated, [`RepairEngine`] runs a
-//! bounded enforcement search — insertions as in the §4 model
-//! generation, plus the dual move of *deleting* explicit facts (and
-//! falsifying rule derivations literal by literal, the completion
-//! semantics' only-if direction) — and enumerates the **subset-minimal
-//! repair sets**: smallest EDB insert/delete deltas whose application
-//! restores every constraint.
+//! database whose constraints are violated, [`RepairEngine`] runs that
+//! very procedure — the one kernel,
+//! [`uniform_satisfiability::enforce`] — from the stored facts with a
+//! second move set and keeps every leaf instead of the first. Beside the
+//! insertions of the §4 model generation it may make a false atom true
+//! through a rule body, delete a true one and falsify its remaining
+//! derivations literal by literal (the completion semantics' only-if
+//! direction), and falsify a range atom of a violating `∀`-instance; it
+//! is offered no fresh constants (the move table is in the kernel's
+//! module docs). The leaves are deltas restoring every constraint; the
+//! **subset-minimal repair sets** among them are reported.
 //!
 //! On top of the repair enumeration sits consistent query answering in
 //! the sense of Arenas–Bertossi–Chomicki (and the SAT-based CAvSAT

@@ -43,10 +43,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use uniform_datalog::{satisfies_closed, Model, Update};
-use uniform_logic::{unify_terms, Atom, Fact, Rq, Subst, Sym, Term};
+use uniform_datalog::{Model, Update};
+use uniform_logic::{Atom, Fact, Rq, Subst, Sym};
 use uniform_satisfiability::{
-    Assignment, CdclSolver, Cnf, Lit, SanityCheckingSolver, SolveResult, Solver,
+    enforce, Assignment, CdclSolver, Cnf, Lit, SanityCheckingSolver, SolveResult, Solver,
 };
 
 use crate::engine::{
@@ -87,33 +87,7 @@ impl<'a> Encoder<'a> {
         let true_lit = Lit::pos(cnf.fresh_var());
         cnf.add_clause([true_lit]);
 
-        let mut domain: Vec<Sym> = eng.facts().active_domain();
-        for c in eng.constraints() {
-            for occ in c.rq.literals() {
-                for t in &occ.literal.atom.args {
-                    if let Some(s) = t.as_const() {
-                        if !domain.contains(&s) {
-                            domain.push(s);
-                        }
-                    }
-                }
-            }
-        }
-        for r in eng.rules().rules() {
-            for t in r
-                .head
-                .args
-                .iter()
-                .chain(r.body.iter().flat_map(|l| l.atom.args.iter()))
-            {
-                if let Some(s) = t.as_const() {
-                    if !domain.contains(&s) {
-                        domain.push(s);
-                    }
-                }
-            }
-        }
-        domain.sort_by_key(|s| s.as_str());
+        let domain = enforce::domain(eng.facts(), eng.rules(), eng.constraints());
 
         // Relations a repair may usefully touch: everything some
         // constraint can observe, closed through the rule graph.
@@ -181,44 +155,14 @@ impl<'a> Encoder<'a> {
             let Some(&ar) = self.arity.get(&pred) else {
                 continue;
             };
-            if ar == 0 {
-                let fact = Fact::new(pred, Vec::new());
-                if !self.eng.facts().contains(&fact) {
-                    cands.push(Update::insert(fact));
-                }
-                continue;
-            }
-            if self.domain.is_empty() {
-                continue;
-            }
-            let combos = self
-                .domain
-                .len()
-                .checked_pow(ar as u32)
-                .unwrap_or(usize::MAX);
-            if combos > cap {
+            let Some(tuples) = enforce::tuples(self.domain.as_slice(), ar, cap) else {
                 self.domain_clipped = true;
                 continue;
-            }
-            let mut idx = vec![0usize; ar];
-            'tuples: loop {
-                let fact = Fact::new(pred, idx.iter().map(|&i| self.domain[i]).collect());
-                if !self.eng.facts().contains(&fact) {
-                    cands.push(Update::insert(fact));
-                }
-                let mut pos = ar;
-                loop {
-                    if pos == 0 {
-                        break 'tuples;
-                    }
-                    pos -= 1;
-                    idx[pos] += 1;
-                    if idx[pos] < self.domain.len() {
-                        continue 'tuples;
-                    }
-                    idx[pos] = 0;
-                }
-            }
+            };
+            let absent = tuples
+                .map(|args| Fact::new(pred, args))
+                .filter(|f| !self.eng.facts().contains(f));
+            cands.extend(absent.map(Update::insert));
         }
         cands.sort_by_key(op_key);
         self.change = (0..cands.len())
@@ -267,27 +211,21 @@ impl<'a> Encoder<'a> {
                 self.or_lit(lits)
             }
             Rq::Forall { vars, range, body } => {
-                let range = range.clone();
-                let body = (**body).clone();
                 let mut insts: Vec<Lit> = Vec::new();
-                self.for_each_combo(vars, sigma, &mut |enc, s| {
-                    let mut alts: Vec<Lit> = range.iter().map(|a| !enc.atom_lit(a, s)).collect();
-                    alts.push(enc.formula_lit(&body, s));
-                    let inst = enc.or_lit(alts);
-                    insts.push(inst);
-                });
+                for s in self.combos(vars, sigma) {
+                    let mut alts: Vec<Lit> = range.iter().map(|a| !self.atom_lit(a, &s)).collect();
+                    alts.push(self.formula_lit(body, &s));
+                    insts.push(self.or_lit(alts));
+                }
                 self.and_lit(insts)
             }
             Rq::Exists { vars, range, body } => {
-                let range = range.clone();
-                let body = (**body).clone();
                 let mut insts: Vec<Lit> = Vec::new();
-                self.for_each_combo(vars, sigma, &mut |enc, s| {
-                    let mut parts: Vec<Lit> = range.iter().map(|a| enc.atom_lit(a, s)).collect();
-                    parts.push(enc.formula_lit(&body, s));
-                    let inst = enc.and_lit(parts);
-                    insts.push(inst);
-                });
+                for s in self.combos(vars, sigma) {
+                    let mut parts: Vec<Lit> = range.iter().map(|a| self.atom_lit(a, &s)).collect();
+                    parts.push(self.formula_lit(body, &s));
+                    insts.push(self.and_lit(parts));
+                }
                 self.or_lit(insts)
             }
         }
@@ -327,46 +265,22 @@ impl<'a> Encoder<'a> {
             .eng
             .rules()
             .rules_for(fact.pred)
-            .map(|(_, r)| r.rename_apart())
+            .filter_map(|(_, r)| enforce::rule_for_fact(r, fact))
             .collect();
-        for rule in rules {
-            let mut subst = Subst::new();
-            let mut ok = rule.head.args.len() == fact.args.len();
-            if ok {
-                for (&arg, &c) in rule.head.args.iter().zip(fact.args.iter()) {
-                    if !unify_terms(&mut subst, arg, Term::Const(c)) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let mut free: Vec<Sym> = Vec::new();
-            for l in &rule.body {
-                for t in &l.atom.args {
-                    if let Term::Var(v) = *t {
-                        if matches!(subst.walk(Term::Var(v)), Term::Var(_)) && !free.contains(&v) {
-                            free.push(v);
-                        }
-                    }
-                }
-            }
-            let body = rule.body.clone();
-            self.for_each_combo(&free, &subst, &mut |enc, s| {
+        for (rule, subst, free) in rules {
+            'combos: for s in self.combos(&free, &subst) {
                 let mut parts: Vec<Lit> = Vec::new();
-                for l in &body {
+                for l in &rule.body {
                     let Some(f) = s.ground_atom(&l.atom) else {
-                        enc.domain_clipped = true;
-                        return;
+                        self.domain_clipped = true;
+                        continue 'combos;
                     };
-                    let tl = enc.truth_lit(&f);
+                    let tl = self.truth_lit(&f);
                     parts.push(if l.positive { tl } else { !tl });
                 }
-                let b = enc.and_lit(parts);
+                let b = self.and_lit(parts);
                 supports.push(b);
-            });
+            }
         }
         // t ↔ e ∨ ⋁ bodies (the completion, both directions).
         for &s in &supports {
@@ -399,52 +313,18 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    /// Odometer over `domain^|vars|` extending `base`; skips the whole
-    /// node (flagging `domain_clipped`) past the domain cap — mirroring
-    /// the search's `for_each_combo_over`.
-    fn for_each_combo(
-        &mut self,
-        vars: &[Sym],
-        base: &Subst,
-        each: &mut dyn FnMut(&mut Encoder<'a>, &Subst),
-    ) {
-        if vars.is_empty() {
-            each(self, base);
-            return;
-        }
-        if self.domain.is_empty() {
-            return;
-        }
-        let combos = self
-            .domain
-            .len()
-            .checked_pow(vars.len() as u32)
-            .unwrap_or(usize::MAX);
-        if combos > self.eng.options().domain_cap {
-            self.domain_clipped = true;
-            return;
-        }
-        let domain = self.domain.clone();
-        let mut idx = vec![0usize; vars.len()];
-        'combos: loop {
-            let mut s = base.clone();
-            for (v, &i) in vars.iter().zip(idx.iter()) {
-                s.bind(*v, Term::Const(domain[i]));
-            }
-            each(self, &s);
-            let mut pos = vars.len();
-            loop {
-                if pos == 0 {
-                    break 'combos;
-                }
-                pos -= 1;
-                idx[pos] += 1;
-                if idx[pos] < domain.len() {
-                    continue 'combos;
-                }
-                idx[pos] = 0;
-            }
-        }
+    /// The assignments of `vars` over the active domain extending `base`
+    /// — none, flagging `domain_clipped`, past the domain cap (the same
+    /// skip the search makes). Clause and variable numbering, and with
+    /// them the solver's effort counters, follow this order: last
+    /// variable fastest, the reverse of the kernel's odometer.
+    fn combos(&mut self, vars: &[Sym], base: &Subst) -> Vec<Subst> {
+        let vars: Vec<Sym> = vars.iter().rev().copied().collect();
+        let cap = self.eng.options().domain_cap;
+        let all: Option<Vec<Subst>> =
+            enforce::assignments(self.domain.as_slice(), &vars, base, cap).map(Iterator::collect);
+        self.domain_clipped |= all.is_none();
+        all.unwrap_or_default()
     }
 
     fn and_lit(&mut self, lits: Vec<Lit>) -> Lit {
@@ -600,11 +480,7 @@ impl<'a> Enumerator<'a> {
             self.enc.candidates[i].apply(&mut edb);
         }
         let model = Model::compute(&edb, self.enc.eng.rules());
-        self.enc
-            .eng
-            .constraints()
-            .iter()
-            .all(|c| satisfies_closed(&model, &c.rq))
+        enforce::consistent(&model, self.enc.eng.constraints())
     }
 
     /// Exclude exactly this assignment's change set (sound for spurious

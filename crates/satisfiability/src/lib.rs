@@ -6,8 +6,14 @@
 //! constraint enforcement, with the violated-constraint determination
 //! powered by the integrity-maintenance machinery of `uniform-integrity`.
 //!
-//! * [`search`] — the enforcement search with level saturation,
-//!   backtracking, fresh-constant budgets and iterative deepening;
+//! * [`enforce`] — the one enforcement kernel: violation determination
+//!   and enforcement over every alternative, level by level, with the
+//!   moves on offer, the limits and the leaf callback left to the
+//!   caller. Two callers, two move sets (the table in the module docs):
+//!   the §4 search here, and the repair search of `uniform-repair`;
+//! * [`search`] — [`SatChecker`]: the kernel with the §4 move set under
+//!   iterative deepening over fresh-constant budgets, stopped at its
+//!   first leaf;
 //! * [`completion`] — the §4 rule-completion transform;
 //! * [`solver`] — a bundled propositional CDCL solver behind a
 //!   pluggable [`Solver`] trait (the engine of the SAT-backed repair
@@ -29,6 +35,7 @@
 //! ```
 
 pub mod completion;
+pub mod enforce;
 pub mod problems;
 pub mod search;
 pub mod solver;

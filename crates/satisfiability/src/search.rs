@@ -2,34 +2,28 @@
 //!
 //! The procedure "systematically attempts to construct a finite set of
 //! facts such that all constraints are satisfied in the resulting
-//! database", alternating two moves:
+//! database". The construction itself — enforcement of violated
+//! instances by insertion with backtracking, and the determination of
+//! the constraints violated by the most recent insertions (Prop. 2) in
+//! level-saturation order — is the kernel of [`crate::enforce`], run
+//! here with the §4 move set: existential enforcement by reuse of range
+//! solutions (the extension over classical tableaux that targets finite
+//! models), by the constants in use (a third, configurable alternative)
+//! and by fresh constants.
 //!
-//! 1. **enforcement** of violated constraint instances by fact insertion
-//!    (with backtracking over disjunctive and existential alternatives);
-//! 2. **determination of the constraints violated by an insertion** with
-//!    the integrity-maintenance machinery — only instances relevant to
-//!    the most recently added facts are considered (Prop. 2), organized
-//!    in level-saturation order.
-//!
-//! Existential enforcement offers the alternatives of §4: reuse of
-//! instantiations obtained by evaluating the restricting literals (the
-//! extension over classical tableaux that targets finite models), and
-//! fresh constants. A third, configurable alternative enumerates the
-//! active constant domain, and the whole search is wrapped in iterative
-//! deepening over the number of fresh constants: a failed attempt that
-//! never hit the budget is a proof of unsatisfiability, a successful one
-//! yields a finite model, and budget-limited failures deepen. This makes
-//! the completeness claims of §4 rigorous under depth-first search (see
-//! DESIGN.md §5).
+//! [`SatChecker::check`] wraps that in iterative deepening over the
+//! number of fresh constants and stops each attempt at its first leaf: a
+//! failed attempt that never hit the budget is a proof of
+//! unsatisfiability, a successful one yields a finite model, and
+//! budget-limited failures deepen. This makes the completeness claims of
+//! §4 rigorous under depth-first search (see DESIGN.md §5).
 
 use crate::completion::completion_constraints;
-use std::collections::HashSet;
-use std::sync::Arc;
-use uniform_datalog::{
-    all_solutions, satisfies_closed, solve_conjunction, Database, FactSet, Model, RuleSet,
-};
-use uniform_integrity::{simplified_instances, RelevanceIndex};
-use uniform_logic::{Constraint, Fact, Literal, Rq, Subst, Sym};
+use crate::enforce::{Enforcer, Limits, Moves};
+use std::ops::ControlFlow;
+use uniform_datalog::{Database, FactSet, Model, RuleSet};
+use uniform_integrity::RelevanceIndex;
+use uniform_logic::{Constraint, Fact};
 
 /// Tunable knobs; the defaults implement the paper's method plus the
 /// rigorous completeness extensions.
@@ -220,493 +214,87 @@ impl SatChecker {
         &self.constraints
     }
 
-    /// Run the search.
-    pub fn check(&self) -> SatReport {
-        let mut stats = SatStats::default();
-        let budgets: Vec<usize> = if self.options.iterative_deepening {
-            (0..=self.options.max_fresh_constants).collect()
-        } else {
-            vec![self.options.max_fresh_constants]
-        };
-        let mut trace = Vec::new();
-        for budget in budgets {
-            let mut attempt = Attempt::new(self, budget);
-            let sat = attempt.run();
-            stats.attempts += 1;
-            stats.enforcement_steps += attempt.steps;
-            stats.assertions += attempt.assertions;
-            stats.undo_events += attempt.undo_events;
-            stats.max_level = stats.max_level.max(attempt.max_level);
-            stats.fresh_constants += attempt.fresh_generated;
-            stats.incremental_checks += attempt.incremental_checks;
-            stats.full_checks += attempt.full_checks;
-            trace = attempt.trace;
-            if sat {
-                let mut explicit: Vec<Fact> = attempt.facts.iter().collect();
-                explicit.sort();
-                let mut model: Vec<Fact> =
-                    Model::compute(&attempt.facts, &self.rules).iter().collect();
-                model.sort();
-                return SatReport {
-                    outcome: SatOutcome::Satisfiable { explicit, model },
-                    stats,
-                    trace,
-                };
-            }
-            if attempt.steps_exhausted {
-                return SatReport {
-                    outcome: SatOutcome::Unknown {
-                        reason: format!("step limit {} exhausted", self.options.max_steps),
-                    },
-                    stats,
-                    trace,
-                };
-            }
-            if !attempt.budget_hit {
-                // The search tree was explored exhaustively without ever
-                // being pruned by the budget: refutation.
-                return SatReport {
-                    outcome: SatOutcome::Unsatisfiable,
-                    stats,
-                    trace,
-                };
-            }
-        }
-        SatReport {
-            outcome: SatOutcome::Unknown {
-                reason: format!(
-                    "no model within {} fresh constants (possible axiom of infinity)",
-                    self.options.max_fresh_constants
-                ),
+    /// The kernel configured for one attempt within `budget` fresh
+    /// constants.
+    pub(crate) fn attempt(&self, budget: usize) -> Enforcer<'_> {
+        let o = &self.options;
+        Enforcer::new(
+            &self.search_rules,
+            &self.constraints,
+            FactSet::from_facts(self.seed.iter().cloned()),
+            Moves::satisfiability(o.range_reuse, o.domain_reuse, budget),
+            Limits {
+                max_nodes: o.max_steps,
+                max_changes: usize::MAX,
+                domain_cap: o.domain_cap,
             },
+        )
+        .incremental(o.incremental_checking.then_some(&self.index))
+        .traced(o.trace)
+    }
+
+    /// Run the search: one [`Enforcer`] run per fresh-constant budget,
+    /// stopped at its first leaf.
+    pub fn check(&self) -> SatReport {
+        let o = &self.options;
+        let budgets = if o.iterative_deepening {
+            0..=o.max_fresh_constants
+        } else {
+            o.max_fresh_constants..=o.max_fresh_constants
+        };
+        let mut stats = SatStats::default();
+        let mut trace = Vec::new();
+        let report = |outcome, stats, trace| SatReport {
+            outcome,
             stats,
             trace,
-        }
-    }
-}
-
-/// Fresh-constant generator with readable names that avoid the problem's
-/// own constants.
-struct FreshGen {
-    used: HashSet<Sym>,
-    counter: usize,
-}
-
-impl FreshGen {
-    fn new(used: HashSet<Sym>) -> FreshGen {
-        FreshGen { used, counter: 0 }
-    }
-
-    fn next(&mut self) -> Sym {
-        loop {
-            self.counter += 1;
-            let candidate = Sym::new(&format!("c{}", self.counter));
-            if self.used.insert(candidate) {
-                return candidate;
-            }
-        }
-    }
-}
-
-enum TrailOp {
-    Assert(Fact),
-    Fresh,
-}
-
-/// One budget-bounded search attempt.
-struct Attempt<'a> {
-    checker: &'a SatChecker,
-    budget: usize,
-    facts: FactSet,
-    trail: Vec<TrailOp>,
-    model_cache: Option<Arc<Model>>,
-    /// Model snapshot at the last level boundary (diff base).
-    checkpoint: Arc<Model>,
-    fresh: FreshGen,
-    fresh_in_use: usize,
-    fresh_generated: usize,
-    budget_hit: bool,
-    steps: usize,
-    steps_exhausted: bool,
-    assertions: usize,
-    undo_events: usize,
-    max_level: usize,
-    incremental_checks: usize,
-    full_checks: usize,
-    trace: Vec<String>,
-}
-
-impl<'a> Attempt<'a> {
-    fn new(checker: &'a SatChecker, budget: usize) -> Attempt<'a> {
-        let mut used: HashSet<Sym> = HashSet::new();
-        for c in &checker.constraints {
-            for occ in c.rq.literals() {
-                used.extend(occ.literal.atom.args.iter().filter_map(|t| t.as_const()));
-            }
-        }
-        for r in checker.rules.rules() {
-            used.extend(r.head.args.iter().filter_map(|t| t.as_const()));
-            for l in &r.body {
-                used.extend(l.atom.args.iter().filter_map(|t| t.as_const()));
-            }
-        }
-        let facts = FactSet::from_facts(checker.seed.iter().cloned());
-        for f in &checker.seed {
-            used.extend(f.args.iter().copied());
-        }
-        let checkpoint = Arc::new(Model::compute(&facts, &checker.search_rules));
-        Attempt {
-            checker,
-            budget,
-            facts,
-            trail: Vec::new(),
-            model_cache: None,
-            checkpoint,
-            fresh: FreshGen::new(used),
-            fresh_in_use: 0,
-            fresh_generated: 0,
-            budget_hit: false,
-            steps: 0,
-            steps_exhausted: false,
-            assertions: 0,
-            undo_events: 0,
-            max_level: 0,
-            incremental_checks: 0,
-            full_checks: 0,
-            trace: Vec::new(),
-        }
-    }
-
-    fn note(&mut self, level: usize, msg: impl FnOnce() -> String) {
-        if self.checker.options.trace {
-            let indent = "  ".repeat(level.min(12));
-            self.trace.push(format!("{indent}{}", msg()));
-        }
-    }
-
-    fn model(&mut self) -> Arc<Model> {
-        if self.model_cache.is_none() {
-            self.model_cache = Some(Arc::new(Model::compute(
-                &self.facts,
-                &self.checker.search_rules,
-            )));
-        }
-        self.model_cache.clone().expect("just computed")
-    }
-
-    fn mark(&self) -> usize {
-        self.trail.len()
-    }
-
-    fn undo_to(&mut self, mark: usize) {
-        if self.trail.len() == mark {
-            return;
-        }
-        self.undo_events += 1;
-        while self.trail.len() > mark {
-            match self.trail.pop().expect("trail shorter than mark") {
-                TrailOp::Assert(f) => {
-                    self.facts.remove(&f);
-                }
-                TrailOp::Fresh => {
-                    self.fresh_in_use -= 1;
-                }
-            }
-        }
-        self.model_cache = None;
-    }
-
-    fn assert_fact(&mut self, level: usize, fact: Fact) {
-        if self.facts.insert(&fact) {
-            self.note(level, || format!("assert {fact}"));
-            self.trail.push(TrailOp::Assert(fact));
-            self.model_cache = None;
-            self.assertions += 1;
-        }
-    }
-
-    fn run(&mut self) -> bool {
-        self.run_level(0)
-    }
-
-    /// One saturation level: determine violated instances (incrementally
-    /// against the checkpoint when enabled), conclude satisfiability when
-    /// a full check confirms none remain, otherwise enforce and recurse.
-    fn run_level(&mut self, level: usize) -> bool {
-        self.max_level = self.max_level.max(level);
-        let current = self.model();
-        let mut violated: Vec<Rq>;
-        if self.checker.options.incremental_checking && level > 0 {
-            violated = self.violated_by_changes(&current);
-            if violated.is_empty() {
-                // Candidate success: confirm with a full check (cheap at
-                // sample-database scale, and makes the procedure sound
-                // unconditionally).
-                violated = self.violated_full(&current);
-            }
-        } else {
-            violated = self.violated_full(&current);
-        }
-        if violated.is_empty() {
-            self.note(level, || "all constraints satisfied".to_string());
-            return true;
-        }
-        self.note(level, || {
-            format!("level {level}: {} violated instance(s)", violated.len())
-        });
-        let saved = std::mem::replace(&mut self.checkpoint, current);
-        let ok = self.enforce_seq(&violated, level, &mut |s| s.run_level(level + 1));
-        if !ok {
-            self.checkpoint = saved;
-        }
-        ok
-    }
-
-    /// Violated simplified instances of constraints relevant to the
-    /// changes since the checkpoint (Prop. 2 applied to the level batch).
-    fn violated_by_changes(&mut self, current: &Arc<Model>) -> Vec<Rq> {
-        self.incremental_checks += 1;
-        let mut changes: Vec<Literal> = Vec::new();
-        for f in current.iter() {
-            if !self.checkpoint.contains(&f) {
-                changes.push(Literal::new(true, f.to_atom()));
-            }
-        }
-        for f in self.checkpoint.iter() {
-            if !current.contains(&f) {
-                changes.push(Literal::new(false, f.to_atom()));
-            }
-        }
-        let mut out: Vec<Rq> = Vec::new();
-        let mut seen: HashSet<Rq> = HashSet::new();
-        for delta in &changes {
-            for si in simplified_instances(&self.checker.index, &self.checker.constraints, delta) {
-                debug_assert!(si.instance.is_closed());
-                if !satisfies_closed(current.as_ref(), &si.instance)
-                    && seen.insert(si.instance.clone())
-                {
-                    out.push(si.instance);
-                }
-            }
-        }
-        out
-    }
-
-    /// Full determination: every constraint evaluated outright.
-    fn violated_full(&mut self, current: &Arc<Model>) -> Vec<Rq> {
-        self.full_checks += 1;
-        self.checker
-            .constraints
-            .iter()
-            .filter(|c| !satisfies_closed(current.as_ref(), &c.rq))
-            .map(|c| c.rq.clone())
-            .collect()
-    }
-
-    /// Enforce every formula of `agenda` in order, then run `k`
-    /// (`enforce_set` of the paper's Prolog, in continuation-passing
-    /// style so that backtracking propagates through whole levels).
-    fn enforce_seq(
-        &mut self,
-        agenda: &[Rq],
-        level: usize,
-        k: &mut dyn FnMut(&mut Self) -> bool,
-    ) -> bool {
-        match agenda.split_first() {
-            None => k(self),
-            Some((f, rest)) => {
-                let mut cont = |s: &mut Self| s.enforce_seq(rest, level, k);
-                self.enforce_one(f, level, &mut cont)
-            }
-        }
-    }
-
-    /// Enforce a single closed formula (the paper's `enforce/2`),
-    /// continuing with `k` on success. Restores state and returns `false`
-    /// when every alternative fails.
-    fn enforce_one(&mut self, f: &Rq, level: usize, k: &mut dyn FnMut(&mut Self) -> bool) -> bool {
-        self.steps += 1;
-        if self.steps > self.checker.options.max_steps {
-            self.steps_exhausted = true;
-            return false;
-        }
-        // `enforce_set`'s first clause: formulas that already hold need no
-        // enforcement.
-        if satisfies_closed(self.model().as_ref(), f) {
-            return k(self);
-        }
-        match f {
-            Rq::True => unreachable!("true is always satisfied"),
-            Rq::False => false,
-            Rq::Lit(l) if l.positive => {
-                let fact = l.atom.to_fact().expect("enforced literals are ground");
-                let mark = self.mark();
-                self.assert_fact(level, fact);
-                if k(self) {
-                    true
-                } else {
-                    self.note(level, || "backtrack".to_string());
-                    self.undo_to(mark);
-                    false
-                }
-            }
-            // "Negative literals that are complementary to a fact in F
-            // cannot be satisfied without undoing choices made previously."
-            Rq::Lit(_) => false,
-            Rq::And(gs) => self.enforce_seq(gs, level, k),
-            Rq::Or(gs) => {
-                for g in gs {
-                    let mark = self.mark();
-                    if self.enforce_one(g, level, k) {
-                        return true;
-                    }
-                    self.undo_to(mark);
-                }
-                false
-            }
-            Rq::Forall { range, body, .. } => {
-                // Satisfy every instance Qσ with Rσ true in the current
-                // facts; instances arising later are caught at the next
-                // level.
-                let model = self.model();
-                let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-                let mut agenda: Vec<Rq> = Vec::new();
-                let mut seen: HashSet<Rq> = HashSet::new();
-                solve_conjunction(model.as_ref(), &lits, &mut Subst::new(), &mut |s| {
-                    let inst = body.apply(s);
-                    if !satisfies_closed(model.as_ref(), &inst) && seen.insert(inst.clone()) {
-                        agenda.push(inst);
-                    }
-                    true
-                });
-                self.enforce_seq(&agenda, level, k)
-            }
-            Rq::Exists { vars, range, body } => self.enforce_exists(vars, range, body, level, k),
-        }
-    }
-
-    fn enforce_exists(
-        &mut self,
-        vars: &[Sym],
-        range: &[uniform_logic::Atom],
-        body: &Rq,
-        level: usize,
-        k: &mut dyn FnMut(&mut Self) -> bool,
-    ) -> bool {
-        let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-
-        // Alternative 1 (§4): satisfy Qσ for some σ with Rσ already true.
-        if self.checker.options.range_reuse {
-            let model = self.model();
-            let sols = all_solutions(model.as_ref(), &lits, &mut Subst::new(), vars);
-            drop(model);
-            for sigma in sols {
-                let inst = body.apply(&sigma);
-                let mark = self.mark();
-                if self.enforce_one(&inst, level, k) {
-                    return true;
-                }
-                self.undo_to(mark);
-            }
-        }
-
-        // Extension: try existing constants for the existential variables
-        // (range enforced too). Skipped combinations whose range already
-        // holds — alternative 1 covered them.
-        if self.checker.options.domain_reuse && !vars.is_empty() {
-            let mut domain: Vec<Sym> = self.facts.active_domain();
-            for c in self.fresh.used.iter() {
-                if !domain.contains(c) {
-                    domain.push(*c);
-                }
-            }
-            // Name order, not interner-id order: the enumeration order of
-            // alternatives must not depend on what happened to be interned
-            // earlier in the process.
-            domain.sort_by_key(|s| s.as_str());
-            let combos = domain
-                .len()
-                .checked_pow(vars.len() as u32)
-                .unwrap_or(usize::MAX);
-            if !domain.is_empty() && combos <= self.checker.options.domain_cap {
-                let mut assignment = vec![0usize; vars.len()];
-                'combos: loop {
-                    let mut sigma = Subst::new();
-                    for (v, &i) in vars.iter().zip(&assignment) {
-                        sigma.bind(*v, uniform_logic::Term::Const(domain[i]));
-                    }
-                    let range_holds = {
-                        let model = self.model();
-                        let mut s = sigma.clone();
-                        uniform_datalog::provable(model.as_ref(), &lits, &mut s)
-                    };
-                    if !range_holds {
-                        let mut agenda: Vec<Rq> = lits
-                            .iter()
-                            .map(|l| Rq::Lit(sigma.apply_literal(l)))
-                            .collect();
-                        agenda.push(body.apply(&sigma));
-                        let mark = self.mark();
-                        if self.enforce_seq(&agenda, level, k) {
-                            return true;
-                        }
-                        self.undo_to(mark);
-                    }
-                    // Advance the odometer.
-                    for slot in assignment.iter_mut() {
-                        *slot += 1;
-                        if *slot < domain.len() {
-                            continue 'combos;
-                        }
-                        *slot = 0;
-                    }
-                    break;
-                }
-            }
-        }
-
-        // Alternative 2 (§4): instantiate with new constants.
-        if self.fresh_in_use + vars.len() <= self.budget {
-            let mark = self.mark();
-            let mut sigma = Subst::new();
-            for &v in vars {
-                let c = self.fresh.next();
-                self.fresh_generated += 1;
-                self.fresh_in_use += 1;
-                self.trail.push(TrailOp::Fresh);
-                sigma.bind(v, uniform_logic::Term::Const(c));
-            }
-            self.note(level, || {
-                let names: Vec<&str> = vars
-                    .iter()
-                    .map(|v| sigma.walk(uniform_logic::Term::Var(*v)))
-                    .map(|t| match t {
-                        uniform_logic::Term::Const(c) => c.as_str(),
-                        uniform_logic::Term::Var(v) => v.as_str(),
-                    })
-                    .collect();
-                format!("new constant(s): {}", names.join(", "))
+        };
+        for budget in budgets {
+            let mut kernel = self.attempt(budget);
+            let mut sample: Option<FactSet> = None;
+            let _ = kernel.run(&mut |facts, _| {
+                sample = Some(facts.clone());
+                ControlFlow::Break(())
             });
-            let mut agenda: Vec<Rq> = lits
-                .iter()
-                .map(|l| Rq::Lit(sigma.apply_literal(l)))
-                .collect();
-            agenda.push(body.apply(&sigma));
-            if self.enforce_seq(&agenda, level, k) {
-                return true;
+            let tally = kernel.tally;
+            stats.attempts += 1;
+            stats.enforcement_steps += tally.nodes;
+            stats.assertions += tally.assertions;
+            stats.undo_events += tally.undo_events;
+            stats.max_level = stats.max_level.max(tally.max_level);
+            stats.fresh_constants += tally.fresh_generated;
+            stats.incremental_checks += tally.incremental_checks;
+            stats.full_checks += tally.full_checks;
+            trace = kernel.trace;
+            if let Some(facts) = sample {
+                let mut explicit: Vec<Fact> = facts.iter().collect();
+                explicit.sort();
+                let mut model: Vec<Fact> = Model::compute(&facts, &self.rules).iter().collect();
+                model.sort();
+                return report(SatOutcome::Satisfiable { explicit, model }, stats, trace);
             }
-            self.undo_to(mark);
-        } else {
-            self.budget_hit = true;
+            if tally.node_limit_hit {
+                let reason = format!("step limit {} exhausted", o.max_steps);
+                return report(SatOutcome::Unknown { reason }, stats, trace);
+            }
+            if !tally.fresh_budget_hit {
+                // The search tree was explored exhaustively without ever
+                // being pruned by the budget: refutation.
+                return report(SatOutcome::Unsatisfiable, stats, trace);
+            }
         }
-        false
+        let reason = format!(
+            "no model within {} fresh constants (possible axiom of infinity)",
+            o.max_fresh_constants
+        );
+        report(SatOutcome::Unknown { reason }, stats, trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniform_logic::{normalize, parse_formula, parse_rule, Rule};
+    use uniform_logic::{normalize, parse_formula, parse_rule, Rule, Sym};
 
     fn checker(rules: &[&str], constraints: &[&str]) -> SatChecker {
         let rules = RuleSet::new(
