@@ -1346,9 +1346,9 @@ mod tests {
 
     #[test]
     fn writers_to_disjoint_keys_of_one_relation_admit_concurrently() {
-        // The b6 scenario through the full pipeline: two writers append
-        // different keys to the same hot relation from the same
-        // snapshot version; neither invalidates the other.
+        // Two writers append different keys to the same hot relation
+        // from the same snapshot version; neither invalidates the
+        // other.
         let db = ConcurrentDatabase::parse("seat(a).").unwrap();
         let mut t1 = db.begin();
         t1.stage(upd(false, "seat", &["a"]));

@@ -13,7 +13,7 @@
 //! write conflicts with a key-level read only when the written tuple's
 //! projection onto the read's bound positions matches the fingerprint
 //! — so writers appending disjoint keys to the same relation admit
-//! concurrently (`b6_hot_relation` measures exactly this).
+//! concurrently (`tests/prop_chunked_store.rs` asserts exactly this).
 //!
 //! Fingerprints compare by hash, so a collision can only produce a
 //! *spurious* conflict (the loser retries against a fresh snapshot —

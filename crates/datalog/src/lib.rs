@@ -68,7 +68,7 @@ pub use maintain::{MaintainStats, MaintainedModel};
 pub use memo::StripedMemo;
 pub use model::Model;
 pub use patterns::{PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED};
-pub use planner::{optimize_rq, Cardinality, ConjunctionPlan, FixedStats, PlanReport, Planner};
+pub use planner::{optimize_rq, Cardinality, ConjunctionPlan, FixedStats, Planner};
 pub use program::{BodyOccurrence, RuleSet};
 pub use provenance::{Derivation, Provenance};
 pub use serialize::to_program_source;

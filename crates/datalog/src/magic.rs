@@ -13,7 +13,7 @@
 //! `magic` predicate that collects the bindings actually demanded.
 //! Materializing the rewritten program from the EDB plus the single
 //! magic seed fact derives the goal's answers — and, on selective
-//! goals, a small fraction of the full canonical model (experiment E9).
+//! goals, a small fraction of the full canonical model.
 //!
 //! Scope: the subprogram reachable from the goal must be free of
 //! negation on derived predicates (negative literals on base relations
@@ -97,7 +97,7 @@ impl MagicProgram {
 }
 
 /// Result of answering a goal through the rewrite, with the derivation
-/// volume exposed for the experiments.
+/// volume exposed.
 #[derive(Clone, Debug)]
 pub struct MagicAnswers {
     /// Ground instances of the original goal.

@@ -19,11 +19,9 @@
 //!
 //! The conjunctive level (rule bodies and quantifier ranges) already
 //! self-optimizes at runtime: [`crate::cq`] selects the most-bound
-//! literal per step. This module adds the formula level on top, and is
-//! wired into the checker's evaluation phase behind
-//! `CheckOptions::optimize_instances` (experiment E9): "evaluation can
-//! fully benefit from query optimization techniques" precisely because
-//! phase 1 hands whole formulas over.
+//! literal per step. This module adds the formula level on top; the
+//! core crate's prepared formula queries run through
+//! [`Planner::optimize`] when their plan is built.
 
 use crate::model::Model;
 use crate::store::FactSet;
@@ -61,16 +59,12 @@ impl Cardinality for FixedStats {
 
 /// Counters describing what [`Planner::optimize`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PlanReport {
-    /// Estimated cost before optimization.
-    pub cost_before: f64,
-    /// Estimated cost after optimization.
-    pub cost_after: f64,
+struct PlanReport {
     /// Children removed by idempotence (`X ∧ X`), absorption or
     /// complement collapse.
-    pub pruned: usize,
+    pruned: usize,
     /// `∧`/`∨` nodes whose children were permuted.
-    pub reordered: usize,
+    reordered: usize,
 }
 
 /// A cost-based optimizer for restricted-quantification formulas.
@@ -89,20 +83,16 @@ impl<'a> Planner<'a> {
     }
 
     /// Optimize a formula. Free variables are treated as bound (they
-    /// are, by the time the checker evaluates an instance).
+    /// are parameters, bound by the time the formula is evaluated).
     pub fn optimize(&self, rq: &Rq) -> Rq {
         self.optimize_with_report(rq).0
     }
 
-    /// Optimize and report estimated costs and rewrite counts.
-    pub fn optimize_with_report(&self, rq: &Rq) -> (Rq, PlanReport) {
+    /// Optimize and report the rewrite counts.
+    fn optimize_with_report(&self, rq: &Rq) -> (Rq, PlanReport) {
         let bound: HashSet<Sym> = rq.free_vars().into_iter().collect();
-        let mut report = PlanReport {
-            cost_before: self.cost(rq, &bound),
-            ..PlanReport::default()
-        };
+        let mut report = PlanReport::default();
         let optimized = self.opt(rq, &bound, &mut report);
-        report.cost_after = self.cost(&optimized, &bound);
         (optimized, report)
     }
 

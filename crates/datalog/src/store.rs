@@ -10,7 +10,7 @@
 //! its own per-column hash indexes, so a scan with any bound position
 //! is a bucket lookup per page rather than a full pass — this is what
 //! makes simplified-instance evaluation O(matching tuples) instead of
-//! O(relation), the asymmetry experiment E1 measures.
+//! O(relation).
 //!
 //! The chunking exists for the commit pipeline's copy-on-write
 //! economics: cloning a relation bumps one refcount per page (plus the
@@ -20,10 +20,10 @@
 //! commit whose storage cost is proportional to the delta the paper's
 //! method already computes, never to the relation it lands in.
 //! [`FactSet::cow_stats`] counts the pages, tuples and approximate
-//! bytes those clones copy (`b6_hot_relation` reports them per
-//! commit). The counters are scoped to a *relation family* — a
+//! bytes those clones copy (the benchmark reports them per commit).
+//! The counters are scoped to a *relation family* — a
 //! relation and every clone/snapshot descended from it share one
-//! counter set — so concurrent tests and benches in the same process
+//! counter set — so concurrent tests in the same process
 //! never bleed into each other's before/after deltas.
 //!
 //! Tombstone accounting is per page, replacing the old global
@@ -58,7 +58,7 @@ pub const COMPACT_FLOOR: usize = 32;
 /// writers have had to copy before mutating, how many tuple slots
 /// those pages held, and approximately how many bytes that copied.
 /// Monotonic; read a delta around an operation to get its COW cost
-/// (`b6_hot_relation` does this per commit).
+/// (`tests/prop_chunked_store.rs` does this per commit).
 ///
 /// Counters are *scoped*, not process-global: each relation family (a
 /// relation plus every clone and snapshot descended from it) shares
@@ -99,7 +99,7 @@ impl CowCounters {
     /// three fields of one snapshot may straddle a concurrent clone (a
     /// writer bumps pages/tuples/bytes as three separate relaxed adds).
     /// Exact cross-field arithmetic requires external quiescence —
-    /// which is how every test and bench uses it: measure while no
+    /// which is how every test and the benchmark use it: measure while no
     /// writer is mid-clone. The `store.cow.*` gauges exported through
     /// `uniform-obs` are sampled from this same snapshot at report
     /// time and inherit the same semantics.

@@ -92,7 +92,7 @@ impl<'a> OverlayEngine<'a> {
         self.materializations.load(Ordering::Relaxed)
     }
 
-    /// Ground-subquery memo hits (instrumentation for experiment E4).
+    /// Ground-subquery memo hits (the redundant subqueries of §3.2).
     pub fn memo_hits(&self) -> usize {
         self.memo_hits.load(Ordering::Relaxed)
     }

@@ -107,17 +107,11 @@ impl TxnBuilder {
         self.stage(Update::delete(fact))
     }
 
-    /// Record that checking this transaction read `pred` *unbounded*:
-    /// any later write into `pred` conflicts. Prefer
-    /// [`TxnBuilder::record_read_patterns`] when binding information is
-    /// available.
-    pub fn record_read(&mut self, pred: Sym) -> &mut TxnBuilder {
-        self.reads.record_whole(pred);
-        self
-    }
-
-    /// Record a batch of unbounded reads (deliberate widening, e.g. the
-    /// constraint-closure footprint of an auto-repair decision).
+    /// Record that checking this transaction read each of `preds`
+    /// *unbounded*: any later write into one of them conflicts. This is
+    /// deliberate widening (e.g. the constraint-closure footprint of an
+    /// auto-repair decision); prefer [`TxnBuilder::record_read_patterns`]
+    /// when binding information is available.
     pub fn record_reads(&mut self, preds: impl IntoIterator<Item = Sym>) -> &mut TxnBuilder {
         for pred in preds {
             self.reads.record_whole(pred);
@@ -275,14 +269,14 @@ pub enum ModelPath {
     /// rematerializing (cost proportional to the induced update, the
     /// paper's Def. 4 view of maintenance).
     Maintained,
-    /// The next snapshot must rematerialize the model from scratch:
-    /// maintenance is disabled, a schema/rule update reset it, or
-    /// maintenance bailed out on a broken counting invariant.
+    /// The next snapshot must rematerialize the model from scratch: a
+    /// schema/rule update reset maintenance, or maintenance bailed out
+    /// on a broken counting invariant.
     Rematerialized,
 }
 
 /// Running counters of the queue's model-maintenance behavior, for
-/// tests, benches and operators (see [`CommitQueue::maintenance`]).
+/// tests and operators (see [`CommitQueue::maintenance`]).
 ///
 /// This struct is a *view*: the authoritative storage is the queue's
 /// `uniform-obs` registry counters (`maintain.*`), and
@@ -474,11 +468,6 @@ struct QueueState {
 pub struct CommitQueue {
     state: Mutex<QueueState>,
     log_capacity: usize,
-    /// Maintain the canonical model incrementally across commits. When
-    /// off, every effective commit invalidates the cached model and the
-    /// next snapshot rematerializes (the pre-maintenance behavior; the
-    /// `b3_postcommit_snapshot` baseline).
-    maintain: bool,
     /// The observability domain this queue reports into (a private
     /// `NullClock` one unless injected via [`CommitQueue::with_obs`]).
     obs: Arc<Obs>,
@@ -522,27 +511,8 @@ impl CommitQueue {
                 last_path: ModelPath::Rematerialized,
             }),
             log_capacity: log_capacity.max(1),
-            maintain: true,
             obs,
             metrics,
-        }
-    }
-
-    /// A queue with incremental model maintenance disabled: every
-    /// effective commit leaves the next snapshot to rematerialize.
-    pub fn without_maintenance(db: Database) -> CommitQueue {
-        CommitQueue {
-            maintain: false,
-            ..CommitQueue::new(db)
-        }
-    }
-
-    /// [`CommitQueue::without_maintenance`] reporting into an injected
-    /// observability domain (see [`CommitQueue::with_obs`]).
-    pub fn without_maintenance_with_obs(db: Database, obs: Arc<Obs>) -> CommitQueue {
-        CommitQueue {
-            maintain: false,
-            ..CommitQueue::with_obs(db, obs)
         }
     }
 
@@ -695,7 +665,7 @@ impl CommitQueue {
             // time an admitted commit arrives (or the first after a schema
             // reset / bail-out). This reuses the database's cached model when
             // one exists; from here on the queue owns the model's lifetime.
-            if self.maintain && state.maintained.is_none() {
+            if state.maintained.is_none() {
                 let model = state.db.model();
                 let st = &mut *state;
                 st.maintained = Some(MaintainedModel::with_model(
@@ -733,7 +703,7 @@ impl CommitQueue {
                 // Def. 1 no-op: nothing was invalidated, the cached model
                 // (and the maintained one) still describe the state exactly.
                 state.last_path
-            } else if self.maintain {
+            } else {
                 // Flip the maintained model forward by the same update list
                 // the store just applied: its EDB mirrors the database's
                 // update for update, so the two stay bit-identical.
@@ -754,9 +724,6 @@ impl CommitQueue {
                     self.metrics.rematerialized.incr();
                     ModelPath::Rematerialized
                 }
-            } else {
-                self.metrics.rematerialized.incr();
-                ModelPath::Rematerialized
             }
         };
         state.last_path = model_path;
@@ -975,7 +942,7 @@ mod tests {
         let q = queue("");
         let mut t1 = q.begin();
         t1.insert(fact("log", &["e1"]));
-        t1.record_read(Sym::new("events"));
+        t1.record_reads([Sym::new("events")]);
         let mut t2 = q.begin();
         t2.insert(fact("events", &["k9", "v9"]));
         q.commit(&t2).unwrap();
@@ -1002,7 +969,7 @@ mod tests {
         // writes `log`.
         let mut t1 = q.begin();
         t1.insert(fact("log", &["e1"]));
-        t1.record_read(Sym::new("watched"));
+        t1.record_reads([Sym::new("watched")]);
         // t2 deletes from `watched` and commits first.
         let mut t2 = q.begin();
         t2.delete(fact("watched", &["a"]));
@@ -1103,7 +1070,7 @@ mod tests {
         let t0 = {
             let mut t = q.begin();
             t.insert(fact("log", &["e"]));
-            t.record_read(Sym::new("s"));
+            t.record_reads([Sym::new("s")]);
             t
         };
         // An effective write to r, then a Def. 1 no-op "write" to s.
@@ -1165,21 +1132,6 @@ mod tests {
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
         assert_eq!(q.maintenance().maintained, 2);
         assert_eq!(q.maintenance().rematerialized, 0);
-    }
-
-    #[test]
-    fn without_maintenance_every_commit_rematerializes() {
-        let q = CommitQueue::without_maintenance(Database::parse("b(X) :- a(X).").unwrap());
-        let mut t = q.begin();
-        t.insert(fact("a", &["x"]));
-        let r = q.commit(&t).unwrap();
-        assert_eq!(r.model_path, ModelPath::Rematerialized);
-        assert_eq!(q.model_path(), ModelPath::Rematerialized);
-        // The model is still correct — just recomputed on demand.
-        let snap = q.snapshot();
-        assert!(snap.holds(&fact("b", &["x"])));
-        assert_eq!(q.maintenance().maintained, 0);
-        assert_eq!(q.maintenance().rematerialized, 1);
     }
 
     #[test]

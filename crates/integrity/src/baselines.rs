@@ -1,7 +1,7 @@
 //! Baseline integrity-checking methods the paper positions itself
 //! against. All three return the same verdict as [`crate::Checker`]
-//! (property-tested); the differences are in what work they do — which is
-//! exactly what experiments E1–E4 measure.
+//! (property-tested); the differences are in what work they do, which
+//! their `CheckStats` counters expose.
 //!
 //! * [`full_recheck`] — apply the update and evaluate every constraint
 //!   from scratch (the method Nicolas 1979 improves upon; Prop. 1/2 used
@@ -190,19 +190,14 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
     }
 }
 
-/// Number of induced updates the interleaved method would compute for a
-/// transaction (exposed separately for experiment E3).
-pub fn count_induced_updates(db: &Database, tx: &Transaction) -> usize {
-    interleaved_check(db, tx).stats.delta.answers
-}
-
 /// Baseline C: Lloyd–Topor-style trigger enumeration.
 ///
-/// Identical compile phase to the main checker, but the trigger of each
-/// update constraint is enumerated against the *updated state* (positive
-/// triggers) or the *current state* (negative triggers) without filtering
-/// for actual change — `¬new(U,L) ∨ new(U,s(C))`. "The resulting loss in
-/// efficiency is often considerable" (§3.2).
+/// Identical compile phase to the main checker, but a positive trigger
+/// of an update constraint is enumerated over the whole *updated state*
+/// without filtering for actual change — `¬new(U,L) ∨ new(U,s(C))`.
+/// "The resulting loss in efficiency is often considerable" (§3.2). A
+/// negative trigger is enumerated as the current atoms the update made
+/// false: an atom the transaction deletes and re-inserts is no trigger.
 pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
     let checker = Checker::new(db);
     let literals: Vec<Literal> = tx.updates.iter().map(|u| u.to_literal()).collect();
@@ -286,8 +281,11 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
     }
 }
 
-/// `new`-based trigger enumeration: all instances of the pattern true in
-/// the relevant state, not only the changed ones.
+/// `new`-based trigger enumeration: instances of the pattern true in the
+/// updated state, not only the changed ones. A positive pattern scans
+/// the updated state outright; a negative one cannot scan the (infinite)
+/// absent facts, so it scans the current state's atoms and keeps those
+/// the update made false.
 fn enumerate_new_answers(
     updated: &OverlayEngine<'_>,
     current: &Model,
@@ -301,7 +299,7 @@ fn enumerate_new_answers(
             pred: pattern.atom.pred,
             args: args.to_vec(),
         };
-        if match_atom(&pattern.atom, &f).is_some() {
+        if match_atom(&pattern.atom, &f).is_some() && (pattern.positive || !updated.holds(&f)) {
             out.push(Literal::new(pattern.positive, f.to_atom()));
         }
         true

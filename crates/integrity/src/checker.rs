@@ -27,33 +27,17 @@ use uniform_datalog::{
 };
 use uniform_logic::{match_atom, Constraint, Literal, Rq, Sym};
 
-/// Options controlling the evaluation phase (ablation switches for the
-/// experiments).
+/// Options controlling the compile phase.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckOptions {
-    /// Deduplicate ground instances before evaluation and cache
-    /// per-instance verdicts (the "global evaluation" of §3.2). Disabling
-    /// reproduces the per-instance independent evaluation of interleaved
-    /// methods (experiment E4).
-    pub share_evaluations: bool,
-    /// Stop at the first violation.
-    pub fail_fast: bool,
     /// Safety bound on the potential-update closure.
     pub potential_limit: usize,
-    /// Run the cost-based general-formula optimizer over each update
-    /// constraint's instance before evaluation (§6 future work,
-    /// [`uniform_datalog::planner`]; experiment E9). Off by default so
-    /// the published evaluation order is reproduced exactly.
-    pub optimize_instances: bool,
 }
 
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            share_evaluations: true,
-            fail_fast: false,
             potential_limit: 10_000,
-            optimize_instances: false,
         }
     }
 }
@@ -88,7 +72,8 @@ pub struct Violation {
     pub instance: Rq,
 }
 
-/// Counters for the experiments.
+/// Work counters of one check (the benchmark's per-layer probes read
+/// them).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CheckStats {
     pub potential_updates: usize,
@@ -100,25 +85,10 @@ pub struct CheckStats {
     /// Ground instances skipped by the shared-evaluation cache.
     pub instances_shared: usize,
     /// Ground subqueries answered from the shared engine's memo — the
-    /// "redundant subqueries" a global evaluation avoids (§3.2, E4).
+    /// "redundant subqueries" a global evaluation avoids (§3.2).
     pub subquery_memo_hits: usize,
     /// Canonical-model materializations of the simulated updated state.
     pub new_materializations: usize,
-    /// Subformulas pruned by the instance optimizer (idempotence,
-    /// absorption, complement collapse) — only with
-    /// [`CheckOptions::optimize_instances`].
-    pub plan_pruned: usize,
-    /// `∧`/`∨` nodes reordered by the instance optimizer.
-    pub plan_reordered: usize,
-}
-
-/// Evaluation result of one trigger group.
-#[derive(Default)]
-struct GroupOutcome {
-    violations: Vec<Violation>,
-    evaluated: usize,
-    shared: usize,
-    materializations: usize,
 }
 
 /// Result of an integrity check.
@@ -202,14 +172,10 @@ pub struct Checker<'a> {
 
 impl<'a> Checker<'a> {
     pub fn new(db: &'a Database) -> Checker<'a> {
-        Checker::with_options(db, CheckOptions::default())
-    }
-
-    pub fn with_options(db: &'a Database, options: CheckOptions) -> Checker<'a> {
         Checker {
             target: CheckTarget::Db(db),
             index: RelevanceIndex::build(db.constraints()),
-            options,
+            options: CheckOptions::default(),
         }
     }
 
@@ -232,10 +198,6 @@ impl<'a> Checker<'a> {
             index: RelevanceIndex::build(snapshot.constraints()),
             options,
         }
-    }
-
-    pub fn options(&self) -> CheckOptions {
-        self.options
     }
 
     fn facts(&self) -> &FactSet {
@@ -348,56 +310,30 @@ impl<'a> Checker<'a> {
             .collect();
 
         let current = self.model();
-        let (updated_adds, updated_dels) = (adds.clone(), dels.clone());
         let updated = OverlayEngine::updated(self.facts(), self.rules(), adds, dels);
         let delta = DeltaEngine::new(&current, &updated, self.rules(), &net_updates);
-
-        // Optionally optimize each instance once, up front (§6: the
-        // evaluation phase owns whole formulas, so formula-level
-        // optimization applies before any instance is evaluated).
-        let optimized: Vec<UpdateConstraint>;
-        let constraints: &[UpdateConstraint] = if self.options.optimize_instances {
-            let planner = uniform_datalog::Planner::new(self.facts());
-            optimized = compiled
-                .update_constraints
-                .iter()
-                .map(|uc| {
-                    let (instance, report) = planner.optimize_with_report(&uc.instance);
-                    stats.plan_pruned += report.pruned;
-                    stats.plan_reordered += report.reordered;
-                    UpdateConstraint {
-                        constraint: uc.constraint,
-                        trigger: uc.trigger.clone(),
-                        instance,
-                    }
-                })
-                .collect();
-            &optimized
-        } else {
-            &compiled.update_constraints
-        };
 
         // Group update constraints by trigger pattern so each delta
         // enumeration runs once.
         let mut groups: HashMap<String, Vec<&UpdateConstraint>> = HashMap::new();
-        for uc in constraints {
+        for uc in &compiled.update_constraints {
             groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
         }
         stats.trigger_groups = groups.len();
 
-        // Deterministic group order (HashMap iteration order is not).
+        // Deterministic group order (HashMap iteration order is not), so
+        // the violation list is deterministic too.
         let mut ordered_groups: Vec<(&String, &Vec<&UpdateConstraint>)> = groups.iter().collect();
         ordered_groups.sort_by_key(|(key, _)| key.as_str());
 
-        // Per-group evaluation. Verdicts are cached across groups, so
-        // `instances_evaluated` = distinct ground instances and
-        // `instances_shared` = re-occurrences. `stop_early` ends a group
-        // at its first violation.
+        // Verdicts are cached across groups, so `instances_evaluated` =
+        // distinct ground instances and `instances_shared` =
+        // re-occurrences.
         let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
-        let mut eval_group = |members: &[&UpdateConstraint], stop_early: bool| -> GroupOutcome {
-            let mut outcome = GroupOutcome::default();
+        let mut violations = Vec::new();
+        for (_, members) in ordered_groups {
             let representative = &members[0].trigger;
-            'group: for answer in delta.delta(representative) {
+            for answer in delta.delta(representative) {
                 let fact = answer.atom.to_fact().expect("delta answers are ground");
                 for uc in members {
                     let Some(theta) = match_atom(&uc.trigger.atom, &fact) else {
@@ -405,77 +341,35 @@ impl<'a> Checker<'a> {
                     };
                     let ground = uc.instance.apply(&theta);
                     debug_assert!(ground.is_closed(), "instance not closed: {ground}");
-                    let holds = if self.options.share_evaluations {
-                        // Probe before cloning: hits (the common case the
-                        // cache exists for) must not deep-clone the
-                        // ground formula just to look it up.
-                        match verdict_cache.get(&ground) {
-                            Some(&v) => {
-                                outcome.shared += 1;
-                                v
-                            }
-                            None => {
-                                outcome.evaluated += 1;
-                                let v = satisfies_closed(&updated, &ground);
-                                verdict_cache.insert(ground.clone(), v);
-                                v
-                            }
+                    // Probe before cloning: hits (the common case the
+                    // cache exists for) must not deep-clone the ground
+                    // formula just to look it up.
+                    let holds = match verdict_cache.get(&ground) {
+                        Some(&v) => {
+                            stats.instances_shared += 1;
+                            v
                         }
-                    } else {
-                        // Independent evaluation (the interleaved-style
-                        // drawback of §3.2): a fresh engine per instance,
-                        // sharing nothing — no verdict cache, no subquery
-                        // memo.
-                        outcome.evaluated += 1;
-                        let fresh = OverlayEngine::updated(
-                            self.facts(),
-                            self.rules(),
-                            updated_adds.clone(),
-                            updated_dels.clone(),
-                        );
-                        let v = satisfies_closed(&fresh, &ground);
-                        outcome.materializations += fresh.materialization_count();
-                        v
+                        None => {
+                            stats.instances_evaluated += 1;
+                            let v = satisfies_closed(&updated, &ground);
+                            verdict_cache.insert(ground.clone(), v);
+                            v
+                        }
                     };
                     if !holds {
-                        outcome.violations.push(Violation {
+                        violations.push(Violation {
                             constraint: self.constraints()[uc.constraint].name.clone(),
                             culprit: Some(answer.clone()),
                             instance: ground,
                         });
-                        if stop_early {
-                            break 'group;
-                        }
                     }
                 }
             }
-            outcome
-        };
-
-        // Groups run in key order, so the violation list is
-        // deterministic; `fail_fast` stops at the first violating group.
-        let fail_fast = self.options.fail_fast;
-        let mut outcomes: Vec<GroupOutcome> = Vec::new();
-        for (_, members) in &ordered_groups {
-            let outcome = eval_group(members, fail_fast);
-            let stop = fail_fast && !outcome.violations.is_empty();
-            outcomes.push(outcome);
-            if stop {
-                break;
-            }
-        }
-
-        let mut violations = Vec::new();
-        for outcome in outcomes {
-            violations.extend(outcome.violations);
-            stats.instances_evaluated += outcome.evaluated;
-            stats.instances_shared += outcome.shared;
-            stats.new_materializations += outcome.materializations;
         }
 
         stats.delta = delta.stats();
         stats.subquery_memo_hits = updated.memo_hits();
-        stats.new_materializations += updated.materialization_count();
+        stats.new_materializations = updated.materialization_count();
         CheckReport {
             satisfied: violations.is_empty(),
             violations,
@@ -496,29 +390,6 @@ impl<'a> Checker<'a> {
     /// Both phases for a single-fact update.
     pub fn check_update(&self, update: &Update) -> CheckReport {
         self.check(&Transaction::single(update.clone()))
-    }
-
-    /// Check, and apply the transaction to `db` only if it preserves
-    /// integrity. This is the guarded-update operation integrity
-    /// maintenance exists for. Requires exclusive access.
-    pub fn check_and_apply(db: &mut Database, tx: &Transaction) -> CheckReport {
-        let report = Checker::new(db).check(tx);
-        if report.satisfied {
-            let apply = |db: &mut Database| {
-                for u in &tx.updates {
-                    db.apply(u).expect("checked transaction misuses an arity");
-                }
-            };
-            // A complete satisfied check is the induction step the
-            // consistency latch rides on; a truncated one applies as a
-            // raw edit.
-            if report.proves_consistency() {
-                db.preserving_consistency(apply);
-            } else {
-                apply(db);
-            }
-        }
-        report
     }
 }
 
@@ -665,21 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn check_and_apply_guards_database() {
-        let mut d = db("q(a). constraint c1: forall X: p(X) -> q(X).");
-        let bad = Transaction::single(upd("p(b)"));
-        let rep = Checker::check_and_apply(&mut d, &bad);
-        assert!(!rep.satisfied);
-        assert!(
-            !d.holds(&uniform_logic::Fact::parse_like("p", &["b"])),
-            "rejected update not applied"
-        );
-        let good = Transaction::single(upd("p(a)"));
-        assert!(Checker::check_and_apply(&mut d, &good).satisfied);
-        assert!(d.holds(&uniform_logic::Fact::parse_like("p", &["a"])));
-    }
-
-    #[test]
     fn agrees_with_full_recheck_on_examples() {
         let d = db("
             emp(a). emp(b). dept(d). assign(a,d). assign(b,d).
@@ -713,69 +569,15 @@ mod tests {
             constraint a: forall X: student(X) -> attends(X, ddb).
             constraint b: forall X: enrolled(X, cs) -> attends(X, ddb).
         ");
-        let shared = Checker::new(&d);
-        let rep = shared.check_update(&upd("student(jack)"));
+        let tx = Transaction::single(upd("student(jack)"));
+        let rep = Checker::new(&d).check(&tx);
         assert!(!rep.satisfied);
         assert!(rep.stats.instances_shared > 0, "stats: {:?}", rep.stats);
-        let unshared = Checker::with_options(
-            &d,
-            CheckOptions {
-                share_evaluations: false,
-                ..CheckOptions::default()
-            },
-        );
-        let rep2 = unshared.check_update(&upd("student(jack)"));
-        assert!(!rep2.satisfied);
-        assert!(rep2.stats.instances_evaluated > rep.stats.instances_evaluated);
-    }
-
-    #[test]
-    fn optimizer_preserves_verdicts() {
-        let d = db("
-            emp(a). emp(b). dept(d). assign(a,d). assign(b,d). q(a).
-            works(X) :- assign(X,Y), dept(Y).
-            constraint busy: forall X: emp(X) -> (exists Y: assign(X,Y)).
-            constraint c1: forall X: p(X) -> (q(X) | (exists Y: assign(X, Y))).
-        ");
-        let plain = Checker::new(&d);
-        let tuned = Checker::with_options(
-            &d,
-            CheckOptions {
-                optimize_instances: true,
-                ..CheckOptions::default()
-            },
-        );
-        for update in [
-            "p(a)",
-            "p(b)",
-            "p(zzz)",
-            "emp(c)",
-            "not assign(a,d)",
-            "dept(e)",
-        ] {
-            let u = upd(update);
-            let a = plain.check_update(&u);
-            let b = tuned.check_update(&u);
-            assert_eq!(a.satisfied, b.satisfied, "verdict changed on {update}");
-        }
-    }
-
-    #[test]
-    fn fail_fast_stops_early() {
-        let d = db("
-            constraint a: forall X: p(X) -> q(X).
-            constraint b: forall X: p(X) -> r(X).
-        ");
-        let checker = Checker::with_options(
-            &d,
-            CheckOptions {
-                fail_fast: true,
-                ..CheckOptions::default()
-            },
-        );
-        let rep = checker.check_update(&upd("p(a)"));
-        assert!(!rep.satisfied);
-        assert_eq!(rep.violations.len(), 1);
+        // §3.2 drawback 2: the interleaved method evaluates every
+        // instance independently, so it pays for the duplicate.
+        let independent = crate::interleaved_check(&d, &tx);
+        assert!(!independent.satisfied);
+        assert!(independent.stats.instances_evaluated > rep.stats.instances_evaluated);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * [`rule_update`] — rule additions/removals checked incrementally,
 //!   "treated like conditional updates" (§3.2);
 //! * [`baselines`] — full re-check, interleaved (Decker/Kowalski-style)
-//!   and Lloyd–Topor-style methods for the experiments.
+//!   and Lloyd–Topor-style methods the paper compares against.
 //!
 //! ```
 //! use uniform_datalog::{Database, Transaction, Update};
@@ -34,9 +34,10 @@
 //!     constraint c1: forall X: p(X) -> q(X).
 //! ").unwrap();
 //! let ok = Update::from_literal(&parse_literal("p(a)").unwrap()).unwrap();
-//! assert!(Checker::check_and_apply(&mut db, &Transaction::single(ok)).satisfied);
+//! assert!(Checker::new(&db).check(&Transaction::single(ok.clone())).satisfied);
+//! db.apply(&ok).unwrap();
 //! let bad = Update::from_literal(&parse_literal("p(zzz)").unwrap()).unwrap();
-//! let report = Checker::check_and_apply(&mut db, &Transaction::single(bad));
+//! let report = Checker::new(&db).check(&Transaction::single(bad));
 //! assert!(!report.satisfied);
 //! println!("rejected: {}", report.violations[0].constraint);
 //! ```

@@ -19,8 +19,7 @@ pub struct PotentialUpdates {
     /// Subsumption-minimal set of potential update literals, including
     /// the seed update itself (the paper's `{U} ∪ {L | dependent(L, U)}`).
     pub literals: Vec<Literal>,
-    /// Number of direct-dependent derivation steps performed (for the E7
-    /// experiment).
+    /// Number of direct-dependent derivation steps performed.
     pub steps: usize,
     /// Whether the safety bound was hit (should never happen: the pattern
     /// space modulo renaming is finite).

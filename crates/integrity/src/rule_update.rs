@@ -22,10 +22,9 @@
 //!   simplified instances are evaluated against the new state — never
 //!   the full constraint set.
 //!
-//! The full re-check of every constraint on the candidate state — what a
-//! system without this method must do, and what the façade used to do —
-//! is retained in [`crate::baselines`] style as the experiment baseline
-//! (E8).
+//! The full re-check of every constraint on the candidate state is what
+//! a system without this method must do; `tests/prop_schema_updates.rs`
+//! keeps it as the oracle the incremental verdict must match.
 
 use crate::checker::{
     CheckOptions, CheckReport, CheckStats, CompiledCheck, UpdateConstraint, Violation,
@@ -232,7 +231,7 @@ impl<'a> RuleUpdateChecker<'a> {
         let mut delta_memo: HashMap<String, Vec<Fact>> = HashMap::new();
         let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
         let mut violations = Vec::new();
-        'outer: for (_, members) in ordered_groups {
+        for (_, members) in ordered_groups {
             let representative = &members[0].trigger;
             let key = pattern_key(representative);
             let answers = match delta_memo.get(&key) {
@@ -252,22 +251,17 @@ impl<'a> RuleUpdateChecker<'a> {
                     };
                     let ground = uc.instance.apply(&theta);
                     debug_assert!(ground.is_closed(), "instance not closed: {ground}");
-                    let holds = if self.options.share_evaluations {
-                        match verdict_cache.get(&ground) {
-                            Some(&v) => {
-                                stats.instances_shared += 1;
-                                v
-                            }
-                            None => {
-                                stats.instances_evaluated += 1;
-                                let v = satisfies_closed(&after, &ground);
-                                verdict_cache.insert(ground.clone(), v);
-                                v
-                            }
+                    let holds = match verdict_cache.get(&ground) {
+                        Some(&v) => {
+                            stats.instances_shared += 1;
+                            v
                         }
-                    } else {
-                        stats.instances_evaluated += 1;
-                        satisfies_closed(&after, &ground)
+                        None => {
+                            stats.instances_evaluated += 1;
+                            let v = satisfies_closed(&after, &ground);
+                            verdict_cache.insert(ground.clone(), v);
+                            v
+                        }
                     };
                     if !holds {
                         violations.push(Violation {
@@ -278,9 +272,6 @@ impl<'a> RuleUpdateChecker<'a> {
                             )),
                             instance: ground,
                         });
-                        if self.options.fail_fast {
-                            break 'outer;
-                        }
                     }
                 }
             }

@@ -22,8 +22,6 @@ mod registry;
 mod report;
 mod span;
 
-use std::sync::Arc;
-
 pub use clock::{Clock, NullClock, WallClock};
 pub use hist::{
     bucket_floor, bucket_of, fmt_nanos, Hist, Histogram, HistogramSnapshot, HIST_BUCKETS,
@@ -73,11 +71,6 @@ impl Obs {
             Ok(v) if v == "1" => Obs::with_clock(WallClock::new()),
             _ => Obs::null(),
         }
-    }
-
-    /// Shorthand for `Arc::new(Obs::from_env())`.
-    pub fn shared_from_env() -> Arc<Obs> {
-        Arc::new(Obs::from_env())
     }
 
     /// Is the clock producing timestamps? (`false` under [`NullClock`].)

@@ -274,7 +274,7 @@ impl fmt::Display for RepairSet {
     }
 }
 
-/// Search counters, for tests, benches and receipts.
+/// Search counters, for tests, the benchmark and receipts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Enforcement nodes explored.

@@ -440,7 +440,7 @@ pub fn household_cycle() -> Problem {
     )
 }
 
-/// The whole suite (used by tests, benches and EXPERIMENTS.md).
+/// The whole suite (used by tests and the `steamroller` example).
 pub fn suite() -> Vec<Problem> {
     let mut out = vec![
         paper_example(),

@@ -16,7 +16,7 @@
 //! failed attempt that never hit the budget is a proof of
 //! unsatisfiability, a successful one yields a finite model, and
 //! budget-limited failures deepen. This makes the completeness claims of
-//! §4 rigorous under depth-first search (see DESIGN.md §5).
+//! §4 rigorous under depth-first search.
 
 use crate::completion::completion_constraints;
 use crate::enforce::{Enforcer, Limits, Moves};

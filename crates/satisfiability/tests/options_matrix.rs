@@ -78,7 +78,7 @@ fn steamroller_under_paper_profile() {
 fn sat_problems_found_by_complete_profiles() {
     // Only the profiles with the domain-enumeration alternative are
     // complete for finite satisfiability *independently of range
-    // selection* (DESIGN.md §5): our normalizer extracts maximal
+    // selection*: our normalizer extracts maximal
     // ranges, so the as-published range-reuse alternative can miss
     // models whose witnesses never satisfy the full range conjunction
     // (household-cycle is the concrete case: `∃X person(X) ∧

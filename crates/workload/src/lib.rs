@@ -1,10 +1,10 @@
 //! # uniform-workload
 //!
-//! Deterministic synthetic workload generators for the experiments
-//! (EXPERIMENTS.md) and for stress tests. Every generator takes explicit
-//! size parameters **and a seed**: the seed drives both any sampled
-//! content (update streams, random fact pools) and the insertion order of
-//! the generated population, so benchmark runs are reproducible
+//! Deterministic synthetic workload generators for the paper's claims,
+//! the integration and property tests, and the examples. Every generator
+//! takes explicit size parameters **and a seed**: the seed drives both
+//! any sampled content (update streams, random fact pools) and the
+//! insertion order of the generated population, so runs are reproducible
 //! seed-for-seed while different seeds exercise different store layouts.
 
 use rand::rngs::StdRng;
@@ -35,10 +35,10 @@ fn starts_consistent(db: &Database) -> bool {
     db.constraints().iter().all(|c| db.satisfies(&c.rq))
 }
 
-/// The university workload of experiment E1: `student`, `enrolled`,
-/// `attends` relations with `n` students, constraints requiring every
-/// cs-enrolled student to attend `ddb`, plus domain constraints so the
-/// full re-check has a realistic constraint set to chew through.
+/// The §3 university workload: `student`, `enrolled`, `attends`
+/// relations with `n` students, constraints requiring every cs-enrolled
+/// student to attend `ddb`, plus domain constraints so the full re-check
+/// has a realistic constraint set to chew through.
 pub fn university(n: usize, seed: u64) -> Database {
     let mut src = String::new();
     src.push_str(
@@ -79,7 +79,7 @@ pub fn university_bad_tx(n: usize) -> Transaction {
     ])
 }
 
-/// The §3.2 deductive workload for E2/E4: `enrolled` derived from
+/// The §3.2 deductive workload: `enrolled` derived from
 /// `student` by rule, constraint on both base and derived relations, `n`
 /// existing students.
 pub fn deductive_university(n: usize, seed: u64) -> Database {
@@ -99,9 +99,10 @@ pub fn deductive_university(n: usize, seed: u64) -> Database {
     db
 }
 
-/// The E3 workload, straight from §3.2: rule `r(X) ← q(X,Y) ∧ p(Y,Z)`
-/// with **no constraint mentioning `r`**, and `q_count` facts `q(xi, a)`
-/// so that inserting `p(a,b)` induces `q_count` irrelevant updates.
+/// §3.2 drawback 1, straight from the paper: rule
+/// `r(X) ← q(X,Y) ∧ p(Y,Z)` with **no constraint mentioning `r`**, and
+/// `q_count` facts `q(xi, a)` so that inserting `p(a,b)` induces
+/// `q_count` irrelevant updates.
 pub fn irrelevant_induction(q_count: usize, seed: u64) -> (Database, Transaction) {
     let mut src = String::from(
         "r(X) :- q(X,Y), p(Y,Z).\n\
@@ -115,9 +116,9 @@ pub fn irrelevant_induction(q_count: usize, seed: u64) -> (Database, Transaction
     (db, Transaction::single(upd("p(a,b)")))
 }
 
-/// The E2 workload: the nonground trigger `r(X)` of the constraint is
-/// *affected but unchanged* by the update — `delta` enumerates nothing,
-/// `new` enumerates all `n` pre-existing instances (the Lloyd–Topor
+/// The nonground trigger `r(X)` of the constraint is *affected but
+/// unchanged* by the update — `delta` enumerates nothing, `new`
+/// enumerates all `n` pre-existing instances (the Lloyd–Topor
 /// comparison of §3.2).
 pub fn unchanged_rule_instances(n: usize, seed: u64) -> (Database, Transaction) {
     let mut src = String::from(
@@ -136,13 +137,13 @@ pub fn unchanged_rule_instances(n: usize, seed: u64) -> (Database, Transaction) 
     (db, Transaction::single(upd("p(a,b)")))
 }
 
-/// The E4 workload: the §3.2 redundant-subquery scenario with the shared
-/// subquery made *derived* (1988's expensive fact access translates to
-/// rule evaluation in an in-memory engine). Constraint `cdb` fires twice
-/// per new student — once through the explicit `student` trigger (S₂)
-/// and once through the induced `enrolled` trigger (S₁) — and both
-/// instances share the derived subquery `covered(x)`, which joins the
-/// student's `attends` rows against `core`.
+/// The §3.2 redundant-subquery scenario with the shared subquery made
+/// *derived* (1988's expensive fact access translates to rule evaluation
+/// in an in-memory engine). Constraint `cdb` fires twice per new student
+/// — once through the explicit `student` trigger (S₂) and once through
+/// the induced `enrolled` trigger (S₁) — and both instances share the
+/// derived subquery `covered(x)`, which joins the student's `attends`
+/// rows against `core`.
 pub fn shared_subquery_university(n: usize, courses_per_student: usize, seed: u64) -> Database {
     let mut src = String::from(
         "enrolled(X, cs) :- student(X).\n\
@@ -162,20 +163,6 @@ pub fn shared_subquery_university(n: usize, courses_per_student: usize, seed: u6
     let db = Database::parse(&src).expect("shared-subquery university parses");
     debug_assert!(starts_consistent(&db));
     db
-}
-
-/// A transaction of `k` new students for [`shared_subquery_university`],
-/// each with `courses_per_student` attendance rows (only `ddb` is core).
-pub fn shared_subquery_tx(k: usize, courses_per_student: usize) -> Transaction {
-    let mut updates = Vec::new();
-    for i in 0..k {
-        updates.push(upd(&format!("student(nx{i})")));
-        updates.push(upd(&format!("attends(nx{i}, ddb)")));
-        for c in 0..courses_per_student {
-            updates.push(upd(&format!("attends(nx{i}, other{c})")));
-        }
-    }
-    Transaction::new(updates)
 }
 
 /// Transitive-closure workload: a path graph of `n` nodes with `tc`
@@ -266,11 +253,12 @@ pub fn org_updates(n: usize, per_dept: usize, count: usize, seed: u64) -> Vec<Up
         .collect()
 }
 
-/// E8 workload: a database where only *one* of `k + 1` constraints is
-/// relevant to the rule update `loud(X) :- speaker(X)`. The other `k`
-/// constraints range over an `n`-row assignment relation, so a full
-/// re-check pays `k × n` while the incremental rule-update check
-/// compiles exactly one update constraint and evaluates per speaker.
+/// Rule-update workload: a database where only *one* of `k + 1`
+/// constraints is relevant to the rule update `loud(X) :- speaker(X)`.
+/// The other `k` constraints range over an `n`-row assignment relation,
+/// so a full re-check pays `k × n` while the incremental rule-update
+/// check compiles exactly one update constraint and evaluates per
+/// speaker.
 pub fn rule_update_workload(n: usize, k: usize, speakers: usize, seed: u64) -> Database {
     let mut src = String::new();
     src.push_str("constraint loud_warned: forall X: loud(X) -> warned(X).\n");
@@ -294,12 +282,10 @@ pub fn rule_update_workload(n: usize, k: usize, speakers: usize, seed: u64) -> D
     db
 }
 
-/// E9 workload for the general-formula optimizer: the constraint on
+/// Workload for the general-formula optimizer: the constraint on
 /// `p` disjoins an expensive existential over an `n`-row relation with
 /// a cheap ground lookup that is always true. Written in the
 /// pessimistic order, so only reordering saves the join.
-///
-/// Used together with [`rule_update_workload`] by the E8/E9 benches.
 pub fn optimizer_workload(n: usize, seed: u64) -> Database {
     let mut src = String::from(
         "constraint guarded: forall X: p(X) ->
@@ -396,8 +382,8 @@ pub fn commit_mix(
     (db, streams)
 }
 
-/// Base database for the hot-relation workload (`b6_hot_relation`): a
-/// single constraint-free `ledger(key, value)` relation pre-grown to
+/// Base database for the hot-relation workload: a single
+/// constraint-free `ledger(key, value)` relation pre-grown to
 /// `rows` tuples, so it spans many store pages. Every writer then
 /// appends to *this one relation* — the worst case for relation-level
 /// conflict detection (every commit invalidates every reader) and the
@@ -419,15 +405,6 @@ pub fn hot_relation_db(rows: usize, seed: u64) -> Database {
         ));
     }
     db
-}
-
-/// Writer `writer`'s `i`-th hot-relation transaction: an insert of a
-/// key no other writer (and no other round) ever touches. Disjoint by
-/// construction — under key-level conflict detection these all admit
-/// concurrently; under relation-level detection every concurrent pair
-/// conflicts.
-pub fn hot_relation_append(writer: usize, i: usize) -> Transaction {
-    Transaction::single(upd(&format!("ledger(w{writer}_k{i}, w{writer}_v{i})")))
 }
 
 /// Schema for the repair / consistent-query-answering workload: a tiny
@@ -573,8 +550,7 @@ pub fn violation_mix(
 /// The hot-query list a serving tier would pin against
 /// [`deductive_university`] databases: joins through the derived
 /// predicate, bound and free literals, and a negation. Consumed by the
-/// `b5_prepared_queries` bench and the prepared-vs-legacy equivalence
-/// property suite.
+/// prepared-vs-legacy equivalence property suite.
 pub fn university_read_queries() -> &'static [&'static str] {
     &[
         "enrolled(X, C)",

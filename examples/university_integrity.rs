@@ -116,5 +116,5 @@ fn main() {
         );
     }
 
-    println!("(the absolute numbers vary per machine; the shape — two-phase work \n independent of |student|, full check linear in it — is experiment E1)");
+    println!("(the absolute numbers vary per machine; the shape — two-phase work \n independent of |student|, full check linear in it — is the claim of §3)");
 }

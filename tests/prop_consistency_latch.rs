@@ -552,10 +552,7 @@ fn a_truncated_check_never_carries_the_latch() {
                        constraint c: forall X: s(X) -> q(X).\n\
                        q(k0). p(k0).";
     let truncating = UniformOptions {
-        check: CheckOptions {
-            potential_limit: 0,
-            ..CheckOptions::default()
-        },
+        check: CheckOptions { potential_limit: 0 },
         ..options()
     };
 

@@ -15,13 +15,12 @@
 //!   one evaluated over a freshly recomputed model;
 //! * the receipt's [`ModelPath`] marker matches the path that actually
 //!   ran: `Maintained` on the incremental path, `Rematerialized` when
-//!   maintenance is disabled or a schema/rule update reset it.
+//!   a schema/rule update reset it.
 //!
-//! Schedules rotate through four modes: threaded guarded writers
-//! (twice), a sequential raw-queue schedule with a mid-stream rule
+//! Schedules rotate through three modes: threaded guarded writers
+//! (twice) and a sequential raw-queue schedule with a mid-stream rule
 //! update forcing the fallback path (and admitting integrity-violating
-//! transactions, so violation lists are non-trivially compared), and a
-//! maintenance-disabled queue (the rematerialize-always baseline).
+//! transactions, so violation lists are non-trivially compared).
 //!
 //! [`MaintainedModel`]: uniform::datalog::MaintainedModel
 //! [`ModelPath`]: uniform::ModelPath
@@ -175,34 +174,12 @@ fn run_schema_update_schedule(seed: u64) {
     );
 }
 
-/// Maintenance disabled: every effective commit reports the fallback
-/// marker and snapshots (which rematerialize) still match the oracle.
-fn run_disabled_schedule(seed: u64) {
-    let (db, streams) = base_with_rules(seed);
-    let q = CommitQueue::without_maintenance(db);
-    for i in 0..TXNS_PER_WRITER {
-        for stream in &streams {
-            let mut t = q.begin();
-            for u in &stream[i].updates {
-                t.stage(u.clone());
-            }
-            let r = q.commit(&t).expect("sequential raw commits admit");
-            if !r.effective.is_empty() {
-                assert_eq!(r.model_path, ModelPath::Rematerialized, "seed {seed}");
-            }
-            verify_snapshot(&q.snapshot(), &format!("seed {seed} disabled"));
-        }
-    }
-    assert_eq!(q.maintenance().maintained, 0, "seed {seed}");
-}
-
 #[test]
 fn maintained_model_equals_rematerialization_over_randomized_schedules() {
     for seed in 0..schedules() {
-        match seed % 4 {
+        match seed % 3 {
             0 | 1 => run_guarded_schedule(seed),
-            2 => run_schema_update_schedule(seed),
-            _ => run_disabled_schedule(seed),
+            _ => run_schema_update_schedule(seed),
         }
     }
 }

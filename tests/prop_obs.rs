@@ -12,7 +12,8 @@
 //!   `certain_cache_stats`, `plan_cache_stats`) are views over the
 //!   registry: both surfaces must agree exactly.
 //! * Under the pinned `NullClock` every histogram recording lands in
-//!   bucket 0, and the JSON export round-trips losslessly.
+//!   bucket 0, and the JSON export round-trips losslessly and carries
+//!   the metric names dashboards key on.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -301,6 +302,21 @@ fn json_export_round_trips() {
     let report = db.obs_report();
     let parsed = ObsReport::parse_json(&report.to_json()).expect("export parses");
     assert_eq!(parsed, report.clone().sorted());
+    // The names dashboards key on survive the export.
+    for name in [
+        "txn.commits.admitted",
+        "txn.conflicts.relation",
+        "txn.conflicts.key",
+        "maintain.commits.maintained",
+        "commit.latency",
+        "store.cow.bytes_cloned",
+        "cache.certain.invalidated",
+    ] {
+        assert!(
+            parsed.counter(name).is_some() || parsed.histogram(name).is_some(),
+            "{name} missing from the JSON export"
+        );
+    }
     // And on an empty registry.
     let empty = Obs::null().report();
     assert_eq!(ObsReport::parse_json(&empty.to_json()).unwrap(), empty);
