@@ -11,6 +11,7 @@
 //! [`Model`]: crate::model::Model
 
 use crate::store::FactSet;
+use std::collections::{HashMap, HashSet};
 use uniform_logic::{Fact, Sym};
 
 /// A (possibly virtual) interpretation: the set of true ground atoms.
@@ -105,6 +106,79 @@ impl<I: Interp + ?Sized> Interp for Overlay<'_, I> {
             }
             each(args)
         })
+    }
+}
+
+/// `base` with a set of truth flips applied, grown one flip at a time.
+/// Unlike [`Overlay`]'s slices both sides are hashed (the true side is
+/// an indexed [`FactSet`]), so a probe costs the same however many facts
+/// have flipped — the view the propagation kernel
+/// ([`crate::maintain`]) builds its states from.
+pub(crate) struct Flipped<'a, I: ?Sized> {
+    base: &'a I,
+    added: FactSet,
+    removed: HashMap<Sym, HashSet<Vec<Sym>>>,
+}
+
+impl<'a, I: Interp + ?Sized> Flipped<'a, I> {
+    pub(crate) fn new(base: &'a I) -> Self {
+        Flipped {
+            base,
+            added: FactSet::new(),
+            removed: HashMap::new(),
+        }
+    }
+
+    /// Record that `fact` now has truth value `now` (it must have had
+    /// the other one in this view).
+    pub(crate) fn set(&mut self, fact: &Fact, now: bool) {
+        if now {
+            let restored = self
+                .removed
+                .get_mut(&fact.pred)
+                .is_some_and(|rel| rel.remove(&fact.args));
+            if !restored {
+                self.added.insert(fact);
+            }
+        } else if !self.added.remove(fact) {
+            self.removed
+                .entry(fact.pred)
+                .or_default()
+                .insert(fact.args.clone());
+        }
+    }
+
+    /// The facts true here but not in `base`, in insertion order.
+    pub(crate) fn added(&self) -> &FactSet {
+        &self.added
+    }
+}
+
+impl<I: Interp + ?Sized> Interp for Flipped<'_, I> {
+    fn holds(&self, fact: &Fact) -> bool {
+        self.added.contains(fact)
+            || (!self
+                .removed
+                .get(&fact.pred)
+                .is_some_and(|rel| rel.contains(&fact.args))
+                && self.base.holds(fact))
+    }
+
+    fn scan(
+        &self,
+        pred: Sym,
+        pattern: &[Option<Sym>],
+        each: &mut dyn FnMut(&[Sym]) -> bool,
+    ) -> bool {
+        if !self.added.scan(pred, pattern, each) {
+            return false;
+        }
+        match self.removed.get(&pred).filter(|rel| !rel.is_empty()) {
+            None => self.base.scan(pred, pattern, each),
+            Some(removed) => self.base.scan(pred, pattern, &mut |args| {
+                removed.contains(args) || each(args)
+            }),
+        }
     }
 }
 

@@ -15,8 +15,11 @@
 //!   formula evaluation over any [`Interp`];
 //! * [`magic`] — goal-directed bottom-up evaluation via magic-sets
 //!   rewriting (the compilation counterpart of [`topdown`]);
-//! * [`maintain`] — counting-based incremental maintenance of the
-//!   materialized canonical model (induced updates as view deltas);
+//! * [`maintain`] — incremental maintenance of the materialized
+//!   canonical model (induced updates as view deltas): counting for
+//!   non-recursive strata, and one propagation kernel (semi-naive
+//!   insertion, delete-and-rederive) for recursive strata and for the
+//!   checker's view of the updated state;
 //! * [`planner`] — cost-based optimization of general formulas (§6
 //!   future work: reordering and simplifying whole constraints, not
 //!   just conjunctive queries);
@@ -24,7 +27,8 @@
 //!   fact is in the canonical model;
 //! * [`topdown`] — the overlay engine simulating the updated database
 //!   (`new`, §3.3.2), goal-directed for non-recursive predicates and
-//!   falling back to materialization for recursive ones;
+//!   reading recursion-reaching ones from the update's propagation
+//!   (or, without a model of the old state, a materialization);
 //! * [`update`] — single-fact updates (Def. 1) and transactions;
 //! * [`txn`] — the concurrent commit pipeline: transactions staged
 //!   against MVCC snapshots, admitted by a [`txn::CommitQueue`] with
@@ -64,7 +68,7 @@ pub use interp::{Interp, Overlay};
 pub use magic::{
     answer_goal_magic, answer_prepared, magic_rewrite, MagicAnswers, MagicError, MagicProgram,
 };
-pub use maintain::{MaintainStats, MaintainedModel};
+pub use maintain::{MaintainStats, MaintainedModel, Propagation, PropagationStats};
 pub use memo::StripedMemo;
 pub use model::Model;
 pub use patterns::{PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED};

@@ -20,18 +20,46 @@
 //!
 //! (negative literals contribute with flipped sign), so simultaneous
 //! insertions and deletions net out exactly. Counting is sound only
-//! without recursion; **recursive strata** are re-derived from their
-//! inputs by the stratified fixpoint and diffed — the standard
-//! fallback. Flips propagate upward stratum by stratum; the returned
-//! flip list equals the brute-force model diff (property-tested).
+//! without recursion; **recursive strata** go through the propagation
+//! kernel below. Flips propagate upward stratum by stratum; the
+//! returned flip list equals the brute-force model diff
+//! (property-tested).
+//!
+//! ## The propagation kernel
+//!
+//! One procedure computes a stratum's induced flips from the flips of
+//! its inputs, over a canonical model of the old state: deletions by
+//! delete-and-rederive — over-delete every fact with a derivation
+//! through something that stopped holding (semi-naive, against the old
+//! state), then keep those with a derivation left in the new state —
+//! and insertions by semi-naive rounds seeded with the inputs that
+//! started holding and the re-derived facts. Its work follows the facts
+//! that change, never the model's size ([`PropagationStats`] counts
+//! it). Two callers share it: [`MaintainedModel`] for its recursive
+//! strata, and [`Propagation`] — the update's flips over every stratum
+//! of the subprogram below recursion, which the integrity checker reads
+//! as `delta` and `new` for predicates that reach recursion.
 
-use crate::interp::{Interp, Overlay};
-use crate::model::Model;
-use crate::program::RuleSet;
+use crate::cq::provable;
+use crate::interp::{Flipped, Interp, Overlay};
+use crate::model::{derive_through, saturate, Frontier, Model};
+use crate::program::{Layer, RuleSet};
 use crate::store::FactSet;
 use crate::update::{Transaction, Update};
-use std::collections::HashMap;
-use uniform_logic::{match_atom, Fact, Literal, Subst, Sym};
+use std::collections::{HashMap, HashSet};
+use uniform_logic::{match_atom, Fact, Literal, Rule, Subst, Sym};
+
+/// Work of the propagation kernel, in facts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PropagationStats {
+    /// Facts over-deleted: each had a derivation through a fact that
+    /// stopped holding.
+    pub overdeleted: usize,
+    /// Over-deleted facts that still hold in the new state.
+    pub rederived: usize,
+    /// Facts the semi-naive rounds newly derived.
+    pub derived: usize,
+}
 
 /// Counters exposed for tests and benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,8 +70,8 @@ pub struct MaintainStats {
     pub contributions: usize,
     /// Visible truth flips (the induced updates), EDB level included.
     pub flips: usize,
-    /// Recursive strata re-derived from scratch.
-    pub strata_recomputed: usize,
+    /// Work of the propagation kernel on recursive strata.
+    pub propagation: PropagationStats,
 }
 
 /// A materialized canonical model maintained across updates.
@@ -55,10 +83,6 @@ pub struct MaintainedModel {
     /// Rule-instantiation counts of derived facts in non-recursive
     /// strata (facts of recursive strata are tracked by `model` alone).
     counts: HashMap<Fact, i64>,
-    /// Rule indices grouped by head stratum.
-    rules_by_stratum: Vec<Vec<usize>>,
-    /// Does the stratum contain a recursive head predicate?
-    stratum_recursive: Vec<bool>,
     /// Set when a counting invariant broke (a derivation count went
     /// negative): the maintained contents can no longer be trusted and
     /// the owner must fall back to full rematerialization.
@@ -79,26 +103,14 @@ impl MaintainedModel {
     /// the canonical model; handing in anything else silently corrupts
     /// maintenance.
     pub fn with_model(edb: FactSet, rules: RuleSet, model: FactSet) -> MaintainedModel {
-        let graph = rules.graph();
-        let height = graph.height();
-        let mut rules_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); height.max(1)];
-        let mut stratum_recursive = vec![false; height.max(1)];
-        for (idx, rule) in rules.rules().iter().enumerate() {
-            let s = graph.stratum(rule.head.pred);
-            rules_by_stratum[s].push(idx);
-            if graph.is_recursive(rule.head.pred) {
-                stratum_recursive[s] = true;
-            }
-        }
-
         // Counts: number of body instantiations per derived fact, for
         // rules in non-recursive strata, evaluated over the fixpoint.
         let mut counts: HashMap<Fact, i64> = HashMap::new();
-        for (s, rule_ids) in rules_by_stratum.iter().enumerate() {
-            if stratum_recursive[s] {
+        for layer in rules.layers() {
+            if layer.recursive {
                 continue;
             }
-            for &idx in rule_ids {
+            for &idx in &layer.rules {
                 let rule = rules.rule(idx);
                 crate::cq::solve_conjunction(&model, &rule.body, &mut Subst::new(), &mut |sub| {
                     if let Some(head) = sub.ground_atom(&rule.head) {
@@ -114,8 +126,6 @@ impl MaintainedModel {
             edb,
             model,
             counts,
-            rules_by_stratum,
-            stratum_recursive,
             poisoned: false,
             stats: MaintainStats::default(),
         }
@@ -169,23 +179,30 @@ impl MaintainedModel {
             *net.entry(f).or_insert(0) += s;
         }
 
-        let strata = self.rules_by_stratum.len();
+        let strata = self.rules.layers().len();
         // Per-stratum inbox of truth flips to push through that
         // stratum's rules.
         let mut inbox: Vec<Vec<(Fact, i64)>> = vec![Vec::new(); strata];
+        // Explicit changes of a recursive stratum's own predicates: the
+        // kernel decides whether they flip visible truth.
+        let mut explicit: Vec<Vec<(Fact, bool)>> = vec![Vec::new(); strata];
         let mut flips: Vec<Literal> = Vec::new();
 
         // Apply the EDB-level flips, walking the effective-update list
         // rather than the net map: HashMap iteration order is
         // per-instance random, and the returned flip list (and every
         // downstream consumer of it) must be identical run to run.
-        let mut emitted: std::collections::HashSet<&Fact> = std::collections::HashSet::new();
+        let mut emitted: HashSet<&Fact> = HashSet::new();
         for (fact, _) in &seed {
             if !emitted.insert(fact) {
                 continue;
             }
             let (fact, sign) = (fact.clone(), net[fact]);
             if sign == 0 {
+                continue;
+            }
+            if let Some(s) = self.recursive_stratum(fact.pred) {
+                explicit[s].push((fact, sign > 0));
                 continue;
             }
             // EDB presence changed; visible truth changes unless the
@@ -198,25 +215,36 @@ impl MaintainedModel {
             }
         }
 
-        // Push flips upward, stratum by stratum. Within a stratum,
-        // batches repeat until quiescent (positive same-stratum chains).
+        // Push flips upward, stratum by stratum. Within a non-recursive
+        // stratum, batches repeat until quiescent (positive same-stratum
+        // chains); the kernel settles a recursive one in one call.
         for s in 0..strata {
+            if self.rules.layers()[s].recursive {
+                let batch = std::mem::take(&mut inbox[s]);
+                if !batch.is_empty() || !explicit[s].is_empty() {
+                    self.stats.batches += 1;
+                    self.propagate(s, &batch, &explicit[s], &mut inbox, &mut flips);
+                }
+                continue;
+            }
             loop {
                 let batch: Vec<(Fact, i64)> = std::mem::take(&mut inbox[s]);
                 if batch.is_empty() {
                     break;
                 }
                 self.stats.batches += 1;
-                if self.stratum_recursive[s] {
-                    self.recompute_stratum(s, &mut inbox, &mut flips);
-                    // Recomputation consumed every pending flip for this
-                    // stratum in one go.
-                    continue;
-                }
                 self.push_batch(s, &batch, &mut inbox, &mut flips);
             }
         }
         flips
+    }
+
+    /// The stratum of `pred` when it is defined by rules in a recursive
+    /// stratum.
+    fn recursive_stratum(&self, pred: Sym) -> Option<usize> {
+        let graph = self.rules.graph();
+        let s = graph.stratum(pred);
+        (graph.is_idb(pred) && self.rules.layers()[s].recursive).then_some(s)
     }
 
     /// Record a visible truth flip: update the model, the output list
@@ -236,8 +264,8 @@ impl MaintainedModel {
         self.stats.flips += 1;
         flips.push(Literal::new(now, fact.to_atom()));
         let sign = if now { 1 } else { -1 };
-        for (s, rule_ids) in self.rules_by_stratum.iter().enumerate() {
-            let consumes = rule_ids.iter().any(|&idx| {
+        for (s, layer) in self.rules.layers().iter().enumerate() {
+            let consumes = layer.rules.iter().any(|&idx| {
                 self.rules
                     .rule(idx)
                     .body
@@ -272,7 +300,7 @@ impl MaintainedModel {
         {
             let new_view = &self.model;
             let old_view = Overlay::new(&self.model, &deleted, &inserted);
-            for &idx in &self.rules_by_stratum[s] {
+            for &idx in &self.rules.layers()[s].rules {
                 let rule = self.rules.rule(idx);
                 for (pos, lit) in rule.body.iter().enumerate() {
                     for (fact, sign) in batch {
@@ -335,94 +363,302 @@ impl MaintainedModel {
         }
     }
 
-    /// Re-derive a recursive stratum from its (already updated) inputs
-    /// and diff against the previous contents.
-    fn recompute_stratum(
+    /// Settle a recursive stratum with the propagation kernel: `batch`
+    /// are the flips of its (lower) input predicates, already applied to
+    /// the model, `explicit` the effective changes of its own
+    /// predicates, not yet applied.
+    fn propagate(
         &mut self,
         s: usize,
+        batch: &[(Fact, i64)],
+        explicit: &[(Fact, bool)],
         inbox: &mut [Vec<(Fact, i64)>],
         flips: &mut Vec<Literal>,
     ) {
-        self.stats.strata_recomputed += 1;
-        let head_preds: Vec<Sym> = {
-            let mut out: Vec<Sym> = Vec::new();
-            for &idx in &self.rules_by_stratum[s] {
-                let p = self.rules.rule(idx).head.pred;
-                if !out.contains(&p) {
-                    out.push(p);
-                }
-            }
-            out
-        };
-
-        // Inputs: the current model minus this stratum's derived facts,
-        // with the stratum's explicit EDB facts retained.
-        let mut base = FactSet::new();
-        for f in self.model.iter() {
-            if !head_preds.contains(&f.pred) {
-                base.insert(&f);
-            }
+        // The old state is the model with the batch undone (below a
+        // stratum each fact flips at most once per transaction, as in
+        // `push_batch`).
+        let inputs: Vec<(Fact, bool)> = batch
+            .iter()
+            .map(|(fact, sign)| (fact.clone(), *sign > 0))
+            .collect();
+        let mut old = Flipped::new(&self.model);
+        for (fact, now) in &inputs {
+            old.set(fact, !now);
         }
-        for f in self.edb.iter() {
-            if head_preds.contains(&f.pred) {
-                base.insert(&f);
-            }
-        }
-
-        // Naive fixpoint of this stratum's rules over the base (inputs
-        // are frozen; only head predicates grow).
-        loop {
-            let mut grew = false;
-            for &idx in &self.rules_by_stratum[s] {
-                let rule = self.rules.rule(idx);
-                let mut derived: Vec<Fact> = Vec::new();
-                crate::cq::solve_conjunction(&base, &rule.body, &mut Subst::new(), &mut |sub| {
-                    if let Some(head) = sub.ground_atom(&rule.head) {
-                        derived.push(head);
-                    }
-                    true
-                });
-                for f in derived {
-                    grew |= base.insert(&f);
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-
-        // Diff against the previous stratum contents.
-        let mut changes: Vec<(Fact, bool)> = Vec::new();
-        for &p in &head_preds {
-            if let Some(rel) = base.relation(p) {
-                for args in rel.iter() {
-                    let f = Fact {
-                        pred: p,
-                        args: args.to_vec(),
-                    };
-                    if !self.model.contains(&f) {
-                        changes.push((f, true));
-                    }
-                }
-            }
-            if let Some(rel) = self.model.relation(p) {
-                for args in rel.iter() {
-                    let f = Fact {
-                        pred: p,
-                        args: args.to_vec(),
-                    };
-                    if !base.contains(&f) {
-                        changes.push((f, false));
-                    }
-                }
-            }
-        }
+        let changes = Stratum::new(&self.rules, &self.rules.layers()[s]).propagate(
+            &old,
+            &self.model,
+            &self.edb,
+            explicit,
+            &inputs,
+            &mut self.stats.propagation,
+        );
         for (fact, now) in changes {
             self.record_flip(&fact, now, inbox, flips);
         }
-        // Flips of this stratum's own predicates were just settled by the
-        // recomputation; drop any self-notifications to avoid a loop.
-        inbox[s].retain(|(f, _)| !head_preds.contains(&f.pred));
+        // Flips of this stratum's own predicates were just settled by
+        // the kernel; drop the self-notifications.
+        let heads = &self.rules.layers()[s].heads;
+        inbox[s].retain(|(f, _)| !heads.contains(&f.pred));
+    }
+}
+
+/// One stratum as the propagation kernel sees it: its rules and their
+/// head predicates.
+struct Stratum<'r> {
+    layer: Vec<&'r Rule>,
+    heads: &'r [Sym],
+}
+
+impl<'r> Stratum<'r> {
+    fn new(rules: &'r RuleSet, layer: &'r Layer) -> Self {
+        Stratum {
+            layer: layer.rules.iter().map(|&idx| rules.rule(idx)).collect(),
+            heads: &layer.heads,
+        }
+    }
+
+    fn is_head(&self, pred: Sym) -> bool {
+        self.heads.contains(&pred)
+    }
+
+    /// The propagation kernel: this stratum's induced flips — facts of
+    /// its head predicates whose truth differs between `old` and the
+    /// new state, deletions first.
+    ///
+    /// * `old` — a canonical model of the state before the update;
+    /// * `new` — the state after it for every lower predicate, with
+    ///   this stratum's predicates still as in `old`;
+    /// * `edb` — the explicit facts after the update;
+    /// * `explicit` — effective explicit changes (only those of this
+    ///   stratum's predicates are read);
+    /// * `inputs` — truth flips of lower predicates.
+    fn propagate(
+        &self,
+        old: &dyn Interp,
+        new: &dyn Interp,
+        edb: &dyn Interp,
+        explicit: &[(Fact, bool)],
+        inputs: &[(Fact, bool)],
+        stats: &mut PropagationStats,
+    ) -> Vec<(Fact, bool)> {
+        // Over-delete, against the old state: every fact with a
+        // derivation through a fact that stopped holding, closed upward.
+        // A fact that stays explicit keeps holding whatever happens to
+        // its derivations.
+        let mut doomed = Doomed {
+            old,
+            edb,
+            facts: Vec::new(),
+            set: HashSet::new(),
+        };
+        let mut delta: Vec<Fact> = Vec::new();
+        for (fact, now) in explicit {
+            if !now && self.is_head(fact.pred) && doomed.admits(fact) {
+                doomed.admit(fact);
+                delta.push(fact.clone());
+            }
+        }
+        self.seed(&mut doomed, inputs, false, &mut delta);
+        saturate(&mut doomed, &self.layer, |p| self.is_head(p), delta);
+
+        // Re-derive, against the new state without the over-deleted
+        // facts: those with a derivation left (one rule step; chains
+        // through other re-derived facts come back in the rounds below).
+        let mut state = Flipped::new(new);
+        for fact in &doomed.facts {
+            state.set(fact, false);
+        }
+        let survivors: Vec<Fact> = doomed
+            .facts
+            .iter()
+            .filter(|fact| {
+                self.layer.iter().any(|rule| {
+                    match_atom(&rule.head, fact)
+                        .is_some_and(|mut subst| provable(&state, &rule.body, &mut subst))
+                })
+            })
+            .cloned()
+            .collect();
+        let mut delta: Vec<Fact> = Vec::new();
+        for fact in survivors {
+            state.admit(&fact);
+            delta.push(fact);
+        }
+
+        // Insert, against the new state: semi-naive rounds seeded with
+        // the re-derived facts, the explicit insertions and everything
+        // derivable through an input that started holding.
+        for (fact, now) in explicit {
+            if *now && self.is_head(fact.pred) && state.admits(fact) {
+                state.admit(fact);
+                delta.push(fact.clone());
+            }
+        }
+        self.seed(&mut state, inputs, true, &mut delta);
+        saturate(&mut state, &self.layer, |p| self.is_head(p), delta);
+
+        let mut changes: Vec<(Fact, bool)> = doomed
+            .facts
+            .iter()
+            .filter(|fact| !state.holds(fact))
+            .map(|fact| (fact.clone(), false))
+            .collect();
+        stats.overdeleted += doomed.facts.len();
+        stats.rederived += doomed.facts.len() - changes.len();
+        stats.derived += state.added().len();
+        changes.extend(state.added().iter().map(|fact| (fact, true)));
+        changes
+    }
+
+    /// The first semi-naive delta from the inputs: fire every rule
+    /// through each body literal an input made `now` (true or false),
+    /// the rest evaluated in `state`, and admit the new heads.
+    fn seed(
+        &self,
+        state: &mut impl Frontier,
+        inputs: &[(Fact, bool)],
+        now: bool,
+        delta: &mut Vec<Fact>,
+    ) {
+        let mut fresh: Vec<Fact> = Vec::new();
+        let mut fresh_set: HashSet<Fact> = HashSet::new();
+        for rule in &self.layer {
+            for (pos, lit) in rule.body.iter().enumerate() {
+                for (fact, holds) in inputs {
+                    if fact.pred != lit.atom.pred || (lit.positive == *holds) != now {
+                        continue;
+                    }
+                    derive_through(state.view(), rule, pos, fact, &mut |head| {
+                        if state.admits(&head) && fresh_set.insert(head.clone()) {
+                            fresh.push(head);
+                        }
+                    });
+                }
+            }
+        }
+        for fact in &fresh {
+            state.admit(fact);
+        }
+        delta.extend(fresh);
+    }
+}
+
+/// The over-deletion frontier: facts true in `old`, not explicit after
+/// the update, collected in derivation order.
+struct Doomed<'a> {
+    old: &'a dyn Interp,
+    edb: &'a dyn Interp,
+    facts: Vec<Fact>,
+    set: HashSet<Fact>,
+}
+
+impl Frontier for Doomed<'_> {
+    fn view(&self) -> &dyn Interp {
+        self.old
+    }
+
+    fn admits(&self, fact: &Fact) -> bool {
+        !self.set.contains(fact) && self.old.holds(fact) && !self.edb.holds(fact)
+    }
+
+    fn admit(&mut self, fact: &Fact) {
+        self.set.insert(fact.clone());
+        self.facts.push(fact.clone());
+    }
+}
+
+impl<I: Interp + ?Sized> Frontier for Flipped<'_, I> {
+    fn view(&self) -> &dyn Interp {
+        self
+    }
+
+    fn admits(&self, fact: &Fact) -> bool {
+        !self.holds(fact)
+    }
+
+    fn admit(&mut self, fact: &Fact) {
+        self.set(fact, true);
+    }
+}
+
+/// An update's propagation over a canonical model of the old state `D`,
+/// through the kernel stratum by stratum: the induced flips, and that
+/// model overlaid with them — the canonical model of `U(D)` (`new`,
+/// §3.3.2) without materializing it. Only the subprogram below
+/// recursion is propagated (the predicates that reach recursion and
+/// those they depend on): its flips are exact, every other derived
+/// predicate reads as in `D`.
+pub struct Propagation<'a> {
+    state: Flipped<'a, FactSet>,
+    flips: Vec<(Fact, bool)>,
+    stats: PropagationStats,
+}
+
+impl<'a> Propagation<'a> {
+    /// Propagate the `explicit` changes (insertions `true`, deletions
+    /// `false`; no-ops allowed) of an update whose explicit facts
+    /// afterwards are `edb`, over `model`, the canonical model of the
+    /// state before it.
+    pub(crate) fn new(
+        model: &'a FactSet,
+        rules: &RuleSet,
+        edb: &dyn Interp,
+        explicit: &[(Fact, bool)],
+    ) -> Propagation<'a> {
+        let graph = rules.graph();
+        let mut state = Flipped::new(model);
+        let mut flips: Vec<(Fact, bool)> = Vec::new();
+        let mut stats = PropagationStats::default();
+        for (fact, now) in explicit {
+            if !graph.is_idb(fact.pred) && state.holds(fact) != *now {
+                state.set(fact, *now);
+                flips.push((fact.clone(), *now));
+            }
+        }
+        for layer in rules.recursion_layers() {
+            if layer.rules.is_empty() {
+                continue;
+            }
+            let changes = Stratum::new(rules, layer)
+                .propagate(model, &state, edb, explicit, &flips, &mut stats);
+            for (fact, now) in &changes {
+                state.set(fact, *now);
+            }
+            flips.extend(changes);
+        }
+        Propagation {
+            state,
+            flips,
+            stats,
+        }
+    }
+
+    /// Every visible truth flip of an explicit predicate or one below
+    /// recursion: `(fact, true)` for an insertion, `(fact, false)` for a
+    /// deletion.
+    pub fn flips(&self) -> &[(Fact, bool)] {
+        &self.flips
+    }
+
+    pub fn stats(&self) -> PropagationStats {
+        self.stats
+    }
+}
+
+impl Interp for Propagation<'_> {
+    fn holds(&self, fact: &Fact) -> bool {
+        self.state.holds(fact)
+    }
+
+    fn scan(
+        &self,
+        pred: Sym,
+        pattern: &[Option<Sym>],
+        each: &mut dyn FnMut(&[Sym]) -> bool,
+    ) -> bool {
+        self.state.scan(pred, pattern, each)
     }
 }
 
@@ -534,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn recursive_stratum_recomputed() {
+    fn recursive_stratum_propagated() {
         let mut m = setup(
             "
             tc(X, Y) :- e(X, Y).
@@ -547,7 +783,8 @@ mod tests {
             sorted(flips),
             vec!["e(c,d)", "tc(a,d)", "tc(b,d)", "tc(c,d)"]
         );
-        assert!(m.stats().strata_recomputed > 0);
+        let work = m.stats().propagation;
+        assert_eq!((work.overdeleted, work.derived), (0, 3), "{work:?}");
         let flips = m.apply(&upd("not e(b, c)"));
         assert_eq!(
             sorted(flips),
@@ -559,6 +796,10 @@ mod tests {
                 "not tc(b,d)"
             ]
         );
+        // tc(a,c) and tc(b,c) lose their derivations, and with them
+        // tc(a,d) and tc(b,d); nothing comes back.
+        let work = m.stats().propagation;
+        assert_eq!((work.overdeleted, work.rederived), (4, 0), "{work:?}");
         assert_matches_recompute(&m);
     }
 
@@ -577,6 +818,73 @@ mod tests {
             sorted(flips),
             vec!["e(a,b)", "reach(b)", "tc(a,b)", "tc(src,b)"]
         );
+        assert_matches_recompute(&m);
+    }
+
+    #[test]
+    fn deletion_with_an_alternative_derivation_is_rederived() {
+        // On a cycle every tc fact has two derivations; cutting one edge
+        // over-deletes through it and delete-and-rederive must restore
+        // what the rest of the cycle still derives.
+        let mut m = setup(
+            "
+            tc(X, Y) :- e(X, Y).
+            tc(X, Z) :- tc(X, Y), e(Y, Z).
+            e(a, b). e(b, c). e(a, c). e(c, a).
+        ",
+        );
+        let flips = m.apply(&upd("not e(a, b)"));
+        assert_eq!(
+            sorted(flips),
+            vec!["not e(a,b)", "not tc(a,b)", "not tc(b,b)", "not tc(c,b)"]
+        );
+        let work = m.stats().propagation;
+        assert!(work.rederived > 0, "{work:?}");
+        assert!(m.holds(&parse_fact("tc(a,c)").unwrap()), "via e(a,c)");
+        assert_matches_recompute(&m);
+        // An explicit fact of the recursive predicate keeps holding when
+        // its derivations go, and stops holding only once both are gone.
+        let mut m = setup(
+            "
+            tc(X, Y) :- e(X, Y).
+            tc(X, Z) :- tc(X, Y), e(Y, Z).
+            e(a, b). e(b, c). tc(a, c).
+        ",
+        );
+        let flips = m.apply(&upd("not e(b, c)"));
+        assert_eq!(sorted(flips), vec!["not e(b,c)", "not tc(b,c)"]);
+        assert!(m.holds(&parse_fact("tc(a,c)").unwrap()));
+        assert_eq!(sorted(m.apply(&upd("not tc(a, c)"))), vec!["not tc(a,c)"]);
+        assert_matches_recompute(&m);
+    }
+
+    #[test]
+    fn one_transaction_inserts_into_and_deletes_from_a_recursive_stratum() {
+        let mut m = setup(
+            "
+            tc(X, Y) :- e(X, Y).
+            tc(X, Z) :- tc(X, Y), tc(Y, Z).
+            e(a, b). e(b, c). e(c, d).
+        ",
+        );
+        // Reroute b → c through x: tc(a,c), tc(b,c), tc(a,d), tc(b,d)
+        // are over-deleted and re-derived through the new edges.
+        let tx = Transaction::new(vec![upd("not e(b, c)"), upd("e(b, x)"), upd("e(x, c)")]);
+        let flips = m.apply_transaction(&tx);
+        assert_eq!(
+            sorted(flips),
+            vec![
+                "e(b,x)",
+                "e(x,c)",
+                "not e(b,c)",
+                "tc(a,x)",
+                "tc(b,x)",
+                "tc(x,c)",
+                "tc(x,d)"
+            ]
+        );
+        let work = m.stats().propagation;
+        assert_eq!((work.overdeleted, work.rederived), (4, 4), "{work:?}");
         assert_matches_recompute(&m);
     }
 
@@ -622,6 +930,10 @@ mod tests {
     fn flips_equal_model_diff_on_random_sequences() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        // Recursion of every shape the kernel meets: linear (tc),
+        // non-linear (nl), mutual (ev/od), and under negation in a
+        // higher stratum (unreached); three constants make cycles — and
+        // deletions that leave an alternative derivation — common.
         let src = "
             m(X,Y) :- l(X,Y).
             t(X) :- p(X), q(X).
@@ -629,26 +941,56 @@ mod tests {
             tc(X,Y) :- r(X,Y).
             tc(X,Z) :- tc(X,Y), r(Y,Z).
             w(X) :- m(X,Y), s(Y).
+            nl(X,Y) :- r(X,Y).
+            nl(X,Z) :- nl(X,Y), nl(Y,Z).
+            od(X,Y) :- l(X,Y).
+            ev(X,Z) :- od(X,Y), l(Y,Z).
+            od(X,Z) :- ev(X,Y), l(Y,Z).
+            unreached(X) :- p(X), not tc(a, X).
         ";
         let db = Database::parse(src).unwrap();
         let mut m = MaintainedModel::new(db.facts().clone(), db.rules().clone());
         let consts = ["a", "b", "c"];
         let mut rng = StdRng::seed_from_u64(7);
-        for step in 0..300 {
-            let (pred, arity) =
-                [("p", 1), ("q", 1), ("s", 1), ("l", 2), ("r", 2)][rng.gen_range(0..5)];
+        let random_update = |rng: &mut StdRng, preds: &[(&str, usize)]| {
+            let (pred, arity) = preds[rng.gen_range(0..preds.len())];
             let args: Vec<&str> = (0..arity)
                 .map(|_| consts[rng.gen_range(0..consts.len())])
                 .collect();
             let fact = Fact::parse_like(pred, &args);
-            let update = if rng.gen_bool(0.5) {
+            if rng.gen_bool(0.5) {
                 Update::insert(fact)
             } else {
                 Update::delete(fact)
+            }
+        };
+        let edb_preds = [("p", 1), ("q", 1), ("s", 1), ("l", 2), ("r", 2)];
+        // Explicit facts of recursive predicates, too.
+        let all_preds = [
+            ("p", 1),
+            ("q", 1),
+            ("s", 1),
+            ("l", 2),
+            ("r", 2),
+            ("tc", 2),
+            ("ev", 2),
+        ];
+        for step in 0..600 {
+            // Single updates first, then transactions of up to four.
+            let tx = if step < 300 {
+                Transaction::single(random_update(&mut rng, &edb_preds))
+            } else {
+                let n = rng.gen_range(1..5);
+                Transaction::new(
+                    (0..n)
+                        .map(|_| random_update(&mut rng, &all_preds))
+                        .collect(),
+                )
             };
+            let update: String = tx.updates.iter().map(|u| format!("{u}; ")).collect();
 
             let before = Model::compute(m.edb(), &db.rules().clone());
-            let flips = m.apply(&update);
+            let flips = m.apply_transaction(&tx);
             let after = Model::compute(m.edb(), &db.rules().clone());
 
             // Contents match recomputation…

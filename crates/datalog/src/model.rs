@@ -76,37 +76,15 @@ impl Model {
                 facts.insert(f);
             }
 
-            // Semi-naive rounds: each new round only fires rules through a
-            // body literal matching a delta fact of the previous round,
-            // again against the fixed pre-round state.
-            while !delta.is_empty() {
-                let mut next: Vec<Fact> = Vec::new();
-                let mut next_set: HashSet<Fact> = HashSet::new();
-                for rule in &layer {
-                    for (pos, lit) in rule.body.iter().enumerate() {
-                        if !lit.positive {
-                            continue;
-                        }
-                        // Only differentiate on literals of this stratum's
-                        // IDB predicates: lower-stratum and EDB relations
-                        // cannot have grown during this stratum.
-                        if graph.stratum(lit.atom.pred) != stratum || !graph.is_idb(lit.atom.pred) {
-                            continue;
-                        }
-                        for d in &delta {
-                            derive_through(&facts, rule, pos, d, &mut |f| {
-                                if !facts.contains(&f) && next_set.insert(f.clone()) {
-                                    next.push(f);
-                                }
-                            });
-                        }
-                    }
-                }
-                for f in &next {
-                    facts.insert(f);
-                }
-                delta = next;
-            }
+            // Only differentiate on literals of this stratum's IDB
+            // predicates: lower-stratum and EDB relations cannot have
+            // grown during this stratum.
+            saturate(
+                &mut facts,
+                &layer,
+                |pred| graph.stratum(pred) == stratum && graph.is_idb(pred),
+                delta,
+            );
         }
         Model { facts }
     }
@@ -165,9 +143,67 @@ fn derive_all(interp: &dyn Interp, rule: &Rule, emit: &mut dyn FnMut(Fact)) {
     });
 }
 
+/// A fact store that semi-naive rounds grow: rule bodies are evaluated
+/// in [`Frontier::view`], and a derived fact joins it through
+/// [`Frontier::admit`] when [`Frontier::admits`] says it is new.
+pub(crate) trait Frontier {
+    fn view(&self) -> &dyn Interp;
+    fn admits(&self, fact: &Fact) -> bool;
+    fn admit(&mut self, fact: &Fact);
+}
+
+impl Frontier for FactSet {
+    fn view(&self) -> &dyn Interp {
+        self
+    }
+
+    fn admits(&self, fact: &Fact) -> bool {
+        !self.contains(fact)
+    }
+
+    fn admit(&mut self, fact: &Fact) {
+        self.insert(fact);
+    }
+}
+
+/// Semi-naive rounds over `layer`, starting from `delta` (already
+/// admitted): each round only fires rules through a positive body
+/// literal on a `grows` predicate bound to a fact of the previous
+/// round's delta, the rest evaluated against the fixed pre-round state;
+/// the round's new facts are admitted in rule order, then emission order.
+pub(crate) fn saturate<S: Frontier + ?Sized>(
+    state: &mut S,
+    layer: &[&Rule],
+    grows: impl Fn(Sym) -> bool,
+    mut delta: Vec<Fact>,
+) {
+    while !delta.is_empty() {
+        let mut next: Vec<Fact> = Vec::new();
+        let mut next_set: HashSet<Fact> = HashSet::new();
+        for rule in layer {
+            for (pos, lit) in rule.body.iter().enumerate() {
+                if !lit.positive || !grows(lit.atom.pred) {
+                    continue;
+                }
+                for d in &delta {
+                    derive_through(state.view(), rule, pos, d, &mut |f| {
+                        if state.admits(&f) && next_set.insert(f.clone()) {
+                            next.push(f);
+                        }
+                    });
+                }
+            }
+        }
+        for f in &next {
+            state.admit(f);
+        }
+        delta = next;
+    }
+}
+
 /// Fire `rule` with body literal `pos` bound to the delta fact `d` and the
 /// remaining literals evaluated in `interp`.
-fn derive_through(
+pub(crate) fn derive_through(
     interp: &dyn Interp,
     rule: &Rule,
     pos: usize,

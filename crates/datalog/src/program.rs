@@ -7,11 +7,14 @@
 //!   entry keyed by `L'`'s predicate and sign, carrying the head and the
 //!   residue `B \ L'`. Both the induced-update (Def. 4) and the
 //!   potential-update (Def. 5) computations walk this index.
+//!
+//! A third, by head stratum, serves incremental maintenance
+//! ([`crate::maintain`]).
 
 use crate::depgraph::{DepGraph, StratificationError};
 use crate::patterns::PatternTemplates;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use uniform_logic::{Literal, Rule, Sym};
 
 /// One `directly_dependent` entry: the body literal `L'` at `position` of
@@ -24,6 +27,62 @@ pub struct BodyOccurrence {
     pub position: usize,
 }
 
+/// The rules of one stratum: the unit in which incremental maintenance
+/// settles the program.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Layer {
+    /// Indices into [`RuleSet::rules`], in rule order.
+    pub(crate) rules: Vec<usize>,
+    /// Their head predicates, sorted, without duplicates.
+    pub(crate) heads: Vec<Sym>,
+    /// Does one of the heads take part in recursion?
+    pub(crate) recursive: bool,
+}
+
+/// A rule set's layers: all of them, and those of the subprogram below
+/// recursion.
+#[derive(Debug)]
+struct Layering {
+    all: Vec<Layer>,
+    below_recursion: Vec<Layer>,
+}
+
+impl Layering {
+    fn build(rules: &[Rule], graph: &DepGraph) -> Layering {
+        let mut below_recursion: HashSet<Sym> = HashSet::new();
+        for &pred in graph.idb_predicates() {
+            if !below_recursion.contains(&pred) && graph.reaches_recursion(pred) {
+                below_recursion.extend(graph.reachable(pred));
+            }
+        }
+        Layering {
+            all: Layer::group(rules, graph, |_| true),
+            below_recursion: Layer::group(rules, graph, |head| below_recursion.contains(&head)),
+        }
+    }
+}
+
+impl Layer {
+    /// One layer per stratum of `graph`, lowest first, holding the rules
+    /// whose head satisfies `keep`.
+    fn group(rules: &[Rule], graph: &DepGraph, keep: impl Fn(Sym) -> bool) -> Vec<Layer> {
+        let mut layers = vec![Layer::default(); graph.height()];
+        for (idx, rule) in rules.iter().enumerate() {
+            let head = rule.head.pred;
+            if !keep(head) {
+                continue;
+            }
+            let layer = &mut layers[graph.stratum(head)];
+            layer.rules.push(idx);
+            layer.recursive |= graph.is_recursive(head);
+            if let Err(at) = layer.heads.binary_search(&head) {
+                layer.heads.insert(at, head);
+            }
+        }
+        layers
+    }
+}
+
 /// An immutable, indexed rule set with its stratification.
 #[derive(Clone, Debug)]
 pub struct RuleSet {
@@ -32,6 +91,11 @@ pub struct RuleSet {
     /// (body predicate, body-literal positivity) → occurrences.
     by_body: HashMap<(Sym, bool), Vec<BodyOccurrence>>,
     graph: DepGraph,
+    /// Rules grouped by head stratum, built on first use and shared by
+    /// every clone: only incremental maintenance reads them, while the
+    /// satisfiability search and magic rewriting build rule sets per
+    /// query.
+    layering: Arc<OnceLock<Layering>>,
     /// Precompiled read-pattern templates (see [`crate::patterns`]):
     /// built once here, shared by every clone, specialized per check
     /// instead of re-walking `rules` on every commit.
@@ -61,6 +125,7 @@ impl RuleSet {
             by_head,
             by_body,
             graph,
+            layering: Arc::default(),
             templates,
         })
     }
@@ -83,6 +148,25 @@ impl RuleSet {
 
     pub fn graph(&self) -> &DepGraph {
         &self.graph
+    }
+
+    /// The rules grouped by head stratum, one [`Layer`] per stratum,
+    /// lowest first.
+    pub(crate) fn layers(&self) -> &[Layer] {
+        &self.layering().all
+    }
+
+    /// [`RuleSet::layers`] restricted to the subprogram below recursion:
+    /// the rules of every predicate that reaches recursion or that such
+    /// a predicate depends on. Empty layers throughout for a
+    /// non-recursive program.
+    pub(crate) fn recursion_layers(&self) -> &[Layer] {
+        &self.layering().below_recursion
+    }
+
+    fn layering(&self) -> &Layering {
+        self.layering
+            .get_or_init(|| Layering::build(&self.rules, &self.graph))
     }
 
     /// The precompiled read-pattern templates of this rule set.
@@ -152,6 +236,32 @@ mod tests {
         assert!(!lit.positive);
         assert_eq!(rule.head.pred, Sym::new("p"));
         assert_eq!(occ.position, 1);
+    }
+
+    #[test]
+    fn layers_group_rules_by_stratum() {
+        let set = rs(&[
+            "tc(X,Y) :- e(X,Y).",
+            "tc(X,Z) :- tc(X,Y), e(Y,Z).",
+            "m(X) :- l(X).",
+            "far(X) :- n(X), not tc(a,X).",
+            "near(X) :- tc(a,X), k(X).",
+        ]);
+        let layers = set.layers();
+        assert_eq!(layers.len(), 2);
+        assert_eq!(layers[0].rules, vec![0, 1, 2, 4]);
+        assert_eq!(layers[0].heads.len(), 3);
+        assert!(layers[0].recursive);
+        assert_eq!(layers[1].rules, vec![3]);
+        assert!(!layers[1].recursive);
+        // `m` neither reaches recursion nor lies below a predicate that
+        // does.
+        let below = set.recursion_layers();
+        assert_eq!(below[0].rules, vec![0, 1, 4]);
+        assert!(!below[0].heads.contains(&Sym::new("m")));
+        assert_eq!(below[1].rules, vec![3]);
+        let flat = rs(&["member(X,Y) :- leads(X,Y)."]);
+        assert!(flat.recursion_layers().iter().all(|l| l.rules.is_empty()));
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //! * predicates whose reachable subprogram is non-recursive are solved by
 //!   goal-directed SLD-style resolution over the overlaid EDB — zero
 //!   materialization, bindings pushed into scans;
-//! * predicates that reach recursion fall back to a lazily materialized
-//!   canonical model of the overlaid database (computed once per engine,
-//!   restricted to the reachable subprogram).
+//! * predicates that reach recursion are read from the update's
+//!   [`Propagation`]: a canonical model of `D` overlaid with the induced
+//!   flips of the subprogram below recursion, which the propagation
+//!   kernel computes in time that follows the flips (once per engine,
+//!   on the first such query). That needs a model of `D`,
+//!   which engines built [`OverlayEngine::over_model`] have; one built
+//!   without materializes the canonical model of the overlaid database
+//!   instead — the whole program, once per engine.
 
 use crate::cq::solve_conjunction;
 use crate::interp::{Interp, Overlay};
+use crate::maintain::{Propagation, PropagationStats};
 use crate::memo::StripedMemo;
 use crate::model::Model;
 use crate::program::RuleSet;
@@ -26,22 +32,30 @@ use crate::store::FactSet;
 use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uniform_logic::{Fact, Subst, Sym, Term};
 
 /// A virtual interpretation of the canonical model of `U(D)`, where the
 /// update is *not* applied to `edb`.
 ///
-/// `Sync`: the lazily materialized fallback model and the shared-subquery
-/// memo sit behind locks, so one engine can serve the parallel
-/// per-constraint evaluation loop of `uniform-integrity` directly.
+/// `Sync`: the lazily computed propagation, the materialized fallback
+/// model and the shared-subquery memo sit behind locks, so one engine
+/// can serve the parallel per-constraint evaluation loop of
+/// `uniform-integrity` directly.
 pub struct OverlayEngine<'a> {
     edb: &'a FactSet,
     rules: &'a RuleSet,
     added: Vec<Fact>,
     removed: Vec<Fact>,
+    /// The canonical model of the unupdated database, when the caller
+    /// holds one.
+    model: Option<&'a Model>,
+    /// The update's propagation over a model of the unupdated database,
+    /// computed when a recursion-reaching predicate is first queried.
+    propagation: OnceLock<Propagation<'a>>,
     /// Lazily materialized canonical model of the overlaid database, only
-    /// built when a recursion-reaching predicate is queried.
+    /// built when a recursion-reaching predicate is queried and no model
+    /// of the unupdated database is at hand.
     materialized: RwLock<Option<Arc<Model>>>,
     /// Statistics: how many times the recursive fallback was taken.
     materializations: AtomicUsize,
@@ -75,6 +89,8 @@ impl<'a> OverlayEngine<'a> {
             rules,
             added: insert,
             removed: delete,
+            model: None,
+            propagation: OnceLock::new(),
             materialized: RwLock::new(None),
             materializations: AtomicUsize::new(0),
             goal_memo: StripedMemo::new(),
@@ -82,12 +98,61 @@ impl<'a> OverlayEngine<'a> {
         }
     }
 
+    /// [`OverlayEngine::updated`] for a caller holding `model`, the
+    /// canonical model of `edb` under `rules`: recursion-reaching
+    /// predicates are then answered from the update's propagation over
+    /// it, never from a materialization.
+    pub fn over_model(
+        model: &'a Model,
+        edb: &'a FactSet,
+        rules: &'a RuleSet,
+        insert: Vec<Fact>,
+        delete: Vec<Fact>,
+    ) -> Self {
+        OverlayEngine {
+            model: Some(model),
+            ..Self::updated(edb, rules, insert, delete)
+        }
+    }
+
     fn overlay(&self) -> Overlay<'_, FactSet> {
         Overlay::new(self.edb, &self.added, &self.removed)
     }
 
+    /// The canonical model of the unupdated database the engine was
+    /// built [`OverlayEngine::over_model`] over, if any.
+    pub fn model(&self) -> Option<&'a Model> {
+        self.model
+    }
+
+    /// The update's propagation over [`OverlayEngine::model`] — the
+    /// induced flips below recursion, and the updated state as that
+    /// model overlaid with them — computed once per engine; `None` for
+    /// an engine holding no model.
+    pub fn propagation(&self) -> Option<&Propagation<'a>> {
+        let model = self.model?;
+        Some(self.propagation.get_or_init(|| {
+            let explicit: Vec<(Fact, bool)> = self
+                .added
+                .iter()
+                .map(|f| (f.clone(), true))
+                .chain(self.removed.iter().map(|f| (f.clone(), false)))
+                .collect();
+            Propagation::new(model.facts(), self.rules, &self.overlay(), &explicit)
+        }))
+    }
+
+    /// The propagation kernel's work so far (zero until a
+    /// recursion-reaching predicate was queried).
+    pub fn propagation_stats(&self) -> PropagationStats {
+        self.propagation
+            .get()
+            .map(Propagation::stats)
+            .unwrap_or_default()
+    }
+
     /// Number of times the materialized fallback was built (0 or 1; for
-    /// instrumentation).
+    /// instrumentation; always 0 with a model of the unupdated database).
     pub fn materialization_count(&self) -> usize {
         self.materializations.load(Ordering::Relaxed)
     }
@@ -208,7 +273,10 @@ impl Interp for OverlayEngine<'_> {
             return self.overlay().scan(pred, pattern, each);
         }
         if graph.reaches_recursion(pred) {
-            return self.ensure_materialized().scan(pred, pattern, each);
+            return match self.propagation() {
+                Some(propagation) => propagation.scan(pred, pattern, each),
+                None => self.ensure_materialized().scan(pred, pattern, each),
+            };
         }
         // Non-recursive IDB: explicit facts first, then SLD over rules,
         // deduplicating across both sources.
@@ -319,6 +387,28 @@ mod tests {
         assert!(engine.holds(&fact("tc(b,d).")));
         assert_eq!(engine.materialization_count(), 1);
         assert!(!engine.holds(&fact("tc(d,a).")));
+    }
+
+    #[test]
+    fn recursive_predicates_read_the_propagation_over_a_model() {
+        let e = edb(&["edge(a,b).", "edge(b,c)."]);
+        let r = rules(&[
+            "tc(X,Y) :- edge(X,Y).",
+            "tc(X,Z) :- tc(X,Y), edge(Y,Z).",
+            "connected(X,Y) :- tc(X,Y).",
+            "member(X,Y) :- leads(X,Y).",
+        ]);
+        let model = Model::compute(&e, &r);
+        let insert = vec![fact("edge(c,d)."), fact("leads(c,b).")];
+        let engine = OverlayEngine::over_model(&model, &e, &r, insert, vec![]);
+        assert!(engine.holds(&fact("connected(a,d).")));
+        assert!(engine.holds(&fact("member(c,b).")));
+        assert_eq!(engine.materialization_count(), 0);
+        // Only the subprogram below recursion is propagated; `member`
+        // is left to SLD resolution.
+        let flips = engine.propagation().expect("built over a model").flips();
+        assert!(flips.contains(&(fact("connected(a,d)."), true)));
+        assert!(flips.iter().all(|(f, _)| f.pred != Sym::new("member")));
     }
 
     #[test]

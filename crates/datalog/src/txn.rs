@@ -647,16 +647,17 @@ impl CommitQueue {
                 }
                 return Err(e);
             }
-            self.metrics.admitted.incr();
 
             // Arity errors must leave the store untouched: validate the
             // whole transaction (including arities its own earlier updates
             // introduce) against the live schema before applying any of it.
+            // Only then is the commit admitted.
             crate::database::validate_transaction_arities(
                 |pred| state.db.arity_of(pred),
                 &txn.updates,
             )
             .map_err(CommitError::Apply)?;
+            self.metrics.admitted.incr();
         }
 
         let effective = {
@@ -1044,6 +1045,11 @@ mod tests {
         );
         // And the builder-side validation catches it before submission.
         assert!(t.validate_arities().is_err());
+        assert_eq!(
+            q.conflict_stats().admitted,
+            0,
+            "a refused commit is not admitted"
+        );
     }
 
     #[test]
@@ -1062,6 +1068,11 @@ mod tests {
             CommitError::Apply(ApplyError::ArityMismatch { .. })
         ));
         assert_eq!(q.with_db(|db| db.facts().len()), 0, "nothing applied");
+        assert_eq!(
+            q.conflict_stats().admitted,
+            0,
+            "a refused commit is not admitted"
+        );
     }
 
     #[test]

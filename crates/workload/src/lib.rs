@@ -165,19 +165,43 @@ pub fn shared_subquery_university(n: usize, courses_per_student: usize, seed: u6
     db
 }
 
+/// The `tc` rules and acyclicity constraint of the transitive-closure
+/// workloads.
+const TC_SCHEMA: &str = "tc(X,Y) :- edge(X,Y).\n\
+                         tc(X,Z) :- tc(X,Y), edge(Y,Z).\n\
+                         constraint acyclic: forall X: tc(X,X) -> false.\n";
+
 /// Transitive-closure workload: a path graph of `n` nodes with `tc`
 /// rules and an acyclicity constraint. Used for recursion benchmarks.
 pub fn tc_chain(n: usize, seed: u64) -> Database {
-    let mut src = String::from(
-        "tc(X,Y) :- edge(X,Y).\n\
-         tc(X,Z) :- tc(X,Y), edge(Y,Z).\n\
-         constraint acyclic: forall X: tc(X,X) -> false.\n",
-    );
+    let mut src = String::from(TC_SCHEMA);
     let lines = (0..n.saturating_sub(1))
         .map(|i| format!("edge(n{i}, n{}).\n", i + 1))
         .collect();
     push_shuffled(&mut src, lines, seed);
     let db = Database::parse(&src).expect("tc chain parses");
+    debug_assert!(starts_consistent(&db));
+    db
+}
+
+/// Transitive-closure workload on a forest: `n` nodes in complete binary
+/// trees of depth 3, 15 nodes each (the last one possibly partial),
+/// under the rules and constraint of [`tc_chain`]. Node `t{k}_{i}` is
+/// the `i`-th node of tree `k` in breadth-first order (its parent is
+/// node `(i - 1) / 2`), so a node's ancestors and descendants have the
+/// same shape whatever `n` is — only the number of trees grows.
+pub fn tc_forest(n: usize, seed: u64) -> Database {
+    let per_tree = 15;
+    let mut src = String::from(TC_SCHEMA);
+    let lines = (0..n)
+        .filter(|node| node % per_tree != 0)
+        .map(|node| {
+            let (tree, i) = (node / per_tree, node % per_tree);
+            format!("edge(t{tree}_{}, t{tree}_{i}).\n", (i - 1) / 2)
+        })
+        .collect();
+    push_shuffled(&mut src, lines, seed);
+    let db = Database::parse(&src).expect("tc forest parses");
     debug_assert!(starts_consistent(&db));
     db
 }
@@ -678,6 +702,17 @@ mod tests {
         let a = org_updates(3, 2, 10, 42);
         let b = org_updates(3, 2, 10, 42);
         assert_eq!(a, b, "same seed, same stream");
+    }
+
+    #[test]
+    fn tc_forest_is_a_forest_of_fixed_depth_trees() {
+        let db = tc_forest(20, 3);
+        assert!(db.is_consistent());
+        // 15 nodes in tree 0, 5 in tree 1: 14 + 4 edges.
+        assert_eq!(db.facts().len(), 18);
+        assert!(db.holds(&Fact::parse_like("tc", &["t0_0", "t0_14"])));
+        assert!(db.holds(&Fact::parse_like("tc", &["t1_1", "t1_4"])));
+        assert!(!db.holds(&Fact::parse_like("tc", &["t0_0", "t1_1"])));
     }
 
     #[test]

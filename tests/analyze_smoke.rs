@@ -22,6 +22,7 @@ fn schemas(seed: u64) -> Vec<(&'static str, Database)> {
         ),
         ("shared_subquery", w::shared_subquery_university(3, 2, seed)),
         ("tc_chain", w::tc_chain(5, seed)),
+        ("tc_forest", w::tc_forest(20, seed)),
         ("org", w::org(2, 2, seed)),
         ("rule_update", w::rule_update_workload(4, 2, 2, seed)),
         ("optimizer", w::optimizer_workload(6, seed)),

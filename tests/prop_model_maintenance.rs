@@ -184,9 +184,13 @@ fn maintained_model_equals_rematerialization_over_randomized_schedules() {
     }
 }
 
-/// Recursive rules route maintenance through the stratum-recomputation
-/// fallback inside `MaintainedModel`; the commit pipeline must stay
-/// bit-identical to the oracle through insert *and* delete churn.
+/// Recursive rules route maintenance through the propagation kernel
+/// inside `MaintainedModel`; the commit pipeline must stay bit-identical
+/// to the oracle through insert *and* delete churn — on linear and
+/// non-linear closure, mutual recursion and recursion under negation,
+/// over a graph that grows cycles (so deletions leave alternative
+/// derivations), and through transactions that insert into and delete
+/// from the recursive stratum at once.
 #[test]
 fn recursive_rules_maintained_through_commit_churn() {
     let db = Database::parse(
@@ -194,21 +198,46 @@ fn recursive_rules_maintained_through_commit_churn() {
         tc(X, Y) :- edge(X, Y).
         tc(X, Z) :- tc(X, Y), edge(Y, Z).
         reach(X) :- tc(n0, X).
+        nl(X, Y) :- edge(X, Y).
+        nl(X, Z) :- nl(X, Y), nl(Y, Z).
+        od(X, Y) :- edge(X, Y).
+        ev(X, Z) :- od(X, Y), edge(Y, Z).
+        od(X, Z) :- ev(X, Y), edge(Y, Z).
+        unreached(X) :- node(X), not tc(n0, X).
+        node(n0). node(n1). node(n2). node(n3). node(n4). node(n5).
         ",
     )
     .unwrap();
     let q = CommitQueue::new(db);
-    for step in 0..60usize {
-        let a = format!("n{}", (step * 7) % 6);
-        let b = format!("n{}", (step * 5 + 1) % 6);
-        let fact = Fact::parse_like("edge", &[&a, &b]);
-        let update = if step % 3 == 2 {
-            Update::delete(fact)
-        } else {
-            Update::insert(fact)
-        };
+    let edge = |a: usize, b: usize| {
+        Fact::parse_like("edge", &[&format!("n{}", a % 6), &format!("n{}", b % 6)])
+    };
+    for step in 0..150usize {
         let mut t = q.begin();
-        t.stage(update);
+        if step < 60 {
+            let fact = edge(step * 7, step * 5 + 1);
+            t.stage(if step % 3 == 2 {
+                Update::delete(fact)
+            } else {
+                Update::insert(fact)
+            });
+        } else {
+            // The steps above only ever delete absent edges. From here
+            // on every commit inserts an edge, and two in three also
+            // delete a present one — on a graph full of cycles — so the
+            // same commit inserts into and deletes from the recursive
+            // strata.
+            let present: Vec<Fact> = q
+                .snapshot()
+                .facts()
+                .iter()
+                .filter(|f| f.pred.as_str() == "edge")
+                .collect();
+            if step % 3 != 0 && !present.is_empty() {
+                t.stage(Update::delete(present[(step * 11) % present.len()].clone()));
+            }
+            t.stage(Update::insert(edge(step * 7, step + step / 6)));
+        }
         let r = q.commit(&t).unwrap();
         if !r.effective.is_empty() {
             assert_eq!(r.model_path, ModelPath::Maintained, "step {step}");

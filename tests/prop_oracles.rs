@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 use uniform::datalog::{
-    satisfies_closed, Database, FactSet, Model, OverlayEngine, RuleSet, Transaction, Update,
+    satisfies_closed, Database, FactSet, MaintainedModel, Model, OverlayEngine, RuleSet,
+    Transaction, Update,
 };
 use uniform::integrity::{induced_updates_by_diff, verdicts_agree, Checker, DeltaEngine};
 use uniform::logic::semantics::{eval_closed, FiniteInterp};
@@ -54,18 +55,28 @@ fn arb_update() -> impl Strategy<Value = Update> {
     })
 }
 
-/// A random subset of a fixed pool of (stratified, range-restricted)
-/// rules.
+/// The pool of (stratified, range-restricted) rules. The recursive
+/// schema covers linear and non-linear closure (`tc`), mutual recursion
+/// (`ev`/`od`) and recursion under negation in a higher stratum
+/// (`unreached`); with three constants, cyclic graphs — where a deletion
+/// leaves an alternative derivation — are common.
+const RULE_POOL: [&str; 11] = [
+    "m(X,Y) :- l(X,Y).",
+    "t(X) :- p(X), q(X).",
+    "u(X) :- p(X), not q(X).",
+    "tc(X,Y) :- r(X,Y).",
+    "tc(X,Z) :- tc(X,Y), r(Y,Z).",
+    "w(X) :- m(X,Y), s(Y).",
+    "tc(X,Z) :- tc(X,Y), tc(Y,Z).",
+    "od(X,Y) :- l(X,Y).",
+    "ev(X,Z) :- od(X,Y), l(Y,Z).",
+    "od(X,Z) :- ev(X,Y), l(Y,Z).",
+    "unreached(X) :- p(X), not tc(a,X).",
+];
+
+/// A random subset of [`RULE_POOL`].
 fn arb_rules() -> impl Strategy<Value = Vec<&'static str>> {
-    let pool: Vec<&'static str> = vec![
-        "m(X,Y) :- l(X,Y).",
-        "t(X) :- p(X), q(X).",
-        "u(X) :- p(X), not q(X).",
-        "tc(X,Y) :- r(X,Y).",
-        "tc(X,Z) :- tc(X,Y), r(Y,Z).",
-        "w(X) :- m(X,Y), s(Y).",
-    ];
-    proptest::sample::subsequence(pool, 0..=5)
+    proptest::sample::subsequence(RULE_POOL.to_vec(), 0..=5)
 }
 
 /// A random subset of a pool of constraints (all domain independent).
@@ -78,6 +89,8 @@ fn arb_constraints() -> impl Strategy<Value = Vec<&'static str>> {
         "forall X, Y: l(X,Y) -> (exists Z: r(Y,Z))",
         "forall X: tc(X,X) -> false",
         "forall X, Y, Z: l(X,Y) & l(X,Z) -> r(Y,Z)",
+        "forall X: unreached(X) -> s(X)",
+        "forall X, Y: ev(X,Y) -> r(X,Y)",
     ];
     proptest::sample::subsequence(pool, 0..=4)
 }
@@ -196,7 +209,7 @@ proptest! {
 
         let adds: Vec<Fact> = update.added().cloned().into_iter().collect();
         let dels: Vec<Fact> = update.removed().cloned().into_iter().collect();
-        let engine = OverlayEngine::updated(db.facts(), db.rules(), adds, dels);
+        let engine = OverlayEngine::over_model(&before, db.facts(), db.rules(), adds, dels);
         let updates = [update.clone()];
         let delta = DeltaEngine::new(&before, &engine, db.rules(), &updates);
 
@@ -204,6 +217,7 @@ proptest! {
         for (pred, arity) in [
             ("p", 1), ("q", 1), ("s", 1), ("l", 2), ("r", 2),
             ("m", 2), ("t", 1), ("u", 1), ("tc", 2), ("w", 1),
+            ("od", 2), ("ev", 2), ("unreached", 1),
         ] {
             let args: Vec<&str> = ["V1", "V2"][..arity].to_vec();
             for positive in [true, false] {
@@ -235,6 +249,104 @@ proptest! {
         let tx = Transaction::single(update);
         if let Err(e) = verdicts_agree(&db, &tx) {
             prop_assert!(false, "{} (facts {:?}, rules {:?}, constraints {:?})", e, facts, rules, constraints);
+        }
+    }
+}
+
+/// The recursive schema alone: every recursive shape of [`RULE_POOL`]
+/// at once, with linear or non-linear closure.
+fn recursive_rules(nonlinear: bool) -> Vec<&'static str> {
+    vec![
+        "tc(X,Y) :- r(X,Y).",
+        if nonlinear {
+            "tc(X,Z) :- tc(X,Y), tc(Y,Z)."
+        } else {
+            "tc(X,Z) :- tc(X,Y), r(Y,Z)."
+        },
+        "od(X,Y) :- l(X,Y).",
+        "ev(X,Z) :- od(X,Y), l(Y,Z).",
+        "od(X,Z) :- ev(X,Y), l(Y,Z).",
+        "unreached(X) :- p(X), not tc(a,X).",
+    ]
+}
+
+/// Fact `i` of the 21-fact universe of `r`, `l` (binary) and `p` over
+/// three constants.
+fn universe_fact(i: usize) -> Fact {
+    let consts = ["a", "b", "c"];
+    match i {
+        0..=8 => Fact::parse_like("r", &[consts[i / 3], consts[i % 3]]),
+        9..=17 => Fact::parse_like("l", &[consts[(i - 9) / 3], consts[(i - 9) % 3]]),
+        _ => Fact::parse_like("p", &[consts[i - 18]]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The propagation kernel on dense recursive states, through both
+    /// of its callers: the `delta` of every pattern and the maintained
+    /// model's flips equal the model diff of transactions of up to four
+    /// updates. Over three constants most states have cycles, so most
+    /// deletions over-delete facts another path re-derives; the
+    /// checker agrees with the baselines wherever the state is
+    /// consistent.
+    #[test]
+    fn recursive_propagation_matches_model_diff(
+        facts in prop::collection::vec(0..21usize, 3..14),
+        nonlinear in any::<bool>(),
+        updates in prop::collection::vec((0..21usize, any::<bool>()), 1..5),
+    ) {
+        let facts: Vec<Fact> = facts.into_iter().map(universe_fact).collect();
+        let constraints = ["forall X: tc(X,X) -> p(X)", "forall X, Y: ev(X,Y) -> tc(X,Y) | p(Y)"];
+        let db = build_db(&facts, &recursive_rules(nonlinear), &constraints).unwrap();
+        let tx = Transaction::new(
+            updates
+                .into_iter()
+                .map(|(i, insert)| {
+                    let f = universe_fact(i);
+                    if insert { Update::insert(f) } else { Update::delete(f) }
+                })
+                .collect(),
+        );
+        let before = db.model();
+        let mut after_edb = db.facts().clone();
+        for u in &tx.updates {
+            u.apply(&mut after_edb);
+        }
+        let after = Model::compute(&after_edb, db.rules());
+        let mut expected: Vec<String> = induced_updates_by_diff(&before, &after)
+            .iter().map(|l| l.to_string()).collect();
+        expected.sort();
+
+        let (adds, dels) = tx.net_effect(db.facts());
+        let net: Vec<Update> = adds.iter().cloned().map(Update::insert)
+            .chain(dels.iter().cloned().map(Update::delete)).collect();
+        let engine = OverlayEngine::over_model(&before, db.facts(), db.rules(), adds, dels);
+        let delta = DeltaEngine::new(&before, &engine, db.rules(), &net);
+        let mut got: Vec<String> = Vec::new();
+        for (pred, arity) in [("r", 2), ("l", 2), ("p", 1), ("tc", 2), ("od", 2), ("ev", 2), ("unreached", 1)] {
+            let args: Vec<&str> = ["V1", "V2"][..arity].to_vec();
+            for positive in [true, false] {
+                let pattern = Literal::new(positive, Atom::parse_like(pred, &args));
+                got.extend(delta.delta(&pattern).iter().map(|l| l.to_string()));
+            }
+        }
+        got.sort();
+        prop_assert_eq!(&got, &expected, "delta of {:?} on {:?}", tx, facts);
+        prop_assert_eq!(engine.materialization_count(), 0);
+
+        let mut maintained = MaintainedModel::with_model(
+            db.facts().clone(), db.rules().clone(), before.facts().clone());
+        let mut flips: Vec<String> = maintained.apply_transaction(&tx)
+            .iter().map(|l| l.to_string()).collect();
+        flips.sort();
+        prop_assert_eq!(&flips, &expected, "maintained flips of {:?} on {:?}", tx, facts);
+
+        if db.is_consistent() {
+            if let Err(e) = verdicts_agree(&db, &tx) {
+                prop_assert!(false, "{} ({:?} on {:?})", e, tx, facts);
+            }
         }
     }
 }
@@ -429,4 +541,100 @@ fn rules_parse_pool_is_valid() {
         parse_rule("tc(X,Z) :- tc(X,Y), r(Y,Z).").unwrap(),
     ])
     .unwrap();
+    // The whole pool stratifies together.
+    RuleSet::new(RULE_POOL.iter().map(|r| parse_rule(r).unwrap()).collect()).unwrap();
+}
+
+/// The recursive delta and checker on fixed cyclic graphs, every
+/// single-fact update and one transaction that inserts into and deletes
+/// from the recursive stratum at once: on a cycle most deletions
+/// over-delete facts that another path re-derives.
+#[test]
+fn recursive_propagation_on_cycles_matches_model_diff() {
+    let rules = [
+        "tc(X,Y) :- r(X,Y).",
+        "tc(X,Z) :- tc(X,Y), tc(Y,Z).",
+        "od(X,Y) :- l(X,Y).",
+        "ev(X,Z) :- od(X,Y), l(Y,Z).",
+        "od(X,Z) :- ev(X,Y), l(Y,Z).",
+        "unreached(X) :- p(X), not tc(a,X).",
+    ];
+    let constraints = [
+        "forall X: unreached(X) -> s(X)",
+        "forall X, Y: ev(X,Y) -> tc(X,Y)",
+    ];
+    let facts: Vec<Fact> = [
+        "r(a,b).", "r(b,c).", "r(a,c).", "r(c,a).", "l(a,b).", "l(b,a).", "l(b,c).", "p(a).",
+        "p(b).", "p(c).", "s(a).", "s(b).", "s(c).",
+    ]
+    .iter()
+    .map(|f| parse_fact(f).unwrap())
+    .collect();
+    let db = build_db(&facts, &rules, &[]).unwrap();
+    let checked = build_db(&facts, &rules, &constraints).unwrap();
+    assert!(checked.is_consistent());
+    let patterns = [
+        ("r", 2),
+        ("l", 2),
+        ("p", 1),
+        ("tc", 2),
+        ("od", 2),
+        ("ev", 2),
+        ("unreached", 1),
+    ];
+    let mut txs: Vec<Transaction> = Vec::new();
+    for c1 in ["a", "b", "c"] {
+        for c2 in ["a", "b", "c"] {
+            for pred in ["r", "l"] {
+                let f = Fact::parse_like(pred, &[c1, c2]);
+                txs.push(Transaction::single(Update::insert(f.clone())));
+                txs.push(Transaction::single(Update::delete(f)));
+            }
+        }
+        txs.push(Transaction::single(Update::delete(Fact::parse_like(
+            "p",
+            &[c1],
+        ))));
+    }
+    txs.push(Transaction::new(vec![
+        Update::delete(parse_fact("r(a,b).").unwrap()),
+        Update::delete(parse_fact("r(c,a).").unwrap()),
+        Update::insert(parse_fact("r(b,a).").unwrap()),
+        Update::insert(parse_fact("l(c,a).").unwrap()),
+    ]));
+    for tx in &txs {
+        let before = db.model();
+        let mut after_edb = db.facts().clone();
+        for u in &tx.updates {
+            u.apply(&mut after_edb);
+        }
+        let after = Model::compute(&after_edb, db.rules());
+        let mut expected: Vec<String> = induced_updates_by_diff(&before, &after)
+            .iter()
+            .map(|l| l.to_string())
+            .collect();
+        expected.sort();
+
+        let (adds, dels) = tx.net_effect(db.facts());
+        let net: Vec<Update> = adds
+            .iter()
+            .cloned()
+            .map(Update::insert)
+            .chain(dels.iter().cloned().map(Update::delete))
+            .collect();
+        let engine = OverlayEngine::over_model(&before, db.facts(), db.rules(), adds, dels);
+        let delta = DeltaEngine::new(&before, &engine, db.rules(), &net);
+        let mut got: Vec<String> = Vec::new();
+        for (pred, arity) in patterns {
+            let args: Vec<&str> = ["V1", "V2"][..arity].to_vec();
+            for positive in [true, false] {
+                let pattern = Literal::new(positive, Atom::parse_like(pred, &args));
+                got.extend(delta.delta(&pattern).iter().map(|l| l.to_string()));
+            }
+        }
+        got.sort();
+        assert_eq!(got, expected, "{tx:?}");
+        assert_eq!(engine.materialization_count(), 0, "{tx:?}");
+        verdicts_agree(&checked, tx).unwrap_or_else(|e| panic!("{tx:?}: {e}"));
+    }
 }
