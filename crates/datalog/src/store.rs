@@ -8,9 +8,17 @@
 //! iteration order). A persistent `SlotMap` routes every tuple —
 //! live or tombstoned — to its `(page, offset)` slot. Each page carries
 //! its own per-column hash indexes, so a scan with any bound position
-//! is a bucket lookup per page rather than a full pass — this is what
+//! is a chain walk per page rather than a full pass — this is what
 //! makes simplified-instance evaluation O(matching tuples) instead of
 //! O(relation).
+//!
+//! A page is flat: one `Vec<Sym>` of `arity × slots` tuple values, one
+//! `Vec<bool>` of live flags, and per column a map from a value to the
+//! *chain* of slots holding it (first, last, length), the chains linked
+//! in ascending offset order through one `arity × slots` array of `u16`
+//! successors. Nothing in a page owns a further allocation, so copying
+//! one costs `arity + 4` allocations and memcpys of plain data, however
+//! many tuples and distinct values it holds.
 //!
 //! The chunking exists for the commit pipeline's copy-on-write
 //! economics: cloning a relation bumps one refcount per page (plus the
@@ -59,6 +67,13 @@ pub const COMPACT_FLOOR: usize = 32;
 /// those pages held, and approximately how many bytes that copied.
 /// Monotonic; read a delta around an operation to get its COW cost
 /// (`tests/prop_chunked_store.rs` does this per commit).
+///
+/// `bytes_cloned` counts a copied page's flat arrays: per slot, its
+/// tuple values, its live flag and one chain link per column, i.e.
+/// `slots × (arity × (size_of::<Sym>() + 2) + 1)`. The per-column maps
+/// from a value to its chain (one entry per distinct value) are copied
+/// too but not counted, so the figure depends on the page's shape
+/// alone, never on how many distinct values it happens to hold.
 ///
 /// Counters are *scoped*, not process-global: each relation family (a
 /// relation plus every clone and snapshot descended from it) shares
@@ -112,51 +127,112 @@ impl CowCounters {
     }
 }
 
-/// One leaf page: a slot arena of tuples with live flags, plus
-/// per-column hash indexes local to the page. Tombstoned slots keep
-/// their tuple value so revival preserves slot position and page
+/// End of a same-value chain: no slot has this offset.
+const NIL: u16 = u16::MAX;
+const _: () = assert!(PAGE_CAP < u16::MAX as usize);
+
+/// The slots of one page holding one value in one column: a list
+/// threaded through [`Page::next`] in ascending offset order. `len`
+/// counts tombstoned slots too (they are filtered on read), so it is
+/// the number of entries a bound scan walks.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    first: u16,
+    last: u16,
+    len: u16,
+}
+
+/// One leaf page, stored flat: slot `o` holds the tuple
+/// `tuples[o * arity..(o + 1) * arity]` and the live flag `flags[o]`.
+/// Per column, `chains[col]` maps a value to the chain of slots ever
+/// inserted with it, and `next[o * arity + col]` is the slot after `o`
+/// on that chain ([`NIL`] at its end). Tombstoned slots keep their
+/// tuple and chain links so revival preserves slot position and page
 /// compaction can fix the router.
-#[derive(Clone, Debug, Default)]
+///
+/// Every field is `Copy` data in a `Vec` or a map, so a page clone is
+/// `arity + 4` allocations and memcpys, whatever the slot count.
+#[derive(Clone, Debug)]
 struct Page {
-    slots: Vec<(Box<[Sym]>, bool)>,
+    tuples: Vec<Sym>,
+    flags: Vec<bool>,
+    next: Vec<u16>,
     live: u32,
-    /// Per column: value → slot offsets ever inserted with that value.
-    /// Stale entries (tombstoned slots) are filtered on read.
-    col_index: Vec<HashMap<Sym, Vec<u16>>>,
+    chains: Vec<HashMap<Sym, Chain>>,
 }
 
 impl Page {
     fn new(arity: usize) -> Page {
         Page {
-            slots: Vec::new(),
+            tuples: Vec::new(),
+            flags: Vec::new(),
+            next: Vec::new(),
             live: 0,
-            col_index: (0..arity).map(|_| HashMap::new()).collect(),
+            chains: (0..arity).map(|_| HashMap::new()).collect(),
         }
     }
 
-    /// Append a live tuple, indexing every column; returns its offset.
+    fn arity(&self) -> usize {
+        self.chains.len()
+    }
+
+    /// Slots in the arena, live or tombstoned.
+    fn slots(&self) -> usize {
+        self.flags.len()
+    }
+
+    fn tuple(&self, offset: usize) -> &[Sym] {
+        let arity = self.arity();
+        &self.tuples[offset * arity..(offset + 1) * arity]
+    }
+
+    /// Every slot in offset order, with its live flag.
+    fn all_slots(&self) -> impl Iterator<Item = (&[Sym], bool)> {
+        (0..self.slots()).map(|o| (self.tuple(o), self.flags[o]))
+    }
+
+    fn live_tuples(&self) -> impl Iterator<Item = &[Sym]> {
+        (0..self.slots())
+            .filter(|&o| self.flags[o])
+            .map(|o| self.tuple(o))
+    }
+
+    /// Append a live tuple, linking it onto every column's chain;
+    /// returns its offset.
     fn push(&mut self, args: &[Sym]) -> u16 {
-        let offset = self.slots.len() as u16;
+        let offset = self.slots() as u16;
+        let arity = args.len();
         for (col, &value) in args.iter().enumerate() {
-            self.col_index[col].entry(value).or_default().push(offset);
+            self.chains[col]
+                .entry(value)
+                .and_modify(|chain| {
+                    self.next[chain.last as usize * arity + col] = offset;
+                    chain.last = offset;
+                    chain.len += 1;
+                })
+                .or_insert(Chain {
+                    first: offset,
+                    last: offset,
+                    len: 1,
+                });
         }
-        self.slots.push((args.into(), true));
+        self.tuples.extend_from_slice(args);
+        self.next.resize(self.next.len() + arity, NIL);
+        self.flags.push(true);
         self.live += 1;
         offset
     }
 
     fn stale(&self) -> usize {
-        self.slots.len() - self.live as usize
+        self.slots() - self.live as usize
     }
 
-    /// Approximate heap bytes a clone of this page copies.
+    /// Bytes of the flat arrays a clone of this page copies (see
+    /// [`CowStats`] for what is left out).
     fn approx_bytes(&self) -> u64 {
-        let per_slot = std::mem::size_of::<(Box<[Sym]>, bool)>();
-        let mut bytes = self.slots.len() * per_slot;
-        for (tuple, _) in &self.slots {
-            // Tuple storage plus roughly one index entry per column.
-            bytes += tuple.len() * (std::mem::size_of::<Sym>() + std::mem::size_of::<u16>());
-        }
+        let bytes = self.tuples.len() * size_of::<Sym>()
+            + self.flags.len() * size_of::<bool>()
+            + self.next.len() * size_of::<u16>();
         bytes as u64
     }
 }
@@ -209,7 +285,7 @@ impl Relation {
     pub fn contains(&self, args: &[Sym]) -> bool {
         self.slots
             .get(args)
-            .is_some_and(|sr| self.pages[sr.page as usize].slots[sr.offset as usize].1)
+            .is_some_and(|sr| self.pages[sr.page as usize].flags[sr.offset as usize])
     }
 
     /// Mutable access to page `p`, counting the copy-on-write clone if
@@ -220,7 +296,7 @@ impl Relation {
             self.counters.pages.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .tuples
-                .fetch_add(page.slots.len() as u64, Ordering::Relaxed);
+                .fetch_add(page.slots() as u64, Ordering::Relaxed);
             self.counters
                 .bytes
                 .fetch_add(page.approx_bytes(), Ordering::Relaxed);
@@ -233,7 +309,7 @@ impl Relation {
         debug_assert_eq!(args.len(), self.arity);
         if let Some(sr) = self.slots.get(args) {
             let (p, o) = (sr.page as usize, sr.offset as usize);
-            if self.pages[p].slots[o].1 {
+            if self.pages[p].flags[o] {
                 return false;
             }
             // Revival: flip the tombstoned slot back to live in place,
@@ -241,7 +317,7 @@ impl Relation {
             // revival only improves the page's staleness, so no
             // compaction check is needed.
             let page = self.page_mut(p);
-            page.slots[o].1 = true;
+            page.flags[o] = true;
             page.live += 1;
             self.live += 1;
             return true;
@@ -249,7 +325,7 @@ impl Relation {
         // Fresh tuple: append to the tail page, opening a new one when
         // the tail is full (or the relation has no pages yet).
         let p = match self.pages.last() {
-            Some(page) if page.slots.len() < PAGE_CAP => self.pages.len() - 1,
+            Some(page) if page.slots() < PAGE_CAP => self.pages.len() - 1,
             _ => {
                 self.pages.push(Arc::new(Page::new(self.arity)));
                 self.pages.len() - 1
@@ -280,11 +356,11 @@ impl Relation {
             return false;
         };
         let (p, o) = (sr.page as usize, sr.offset as usize);
-        if !self.pages[p].slots[o].1 {
+        if !self.pages[p].flags[o] {
             return false;
         }
         let page = self.page_mut(p);
-        page.slots[o].1 = false;
+        page.flags[o] = false;
         page.live -= 1;
         self.live -= 1;
         self.maybe_compact_page(p);
@@ -306,8 +382,8 @@ impl Relation {
         };
         'pages: for page in &self.pages {
             if !has_bound {
-                for (tuple, live) in &page.slots {
-                    if *live && !each(tuple) {
+                for tuple in page.live_tuples() {
+                    if !each(tuple) {
                         return false;
                     }
                 }
@@ -315,24 +391,28 @@ impl Relation {
             }
             // Pick this page's most selective bound column; a bound
             // value absent from a page's index skips the page.
-            let mut best: Option<&Vec<u16>> = None;
+            let mut best: Option<(usize, Chain)> = None;
             for (col, p) in pattern.iter().enumerate() {
                 if let Some(value) = p {
-                    match page.col_index[col].get(value) {
+                    match page.chains[col].get(value) {
                         None => continue 'pages,
-                        Some(bucket) => {
-                            if best.is_none_or(|b| bucket.len() < b.len()) {
-                                best = Some(bucket);
+                        Some(&chain) => {
+                            if best.is_none_or(|(_, b)| chain.len < b.len) {
+                                best = Some((col, chain));
                             }
                         }
                     }
                 }
             }
-            for &off in best.expect("pattern has a bound column") {
-                let (tuple, live) = &page.slots[off as usize];
-                if *live && matches(tuple) && !each(tuple) {
+            let (col, chain) = best.expect("pattern has a bound column");
+            let mut off = chain.first;
+            while off != NIL {
+                let o = off as usize;
+                let tuple = page.tuple(o);
+                if page.flags[o] && matches(tuple) && !each(tuple) {
                     return false;
                 }
+                off = page.next[o * self.arity + col];
             }
         }
         true
@@ -340,18 +420,13 @@ impl Relation {
 
     /// Iterate all live tuples, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[Sym]> {
-        self.pages.iter().flat_map(|page| {
-            page.slots
-                .iter()
-                .filter(|(_, live)| *live)
-                .map(|(t, _)| &**t)
-        })
+        self.pages.iter().flat_map(|page| page.live_tuples())
     }
 
     /// Tombstoned slots currently held across all pages (each also pins
-    /// stale per-page index entries).
+    /// stale per-page chain entries).
     pub fn stale_slots(&self) -> usize {
-        let stale = self.pages.iter().map(|p| p.slots.len()).sum::<usize>() - self.live;
+        let stale = self.pages.iter().map(|p| p.slots()).sum::<usize>() - self.live;
         // The router tracks every slot, live or tombstoned.
         debug_assert_eq!(self.slots.len(), self.live + stale);
         stale
@@ -365,7 +440,7 @@ impl Relation {
     pub fn page_shape(&self) -> Vec<(usize, usize)> {
         self.pages
             .iter()
-            .map(|p| (p.slots.len(), p.live as usize))
+            .map(|p| (p.slots(), p.live as usize))
             .collect()
     }
 
@@ -392,12 +467,8 @@ impl Relation {
         // The rebuild stays in the same counter scope: compaction
         // replaces the relation's storage, not its clone family.
         rebuilt.counters = self.counters.clone();
-        for page in &self.pages {
-            for (tuple, live) in &page.slots {
-                if *live {
-                    rebuilt.insert(tuple);
-                }
-            }
+        for tuple in self.iter() {
+            rebuilt.insert(tuple);
         }
         *self = rebuilt;
     }
@@ -408,8 +479,8 @@ impl Relation {
     fn compact_page(&mut self, p: usize) {
         let old = self.pages[p].clone();
         let mut fresh = Page::new(self.arity);
-        for (tuple, live) in &old.slots {
-            if *live {
+        for (tuple, live) in old.all_slots() {
+            if live {
                 let offset = fresh.push(tuple);
                 self.slots.insert(
                     tuple,
@@ -431,7 +502,7 @@ impl Relation {
     /// compacts immediately, whatever the page size.
     fn maybe_compact_page(&mut self, p: usize) {
         let page = &self.pages[p];
-        let slots = page.slots.len();
+        let slots = page.slots();
         let floor = if p + 1 == self.pages.len() {
             COMPACT_FLOOR
         } else {
@@ -725,7 +796,7 @@ mod tests {
     #[test]
     fn churn_triggers_compaction_and_preserves_contents() {
         // Insert/delete/revive churn: without compaction the arena and
-        // col_index grow with every distinct tombstoned tuple forever.
+        // its chains grow with every distinct tombstoned tuple forever.
         let mut fs = FactSet::new();
         for round in 0..10 {
             for i in 0..100 {
@@ -874,6 +945,112 @@ mod tests {
         // And a revival of a compacted-away tuple re-appends cleanly.
         assert!(fs.insert(&fact("p", &["v0"])));
         assert!(fs.contains(&fact("p", &["v0"])));
+    }
+
+    fn collect(rel: &Relation, pattern: &[Option<Sym>]) -> Vec<Vec<Sym>> {
+        let mut out = Vec::new();
+        rel.scan(pattern, &mut |t| {
+            out.push(t.to_vec());
+            true
+        });
+        out
+    }
+
+    #[test]
+    fn bound_scans_walk_chains_through_tombstones_revivals_and_compaction() {
+        let t = |i: usize| {
+            [
+                Sym::new(&format!("x{}", i % 4)),
+                Sym::new(&format!("y{}", (i / 2) % 4)),
+                Sym::new(&format!("z{i}")),
+            ]
+        };
+        let mut rel = Relation::new(3);
+        for i in 0..40 {
+            rel.insert(&t(i));
+        }
+        // The 21st tombstone of 40 slots compacts the page; the last
+        // three land on the rebuilt one.
+        for i in (0..30).filter(|i| i % 5 != 4) {
+            rel.remove(&t(i));
+        }
+        assert_eq!(
+            rel.page_shape(),
+            vec![(19, 16)],
+            "compacted, then tombstoned"
+        );
+        for i in 40..56 {
+            rel.insert(&t(i));
+        }
+        for i in [40, 43, 47, 50] {
+            rel.remove(&t(i));
+        }
+        // Revive two tombstones in place and re-append two tuples the
+        // compaction dropped.
+        for i in [26, 43, 0, 5] {
+            assert!(rel.insert(&t(i)));
+        }
+        assert_eq!(rel.page_shape(), vec![(37, 32)]);
+        let page = &rel.pages[0];
+        let ties = page.chains[0]
+            .values()
+            .filter(|a| page.chains[1].values().any(|b| a.len == b.len))
+            .count();
+        assert!(ties > 0, "two columns' chains must tie in length");
+
+        let all = collect(&rel, &[None, None, None]);
+        assert_eq!(all.len(), rel.len());
+        let mut values: Vec<Vec<Option<Sym>>> = vec![vec![None]; 3];
+        for (col, column) in values.iter_mut().enumerate() {
+            for (tuple, _) in page.all_slots() {
+                column.push(Some(tuple[col]));
+            }
+            column.push(Some(Sym::new("absent")));
+            column.sort();
+            column.dedup();
+        }
+        for &a in &values[0] {
+            for &b in &values[1] {
+                for &c in &values[2] {
+                    let pattern = [a, b, c];
+                    let expect: Vec<Vec<Sym>> = all
+                        .iter()
+                        .filter(|t| {
+                            pattern
+                                .iter()
+                                .zip(*t)
+                                .all(|(p, v)| p.is_none_or(|p| p == *v))
+                        })
+                        .cloned()
+                        .collect();
+                    assert_eq!(collect(&rel, &pattern), expect, "pattern {pattern:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arity_zero_relations_round_trip() {
+        let halts = fact("halts", &[]);
+        let mut fs = FactSet::new();
+        assert!(fs.insert(&halts));
+        assert!(!fs.insert(&halts));
+        let rel = fs.relation(Sym::new("halts")).unwrap();
+        assert!(rel.contains(&[]));
+        assert_eq!(rel.iter().collect::<Vec<_>>(), vec![&[] as &[Sym]]);
+        assert_eq!(collect(rel, &[]), vec![Vec::<Sym>::new()]);
+        assert!(fs.remove(&halts));
+        let rel = fs.relation(Sym::new("halts")).unwrap();
+        assert!(!rel.contains(&[]));
+        assert_eq!(rel.iter().count(), 0);
+        assert!(collect(rel, &[]).is_empty());
+        assert_eq!(rel.page_shape(), vec![(1, 0)]);
+        assert!(fs.insert(&halts), "revival");
+        let rel = fs.relation(Sym::new("halts")).unwrap();
+        assert!(fs.contains(&halts));
+        assert_eq!(collect(rel, &[]), vec![Vec::<Sym>::new()]);
+        assert_eq!(rel.page_shape(), vec![(1, 1)]);
+        assert_eq!(fs.iter().collect::<Vec<_>>(), vec![halts]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! cancellation, atomicity of the guarded path, and interaction with
 //! derived predicates.
 
-use uniform::datalog::{Transaction, Update};
+use uniform::datalog::{CommitQueue, Transaction, Update};
 use uniform::integrity::Checker;
 use uniform::logic::parse_literal;
 use uniform::ConcurrentDatabase;
@@ -154,4 +154,31 @@ fn facade_transaction_report_statistics() {
         "leads + derived member patterns"
     );
     assert!(report.satisfied);
+}
+
+/// How many pages a flat commit copies, as an exact count. With a
+/// snapshot pinned by `begin()` (as every guarded commit holds one), an
+/// accepted three-relation insert unshares each written relation's tail
+/// page twice: once in the database's EDB and once in the maintained
+/// model, which applies the same write and shares its pages with the
+/// model installed on the database. The first commit builds the
+/// maintained model with its own EDB copy, still sharing every page
+/// with the database's, so that copy unshares three pages more.
+#[test]
+fn flat_commits_copy_two_pages_per_written_relation() {
+    let queue = CommitQueue::new(workload::university(3_000, 1));
+    let pages = || queue.with_db(|db| db.facts().cow_stats().pages_cloned);
+    let mut cloned = Vec::new();
+    for k in 0..5 {
+        let mut txn = queue.begin();
+        for u in workload::university_good_tx(k).updates {
+            txn.stage(u);
+        }
+        let before = pages();
+        queue
+            .commit_checked(&txn)
+            .expect("one writer never conflicts");
+        cloned.push(pages() - before);
+    }
+    assert_eq!(cloned, [9, 6, 6, 6, 6]);
 }
