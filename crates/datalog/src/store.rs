@@ -55,7 +55,7 @@ use crate::pagemap::{SlotMap, SlotRef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uniform_logic::{Fact, Sym};
+use uniform_logic::{sort_by_name, Fact, Sym};
 
 /// Maximum slots per leaf page.
 pub const PAGE_CAP: usize = 1024;
@@ -661,8 +661,22 @@ impl FactSet {
             .iter()
             .flat_map(|(_, r)| r.iter().flatten().copied())
             .collect();
-        out.sort_by_key(|s| s.as_str());
-        out.dedup();
+        sort_by_name(&mut out);
+        out
+    }
+
+    /// The relations of the predicates `keep` accepts, in their order
+    /// here and sharing their storage with `self`: one refcount per
+    /// kept relation, no tuple copied.
+    pub fn restricted_to(&self, keep: impl Fn(Sym) -> bool) -> FactSet {
+        let mut out = FactSet::new();
+        for (pred, rel) in &self.relations {
+            if keep(*pred) {
+                out.index.insert(*pred, out.relations.len() as u32);
+                out.len += rel.len();
+                out.relations.push((*pred, rel.clone()));
+            }
+        }
         out
     }
 }

@@ -43,7 +43,7 @@ pub use parser::{
 pub use rule::Rule;
 pub use subst::Subst;
 pub use subsume::{atom_subsumes, literal_subsumes, MinimalLiteralSet};
-pub use symbol::Sym;
+pub use symbol::{sort_by_name, Sym};
 pub use term::{Atom, Fact, Literal, Term};
 pub use unify::{
     match_atom, rename_atom, rename_literal, unify_atoms, unify_atoms_under, unify_literals,

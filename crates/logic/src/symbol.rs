@@ -88,6 +88,16 @@ impl Sym {
     }
 }
 
+/// Deduplicate `syms` and order them by name. Names are unique per
+/// [`Sym`], so deduplicating by id first reads each distinct name once
+/// (every read takes the interner's lock) instead of twice per
+/// comparison of any two occurrences.
+pub fn sort_by_name(syms: &mut Vec<Sym>) {
+    syms.sort_unstable();
+    syms.dedup();
+    syms.sort_by_cached_key(|s| s.as_str());
+}
+
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.as_str())

@@ -8,10 +8,18 @@
 //! one false by deleting it and falsifying every remaining derivation,
 //! a violating `∀`-instance by falsifying one of its range atoms; no
 //! fresh constants, so repairs stay within the active domain, the space
-//! is finite and matches the CQA convention. Violations are determined
-//! against the *recomputed canonical model* of each candidate state, in
-//! full, at every level (the soundness anchor: a delta is only recorded
-//! once a full determination finds nothing violated).
+//! is finite and matches the CQA convention.
+//!
+//! Both backends run on the state's *affected closure*
+//! ([`RepairEngine::affected_closure`]): the relations and constraints
+//! a subset-minimal repair can touch, with the whole state's active
+//! domain. Their cost therefore tracks the inconsistent part, not the
+//! database. Within it, violations are determined against the
+//! *recomputed canonical model* of each candidate state, in full, at
+//! every level (a delta is only recorded once a full determination of
+//! the affected constraints finds nothing violated). Verification of a
+//! reported repair stays on the whole state: apply it, recompute, check
+//! every constraint — the soundness anchor, independent of the scope.
 //!
 //! Every path from one level to the next applies at least one effective
 //! EDB operation and no branch ever touches the same fact twice, so the
@@ -21,14 +29,15 @@
 //! filtered to the subset-minimal ones, verified by full recomputation,
 //! and reported in deterministic (size, then name) order.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use uniform_datalog::{FactSet, Model, RuleSet, Snapshot, Transaction, Update};
+use uniform_datalog::{satisfies_closed, FactSet, Model, RuleSet, Snapshot, Transaction, Update};
 use uniform_logic::{Constraint, Fact, Literal, Rq, Sym};
 use uniform_obs::Obs;
-use uniform_satisfiability::enforce::{consistent, violated, Enforcer, Limits, Moves};
+use uniform_satisfiability::enforce::{self, consistent, violated, Enforcer, Limits, Moves};
 use uniform_satisfiability::{SatChecker, SatOptions, SatOutcome, SolverStats};
 
 use crate::sat::{self, PreferredRepair, RepairChooser};
@@ -176,12 +185,17 @@ pub struct RepairSet {
     ops: Vec<Update>,
 }
 
-pub(crate) fn op_key(u: &Update) -> (String, Vec<String>, bool) {
-    (
-        u.fact.pred.as_str().to_string(),
-        u.fact.args.iter().map(|a| a.as_str().to_string()).collect(),
-        u.insert,
-    )
+/// The canonical operation order: predicate name, then argument names
+/// (lexicographically), then deletion before insertion. Compares the
+/// interned names in place.
+pub(crate) fn op_cmp(a: &Update, b: &Update) -> Ordering {
+    let [x, y] = [a, b].map(|u| u.fact.args.iter().map(|s| s.as_str()));
+    a.fact
+        .pred
+        .as_str()
+        .cmp(b.fact.pred.as_str())
+        .then_with(|| x.cmp(y))
+        .then(a.insert.cmp(&b.insert))
 }
 
 impl RepairSet {
@@ -193,7 +207,7 @@ impl RepairSet {
     /// Build from operations; canonicalizes the order.
     pub fn from_ops(ops: impl IntoIterator<Item = Update>) -> RepairSet {
         let mut ops: Vec<Update> = ops.into_iter().collect();
-        ops.sort_by_key(op_key);
+        ops.sort_by(op_cmp);
         ops.dedup();
         RepairSet { ops }
     }
@@ -247,17 +261,21 @@ impl RepairSet {
 }
 
 impl PartialOrd for RepairSet {
-    fn partial_cmp(&self, other: &RepairSet) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &RepairSet) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// Size first, then the canonical op order, operation by operation.
 impl Ord for RepairSet {
-    fn cmp(&self, other: &RepairSet) -> std::cmp::Ordering {
-        let key = |r: &RepairSet| -> (usize, Vec<(String, Vec<String>, bool)>) {
-            (r.ops.len(), r.ops.iter().map(op_key).collect())
-        };
-        key(self).cmp(&key(other))
+    fn cmp(&self, other: &RepairSet) -> Ordering {
+        self.ops.len().cmp(&other.ops.len()).then_with(|| {
+            let pairs = self.ops.iter().zip(&other.ops);
+            pairs
+                .map(|(a, b)| op_cmp(a, b))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
     }
 }
 
@@ -324,6 +342,20 @@ impl RepairReport {
     pub fn covers_all_minimal_repairs(&self) -> bool {
         self.complete && !self.budget_clipped
     }
+}
+
+/// What both backends enumerate over: the part of the engine's state a
+/// subset-minimal repair can touch (see
+/// [`RepairEngine::affected_closure`]). Built once per enumeration.
+pub(crate) struct Scope {
+    /// The facts of the affected relations, sharing the engine's
+    /// relations in the engine's order.
+    pub(crate) facts: FactSet,
+    /// The constraints inside the closure, in registration order.
+    pub(crate) constraints: Vec<Constraint>,
+    /// The whole state's active domain, name-sorted: repairs stay
+    /// within the constants of the state they repair.
+    pub(crate) domain: Vec<Sym>,
 }
 
 /// The repair engine for one (inconsistent) database state. See the
@@ -454,12 +486,13 @@ impl RepairEngine {
     }
 
     fn dispatch_backend(&self) -> Result<RepairReport, RepairError> {
+        let scope = self.scope();
         match self.options.backend {
-            RepairBackend::Search => self.search_repairs(),
-            RepairBackend::Sat => sat::sat_repairs(self),
-            RepairBackend::Auto => match self.search_repairs() {
+            RepairBackend::Search => self.search_repairs(&scope),
+            RepairBackend::Sat => sat::sat_repairs(self, &scope),
+            RepairBackend::Auto => match self.search_repairs(&scope) {
                 Ok(report) if report.covers_all_minimal_repairs() => Ok(report),
-                outcome => match sat::sat_repairs(self) {
+                outcome => match sat::sat_repairs(self, &scope) {
                     Ok(report) => Ok(report),
                     // A SAT-proven dead end beats a search "gave up".
                     Err(err @ RepairError::Unrepairable { .. }) => Err(err),
@@ -471,15 +504,16 @@ impl RepairEngine {
 
     /// The bounded enforcement search (always available as the
     /// differential oracle for the SAT backend): the kernel with the
-    /// repair move set, every leaf's delta collected.
-    pub(crate) fn search_repairs(&self) -> Result<RepairReport, RepairError> {
+    /// repair move set on the scope, every leaf's delta collected.
+    fn search_repairs(&self, scope: &Scope) -> Result<RepairReport, RepairError> {
         let o = &self.options;
         let mut found: BTreeSet<RepairSet> = BTreeSet::new();
         let mut capped = false;
         let mut kernel = Enforcer::new(
             &self.rules,
-            &self.constraints,
-            self.edb.clone(),
+            &scope.constraints,
+            scope.facts.clone(),
+            scope.domain.clone(),
             Moves::repair(),
             Limits {
                 max_nodes: o.max_branches,
@@ -625,6 +659,12 @@ impl RepairEngine {
     /// `R_A`), hence minimality forces `R_out = ∅`. Returned sorted, in
     /// `Sym` order.
     pub fn affected_closure(&self) -> Vec<Sym> {
+        self.affected().0.into_iter().collect()
+    }
+
+    /// The affected closure, and per constraint whether it lies inside
+    /// (violated, or coupled in by an overlapping closure).
+    fn affected(&self) -> (BTreeSet<Sym>, Vec<bool>) {
         let graph = self.rules.graph();
         let closure_of = |c: &Constraint| -> BTreeSet<Sym> {
             let preds = c.rq.literals().into_iter().map(|occ| occ.literal.atom.pred);
@@ -632,10 +672,19 @@ impl RepairEngine {
         };
         let closures: Vec<BTreeSet<Sym>> = self.constraints.iter().map(closure_of).collect();
         let model = Model::compute(&self.edb, &self.rules);
-        let mut affected: BTreeSet<Sym> = violated(&model, &self.constraints)
-            .flat_map(closure_of)
+        // Every violated constraint is inside, even one whose closure is
+        // empty (a bare `false`).
+        let mut included: Vec<bool> = self
+            .constraints
+            .iter()
+            .map(|c| !satisfies_closed(&model, &c.rq))
             .collect();
-        let mut included = vec![false; self.constraints.len()];
+        let mut affected: BTreeSet<Sym> = closures
+            .iter()
+            .zip(&included)
+            .filter(|(_, &violated)| violated)
+            .flat_map(|(closure, _)| closure.iter().copied())
+            .collect();
         // Couple in every constraint whose closure overlaps the set so
         // far, to fixpoint: a repair of an affected constraint may
         // violate an overlapping one and force further ops, but it can
@@ -653,7 +702,25 @@ impl RepairEngine {
                 break;
             }
         }
-        affected.into_iter().collect()
+        (affected, included)
+    }
+
+    /// The [`Scope`] of one enumeration. Moves touch only atoms of
+    /// violated instances and the rule bodies below them, all inside
+    /// the closure, so the constraints outside it hold throughout and a
+    /// search over the scope visits exactly the nodes a search over the
+    /// whole state would. A consistent state has an empty scope.
+    pub(crate) fn scope(&self) -> Scope {
+        let (relations, inside) = self.affected();
+        let constraints = self.constraints.iter().zip(inside);
+        Scope {
+            facts: self.edb.restricted_to(|p| relations.contains(&p)),
+            constraints: constraints
+                .filter(|(_, i)| *i)
+                .map(|(c, _)| c.clone())
+                .collect(),
+            domain: enforce::domain(&self.edb, &self.rules, &self.constraints),
+        }
     }
 
     /// Is every relation reachable from `preds` (closed down through
@@ -679,7 +746,7 @@ impl RepairEngine {
         &self,
         chooser: &dyn RepairChooser,
     ) -> Result<PreferredRepair, RepairError> {
-        sat::sat_preferred(self, chooser)
+        sat::sat_preferred(self, &self.scope(), chooser)
     }
 
     /// `repairs()`, additionally demanding
@@ -894,6 +961,25 @@ mod tests {
     }
 
     #[test]
+    fn a_violated_constraint_over_no_relation_stays_in_scope() {
+        // `never` observes no relation, so no closure overlaps it; the
+        // scope must still hold it, or the search would report `{}`.
+        let err = engine("p(a). constraint never: false.")
+            .repairs()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RepairError::Unrepairable {
+                    schema_unsatisfiable: true,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn branch_limit_is_a_typed_error() {
         let eng =
             engine("p(a). constraint c: forall X: p(X) -> q(X).").with_options(RepairOptions {
@@ -1059,5 +1145,61 @@ mod tests {
         assert!(small < a, "size-first ordering");
         assert!(small.is_subset_of(&a));
         assert!(!a.is_subset_of(&small));
+    }
+
+    /// The order the in-place comparator must reproduce: owned names.
+    fn op_key(u: &Update) -> (String, Vec<String>, bool) {
+        (
+            u.fact.pred.as_str().to_string(),
+            u.fact.args.iter().map(|a| a.as_str().to_string()).collect(),
+            u.insert,
+        )
+    }
+
+    #[test]
+    fn op_order_is_name_order_not_interning_order() {
+        // Interned in descending name order, so id order and name order
+        // disagree; prefixes ("k", "kk") test the length tie-break.
+        let names: Vec<Sym> = ["opz", "opk", "opkk", "opb", "opa"]
+            .iter()
+            .map(|n| Sym::new(n))
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let ops: Vec<Update> = (0..200)
+            .map(|_| {
+                let pred = names[next(names.len())];
+                let args = (0..next(3)).map(|_| names[next(names.len())]).collect();
+                let fact = Fact::new(pred, args);
+                if next(2) == 0 {
+                    Update::insert(fact)
+                } else {
+                    Update::delete(fact)
+                }
+            })
+            .collect();
+        for a in &ops {
+            for b in &ops {
+                assert_eq!(op_cmp(a, b), op_key(a).cmp(&op_key(b)), "{a} vs {b}");
+            }
+        }
+        let sets: Vec<RepairSet> = ops
+            .chunks(3)
+            .map(|c| RepairSet::from_ops(c[..1 + next(c.len())].iter().cloned()))
+            .collect();
+        let key = |r: &RepairSet| (r.len(), r.ops().iter().map(op_key).collect::<Vec<_>>());
+        for r in &sets {
+            let mut sorted_by_key = r.ops().to_vec();
+            sorted_by_key.sort_by_key(op_key);
+            assert_eq!(r.ops(), sorted_by_key.as_slice());
+            for s in &sets {
+                assert_eq!(r.cmp(s), key(r).cmp(&key(s)), "{r} vs {s}");
+            }
+        }
     }
 }

@@ -6,20 +6,24 @@
 //! violations explores `Θ(aᶰ)` branches and gives up with
 //! [`RepairError::BudgetExhausted`] long before `n` reaches workload
 //! scale. Following Dixit & Kolaitis's CAvSAT reduction, this module
-//! instead *encodes* the whole active-domain repair space as one clause
-//! set and lets conflict-driven clause learning do the pruning:
+//! instead *encodes* the active-domain repair space as one clause set
+//! and lets conflict-driven clause learning do the pruning. Like
+//! CAvSAT, it encodes only the part of the database a repair can touch:
+//! the engine's scope, whose relations and constraints are the
+//! affected closure ([`RepairEngine::affected_closure`]) — every
+//! subset-minimal repair lies inside it. The clause set holds
 //!
 //! * one **change variable** per candidate EDB operation — deleting an
 //!   explicit fact of a relevant relation, or inserting an absent
 //!   active-domain tuple into one (relevance = the rule-graph closure
-//!   of the constraint literals: a repair touching anything else could
-//!   never change a constraint verdict);
+//!   of the affected constraints' literals: a repair touching anything
+//!   else could never change a constraint verdict);
 //! * **completion clauses** per referenced ground atom, `t ↔ e ∨ ⋁
 //!   bodies` — the propositional image of the §4 completion transform,
 //!   with `e` tied to the atom's change variable and each body a
 //!   Tseitin conjunction over the rule's active-domain instances;
-//! * **constraint clauses** from grounding each range-restricted
-//!   constraint over the active domain;
+//! * **constraint clauses** from grounding each affected
+//!   range-restricted constraint over the whole state's active domain;
 //! * a **sequential-counter cardinality layer** `Σ change ≤
 //!   max_changes`, guarded by an activator literal so the same clause
 //!   set can also be asked "is there anything *beyond* the budget?";
@@ -31,10 +35,11 @@
 //! The propositional completion is a *relaxation*: under recursion it
 //! admits unfounded self-supporting models the stratified semantics
 //! rejects. Every SAT model is therefore **verified** against the real
-//! engine (apply the change set, recompute the canonical model, check
-//! all constraints); a spurious model is excluded by a clause pinning
-//! its exact change set (sound: the change set determines the real
-//! model, so no genuine repair is lost). A genuine model is shrunk to a
+//! engine on the whole state (apply the change set, recompute the
+//! canonical model, check all constraints, in or out of the scope); a
+//! spurious model is excluded by a clause pinning its exact change set
+//! (sound: the change set determines the real model, so no genuine
+//! repair is lost). A genuine model is shrunk to a
 //! subset-minimal repair by destructive SAT-guided deletion before
 //! being reported. Termination with UNSAT then proves the enumeration
 //! complete, and one extra solve with the cardinality activator negated
@@ -50,17 +55,18 @@ use uniform_satisfiability::{
 };
 
 use crate::engine::{
-    op_key, RepairEngine, RepairError, RepairOptions, RepairReport, RepairSet, RepairStats,
+    op_cmp, RepairEngine, RepairError, RepairOptions, RepairReport, RepairSet, RepairStats, Scope,
 };
 
-/// CNF encoding of the active-domain repair space of one engine state.
+/// CNF encoding of the active-domain repair space of one engine state,
+/// over its [`Scope`]: the scope's facts and constraints, grounded over
+/// the scope's domain — the search's, so both backends ground over the
+/// same space.
 struct Encoder<'a> {
     eng: &'a RepairEngine,
+    scope: &'a Scope,
     cnf: Cnf,
-    /// Active domain, name-sorted — byte-for-byte the search's
-    /// construction, so both backends ground over the same space.
-    domain: Vec<Sym>,
-    /// Candidate EDB operations in canonical [`op_key`] order.
+    /// Candidate EDB operations in canonical [`op_cmp`] order.
     candidates: Vec<Update>,
     /// `change[i]` holds iff candidate `i` is applied.
     change: Vec<Lit>,
@@ -82,28 +88,27 @@ struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    fn build(eng: &'a RepairEngine) -> Encoder<'a> {
+    fn build(eng: &'a RepairEngine, scope: &'a Scope) -> Encoder<'a> {
         let mut cnf = Cnf::new();
         let true_lit = Lit::pos(cnf.fresh_var());
         cnf.add_clause([true_lit]);
 
-        let domain = enforce::domain(eng.facts(), eng.rules(), eng.constraints());
-
         // Relations a repair may usefully touch: everything some
-        // constraint can observe, closed through the rule graph.
+        // constraint of the scope can observe, closed through the rule
+        // graph.
         let graph = eng.rules().graph();
         let mut relevant: BTreeSet<Sym> = BTreeSet::new();
-        for c in eng.constraints() {
+        for c in &scope.constraints {
             for occ in c.rq.literals() {
                 relevant.extend(graph.reachable(occ.literal.atom.pred));
             }
         }
 
         let mut arity: BTreeMap<Sym, usize> = BTreeMap::new();
-        for f in eng.facts().iter() {
+        for f in scope.facts.iter() {
             arity.insert(f.pred, f.args.len());
         }
-        for c in eng.constraints() {
+        for c in &scope.constraints {
             for occ in c.rq.literals() {
                 arity
                     .entry(occ.literal.atom.pred)
@@ -119,8 +124,8 @@ impl<'a> Encoder<'a> {
 
         let mut enc = Encoder {
             eng,
+            scope,
             cnf,
-            domain,
             candidates: Vec::new(),
             change: Vec::new(),
             candidate_of: HashMap::new(),
@@ -141,7 +146,7 @@ impl<'a> Encoder<'a> {
         // Deletions: every explicit fact of a relevant relation (also
         // explicit facts on derived predicates — the store allows them
         // and the search deletes them too).
-        for f in self.eng.facts().iter() {
+        for f in self.scope.facts.iter() {
             if relevant.contains(&f.pred) {
                 cands.push(Update::delete(f));
             }
@@ -155,16 +160,16 @@ impl<'a> Encoder<'a> {
             let Some(&ar) = self.arity.get(&pred) else {
                 continue;
             };
-            let Some(tuples) = enforce::tuples(self.domain.as_slice(), ar, cap) else {
+            let Some(tuples) = enforce::tuples(self.scope.domain.as_slice(), ar, cap) else {
                 self.domain_clipped = true;
                 continue;
             };
             let absent = tuples
                 .map(|args| Fact::new(pred, args))
-                .filter(|f| !self.eng.facts().contains(f));
+                .filter(|f| !self.scope.facts.contains(f));
             cands.extend(absent.map(Update::insert));
         }
-        cands.sort_by_key(op_key);
+        cands.sort_by(op_cmp);
         self.change = (0..cands.len())
             .map(|_| Lit::pos(self.cnf.fresh_var()))
             .collect();
@@ -175,14 +180,9 @@ impl<'a> Encoder<'a> {
     }
 
     fn encode_constraints(&mut self) {
-        let rqs: Vec<Rq> = self
-            .eng
-            .constraints()
-            .iter()
-            .map(|c| c.rq.clone())
-            .collect();
-        for rq in &rqs {
-            let l = self.formula_lit(rq, &Subst::new());
+        let scope = self.scope;
+        for c in &scope.constraints {
+            let l = self.formula_lit(&c.rq, &Subst::new());
             self.cnf.add_clause([l]);
         }
     }
@@ -302,13 +302,12 @@ impl<'a> Encoder<'a> {
             } else {
                 !c
             }
-        } else if self.eng.facts().contains(fact) {
-            // An explicit fact without a delete candidate can only be
-            // on an irrelevant relation — no constraint observes it.
-            self.true_lit
         } else {
-            // Absent and uninsertable (clipped insertion universe or
-            // out-of-domain constants): stays false.
+            // Every relation of the scope is relevant, so every explicit
+            // fact it holds has a delete candidate: this atom is absent
+            // and uninsertable (clipped insertion universe or
+            // out-of-domain constants), and stays false.
+            debug_assert!(!self.scope.facts.contains(fact), "{fact} has no candidate");
             !self.true_lit
         }
     }
@@ -322,7 +321,8 @@ impl<'a> Encoder<'a> {
         let vars: Vec<Sym> = vars.iter().rev().copied().collect();
         let cap = self.eng.options().domain_cap;
         let all: Option<Vec<Subst>> =
-            enforce::assignments(self.domain.as_slice(), &vars, base, cap).map(Iterator::collect);
+            enforce::assignments(self.scope.domain.as_slice(), &vars, base, cap)
+                .map(Iterator::collect);
         self.domain_clipped |= all.is_none();
         all.unwrap_or_default()
     }
@@ -436,9 +436,9 @@ struct Enumerator<'a> {
 }
 
 impl<'a> Enumerator<'a> {
-    fn new(eng: &'a RepairEngine) -> Enumerator<'a> {
+    fn new(eng: &'a RepairEngine, scope: &'a Scope) -> Enumerator<'a> {
         Enumerator {
-            enc: Encoder::build(eng),
+            enc: Encoder::build(eng, scope),
             solver: SanityCheckingSolver::new(CdclSolver::new()),
             remaining: eng.options().max_branches as u64,
             branch_limit_hit: false,
@@ -469,10 +469,11 @@ impl<'a> Enumerator<'a> {
             .collect()
     }
 
-    /// Apply a candidate change set and check the repaired canonical
-    /// model against every constraint — the lazy-encoding soundness
-    /// gate (unfounded recursive support in the propositional
-    /// completion cannot survive it).
+    /// Apply a candidate change set to the whole state and check the
+    /// repaired canonical model against every constraint — the
+    /// lazy-encoding soundness gate (unfounded recursive support in the
+    /// propositional completion cannot survive it), independent of the
+    /// scope.
     fn genuine(&mut self, set: &[usize]) -> bool {
         self.models_computed += 1;
         let mut edb = self.enc.eng.facts().clone();
@@ -565,9 +566,9 @@ impl<'a> Enumerator<'a> {
 
 /// Enumerate the subset-minimal repairs by iterated SAT with blocking
 /// clauses — the engine of [`crate::engine::RepairBackend::Sat`].
-pub(crate) fn sat_repairs(eng: &RepairEngine) -> Result<RepairReport, RepairError> {
+pub(crate) fn sat_repairs(eng: &RepairEngine, scope: &Scope) -> Result<RepairReport, RepairError> {
     let options = *eng.options();
-    let mut en = Enumerator::new(eng);
+    let mut en = Enumerator::new(eng, scope);
     let acts = en.enc.cardinality_activators(&[options.max_changes]);
     let g = acts[&options.max_changes];
     let mut found: Vec<RepairSet> = Vec::new();
@@ -704,10 +705,11 @@ pub struct PreferredRepair {
 /// budget.
 pub(crate) fn sat_preferred(
     eng: &RepairEngine,
+    scope: &Scope,
     chooser: &dyn RepairChooser,
 ) -> Result<PreferredRepair, RepairError> {
     let options = *eng.options();
-    let mut en = Enumerator::new(eng);
+    let mut en = Enumerator::new(eng, scope);
     let weights: Vec<u64> = en
         .enc
         .candidates

@@ -45,7 +45,9 @@ use uniform_datalog::{
     all_solutions, provable, satisfies_closed, solve_conjunction, FactSet, Model, RuleSet, Update,
 };
 use uniform_integrity::{simplified_instances, RelevanceIndex};
-use uniform_logic::{match_atom, Atom, Constraint, Fact, Literal, Rq, Rule, Subst, Sym, Term};
+use uniform_logic::{
+    match_atom, sort_by_name, Atom, Constraint, Fact, Literal, Rq, Rule, Subst, Sym, Term,
+};
 
 /// `Break` abandons the whole search (a limit tripped, or the leaf
 /// callback has what it wanted); `Continue` asks for the next
@@ -161,8 +163,7 @@ fn schema_constants(rules: &RuleSet, constraints: &[Constraint]) -> Vec<Sym> {
 pub fn domain(facts: &FactSet, rules: &RuleSet, constraints: &[Constraint]) -> Vec<Sym> {
     let mut out = facts.active_domain();
     out.extend(schema_constants(rules, constraints));
-    out.sort_by_key(|s| s.as_str());
-    out.dedup();
+    sort_by_name(&mut out);
     out
 }
 
@@ -274,10 +275,15 @@ pub struct Enforcer<'a> {
 }
 
 impl<'a> Enforcer<'a> {
+    /// A run from `seed` whose `∃` witnesses and rule bodies range over
+    /// `domain`, name-sorted: the [`domain`] of the seed, or of a larger
+    /// state the seed is the relevant part of (a repair scope keeps the
+    /// whole state's constants).
     pub fn new(
         rules: &'a RuleSet,
         constraints: &'a [Constraint],
         seed: FactSet,
+        domain: Vec<Sym>,
         moves: Moves,
         limits: Limits,
     ) -> Enforcer<'a> {
@@ -288,7 +294,7 @@ impl<'a> Enforcer<'a> {
             moves,
             limits,
             tracing: false,
-            domain: domain(&seed, rules, constraints),
+            domain,
             facts: seed,
             trail: Vec::new(),
             fresh_in_use: 0,
@@ -781,8 +787,15 @@ mod tests {
                 domain_cap: 256,
             };
             let moves = Moves::repair().insertions_only();
-            let mut kernel =
-                Enforcer::new(db.rules(), db.constraints(), seed.clone(), moves, limits);
+            let dom = domain(&seed, db.rules(), db.constraints());
+            let mut kernel = Enforcer::new(
+                db.rules(),
+                db.constraints(),
+                seed.clone(),
+                dom,
+                moves,
+                limits,
+            );
             let mut repairs: Vec<Vec<Fact>> = Vec::new();
             let _ = kernel.run(&mut |_, delta| {
                 assert!(delta.iter().all(|op| op.insert), "{src}: {delta:?}");
@@ -838,7 +851,8 @@ mod tests {
         ];
         for (moves, limits) in runs {
             let seed = db.facts().clone();
-            let mut kernel = Enforcer::new(db.rules(), db.constraints(), seed, moves, limits);
+            let dom = domain(&seed, db.rules(), db.constraints());
+            let mut kernel = Enforcer::new(db.rules(), db.constraints(), seed, dom, moves, limits);
             let mut leaf: Option<(Vec<Fact>, Vec<Update>)> = None;
             let flow = kernel.run(&mut |facts, delta| {
                 leaf = Some((sorted(facts), delta.to_vec()));

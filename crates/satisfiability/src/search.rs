@@ -19,7 +19,7 @@
 //! §4 rigorous under depth-first search.
 
 use crate::completion::completion_constraints;
-use crate::enforce::{Enforcer, Limits, Moves};
+use crate::enforce::{domain, Enforcer, Limits, Moves};
 use std::ops::ControlFlow;
 use uniform_datalog::{Database, FactSet, Model, RuleSet};
 use uniform_integrity::RelevanceIndex;
@@ -218,10 +218,13 @@ impl SatChecker {
     /// constants.
     pub(crate) fn attempt(&self, budget: usize) -> Enforcer<'_> {
         let o = &self.options;
+        let seed = FactSet::from_facts(self.seed.iter().cloned());
+        let domain = domain(&seed, &self.search_rules, &self.constraints);
         Enforcer::new(
             &self.search_rules,
             &self.constraints,
-            FactSet::from_facts(self.seed.iter().cloned()),
+            seed,
+            domain,
             Moves::satisfiability(o.range_reuse, o.domain_reuse, budget),
             Limits {
                 max_nodes: o.max_steps,
