@@ -16,10 +16,10 @@
 //! * [`magic`] — goal-directed bottom-up evaluation via magic-sets
 //!   rewriting (the compilation counterpart of [`topdown`]);
 //! * [`maintain`] — incremental maintenance of the materialized
-//!   canonical model (induced updates as view deltas): counting for
-//!   non-recursive strata, and one propagation kernel (semi-naive
-//!   insertion, delete-and-rederive) for recursive strata and for the
-//!   checker's view of the updated state;
+//!   canonical model (induced updates as view deltas): one propagation
+//!   kernel (semi-naive insertion, delete-and-rederive) settles every
+//!   stratum, for the maintained model and for the checker's view of
+//!   the updated state;
 //! * [`planner`] — cost-based optimization of general formulas (§6
 //!   future work: reordering and simplifying whole constraints, not
 //!   just conjunctive queries);

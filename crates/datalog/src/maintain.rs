@@ -7,23 +7,8 @@
 //! This module provides the complementary systems piece a resident
 //! deductive database needs: a [`MaintainedModel`] that keeps the
 //! canonical model materialized and applies updates *incrementally*
-//! instead of recomputing from scratch.
-//!
-//! Method: the classic counting algorithm over delta rules. Each
-//! derived fact of a **non-recursive stratum** carries the number of
-//! rule instantiations deriving it; a batch of truth flips Δ is pushed
-//! through every rule body position `i` with the telescoping join
-//!
-//! ```text
-//! Δ(body) = Σᵢ  new(b₁ … bᵢ₋₁) ⋈ Δ(bᵢ) ⋈ old(bᵢ₊₁ … bₙ)
-//! ```
-//!
-//! (negative literals contribute with flipped sign), so simultaneous
-//! insertions and deletions net out exactly. Counting is sound only
-//! without recursion; **recursive strata** go through the propagation
-//! kernel below. Flips propagate upward stratum by stratum; the
-//! returned flip list equals the brute-force model diff
-//! (property-tested).
+//! instead of recomputing from scratch. Both views of the induced
+//! updates come from one algorithm.
 //!
 //! ## The propagation kernel
 //!
@@ -35,19 +20,27 @@
 //! and insertions by semi-naive rounds seeded with the inputs that
 //! started holding and the re-derived facts. Its work follows the facts
 //! that change, never the model's size ([`PropagationStats`] counts
-//! it). Two callers share it: [`MaintainedModel`] for its recursive
-//! strata, and [`Propagation`] — the update's flips over every stratum
-//! of the subprogram below recursion, which the integrity checker reads
-//! as `delta` and `new` for predicates that reach recursion.
+//! it). It is sound for any stratum, recursive or not.
+//!
+//! One stratum loop, [`Propagation`], runs the kernel lowest stratum
+//! first; a stratum whose rules read no flipped predicate and whose
+//! heads have no explicit change is skipped. It has two callers. The
+//! integrity checker walks the subprogram below recursion and reads the
+//! result as `delta` and `new` for predicates that reach recursion.
+//! [`MaintainedModel`] walks every stratum and then commits the flips
+//! into its model. Over the same old model, the two agree flip for
+//! flip, in order, on every predicate both walk; the maintained flip
+//! list equals the brute-force model diff (both property-tested).
 
 use crate::cq::provable;
-use crate::interp::{Flipped, Interp, Overlay};
+use crate::interp::{Flipped, Interp};
 use crate::model::{derive_through, saturate, Frontier, Model};
 use crate::program::{Layer, RuleSet};
 use crate::store::FactSet;
 use crate::update::{Transaction, Update};
-use std::collections::{HashMap, HashSet};
-use uniform_logic::{match_atom, Fact, Literal, Rule, Subst, Sym};
+use std::collections::HashSet;
+use std::ops::AddAssign;
+use uniform_logic::{match_atom, Fact, Literal, Rule, Sym};
 
 /// Work of the propagation kernel, in facts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,16 +54,20 @@ pub struct PropagationStats {
     pub derived: usize,
 }
 
+impl AddAssign for PropagationStats {
+    fn add_assign(&mut self, other: PropagationStats) {
+        self.overdeleted += other.overdeleted;
+        self.rederived += other.rederived;
+        self.derived += other.derived;
+    }
+}
+
 /// Counters exposed for tests and benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintainStats {
-    /// Batches of flips pushed through a stratum's rules.
-    pub batches: usize,
-    /// Signed count contributions computed by delta joins.
-    pub contributions: usize,
     /// Visible truth flips (the induced updates), EDB level included.
     pub flips: usize,
-    /// Work of the propagation kernel on recursive strata.
+    /// Work of the propagation kernel.
     pub propagation: PropagationStats,
 }
 
@@ -80,62 +77,27 @@ pub struct MaintainedModel {
     edb: FactSet,
     /// Current canonical model (EDB facts plus supported IDB facts).
     model: FactSet,
-    /// Rule-instantiation counts of derived facts in non-recursive
-    /// strata (facts of recursive strata are tracked by `model` alone).
-    counts: HashMap<Fact, i64>,
-    /// Set when a counting invariant broke (a derivation count went
-    /// negative): the maintained contents can no longer be trusted and
-    /// the owner must fall back to full rematerialization.
-    poisoned: bool,
     stats: MaintainStats,
 }
 
 impl MaintainedModel {
-    /// Materialize `(edb, rules)` and prepare the counting state.
+    /// Materialize `(edb, rules)`.
     pub fn new(edb: FactSet, rules: RuleSet) -> MaintainedModel {
         let model = Model::compute(&edb, &rules).facts().clone();
         MaintainedModel::with_model(edb, rules, model)
     }
 
     /// Adopt an already-materialized canonical model of `(edb, rules)` —
-    /// e.g. a database's cached model — and prepare the counting state
-    /// without recomputing the fixpoint. The caller asserts `model` *is*
-    /// the canonical model; handing in anything else silently corrupts
-    /// maintenance.
+    /// e.g. a database's cached model — in O(1): nothing is recomputed
+    /// or counted. The caller asserts `model` *is* the canonical model;
+    /// handing in anything else silently corrupts maintenance.
     pub fn with_model(edb: FactSet, rules: RuleSet, model: FactSet) -> MaintainedModel {
-        // Counts: number of body instantiations per derived fact, for
-        // rules in non-recursive strata, evaluated over the fixpoint.
-        let mut counts: HashMap<Fact, i64> = HashMap::new();
-        for layer in rules.layers() {
-            if layer.recursive {
-                continue;
-            }
-            for &idx in &layer.rules {
-                let rule = rules.rule(idx);
-                crate::cq::solve_conjunction(&model, &rule.body, &mut Subst::new(), &mut |sub| {
-                    if let Some(head) = sub.ground_atom(&rule.head) {
-                        *counts.entry(head).or_insert(0) += 1;
-                    }
-                    true
-                });
-            }
-        }
-
         MaintainedModel {
             rules,
             edb,
             model,
-            counts,
-            poisoned: false,
             stats: MaintainStats::default(),
         }
-    }
-
-    /// Did a counting invariant break? A poisoned model's contents can
-    /// no longer be trusted; owners (the commit queue) drop it and fall
-    /// back to rematerialization.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// The maintained model.
@@ -163,244 +125,40 @@ impl MaintainedModel {
         self.apply_transaction(&Transaction::single(update.clone()))
     }
 
-    /// Apply a transaction atomically; returns the visible truth flips.
+    /// Apply a transaction atomically; returns the visible truth flips:
+    /// the EDB level first, then each stratum's, lowest first.
     pub fn apply_transaction(&mut self, tx: &Transaction) -> Vec<Literal> {
-        // Def. 1 net effect at the EDB level.
-        let mut seed: Vec<(Fact, i64)> = Vec::new();
-        for u in &tx.updates {
-            let effective = u.apply(&mut self.edb);
-            if effective {
-                seed.push((u.fact.clone(), if u.insert { 1 } else { -1 }));
-            }
-        }
-        // Net out insert-then-delete pairs inside the transaction.
-        let mut net: HashMap<&Fact, i64> = HashMap::new();
-        for (f, s) in &seed {
-            *net.entry(f).or_insert(0) += s;
-        }
-
-        let strata = self.rules.layers().len();
-        // Per-stratum inbox of truth flips to push through that
-        // stratum's rules.
-        let mut inbox: Vec<Vec<(Fact, i64)>> = vec![Vec::new(); strata];
-        // Explicit changes of a recursive stratum's own predicates: the
-        // kernel decides whether they flip visible truth.
-        let mut explicit: Vec<Vec<(Fact, bool)>> = vec![Vec::new(); strata];
-        let mut flips: Vec<Literal> = Vec::new();
-
-        // Apply the EDB-level flips, walking the effective-update list
-        // rather than the net map: HashMap iteration order is
-        // per-instance random, and the returned flip list (and every
-        // downstream consumer of it) must be identical run to run.
-        let mut emitted: HashSet<&Fact> = HashSet::new();
-        for (fact, _) in &seed {
-            if !emitted.insert(fact) {
-                continue;
-            }
-            let (fact, sign) = (fact.clone(), net[fact]);
-            if sign == 0 {
-                continue;
-            }
-            if let Some(s) = self.recursive_stratum(fact.pred) {
-                explicit[s].push((fact, sign > 0));
-                continue;
-            }
-            // EDB presence changed; visible truth changes unless the
-            // fact stays derived (deletion masked by a derivation) or
-            // was already derived (insertion of a derived fact).
-            let now = sign > 0 || self.counts.get(&fact).copied().unwrap_or(0) > 0;
-            let was = self.model.contains(&fact);
-            if now != was {
-                self.record_flip(&fact, now, &mut inbox, &mut flips);
-            }
-        }
-
-        // Push flips upward, stratum by stratum. Within a non-recursive
-        // stratum, batches repeat until quiescent (positive same-stratum
-        // chains); the kernel settles a recursive one in one call.
-        for s in 0..strata {
-            if self.rules.layers()[s].recursive {
-                let batch = std::mem::take(&mut inbox[s]);
-                if !batch.is_empty() || !explicit[s].is_empty() {
-                    self.stats.batches += 1;
-                    self.propagate(s, &batch, &explicit[s], &mut inbox, &mut flips);
-                }
-                continue;
-            }
-            loop {
-                let batch: Vec<(Fact, i64)> = std::mem::take(&mut inbox[s]);
-                if batch.is_empty() {
-                    break;
-                }
-                self.stats.batches += 1;
-                self.push_batch(s, &batch, &mut inbox, &mut flips);
-            }
-        }
-        flips
-    }
-
-    /// The stratum of `pred` when it is defined by rules in a recursive
-    /// stratum.
-    fn recursive_stratum(&self, pred: Sym) -> Option<usize> {
-        let graph = self.rules.graph();
-        let s = graph.stratum(pred);
-        (graph.is_idb(pred) && self.rules.layers()[s].recursive).then_some(s)
-    }
-
-    /// Record a visible truth flip: update the model, the output list
-    /// and the inboxes of every stratum consuming the predicate.
-    fn record_flip(
-        &mut self,
-        fact: &Fact,
-        now: bool,
-        inbox: &mut [Vec<(Fact, i64)>],
-        flips: &mut Vec<Literal>,
-    ) {
-        if now {
-            self.model.insert(fact);
-        } else {
-            self.model.remove(fact);
-        }
-        self.stats.flips += 1;
-        flips.push(Literal::new(now, fact.to_atom()));
-        let sign = if now { 1 } else { -1 };
-        for (s, layer) in self.rules.layers().iter().enumerate() {
-            let consumes = layer.rules.iter().any(|&idx| {
-                self.rules
-                    .rule(idx)
-                    .body
-                    .iter()
-                    .any(|l| l.atom.pred == fact.pred)
-            });
-            if consumes {
-                inbox[s].push((fact.clone(), sign));
-            }
-        }
-    }
-
-    /// Delta-join one batch of flips through the rules of a
-    /// non-recursive stratum (the telescoping sum over body positions).
-    fn push_batch(
-        &mut self,
-        s: usize,
-        batch: &[(Fact, i64)],
-        inbox: &mut [Vec<(Fact, i64)>],
-        flips: &mut Vec<Literal>,
-    ) {
-        // Old state = current model with this batch undone.
-        let (inserted, deleted): (Vec<_>, Vec<_>) = batch.iter().partition(|&&(_, sign)| sign > 0);
-        let inserted: Vec<Fact> = inserted.into_iter().map(|(f, _)| f.clone()).collect();
-        let deleted: Vec<Fact> = deleted.into_iter().map(|(f, _)| f.clone()).collect();
-
-        // First-contribution order, not map order: the resulting flips
-        // are user-visible, so their order must not depend on HashMap
-        // iteration.
-        let mut head_order: Vec<Fact> = Vec::new();
-        let mut contributions: HashMap<Fact, i64> = HashMap::new();
-        {
-            let new_view = &self.model;
-            let old_view = Overlay::new(&self.model, &deleted, &inserted);
-            for &idx in &self.rules.layers()[s].rules {
-                let rule = self.rules.rule(idx);
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    for (fact, sign) in batch {
-                        if lit.atom.pred != fact.pred {
-                            continue;
-                        }
-                        let Some(binding) = match_atom(&lit.atom, fact) else {
-                            continue;
-                        };
-                        // A flip of `fact` changes the truth of this
-                        // body literal: same direction for positive
-                        // occurrences, inverted for negative ones.
-                        let contribution = if lit.positive { *sign } else { -sign };
-                        let prefix = &rule.body[..pos];
-                        let suffix = &rule.body[pos + 1..];
-                        let mut sub = binding.clone();
-                        crate::cq::solve_conjunction(new_view, prefix, &mut sub, &mut |s1| {
-                            crate::cq::solve_conjunction(&old_view, suffix, s1, &mut |s2| {
-                                if let Some(head) = s2.ground_atom(&rule.head) {
-                                    match contributions.entry(head) {
-                                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                                            *e.get_mut() += contribution;
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(e) => {
-                                            head_order.push(e.key().clone());
-                                            e.insert(contribution);
-                                        }
-                                    }
-                                }
-                                true
-                            });
-                            true
-                        });
-                    }
-                }
-            }
-        }
-
-        for head in head_order {
-            let delta = contributions[&head];
-            if delta == 0 {
-                continue;
-            }
-            self.stats.contributions += 1;
-            let count = self.counts.entry(head.clone()).or_insert(0);
-            *count += delta;
-            if *count < 0 {
-                // A broken counting invariant. Never panic here (a panic
-                // would unwind out of the commit queue's critical section
-                // with the store already mutated): mark the model
-                // untrustworthy so the owner drops it and rematerializes.
-                self.poisoned = true;
-                *count = 0;
-            }
-            let now = *count > 0 || self.edb.contains(&head);
-            let was = self.model.contains(&head);
-            if now != was {
-                self.record_flip(&head, now, inbox, flips);
-            }
-        }
-    }
-
-    /// Settle a recursive stratum with the propagation kernel: `batch`
-    /// are the flips of its (lower) input predicates, already applied to
-    /// the model, `explicit` the effective changes of its own
-    /// predicates, not yet applied.
-    fn propagate(
-        &mut self,
-        s: usize,
-        batch: &[(Fact, i64)],
-        explicit: &[(Fact, bool)],
-        inbox: &mut [Vec<(Fact, i64)>],
-        flips: &mut Vec<Literal>,
-    ) {
-        // The old state is the model with the batch undone (below a
-        // stratum each fact flips at most once per transaction, as in
-        // `push_batch`).
-        let inputs: Vec<(Fact, bool)> = batch
-            .iter()
-            .map(|(fact, sign)| (fact.clone(), *sign > 0))
+        // Def. 1 net effect, in the order the checker passes it to its
+        // propagation: insertions, then deletions.
+        let (added, removed) = tx.net_effect(&self.edb);
+        let explicit: Vec<(Fact, bool)> = added
+            .into_iter()
+            .map(|fact| (fact, true))
+            .chain(removed.into_iter().map(|fact| (fact, false)))
             .collect();
-        let mut old = Flipped::new(&self.model);
-        for (fact, now) in &inputs {
-            old.set(fact, !now);
+        for u in &tx.updates {
+            u.apply(&mut self.edb);
         }
-        let changes = Stratum::new(&self.rules, &self.rules.layers()[s]).propagate(
-            &old,
+        let Propagation { flips, stats, .. } = Propagation::new(
             &self.model,
+            &self.rules,
+            self.rules.layers(),
             &self.edb,
-            explicit,
-            &inputs,
-            &mut self.stats.propagation,
+            &explicit,
         );
-        for (fact, now) in changes {
-            self.record_flip(&fact, now, inbox, flips);
-        }
-        // Flips of this stratum's own predicates were just settled by
-        // the kernel; drop the self-notifications.
-        let heads = &self.rules.layers()[s].heads;
-        inbox[s].retain(|(f, _)| !heads.contains(&f.pred));
+        self.stats.propagation += stats;
+        self.stats.flips += flips.len();
+        flips
+            .into_iter()
+            .map(|(fact, now)| {
+                if now {
+                    self.model.insert(&fact);
+                } else {
+                    self.model.remove(&fact);
+                }
+                Literal::new(now, fact.to_atom())
+            })
+            .collect()
     }
 }
 
@@ -586,10 +344,11 @@ impl<I: Interp + ?Sized> Frontier for Flipped<'_, I> {
 /// An update's propagation over a canonical model of the old state `D`,
 /// through the kernel stratum by stratum: the induced flips, and that
 /// model overlaid with them — the canonical model of `U(D)` (`new`,
-/// §3.3.2) without materializing it. Only the subprogram below
-/// recursion is propagated (the predicates that reach recursion and
-/// those they depend on): its flips are exact, every other derived
-/// predicate reads as in `D`.
+/// §3.3.2) without materializing it, for every predicate the given
+/// layers define or read; any other reads as in `D`. The flip list
+/// covers every explicit predicate too. The checker passes the
+/// subprogram below recursion (the predicates that reach recursion and
+/// those they depend on); [`MaintainedModel`] passes every layer.
 pub struct Propagation<'a> {
     state: Flipped<'a, FactSet>,
     flips: Vec<(Fact, bool)>,
@@ -600,10 +359,12 @@ impl<'a> Propagation<'a> {
     /// Propagate the `explicit` changes (insertions `true`, deletions
     /// `false`; no-ops allowed) of an update whose explicit facts
     /// afterwards are `edb`, over `model`, the canonical model of the
-    /// state before it.
+    /// state before it, through `layers` (one per stratum of `rules`,
+    /// lowest first).
     pub(crate) fn new(
         model: &'a FactSet,
         rules: &RuleSet,
+        layers: &[Layer],
         edb: &dyn Interp,
         explicit: &[(Fact, bool)],
     ) -> Propagation<'a> {
@@ -613,12 +374,18 @@ impl<'a> Propagation<'a> {
         let mut stats = PropagationStats::default();
         for (fact, now) in explicit {
             if !graph.is_idb(fact.pred) && state.holds(fact) != *now {
-                state.set(fact, *now);
+                // Only a stratum's rules read `state`: an explicit
+                // predicate none of them reads stays as in `D` there.
+                if layers.iter().any(|layer| layer.reads(fact.pred)) {
+                    state.set(fact, *now);
+                }
                 flips.push((fact.clone(), *now));
             }
         }
-        for layer in rules.recursion_layers() {
-            if layer.rules.is_empty() {
+        for layer in layers {
+            let touched = flips.iter().any(|(fact, _)| layer.reads(fact.pred))
+                || explicit.iter().any(|(fact, _)| layer.defines(fact.pred));
+            if !touched {
                 continue;
             }
             let changes = Stratum::new(rules, layer)
@@ -635,9 +402,9 @@ impl<'a> Propagation<'a> {
         }
     }
 
-    /// Every visible truth flip of an explicit predicate or one below
-    /// recursion: `(fact, true)` for an insertion, `(fact, false)` for a
-    /// deletion.
+    /// Every visible truth flip of an explicit predicate or one the
+    /// layers define: `(fact, true)` for an insertion, `(fact, false)`
+    /// for a deletion.
     pub fn flips(&self) -> &[(Fact, bool)] {
         &self.flips
     }
@@ -926,14 +693,18 @@ mod tests {
         assert_matches_recompute(&m);
     }
 
-    #[test]
-    fn flips_equal_model_diff_on_random_sequences() {
+    /// A program with recursion of every shape the kernel meets —
+    /// linear (tc), non-linear (nl), mutual (ev/od), and under negation
+    /// in a higher stratum (unreached) — beside non-recursive strata
+    /// (m, t, u, w), and a random sequence of transactions over it: single
+    /// EDB updates first, then transactions of up to four that also
+    /// write explicit facts of derived predicates. Three constants make
+    /// cycles — and deletions that leave an alternative derivation —
+    /// common. 600 steps by default; `PROPTEST_CASES` scales them the
+    /// way it scales every property test (256 cases ↔ 600 steps).
+    fn random_sequence() -> (Database, Vec<Transaction>) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Recursion of every shape the kernel meets: linear (tc),
-        // non-linear (nl), mutual (ev/od), and under negation in a
-        // higher stratum (unreached); three constants make cycles — and
-        // deletions that leave an alternative derivation — common.
         let src = "
             m(X,Y) :- l(X,Y).
             t(X) :- p(X), q(X).
@@ -948,8 +719,8 @@ mod tests {
             od(X,Z) :- ev(X,Y), l(Y,Z).
             unreached(X) :- p(X), not tc(a, X).
         ";
-        let db = Database::parse(src).unwrap();
-        let mut m = MaintainedModel::new(db.facts().clone(), db.rules().clone());
+        let steps =
+            600 * proptest::ProptestConfig::with_cases(256).effective_cases() as usize / 256;
         let consts = ["a", "b", "c"];
         let mut rng = StdRng::seed_from_u64(7);
         let random_update = |rng: &mut StdRng, preds: &[(&str, usize)]| {
@@ -965,7 +736,7 @@ mod tests {
             }
         };
         let edb_preds = [("p", 1), ("q", 1), ("s", 1), ("l", 2), ("r", 2)];
-        // Explicit facts of recursive predicates, too.
+        // Explicit facts of derived predicates, recursive or not, too.
         let all_preds = [
             ("p", 1),
             ("q", 1),
@@ -974,24 +745,38 @@ mod tests {
             ("r", 2),
             ("tc", 2),
             ("ev", 2),
+            ("m", 2),
+            ("t", 1),
+            ("u", 1),
+            ("w", 1),
         ];
-        for step in 0..600 {
-            // Single updates first, then transactions of up to four.
-            let tx = if step < 300 {
-                Transaction::single(random_update(&mut rng, &edb_preds))
-            } else {
-                let n = rng.gen_range(1..5);
-                Transaction::new(
-                    (0..n)
-                        .map(|_| random_update(&mut rng, &all_preds))
-                        .collect(),
-                )
-            };
+        let txs = (0..steps)
+            .map(|step| {
+                if step < steps / 2 {
+                    Transaction::single(random_update(&mut rng, &edb_preds))
+                } else {
+                    let n = rng.gen_range(1..5);
+                    Transaction::new(
+                        (0..n)
+                            .map(|_| random_update(&mut rng, &all_preds))
+                            .collect(),
+                    )
+                }
+            })
+            .collect();
+        (Database::parse(src).unwrap(), txs)
+    }
+
+    #[test]
+    fn flips_equal_model_diff_on_random_sequences() {
+        let (db, txs) = random_sequence();
+        let mut m = MaintainedModel::new(db.facts().clone(), db.rules().clone());
+        for (step, tx) in txs.iter().enumerate() {
             let update: String = tx.updates.iter().map(|u| format!("{u}; ")).collect();
 
-            let before = Model::compute(m.edb(), &db.rules().clone());
-            let flips = m.apply_transaction(&tx);
-            let after = Model::compute(m.edb(), &db.rules().clone());
+            let before = Model::compute(m.edb(), db.rules());
+            let flips = m.apply_transaction(tx);
+            let after = Model::compute(m.edb(), db.rules());
 
             // Contents match recomputation…
             let mut got: Vec<String> = m.model().iter().map(|f| f.to_string()).collect();
@@ -1016,5 +801,49 @@ mod tests {
             let got = sorted(flips);
             assert_eq!(got, expected, "step {step}: flips diverged on {update}");
         }
+    }
+
+    /// The checker's propagation (the subprogram below recursion) and the
+    /// maintained model's (every stratum) run one loop over the same old
+    /// model, so on explicit predicates and those below recursion their
+    /// flips agree one for one, in order.
+    #[test]
+    fn maintained_flips_equal_checker_flips_on_random_sequences() {
+        use crate::topdown::OverlayEngine;
+        let (db, txs) = random_sequence();
+        let rules = db.rules();
+        let below: HashSet<Sym> = rules
+            .recursion_layers()
+            .iter()
+            .flat_map(|layer| layer.heads.iter().copied())
+            .collect();
+        let checked = |pred: Sym| !rules.graph().is_idb(pred) || below.contains(&pred);
+        let mut m = MaintainedModel::new(db.facts().clone(), rules.clone());
+        let mut compared = 0;
+        for (step, tx) in txs.iter().enumerate() {
+            let model = Model::from_facts(m.model().clone());
+            let edb = m.edb().clone();
+            let (adds, dels) = tx.net_effect(&edb);
+            let engine = OverlayEngine::over_model(&model, &edb, rules, adds, dels);
+            let checker: Vec<String> = engine
+                .propagation()
+                .expect("built over a model")
+                .flips()
+                .iter()
+                .map(|(fact, now)| Literal::new(*now, fact.to_atom()).to_string())
+                .collect();
+            let maintained: Vec<String> = m
+                .apply_transaction(tx)
+                .into_iter()
+                .filter(|l| checked(l.atom.pred))
+                .map(|l| l.to_string())
+                .collect();
+            assert_eq!(maintained, checker, "step {step}: {:?}", tx.updates);
+            compared += checker.len();
+        }
+        // Not vacuous: many flips compared, and the maintained model also
+        // flipped predicates the checker leaves alone.
+        let all = m.stats().flips;
+        assert!(compared > 100 && all > compared, "{compared} of {all}");
     }
 }

@@ -35,8 +35,8 @@ pub(crate) struct Layer {
     pub(crate) rules: Vec<usize>,
     /// Their head predicates, sorted, without duplicates.
     pub(crate) heads: Vec<Sym>,
-    /// Does one of the heads take part in recursion?
-    pub(crate) recursive: bool,
+    /// The predicates their bodies read, sorted, without duplicates.
+    pub(crate) reads: Vec<Sym>,
 }
 
 /// A rule set's layers: all of them, and those of the subprogram below
@@ -74,12 +74,28 @@ impl Layer {
             }
             let layer = &mut layers[graph.stratum(head)];
             layer.rules.push(idx);
-            layer.recursive |= graph.is_recursive(head);
-            if let Err(at) = layer.heads.binary_search(&head) {
-                layer.heads.insert(at, head);
+            insert_sorted(&mut layer.heads, head);
+            for lit in &rule.body {
+                insert_sorted(&mut layer.reads, lit.atom.pred);
             }
         }
         layers
+    }
+
+    /// Does a rule of this layer read `pred`?
+    pub(crate) fn reads(&self, pred: Sym) -> bool {
+        self.reads.binary_search(&pred).is_ok()
+    }
+
+    /// Is `pred` the head of a rule of this layer?
+    pub(crate) fn defines(&self, pred: Sym) -> bool {
+        self.heads.binary_search(&pred).is_ok()
+    }
+}
+
+fn insert_sorted(set: &mut Vec<Sym>, pred: Sym) {
+    if let Err(at) = set.binary_search(&pred) {
+        set.insert(at, pred);
     }
 }
 
@@ -251,9 +267,11 @@ mod tests {
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].rules, vec![0, 1, 2, 4]);
         assert_eq!(layers[0].heads.len(), 3);
-        assert!(layers[0].recursive);
+        assert_eq!(layers[0].reads.len(), 4);
+        assert!(layers[0].defines(Sym::new("near")) && !layers[0].defines(Sym::new("far")));
         assert_eq!(layers[1].rules, vec![3]);
-        assert!(!layers[1].recursive);
+        assert!(layers[1].reads(Sym::new("n")) && layers[1].reads(Sym::new("tc")));
+        assert!(!layers[1].reads(Sym::new("e")));
         // `m` neither reaches recursion nor lies below a predicate that
         // does.
         let below = set.recursion_layers();

@@ -138,7 +138,13 @@ impl<'a> OverlayEngine<'a> {
                 .map(|f| (f.clone(), true))
                 .chain(self.removed.iter().map(|f| (f.clone(), false)))
                 .collect();
-            Propagation::new(model.facts(), self.rules, &self.overlay(), &explicit)
+            Propagation::new(
+                model.facts(),
+                self.rules,
+                self.rules.recursion_layers(),
+                &self.overlay(),
+                &explicit,
+            )
         }))
     }
 

@@ -37,10 +37,10 @@
 //! a [`MaintainedModel`] that each admitted commit's net effect flips
 //! forward (the paper's induced-update view, Def. 4, as maintenance), so
 //! post-commit snapshots reuse the maintained model instead of paying a
-//! full rematerialization. Schema/rule updates
-//! ([`CommitQueue::update_schema`]) and maintenance bail-outs fall back
-//! to rematerialization; every commit receipt records which path the
-//! model took ([`ModelPath`]), and `tests/prop_model_maintenance`
+//! full rematerialization. Only schema/rule updates
+//! ([`CommitQueue::update_schema`]) fall back to rematerialization;
+//! every commit receipt records which path the model took
+//! ([`ModelPath`]), and `tests/prop_model_maintenance`
 //! proves the maintained model bit-identical to a from-scratch
 //! recomputation after every admitted commit.
 
@@ -270,8 +270,8 @@ pub enum ModelPath {
     /// paper's Def. 4 view of maintenance).
     Maintained,
     /// The next snapshot must rematerialize the model from scratch: a
-    /// schema/rule update reset maintenance, or maintenance bailed out
-    /// on a broken counting invariant.
+    /// schema/rule update reset maintenance. Also the standing marker
+    /// before the queue's first effective commit.
     Rematerialized,
 }
 
@@ -287,11 +287,6 @@ pub enum ModelPath {
 pub struct MaintenanceCounters {
     /// Effective commits absorbed incrementally by the maintained model.
     pub maintained: u64,
-    /// Effective commits that left the next snapshot to rematerialize.
-    pub rematerialized: u64,
-    /// Maintenance bail-outs: a counting invariant broke and the
-    /// maintained model was dropped (a subset of `rematerialized`).
-    pub bailouts: u64,
     /// Schema/rule updates that reset the maintained model.
     pub schema_resets: u64,
     /// Constraint-only schema updates: the conflict log was still reset
@@ -307,14 +302,9 @@ impl fmt::Display for MaintenanceCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "maintain.commits.maintained={} maintain.commits.rematerialized={} \
-             maintain.bailouts={} maintain.schema_resets={} \
+            "maintain.commits.maintained={} maintain.schema_resets={} \
              maintain.constraint_only_updates={}",
-            self.maintained,
-            self.rematerialized,
-            self.bailouts,
-            self.schema_resets,
-            self.constraint_only_updates
+            self.maintained, self.schema_resets, self.constraint_only_updates
         )
     }
 }
@@ -404,8 +394,6 @@ struct QueueMetrics {
     key_conflicts: Counter,
     whole_relation_fallbacks: Counter,
     maintained: Counter,
-    rematerialized: Counter,
-    bailouts: Counter,
     schema_resets: Counter,
     constraint_only_updates: Counter,
     /// The head state's consistency latch (see
@@ -423,8 +411,6 @@ impl QueueMetrics {
             key_conflicts: obs.counter("txn.conflicts.key"),
             whole_relation_fallbacks: obs.counter("txn.conflicts.whole_relation_fallbacks"),
             maintained: obs.counter("maintain.commits.maintained"),
-            rematerialized: obs.counter("maintain.commits.rematerialized"),
-            bailouts: obs.counter("maintain.bailouts"),
             schema_resets: obs.counter("maintain.schema_resets"),
             constraint_only_updates: obs.counter("maintain.constraint_only_updates"),
             consistency_preserved: obs.counter("consistency.preserved"),
@@ -452,7 +438,7 @@ struct QueueState {
     horizon: u64,
     /// The incrementally maintained canonical model, built lazily on the
     /// first admitted commit and flipped forward by every later one.
-    /// `None` until then, after a schema reset, or after a bail-out.
+    /// `None` until then, and after a schema reset.
     maintained: Option<MaintainedModel>,
     /// The standing [`ModelPath`] marker: how the *next* snapshot of the
     /// current state gets its model.
@@ -664,8 +650,8 @@ impl CommitQueue {
             let _apply = self.obs.span("commit.apply");
             // Build the maintained model from the pre-commit state the first
             // time an admitted commit arrives (or the first after a schema
-            // reset / bail-out). This reuses the database's cached model when
-            // one exists; from here on the queue owns the model's lifetime.
+            // reset). This reuses the database's cached model when one
+            // exists; from here on the queue owns the model's lifetime.
             if state.maintained.is_none() {
                 let model = state.db.model();
                 let st = &mut *state;
@@ -709,22 +695,12 @@ impl CommitQueue {
                 // the store just applied: its EDB mirrors the database's
                 // update for update, so the two stay bit-identical.
                 let st = &mut *state;
-                let healthy = {
-                    let m = st.maintained.as_mut().expect("built above");
-                    m.apply_transaction(&Transaction::new(txn.updates.to_vec()));
-                    !m.is_poisoned()
-                };
-                if healthy {
-                    let model = st.maintained.as_ref().expect("built above").model().clone();
-                    st.db.install_model(Arc::new(Model::from_facts(model)));
-                    self.metrics.maintained.incr();
-                    ModelPath::Maintained
-                } else {
-                    st.maintained = None;
-                    self.metrics.bailouts.incr();
-                    self.metrics.rematerialized.incr();
-                    ModelPath::Rematerialized
-                }
+                let m = st.maintained.as_mut().expect("built above");
+                m.apply_transaction(&Transaction::new(txn.updates.to_vec()));
+                st.db
+                    .install_model(Arc::new(Model::from_facts(m.model().clone())));
+                self.metrics.maintained.incr();
+                ModelPath::Maintained
             }
         };
         state.last_path = model_path;
@@ -805,8 +781,6 @@ impl CommitQueue {
         let _state = self.state.lock();
         MaintenanceCounters {
             maintained: self.metrics.maintained.get(),
-            rematerialized: self.metrics.rematerialized.get(),
-            bailouts: self.metrics.bailouts.get(),
             schema_resets: self.metrics.schema_resets.get(),
             constraint_only_updates: self.metrics.constraint_only_updates.get(),
         }
@@ -1142,7 +1116,6 @@ mod tests {
         assert!(!snap.holds(&fact("b", &["x"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
         assert_eq!(q.maintenance().maintained, 2);
-        assert_eq!(q.maintenance().rematerialized, 0);
     }
 
     #[test]

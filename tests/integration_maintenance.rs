@@ -215,3 +215,26 @@ fn recursive_commit_work_is_independent_of_database_size() {
     // `tc(t0_3, t0_3)` share one ground instance.
     assert_eq!((small[0].2, small[2].2), (0, 1));
 }
+
+/// Flat commits cost O(Δ) as well, as exact counts: inserting one
+/// student and deleting another does the same maintenance work on a 64-
+/// and a 2 048-student university. Its one rule is non-recursive, and
+/// the propagation kernel settles it like any other stratum.
+#[test]
+fn flat_commit_work_is_independent_of_database_size() {
+    let work = |students: usize| -> Vec<uniform::datalog::MaintainStats> {
+        let db = uniform::workload::deductive_university(students, 11);
+        let mut model = MaintainedModel::new(db.facts().clone(), db.rules().clone());
+        ["student(fresh)", "not student(s0)"]
+            .iter()
+            .map(|update| {
+                model.apply(&upd(update));
+                model.stats()
+            })
+            .collect()
+    };
+    let small = work(64);
+    assert_eq!(small, work(2048));
+    let kernel = small[1].propagation;
+    assert!(kernel.derived > 0 && kernel.overdeleted > 0, "{kernel:?}");
+}
