@@ -493,8 +493,8 @@ impl Database {
     }
 
     /// Install an externally produced canonical model into the cache.
-    /// Crate-internal: the commit queue's maintained model is the
-    /// canonical model of the just-committed state (see
+    /// Crate-internal: the commit queue advances the previous model to
+    /// the canonical model of the just-committed state (see
     /// [`crate::txn::CommitQueue`]), so installing it lets the next
     /// [`Database::snapshot`] skip rematerialization entirely.
     pub(crate) fn install_model(&mut self, model: Arc<Model>) {

@@ -5,10 +5,11 @@
 //! them transiently — `delta` enumerates descendants of the update, the
 //! overlay engine simulates the new state without materializing it.
 //! This module provides the complementary systems piece a resident
-//! deductive database needs: a [`MaintainedModel`] that keeps the
-//! canonical model materialized and applies updates *incrementally*
-//! instead of recomputing from scratch. Both views of the induced
-//! updates come from one algorithm.
+//! deductive database needs: advancing a materialized canonical model
+//! across an update *incrementally*, not from scratch. The commit queue
+//! advances the database's own model; [`MaintainedModel`] is the
+//! standalone form. Both views of the induced updates come from one
+//! algorithm.
 //!
 //! ## The propagation kernel
 //!
@@ -27,10 +28,12 @@
 //! heads have no explicit change is skipped. It has two callers. The
 //! integrity checker walks the subprogram below recursion and reads the
 //! result as `delta` and `new` for predicates that reach recursion.
-//! [`MaintainedModel`] walks every stratum and then commits the flips
-//! into its model. Over the same old model, the two agree flip for
-//! flip, in order, on every predicate both walk; the maintained flip
-//! list equals the brute-force model diff (both property-tested).
+//! Maintenance walks every stratum and then commits the flips into the
+//! model. Over the same old model, the two agree flip for flip, in
+//! order, on every predicate both walk; the maintained flip list equals
+//! the brute-force model diff (both property-tested). A predicate no
+//! rule defines holds exactly its explicit facts, so the model takes
+//! their relation itself: each explicit tuple is written once.
 
 use crate::cq::provable;
 use crate::interp::{Flipped, Interp};
@@ -71,7 +74,8 @@ pub struct MaintainStats {
     pub propagation: PropagationStats,
 }
 
-/// A materialized canonical model maintained across updates.
+/// A materialized canonical model maintained across updates, standing
+/// alone: it owns its explicit facts beside the model.
 pub struct MaintainedModel {
     rules: RuleSet,
     edb: FactSet,
@@ -128,38 +132,43 @@ impl MaintainedModel {
     /// Apply a transaction atomically; returns the visible truth flips:
     /// the EDB level first, then each stratum's, lowest first.
     pub fn apply_transaction(&mut self, tx: &Transaction) -> Vec<Literal> {
-        // Def. 1 net effect, in the order the checker passes it to its
-        // propagation: insertions, then deletions.
-        let (added, removed) = tx.net_effect(&self.edb);
-        let explicit: Vec<(Fact, bool)> = added
-            .into_iter()
-            .map(|fact| (fact, true))
-            .chain(removed.into_iter().map(|fact| (fact, false)))
-            .collect();
+        let net = tx.net_effect(&self.edb);
         for u in &tx.updates {
             u.apply(&mut self.edb);
         }
-        let Propagation { flips, stats, .. } = Propagation::new(
-            &self.model,
-            &self.rules,
-            self.rules.layers(),
-            &self.edb,
-            &explicit,
-        );
+        let (flips, stats) = advance(&mut self.model, &self.rules, &self.edb, &net);
         self.stats.propagation += stats;
         self.stats.flips += flips.len();
         flips
             .into_iter()
-            .map(|(fact, now)| {
-                if now {
-                    self.model.insert(&fact);
-                } else {
-                    self.model.remove(&fact);
-                }
-                Literal::new(now, fact.to_atom())
-            })
+            .map(|(fact, now)| Literal::new(now, fact.to_atom()))
             .collect()
     }
+}
+
+/// Advance `model` from the canonical model before an update with Def. 1
+/// net effect `(added, removed)` to the one after it, whose explicit
+/// facts are `edb`, through every stratum; return the flips (explicit
+/// ones first, as the checker orders them) and the kernel's work. A
+/// flipped predicate no rule defines takes `edb`'s relation itself.
+pub(crate) fn advance(
+    model: &mut FactSet,
+    rules: &RuleSet,
+    edb: &FactSet,
+    (added, removed): &(Vec<Fact>, Vec<Fact>),
+) -> (Vec<(Fact, bool)>, PropagationStats) {
+    let Propagation { flips, stats, .. } =
+        Propagation::new(model, rules, rules.layers(), edb, added, removed);
+    for (fact, now) in &flips {
+        if !rules.graph().is_idb(fact.pred) {
+            model.adopt(fact.pred, edb);
+        } else if *now {
+            model.insert(fact);
+        } else {
+            model.remove(fact);
+        }
+    }
+    (flips, stats)
 }
 
 /// One stratum as the propagation kernel sees it: its rules and their
@@ -348,7 +357,7 @@ impl<I: Interp + ?Sized> Frontier for Flipped<'_, I> {
 /// layers define or read; any other reads as in `D`. The flip list
 /// covers every explicit predicate too. The checker passes the
 /// subprogram below recursion (the predicates that reach recursion and
-/// those they depend on); [`MaintainedModel`] passes every layer.
+/// those they depend on); maintenance passes every layer.
 pub struct Propagation<'a> {
     state: Flipped<'a, FactSet>,
     flips: Vec<(Fact, bool)>,
@@ -356,23 +365,28 @@ pub struct Propagation<'a> {
 }
 
 impl<'a> Propagation<'a> {
-    /// Propagate the `explicit` changes (insertions `true`, deletions
-    /// `false`; no-ops allowed) of an update whose explicit facts
-    /// afterwards are `edb`, over `model`, the canonical model of the
-    /// state before it, through `layers` (one per stratum of `rules`,
-    /// lowest first).
+    /// Propagate the explicit insertions `added` and deletions `removed`
+    /// (no-ops allowed) of an update whose explicit facts afterwards are
+    /// `edb`, over `model`, the canonical model of the state before it,
+    /// through `layers` (one per stratum of `rules`, lowest first).
     pub(crate) fn new(
         model: &'a FactSet,
         rules: &RuleSet,
         layers: &[Layer],
         edb: &dyn Interp,
-        explicit: &[(Fact, bool)],
+        added: &[Fact],
+        removed: &[Fact],
     ) -> Propagation<'a> {
+        let explicit: Vec<(Fact, bool)> = added
+            .iter()
+            .map(|fact| (fact.clone(), true))
+            .chain(removed.iter().map(|fact| (fact.clone(), false)))
+            .collect();
         let graph = rules.graph();
         let mut state = Flipped::new(model);
         let mut flips: Vec<(Fact, bool)> = Vec::new();
         let mut stats = PropagationStats::default();
-        for (fact, now) in explicit {
+        for (fact, now) in &explicit {
             if !graph.is_idb(fact.pred) && state.holds(fact) != *now {
                 // Only a stratum's rules read `state`: an explicit
                 // predicate none of them reads stays as in `D` there.
@@ -389,7 +403,7 @@ impl<'a> Propagation<'a> {
                 continue;
             }
             let changes = Stratum::new(rules, layer)
-                .propagate(model, &state, edb, explicit, &flips, &mut stats);
+                .propagate(model, &state, edb, &explicit, &flips, &mut stats);
             for (fact, now) in &changes {
                 state.set(fact, *now);
             }

@@ -22,38 +22,19 @@ pub struct Model {
 }
 
 impl Model {
-    /// Compute the canonical model of `edb` under `rules`.
+    /// Compute the canonical model of `edb` under `rules`. Its relations
+    /// for predicates no rule defines are `edb`'s own, shared.
     pub fn compute(edb: &FactSet, rules: &RuleSet) -> Model {
-        Self::compute_restricted(edb, rules, None)
-    }
-
-    /// Wrap an already-materialized canonical model. The caller asserts
-    /// that `facts` *is* the canonical model of some `(edb, rules)` pair
-    /// — this is how the commit pipeline installs the incrementally
-    /// maintained model ([`crate::maintain::MaintainedModel`], whose
-    /// contents are property-tested against [`Model::compute`]) without
-    /// paying a rematerialization.
-    pub fn from_facts(facts: FactSet) -> Model {
-        Model { facts }
-    }
-
-    /// Compute the canonical model restricted to rules whose head is in
-    /// `only` (when given). Used by the goal-directed overlay engine to
-    /// avoid materializing unrelated predicates: restricting to the
-    /// predicates reachable from a goal is sound because derivations only
-    /// ever consult reachable predicates.
-    pub fn compute_restricted(edb: &FactSet, rules: &RuleSet, only: Option<&[Sym]>) -> Model {
         let mut facts = edb.clone();
         let graph = rules.graph();
         let height = graph.height();
-        let relevant = |rule: &Rule| only.is_none_or(|set| set.contains(&rule.head.pred));
 
         for stratum in 0..height {
             // Rules of this stratum (by head predicate).
             let layer: Vec<&Rule> = rules
                 .rules()
                 .iter()
-                .filter(|r| graph.stratum(r.head.pred) == stratum && relevant(r))
+                .filter(|r| graph.stratum(r.head.pred) == stratum)
                 .collect();
             if layer.is_empty() {
                 continue;
@@ -89,6 +70,16 @@ impl Model {
         Model { facts }
     }
 
+    /// Wrap an already-materialized canonical model. The caller asserts
+    /// that `facts` *is* the canonical model of some `(edb, rules)` pair
+    /// — this is how the commit pipeline installs the database's model
+    /// after advancing it incrementally (see [`crate::maintain`], whose
+    /// results are property-tested against [`Model::compute`]) without
+    /// paying a rematerialization.
+    pub fn from_facts(facts: FactSet) -> Model {
+        Model { facts }
+    }
+
     pub fn facts(&self) -> &FactSet {
         &self.facts
     }
@@ -107,12 +98,6 @@ impl Model {
 
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
         self.facts.iter()
-    }
-
-    /// Facts present in `self` but not in `other` — the positive half of
-    /// an induced-update diff.
-    pub fn difference(&self, other: &Model) -> Vec<Fact> {
-        self.iter().filter(|f| !other.contains(f)).collect()
     }
 }
 
@@ -315,31 +300,6 @@ mod tests {
         );
         assert!(m.contains(&Fact::parse_like("member", &["bob", "hr"])));
         assert!(m.contains(&Fact::parse_like("member", &["ann", "sales"])));
-    }
-
-    #[test]
-    fn restricted_computation_skips_unreachable_heads() {
-        let m = Model::compute_restricted(
-            &edb(&["p(a).", "q(a)."]),
-            &rules(&["r(X) :- p(X).", "s(X) :- q(X)."]),
-            Some(&[Sym::new("r")]),
-        );
-        assert!(m.contains(&Fact::parse_like("r", &["a"])));
-        assert!(!m.contains(&Fact::parse_like("s", &["a"])));
-    }
-
-    #[test]
-    fn difference_detects_induced_changes() {
-        let rules = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let before = Model::compute(&edb(&[]), &rules);
-        let after = Model::compute(&edb(&["leads(c, b)."]), &rules);
-        let mut diff: Vec<String> = after
-            .difference(&before)
-            .iter()
-            .map(|f| f.to_string())
-            .collect();
-        diff.sort();
-        assert_eq!(diff, vec!["leads(c,b)", "member(c,b)"]);
     }
 
     #[test]

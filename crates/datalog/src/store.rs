@@ -670,14 +670,26 @@ impl FactSet {
     /// kept relation, no tuple copied.
     pub fn restricted_to(&self, keep: impl Fn(Sym) -> bool) -> FactSet {
         let mut out = FactSet::new();
-        for (pred, rel) in &self.relations {
-            if keep(*pred) {
-                out.index.insert(*pred, out.relations.len() as u32);
-                out.len += rel.len();
-                out.relations.push((*pred, rel.clone()));
-            }
+        for pred in self.predicates().filter(|&pred| keep(pred)) {
+            out.adopt(pred, self);
         }
         out
+    }
+
+    /// Make `pred`'s relation here the very one `from` holds (one
+    /// refcount, no tuple copied), appended if this set has none yet.
+    /// `from` must hold a relation for `pred`.
+    pub(crate) fn adopt(&mut self, pred: Sym, from: &FactSet) {
+        let at = *from.index.get(&pred).expect("`from` holds the relation");
+        let rel = from.relations[at as usize].1.clone();
+        self.len += rel.len();
+        if let Some(&slot) = self.index.get(&pred) {
+            self.len -= self.relations[slot as usize].1.len();
+            self.relations[slot as usize].1 = rel;
+        } else {
+            self.index.insert(pred, self.relations.len() as u32);
+            self.relations.push((pred, rel));
+        }
     }
 }
 

@@ -132,18 +132,13 @@ impl<'a> OverlayEngine<'a> {
     pub fn propagation(&self) -> Option<&Propagation<'a>> {
         let model = self.model?;
         Some(self.propagation.get_or_init(|| {
-            let explicit: Vec<(Fact, bool)> = self
-                .added
-                .iter()
-                .map(|f| (f.clone(), true))
-                .chain(self.removed.iter().map(|f| (f.clone(), false)))
-                .collect();
             Propagation::new(
                 model.facts(),
                 self.rules,
                 self.rules.recursion_layers(),
                 &self.overlay(),
-                &explicit,
+                &self.added,
+                &self.removed,
             )
         }))
     }

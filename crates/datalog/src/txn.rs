@@ -33,20 +33,22 @@
 //! asserts. Fingerprint collisions only ever produce spurious
 //! conflicts (a safe retry), never admissions.
 //!
-//! The queue also owns the **lifetime of the canonical model**: it keeps
-//! a [`MaintainedModel`] that each admitted commit's net effect flips
-//! forward (the paper's induced-update view, Def. 4, as maintenance), so
-//! post-commit snapshots reuse the maintained model instead of paying a
-//! full rematerialization. Only schema/rule updates
-//! ([`CommitQueue::update_schema`]) fall back to rematerialization;
-//! every commit receipt records which path the model took
-//! ([`ModelPath`]), and `tests/prop_model_maintenance`
-//! proves the maintained model bit-identical to a from-scratch
-//! recomputation after every admitted commit.
+//! The queue also owns the **lifetime of the canonical model**: each
+//! admitted commit advances the database's own model by its net effect
+//! (the paper's induced-update view, Def. 4, as maintenance) and
+//! installs the result, so post-commit snapshots reuse it instead of
+//! paying a full rematerialization. There is one set of explicit facts,
+//! the database's: the model's relations for predicates no rule defines
+//! *are* the database's, so each committed tuple is written once. Only
+//! schema/rule updates ([`CommitQueue::update_schema`]) fall back to
+//! rematerialization; every commit receipt records which path the model
+//! took ([`ModelPath`]), and `tests/prop_model_maintenance` proves the
+//! maintained model bit-identical to a from-scratch recomputation after
+//! every admitted commit.
 
 use crate::database::{ApplyError, Database, Snapshot};
 use crate::footprint::{ConflictGranularity, ReadFootprint, ReadPattern};
-use crate::maintain::MaintainedModel;
+use crate::maintain::advance;
 use crate::model::Model;
 use crate::update::{Transaction, Update};
 use parking_lot::Mutex;
@@ -264,7 +266,7 @@ impl From<ApplyError> for CommitError {
 /// How the canonical model behind post-commit snapshots is produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ModelPath {
-    /// The queue's maintained model absorbed the commit's net effect
+    /// The database's model was advanced by the commit's net effect
     /// incrementally; [`Database::snapshot`] reuses it without
     /// rematerializing (cost proportional to the induced update, the
     /// paper's Def. 4 view of maintenance).
@@ -285,7 +287,7 @@ pub enum ModelPath {
 /// consistent at a single point in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceCounters {
-    /// Effective commits absorbed incrementally by the maintained model.
+    /// Effective commits that advanced the model incrementally.
     pub maintained: u64,
     /// Schema/rule updates that reset the maintained model.
     pub schema_resets: u64,
@@ -431,15 +433,13 @@ impl QueueMetrics {
 }
 
 struct QueueState {
+    /// The one state: its explicit facts, and its cached canonical model,
+    /// which every effective commit advances and reinstalls.
     db: Database,
     log: VecDeque<CommitRecord>,
     /// Begin-versions older than this can no longer be conflict-checked
     /// (their overlapping commit records were pruned).
     horizon: u64,
-    /// The incrementally maintained canonical model, built lazily on the
-    /// first admitted commit and flipped forward by every later one.
-    /// `None` until then, and after a schema reset.
-    maintained: Option<MaintainedModel>,
     /// The standing [`ModelPath`] marker: how the *next* snapshot of the
     /// current state gets its model.
     last_path: ModelPath,
@@ -493,7 +493,6 @@ impl CommitQueue {
                 db,
                 log: VecDeque::new(),
                 horizon,
-                maintained: None,
                 last_path: ModelPath::Rematerialized,
             }),
             log_capacity: log_capacity.max(1),
@@ -646,21 +645,13 @@ impl CommitQueue {
             self.metrics.admitted.incr();
         }
 
-        let effective = {
+        let (effective, old, net) = {
             let _apply = self.obs.span("commit.apply");
-            // Build the maintained model from the pre-commit state the first
-            // time an admitted commit arrives (or the first after a schema
-            // reset). This reuses the database's cached model when one
-            // exists; from here on the queue owns the model's lifetime.
-            if state.maintained.is_none() {
-                let model = state.db.model();
-                let st = &mut *state;
-                st.maintained = Some(MaintainedModel::with_model(
-                    st.db.facts().clone(),
-                    st.db.rules().clone(),
-                    model.facts().clone(),
-                ));
-            }
+            // The pre-commit state's model (cached, or computed here the
+            // first time and after a schema reset) and the commit's net
+            // effect on it, both taken before the store moves.
+            let old = state.db.model();
+            let net = txn.transaction().net_effect(state.db.facts());
 
             let was = state.db.verified_consistent();
             let apply = |db: &mut Database| {
@@ -681,24 +672,26 @@ impl CommitQueue {
                 self.metrics
                     .latch_moved(was, state.db.verified_consistent());
             }
-            effective
+            (effective, old, net)
         };
 
         let model_path = {
             let _maintain = self.obs.span("commit.maintain");
             if effective.is_empty() {
                 // Def. 1 no-op: nothing was invalidated, the cached model
-                // (and the maintained one) still describe the state exactly.
+                // still describes the state exactly.
                 state.last_path
             } else {
-                // Flip the maintained model forward by the same update list
-                // the store just applied: its EDB mirrors the database's
-                // update for update, so the two stay bit-identical.
-                let st = &mut *state;
-                let m = st.maintained.as_mut().expect("built above");
-                m.apply_transaction(&Transaction::new(txn.updates.to_vec()));
-                st.db
-                    .install_model(Arc::new(Model::from_facts(m.model().clone())));
+                // Advance the old model against the database's explicit
+                // facts, which the store has just moved: its base
+                // relations become the database's own. Letting go of the
+                // old model first lets derived relations no snapshot
+                // shares take their flips in place.
+                let mut model = old.facts().clone();
+                drop(old);
+                let db = &mut state.db;
+                advance(&mut model, db.rules(), db.facts(), &net);
+                db.install_model(Arc::new(Model::from_facts(model)));
                 self.metrics.maintained.incr();
                 ModelPath::Maintained
             }
@@ -733,15 +726,14 @@ impl CommitQueue {
     /// conflict log is reset: every in-flight transaction began behind
     /// the new horizon and is refused with
     /// [`CommitError::SnapshotTooOld`], because a schema change
-    /// invalidates any pinned check. Whether the *maintained model* is
-    /// dropped depends on what moved: rule or fact changes cannot be
-    /// absorbed (drop, next snapshot rematerializes), while a
-    /// constraint-only change keeps the maintained model — constraints
-    /// never contribute to the canonical model, only to admission
-    /// verdicts. Fact updates belong in [`CommitQueue::commit`], not
-    /// here. Whatever `f` mutates clears the consistency latch, unless
-    /// `f` itself vouches for the step through
-    /// [`Database::preserving_consistency`].
+    /// invalidates any pinned check. Whether the *maintained model*
+    /// survives depends on what moved: a rule or fact change drops the
+    /// database's cached model (the next snapshot rematerializes), while
+    /// a constraint-only change keeps it — constraints never contribute
+    /// to the canonical model, only to admission verdicts. Fact updates
+    /// belong in [`CommitQueue::commit`], not here. Whatever `f` mutates
+    /// clears the consistency latch, unless `f` itself vouches for the
+    /// step through [`Database::preserving_consistency`].
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut state = self.state.lock();
         let before = state.db.version();
@@ -757,7 +749,6 @@ impl CommitQueue {
             if constraint_only {
                 self.metrics.constraint_only_updates.incr();
             } else {
-                state.maintained = None;
                 state.last_path = ModelPath::Rematerialized;
                 self.metrics.schema_resets.incr();
             }
@@ -801,13 +792,6 @@ impl CommitQueue {
             key_conflicts: self.metrics.key_conflicts.get(),
             whole_relation_fallbacks: self.metrics.whole_relation_fallbacks.get(),
         }
-    }
-
-    /// Current EDB contents (sorted), for tests and tooling.
-    pub fn facts_sorted(&self) -> Vec<Fact> {
-        let mut out: Vec<Fact> = self.state.lock().db.facts().iter().collect();
-        out.sort();
-        out
     }
 }
 
@@ -1116,6 +1100,38 @@ mod tests {
         assert!(!snap.holds(&fact("b", &["x"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
         assert_eq!(q.maintenance().maintained, 2);
+    }
+
+    /// The model's relation for a predicate no rule defines *is* the
+    /// database's: it shares every page and iterates in the order a
+    /// recomputation gives, also after a revival, which reuses the slot
+    /// a cancelled insertion tombstoned where a separate copy appends.
+    #[test]
+    fn the_models_base_relations_are_the_databases() {
+        let q = queue("b(X) :- a(X).");
+        let commit = |updates: &[Update]| {
+            let mut t = q.begin();
+            for u in updates {
+                t.stage(u.clone());
+            }
+            assert!(q.commit(&t).unwrap().changed());
+        };
+        let a = |arg: &str| fact("a", &[arg]);
+        commit(&[Update::insert(a("z")), Update::delete(a("z"))]);
+        commit(&[Update::insert(a("w"))]);
+        commit(&[Update::insert(a("z"))]);
+
+        let snap = q.snapshot();
+        let pred = Sym::new("a");
+        let relation = |facts: &crate::store::FactSet| facts.relation(pred).unwrap().clone();
+        let (model, edb) = (relation(snap.model().facts()), relation(snap.facts()));
+        assert_eq!(model.shared_pages_with(&edb), edb.page_shape().len());
+        let order = |rel: &crate::store::Relation| -> Vec<String> {
+            rel.iter().map(|t| t[0].as_str().to_string()).collect()
+        };
+        let fresh = Model::compute(snap.facts(), snap.rules());
+        assert_eq!(order(&model), order(&relation(fresh.facts())));
+        assert_eq!(order(&model), ["z", "w"]);
     }
 
     #[test]
