@@ -166,8 +166,8 @@ impl<'a> Provenance<'a> {
             return Some(Derivation::Explicit(fact.clone()));
         }
         let &rank = self.ranks.get(fact)?;
-        for (_, original) in self.rules.rules_for(fact.pred) {
-            let rule = original.rename_apart();
+        // `fact` is ground: each rule is matched as written.
+        for (_, rule) in self.rules.rules_for(fact.pred) {
             let Some(binding) = match_atom(&rule.head, fact) else {
                 continue;
             };
@@ -206,7 +206,7 @@ impl<'a> Provenance<'a> {
                 let premises = sub_derivations?;
                 return Some(Derivation::Rule {
                     fact: fact.clone(),
-                    rule: original.to_string(),
+                    rule: rule.to_string(),
                     premises,
                     absent,
                 });

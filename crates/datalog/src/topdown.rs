@@ -202,8 +202,9 @@ impl<'a> OverlayEngine<'a> {
         emitted: &mut HashSet<Vec<Sym>>,
         each: &mut dyn FnMut(&[Sym]) -> bool,
     ) -> bool {
+        // The call pattern is ground where bound, so the rule is matched
+        // as written: its variables meet only constants.
         for (_, rule) in self.rules.rules_for(pred) {
-            let rule = rule.rename_apart();
             // Unify the head with the call pattern.
             let mut subst = Subst::new();
             let mut ok = true;

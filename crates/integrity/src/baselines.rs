@@ -139,8 +139,8 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
             } else {
                 !delta_lit.positive
             };
+            // The delta fact is ground: each rule is matched as written.
             for (rule, _, occ) in db.rules().body_occurrences(delta_lit.atom.pred, occ_sign) {
-                let rule = rule.rename_apart();
                 let body_atom = &rule.body[occ.position].atom;
                 let Some(mut binding) = match_atom(body_atom, &delta_fact).map(|s| {
                     let mut b = Subst::new();

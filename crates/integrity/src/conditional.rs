@@ -20,7 +20,9 @@ use crate::checker::{CheckReport, Checker, CompiledCheck};
 use std::collections::HashSet;
 use std::fmt;
 use uniform_datalog::{solve_conjunction, Interp, Transaction, Update};
-use uniform_logic::{parse_literal, parse_query, Literal, LogicError, RuleError, Subst, Sym};
+use uniform_logic::{
+    parse_literal, parse_query, Literal, LogicError, Renaming, RuleError, Subst, Sym,
+};
 
 /// An update pattern guarded by a conjunctive condition.
 ///
@@ -149,11 +151,11 @@ impl Checker<'_> {
     /// Compile the update constraints of a conditional update from its
     /// pattern alone — no fact access, cacheable per shape (§3.3.1).
     /// The pattern is renamed apart so its variables cannot be captured
-    /// by constraint variables during relevance unification.
+    /// by constraint variables during relevance unification: pool names
+    /// never occur in a parsed constraint.
     pub fn compile_conditional(&self, cu: &ConditionalUpdate) -> CompiledCheck {
-        let mut map = std::collections::HashMap::new();
-        let fresh = uniform_logic::rename_literal(cu.literal(), &mut map);
-        self.compile(std::slice::from_ref(&fresh))
+        let renamed = Renaming::default().literal(cu.literal());
+        self.compile(std::slice::from_ref(&renamed))
     }
 
     /// Check a conditional update: compile from the pattern, expand the

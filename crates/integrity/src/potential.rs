@@ -11,7 +11,7 @@
 //! rules and desirable otherwise.
 
 use uniform_datalog::RuleSet;
-use uniform_logic::{unify_atoms, Literal, MinimalLiteralSet};
+use uniform_logic::{unify_atoms, Literal, MinimalLiteralSet, Renaming};
 
 /// Result of the potential-update computation.
 #[derive(Clone, Debug)]
@@ -27,12 +27,14 @@ pub struct PotentialUpdates {
 }
 
 /// Literals directly depending on `lit` (one rule application, Def. 5).
+/// Each rule is renamed apart from `lit`, whose variables may be those
+/// of an earlier renaming.
 pub fn direct_dependents(rules: &RuleSet, lit: &Literal) -> Vec<Literal> {
     let mut out = Vec::new();
     // Same-sign body occurrence L' unifiable with L: the head may become
     // true (potential insertion A).
     for (rule, _, occ) in rules.body_occurrences(lit.atom.pred, lit.positive) {
-        let renamed = rule.rename_apart();
+        let renamed = Renaming::apart_from(&lit.atom).rule(rule);
         let body_atom = &renamed.body[occ.position].atom;
         if let Some(mgu) = unify_atoms(body_atom, &lit.atom) {
             out.push(Literal::new(true, mgu.apply_atom(&renamed.head)));
@@ -41,7 +43,7 @@ pub fn direct_dependents(rules: &RuleSet, lit: &Literal) -> Vec<Literal> {
     // Opposite-sign occurrence L' unifiable with the complement of L: a
     // derivation may break (potential deletion ¬A).
     for (rule, _, occ) in rules.body_occurrences(lit.atom.pred, !lit.positive) {
-        let renamed = rule.rename_apart();
+        let renamed = Renaming::apart_from(&lit.atom).rule(rule);
         let body_atom = &renamed.body[occ.position].atom;
         if let Some(mgu) = unify_atoms(body_atom, &lit.atom) {
             out.push(Literal::new(false, mgu.apply_atom(&renamed.head)));
@@ -194,11 +196,20 @@ mod tests {
         assert_eq!(deps.len(), 1);
         let dep = &deps[0];
         assert_eq!(dep.atom.pred, Sym::new("r"));
-        // The head variable is fresh, not literally `X`.
+        // The head variable is renamed apart, not literally `X`.
         assert!(dep.atom.args[0].is_var());
         assert_ne!(dep.atom.args[0], uniform_logic::Term::from_name("X"));
         // And the generalization subsumes any ground instance.
         assert!(literal_subsumes(dep, &parse_literal("r(zzz)").unwrap()));
+    }
+
+    #[test]
+    fn sibling_dependents_sharing_a_variable_name_both_stay() {
+        // Both heads carry the seed's variable X. p(X, X) is not more
+        // general than p(X, b): the second is kept, or an insertion of
+        // p(c, b) would go unchecked.
+        let out = potentials(&["p(Y, Y) :- s(Y).", "p(Y, b) :- s(Y)."], "s(X)");
+        assert_eq!(out, vec!["+p,v0,c:b", "+p,v0,v0", "+s,v0"]);
     }
 
     #[test]

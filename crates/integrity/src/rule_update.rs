@@ -38,7 +38,7 @@ use std::fmt;
 use uniform_datalog::{
     satisfies_closed, Database, Interp as _, Model, RuleSet, StratificationError,
 };
-use uniform_logic::{match_atom, Fact, Literal, Rq};
+use uniform_logic::{match_atom, Fact, Literal, Renaming, Rq};
 
 /// A change to the rule set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,13 +65,11 @@ impl RuleUpdate {
     /// The seed literal of the potential-update closure: `+H` for an
     /// addition, `¬H` for a removal. Renamed apart so the head's
     /// variables cannot be captured by constraint variables during
-    /// relevance unification.
+    /// relevance unification: pool names never occur in a parsed
+    /// constraint.
     pub fn seed(&self) -> Literal {
-        let mut map = std::collections::HashMap::new();
-        uniform_logic::rename_literal(
-            &Literal::new(self.is_addition(), self.rule().head.clone()),
-            &mut map,
-        )
+        let head = Renaming::default().atom(&self.rule().head);
+        Literal::new(self.is_addition(), head)
     }
 
     /// The rule set after applying this update to `rules`. `None` for a

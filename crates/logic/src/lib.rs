@@ -46,6 +46,5 @@ pub use subsume::{atom_subsumes, literal_subsumes, MinimalLiteralSet};
 pub use symbol::{sort_by_name, Sym};
 pub use term::{Atom, Fact, Literal, Term};
 pub use unify::{
-    match_atom, rename_atom, rename_literal, unify_atoms, unify_atoms_under, unify_literals,
-    unify_terms,
+    match_atom, unify_atoms, unify_atoms_under, unify_literals, unify_terms, Renaming,
 };

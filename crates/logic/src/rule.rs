@@ -10,8 +10,7 @@
 use crate::error::RuleError;
 use crate::symbol::Sym;
 use crate::term::{Atom, Literal};
-use crate::unify::{rename_atom, rename_literal};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A deduction rule `head :- body`.
@@ -81,20 +80,6 @@ impl Rule {
     /// Negative body literals.
     pub fn negative_body(&self) -> impl Iterator<Item = &Literal> {
         self.body.iter().filter(|l| !l.positive)
-    }
-
-    /// Rename all variables apart with fresh symbols (for resolution
-    /// against goals that may share variable names).
-    pub fn rename_apart(&self) -> Rule {
-        let mut map = HashMap::new();
-        Rule {
-            head: rename_atom(&self.head, &mut map),
-            body: self
-                .body
-                .iter()
-                .map(|l| rename_literal(l, &mut map))
-                .collect(),
-        }
     }
 
     /// The body literals except the one at `skip` — the paper's `B \ L'`
@@ -203,12 +188,13 @@ mod tests {
             vec![lit("edge", &["X", "Y"], true), lit("tc", &["Y", "Z"], true)],
         )
         .unwrap();
-        let rn = r.rename_apart();
+        let rn = crate::Renaming::apart_from(&r.head).rule(&r);
         assert_eq!(rn.head.pred, r.head.pred);
-        // Sharing: Y in both body literals maps to the same fresh var.
+        // Sharing: Y in both body literals maps to the same pool name.
         assert_eq!(rn.body[0].atom.args[1], rn.body[1].atom.args[0]);
-        // And it is actually fresh.
-        assert_ne!(rn.body[0].atom.args[1], r.body[0].atom.args[1]);
+        // And apart from the partner, the rule's own head: no variable
+        // of the rule survives.
+        assert!(rn.vars().is_disjoint(&r.vars()));
     }
 
     #[test]

@@ -9,34 +9,34 @@
 //! substitution θ with `Lθ = L'` — i.e. every instance of `L'` is an
 //! instance of `L`.
 
-use crate::subst::Subst;
+use crate::symbol::Sym;
 use crate::term::{Atom, Literal, Term};
 
 /// Does `general` subsume `specific` (is there θ with `general`·θ =
 /// `specific`)? One-way: only variables of `general` are bound, and they
-/// may be bound to variables of `specific`.
+/// may be bound to variables of `specific`. The two atoms' variables are
+/// apart even where their names agree — each literal of a set is
+/// quantified on its own, and renamings draw from one pool of names —
+/// so a term of `specific` is never looked up in θ.
 pub fn atom_subsumes(general: &Atom, specific: &Atom) -> bool {
     if general.pred != specific.pred || general.args.len() != specific.args.len() {
         return false;
     }
-    let mut s = Subst::new();
-    for (&g, &sp) in general.args.iter().zip(&specific.args) {
-        match s.walk(g) {
-            Term::Const(c) => {
-                if Term::Const(c) != sp {
-                    return false;
+    let mut theta: Vec<(Sym, Term)> = Vec::new();
+    general
+        .args
+        .iter()
+        .zip(&specific.args)
+        .all(|(&g, &sp)| match g {
+            Term::Const(_) => g == sp,
+            Term::Var(v) => match theta.iter().find(|&&(x, _)| x == v) {
+                Some(&(_, bound)) => bound == sp,
+                None => {
+                    theta.push((v, sp));
+                    true
                 }
-            }
-            Term::Var(v) => {
-                // Identity bindings (shared variable names between the two
-                // atoms) are fine and must not be recorded.
-                if Term::Var(v) != sp {
-                    s.bind(v, sp);
-                }
-            }
-        }
-    }
-    true
+            },
+        })
 }
 
 /// Literal subsumption: same sign plus atom subsumption.
@@ -126,6 +126,24 @@ mod tests {
         assert!(atom_subsumes(
             &Atom::parse_like("p", &["X", "Y"]),
             &Atom::parse_like("p", &["Z", "Z"])
+        ));
+    }
+
+    #[test]
+    fn shared_names_are_distinct_variables() {
+        // p(X, X) is not more general than p(X', b), whatever the name
+        // of X' is; p(X, Y, X) is not more general than p(Y', a, a).
+        assert!(!atom_subsumes(
+            &Atom::parse_like("p", &["X", "X"]),
+            &Atom::parse_like("p", &["X", "b"])
+        ));
+        assert!(!atom_subsumes(
+            &Atom::parse_like("p", &["X", "Y", "X"]),
+            &Atom::parse_like("p", &["Y", "a", "a"])
+        ));
+        assert!(atom_subsumes(
+            &Atom::parse_like("p", &["X", "Y"]),
+            &Atom::parse_like("p", &["Y", "X"])
         ));
     }
 

@@ -6,6 +6,12 @@
 //! The paper's language is function-free, so symbols and variables are the
 //! only term constituents; interning makes unification, fact storage and
 //! join evaluation cheap.
+//!
+//! The interner is append-only: every string it holds is leaked and
+//! lives as long as the process. So a request path — a commit, a check,
+//! a repair, a search — must not intern names of its own. Renaming
+//! apart takes its names from a fixed pool ([`crate::Renaming`]), and
+//! [`Sym::interned`] is the gauge that tests hold such paths to.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -40,7 +46,7 @@ fn interner() -> &'static Interner {
 }
 
 /// Monotone counter backing [`Sym::fresh`]. Global so that fresh names are
-/// unique across databases and satisfiability searches within a process.
+/// unique within the process.
 static FRESH: AtomicU64 = AtomicU64::new(0);
 
 impl Sym {
@@ -64,6 +70,13 @@ impl Sym {
         Sym(id)
     }
 
+    /// How many symbols the process has interned so far. The interner
+    /// never shrinks, so a path that interns nothing leaves this gauge
+    /// where it was.
+    pub fn interned() -> usize {
+        interner().strings.read().len()
+    }
+
     /// The interned string. Lives for the whole process.
     pub fn as_str(self) -> &'static str {
         let strings = interner().strings.read();
@@ -71,8 +84,9 @@ impl Sym {
     }
 
     /// A fresh symbol that cannot collide with parsed identifiers
-    /// (contains `$`, which the lexer rejects). Used for Skolem-style
-    /// constants in satisfiability search and for renaming rules apart.
+    /// (contains `$`, which the lexer rejects). Every call interns one
+    /// more string for good, so no request path may call it: its one
+    /// caller is the magic-sets rewrite, when a query is planned.
     pub fn fresh(prefix: &str) -> Sym {
         let n = FRESH.fetch_add(1, Ordering::Relaxed);
         Sym::new(&format!("{prefix}${n}"))

@@ -2,12 +2,16 @@
 //!
 //! Without function symbols there is no occurs-check to worry about:
 //! bindings map variables to constants or to other variables, and
-//! unification is linear in the number of argument positions.
+//! unification is linear in the number of argument positions. Renaming
+//! apart ([`Renaming`]) draws its names from a fixed pool, so resolving
+//! a rule against a goal interns no symbol.
 
+use crate::rule::Rule;
 use crate::subst::Subst;
 use crate::symbol::Sym;
 use crate::term::{Atom, Fact, Literal, Term};
-use std::collections::HashMap;
+use parking_lot::RwLock;
+use std::sync::OnceLock;
 
 /// Unify two terms under an accumulating substitution. Returns `false` on
 /// clash (two distinct constants).
@@ -69,31 +73,106 @@ pub fn match_atom(pattern: &Atom, ground: &Fact) -> Option<Subst> {
     Some(s)
 }
 
-/// Rename the variables of an atom apart with fresh variable symbols,
-/// recording the renaming in `map`. Shared variables across calls with the
-/// same map stay shared — rename a whole rule with one map.
-pub fn rename_atom(a: &Atom, map: &mut HashMap<Sym, Sym>) -> Atom {
-    Atom {
-        pred: a.pred,
-        args: a
-            .args
-            .iter()
-            .map(|&t| match t {
-                Term::Const(_) => t,
-                Term::Var(v) => {
-                    let fresh = *map.entry(v).or_insert_with(|| Sym::fresh("_R"));
-                    Term::Var(fresh)
-                }
-            })
-            .collect(),
+/// The `k`-th name of the renaming pool, `_R$k`. The lexer rejects `$`,
+/// so no parsed program holds one. Each name is interned on its first
+/// use in the process, so the pool is as large as the most variables one
+/// renaming has needed.
+fn pool_var(k: usize) -> Sym {
+    static NAMES: OnceLock<RwLock<Vec<Sym>>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| RwLock::new(Vec::new()));
+    if let Some(&name) = names.read().get(k) {
+        return name;
     }
+    let mut names = names.write();
+    while names.len() <= k {
+        let name = Sym::new(&format!("_R${}", names.len()));
+        names.push(name);
+    }
+    names[k]
 }
 
-/// Rename a literal apart; see [`rename_atom`].
-pub fn rename_literal(l: &Literal, map: &mut HashMap<Sym, Sym>) -> Literal {
-    Literal {
-        positive: l.positive,
-        atom: rename_atom(&l.atom, map),
+/// Renaming apart without minting symbols. Renaming a rule apart
+/// before resolving it against a non-ground partner only has to keep
+/// the two variable sets disjoint, so the `i`-th distinct variable met
+/// takes the `i`-th name of the fixed pool `_R$0, _R$1, …` that the
+/// partner does not hold. However many requests rename, the pool holds
+/// no more names than the largest renaming needed. (A ground partner
+/// needs no renaming at all: match the rule as written.)
+///
+/// Variables shared by the atoms one `Renaming` renames stay shared.
+///
+/// ```
+/// use uniform_logic::{Atom, Renaming, Term};
+/// let goal = Atom::parse_like("tc", &["X", "b"]);
+/// let head = Atom::parse_like("tc", &["X", "Z"]);
+/// let renamed = Renaming::apart_from(&goal).atom(&head);
+/// assert_eq!(renamed.to_string(), "tc(_R$0,_R$1)");
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Renaming {
+    /// The partner's variables, which no renamed variable may take.
+    avoid: Vec<Sym>,
+    /// Variable → its pool name, in order of first occurrence.
+    map: Vec<(Sym, Sym)>,
+    /// The next pool index to try.
+    next: usize,
+}
+
+impl Renaming {
+    /// A renaming whose names avoid the variables of `partner`.
+    pub fn apart_from(partner: &Atom) -> Renaming {
+        Renaming {
+            avoid: partner.vars().collect(),
+            ..Renaming::default()
+        }
+    }
+
+    /// The pool name of `v`, chosen on its first occurrence.
+    fn var(&mut self, v: Sym) -> Sym {
+        if let Some(&(_, name)) = self.map.iter().find(|&&(from, _)| from == v) {
+            return name;
+        }
+        let name = loop {
+            let name = pool_var(self.next);
+            self.next += 1;
+            if !self.avoid.contains(&name) {
+                break name;
+            }
+        };
+        self.map.push((v, name));
+        name
+    }
+
+    /// `a` with its variables renamed.
+    pub fn atom(&mut self, a: &Atom) -> Atom {
+        Atom {
+            pred: a.pred,
+            args: a
+                .args
+                .iter()
+                .map(|&t| match t {
+                    Term::Const(_) => t,
+                    Term::Var(v) => Term::Var(self.var(v)),
+                })
+                .collect(),
+        }
+    }
+
+    /// `l` with its variables renamed.
+    pub fn literal(&mut self, l: &Literal) -> Literal {
+        Literal {
+            positive: l.positive,
+            atom: self.atom(&l.atom),
+        }
+    }
+
+    /// `r` with its variables renamed, head first. Range restriction and
+    /// safe order survive a renaming, so the rule is not re-validated.
+    pub fn rule(&mut self, r: &Rule) -> Rule {
+        Rule {
+            head: self.atom(&r.head),
+            body: r.body.iter().map(|l| self.literal(l)).collect(),
+        }
     }
 }
 
@@ -151,11 +230,37 @@ mod tests {
 
     #[test]
     fn renaming_preserves_sharing() {
-        let mut map = HashMap::new();
-        let a = rename_atom(&atom("p", &["X", "Y"]), &mut map);
-        let b = rename_atom(&atom("q", &["X"]), &mut map);
+        let mut ren = Renaming::default();
+        let a = ren.atom(&atom("p", &["X", "Y"]));
+        let b = ren.atom(&atom("q", &["X"]));
         assert_eq!(a.args[0], b.args[0]);
+        assert_ne!(a.args[0], a.args[1]);
         assert_ne!(a.args[0], Term::from_name("X"));
         assert!(a.args[0].is_var());
+    }
+
+    #[test]
+    fn renaming_skips_the_partners_pool_names() {
+        let partner = Atom::new("p", vec![Term::Var(pool_var(0)), Term::Var(pool_var(1))]);
+        let renamed = Renaming::apart_from(&partner).atom(&atom("q", &["X", "Y", "a"]));
+        let args = [
+            Term::Var(pool_var(2)),
+            Term::Var(pool_var(3)),
+            Term::from_name("a"),
+        ];
+        assert_eq!(renamed.args, args);
+    }
+
+    #[test]
+    fn renamings_against_disjoint_partners_reuse_names() {
+        let rule = "tc(X, Z) :- tc(X, Y), edge(Y, Z).";
+        let rule = crate::parser::parse_rule(rule).unwrap();
+        let one = Renaming::apart_from(&atom("tc", &["A", "b"])).rule(&rule);
+        let two = Renaming::apart_from(&atom("tc", &["a", "B"])).rule(&rule);
+        assert_eq!(one, two);
+        assert_eq!(
+            one.to_string(),
+            "tc(_R$0,_R$1) :- tc(_R$0,_R$2), edge(_R$2,_R$1)"
+        );
     }
 }

@@ -265,7 +265,10 @@ impl<'a> Encoder<'a> {
             .eng
             .rules()
             .rules_for(fact.pred)
-            .filter_map(|(_, r)| enforce::rule_for_fact(r, fact))
+            .filter_map(|(_, r)| {
+                let (subst, free) = enforce::rule_for_fact(r, fact)?;
+                Some((r, subst, free))
+            })
             .collect();
         for (rule, subst, free) in rules {
             'combos: for s in self.combos(&free, &subst) {

@@ -38,7 +38,7 @@
 //! registration order, rules in rule order, constants in name order —
 //! so a search visits the same nodes on every run.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::{ControlFlow, Deref};
 use std::sync::Arc;
 use uniform_datalog::{
@@ -119,7 +119,7 @@ pub struct Limits {
 }
 
 /// Effort counters and the reasons a run was not exhaustive.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
     pub nodes: usize,
     pub assertions: usize,
@@ -211,10 +211,11 @@ pub fn assignments<'v, D: Deref<Target = [Sym]> + 'v>(
     }))
 }
 
-/// `rule` renamed apart with its head unified against `fact`, and the
-/// body variables the head leaves free, in first-occurrence order.
-pub fn rule_for_fact(rule: &Rule, fact: &Fact) -> Option<(Rule, Subst, Vec<Sym>)> {
-    let rule = rule.rename_apart();
+/// `rule`'s head matched against `fact`, and the body variables the head
+/// leaves free, in first-occurrence order. `fact` is ground, so the rule
+/// is matched as written: the match binds only the rule's variables, and
+/// nothing needs renaming apart.
+pub fn rule_for_fact(rule: &Rule, fact: &Fact) -> Option<(Subst, Vec<Sym>)> {
     let subst = match_atom(&rule.head, fact)?;
     let mut free: Vec<Sym> = Vec::new();
     for v in rule.body.iter().flat_map(|l| l.vars()) {
@@ -222,7 +223,7 @@ pub fn rule_for_fact(rule: &Rule, fact: &Fact) -> Option<(Rule, Subst, Vec<Sym>)
             free.push(v);
         }
     }
-    Some((rule, subst, free))
+    Some((subst, free))
 }
 
 /// Violation determination: the constraints false in `model`.
@@ -253,6 +254,12 @@ pub struct Enforcer<'a> {
     facts: FactSet,
     /// The changes applied on the current path, oldest first.
     trail: Vec<Update>,
+    /// Run-local ids: every fact the run has touched or set as a goal,
+    /// numbered in the order first met. The sets below hold ids, so a
+    /// node clones no fact.
+    ids: HashMap<Fact, u32>,
+    /// `id << 1 | insert` of each change on `trail`, in the same order.
+    trail_keys: Vec<u32>,
     fresh_in_use: usize,
     fresh_counter: usize,
     /// Every constant in use, name-sorted; fresh constants join it for
@@ -261,14 +268,16 @@ pub struct Enforcer<'a> {
     model_cache: Option<Arc<Model>>,
     /// Model at the level above (diff base of the incremental check).
     checkpoint: Option<Arc<Model>>,
-    /// Facts the trail changed; goals being derived; goals being
-    /// falsified — a branch touches no fact twice and follows no goal
-    /// into itself.
-    touched: HashSet<Fact>,
-    pos_active: HashSet<Fact>,
-    neg_active: HashSet<Fact>,
-    /// Canonical deltas already settled.
-    settled: HashSet<Vec<(Fact, bool)>>,
+    /// Ids of the facts the trail changed; of the goals being derived;
+    /// of the goals being falsified — a branch touches no fact twice and
+    /// follows no goal into itself.
+    touched: HashSet<u32>,
+    pos_active: HashSet<u32>,
+    neg_active: HashSet<u32>,
+    /// The deltas already settled, each as its sorted `trail_keys`: a
+    /// branch touches no fact twice, so two keys are equal exactly when
+    /// the two deltas are the same set of changes.
+    settled: HashSet<Box<[u32]>>,
     level: usize,
     pub tally: Tally,
     pub trace: Vec<String>,
@@ -297,6 +306,8 @@ impl<'a> Enforcer<'a> {
             domain,
             facts: seed,
             trail: Vec::new(),
+            ids: HashMap::new(),
+            trail_keys: Vec::new(),
             fresh_in_use: 0,
             fresh_counter: 0,
             model_cache: None,
@@ -357,10 +368,27 @@ impl<'a> Enforcer<'a> {
         true
     }
 
+    /// The run-local id of `fact`, numbering it if it is new.
+    fn id(&mut self, fact: &Fact) -> u32 {
+        if let Some(&id) = self.ids.get(fact) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(fact.clone(), id);
+        id
+    }
+
+    /// Is `fact` in the id set `set`? A fact without an id is in none.
+    fn holds_id(&self, set: &HashSet<u32>, fact: &Fact) -> bool {
+        self.ids.get(fact).is_some_and(|id| set.contains(id))
+    }
+
     fn push(&mut self, op: Update) {
         debug_assert!(op.is_effective(&self.facts), "ineffective change {op}");
         op.apply(&mut self.facts);
-        self.touched.insert(op.fact.clone());
+        let id = self.id(&op.fact);
+        self.touched.insert(id);
+        self.trail_keys.push(id << 1 | op.insert as u32);
         self.trail.push(op);
         self.model_cache = None;
     }
@@ -368,7 +396,8 @@ impl<'a> Enforcer<'a> {
     fn pop(&mut self) {
         let op = self.trail.pop().expect("pop without push");
         op.undo(&mut self.facts);
-        self.touched.remove(&op.fact);
+        let key = self.trail_keys.pop().expect("one key per change");
+        self.touched.remove(&(key >> 1));
         self.model_cache = None;
     }
 
@@ -396,12 +425,8 @@ impl<'a> Enforcer<'a> {
     /// leaf, otherwise enforce them all and settle the next level.
     fn settle(&mut self, leaf: Leaf<'_>) -> Flow {
         if self.moves.prune_settled {
-            let mut key: Vec<(Fact, bool)> = self
-                .trail
-                .iter()
-                .map(|u| (u.fact.clone(), u.insert))
-                .collect();
-            key.sort();
+            let mut key: Box<[u32]> = self.trail_keys.as_slice().into();
+            key.sort_unstable();
             if !self.settled.insert(key) {
                 return Flow::Continue(());
             }
@@ -591,7 +616,7 @@ impl<'a> Enforcer<'a> {
     /// Make a false ground atom true: insert it, or (repair) make some
     /// rule body for it true over the active domain.
     fn make_true(&mut self, fact: Fact, k: &mut dyn FnMut(&mut Self) -> Flow) -> Flow {
-        if self.touched.contains(&fact) {
+        if self.holds_id(&self.touched, &fact) {
             // Deleted earlier on this path: re-establishing it would make
             // that deletion a no-op — never minimal.
             return Flow::Continue(());
@@ -606,13 +631,17 @@ impl<'a> Enforcer<'a> {
             self.note(|| "backtrack".to_string());
             self.tally.undo_events += 1;
         }
+        if !self.moves.derive {
+            return Flow::Continue(());
+        }
         // A goal already being derived further up makes no progress here.
-        if !self.moves.derive || !self.pos_active.insert(fact.clone()) {
+        let id = self.id(&fact);
+        if !self.pos_active.insert(id) {
             return Flow::Continue(());
         }
         let rules = self.rules;
         let flow = rules.rules_for(fact.pred).try_for_each(|(_, rule)| {
-            let Some((rule, base, free)) = rule_for_fact(rule, &fact) else {
+            let Some((base, free)) = rule_for_fact(rule, &fact) else {
                 return Flow::Continue(());
             };
             for sigma in self.combos(&free, &base) {
@@ -625,7 +654,7 @@ impl<'a> Enforcer<'a> {
             }
             Flow::Continue(())
         });
-        self.pos_active.remove(&fact);
+        self.pos_active.remove(&id);
         flow
     }
 
@@ -635,20 +664,21 @@ impl<'a> Enforcer<'a> {
         // "Negative literals that are complementary to a fact in F cannot
         // be satisfied without undoing choices made previously" — and a
         // goal already being falsified further up is left to that call.
-        if !self.moves.delete || self.neg_active.contains(&fact) {
+        if !self.moves.delete || self.holds_id(&self.neg_active, &fact) {
             return Flow::Continue(());
         }
         let explicit = self.facts.contains(&fact);
         // Inserted earlier on this path: contradictory.
-        if explicit && (self.touched.contains(&fact) || !self.can_change()) {
+        if explicit && (self.holds_id(&self.touched, &fact) || !self.can_change()) {
             return Flow::Continue(());
         }
         if explicit {
             self.push(Update::delete(fact.clone()));
         }
-        self.neg_active.insert(fact.clone());
+        let id = self.id(&fact);
+        self.neg_active.insert(id);
         let flow = self.falsify_derivations(&fact, k);
-        self.neg_active.remove(&fact);
+        self.neg_active.remove(&id);
         if explicit {
             self.pop();
         }
@@ -663,7 +693,7 @@ impl<'a> Enforcer<'a> {
         let model = self.model();
         let mut live: Option<Vec<Literal>> = None;
         for (_, rule) in self.rules.rules_for(fact.pred) {
-            let Some((rule, mut subst, _)) = rule_for_fact(rule, fact) else {
+            let Some((mut subst, _)) = rule_for_fact(rule, fact) else {
                 continue;
             };
             solve_conjunction(model.as_ref(), &rule.body, &mut subst, &mut |s| {
@@ -674,7 +704,7 @@ impl<'a> Enforcer<'a> {
                     l.positive
                         && l.atom
                             .to_fact()
-                            .is_some_and(|f| self.neg_active.contains(&f))
+                            .is_some_and(|f| self.holds_id(&self.neg_active, &f))
                 });
                 if !self_supported {
                     live = Some(ground);
@@ -870,6 +900,133 @@ mod tests {
                 assert_eq!(facts, sorted(&replayed), "{moves:?}");
             }
         }
+    }
+
+    /// A ground fact is matched against the rule as written: the match
+    /// binds the rule's own head variables, and the free body variables
+    /// are the rule's own names.
+    #[test]
+    fn rule_for_fact_keeps_the_rules_variables() {
+        let rule = uniform_logic::parse_rule("above(X, Z) :- boss(X, Y), above(Y, Z).").unwrap();
+        let (subst, free) = rule_for_fact(&rule, &Fact::parse_like("above", &["a", "c"])).unwrap();
+        let [x, y, z] = ["X", "Y", "Z"].map(Sym::new);
+        assert_eq!(subst.walk(Term::Var(x)), Term::Const(Sym::new("a")));
+        assert_eq!(subst.walk(Term::Var(z)), Term::Const(Sym::new("c")));
+        assert_eq!(free, [y]);
+        assert!(rule_for_fact(&rule, &Fact::parse_like("boss", &["a", "c"])).is_none());
+    }
+
+    /// Every leaf delta of a repair run, in order, and its tally.
+    fn repair_run(src: &str, limits: Limits) -> (Tally, Vec<String>) {
+        let db = Database::parse(src).unwrap();
+        let seed = db.facts().clone();
+        let dom = domain(&seed, db.rules(), db.constraints());
+        let mut kernel = Enforcer::new(
+            db.rules(),
+            db.constraints(),
+            seed,
+            dom,
+            Moves::repair(),
+            limits,
+        );
+        let mut leaves: Vec<String> = Vec::new();
+        let _ = kernel.run(&mut |_, delta| {
+            let ops: Vec<String> = delta.iter().map(|op| op.to_string()).collect();
+            leaves.push(ops.join(" "));
+            Flow::Continue(())
+        });
+        (kernel.tally, leaves)
+    }
+
+    /// The search tree of three repair shapes, counter by counter and
+    /// leaf by leaf: how the kernel keys its state must not change which
+    /// nodes it visits. The dense block (16 independent `step`/`stop`
+    /// chains and one `imp` violation) runs into the node limit; the
+    /// `flag_ok` shape falsifies a derived fact through its rule; the
+    /// `q`/`r` cycle reaches one delta in two orders, and the second
+    /// is pruned as settled.
+    #[test]
+    fn repair_tallies_are_pinned() {
+        let mut dense = String::from(
+            "constraint imp: forall X: p(X) -> q(X).
+             constraint step: forall X: dp(X) -> dq(X).
+             constraint stop: forall X: dq(X) -> false.
+             p(a).",
+        );
+        for i in 0..16 {
+            dense.push_str(&format!(" dp(c{i})."));
+        }
+        let limits = Limits {
+            max_nodes: 100_000,
+            max_changes: 24,
+            domain_cap: 256,
+        };
+        let (tally, leaves) = repair_run(&dense, limits);
+        let expected = Tally {
+            nodes: 100_001,
+            assertions: 20_005,
+            undo_events: 19_996,
+            max_level: 1,
+            models_computed: 59_997,
+            full_checks: 19_997,
+            node_limit_hit: true,
+            ..Tally::default()
+        };
+        assert_eq!(tally, expected);
+        assert!(leaves.is_empty(), "{leaves:?}");
+
+        let limits = Limits {
+            max_nodes: 10_000,
+            max_changes: 8,
+            domain_cap: 256,
+        };
+        let (tally, leaves) = repair_run(
+            "flagged(X) :- p(X), bad(X).
+             constraint flag_ok: forall X: flagged(X) -> ok(X).
+             p(a). bad(a). p(b). bad(b). ok(c).",
+            limits,
+        );
+        let expected = Tally {
+            nodes: 21,
+            assertions: 4,
+            undo_events: 4,
+            max_level: 1,
+            models_computed: 21,
+            full_checks: 10,
+            ..Tally::default()
+        };
+        assert_eq!(tally, expected);
+        let expected = [
+            "+ok(a) +ok(b)",
+            "+ok(a) -p(b)",
+            "+ok(a) -bad(b)",
+            "-p(a) +ok(b)",
+            "-p(a) -p(b)",
+            "-p(a) -bad(b)",
+            "-bad(a) +ok(b)",
+            "-bad(a) -p(b)",
+            "-bad(a) -bad(b)",
+        ];
+        assert_eq!(leaves, expected);
+
+        let (tally, leaves) = repair_run(
+            "constraint c1: forall X: p(X) -> q(X) | r(X).
+             constraint c2: forall X: q(X) -> r(X).
+             constraint c3: forall X: r(X) -> q(X).
+             p(a).",
+            limits,
+        );
+        let expected = Tally {
+            nodes: 13,
+            assertions: 4,
+            undo_events: 4,
+            max_level: 2,
+            models_computed: 9,
+            full_checks: 5,
+            ..Tally::default()
+        };
+        assert_eq!(tally, expected);
+        assert_eq!(leaves, ["+q(a) +r(a)", "-p(a)"]);
     }
 
     #[test]

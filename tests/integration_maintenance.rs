@@ -238,3 +238,71 @@ fn flat_commit_work_is_independent_of_database_size() {
     let kernel = small[1].propagation;
     assert!(kernel.derived > 0 && kernel.overdeleted > 0, "{kernel:?}");
 }
+
+/// Guarded requests intern no symbols. The interner is append-only, so
+/// a name minted per request is memory the process never gets back.
+/// Every fact and rule text is built before counting, and every request
+/// has run once on a twin database: then 64 accepted recursive commits
+/// on a `tc` forest, one `AutoRepair` commit that falsifies a derived
+/// fact through its rule, and one guarded rule addition leave the
+/// interner's length where it was. The count runs in a child process,
+/// where no other test of this binary interns concurrently.
+#[test]
+fn guarded_work_interns_no_symbols() {
+    const CHILD: &str = "UNIFORM_INTERN_CHILD";
+    if std::env::var(CHILD).is_err() {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args(["guarded_work_interns_no_symbols", "--exact", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .expect("spawn child test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "child failed: {out:?}");
+        assert!(
+            stdout.contains("1 passed"),
+            "the child ran nothing: {stdout}"
+        );
+        return;
+    }
+
+    use uniform::logic::{parse_rule, Sym};
+    use uniform::repair::ViolationPolicy;
+    use uniform::UniformOptions;
+
+    const FLAG: &str = "flagged(X) :- p(X), bad(X).
+        constraint flag_ok: forall X: flagged(X) -> ok(X).
+        p(a). p(b). ok(c).";
+    const RULE: &str = "seen(X) :- p(X), ok(X).";
+    let edges: Vec<Update> = (0..64)
+        .map(|i| upd(&format!("edge(t{}_{}, x{i})", i % 4, 7 + i % 8)))
+        .collect();
+    let bad = upd("bad(a)");
+    parse_rule(RULE).unwrap();
+    let open = |db: Database| ConcurrentDatabase::from_database(db, UniformOptions::default());
+    let twins = [0, 1].map(|_| {
+        let forest = open(uniform::workload::tc_forest(64, 11));
+        let flag = open(Database::parse(FLAG).unwrap());
+        (forest, flag)
+    });
+
+    let mut interned = Vec::new();
+    for (forest, flag) in &twins {
+        let before = Sym::interned();
+        for edge in &edges {
+            let mut txn = forest.begin();
+            txn.stage(edge.clone());
+            let outcome = forest.commit(&txn).unwrap();
+            assert!(outcome.report.satisfied, "{edge}");
+        }
+        let mut txn = flag.begin();
+        txn.stage(bad.clone());
+        let outcome = flag
+            .commit_with_policy(&txn, ViolationPolicy::AutoRepair)
+            .unwrap();
+        assert!(outcome.repair.is_some());
+        assert!(flag.try_add_rule(RULE).unwrap());
+        interned.push(Sym::interned() - before);
+    }
+    assert_eq!(interned[1], 0, "interned by the warm-up: {}", interned[0]);
+}
