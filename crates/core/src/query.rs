@@ -9,8 +9,7 @@
 //! [`Session::execute`], through which every read flows —
 //!
 //! * a [`PreparedQuery`] is parsed and planned **once** (join order via
-//!   the cost-based [`Planner`], goal-directed
-//!   magic rewrites via [`uniform_datalog::magic`]) and is `Arc`-shared,
+//!   the cost-based [`Planner`]) and is `Arc`-shared,
 //!   reusable across snapshots, threads and even databases; plans are
 //!   keyed by the originating database's *identity and rule revision*
 //!   and transparently rebuilt when a rule update lands (or the query
@@ -52,12 +51,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uniform_datalog::{
-    answer_prepared, magic_rewrite, satisfies, solve_planned, MagicProgram, Planner, Snapshot,
-};
+use uniform_datalog::{satisfies, solve_planned, Planner, Snapshot};
 use uniform_logic::{
-    match_atom, normalize, normalize_open, parse_formula, parse_query, Atom, Literal, ParseError,
-    Rq, Subst, Sym, Term,
+    normalize, normalize_open, parse_formula, parse_query, Literal, ParseError, Rq, Subst, Sym,
+    Term,
 };
 use uniform_obs::{Counter, Obs};
 use uniform_repair::{RepairEngine, RepairError, RepairSet};
@@ -467,11 +464,6 @@ enum PlanKind {
         /// Static dispatch order over the query's literals (see
         /// [`uniform_datalog::Planner::plan_conjunction`]).
         order: Vec<usize>,
-        /// A goal-directed magic rewrite for recursion-reaching
-        /// single-literal goals: the `Certain` path answers each repair
-        /// candidate through it instead of materializing the candidate's
-        /// full canonical model.
-        magic: Option<Arc<MagicProgram>>,
     },
     Formula {
         /// The formula after cost-based optimization (reordering and
@@ -497,8 +489,8 @@ struct PreparedInner {
     /// amount of churn by other keys; insertion-order eviction would
     /// evict it first). One prepared query used against several
     /// databases (or a session pinned to an older revision) plans into
-    /// its own slot; another database's plan — whose magic program
-    /// bakes in that database's rules — is never served, whatever the
+    /// its own slot; another database's plan — built from that
+    /// database's rules and statistics — is never served, whatever the
     /// revision counters say.
     plans: RwLock<Vec<(PlanKey, Arc<Plan>, AtomicU64)>>,
     /// Monotonic use counter feeding the plan entries' LRU stamps.
@@ -678,45 +670,12 @@ impl PreparedQuery {
         let kind = match &self.inner.kind {
             Kind::Conjunctive { literals } => PlanKind::Conjunctive {
                 order: planner.plan_conjunction(literals, &bound).order,
-                magic: self.magic_plan(snapshot, literals),
             },
             Kind::Formula { rq } => PlanKind::Formula {
                 optimized: planner.optimize(rq),
             },
         };
         Plan { kind }
-    }
-
-    /// A magic rewrite is worth carrying exactly when the goal's
-    /// predicate reaches recursion: the overlay engine then falls back
-    /// to materializing a candidate state's *full* canonical model,
-    /// while the rewrite derives only goal-relevant facts. The rewrite
-    /// depends on the binding *shape* (constants and parameters), not
-    /// the constants themselves, so one program serves every execute.
-    fn magic_plan(&self, snapshot: &Snapshot, literals: &[Literal]) -> Option<Arc<MagicProgram>> {
-        let [lit] = literals else { return None };
-        if !lit.positive {
-            return None;
-        }
-        let graph = snapshot.rules().graph();
-        if !graph.is_idb(lit.atom.pred) || !graph.reaches_recursion(lit.atom.pred) {
-            return None;
-        }
-        let params: HashSet<Sym> = self.inner.params.iter().copied().collect();
-        let shape = Atom::new(
-            lit.atom.pred,
-            lit.atom
-                .args
-                .iter()
-                .map(|&t| match t {
-                    Term::Const(c) => Term::Const(c),
-                    Term::Var(v) if params.contains(&v) => Term::Const(Sym::new("_pq_shape")),
-                    Term::Var(v) => Term::Var(v),
-                })
-                .collect(),
-        );
-        // Negation-reaching subprograms fall back to the overlay path.
-        magic_rewrite(snapshot.rules(), &shape).ok().map(Arc::new)
     }
 }
 
@@ -862,7 +821,7 @@ impl Session {
         let plan = query.plan_for(&self.snapshot);
         let init = params.subst();
         let result = match (&query.inner.kind, &plan.kind) {
-            (Kind::Conjunctive { literals }, PlanKind::Conjunctive { order, magic }) => {
+            (Kind::Conjunctive { literals }, PlanKind::Conjunctive { order }) => {
                 let latest = || self.latest_rows(query, literals, order, &init);
                 match consistency {
                     Consistency::Latest => Ok(latest()),
@@ -872,7 +831,7 @@ impl Session {
                         &path,
                         || literals.iter().map(|l| l.atom.pred).collect(),
                         latest,
-                        |repairs| self.certain_rows(query, literals, magic, &init, repairs),
+                        |repairs| self.certain_rows(query, literals, &init, repairs),
                     ),
                 }
             }
@@ -897,6 +856,7 @@ impl Session {
                         latest,
                         |repairs| {
                             Rows::boolean(uniform_repair::certainly_satisfies_bound(
+                                self.snapshot.model(),
                                 self.snapshot.facts(),
                                 self.snapshot.rules(),
                                 repairs,
@@ -1017,40 +977,19 @@ impl Session {
         Rows::from_rows(columns, rows)
     }
 
-    /// `Certain`: intersect answers over every minimal repair. Single
-    /// recursion-reaching goals go through the prepared magic program
-    /// per repair candidate; everything else through overlay
-    /// simulation ([`uniform_repair::certain_answers_bound`]).
+    /// `Certain`: intersect answers over every minimal repair, each
+    /// simulated over the snapshot's model
+    /// ([`uniform_repair::certain_answers_bound`]).
     fn certain_rows(
         &self,
         query: &PreparedQuery,
         literals: &[Literal],
-        magic: &Option<Arc<MagicProgram>>,
         init: &Subst,
         repairs: &[RepairSet],
     ) -> Rows {
         let columns = query.inner.columns.clone();
-        if let Some(mp) = magic {
-            // Same intersection semantics as the overlay path — one
-            // shared implementation; only the per-repair answer
-            // enumeration differs (goal-directed magic over the
-            // repaired EDB instead of overlay simulation).
-            let goal = init.apply_atom(&literals[0].atom);
-            let rows = uniform_repair::intersect_over_repairs(repairs, |repair| {
-                let repaired = repair.apply_to(self.snapshot.facts());
-                let mut answers: BTreeMap<Vec<&'static str>, Row> = BTreeMap::new();
-                for fact in answer_prepared(&repaired, mp, &goal).answers {
-                    let Some(s) = match_atom(&goal, &fact) else {
-                        continue;
-                    };
-                    let row = row_of(&columns, |v| s.walk(Term::Var(v)));
-                    answers.insert(row.values.iter().map(|v| v.as_str()).collect(), row);
-                }
-                answers
-            });
-            return Rows::from_rows(columns, rows);
-        }
         let bindings = uniform_repair::certain_answers_bound(
+            self.snapshot.model(),
             self.snapshot.facts(),
             self.snapshot.rules(),
             repairs,
@@ -1461,30 +1400,59 @@ mod tests {
     }
 
     #[test]
-    fn recursive_goals_use_the_prepared_magic_program() {
+    fn certain_recursive_goals_intersect_the_repaired_models() {
+        use uniform_datalog::{all_solutions, Model};
+        // `edge(b, c)` dangles: one repair inserts `node(b)`, the other
+        // deletes the edge, so `tc` differs between them.
         let db = ConcurrentDatabase::parse_tolerant(
             "
             tc(X, Y) :- edge(X, Y).
             tc(X, Z) :- edge(X, Y), tc(Y, Z).
-            edge(a, b). edge(b, c). marked(c). marked(zz).
-            constraint m: forall X: marked(X) -> hub(X).
+            constraint edom: forall X, Y: edge(X, Y) -> node(X).
+            node(a). node(c). edge(a, b). edge(b, c). edge(c, d).
         ",
         )
         .unwrap();
         let q = PreparedQuery::prepare_with_params("tc(S, X)", &["S"]).unwrap();
         let session = db.session();
-        // The plan carries a magic program (recursion-reaching goal)…
-        let plan = q.plan_for(session.snapshot());
-        match &plan.kind {
-            PlanKind::Conjunctive { magic, .. } => assert!(magic.is_some()),
-            PlanKind::Formula { .. } => unreachable!(),
+        let snap = session.snapshot();
+        let repairs = RepairEngine::for_snapshot(snap)
+            .repairs_covering_all_minimal()
+            .unwrap()
+            .repairs;
+        assert_eq!(repairs.len(), 2, "{repairs:?}");
+        let x = Sym::new("X");
+        for start in ["a", "b", "c", "d"] {
+            let goal = parse_query(&format!("tc({start}, X)")).unwrap();
+            let per_repair: Vec<BTreeSet<&str>> = repairs
+                .iter()
+                .map(|repair| {
+                    let model = Model::compute(&repair.apply_to(snap.facts()), snap.rules());
+                    all_solutions(&model, &goal, &mut Subst::new(), &[x])
+                        .iter()
+                        .filter_map(|s| s.walk(Term::Var(x)).as_const())
+                        .map(|c| c.as_str())
+                        .collect()
+                })
+                .collect();
+            let want: Vec<&str> = per_repair[0]
+                .iter()
+                .filter(|v| per_repair.iter().all(|answers| answers.contains(*v)))
+                .copied()
+                .collect();
+            let params = Params::new().bind("S", start);
+            let certain = session.execute(&q, &params, Consistency::Certain).unwrap();
+            let got: Vec<&str> = certain
+                .iter()
+                .map(|r| r.get("X").unwrap().as_str())
+                .collect();
+            assert_eq!(got, want, "S={start}");
         }
-        // …and both consistency levels answer through the prepared path.
+        // The state is inconsistent, so `a`'s answers differ by level.
         let params = Params::new().bind("S", "a");
         let latest = session.execute(&q, &params, Consistency::Latest).unwrap();
         let certain = session.execute(&q, &params, Consistency::Certain).unwrap();
-        assert_eq!(latest.len(), 2, "{latest}");
-        assert_eq!(latest, certain, "tc is untouched by the repairs");
+        assert_eq!((latest.len(), certain.len()), (3, 1));
     }
 
     #[test]
@@ -1552,8 +1520,8 @@ mod tests {
     /// Regression: plans are keyed by `(db_id, rule_rev)`, not rule
     /// revision alone. Two databases can agree on every revision
     /// counter while holding different rules — a shared prepared query
-    /// must plan per database, or a magic program with the first
-    /// database's rules baked in silently answers for the second.
+    /// must plan per database, or a plan built from the first
+    /// database's rules and statistics serves the second.
     #[test]
     fn plans_never_cross_databases_with_equal_revisions() {
         let db1 = ConcurrentDatabase::parse_tolerant(

@@ -14,7 +14,8 @@
 //! * [`cq`] / [`eval`] — conjunctive-query and restricted-quantification
 //!   formula evaluation over any [`Interp`];
 //! * [`magic`] — goal-directed bottom-up evaluation via magic-sets
-//!   rewriting (the compilation counterpart of [`topdown`]);
+//!   rewriting (the compilation counterpart of [`topdown`]; no query,
+//!   commit or repair path reaches it);
 //! * [`maintain`] — incremental maintenance of the materialized
 //!   canonical model (induced updates as view deltas): one propagation
 //!   kernel (semi-naive insertion, delete-and-rederive) settles every
@@ -28,7 +29,7 @@
 //! * [`topdown`] — the overlay engine simulating the updated database
 //!   (`new`, §3.3.2), goal-directed for non-recursive predicates and
 //!   reading recursion-reaching ones from the update's propagation
-//!   (or, without a model of the old state, a materialization);
+//!   over the model of the old state;
 //! * [`update`] — single-fact updates (Def. 1) and transactions;
 //! * [`txn`] — the concurrent commit pipeline: transactions staged
 //!   against MVCC snapshots, admitted by a [`txn::CommitQueue`] with
@@ -65,9 +66,7 @@ pub use depgraph::{DepGraph, StratificationError};
 pub use eval::{satisfies, satisfies_closed};
 pub use footprint::{ConflictGranularity, KeyFp, ReadFootprint, ReadPattern, RelAccess};
 pub use interp::{Interp, Overlay};
-pub use magic::{
-    answer_goal_magic, answer_prepared, magic_rewrite, MagicAnswers, MagicError, MagicProgram,
-};
+pub use magic::{answer_goal_magic, MagicAnswers, MagicError};
 pub use maintain::{MaintainStats, MaintainedModel, Propagation, PropagationStats};
 pub use memo::StripedMemo;
 pub use model::Model;

@@ -55,9 +55,8 @@ impl std::error::Error for MagicError {}
 /// The rewrite depends only on the goal's *adornment* (which argument
 /// positions are bound), never on the bound constants themselves —
 /// those flow in through the magic seed. A `MagicProgram` is therefore
-/// reusable across every goal with the same binding shape: prepared
-/// queries build it once per rule revision and re-seed it per
-/// execution via [`answer_prepared`].
+/// reusable across every goal with the same binding shape, re-seeded
+/// per goal by [`answer_prepared`].
 #[derive(Clone, Debug)]
 pub struct MagicProgram {
     /// The rewritten rules (adorned + magic); empty for goals over base
@@ -245,15 +244,14 @@ pub fn magic_rewrite(rules: &RuleSet, goal: &Atom) -> Result<MagicProgram, Magic
 }
 
 /// Answer `goal` against `edb` through an already-rewritten
-/// [`MagicProgram`] — the execution half of a prepared magic plan. The
+/// [`MagicProgram`] — the execution half of a magic plan. The
 /// rewrite is constant-free (see [`MagicProgram`]), so the same program
 /// answers every goal with its binding shape; only the seed fact and
 /// the answer filter depend on the actual constants.
 ///
 /// # Panics
 /// When `goal` is not [`MagicProgram::compatible_with`] the program
-/// (different predicate, arity, or binding shape) — prepared-query
-/// plans guarantee compatibility by construction.
+/// (different predicate, arity, or binding shape).
 pub fn answer_prepared(edb: &FactSet, mp: &MagicProgram, goal: &Atom) -> MagicAnswers {
     assert!(
         mp.compatible_with(goal),

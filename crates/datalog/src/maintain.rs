@@ -841,7 +841,6 @@ mod tests {
             let engine = OverlayEngine::over_model(&model, &edb, rules, adds, dels);
             let checker: Vec<String> = engine
                 .propagation()
-                .expect("built over a model")
                 .flips()
                 .iter()
                 .map(|(fact, now)| Literal::new(*now, fact.to_atom()).to_string())

@@ -14,13 +14,10 @@
 //!   goal-directed SLD-style resolution over the overlaid EDB — zero
 //!   materialization, bindings pushed into scans;
 //! * predicates that reach recursion are read from the update's
-//!   [`Propagation`]: a canonical model of `D` overlaid with the induced
-//!   flips of the subprogram below recursion, which the propagation
-//!   kernel computes in time that follows the flips (once per engine,
-//!   on the first such query). That needs a model of `D`,
-//!   which engines built [`OverlayEngine::over_model`] have; one built
-//!   without materializes the canonical model of the overlaid database
-//!   instead — the whole program, once per engine.
+//!   [`Propagation`]: the canonical model of `D` the engine is built
+//!   over, overlaid with the induced flips of the subprogram below
+//!   recursion, which the propagation kernel computes in time that
+//!   follows the flips (once per engine, on the first such query).
 
 use crate::cq::solve_conjunction;
 use crate::interp::{Interp, Overlay};
@@ -29,36 +26,27 @@ use crate::memo::StripedMemo;
 use crate::model::Model;
 use crate::program::RuleSet;
 use crate::store::FactSet;
-use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use uniform_logic::{Fact, Subst, Sym, Term};
 
 /// A virtual interpretation of the canonical model of `U(D)`, where the
 /// update is *not* applied to `edb`.
 ///
-/// `Sync`: the lazily computed propagation, the materialized fallback
-/// model and the shared-subquery memo sit behind locks, so one engine
-/// can serve the parallel per-constraint evaluation loop of
-/// `uniform-integrity` directly.
+/// `Sync`: the lazily computed propagation and the shared-subquery memo
+/// sit behind locks, so one engine can serve the parallel
+/// per-constraint evaluation loop of `uniform-integrity` directly.
 pub struct OverlayEngine<'a> {
     edb: &'a FactSet,
     rules: &'a RuleSet,
     added: Vec<Fact>,
     removed: Vec<Fact>,
-    /// The canonical model of the unupdated database, when the caller
-    /// holds one.
-    model: Option<&'a Model>,
-    /// The update's propagation over a model of the unupdated database,
-    /// computed when a recursion-reaching predicate is first queried.
+    /// The canonical model of the unupdated database.
+    model: &'a Model,
+    /// The update's propagation over `model`, computed when a
+    /// recursion-reaching predicate is first queried.
     propagation: OnceLock<Propagation<'a>>,
-    /// Lazily materialized canonical model of the overlaid database, only
-    /// built when a recursion-reaching predicate is queried and no model
-    /// of the unupdated database is at hand.
-    materialized: RwLock<Option<Arc<Model>>>,
-    /// Statistics: how many times the recursive fallback was taken.
-    materializations: AtomicUsize,
     /// Memo for ground IDB goals solved through the SLD path. This is the
     /// engine-level realization of §3.2's "global evaluation": when many
     /// simplified instances are evaluated against one simulated state,
@@ -70,15 +58,13 @@ pub struct OverlayEngine<'a> {
 }
 
 impl<'a> OverlayEngine<'a> {
-    /// Engine for the *current* state (no update) — this is `evaluate`.
-    pub fn current(edb: &'a FactSet, rules: &'a RuleSet) -> Self {
-        Self::updated(edb, rules, Vec::new(), Vec::new())
-    }
-
-    /// Engine for the updated state `U(D)` — this is `new`. Positive
+    /// Engine for the updated state `U(D)` — this is `new` — where
+    /// `model` is the canonical model of `edb` under `rules`. Positive
     /// update literals are insertions, negative ones deletions (§3); a
-    /// transaction passes its net effect.
-    pub fn updated(
+    /// transaction passes its net effect. An empty update gives the
+    /// current state — this is `evaluate`.
+    pub fn over_model(
+        model: &'a Model,
         edb: &'a FactSet,
         rules: &'a RuleSet,
         insert: Vec<Fact>,
@@ -89,29 +75,10 @@ impl<'a> OverlayEngine<'a> {
             rules,
             added: insert,
             removed: delete,
-            model: None,
+            model,
             propagation: OnceLock::new(),
-            materialized: RwLock::new(None),
-            materializations: AtomicUsize::new(0),
             goal_memo: StripedMemo::new(),
             memo_hits: AtomicUsize::new(0),
-        }
-    }
-
-    /// [`OverlayEngine::updated`] for a caller holding `model`, the
-    /// canonical model of `edb` under `rules`: recursion-reaching
-    /// predicates are then answered from the update's propagation over
-    /// it, never from a materialization.
-    pub fn over_model(
-        model: &'a Model,
-        edb: &'a FactSet,
-        rules: &'a RuleSet,
-        insert: Vec<Fact>,
-        delete: Vec<Fact>,
-    ) -> Self {
-        OverlayEngine {
-            model: Some(model),
-            ..Self::updated(edb, rules, insert, delete)
         }
     }
 
@@ -120,27 +87,25 @@ impl<'a> OverlayEngine<'a> {
     }
 
     /// The canonical model of the unupdated database the engine was
-    /// built [`OverlayEngine::over_model`] over, if any.
-    pub fn model(&self) -> Option<&'a Model> {
+    /// built over.
+    pub fn model(&self) -> &'a Model {
         self.model
     }
 
     /// The update's propagation over [`OverlayEngine::model`] — the
     /// induced flips below recursion, and the updated state as that
-    /// model overlaid with them — computed once per engine; `None` for
-    /// an engine holding no model.
-    pub fn propagation(&self) -> Option<&Propagation<'a>> {
-        let model = self.model?;
-        Some(self.propagation.get_or_init(|| {
+    /// model overlaid with them — computed once per engine.
+    pub fn propagation(&self) -> &Propagation<'a> {
+        self.propagation.get_or_init(|| {
             Propagation::new(
-                model.facts(),
+                self.model.facts(),
                 self.rules,
                 self.rules.recursion_layers(),
                 &self.overlay(),
                 &self.added,
                 &self.removed,
             )
-        }))
+        })
     }
 
     /// The propagation kernel's work so far (zero until a
@@ -152,34 +117,9 @@ impl<'a> OverlayEngine<'a> {
             .unwrap_or_default()
     }
 
-    /// Number of times the materialized fallback was built (0 or 1; for
-    /// instrumentation; always 0 with a model of the unupdated database).
-    pub fn materialization_count(&self) -> usize {
-        self.materializations.load(Ordering::Relaxed)
-    }
-
     /// Ground-subquery memo hits (the redundant subqueries of §3.2).
     pub fn memo_hits(&self) -> usize {
         self.memo_hits.load(Ordering::Relaxed)
-    }
-
-    fn ensure_materialized(&self) -> Arc<Model> {
-        if let Some(model) = self.materialized.read().as_ref() {
-            return model.clone();
-        }
-        let mut slot = self.materialized.write();
-        if slot.is_none() {
-            let mut edb = self.edb.clone();
-            for f in &self.added {
-                edb.insert(f);
-            }
-            for f in &self.removed {
-                edb.remove(f);
-            }
-            *slot = Some(Arc::new(Model::compute(&edb, self.rules)));
-            self.materializations.fetch_add(1, Ordering::Relaxed);
-        }
-        slot.as_ref().expect("just materialized").clone()
     }
 
     /// Resolve a ground goal by scanning with every position bound
@@ -240,7 +180,7 @@ impl<'a> OverlayEngine<'a> {
 impl Interp for OverlayEngine<'_> {
     fn holds(&self, fact: &Fact) -> bool {
         // Memoize ground IDB goals on the SLD path; EDB lookups and
-        // materialized (recursive) predicates are O(1) already. Each
+        // propagated (recursive) predicates are O(1) already. Each
         // goal gets a `OnceLock` slot so exactly one thread resolves it
         // (concurrent askers of the *same* goal block on that slot) and
         // `memo_hits` counts re-asks deterministically regardless of
@@ -275,10 +215,7 @@ impl Interp for OverlayEngine<'_> {
             return self.overlay().scan(pred, pattern, each);
         }
         if graph.reaches_recursion(pred) {
-            return match self.propagation() {
-                Some(propagation) => propagation.scan(pred, pattern, each),
-                None => self.ensure_materialized().scan(pred, pattern, each),
-            };
+            return self.propagation().scan(pred, pattern, each);
         }
         // Non-recursive IDB: explicit facts first, then SLD over rules,
         // deduplicating across both sources.
@@ -323,10 +260,11 @@ mod tests {
     fn edb_queries_see_overlay() {
         let e = edb(&["p(a)."]);
         let r = rules(&[]);
-        let engine = OverlayEngine::updated(&e, &r, vec![fact("p(b).")], vec![]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![fact("p(b).")], vec![]);
         assert!(engine.holds(&fact("p(a).")));
         assert!(engine.holds(&fact("p(b).")));
-        let engine2 = OverlayEngine::updated(&e, &r, vec![], vec![fact("p(a).")]);
+        let engine2 = OverlayEngine::over_model(&m, &e, &r, vec![], vec![fact("p(a).")]);
         assert!(!engine2.holds(&fact("p(a).")));
     }
 
@@ -336,20 +274,26 @@ mod tests {
         // member(c,b) true in the simulated state.
         let e = edb(&[]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let engine = OverlayEngine::updated(&e, &r, vec![fact("leads(c,b).")], vec![]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![fact("leads(c,b).")], vec![]);
         assert!(engine.holds(&fact("member(c,b).")));
         assert!(!engine.holds(&fact("member(b,c).")));
-        assert_eq!(engine.materialization_count(), 0, "non-recursive: pure SLD");
+        assert_eq!(
+            engine.propagation_stats(),
+            PropagationStats::default(),
+            "non-recursive: pure SLD"
+        );
     }
 
     #[test]
     fn derived_facts_follow_deletion() {
         let e = edb(&["leads(c,b)."]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let engine = OverlayEngine::updated(&e, &r, vec![], vec![fact("leads(c,b).")]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![fact("leads(c,b).")]);
         assert!(!engine.holds(&fact("member(c,b).")));
         // And the current-state engine still sees it.
-        let now = OverlayEngine::current(&e, &r);
+        let now = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
         assert!(now.holds(&fact("member(c,b).")));
     }
 
@@ -357,7 +301,8 @@ mod tests {
     fn explicit_and_derived_deduplicated() {
         let e = edb(&["member(a,b).", "leads(a,b)."]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let engine = OverlayEngine::current(&e, &r);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
         let mut n = 0;
         engine.scan(Sym::new("member"), &[None, None], &mut |_| {
             n += 1;
@@ -370,25 +315,33 @@ mod tests {
     fn negation_in_rule_bodies() {
         let e = edb(&["emp(a).", "emp(b).", "absent(b)."]);
         let r = rules(&["present(X) :- emp(X), not absent(X)."]);
-        let engine = OverlayEngine::current(&e, &r);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
         assert!(engine.holds(&fact("present(a).")));
         assert!(!engine.holds(&fact("present(b).")));
         // Simulate inserting absent(a): present(a) flips off.
-        let upd = OverlayEngine::updated(&e, &r, vec![fact("absent(a).")], vec![]);
+        let upd = OverlayEngine::over_model(&m, &e, &r, vec![fact("absent(a).")], vec![]);
         assert!(!upd.holds(&fact("present(a).")));
     }
 
     #[test]
-    fn recursive_predicates_materialize() {
+    fn recursive_predicates_read_one_propagation() {
         let e = edb(&["edge(a,b).", "edge(b,c)."]);
         let r = rules(&["tc(X,Y) :- edge(X,Y).", "tc(X,Z) :- tc(X,Y), edge(Y,Z)."]);
-        let engine = OverlayEngine::updated(&e, &r, vec![fact("edge(c,d).")], vec![]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![fact("edge(c,d).")], vec![]);
+        assert_eq!(engine.propagation_stats(), PropagationStats::default());
         assert!(engine.holds(&fact("tc(a,d).")));
-        assert_eq!(engine.materialization_count(), 1);
-        // Second recursive query reuses the materialization.
+        let first = engine.propagation_stats();
+        assert_ne!(first, PropagationStats::default());
+        // Later recursive queries read the same propagation.
         assert!(engine.holds(&fact("tc(b,d).")));
-        assert_eq!(engine.materialization_count(), 1);
         assert!(!engine.holds(&fact("tc(d,a).")));
+        assert_eq!(engine.propagation_stats(), first);
+        assert!(engine
+            .propagation()
+            .flips()
+            .contains(&(fact("tc(a,d)."), true)));
     }
 
     #[test]
@@ -405,10 +358,9 @@ mod tests {
         let engine = OverlayEngine::over_model(&model, &e, &r, insert, vec![]);
         assert!(engine.holds(&fact("connected(a,d).")));
         assert!(engine.holds(&fact("member(c,b).")));
-        assert_eq!(engine.materialization_count(), 0);
         // Only the subprogram below recursion is propagated; `member`
         // is left to SLD resolution.
-        let flips = engine.propagation().expect("built over a model").flips();
+        let flips = engine.propagation().flips();
         assert!(flips.contains(&(fact("connected(a,d)."), true)));
         assert!(flips.iter().all(|(f, _)| f.pred != Sym::new("member")));
     }
@@ -421,7 +373,8 @@ mod tests {
             "tc(X,Z) :- tc(X,Y), edge(Y,Z).",
             "connected(X,Y) :- tc(X,Y).",
         ]);
-        let engine = OverlayEngine::updated(&e, &r, vec![fact("edge(b,c).")], vec![]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![fact("edge(b,c).")], vec![]);
         assert!(engine.holds(&fact("connected(a,c).")));
     }
 
@@ -429,7 +382,8 @@ mod tests {
     fn scan_with_pattern_over_rules() {
         let e = edb(&["leads(ann,sales).", "leads(bob,hr)."]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let engine = OverlayEngine::current(&e, &r);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
         let mut seen = Vec::new();
         engine.scan(
             Sym::new("member"),
@@ -446,7 +400,8 @@ mod tests {
     fn striped_goal_memo_counts_reasks_deterministically() {
         let e = edb(&["leads(ann,sales).", "leads(bob,hr)."]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
-        let engine = OverlayEngine::current(&e, &r);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
         // Distinct goals land on (potentially) distinct stripes; re-asks
         // of the same goal hit its OnceLock slot exactly once each.
         assert!(engine.holds(&fact("member(ann,sales).")));
@@ -470,7 +425,8 @@ mod tests {
     fn inserting_explicitly_present_fact_changes_nothing() {
         let e = edb(&["p(a)."]);
         let r = rules(&["q(X) :- p(X)."]);
-        let engine = OverlayEngine::updated(&e, &r, vec![fact("p(a).")], vec![]);
+        let m = Model::compute(&e, &r);
+        let engine = OverlayEngine::over_model(&m, &e, &r, vec![fact("p(a).")], vec![]);
         let mut n = 0;
         engine.scan(Sym::new("q"), &[None], &mut |_| {
             n += 1;

@@ -1,9 +1,11 @@
 //! Engine-agreement matrix: for a catalogue of programs, the overlay
-//! engine (goal-directed `new` simulation) must agree with brute-force
-//! recomputation of the canonical model for every single-fact update and
-//! every ground goal over a small constant grid.
+//! engine (goal-directed `new` simulation over the model of the old
+//! state) must agree with brute-force recomputation of the canonical
+//! model for every single-fact update, every repair-shaped two-fact
+//! update (one insertion plus one deletion) and every ground goal over
+//! a small constant grid.
 
-use uniform_datalog::{FactSet, Interp, Model, OverlayEngine, RuleSet, Update};
+use uniform_datalog::{FactSet, Interp, Model, OverlayEngine, RuleSet};
 use uniform_logic::{parse_fact, parse_rule, Fact, Rule};
 
 struct Program {
@@ -97,39 +99,54 @@ fn ground_goals(preds: &[(&str, usize)]) -> Vec<Fact> {
     out
 }
 
+/// Every probe holds in the overlay of `(adds, dels)` over `model` iff
+/// it holds in the recomputed model of the applied EDB.
+fn assert_overlay_agrees(
+    prog: &Program,
+    edb: &FactSet,
+    model: &Model,
+    probes: &[Fact],
+    adds: &[Fact],
+    dels: &[Fact],
+) {
+    // Ground truth: apply and recompute.
+    let mut applied = edb.clone();
+    for f in adds {
+        applied.insert(f);
+    }
+    for f in dels {
+        applied.remove(f);
+    }
+    let truth = Model::compute(&applied, &prog.rules);
+    // Simulation: overlay engine over the old state's model.
+    let engine = OverlayEngine::over_model(model, edb, &prog.rules, adds.to_vec(), dels.to_vec());
+    for probe in probes {
+        assert_eq!(
+            engine.holds(probe),
+            truth.contains(probe),
+            "{}: insert {adds:?}, delete {dels:?}, probe {probe}",
+            prog.name,
+        );
+    }
+}
+
 #[test]
 fn overlay_engine_agrees_with_recomputation_everywhere() {
     for prog in catalogue() {
         let edb = FactSet::from_facts(prog.facts.iter().cloned());
+        let model = Model::compute(&edb, &prog.rules);
         let goals = ground_goals(&prog.preds);
         // Updates: insert/delete every EDB-shaped goal.
         for goal in &goals {
-            for insert in [true, false] {
-                let update = if insert {
-                    Update::insert(goal.clone())
-                } else {
-                    Update::delete(goal.clone())
-                };
-                // Ground truth: apply and recompute.
-                let mut applied = edb.clone();
-                update.apply(&mut applied);
-                let truth = Model::compute(&applied, &prog.rules);
-                // Simulation: overlay engine.
-                let engine = OverlayEngine::updated(
-                    &edb,
-                    &prog.rules,
-                    update.added().cloned().into_iter().collect(),
-                    update.removed().cloned().into_iter().collect(),
-                );
-                for probe in &goals {
-                    assert_eq!(
-                        engine.holds(probe),
-                        truth.contains(probe),
-                        "{}: update {:?}, probe {probe}",
-                        prog.name,
-                        update
-                    );
-                }
+            let one = std::slice::from_ref(goal);
+            assert_overlay_agrees(&prog, &edb, &model, &goals, one, &[]);
+            assert_overlay_agrees(&prog, &edb, &model, &goals, &[], one);
+        }
+        // Repair-shaped updates: one insertion plus one deletion.
+        for added in &goals {
+            for removed in goals.iter().filter(|g| *g != added) {
+                let (adds, dels) = (std::slice::from_ref(added), std::slice::from_ref(removed));
+                assert_overlay_agrees(&prog, &edb, &model, &goals, adds, dels);
             }
         }
     }
@@ -144,7 +161,9 @@ fn overlay_scans_agree_with_recomputation() {
             let goals = ground_goals(&prog.preds);
             goals.into_iter().next().unwrap()
         };
-        let engine = OverlayEngine::updated(&edb, &prog.rules, vec![new_fact.clone()], vec![]);
+        let model = Model::compute(&edb, &prog.rules);
+        let engine =
+            OverlayEngine::over_model(&model, &edb, &prog.rules, vec![new_fact.clone()], vec![]);
         let mut applied = edb.clone();
         applied.insert(&new_fact);
         let truth = Model::compute(&applied, &prog.rules);

@@ -83,7 +83,8 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
 
     // One overlay engine for generating induced updates; instance
     // evaluations use fresh engines below (independent evaluation).
-    let generator = OverlayEngine::updated(db.facts(), db.rules(), adds.clone(), dels.clone());
+    let generator =
+        OverlayEngine::over_model(&current, db.facts(), db.rules(), adds.clone(), dels.clone());
 
     let mut queue: VecDeque<Literal> = VecDeque::new();
     let mut known: HashSet<Literal> = HashSet::new();
@@ -114,9 +115,14 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
             debug_assert!(si.instance.is_closed());
             stats.instances_evaluated += 1;
             // Fresh engine per evaluation: no sharing of any kind.
-            let engine = OverlayEngine::updated(db.facts(), db.rules(), adds.clone(), dels.clone());
+            let engine = OverlayEngine::over_model(
+                &current,
+                db.facts(),
+                db.rules(),
+                adds.clone(),
+                dels.clone(),
+            );
             let ok = satisfies_closed(&engine, &si.instance);
-            stats.new_materializations += engine.materialization_count();
             if !ok {
                 violations.push(Violation {
                     constraint: db.constraints()[si.constraint].name.clone(),
@@ -179,7 +185,6 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
         }
     }
 
-    stats.new_materializations += generator.materialization_count();
     CheckReport {
         satisfied: violations.is_empty(),
         violations,
@@ -221,7 +226,7 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
         };
     }
     let current = db.model();
-    let updated = OverlayEngine::updated(db.facts(), db.rules(), adds, dels);
+    let updated = OverlayEngine::over_model(&current, db.facts(), db.rules(), adds, dels);
 
     let mut groups: HashMap<String, Vec<&crate::checker::UpdateConstraint>> = HashMap::new();
     for uc in &compiled.update_constraints {
@@ -270,7 +275,6 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
         }
     }
 
-    stats.new_materializations = updated.materialization_count();
     CheckReport {
         satisfied: violations.is_empty(),
         violations,

@@ -373,7 +373,6 @@ impl<'a> Checker<'a> {
 
         stats.delta = delta.stats();
         stats.subquery_memo_hits = updated.memo_hits();
-        stats.new_materializations = updated.materialization_count();
         CheckReport {
             satisfied: violations.is_empty(),
             violations,

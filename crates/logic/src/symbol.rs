@@ -86,7 +86,9 @@ impl Sym {
     /// A fresh symbol that cannot collide with parsed identifiers
     /// (contains `$`, which the lexer rejects). Every call interns one
     /// more string for good, so no request path may call it: its one
-    /// caller is the magic-sets rewrite, when a query is planned.
+    /// caller is the magic-sets rewrite behind
+    /// `uniform_datalog::answer_goal_magic`, which no query, commit or
+    /// repair reaches.
     pub fn fresh(prefix: &str) -> Sym {
         let n = FRESH.fetch_add(1, Ordering::Relaxed);
         Sym::new(&format!("{prefix}${n}"))

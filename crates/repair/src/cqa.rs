@@ -3,12 +3,14 @@
 //! The certain answers of a query over an inconsistent database are the
 //! answers true in **every** minimal repair (Arenas–Bertossi–Chomicki).
 //! Each repair candidate is evaluated through an
-//! [`OverlayEngine`] overlay — the §3.3.2 simulation of the updated
-//! state — so no repaired database is ever materialized: the base EDB
-//! stays shared, the repair's insertions and deletions ride on top.
+//! [`OverlayEngine`] overlay over the state's own model — the §3.3.2
+//! simulation of the updated state — so no repaired database is ever
+//! materialized: the base EDB and its model stay shared, the repair's
+//! insertions and deletions ride on top, and recursion-reaching
+//! predicates read the propagation kernel's flips.
 
 use std::collections::BTreeMap;
-use uniform_datalog::{all_solutions, satisfies, FactSet, OverlayEngine, RuleSet};
+use uniform_datalog::{all_solutions, satisfies, FactSet, Model, OverlayEngine, RuleSet};
 use uniform_logic::{Literal, Rq, Subst, Sym, Term};
 
 use crate::engine::RepairSet;
@@ -28,19 +30,22 @@ pub(crate) fn query_vars(query: &[Literal]) -> Vec<Sym> {
 }
 
 /// The answers of the conjunctive query `query` that hold in every one
-/// of `repairs` applied (as an overlay) to `edb` under `rules`.
+/// of `repairs` applied (as an overlay) to `edb` under `rules`, whose
+/// canonical model is `model`.
 /// Answers come back sorted by their rendered bindings, so the output
 /// is deterministic across runs and processes.
 ///
 /// `repairs` must be non-empty — a consistent state contributes the
 /// single empty repair, under which this is ordinary query answering.
 pub fn certain_answers(
+    model: &Model,
     edb: &FactSet,
     rules: &RuleSet,
     repairs: &[RepairSet],
     query: &[Literal],
 ) -> Vec<Vec<(Sym, Sym)>> {
     certain_answers_bound(
+        model,
         edb,
         rules,
         repairs,
@@ -56,6 +61,7 @@ pub fn certain_answers(
 /// column schema — variables minus parameters, in first-occurrence
 /// order — is honored instead of being re-derived per call.
 pub fn certain_answers_bound(
+    model: &Model,
     edb: &FactSet,
     rules: &RuleSet,
     repairs: &[RepairSet],
@@ -63,9 +69,17 @@ pub fn certain_answers_bound(
     init: &Subst,
     vars: &[Sym],
 ) -> Vec<Vec<(Sym, Sym)>> {
-    intersect_over_repairs(repairs, |repair| {
+    assert!(
+        !repairs.is_empty(),
+        "certain answers need at least one repair (the empty repair of a consistent state)"
+    );
+    // Answers are keyed by their rendered bindings (name-deterministic,
+    // hence order-deterministic): one is certain iff its key appears
+    // for every repair, and the survivors come back in key order.
+    let mut certain = None;
+    for repair in repairs {
         let (adds, dels) = repair.overlay();
-        let engine = OverlayEngine::updated(edb, rules, adds, dels);
+        let engine = OverlayEngine::over_model(model, edb, rules, adds, dels);
         let mut answers = BTreeMap::new();
         for s in all_solutions(&engine, query, &mut init.clone(), vars) {
             let binding: Vec<(Sym, Sym)> = vars
@@ -79,42 +93,16 @@ pub fn certain_answers_bound(
                 .iter()
                 .map(|(v, c)| format!("{}={}", v.as_str(), c.as_str()))
                 .collect();
-            answers.insert(key, binding);
+            if certain
+                .as_ref()
+                .is_none_or(|kept: &BTreeMap<_, _>| kept.contains_key(&key))
+            {
+                answers.insert(key, binding);
+            }
         }
-        answers
-    })
-}
-
-/// The certain-answer intersection, parameterized by how one repair
-/// candidate's answers are enumerated: `answers_for` returns a repair's
-/// answer set keyed by a rendered (name-deterministic, hence
-/// order-deterministic) form; an answer is certain iff its key appears
-/// for **every** repair, and the survivors come back in key order. The
-/// overlay path above and the prepared magic path (`uniform::Session`)
-/// both delegate here, so the intersection semantics — including the
-/// empty-intersection early exit — exist exactly once.
-///
-/// `repairs` must be non-empty — a consistent state contributes the
-/// single empty repair, under which this is ordinary query answering.
-pub fn intersect_over_repairs<K: Ord, T>(
-    repairs: &[RepairSet],
-    mut answers_for: impl FnMut(&RepairSet) -> BTreeMap<K, T>,
-) -> Vec<T> {
-    assert!(
-        !repairs.is_empty(),
-        "certain answers need at least one repair (the empty repair of a consistent state)"
-    );
-    let mut certain: Option<BTreeMap<K, T>> = None;
-    for repair in repairs {
-        let answers = answers_for(repair);
-        certain = Some(match certain {
-            None => answers,
-            Some(prev) => prev
-                .into_iter()
-                .filter(|(k, _)| answers.contains_key(k))
-                .collect(),
-        });
-        if certain.as_ref().is_some_and(|m| m.is_empty()) {
+        let none_left = answers.is_empty();
+        certain = Some(answers);
+        if none_left {
             break;
         }
     }
@@ -122,13 +110,20 @@ pub fn intersect_over_repairs<K: Ord, T>(
 }
 
 /// Is the closed formula true in every repair?
-pub fn certainly_satisfies(edb: &FactSet, rules: &RuleSet, repairs: &[RepairSet], rq: &Rq) -> bool {
-    certainly_satisfies_bound(edb, rules, repairs, rq, &Subst::new())
+pub fn certainly_satisfies(
+    model: &Model,
+    edb: &FactSet,
+    rules: &RuleSet,
+    repairs: &[RepairSet],
+    rq: &Rq,
+) -> bool {
+    certainly_satisfies_bound(model, edb, rules, repairs, rq, &Subst::new())
 }
 
 /// [`certainly_satisfies`] with the formula's free variables pre-bound
 /// by `init` (prepared formula queries bind parameters this way).
 pub fn certainly_satisfies_bound(
+    model: &Model,
     edb: &FactSet,
     rules: &RuleSet,
     repairs: &[RepairSet],
@@ -138,7 +133,7 @@ pub fn certainly_satisfies_bound(
     assert!(!repairs.is_empty(), "see certain_answers");
     repairs.iter().all(|repair| {
         let (adds, dels) = repair.overlay();
-        let engine = OverlayEngine::updated(edb, rules, adds, dels);
+        let engine = OverlayEngine::over_model(model, edb, rules, adds, dels);
         satisfies(&engine, rq, &mut init.clone())
     })
 }
@@ -153,6 +148,7 @@ mod tests {
     fn empty_repair_is_plain_answering() {
         let db = Database::parse("p(a). p(b). q(X) :- p(X).").unwrap();
         let ans = certain_answers(
+            &db.model(),
             db.facts(),
             db.rules(),
             &[RepairSet::empty()],
@@ -167,6 +163,7 @@ mod tests {
         let keep_a = RepairSet::from_ops(vec![Update::delete(Fact::parse_like("p", &["b"]))]);
         let keep_b = RepairSet::from_ops(vec![Update::delete(Fact::parse_like("p", &["a"]))]);
         let ans = certain_answers(
+            &db.model(),
             db.facts(),
             db.rules(),
             &[keep_a, keep_b],
@@ -180,6 +177,7 @@ mod tests {
         let db = Database::parse("q(X) :- p(X).").unwrap();
         let r = RepairSet::from_ops(vec![Update::insert(Fact::parse_like("p", &["z"]))]);
         let ans = certain_answers(
+            &db.model(),
             db.facts(),
             db.rules(),
             &[r],

@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uniform_datalog::{satisfies_closed, FactSet, Model, RuleSet, Snapshot, Transaction, Update};
 use uniform_logic::{Constraint, Fact, Literal, Rq, Sym};
 use uniform_obs::Obs;
@@ -231,7 +231,7 @@ impl RepairSet {
     }
 
     /// The repair as an overlay delta `(insertions, deletions)` for
-    /// [`uniform_datalog::OverlayEngine::updated`].
+    /// [`uniform_datalog::OverlayEngine::over_model`].
     pub fn overlay(&self) -> (Vec<Fact>, Vec<Fact>) {
         let mut adds = Vec::new();
         let mut dels = Vec::new();
@@ -364,6 +364,10 @@ pub struct RepairEngine {
     edb: FactSet,
     rules: RuleSet,
     constraints: Vec<Constraint>,
+    /// The canonical model of `edb` under `rules`: a snapshot's own
+    /// for [`RepairEngine::for_snapshot`], computed on first use
+    /// otherwise.
+    model: OnceLock<Arc<Model>>,
     options: RepairOptions,
     /// Observability domain for `repair.run` spans, `repair.latency.*`
     /// histograms and `repair.*` effort counters; `None` runs silent.
@@ -376,18 +380,22 @@ impl RepairEngine {
             edb,
             rules,
             constraints,
+            model: OnceLock::new(),
             options: RepairOptions::default(),
             obs: None,
         }
     }
 
-    /// Repair the state a snapshot pins.
+    /// Repair the state a snapshot pins, reading the snapshot's model.
     pub fn for_snapshot(snapshot: &Snapshot) -> RepairEngine {
-        RepairEngine::new(
-            snapshot.facts().clone(),
-            snapshot.rules().clone(),
-            snapshot.constraints().to_vec(),
-        )
+        RepairEngine {
+            model: OnceLock::from(snapshot.model_arc()),
+            ..RepairEngine::new(
+                snapshot.facts().clone(),
+                snapshot.rules().clone(),
+                snapshot.constraints().to_vec(),
+            )
+        }
     }
 
     /// Repair the *would-be* state `U(D)`: the snapshot with the
@@ -444,10 +452,14 @@ impl RepairEngine {
         &self.constraints
     }
 
+    fn model(&self) -> &Model {
+        self.model
+            .get_or_init(|| Arc::new(Model::compute(&self.edb, &self.rules)))
+    }
+
     /// Names of the constraints violated in the engine's state.
     pub fn violations(&self) -> Vec<String> {
-        let model = Model::compute(&self.edb, &self.rules);
-        violated(&model, &self.constraints)
+        violated(self.model(), &self.constraints)
             .map(|c| c.name.clone())
             .collect()
     }
@@ -595,6 +607,7 @@ impl RepairEngine {
     ) -> Result<Vec<Vec<(Sym, Sym)>>, RepairError> {
         match self.repairs_covering_all_minimal() {
             Ok(report) => Ok(crate::cqa::certain_answers(
+                self.model(),
                 &self.edb,
                 &self.rules,
                 &report.repairs,
@@ -608,6 +621,7 @@ impl RepairEngine {
                     // touch: its answers agree across all repairs (and
                     // with the unrepaired state), clipped budget or not.
                     return Ok(crate::cqa::certain_answers(
+                        self.model(),
                         &self.edb,
                         &self.rules,
                         &[RepairSet::empty()],
@@ -626,6 +640,7 @@ impl RepairEngine {
     pub fn certainly_satisfies(&self, rq: &Rq) -> Result<bool, RepairError> {
         match self.repairs_covering_all_minimal() {
             Ok(report) => Ok(crate::cqa::certainly_satisfies(
+                self.model(),
                 &self.edb,
                 &self.rules,
                 &report.repairs,
@@ -637,6 +652,7 @@ impl RepairEngine {
                         .reads_outside_affected(rq.literals().iter().map(|o| o.literal.atom.pred))
                 {
                     return Ok(crate::cqa::certainly_satisfies(
+                        self.model(),
                         &self.edb,
                         &self.rules,
                         &[RepairSet::empty()],
@@ -671,13 +687,13 @@ impl RepairEngine {
             preds.flat_map(|p| graph.reachable(p)).collect()
         };
         let closures: Vec<BTreeSet<Sym>> = self.constraints.iter().map(closure_of).collect();
-        let model = Model::compute(&self.edb, &self.rules);
+        let model = self.model();
         // Every violated constraint is inside, even one whose closure is
         // empty (a bare `false`).
         let mut included: Vec<bool> = self
             .constraints
             .iter()
-            .map(|c| !satisfies_closed(&model, &c.rq))
+            .map(|c| !satisfies_closed(model, &c.rq))
             .collect();
         let mut affected: BTreeSet<Sym> = closures
             .iter()
@@ -827,6 +843,26 @@ mod tests {
 
     fn rendered(report: &RepairReport) -> Vec<String> {
         report.repairs.iter().map(|r| r.to_string()).collect()
+    }
+
+    #[test]
+    fn snapshot_engines_read_the_snapshots_model() {
+        let db = Database::parse(
+            "p(a). p(b). q(a). r(X) :- p(X). constraint c: forall X: r(X) -> q(X).",
+        )
+        .unwrap();
+        let s = db.snapshot();
+        let mut eng = RepairEngine::for_snapshot(&s);
+        let shares = |eng: &RepairEngine| Arc::ptr_eq(eng.model.get().unwrap(), &s.model_arc());
+        assert!(shares(&eng));
+        // Computing a model would now see no facts, hence no violation:
+        // both answers must come from the snapshot's model.
+        eng.edb = FactSet::default();
+        let mut closure: Vec<&str> = eng.affected_closure().iter().map(|p| p.as_str()).collect();
+        closure.sort_unstable();
+        assert_eq!(closure, ["p", "q", "r"]);
+        assert_eq!(eng.violations(), ["c"]);
+        assert!(shares(&eng));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! the sense of Arenas–Bertossi–Chomicki (and the SAT-based CAvSAT
 //! system of Dixit & Kolaitis): an answer is *certain* iff it holds in
 //! **every** minimal repair. Candidate repairs are evaluated through
-//! [`OverlayEngine`](uniform_datalog::OverlayEngine) overlays — the
-//! paper's `new(U, ·)` simulation — so no repaired database is ever
-//! materialized.
+//! [`OverlayEngine`](uniform_datalog::OverlayEngine) overlays over the
+//! state's model — the paper's `new(U, ·)` simulation — so no repaired
+//! database is ever materialized.
 //!
 //! Repairs stay within the *active domain* (constants of the facts,
 //! rules and constraints): no fresh constants are invented, matching
@@ -72,7 +72,6 @@ pub mod sat;
 
 pub use cqa::{
     certain_answers, certain_answers_bound, certainly_satisfies, certainly_satisfies_bound,
-    intersect_over_repairs,
 };
 pub use engine::{
     RepairBackend, RepairEngine, RepairError, RepairOptions, RepairReport, RepairSet, RepairStats,

@@ -61,7 +61,14 @@ fn overlay_engine_simulates_before_commit() {
     )
     .unwrap();
     // Simulate inserting edge(c,a): tc becomes cyclic in the simulation…
-    let engine = OverlayEngine::updated(db.facts(), db.rules(), vec![fact("edge(c, a).")], vec![]);
+    let model = Model::compute(db.facts(), db.rules());
+    let engine = OverlayEngine::over_model(
+        &model,
+        db.facts(),
+        db.rules(),
+        vec![fact("edge(c, a).")],
+        vec![],
+    );
     assert!(engine.holds(&fact("tc(a, a).")));
     // …but the database itself is untouched.
     assert!(!db.holds(&fact("tc(a, a).")));
@@ -126,7 +133,8 @@ fn rules_singleton() {
         ",
     )
     .unwrap();
-    let engine = OverlayEngine::current(db.facts(), db.rules());
+    let model = Model::compute(db.facts(), db.rules());
+    let engine = OverlayEngine::over_model(&model, db.facts(), db.rules(), vec![], vec![]);
     assert!(engine.holds(&fact("member(bob, hr).")));
     assert!(engine.holds(&fact("member(ann, sales).")));
     let rule: &Rule = &db.rules().rules()[0];

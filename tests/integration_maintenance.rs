@@ -216,6 +216,39 @@ fn recursive_commit_work_is_independent_of_database_size() {
     assert_eq!((small[0].2, small[2].2), (0, 1));
 }
 
+/// A `Certain` read's per-repair unit costs O(Δ) as well, as exact
+/// counts: the overlay of one repair-shaped update (an insertion plus a
+/// deletion) over a `tc` forest's model, asked `tc(t0_1, Y)`, does the
+/// same propagation work and finds the same answers on a 64- and a
+/// 2 048-node forest.
+#[test]
+fn certain_read_work_is_independent_of_database_size() {
+    use uniform::datalog::{all_solutions, OverlayEngine, PropagationStats};
+    use uniform::logic::{Subst, Sym, Term};
+
+    let goal = [parse_literal("tc(t0_1, Y)").unwrap()];
+    let y = Sym::new("Y");
+    let work = |nodes: usize| -> (PropagationStats, Vec<&'static str>) {
+        let db = uniform::workload::tc_forest(nodes, 11);
+        let model = db.model();
+        let insert = vec![upd("edge(t0_3, leaf)").fact];
+        let delete = vec![upd("not edge(t0_1, t0_4)").fact];
+        let engine = OverlayEngine::over_model(&model, db.facts(), db.rules(), insert, delete);
+        let mut answers: Vec<&str> = all_solutions(&engine, &goal, &mut Subst::new(), &[y])
+            .iter()
+            .filter_map(|s| s.walk(Term::Var(y)).as_const())
+            .map(|c| c.as_str())
+            .collect();
+        answers.sort();
+        (engine.propagation_stats(), answers)
+    };
+    let small = work(64);
+    assert_eq!(small, work(2048));
+    let (kernel, answers) = small;
+    assert!(kernel.derived > 0 && kernel.overdeleted > 0, "{kernel:?}");
+    assert_eq!(answers, ["leaf", "t0_3", "t0_7", "t0_8"]);
+}
+
 /// Flat commits cost O(Δ) as well, as exact counts: inserting one
 /// student and deleting another does the same maintenance work on a 64-
 /// and a 2 048-student university. Its one rule is non-recursive, and
@@ -243,9 +276,10 @@ fn flat_commit_work_is_independent_of_database_size() {
 /// a name minted per request is memory the process never gets back.
 /// Every fact and rule text is built before counting, and every request
 /// has run once on a twin database: then 64 accepted recursive commits
-/// on a `tc` forest, one `AutoRepair` commit that falsifies a derived
-/// fact through its rule, and one guarded rule addition leave the
-/// interner's length where it was. The count runs in a child process,
+/// on a `tc` forest, a recursion-reaching prepared query planned and
+/// read at `Latest` and `Certain` on it, one `AutoRepair` commit that
+/// falsifies a derived fact through its rule, and one guarded rule
+/// addition leave the interner's length where it was. The count runs in a child process,
 /// where no other test of this binary interns concurrently.
 #[test]
 fn guarded_work_interns_no_symbols() {
@@ -268,7 +302,7 @@ fn guarded_work_interns_no_symbols() {
 
     use uniform::logic::{parse_rule, Sym};
     use uniform::repair::ViolationPolicy;
-    use uniform::UniformOptions;
+    use uniform::{Consistency, Params, UniformOptions};
 
     const FLAG: &str = "flagged(X) :- p(X), bad(X).
         constraint flag_ok: forall X: flagged(X) -> ok(X).
@@ -294,6 +328,12 @@ fn guarded_work_interns_no_symbols() {
             txn.stage(edge.clone());
             let outcome = forest.commit(&txn).unwrap();
             assert!(outcome.report.satisfied, "{edge}");
+        }
+        let tc = forest.prepare_with_params("tc(S, X)", &["S"]).unwrap();
+        let params = Params::new().bind("S", "t0_1");
+        let session = forest.session();
+        for level in [Consistency::Latest, Consistency::Certain] {
+            assert!(!session.execute(&tc, &params, level).unwrap().is_empty());
         }
         let mut txn = flag.begin();
         txn.stage(bad.clone());

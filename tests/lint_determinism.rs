@@ -30,12 +30,6 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
          `bound` in this file is a plan-time local used only for membership",
     ),
     (
-        "core/src/query.rs",
-        "params",
-        "every flagged `params` iteration is over a slice parameter or the \
-         BTreeMap-backed Params; the hash-typed `params` local is membership-only",
-    ),
-    (
         "logic/src/semantics.rs",
         "facts",
         "test-helper iteration over a slice parameter feeding a set-semantics \

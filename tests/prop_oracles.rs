@@ -334,7 +334,6 @@ proptest! {
         }
         got.sort();
         prop_assert_eq!(&got, &expected, "delta of {:?} on {:?}", tx, facts);
-        prop_assert_eq!(engine.materialization_count(), 0);
 
         let mut maintained = MaintainedModel::with_model(
             db.facts().clone(), db.rules().clone(), before.facts().clone());
@@ -634,7 +633,6 @@ fn recursive_propagation_on_cycles_matches_model_diff() {
         }
         got.sort();
         assert_eq!(got, expected, "{tx:?}");
-        assert_eq!(engine.materialization_count(), 0, "{tx:?}");
         verdicts_agree(&checked, tx).unwrap_or_else(|e| panic!("{tx:?}: {e}"));
     }
 }

@@ -154,8 +154,9 @@ fn prepared_equals_legacy_on_randomized_databases_both_levels() {
 /// A recursive state whose constraints reach the recursion's EDB:
 /// `edge` tuples may dangle (missing `node`), so minimal repairs
 /// insert `node` facts or delete `edge` facts — certain `tc` answers
-/// genuinely differ from latest ones. This is the shape whose prepared
-/// plan carries a magic program (recursion-reaching goal).
+/// genuinely differ from latest ones. A `Certain` read of the
+/// recursion-reaching goal reads each repair's propagation over the
+/// state's model.
 fn tc_state(seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7c_57a7e);
     let nodes = ["a", "b", "c", "d", "e"];
@@ -178,7 +179,7 @@ fn tc_state(seed: u64) -> Database {
 }
 
 #[test]
-fn prepared_params_equal_substituted_one_shots_incl_magic_path() {
+fn prepared_params_equal_substituted_one_shots_incl_recursive_goals() {
     for seed in 0..cases() {
         let db = tc_state(seed);
         let cdb = concurrent(&db);
