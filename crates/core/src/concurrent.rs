@@ -552,7 +552,9 @@ impl ConcurrentDatabase {
         let tx = txn.transaction();
         let report = {
             let _check = self.shared.obs.span("commit.check");
-            Checker::for_snapshot_with_options(txn.snapshot(), self.shared.options.check).check(&tx)
+            Checker::for_snapshot(txn.snapshot())
+                .with_options(self.shared.options.check)
+                .check(&tx)
         };
         // The admission decision needs every access pattern the verdict
         // read — and so does deciding whether a *rejection* is still
@@ -654,7 +656,8 @@ impl ConcurrentDatabase {
         let combined = txn.transaction();
         let combined_report = {
             let _check = self.shared.obs.span("commit.check");
-            Checker::for_snapshot_with_options(txn.snapshot(), self.shared.options.check)
+            Checker::for_snapshot(txn.snapshot())
+                .with_options(self.shared.options.check)
                 .check(&combined)
         };
         if !combined_report.satisfied {
@@ -1172,7 +1175,9 @@ impl ConcurrentDatabase {
     /// Check a transaction against the latest committed state without
     /// applying it.
     pub fn check(&self, tx: &Transaction) -> CheckReport {
-        Checker::for_snapshot_with_options(&self.snapshot(), self.shared.options.check).check(tx)
+        Checker::for_snapshot(&self.snapshot())
+            .with_options(self.shared.options.check)
+            .check(tx)
     }
 
     /// Insert one fact (parsed), guarded.

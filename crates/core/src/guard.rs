@@ -7,13 +7,13 @@ use crate::query::QueryError;
 use std::fmt;
 use uniform_analyze::{AnalyzeError, AnalyzeOptions, Analyzer, SatClass};
 use uniform_datalog::{Database, RuleSet};
-use uniform_integrity::{CheckOptions, CheckReport, RuleUpdate, RuleUpdateChecker};
+use uniform_integrity::{CheckOptions, CheckReport, Checker, RuleUpdate};
 use uniform_logic::{Constraint, LogicError};
 use uniform_repair::{RepairError, RepairOptions, RepairSet, ViolationPolicy};
 use uniform_satisfiability::{SatChecker, SatOptions, SatOutcome, SatReport};
 
 /// Configuration of a [`crate::ConcurrentDatabase`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UniformOptions {
     /// Options for update checking.
     pub check: CheckOptions,
@@ -28,17 +28,6 @@ pub struct UniformOptions {
     /// check fails (see [`ViolationPolicy`]); overridable per commit
     /// via [`crate::ConcurrentDatabase::commit_with_policy`].
     pub violation_policy: ViolationPolicy,
-}
-
-impl Default for UniformOptions {
-    fn default() -> UniformOptions {
-        UniformOptions {
-            check: CheckOptions::default(),
-            sat: SatOptions::default(),
-            repair: RepairOptions::default(),
-            violation_policy: ViolationPolicy::Reject,
-        }
-    }
 }
 
 /// Everything that can go wrong when talking to a
@@ -231,9 +220,9 @@ pub(crate) fn guarded_rule_update(
     update: RuleUpdate,
     presat: Option<&SatReport>,
 ) -> Result<bool, UniformError> {
-    let checker = RuleUpdateChecker::with_options(db, options.check);
+    let checker = Checker::new(db).with_options(options.check);
     let compiled = checker
-        .compile(&update)
+        .compile_rule_update(&update)
         .map_err(|e| UniformError::Stratification(e.to_string()))?;
     let Some(rule_set) = compiled.rules_after.clone() else {
         return Ok(false); // no-op: rule already present / absent
@@ -262,7 +251,7 @@ pub(crate) fn guarded_rule_update(
         });
     }
 
-    let report = checker.evaluate(&compiled);
+    let report = checker.evaluate_rule_update(&compiled);
     if !report.satisfied {
         return Err(UniformError::UpdateRejected(Box::new(report)));
     }

@@ -6,9 +6,10 @@
 //! cheaply clonable handle over one commit queue, shared by any number
 //! of readers and writers — that guards
 //!
-//! * **fact updates** with the two-phase integrity-maintenance method
-//!   (simplified instances of constraints relevant to the update and its
-//!   potential consequences — never a full re-check), and
+//! * **fact and rule updates** with the two-phase integrity-maintenance
+//!   method (simplified instances of constraints relevant to the update
+//!   and its potential consequences — never a full re-check; a rule
+//!   change runs the same [`Checker`] phases, seeded from its head), and
 //! * **constraint and rule updates** with the finite-satisfiability
 //!   checker (model generation by constraint enforcement) — detecting
 //!   schema changes that no database state could ever satisfy *before*
@@ -77,7 +78,7 @@ pub use uniform_datalog::{
     TxnBuilder, Update,
 };
 pub use uniform_integrity::{
-    CheckOptions, CheckReport, Checker, ConditionalUpdate, RuleUpdate, RuleUpdateChecker, Violation,
+    CheckOptions, CheckReport, Checker, ConditionalUpdate, RuleUpdate, Violation,
 };
 pub use uniform_logic::{Constraint, Fact, Formula, Literal, Rq, Rule};
 pub use uniform_obs::{

@@ -46,7 +46,6 @@ pub mod footprint;
 pub mod interp;
 pub mod magic;
 pub mod maintain;
-pub mod memo;
 pub mod model;
 pub mod pagemap;
 pub mod par;
@@ -68,7 +67,6 @@ pub use footprint::{ConflictGranularity, KeyFp, ReadFootprint, ReadPattern, RelA
 pub use interp::{Interp, Overlay};
 pub use magic::{answer_goal_magic, MagicAnswers, MagicError};
 pub use maintain::{MaintainStats, MaintainedModel, Propagation, PropagationStats};
-pub use memo::StripedMemo;
 pub use model::Model;
 pub use patterns::{PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED};
 pub use planner::{optimize_rq, Cardinality, ConjunctionPlan, FixedStats, Planner};

@@ -22,21 +22,19 @@
 use crate::cq::solve_conjunction;
 use crate::interp::{Interp, Overlay};
 use crate::maintain::{Propagation, PropagationStats};
-use crate::memo::StripedMemo;
 use crate::model::Model;
 use crate::program::RuleSet;
 use crate::store::FactSet;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::{HashMap, HashSet};
 use uniform_logic::{Fact, Subst, Sym, Term};
 
 /// A virtual interpretation of the canonical model of `U(D)`, where the
 /// update is *not* applied to `edb`.
 ///
-/// `Sync`: the lazily computed propagation and the shared-subquery memo
-/// sit behind locks, so one engine can serve the parallel
-/// per-constraint evaluation loop of `uniform-integrity` directly.
+/// Single-threaded: an engine is a local of one check or one read, so
+/// the lazily computed propagation and the shared-subquery memo are
+/// plain cells, and the engine is not `Sync`.
 pub struct OverlayEngine<'a> {
     edb: &'a FactSet,
     rules: &'a RuleSet,
@@ -46,15 +44,14 @@ pub struct OverlayEngine<'a> {
     model: &'a Model,
     /// The update's propagation over `model`, computed when a
     /// recursion-reaching predicate is first queried.
-    propagation: OnceLock<Propagation<'a>>,
+    propagation: OnceCell<Propagation<'a>>,
     /// Memo for ground IDB goals solved through the SLD path. This is the
     /// engine-level realization of §3.2's "global evaluation": when many
     /// simplified instances are evaluated against one simulated state,
     /// shared subqueries (the paper's `attends(jack, ddb)` example) are
-    /// answered once. Striped by goal hash so parallel evaluators don't
-    /// contend on one lock (see [`StripedMemo`]).
-    goal_memo: StripedMemo<Fact, bool>,
-    memo_hits: AtomicUsize,
+    /// answered once.
+    goal_memo: RefCell<HashMap<Fact, bool>>,
+    memo_hits: Cell<usize>,
 }
 
 impl<'a> OverlayEngine<'a> {
@@ -76,9 +73,9 @@ impl<'a> OverlayEngine<'a> {
             added: insert,
             removed: delete,
             model,
-            propagation: OnceLock::new(),
-            goal_memo: StripedMemo::new(),
-            memo_hits: AtomicUsize::new(0),
+            propagation: OnceCell::new(),
+            goal_memo: RefCell::new(HashMap::new()),
+            memo_hits: Cell::new(0),
         }
     }
 
@@ -119,7 +116,7 @@ impl<'a> OverlayEngine<'a> {
 
     /// Ground-subquery memo hits (the redundant subqueries of §3.2).
     pub fn memo_hits(&self) -> usize {
-        self.memo_hits.load(Ordering::Relaxed)
+        self.memo_hits.get()
     }
 
     /// Resolve a ground goal by scanning with every position bound
@@ -180,26 +177,20 @@ impl<'a> OverlayEngine<'a> {
 impl Interp for OverlayEngine<'_> {
     fn holds(&self, fact: &Fact) -> bool {
         // Memoize ground IDB goals on the SLD path; EDB lookups and
-        // propagated (recursive) predicates are O(1) already. Each
-        // goal gets a `OnceLock` slot so exactly one thread resolves it
-        // (concurrent askers of the *same* goal block on that slot) and
-        // `memo_hits` counts re-asks deterministically regardless of
-        // scheduling. Non-recursive goals cannot re-enter their own
-        // slot, so `get_or_init` cannot self-deadlock.
+        // propagated (recursive) predicates are O(1) already. A
+        // non-recursive goal cannot re-ask itself while it resolves, so
+        // each goal is resolved once and every re-ask is a hit.
         let graph = self.rules.graph();
         let memoizable = graph.is_idb(fact.pred) && !graph.reaches_recursion(fact.pred);
         if !memoizable {
             return self.resolve(fact);
         }
-        let slot = self.goal_memo.slot(fact);
-        let mut resolved_here = false;
-        let verdict = *slot.get_or_init(|| {
-            resolved_here = true;
-            self.resolve(fact)
-        });
-        if !resolved_here {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(&verdict) = self.goal_memo.borrow().get(fact) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            return verdict;
         }
+        let verdict = self.resolve(fact);
+        self.goal_memo.borrow_mut().insert(fact.clone(), verdict);
         verdict
     }
 
@@ -397,27 +388,21 @@ mod tests {
     }
 
     #[test]
-    fn striped_goal_memo_counts_reasks_deterministically() {
+    fn goal_memo_counts_reasks() {
         let e = edb(&["leads(ann,sales).", "leads(bob,hr)."]);
         let r = rules(&["member(X,Y) :- leads(X,Y)."]);
         let m = Model::compute(&e, &r);
         let engine = OverlayEngine::over_model(&m, &e, &r, vec![], vec![]);
-        // Distinct goals land on (potentially) distinct stripes; re-asks
-        // of the same goal hit its OnceLock slot exactly once each.
+        // Each goal is resolved on its first ask; every re-ask is a hit.
         assert!(engine.holds(&fact("member(ann,sales).")));
         assert!(engine.holds(&fact("member(bob,hr).")));
         assert_eq!(engine.memo_hits(), 0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let engine = &engine;
-                scope.spawn(move || {
-                    assert!(engine.holds(&fact("member(ann,sales).")));
-                    assert!(!engine.holds(&fact("member(ann,hr).")));
-                });
-            }
-        });
-        // 4 re-asks of the warm goal; the cold goal was resolved once by
-        // whichever thread got there first and re-asked by the other 3.
+        for _ in 0..4 {
+            assert!(engine.holds(&fact("member(ann,sales).")));
+            assert!(!engine.holds(&fact("member(ann,hr).")));
+        }
+        // 4 re-asks of the warm goal; the cold goal was resolved on the
+        // first round and re-asked on the other 3.
         assert_eq!(engine.memo_hits(), 7);
     }
 

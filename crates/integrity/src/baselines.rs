@@ -10,22 +10,21 @@
 //!   architecture: compute *actual* induced updates eagerly (even those no
 //!   constraint cares about) and evaluate each simplified instance
 //!   immediately and independently.
-//! * [`lloyd_topor_check`] — the Lloyd–Topor 86 variant: same two-phase
-//!   compilation, but triggers are enumerated with `new` instead of
+//! * [`lloyd_topor_check`] — the Lloyd–Topor 86 variant: the checker's
+//!   two phases, but triggers are enumerated with `new` instead of
 //!   `delta` ("Instead of evaluating expressions of the form
 //!   ¬delta(U,L) ∨ new(U,s(C)), they evaluate formulas corresponding to
 //!   ¬new(U,L) ∨ new(U,s(C))" — §3.2), so instances are also evaluated
 //!   for trigger instances whose truth did not change.
 
-use crate::checker::{CheckReport, CheckStats, Checker, Violation};
-use crate::delta::pattern_key;
+use crate::checker::{evaluate_update_constraints, CheckReport, CheckStats, Checker, Violation};
 use crate::relevance::RelevanceIndex;
 use crate::simplify::simplified_instances;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use uniform_datalog::{
     satisfies_closed, solve_conjunction, Database, Interp, Model, OverlayEngine, Transaction,
 };
-use uniform_logic::{match_atom, Fact, Literal, Rq, Subst, Sym};
+use uniform_logic::{match_atom, Fact, Literal, Subst, Sym};
 
 /// Baseline A: apply the update to a copy and evaluate the full
 /// constraint set over the recomputed canonical model.
@@ -48,14 +47,7 @@ pub fn full_recheck(db: &Database, tx: &Transaction) -> CheckReport {
             });
         }
     }
-    CheckReport {
-        satisfied: violations.is_empty(),
-        violations,
-        reads: Vec::new(),
-        read_patterns: Vec::new(),
-        stats,
-        truncated: false,
-    }
+    CheckReport::new(violations, Vec::new(), stats, false)
 }
 
 /// Baseline B: interleaved induced-update checking.
@@ -69,14 +61,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
     let mut stats = CheckStats::default();
     let (adds, dels) = tx.net_effect(db.facts());
     if adds.is_empty() && dels.is_empty() {
-        return CheckReport {
-            satisfied: true,
-            violations: Vec::new(),
-            reads: Vec::new(),
-            read_patterns: Vec::new(),
-            stats,
-            truncated: false,
-        };
+        return CheckReport::new(Vec::new(), Vec::new(), stats, false);
     }
     let current = db.model();
     let index = RelevanceIndex::build(db.constraints());
@@ -185,14 +170,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
         }
     }
 
-    CheckReport {
-        satisfied: violations.is_empty(),
-        violations,
-        reads: Vec::new(),
-        read_patterns: Vec::new(),
-        stats,
-        truncated: false,
-    }
+    CheckReport::new(violations, Vec::new(), stats, false)
 }
 
 /// Baseline C: Lloyd–Topor-style trigger enumeration.
@@ -207,82 +185,28 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
     let checker = Checker::new(db);
     let literals: Vec<Literal> = tx.updates.iter().map(|u| u.to_literal()).collect();
     let compiled = checker.compile(&literals);
-
-    let mut stats = CheckStats {
-        potential_updates: compiled.potential.len(),
-        update_constraints: compiled.update_constraints.len(),
-        ..CheckStats::default()
-    };
+    let mut stats = compiled.stats();
 
     let (adds, dels) = tx.net_effect(db.facts());
     if adds.is_empty() && dels.is_empty() {
-        return CheckReport {
-            satisfied: true,
-            violations: Vec::new(),
-            reads: Vec::new(),
-            read_patterns: Vec::new(),
-            stats,
-            truncated: false,
-        };
+        return CheckReport::new(Vec::new(), Vec::new(), stats, false);
     }
     let current = db.model();
     let updated = OverlayEngine::over_model(&current, db.facts(), db.rules(), adds, dels);
-
-    let mut groups: HashMap<String, Vec<&crate::checker::UpdateConstraint>> = HashMap::new();
-    for uc in &compiled.update_constraints {
-        groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
-    }
-    stats.trigger_groups = groups.len();
-
-    let mut violations = Vec::new();
-    let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
-    // Trigger-key order, so the violation list (user-visible through the
-    // report) never depends on the group map's iteration order.
-    let mut keyed: Vec<(&String, &Vec<&crate::checker::UpdateConstraint>)> =
-        groups.iter().collect();
-    keyed.sort_by(|a, b| a.0.cmp(b.0));
-    for (_, members) in keyed {
-        let representative = &members[0].trigger;
-        let answers = enumerate_new_answers(&updated, current.as_ref(), representative);
-        stats.delta.answers += answers.len();
-        for answer in answers {
-            let fact = answer.atom.to_fact().expect("answers are ground");
-            for uc in members {
-                let Some(theta) = match_atom(&uc.trigger.atom, &fact) else {
-                    continue;
-                };
-                let ground = uc.instance.apply(&theta);
-                let holds = match verdict_cache.get(&ground) {
-                    Some(&v) => {
-                        stats.instances_shared += 1;
-                        v
-                    }
-                    None => {
-                        stats.instances_evaluated += 1;
-                        let v = satisfies_closed(&updated, &ground);
-                        verdict_cache.insert(ground.clone(), v);
-                        v
-                    }
-                };
-                if !holds {
-                    violations.push(Violation {
-                        constraint: db.constraints()[uc.constraint].name.clone(),
-                        culprit: Some(answer.clone()),
-                        instance: ground,
-                    });
-                }
-            }
-        }
-    }
-
-    CheckReport {
-        satisfied: violations.is_empty(),
-        violations,
-        reads: Vec::new(),
-        read_patterns: Vec::new(),
-        stats,
-        truncated: false,
-    }
+    let mut answers = 0;
+    let violations = evaluate_update_constraints(
+        &compiled.update_constraints,
+        db.constraints(),
+        &updated,
+        |pattern| {
+            let found = enumerate_new_answers(&updated, &current, pattern);
+            answers += found.len();
+            found
+        },
+        &mut stats,
+    );
+    stats.delta.answers = answers;
+    CheckReport::new(violations, Vec::new(), stats, compiled.truncated)
 }
 
 /// `new`-based trigger enumeration: instances of the pattern true in the

@@ -14,12 +14,18 @@
 //!
 //! All constraints are satisfied in `U(D)` iff they were satisfied in `D`
 //! and no evaluated instance is violated (Prop. 3).
+//!
+//! Every update kind runs these two phases: fact updates and
+//! transactions here, conditional updates (from their pattern) and rule
+//! updates (from the rule's head, over the rules after the change) in
+//! their modules, and the Lloyd–Topor baseline, which only swaps the
+//! source of the ground triggers.
 
 use crate::delta::{pattern_key, DeltaEngine, DeltaStats};
 use crate::potential::potential_updates;
 use crate::relevance::RelevanceIndex;
 use crate::simplify::{simplified_instances, SimplifiedInstance};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use uniform_datalog::{
     satisfies_closed, Database, FactSet, Interp, Model, OverlayEngine, ReadPattern, RuleSet,
@@ -61,6 +67,17 @@ pub struct CompiledCheck {
     pub truncated: bool,
 }
 
+impl CompiledCheck {
+    /// The compile phase's counters, the start of every check's stats.
+    pub(crate) fn stats(&self) -> CheckStats {
+        CheckStats {
+            potential_updates: self.potential.len(),
+            update_constraints: self.update_constraints.len(),
+            ..CheckStats::default()
+        }
+    }
+}
+
 /// A violated constraint instance.
 #[derive(Clone, Debug)]
 pub struct Violation {
@@ -74,7 +91,7 @@ pub struct Violation {
 
 /// Work counters of one check (the benchmark's per-layer probes read
 /// them).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
     pub potential_updates: usize,
     pub update_constraints: usize,
@@ -129,29 +146,31 @@ impl CheckReport {
         self.satisfied && !self.truncated
     }
 
-    fn satisfied_with(stats: CheckStats, read_patterns: Vec<ReadPattern>) -> CheckReport {
+    /// The report of a check that found `violations`: satisfied iff
+    /// there are none, and reading the distinct predicates of
+    /// `read_patterns`, sorted by name.
+    pub(crate) fn new(
+        violations: Vec<Violation>,
+        read_patterns: Vec<ReadPattern>,
+        stats: CheckStats,
+        truncated: bool,
+    ) -> CheckReport {
+        let mut reads: Vec<Sym> = read_patterns
+            .iter()
+            .map(|p| p.pred)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        reads.sort_by_key(|s| s.as_str());
         CheckReport {
-            satisfied: true,
-            violations: Vec::new(),
-            reads: reads_of(&read_patterns),
+            satisfied: violations.is_empty(),
+            violations,
+            reads,
             read_patterns,
             stats,
-            truncated: false,
+            truncated,
         }
     }
-}
-
-/// The relation-level projection of a pattern set: distinct predicates,
-/// sorted by name.
-fn reads_of(patterns: &[ReadPattern]) -> Vec<Sym> {
-    let mut reads: Vec<Sym> = patterns
-        .iter()
-        .map(|p| p.pred)
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    reads.sort_by_key(|s| s.as_str());
-    reads
 }
 
 /// The state a checker evaluates against: a live [`Database`] or a
@@ -163,7 +182,10 @@ enum CheckTarget<'a> {
     Snap(&'a Snapshot),
 }
 
-/// The two-phase integrity checker, bound to a database or a snapshot.
+/// The two-phase integrity checker, bound to a database or a snapshot:
+/// fact updates and transactions here, conditional updates
+/// ([`Checker::check_conditional`]) and rule updates
+/// ([`Checker::check_rule_update`]) in their modules.
 pub struct Checker<'a> {
     target: CheckTarget<'a>,
     index: RelevanceIndex,
@@ -189,32 +211,33 @@ impl<'a> Checker<'a> {
     /// so the `evaluate` phase's `current` interpretation is shared by
     /// reference, never rematerialized per check.
     pub fn for_snapshot(snapshot: &'a Snapshot) -> Checker<'a> {
-        Checker::for_snapshot_with_options(snapshot, CheckOptions::default())
-    }
-
-    pub fn for_snapshot_with_options(snapshot: &'a Snapshot, options: CheckOptions) -> Checker<'a> {
         Checker {
             target: CheckTarget::Snap(snapshot),
             index: RelevanceIndex::build(snapshot.constraints()),
-            options,
+            options: CheckOptions::default(),
         }
     }
 
-    fn facts(&self) -> &FactSet {
+    /// The same checker, compiling with `options`.
+    pub fn with_options(self, options: CheckOptions) -> Checker<'a> {
+        Checker { options, ..self }
+    }
+
+    pub(crate) fn facts(&self) -> &FactSet {
         match self.target {
             CheckTarget::Db(db) => db.facts(),
             CheckTarget::Snap(s) => s.facts(),
         }
     }
 
-    fn rules(&self) -> &RuleSet {
+    pub(crate) fn rules(&self) -> &RuleSet {
         match self.target {
             CheckTarget::Db(db) => db.rules(),
             CheckTarget::Snap(s) => s.rules(),
         }
     }
 
-    fn constraints(&self) -> &[Constraint] {
+    pub(crate) fn constraints(&self) -> &[Constraint] {
         match self.target {
             CheckTarget::Db(db) => db.constraints(),
             CheckTarget::Snap(s) => s.constraints(),
@@ -232,14 +255,22 @@ impl<'a> Checker<'a> {
     /// Phase 1: compile update constraints for the given update literals.
     /// Touches rules and constraints only — never the fact base.
     pub fn compile(&self, updates: &[Literal]) -> CompiledCheck {
+        self.compile_over(self.rules(), updates)
+    }
+
+    /// Phase 1 of every update kind: the potential updates of `seeds`
+    /// under `rules` (Def. 5), one per pattern, and the update
+    /// constraints of each (Def. 6). A rule update passes the rules
+    /// after the change.
+    pub(crate) fn compile_over(&self, rules: &RuleSet, seeds: &[Literal]) -> CompiledCheck {
         let mut potential: Vec<Literal> = Vec::new();
         let mut truncated = false;
-        let mut seen_patterns: HashMap<String, ()> = HashMap::new();
-        for u in updates {
-            let p = potential_updates(self.rules(), u, self.options.potential_limit);
+        let mut seen_patterns: HashSet<String> = HashSet::new();
+        for u in seeds {
+            let p = potential_updates(rules, u, self.options.potential_limit);
             truncated |= p.truncated;
             for lit in p.literals {
-                if seen_patterns.insert(pattern_key(&lit), ()).is_none() {
+                if seen_patterns.insert(pattern_key(&lit)) {
                     potential.push(lit);
                 }
             }
@@ -291,16 +322,12 @@ impl<'a> Checker<'a> {
     /// Phase 2: evaluate a compiled check against the database and the
     /// transaction (Def. 1 net effect).
     pub fn evaluate(&self, compiled: &CompiledCheck, tx: &Transaction) -> CheckReport {
-        let mut stats = CheckStats {
-            potential_updates: compiled.potential.len(),
-            update_constraints: compiled.update_constraints.len(),
-            ..CheckStats::default()
-        };
+        let mut stats = compiled.stats();
         let read_patterns = self.read_patterns(compiled, tx);
 
         let (adds, dels) = tx.net_effect(self.facts());
         if adds.is_empty() && dels.is_empty() {
-            return CheckReport::satisfied_with(stats, read_patterns);
+            return CheckReport::new(Vec::new(), read_patterns, stats, false);
         }
         let net_updates: Vec<Update> = adds
             .iter()
@@ -316,71 +343,16 @@ impl<'a> Checker<'a> {
         let current = self.model();
         let updated = OverlayEngine::over_model(&current, self.facts(), self.rules(), adds, dels);
         let delta = DeltaEngine::new(&current, &updated, self.rules(), &net_updates);
-
-        // Group update constraints by trigger pattern so each delta
-        // enumeration runs once.
-        let mut groups: HashMap<String, Vec<&UpdateConstraint>> = HashMap::new();
-        for uc in &compiled.update_constraints {
-            groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
-        }
-        stats.trigger_groups = groups.len();
-
-        // Deterministic group order (HashMap iteration order is not), so
-        // the violation list is deterministic too.
-        let mut ordered_groups: Vec<(&String, &Vec<&UpdateConstraint>)> = groups.iter().collect();
-        ordered_groups.sort_by_key(|(key, _)| key.as_str());
-
-        // Verdicts are cached across groups, so `instances_evaluated` =
-        // distinct ground instances and `instances_shared` =
-        // re-occurrences.
-        let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
-        let mut violations = Vec::new();
-        for (_, members) in ordered_groups {
-            let representative = &members[0].trigger;
-            for answer in delta.delta(representative) {
-                let fact = answer.atom.to_fact().expect("delta answers are ground");
-                for uc in members {
-                    let Some(theta) = match_atom(&uc.trigger.atom, &fact) else {
-                        continue;
-                    };
-                    let ground = uc.instance.apply(&theta);
-                    debug_assert!(ground.is_closed(), "instance not closed: {ground}");
-                    // Probe before cloning: hits (the common case the
-                    // cache exists for) must not deep-clone the ground
-                    // formula just to look it up.
-                    let holds = match verdict_cache.get(&ground) {
-                        Some(&v) => {
-                            stats.instances_shared += 1;
-                            v
-                        }
-                        None => {
-                            stats.instances_evaluated += 1;
-                            let v = satisfies_closed(&updated, &ground);
-                            verdict_cache.insert(ground.clone(), v);
-                            v
-                        }
-                    };
-                    if !holds {
-                        violations.push(Violation {
-                            constraint: self.constraints()[uc.constraint].name.clone(),
-                            culprit: Some(answer.clone()),
-                            instance: ground,
-                        });
-                    }
-                }
-            }
-        }
-
+        let violations = evaluate_update_constraints(
+            &compiled.update_constraints,
+            self.constraints(),
+            &updated,
+            |pattern| delta.delta(pattern),
+            &mut stats,
+        );
         stats.delta = delta.stats();
         stats.subquery_memo_hits = updated.memo_hits();
-        CheckReport {
-            satisfied: violations.is_empty(),
-            violations,
-            reads: reads_of(&read_patterns),
-            read_patterns,
-            stats,
-            truncated: compiled.truncated,
-        }
+        CheckReport::new(violations, read_patterns, stats, compiled.truncated)
     }
 
     /// Both phases for a transaction.
@@ -396,12 +368,70 @@ impl<'a> Checker<'a> {
     }
 }
 
-/// Sanity helper used by tests and the satisfiability layer: does `interp`
-/// satisfy every constraint of `db` outright?
-pub fn all_constraints_hold(db: &Database, interp: &dyn Interp) -> bool {
-    db.constraints()
-        .iter()
-        .all(|c| satisfies_closed(interp, &c.rq))
+/// Phase 2 of every update kind (Prop. 3): group the update constraints
+/// by trigger pattern, enumerate each group's ground triggers once
+/// through `triggers` (a rule update diffs two models, the Lloyd–Topor
+/// baseline scans `new`, the checker asks `delta`), and evaluate every
+/// instance they ground against `updated`, each distinct ground instance
+/// once (§3.2's global evaluation). Groups are walked in pattern-key
+/// order, so the violation list is deterministic. Counts groups and
+/// instances into `stats`; the trigger source counts its own
+/// [`DeltaStats`].
+pub(crate) fn evaluate_update_constraints<F>(
+    update_constraints: &[UpdateConstraint],
+    constraints: &[Constraint],
+    updated: &dyn Interp,
+    mut triggers: F,
+    stats: &mut CheckStats,
+) -> Vec<Violation>
+where
+    F: FnMut(&Literal) -> Vec<Literal>,
+{
+    let mut groups: BTreeMap<String, Vec<&UpdateConstraint>> = BTreeMap::new();
+    for uc in update_constraints {
+        groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
+    }
+    stats.trigger_groups = groups.len();
+
+    // Verdicts are cached across groups, so `instances_evaluated` =
+    // distinct ground instances and `instances_shared` = re-occurrences.
+    let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
+    let mut violations = Vec::new();
+    for members in groups.values() {
+        for answer in triggers(&members[0].trigger) {
+            let fact = answer.atom.to_fact().expect("triggers are ground");
+            for uc in members {
+                let Some(theta) = match_atom(&uc.trigger.atom, &fact) else {
+                    continue;
+                };
+                let ground = uc.instance.apply(&theta);
+                debug_assert!(ground.is_closed(), "instance not closed: {ground}");
+                // Probe before cloning: hits (the common case the cache
+                // exists for) must not deep-clone the ground formula just
+                // to look it up.
+                let holds = match verdict_cache.get(&ground) {
+                    Some(&v) => {
+                        stats.instances_shared += 1;
+                        v
+                    }
+                    None => {
+                        stats.instances_evaluated += 1;
+                        let v = satisfies_closed(updated, &ground);
+                        verdict_cache.insert(ground.clone(), v);
+                        v
+                    }
+                };
+                if !holds {
+                    violations.push(Violation {
+                        constraint: constraints[uc.constraint].name.clone(),
+                        culprit: Some(answer.clone()),
+                        instance: ground,
+                    });
+                }
+            }
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -584,6 +614,133 @@ mod tests {
         let independent = crate::interleaved_check(&d, &tx);
         assert!(!independent.satisfied);
         assert!(independent.stats.instances_evaluated > rep.stats.instances_evaluated);
+    }
+
+    /// The work of one check, not just its verdict, on fixed fixtures:
+    /// the two-phase check, a rule update and the Lloyd–Topor baseline
+    /// all run the one evaluation loop. In both `SCHOOL` checks the
+    /// violations of constraints `a` and `b` fall in two trigger groups
+    /// (`+enrolled`, `+student`) and share the ground instance
+    /// `qualified(jack)`, and the three `noloop` violations share
+    /// `false`: the verdict cache and the group order both show. The
+    /// values were recorded before the loops were merged.
+    #[test]
+    fn check_work_is_pinned() {
+        use crate::delta::DeltaStats;
+        use crate::rule_update::RuleUpdate;
+        use uniform_datalog::PropagationStats;
+        use uniform_logic::parse_rule;
+
+        const SCHOOL: &str = "
+            student(amy). attends(amy, ddb). mentor(bob, amy). tutor(bob).
+            course(ai). attends(amy, ai). edge(a, b). edge(b, c).
+            enrolled(X, cs) :- student(X).
+            qualified(X) :- attends(X, ddb).
+            guided(X) :- mentor(Y, X), tutor(Y).
+            active(Y) :- tutor(Y).
+            taught(X) :- attends(X, C), course(C).
+            tc(X, Y) :- edge(X, Y).
+            tc(X, Z) :- tc(X, Y), edge(Y, Z).
+            constraint a: forall X: student(X) -> qualified(X).
+            constraint b: forall X: enrolled(X, cs) -> qualified(X).
+            constraint g: forall X, Y: mentor(Y, X) -> guided(X) & active(Y).
+            constraint t: forall X: taught(X) -> qualified(X).
+            constraint noloop: forall X: tc(X, X) -> false.
+        ";
+        fn rendered(report: &CheckReport) -> Vec<String> {
+            report
+                .violations
+                .iter()
+                .map(|v| {
+                    let culprit = v.culprit.as_ref().expect("incremental checks name one");
+                    format!("{} {culprit} {}", v.constraint, v.instance)
+                })
+                .collect()
+        }
+        let school_violations = [
+            "b enrolled(jack,cs) qualified(jack)",
+            "a student(jack) qualified(jack)",
+            "noloop tc(a,a) false",
+            "noloop tc(b,b) false",
+            "noloop tc(c,c) false",
+        ];
+
+        let d = db(SCHOOL);
+        let tx = Transaction::new(
+            [
+                "student(jack)",
+                "mentor(bob, jack)",
+                "mentor(bob, jill)",
+                "edge(c, a)",
+                "course(ddb)",
+            ]
+            .map(upd)
+            .to_vec(),
+        );
+        let report = Checker::new(&d).check(&tx);
+        let expected = CheckStats {
+            potential_updates: 10,
+            update_constraints: 8,
+            trigger_groups: 6,
+            delta: DeltaStats {
+                patterns_evaluated: 8,
+                answers: 8,
+                propagation: PropagationStats {
+                    derived: 6,
+                    ..PropagationStats::default()
+                },
+            },
+            instances_evaluated: 6,
+            instances_shared: 3,
+            subquery_memo_hits: 5,
+            new_materializations: 0,
+        };
+        assert_eq!(report.stats, expected);
+        assert_eq!(rendered(&report), school_violations);
+
+        // `new` also enumerates `taught(amy)`, which held before the
+        // update: one more instance evaluated.
+        let report = crate::lloyd_topor_check(&d, &tx);
+        let expected = CheckStats {
+            potential_updates: 10,
+            update_constraints: 8,
+            trigger_groups: 6,
+            delta: DeltaStats {
+                answers: 8,
+                ..DeltaStats::default()
+            },
+            instances_evaluated: 7,
+            instances_shared: 3,
+            ..CheckStats::default()
+        };
+        assert_eq!(report.stats, expected);
+        assert_eq!(rendered(&report), school_violations);
+
+        let d = db("
+            person(jack). student(amy). attends(amy, ddb).
+            enrolled(X, cs) :- student(X).
+            qualified(X) :- attends(X, ddb).
+            constraint a: forall X: student(X) -> qualified(X).
+            constraint b: forall X: enrolled(X, cs) -> qualified(X).
+        ");
+        let update = RuleUpdate::Add(parse_rule("student(X) :- person(X).").unwrap());
+        let report = Checker::new(&d).check_rule_update(&update).unwrap();
+        let expected = CheckStats {
+            potential_updates: 2,
+            update_constraints: 2,
+            trigger_groups: 2,
+            delta: DeltaStats {
+                patterns_evaluated: 2,
+                answers: 2,
+                ..DeltaStats::default()
+            },
+            instances_evaluated: 1,
+            instances_shared: 1,
+            subquery_memo_hits: 0,
+            new_materializations: 1,
+        };
+        assert_eq!(report.stats, expected);
+        assert_eq!(rendered(&report), school_violations[..2]);
     }
 
     #[test]

@@ -16,13 +16,17 @@
 //! * [`delta`] — §3.3.3 descendant-driven enumeration of induced updates
 //!   (Def. 4);
 //! * [`checker`] — Def. 6 update constraints and the two-phase method of
-//!   Prop. 3;
+//!   Prop. 3: one compile phase and one evaluation loop, which every
+//!   update kind below runs;
 //! * [`conditional`] — conditional updates (update patterns guarded by a
 //!   query; the BRY 87 generalization §3.2 closes with);
 //! * [`rule_update`] — rule additions/removals checked incrementally,
-//!   "treated like conditional updates" (§3.2);
+//!   "treated like conditional updates" (§3.2), as
+//!   [`Checker::check_rule_update`];
 //! * [`baselines`] — full re-check, interleaved (Decker/Kowalski-style)
-//!   and Lloyd–Topor-style methods the paper compares against.
+//!   and Lloyd–Topor-style methods the paper compares against; the
+//!   Lloyd–Topor check is the checker's loop with another trigger
+//!   source.
 //!
 //! ```
 //! use uniform_datalog::{Database, Transaction, Update};
@@ -54,13 +58,12 @@ pub mod simplify;
 
 pub use baselines::{full_recheck, interleaved_check, lloyd_topor_check, verdicts_agree};
 pub use checker::{
-    all_constraints_hold, CheckOptions, CheckReport, CheckStats, Checker, CompiledCheck,
-    UpdateConstraint, Violation,
+    CheckOptions, CheckReport, CheckStats, Checker, CompiledCheck, UpdateConstraint, Violation,
 };
 pub use conditional::ConditionalUpdate;
 pub use delta::{induced_updates_by_diff, pattern_key, DeltaEngine, DeltaStats};
 pub use potential::{direct_dependents, potential_updates, PotentialUpdates};
 pub use registry::CompiledRegistry;
 pub use relevance::{RelevanceIndex, RelevantOccurrence};
-pub use rule_update::{check_rule_update, RuleUpdate, RuleUpdateChecker};
+pub use rule_update::{check_rule_update, RuleUpdate};
 pub use simplify::{simplified_instances, SimplifiedInstance};

@@ -16,29 +16,24 @@
 //!   as well" (§3.2) — hence the post-update set: insertions propagate
 //!   through rules present afterwards, and a deletion propagating
 //!   through the removed rule itself is already an instance of the seed.
-//! * **Evaluate**: induced updates are enumerated per trigger pattern by
-//!   diffing the canonical models before and after the rule change (the
-//!   before-model is the database's cached one), and only the relevant
+//! * **Evaluate**: the checker's one evaluation loop, with the induced
+//!   updates of each trigger pattern enumerated by diffing the canonical
+//!   models before and after the rule change (the before-model is the
+//!   checked state's own) instead of by `delta`. Only the relevant
 //!   simplified instances are evaluated against the new state — never
 //!   the full constraint set.
 //!
+//! Both phases are [`Checker`] methods: [`Checker::compile_rule_update`],
+//! [`Checker::evaluate_rule_update`] and [`Checker::check_rule_update`].
 //! The full re-check of every constraint on the candidate state is what
 //! a system without this method must do; `tests/prop_schema_updates.rs`
 //! keeps it as the oracle the incremental verdict must match.
 
-use crate::checker::{
-    CheckOptions, CheckReport, CheckStats, CompiledCheck, UpdateConstraint, Violation,
-};
-use crate::delta::pattern_key;
-use crate::potential::potential_updates;
-use crate::relevance::RelevanceIndex;
-use crate::simplify::{simplified_instances, SimplifiedInstance};
-use std::collections::HashMap;
+use crate::checker::{evaluate_update_constraints, CheckReport, Checker, CompiledCheck};
+use crate::delta::DeltaStats;
 use std::fmt;
-use uniform_datalog::{
-    satisfies_closed, Database, Interp as _, Model, RuleSet, StratificationError,
-};
-use uniform_logic::{match_atom, Fact, Literal, Renaming, Rq};
+use uniform_datalog::{Database, Interp as _, Model, RuleSet, StratificationError};
+use uniform_logic::{match_atom, Fact, Literal, Renaming};
 
 /// A change to the rule set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,177 +120,75 @@ pub struct CompiledRuleUpdate {
     pub check: CompiledCheck,
 }
 
-/// Incremental integrity checking across rule additions and removals.
-pub struct RuleUpdateChecker<'a> {
-    db: &'a Database,
-    index: RelevanceIndex,
-    options: CheckOptions,
-}
-
-impl<'a> RuleUpdateChecker<'a> {
-    pub fn new(db: &'a Database) -> RuleUpdateChecker<'a> {
-        RuleUpdateChecker::with_options(db, CheckOptions::default())
-    }
-
-    pub fn with_options(db: &'a Database, options: CheckOptions) -> RuleUpdateChecker<'a> {
-        RuleUpdateChecker {
-            db,
-            index: RelevanceIndex::build(db.constraints()),
-            options,
-        }
-    }
-
-    /// Phase 1: compile the update constraints of a rule update. Touches
-    /// rules and constraints only.
-    pub fn compile(&self, update: &RuleUpdate) -> Result<CompiledRuleUpdate, StratificationError> {
-        let Some(rules_after) = update.rules_after(self.db.rules())? else {
+impl Checker<'_> {
+    /// Phase 1 of a rule update: the rule set after the change and the
+    /// update constraints seeded from the head over it. Touches rules and
+    /// constraints only.
+    pub fn compile_rule_update(
+        &self,
+        update: &RuleUpdate,
+    ) -> Result<CompiledRuleUpdate, StratificationError> {
+        let Some(rules_after) = update.rules_after(self.rules())? else {
             return Ok(CompiledRuleUpdate {
                 rules_after: None,
                 check: CompiledCheck::default(),
             });
         };
-        let seeds = potential_updates(&rules_after, &update.seed(), self.options.potential_limit);
-        let mut update_constraints = Vec::new();
-        for lit in &seeds.literals {
-            for SimplifiedInstance {
-                constraint,
-                trigger,
-                instance,
-            } in simplified_instances(&self.index, self.db.constraints(), lit)
-            {
-                update_constraints.push(UpdateConstraint {
-                    constraint,
-                    trigger,
-                    instance,
-                });
-            }
-        }
+        let check = self.compile_over(&rules_after, &[update.seed()]);
         Ok(CompiledRuleUpdate {
             rules_after: Some(rules_after),
-            check: CompiledCheck {
-                potential: seeds.literals,
-                update_constraints,
-                truncated: seeds.truncated,
-            },
+            check,
         })
     }
 
-    /// Phase 2: enumerate induced updates per trigger pattern by diffing
-    /// the canonical models across the rule change, and evaluate the
-    /// relevant simplified instances against the new state.
-    pub fn evaluate(&self, compiled: &CompiledRuleUpdate) -> CheckReport {
-        let mut stats = CheckStats {
-            potential_updates: compiled.check.potential.len(),
-            update_constraints: compiled.check.update_constraints.len(),
-            ..CheckStats::default()
+    /// Phase 2 of a rule update: the induced updates of each trigger
+    /// pattern are the model diff across the rule change, and the
+    /// relevant simplified instances are evaluated against the new
+    /// state.
+    pub fn evaluate_rule_update(&self, compiled: &CompiledRuleUpdate) -> CheckReport {
+        let check = &compiled.check;
+        let mut stats = check.stats();
+        let rules_after = match &compiled.rules_after {
+            Some(rules) if !check.update_constraints.is_empty() => rules,
+            // A no-op, or no constraint is relevant to anything the rule
+            // change can reach: accepted without computing the new model.
+            _ => return CheckReport::new(Vec::new(), Vec::new(), stats, check.truncated),
         };
-        let Some(rules_after) = &compiled.rules_after else {
-            return CheckReport {
-                satisfied: true,
-                violations: Vec::new(),
-                reads: Vec::new(),
-                read_patterns: Vec::new(),
-                stats,
-                truncated: compiled.check.truncated,
-            };
-        };
-        if compiled.check.update_constraints.is_empty() {
-            // No constraint is relevant to anything the rule change can
-            // reach: accepted without computing the new model.
-            return CheckReport {
-                satisfied: true,
-                violations: Vec::new(),
-                reads: Vec::new(),
-                read_patterns: Vec::new(),
-                stats,
-                truncated: compiled.check.truncated,
-            };
-        }
 
-        let before = self.db.model();
-        let after = Model::compute(self.db.facts(), rules_after);
+        let before = self.model();
+        let after = Model::compute(self.facts(), rules_after);
         stats.new_materializations = 1;
-
-        let mut groups: HashMap<String, Vec<&UpdateConstraint>> = HashMap::new();
-        for uc in &compiled.check.update_constraints {
-            groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
-        }
-        stats.trigger_groups = groups.len();
-
-        // Deterministic group order (HashMap iteration order is not).
-        let mut ordered_groups: Vec<(&String, &Vec<&UpdateConstraint>)> = groups.iter().collect();
-        ordered_groups.sort_by_key(|(key, _)| key.as_str());
-
-        let mut delta_memo: HashMap<String, Vec<Fact>> = HashMap::new();
-        let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
-        let mut violations = Vec::new();
-        for (_, members) in ordered_groups {
-            let representative = &members[0].trigger;
-            let key = pattern_key(representative);
-            let answers = match delta_memo.get(&key) {
-                Some(hit) => hit.clone(),
-                None => {
-                    stats.delta.patterns_evaluated += 1;
-                    let answers = model_diff(representative, before.as_ref(), &after);
-                    stats.delta.answers += answers.len();
-                    delta_memo.insert(key, answers.clone());
-                    answers
-                }
-            };
-            for fact in &answers {
-                for uc in members {
-                    let Some(theta) = match_atom(&uc.trigger.atom, fact) else {
-                        continue;
-                    };
-                    let ground = uc.instance.apply(&theta);
-                    debug_assert!(ground.is_closed(), "instance not closed: {ground}");
-                    let holds = match verdict_cache.get(&ground) {
-                        Some(&v) => {
-                            stats.instances_shared += 1;
-                            v
-                        }
-                        None => {
-                            stats.instances_evaluated += 1;
-                            let v = satisfies_closed(&after, &ground);
-                            verdict_cache.insert(ground.clone(), v);
-                            v
-                        }
-                    };
-                    if !holds {
-                        violations.push(Violation {
-                            constraint: self.db.constraints()[uc.constraint].name.clone(),
-                            culprit: Some(Literal::new(
-                                members[0].trigger.positive,
-                                fact.to_atom(),
-                            )),
-                            instance: ground,
-                        });
-                    }
-                }
-            }
-        }
-
-        CheckReport {
-            satisfied: violations.is_empty(),
-            violations,
-            reads: Vec::new(),
-            read_patterns: Vec::new(),
-            stats,
-            truncated: compiled.check.truncated,
-        }
+        let mut delta = DeltaStats::default();
+        let violations = evaluate_update_constraints(
+            &check.update_constraints,
+            self.constraints(),
+            &after,
+            |pattern| {
+                let answers = model_diff(pattern, &before, &after);
+                delta.patterns_evaluated += 1;
+                delta.answers += answers.len();
+                answers
+            },
+            &mut stats,
+        );
+        stats.delta = delta;
+        CheckReport::new(violations, Vec::new(), stats, check.truncated)
     }
 
-    /// Both phases.
-    pub fn check(&self, update: &RuleUpdate) -> Result<CheckReport, StratificationError> {
-        let compiled = self.compile(update)?;
-        Ok(self.evaluate(&compiled))
+    /// Both phases of a rule update.
+    pub fn check_rule_update(
+        &self,
+        update: &RuleUpdate,
+    ) -> Result<CheckReport, StratificationError> {
+        let compiled = self.compile_rule_update(update)?;
+        Ok(self.evaluate_rule_update(&compiled))
     }
 }
 
 /// Ground instances of `pattern` whose truth flips across the rule
 /// change: present in `after` but not `before` for positive patterns,
 /// the converse for negative ones.
-fn model_diff(pattern: &Literal, before: &Model, after: &Model) -> Vec<Fact> {
+fn model_diff(pattern: &Literal, before: &Model, after: &Model) -> Vec<Literal> {
     let (scan_in, absent_from) = if pattern.positive {
         (after, before)
     } else {
@@ -310,7 +203,7 @@ fn model_diff(pattern: &Literal, before: &Model, after: &Model) -> Vec<Fact> {
             args: args.to_vec(),
         };
         if match_atom(&pattern.atom, &f).is_some() && !absent_from.contains(&f) {
-            out.push(f);
+            out.push(Literal::new(pattern.positive, f.to_atom()));
         }
         true
     });
@@ -323,7 +216,7 @@ pub fn check_rule_update(
     db: &Database,
     update: &RuleUpdate,
 ) -> Result<CheckReport, StratificationError> {
-    RuleUpdateChecker::new(db).check(update)
+    Checker::new(db).check_rule_update(update)
 }
 
 #[cfg(test)]
@@ -464,17 +357,19 @@ mod tests {
     #[test]
     fn compile_is_fact_free() {
         let d = db("constraint c: forall X: loud(X) -> warned(X).");
-        let checker = RuleUpdateChecker::new(&d);
-        let compiled = checker.compile(&add("loud(X) :- speaker(X).")).unwrap();
+        let checker = Checker::new(&d);
+        let compiled = checker
+            .compile_rule_update(&add("loud(X) :- speaker(X)."))
+            .unwrap();
         assert_eq!(compiled.check.update_constraints.len(), 1);
         // Facts appear only at evaluation time.
         let mut d2 = d.clone();
         d2.insert_fact(&Fact::parse_like("speaker", &["s"]));
-        let checker2 = RuleUpdateChecker::new(&d2);
-        assert!(!checker2.evaluate(&compiled).satisfied);
+        let checker2 = Checker::new(&d2);
+        assert!(!checker2.evaluate_rule_update(&compiled).satisfied);
         d2.insert_fact(&Fact::parse_like("warned", &["s"]));
-        let checker3 = RuleUpdateChecker::new(&d2);
-        assert!(checker3.evaluate(&compiled).satisfied);
+        let checker3 = Checker::new(&d2);
+        assert!(checker3.evaluate_rule_update(&compiled).satisfied);
     }
 
     #[test]
