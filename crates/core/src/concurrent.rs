@@ -45,7 +45,7 @@ use uniform_datalog::txn::{
 use uniform_datalog::{
     ConflictGranularity, Database, Provenance, Snapshot, Transaction, TxnBuilder, Update,
 };
-use uniform_integrity::{CheckReport, Checker, ConditionalUpdate, RuleUpdate};
+use uniform_integrity::{CheckCache, CheckReport, Checker, ConditionalUpdate, RuleUpdate};
 use uniform_logic::{
     normalize, parse_fact, parse_formula, parse_literal, parse_rule, Constraint, LogicError,
     ParseError, Sym,
@@ -248,6 +248,10 @@ pub(crate) struct CoreMetrics {
     /// [`Shared::analyzed_for_snapshot`].
     analyze_hits: Counter,
     analyze_misses: Counter,
+    /// `check.cache.hits` / `check.cache.misses`, recorded by
+    /// [`Shared::check`].
+    check_hits: Counter,
+    check_misses: Counter,
 }
 
 impl CoreMetrics {
@@ -267,6 +271,8 @@ impl CoreMetrics {
             certain_entries: obs.gauge("cache.certain.entries"),
             analyze_hits: obs.counter("analyze.cache.hits"),
             analyze_misses: obs.counter("analyze.cache.misses"),
+            check_hits: obs.counter("check.cache.hits"),
+            check_misses: obs.counter("check.cache.misses"),
         }
     }
 }
@@ -310,6 +316,10 @@ pub(crate) struct Shared {
     /// stale entry is simply never served again; it is replaced on the
     /// next miss.
     analyzed: Mutex<Option<(u64, u64, Arc<AnalyzedProgram>)>>,
+    /// The compiled checks of the head schema (see [`Shared::check`]):
+    /// one [`CheckCache`] keyed by `(rule_rev, constraint_rev)`,
+    /// replaced on the first check after a schema change.
+    checks: Mutex<Option<(u64, u64, Arc<CheckCache>)>>,
 }
 
 impl Shared {
@@ -384,6 +394,41 @@ impl Shared {
         *slot = Some((rule_rev, constraint_rev, analyzed.clone()));
         analyzed
     }
+
+    /// The integrity check of `tx` against `snapshot`, with the
+    /// database's [`UniformOptions::check`]. A snapshot at the head
+    /// schema revisions reads its compile from the head schema's
+    /// [`CheckCache`] (`check.cache.hits`); every other check compiles
+    /// (`check.cache.misses`). Either way the report equals
+    /// [`Checker::check`]'s.
+    pub(crate) fn check(&self, snapshot: &Snapshot, tx: &Transaction) -> CheckReport {
+        let revs = (snapshot.rule_rev(), snapshot.constraint_rev());
+        let (head_rules, head_constraints, _) = self.schema_revs();
+        if revs != (head_rules, head_constraints) {
+            self.metrics.check_misses.incr();
+            return Checker::for_snapshot(snapshot)
+                .with_options(self.options.check)
+                .check(tx);
+        }
+        let cache = {
+            let mut slot = self.checks.lock();
+            match slot.as_ref() {
+                Some((r, c, cache)) if (*r, *c) == revs => cache.clone(),
+                _ => {
+                    let cache = Arc::new(CheckCache::for_snapshot(snapshot, self.options.check));
+                    *slot = Some((revs.0, revs.1, cache.clone()));
+                    cache
+                }
+            }
+        };
+        let (report, hit) = cache.check(snapshot, tx);
+        if hit {
+            self.metrics.check_hits.incr();
+        } else {
+            self.metrics.check_misses.incr();
+        }
+        report
+    }
 }
 
 /// See the module docs.
@@ -429,6 +474,7 @@ impl ConcurrentDatabase {
                 schema_version: AtomicU64::new(version),
                 certain: CertainCache::new(&obs),
                 analyzed: Mutex::new(None),
+                checks: Mutex::new(None),
                 metrics,
                 obs,
             }),
@@ -552,9 +598,7 @@ impl ConcurrentDatabase {
         let tx = txn.transaction();
         let report = {
             let _check = self.shared.obs.span("commit.check");
-            Checker::for_snapshot(txn.snapshot())
-                .with_options(self.shared.options.check)
-                .check(&tx)
+            self.shared.check(txn.snapshot(), &tx)
         };
         // The admission decision needs every access pattern the verdict
         // read — and so does deciding whether a *rejection* is still
@@ -656,9 +700,7 @@ impl ConcurrentDatabase {
         let combined = txn.transaction();
         let combined_report = {
             let _check = self.shared.obs.span("commit.check");
-            Checker::for_snapshot(txn.snapshot())
-                .with_options(self.shared.options.check)
-                .check(&combined)
+            self.shared.check(txn.snapshot(), &combined)
         };
         if !combined_report.satisfied {
             debug_assert!(false, "repair delta failed to restore consistency");
@@ -841,11 +883,12 @@ impl ConcurrentDatabase {
     /// evicted first — see [`uniform_obs::SpanRecorder`]). Each commit,
     /// query execute and repair run contributes a small span tree:
     /// `commit` (tagged by policy) over `commit.stage` / `commit.check`
-    /// / `commit.admit` / `commit.apply` / `commit.maintain` /
-    /// `commit.repair` / `commit.invalidate`; `query.execute` (tagged
-    /// `latest`/`certain`, closed with its outcome path `eval` /
-    /// `consistent` / `cache_hit` / `repair`); `repair.run` (tagged by
-    /// backend).
+    /// (the integrity check, its compile read from or added to the head
+    /// schema's check cache) / `commit.admit` / `commit.apply` /
+    /// `commit.maintain` / `commit.repair` / `commit.invalidate`;
+    /// `query.execute` (tagged `latest`/`certain`, closed with its
+    /// outcome path `eval` / `consistent` / `cache_hit` / `repair`);
+    /// `repair.run` (tagged by backend).
     pub fn recent_events(&self) -> Vec<SpanEvent> {
         self.shared.obs.recent_events()
     }
@@ -1175,9 +1218,7 @@ impl ConcurrentDatabase {
     /// Check a transaction against the latest committed state without
     /// applying it.
     pub fn check(&self, tx: &Transaction) -> CheckReport {
-        Checker::for_snapshot(&self.snapshot())
-            .with_options(self.shared.options.check)
-            .check(tx)
+        self.shared.check(&self.snapshot(), tx)
     }
 
     /// Insert one fact (parsed), guarded.
@@ -1723,6 +1764,48 @@ mod tests {
         };
         assert_eq!(get("analyze.cache.misses"), 2);
         assert!(get("analyze.cache.hits") >= 1);
+    }
+
+    /// `commit_flat`'s three shapes (insert three facts of a student,
+    /// delete them, a rejected enrolment) compile once each per schema:
+    /// after a constraint addition each compiles once more.
+    #[test]
+    fn guarded_commits_compile_each_shape_once_per_schema() {
+        let db = ConcurrentDatabase::from_database(
+            uniform_workload::university(32, 1),
+            UniformOptions::default(),
+        );
+        let commit = |i: usize| {
+            let (insert, name, staged) = match i % 3 {
+                0 => (true, format!("w{i}"), 3),
+                1 => (false, format!("w{}", i - 1), 3),
+                _ => (true, format!("b{i}"), 2),
+            };
+            let facts = [
+                ("student", vec![name.as_str()]),
+                ("enrolled", vec![name.as_str(), "cs"]),
+                ("attends", vec![name.as_str(), "ddb"]),
+            ];
+            let mut txn = db.begin();
+            for (p, args) in &facts[..staged] {
+                txn.stage(upd(insert, p, args));
+            }
+            assert_eq!(db.commit(&txn).is_ok(), i % 3 != 2, "commit {i}");
+        };
+        let counts = || {
+            let report = db.obs_report();
+            let get = |name| report.counter(name).unwrap();
+            (get("check.cache.misses"), get("check.cache.hits"))
+        };
+        (0..64).for_each(commit);
+        assert_eq!(counts(), (3, 61));
+        assert!(db
+            .try_add_constraint("award_student", "forall X: award(X) -> student(X)")
+            .unwrap());
+        commit(64);
+        assert_eq!(counts(), (4, 61));
+        (65..70).for_each(commit);
+        assert_eq!(counts(), (6, 64));
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub use interp::{Interp, Overlay};
 pub use magic::{answer_goal_magic, MagicAnswers, MagicError};
 pub use maintain::{MaintainStats, MaintainedModel, Propagation, PropagationStats};
 pub use model::Model;
-pub use patterns::{PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED};
+pub use patterns::{
+    sort_read_patterns, PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED,
+};
 pub use planner::{optimize_rq, Cardinality, ConjunctionPlan, FixedStats, Planner};
 pub use program::{BodyOccurrence, RuleSet};
 pub use provenance::{Derivation, Provenance};

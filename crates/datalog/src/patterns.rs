@@ -262,20 +262,23 @@ impl PatternSpecializer<'_> {
             .into_iter()
             .map(|(pred, args)| ReadPattern { pred, args })
             .collect();
-        patterns.sort_by(|a, b| {
-            let key = |p: &ReadPattern| {
-                (
-                    p.pred.as_str(),
-                    p.args
-                        .iter()
-                        .map(|a| a.map(|c| c.as_str()))
-                        .collect::<Vec<_>>(),
-                )
-            };
-            key(a).cmp(&key(b))
-        });
+        sort_read_patterns(&mut patterns);
         patterns
     }
+}
+
+/// Sort distinct read patterns by predicate name, then argument names
+/// (`None` first): the order [`PatternSpecializer::close`] reports in.
+pub fn sort_read_patterns(patterns: &mut [ReadPattern]) {
+    patterns.sort_by_cached_key(|p| {
+        (
+            p.pred.as_str(),
+            p.args
+                .iter()
+                .map(|a| a.map(|c| c.as_str()))
+                .collect::<Vec<_>>(),
+        )
+    });
 }
 
 #[cfg(test)]

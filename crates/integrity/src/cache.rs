@@ -1,0 +1,412 @@
+//! The compile phase, memoised per schema.
+//!
+//! §3.3.1 closes with: the update constraints "can be determined without
+//! querying the facts", so they "can be precompiled as well". The
+//! compile phase ([`Checker::compile`]) and the check's read-pattern
+//! closure read only the rules, the constraints and the seed literals,
+//! and they compare constants only for equality. Renaming one-to-one the
+//! constants that occur in no rule and no constraint therefore commutes
+//! with both.
+//!
+//! A [`CheckCache`] is built for one schema and one [`CheckOptions`].
+//! It keys its entries by *abstract transaction*: the staged updates in
+//! order, each argument that the schema mentions kept as itself, and
+//! every other constant replaced by placeholder *k*, numbered by first
+//! occurrence across the whole transaction, so equal constants share a
+//! placeholder. A miss runs the ordinary compile and closure on the
+//! placeholder transaction; every check then substitutes its own
+//! constants back. The result is the ground compile exactly: the same
+//! potential updates and update constraints in the same order and the
+//! same read patterns, hence the same verdict, violations and work
+//! counts as [`Checker::check`].
+//!
+//! Generalising constants to *variables* instead would not be exact: the
+//! read set of `not attends(w4, ddb)` would widen from `attends(w4, _)`
+//! to the whole relation, and its compile would gain the update
+//! constraint of `hon_ok: forall X: honours(X) -> attends(X, sem)`,
+//! which the constant `ddb` rules out.
+//!
+//! Placeholders are the fixed, process-wide pool `_C$0 … _C$63`, interned
+//! once, so a check interns nothing. A transaction holding a pool name
+//! or more distinct constants than the pool compiles uncached, as does a
+//! transaction of a new shape once [`MAX_ENTRIES`] shapes are cached.
+
+use crate::checker::{CheckOptions, CheckReport, Checker, CompiledCheck, UpdateConstraint};
+use crate::relevance::RelevanceIndex;
+use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
+use uniform_datalog::{sort_read_patterns, ReadPattern, Snapshot, Transaction, Update};
+use uniform_logic::{Atom, Fact, Literal, Rq, Sym, Term};
+
+/// Most abstract transactions one cache holds.
+pub const MAX_ENTRIES: usize = 256;
+
+/// Size of the placeholder pool: the most distinct non-schema constants
+/// a cached transaction may hold.
+pub const PLACEHOLDERS: usize = 64;
+
+/// The placeholder pool `_C$0, _C$1, …`. The lexer rejects `$`, so no
+/// parsed program holds one.
+fn pool() -> &'static [Sym] {
+    static POOL: OnceLock<Vec<Sym>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..PLACEHOLDERS)
+            .map(|k| Sym::new(&format!("_C${k}")))
+            .collect()
+    })
+}
+
+/// One compiled abstract transaction.
+struct Entry {
+    compiled: CompiledCheck,
+    read_patterns: Vec<ReadPattern>,
+}
+
+/// Compiled checks of one schema, keyed by abstract transaction (see
+/// the module docs). Build one per rule and constraint revision; it is
+/// `Sync`, so every committing thread shares it.
+pub struct CheckCache {
+    options: CheckOptions,
+    index: RelevanceIndex,
+    /// Every constant of the rules and the constraints.
+    schema_constants: HashSet<Sym>,
+    /// A rule or constraint holds a placeholder: nothing is cached.
+    holds_placeholder: bool,
+    entries: Mutex<HashMap<Vec<Update>, Arc<Entry>>>,
+}
+
+impl CheckCache {
+    /// An empty cache for the rules and constraints of `snapshot`,
+    /// compiling with `options`.
+    pub fn for_snapshot(snapshot: &Snapshot, options: CheckOptions) -> CheckCache {
+        let mut schema_constants = HashSet::new();
+        for rule in snapshot.rules().rules() {
+            let body = rule.body.iter().map(|l| &l.atom);
+            for atom in std::iter::once(&rule.head).chain(body) {
+                schema_constants.extend(atom.args.iter().filter_map(|t| t.as_const()));
+            }
+        }
+        for c in snapshot.constraints() {
+            for occ in c.rq.literals() {
+                schema_constants.extend(occ.literal.atom.args.iter().filter_map(|t| t.as_const()));
+            }
+        }
+        let holds_placeholder = pool().iter().any(|p| schema_constants.contains(p));
+        CheckCache {
+            options,
+            index: RelevanceIndex::build(snapshot.constraints()),
+            schema_constants,
+            holds_placeholder,
+            entries: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Number of cached abstract transactions.
+    pub fn len(&self) -> usize {
+        self.entries.lock().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Check `tx` against `snapshot`, which must hold the rules and
+    /// constraints the cache was built from. Returns the report — equal
+    /// in every field to [`Checker::check`] with the cache's options —
+    /// and whether the compile came from the cache.
+    pub fn check(&self, snapshot: &Snapshot, tx: &Transaction) -> (CheckReport, bool) {
+        let checker = Checker::with_index(snapshot, &self.index, self.options);
+        let Some((key, constants)) = self.abstract_transaction(tx) else {
+            return (checker.check(tx), false);
+        };
+        let cached = self.entries.lock().get(&key).cloned();
+        let hit = cached.is_some();
+        let entry = cached.unwrap_or_else(|| {
+            let abstract_tx = Transaction::new(key.clone());
+            let literals: Vec<Literal> = key.iter().map(Update::to_literal).collect();
+            let compiled = checker.compile(&literals);
+            let read_patterns = checker.read_patterns(&compiled, &abstract_tx);
+            let entry = Arc::new(Entry {
+                compiled,
+                read_patterns,
+            });
+            let mut entries = self.entries.lock();
+            if entries.len() < MAX_ENTRIES {
+                entries.insert(key, entry.clone());
+            }
+            entry
+        });
+        let ground = Instantiation {
+            placeholders: &pool()[..constants.len()],
+            constants: &constants,
+        };
+        let compiled = ground.compiled(&entry.compiled);
+        let mut read_patterns: Vec<ReadPattern> = entry
+            .read_patterns
+            .iter()
+            .map(|p| ground.pattern(p))
+            .collect();
+        sort_read_patterns(&mut read_patterns);
+        (checker.evaluate_reading(&compiled, tx, read_patterns), hit)
+    }
+
+    /// The abstract transaction of `tx` and the constants its
+    /// placeholders stand for, in placeholder order; `None` when `tx`
+    /// must compile uncached.
+    fn abstract_transaction(&self, tx: &Transaction) -> Option<(Vec<Update>, Vec<Sym>)> {
+        if self.holds_placeholder {
+            return None;
+        }
+        let pool = pool();
+        let mut constants: Vec<Sym> = Vec::new();
+        let mut placeholder = |c: Sym| -> Option<Sym> {
+            if self.schema_constants.contains(&c) {
+                return Some(c);
+            }
+            if pool.contains(&c) {
+                return None;
+            }
+            let k = match constants.iter().position(|&seen| seen == c) {
+                Some(k) => k,
+                None => {
+                    constants.push(c);
+                    constants.len() - 1
+                }
+            };
+            pool.get(k).copied()
+        };
+        let updates = tx
+            .updates
+            .iter()
+            .map(|u| {
+                let args = u
+                    .fact
+                    .args
+                    .iter()
+                    .map(|&c| placeholder(c))
+                    .collect::<Option<Vec<Sym>>>()?;
+                Some(Update {
+                    insert: u.insert,
+                    fact: Fact {
+                        pred: u.fact.pred,
+                        args,
+                    },
+                })
+            })
+            .collect::<Option<Vec<Update>>>()?;
+        Some((updates, constants))
+    }
+}
+
+/// Placeholder `placeholders[k]` ↦ `constants[k]`, every other symbol
+/// kept.
+struct Instantiation<'a> {
+    placeholders: &'a [Sym],
+    constants: &'a [Sym],
+}
+
+impl Instantiation<'_> {
+    fn sym(&self, s: Sym) -> Sym {
+        match self.placeholders.iter().position(|&p| p == s) {
+            Some(k) => self.constants[k],
+            None => s,
+        }
+    }
+
+    fn atom(&self, a: &Atom) -> Atom {
+        Atom {
+            pred: a.pred,
+            args: a
+                .args
+                .iter()
+                .map(|&t| match t {
+                    Term::Const(c) => Term::Const(self.sym(c)),
+                    Term::Var(_) => t,
+                })
+                .collect(),
+        }
+    }
+
+    fn literal(&self, l: &Literal) -> Literal {
+        Literal {
+            positive: l.positive,
+            atom: self.atom(&l.atom),
+        }
+    }
+
+    /// `f` with its constants instantiated, node for node: no smart
+    /// constructor runs, so the shape is the compiled one.
+    fn rq(&self, f: &Rq) -> Rq {
+        let atoms = |range: &[Atom]| range.iter().map(|a| self.atom(a)).collect();
+        match f {
+            Rq::True => Rq::True,
+            Rq::False => Rq::False,
+            Rq::Lit(l) => Rq::Lit(self.literal(l)),
+            Rq::And(gs) => Rq::And(gs.iter().map(|g| self.rq(g)).collect()),
+            Rq::Or(gs) => Rq::Or(gs.iter().map(|g| self.rq(g)).collect()),
+            Rq::Forall { vars, range, body } => Rq::Forall {
+                vars: vars.clone(),
+                range: atoms(range),
+                body: Box::new(self.rq(body)),
+            },
+            Rq::Exists { vars, range, body } => Rq::Exists {
+                vars: vars.clone(),
+                range: atoms(range),
+                body: Box::new(self.rq(body)),
+            },
+        }
+    }
+
+    fn compiled(&self, c: &CompiledCheck) -> CompiledCheck {
+        CompiledCheck {
+            potential: c.potential.iter().map(|l| self.literal(l)).collect(),
+            update_constraints: c
+                .update_constraints
+                .iter()
+                .map(|uc| UpdateConstraint {
+                    constraint: uc.constraint,
+                    trigger: self.literal(&uc.trigger),
+                    instance: self.rq(&uc.instance),
+                })
+                .collect(),
+            truncated: c.truncated,
+        }
+    }
+
+    fn pattern(&self, p: &ReadPattern) -> ReadPattern {
+        ReadPattern {
+            pred: p.pred,
+            args: p.args.iter().map(|a| a.map(|c| self.sym(c))).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uniform_datalog::Database;
+    use uniform_logic::parse_literal;
+
+    fn upd(src: &str) -> Update {
+        Update::from_literal(&parse_literal(src).unwrap()).unwrap()
+    }
+
+    fn tx(srcs: &[&str]) -> Transaction {
+        Transaction::new(srcs.iter().map(|s| upd(s)).collect())
+    }
+
+    fn snapshot() -> Snapshot {
+        Database::parse(
+            "
+            enrolled(X, cs) :- student(X).
+            constraint cdb: forall X: student(X) & enrolled(X, cs) -> attends(X, ddb).
+            student(s1). attends(s1, ddb).
+            ",
+        )
+        .unwrap()
+        .snapshot()
+    }
+
+    /// Every field of the two reports, rendered.
+    fn fields(r: &CheckReport) -> String {
+        let violations: Vec<String> = r
+            .violations
+            .iter()
+            .map(|v| format!("{} {:?} {}", v.constraint, v.culprit, v.instance))
+            .collect();
+        format!(
+            "{} {violations:?} {:?} {:?} {:?} {}",
+            r.satisfied, r.reads, r.read_patterns, r.stats, r.truncated
+        )
+    }
+
+    #[test]
+    fn cached_checks_equal_the_ground_check() {
+        let snap = snapshot();
+        let cache = CheckCache::for_snapshot(&snap, CheckOptions::default());
+        let oracle = Checker::for_snapshot(&snap);
+        for round in 0..2 {
+            for t in [
+                tx(&["student(jack)"]),
+                tx(&["student(jill)"]),
+                tx(&["not student(s1)"]),
+                tx(&["attends(s1, ddb)"]),
+                tx(&["not attends(s1, ddb)"]),
+                tx(&["unrelated(z)"]),
+                tx(&["student(n1)", "attends(n1, ddb)"]),
+                tx(&["student(n1)", "attends(n2, ddb)"]),
+            ] {
+                let (cached, hit) = cache.check(&snap, &t);
+                assert_eq!(fields(&cached), fields(&oracle.check(&t)), "on {t:?}");
+                assert_eq!(
+                    hit,
+                    round == 1 || t.updates[0].fact.args[0].as_str() == "jill"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_abstract_transactions_hit() {
+        let snap = snapshot();
+        let cache = CheckCache::for_snapshot(&snap, CheckOptions::default());
+        let hits = (0..10)
+            .filter(|i| {
+                let t = tx(&[&format!("student(n{i})"), &format!("attends(n{i}, ddb)")]);
+                cache.check(&snap, &t).1
+            })
+            .count();
+        assert_eq!((hits, cache.len()), (9, 1));
+    }
+
+    #[test]
+    fn distinct_abstract_transactions_get_distinct_entries() {
+        let snap = snapshot();
+        let cache = CheckCache::for_snapshot(&snap, CheckOptions::default());
+        for t in [
+            tx(&["student(a)"]),
+            tx(&["not student(a)"]),
+            // A schema constant stays itself: two shapes.
+            tx(&["attends(a, ddb)"]),
+            tx(&["attends(a, sem)"]),
+            // Equal constants share a placeholder: two shapes.
+            tx(&["attends(a, a)"]),
+            // Order is part of the key.
+            tx(&["student(a)", "attends(a, ddb)"]),
+            tx(&["attends(a, ddb)", "student(a)"]),
+        ] {
+            assert!(!cache.check(&snap, &t).1, "{t:?}");
+        }
+        assert_eq!(cache.len(), 7);
+    }
+
+    #[test]
+    fn pool_names_and_full_caches_compile_uncached() {
+        let snap = snapshot();
+        let cache = CheckCache::for_snapshot(&snap, CheckOptions::default());
+        let pooled = Transaction::single(Update::insert(Fact {
+            pred: Sym::new("student"),
+            args: vec![pool()[0]],
+        }));
+        for _ in 0..2 {
+            assert!(!cache.check(&snap, &pooled).1);
+        }
+        assert!(cache.is_empty());
+        let wide: Vec<String> = (0..=PLACEHOLDERS)
+            .map(|i| format!("student(w{i})"))
+            .collect();
+        let wide = tx(&wide.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(!cache.check(&snap, &wide).1);
+        assert!(cache.is_empty());
+        for arity in 1..=MAX_ENTRIES + 1 {
+            let args = vec![Sym::new("a"); arity];
+            let t = Transaction::single(Update::insert(Fact {
+                pred: Sym::new("wide"),
+                args,
+            }));
+            cache.check(&snap, &t);
+        }
+        assert_eq!(cache.len(), MAX_ENTRIES);
+    }
+}

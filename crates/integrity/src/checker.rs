@@ -25,6 +25,7 @@ use crate::delta::{pattern_key, DeltaEngine, DeltaStats};
 use crate::potential::potential_updates;
 use crate::relevance::RelevanceIndex;
 use crate::simplify::{simplified_instances, SimplifiedInstance};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use uniform_datalog::{
@@ -57,9 +58,13 @@ pub struct UpdateConstraint {
     pub instance: Rq,
 }
 
-/// Output of the compile phase — computable without any fact access and
-/// cacheable per update-literal shape (§3.3.1: "this set can be
-/// precompiled as well").
+/// Output of the compile phase — computable without any fact access
+/// (§3.3.1: "this set can be precompiled as well"). It is a function of
+/// the rules, the constraints and the *abstract* transaction: the seed
+/// literals with every constant that occurs in no rule and no
+/// constraint renamed one-to-one. Constants the schema mentions must be
+/// kept; [`crate::CheckCache`] compiles each abstract transaction once
+/// and instantiates it with a transaction's own constants, exactly.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledCheck {
     pub potential: Vec<Literal>,
@@ -188,7 +193,7 @@ enum CheckTarget<'a> {
 /// ([`Checker::check_rule_update`]) in their modules.
 pub struct Checker<'a> {
     target: CheckTarget<'a>,
-    index: RelevanceIndex,
+    index: Cow<'a, RelevanceIndex>,
     options: CheckOptions,
 }
 
@@ -196,7 +201,7 @@ impl<'a> Checker<'a> {
     pub fn new(db: &'a Database) -> Checker<'a> {
         Checker {
             target: CheckTarget::Db(db),
-            index: RelevanceIndex::build(db.constraints()),
+            index: Cow::Owned(RelevanceIndex::build(db.constraints())),
             options: CheckOptions::default(),
         }
     }
@@ -213,8 +218,22 @@ impl<'a> Checker<'a> {
     pub fn for_snapshot(snapshot: &'a Snapshot) -> Checker<'a> {
         Checker {
             target: CheckTarget::Snap(snapshot),
-            index: RelevanceIndex::build(snapshot.constraints()),
+            index: Cow::Owned(RelevanceIndex::build(snapshot.constraints())),
             options: CheckOptions::default(),
+        }
+    }
+
+    /// A snapshot checker over an index already built from the
+    /// snapshot's constraints.
+    pub(crate) fn with_index(
+        snapshot: &'a Snapshot,
+        index: &'a RelevanceIndex,
+        options: CheckOptions,
+    ) -> Checker<'a> {
+        Checker {
+            target: CheckTarget::Snap(snapshot),
+            index: Cow::Borrowed(index),
+            options,
         }
     }
 
@@ -305,7 +324,11 @@ impl<'a> Checker<'a> {
     /// through rules). A deliberate over-approximation — sound for
     /// conflict detection, deterministic, and computable without fact
     /// access.
-    fn read_patterns(&self, compiled: &CompiledCheck, tx: &Transaction) -> Vec<ReadPattern> {
+    pub(crate) fn read_patterns(
+        &self,
+        compiled: &CompiledCheck,
+        tx: &Transaction,
+    ) -> Vec<ReadPattern> {
         let mut closure = self.rules().templates().specializer();
         for u in &tx.updates {
             closure.add(u.fact.pred, u.fact.args.iter().map(|&c| Some(c)).collect());
@@ -322,8 +345,18 @@ impl<'a> Checker<'a> {
     /// Phase 2: evaluate a compiled check against the database and the
     /// transaction (Def. 1 net effect).
     pub fn evaluate(&self, compiled: &CompiledCheck, tx: &Transaction) -> CheckReport {
-        let mut stats = compiled.stats();
         let read_patterns = self.read_patterns(compiled, tx);
+        self.evaluate_reading(compiled, tx, read_patterns)
+    }
+
+    /// [`Checker::evaluate`] with the read set already computed.
+    pub(crate) fn evaluate_reading(
+        &self,
+        compiled: &CompiledCheck,
+        tx: &Transaction,
+        read_patterns: Vec<ReadPattern>,
+    ) -> CheckReport {
+        let mut stats = compiled.stats();
 
         let (adds, dels) = tx.net_effect(self.facts());
         if adds.is_empty() && dels.is_empty() {

@@ -12,9 +12,8 @@
 //! answer substitutions, so the potential updates of the *pattern* cover
 //! the potential updates of every ground instance the condition can
 //! produce. Update constraints are therefore compiled from the pattern
-//! alone — once per conditional-update *shape*, before any fact is read —
-//! and only the expansion into a concrete [`Transaction`] touches the
-//! database.
+//! alone, before any fact is read, and only the expansion into a
+//! concrete [`Transaction`] touches the database.
 
 use crate::checker::{CheckReport, Checker, CompiledCheck};
 use std::collections::HashSet;
@@ -149,10 +148,13 @@ fn display(literal: &Literal, condition: &[Literal]) -> String {
 
 impl Checker<'_> {
     /// Compile the update constraints of a conditional update from its
-    /// pattern alone — no fact access, cacheable per shape (§3.3.1).
-    /// The pattern is renamed apart so its variables cannot be captured
-    /// by constraint variables during relevance unification: pool names
-    /// never occur in a parsed constraint.
+    /// pattern alone — no fact access (§3.3.1). The compile depends on
+    /// the pattern's constants only up to a one-to-one renaming of those
+    /// no rule or constraint mentions (see [`crate::cache`]); the
+    /// schema's own constants are part of its shape. The pattern is
+    /// renamed apart so its variables cannot be captured by constraint
+    /// variables during relevance unification: pool names never occur in
+    /// a parsed constraint.
     pub fn compile_conditional(&self, cu: &ConditionalUpdate) -> CompiledCheck {
         let renamed = Renaming::default().literal(cu.literal());
         self.compile(std::slice::from_ref(&renamed))

@@ -18,6 +18,9 @@
 //! * [`checker`] — Def. 6 update constraints and the two-phase method of
 //!   Prop. 3: one compile phase and one evaluation loop, which every
 //!   update kind below runs;
+//! * [`cache`] — §3.3.1's precompilation: the compile phase memoised per
+//!   schema over abstract transactions (constants the schema does not
+//!   mention become placeholders), exact to the ground compile;
 //! * [`conditional`] — conditional updates (update patterns guarded by a
 //!   query; the BRY 87 generalization §3.2 closes with);
 //! * [`rule_update`] — rule additions/removals checked incrementally,
@@ -47,23 +50,23 @@
 //! ```
 
 pub mod baselines;
+pub mod cache;
 pub mod checker;
 pub mod conditional;
 pub mod delta;
 pub mod potential;
-pub mod registry;
 pub mod relevance;
 pub mod rule_update;
 pub mod simplify;
 
 pub use baselines::{full_recheck, interleaved_check, lloyd_topor_check, verdicts_agree};
+pub use cache::CheckCache;
 pub use checker::{
     CheckOptions, CheckReport, CheckStats, Checker, CompiledCheck, UpdateConstraint, Violation,
 };
 pub use conditional::ConditionalUpdate;
 pub use delta::{induced_updates_by_diff, pattern_key, DeltaEngine, DeltaStats};
 pub use potential::{direct_dependents, potential_updates, PotentialUpdates};
-pub use registry::CompiledRegistry;
 pub use relevance::{RelevanceIndex, RelevantOccurrence};
 pub use rule_update::{check_rule_update, RuleUpdate};
 pub use simplify::{simplified_instances, SimplifiedInstance};
