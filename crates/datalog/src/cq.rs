@@ -7,32 +7,71 @@
 //! bodies, the ranges of restricted quantifiers, and the `B\L'` residue
 //! queries of induced-update computation (Def. 4).
 //!
-//! Literals are chosen greedily per step rather than strictly left to
-//! right: fully bound literals (membership tests and ground negations)
-//! are dispatched first, then the positive literal with the most bound
+//! Literals are dispatched in an order fixed once per call rather than
+//! strictly left to right: fully bound literals (membership tests and
+//! ground negations) first, then the positive literal with the most bound
 //! argument positions. This is the standard bound-is-easier heuristic;
 //! range restriction guarantees a safe order always exists, and the
-//! answer set is order independent.
+//! answer set is order independent. Which positions are bound at each
+//! step depends only on the bindings on entry — a dispatched positive
+//! literal binds all of its variables — so `greedy_order` computes the
+//! whole order before the first scan, and [`solve_conjunction`] runs it
+//! through the same loop as a prepared [`solve_planned`].
 
 use crate::interp::Interp;
-use uniform_logic::{Atom, Literal, Subst, Sym, Term};
+use uniform_logic::{Atom, Fact, Literal, Subst, Sym, Term};
+
+/// One conjunct of a conjunction: a literal, or a quantifier's range
+/// atom, which is always positive.
+pub(crate) trait Conjunct {
+    fn positive(&self) -> bool;
+    fn atom(&self) -> &Atom;
+}
+
+impl Conjunct for Literal {
+    fn positive(&self) -> bool {
+        self.positive
+    }
+    fn atom(&self) -> &Atom {
+        &self.atom
+    }
+}
+
+impl Conjunct for Atom {
+    fn positive(&self) -> bool {
+        true
+    }
+    fn atom(&self) -> &Atom {
+        self
+    }
+}
 
 /// Bind pattern of `atom` under `subst`: `Some(c)` for positions resolved
 /// to a constant.
 pub fn bind_pattern(subst: &Subst, atom: &Atom) -> Vec<Option<Sym>> {
     atom.args
         .iter()
-        .map(|&t| match subst.walk(t) {
-            Term::Const(c) => Some(c),
-            Term::Var(_) => None,
-        })
+        .map(|&t| subst.walk(t).as_const())
         .collect()
+}
+
+/// `atom` under `subst` as a fact; `None` if a variable stays unbound.
+pub(crate) fn ground_fact(subst: &Subst, atom: &Atom) -> Option<Fact> {
+    let args = atom
+        .args
+        .iter()
+        .map(|&t| subst.walk(t).as_const())
+        .collect::<Option<Vec<Sym>>>()?;
+    Some(Fact {
+        pred: atom.pred,
+        args,
+    })
 }
 
 /// Extend `subst` so that `atom`σ = `tuple`; records newly bound
 /// variables on `trail` for undo. Returns `false` (with a clean trail
 /// rollback left to the caller) on mismatch.
-fn extend_match(subst: &mut Subst, atom: &Atom, tuple: &[Sym], trail: &mut Vec<Sym>) -> bool {
+pub fn extend_match(subst: &mut Subst, atom: &Atom, tuple: &[Sym], trail: &mut Vec<Sym>) -> bool {
     for (&t, &v) in atom.args.iter().zip(tuple) {
         match subst.walk(t) {
             Term::Const(c) => {
@@ -68,93 +107,131 @@ pub fn solve_conjunction(
     subst: &mut Subst,
     each: &mut dyn FnMut(&mut Subst) -> bool,
 ) -> bool {
-    let mut trail = Vec::new();
-    let mut remaining: Vec<usize> = (0..literals.len()).collect();
-    solve_rec(interp, literals, &mut remaining, subst, &mut trail, each)
+    let order = greedy_order(literals, |t| subst.walk(t));
+    solve_planned(interp, literals, &order, subst, each)
 }
 
-/// Pick the next literal to dispatch: any fully bound literal first
-/// (constant-time membership / negation check), otherwise the positive
-/// literal with the most bound argument positions. Returns the slot in
-/// `remaining`.
-fn select_literal(literals: &[Literal], remaining: &[usize], subst: &Subst) -> usize {
-    let mut best_slot = 0;
-    let mut best_score = -1isize;
-    for (slot, &idx) in remaining.iter().enumerate() {
-        let lit = &literals[idx];
-        let bound = lit
-            .atom
-            .args
-            .iter()
-            .filter(|&&t| matches!(subst.walk(t), uniform_logic::Term::Const(_)))
-            .count();
-        let arity = lit.atom.args.len();
-        if bound == arity {
-            // Fully bound: dispatch immediately regardless of sign.
-            return slot;
+/// The order in which the greedy heuristic dispatches `conjuncts`, as
+/// indices, given `walk`, which resolves a term under the bindings on
+/// entry (a constant is bound; an unbound variable resolves to itself,
+/// or to the variable it is aliased to). At each step the first fully
+/// bound conjunct in slot order goes next, whatever its sign; otherwise
+/// the first positive conjunct with the most bound positions, which then
+/// binds every variable it holds. When only non-ground negative
+/// conjuncts remain the rest follow in slot order, so the first of them
+/// panics when dispatched, as an unsafe conjunction must.
+pub(crate) fn greedy_order<C: Conjunct>(
+    conjuncts: &[C],
+    walk: impl Fn(Term) -> Term,
+) -> Vec<usize> {
+    let mut remaining: Vec<usize> = (0..conjuncts.len()).collect();
+    let mut order = Vec::with_capacity(conjuncts.len());
+    // Variables (after walking) bound by the positives dispatched so far.
+    let mut bound: Vec<Sym> = Vec::new();
+    while !remaining.is_empty() {
+        let is_bound = |t: Term| match walk(t) {
+            Term::Const(_) => true,
+            Term::Var(v) => bound.contains(&v),
+        };
+        let mut best = None;
+        let mut best_score = -1isize;
+        for (slot, &idx) in remaining.iter().enumerate() {
+            let c = &conjuncts[idx];
+            let args = &c.atom().args;
+            let score = args.iter().filter(|&&t| is_bound(t)).count();
+            if score == args.len() {
+                best = Some(slot);
+                break;
+            }
+            if c.positive() && score as isize > best_score {
+                best_score = score as isize;
+                best = Some(slot);
+            }
         }
-        if lit.positive && bound as isize > best_score {
-            best_score = bound as isize;
-            best_slot = slot;
+        let Some(slot) = best else {
+            order.append(&mut remaining);
+            break;
+        };
+        let idx = remaining.remove(slot);
+        if conjuncts[idx].positive() {
+            for &t in &conjuncts[idx].atom().args {
+                if let Term::Var(v) = walk(t) {
+                    if !bound.contains(&v) {
+                        bound.push(v);
+                    }
+                }
+            }
         }
+        order.push(idx);
     }
-    if best_score < 0 {
-        // Only non-ground negative literals remain — range restriction
-        // was violated upstream.
-        let idx = remaining[0];
-        panic!(
-            "negative literal not ground when evaluated: {} (unsafe ordering?)",
-            literals[idx]
-        );
-    }
-    best_slot
+    order
 }
 
-fn solve_rec(
+/// The conjuncts to dispatch, in turn.
+#[derive(Clone, Copy)]
+pub(crate) enum Steps<'o> {
+    /// The listed indices.
+    Listed(&'o [usize]),
+    /// Every index from the given one on: the conjuncts are stored in
+    /// dispatch order.
+    Stored(usize),
+}
+
+impl Steps<'_> {
+    fn split(self, len: usize) -> Option<(usize, Self)> {
+        match self {
+            Steps::Listed(order) => order
+                .split_first()
+                .map(|(&idx, rest)| (idx, Steps::Listed(rest))),
+            Steps::Stored(from) => (from < len).then_some((from, Steps::Stored(from + 1))),
+        }
+    }
+}
+
+/// Dispatch `conjuncts` in the order `steps` gives, enumerating every
+/// extension of `subst` that satisfies them all.
+pub(crate) fn solve_steps<C: Conjunct>(
     interp: &dyn Interp,
-    literals: &[Literal],
-    remaining: &mut Vec<usize>,
+    conjuncts: &[C],
+    steps: Steps<'_>,
     subst: &mut Subst,
     trail: &mut Vec<Sym>,
     each: &mut dyn FnMut(&mut Subst) -> bool,
 ) -> bool {
-    if remaining.is_empty() {
+    let Some((idx, rest)) = steps.split(conjuncts.len()) else {
         return each(subst);
-    }
-    let slot = select_literal(literals, remaining, subst);
-    let idx = remaining.remove(slot);
-    let lit = &literals[idx];
-    let keep_going = if lit.positive {
-        let pattern = bind_pattern(subst, &lit.atom);
-        // The scan callback recurses per matching tuple.
+    };
+    let atom = conjuncts[idx].atom();
+    if conjuncts[idx].positive() {
+        let pattern = bind_pattern(subst, atom);
         let mut keep_going = true;
-        interp.scan(lit.atom.pred, &pattern, &mut |tuple| {
+        interp.scan(atom.pred, &pattern, &mut |tuple| {
             let mark = trail.len();
-            if extend_match(subst, &lit.atom, tuple, trail) {
-                keep_going = solve_rec(interp, literals, remaining, subst, trail, each);
+            if extend_match(subst, atom, tuple, trail) {
+                keep_going = solve_steps(interp, conjuncts, rest, subst, trail, each);
             }
             unwind(subst, trail, mark);
             keep_going
         });
         keep_going
     } else {
-        let ground = subst.apply_atom(&lit.atom);
-        let fact = ground.to_fact().unwrap_or_else(|| {
-            panic!("negative literal not ground when evaluated: not {ground} (unsafe ordering?)")
+        let fact = ground_fact(subst, atom).unwrap_or_else(|| {
+            panic!(
+                "negative literal not ground when evaluated: not {} (unsafe plan?)",
+                subst.apply_atom(atom)
+            )
         });
         if interp.holds(&fact) {
             true // this branch fails, enumeration continues elsewhere
         } else {
-            solve_rec(interp, literals, remaining, subst, trail, each)
+            solve_steps(interp, conjuncts, rest, subst, trail, each)
         }
-    };
-    remaining.insert(slot, idx);
-    keep_going
+    }
 }
 
 /// Enumerate all substitutions satisfying the conjunction, dispatching
 /// literals in the fixed `order` (indices into `literals`) instead of
-/// re-selecting greedily per step — the execution half of a prepared
+/// the greedy order — the execution half of a prepared
 /// [`crate::planner::ConjunctionPlan`]. `order` must be a permutation
 /// of `0..literals.len()`; the answer set is identical to
 /// [`solve_conjunction`]'s (conjunction is order independent), only the
@@ -172,45 +249,14 @@ pub fn solve_planned(
     each: &mut dyn FnMut(&mut Subst) -> bool,
 ) -> bool {
     debug_assert_eq!(order.len(), literals.len(), "order must cover the query");
-    let mut trail = Vec::new();
-    solve_planned_rec(interp, literals, order, subst, &mut trail, each)
-}
-
-fn solve_planned_rec(
-    interp: &dyn Interp,
-    literals: &[Literal],
-    order: &[usize],
-    subst: &mut Subst,
-    trail: &mut Vec<Sym>,
-    each: &mut dyn FnMut(&mut Subst) -> bool,
-) -> bool {
-    let Some((&idx, rest)) = order.split_first() else {
-        return each(subst);
-    };
-    let lit = &literals[idx];
-    if lit.positive {
-        let pattern = bind_pattern(subst, &lit.atom);
-        let mut keep_going = true;
-        interp.scan(lit.atom.pred, &pattern, &mut |tuple| {
-            let mark = trail.len();
-            if extend_match(subst, &lit.atom, tuple, trail) {
-                keep_going = solve_planned_rec(interp, literals, rest, subst, trail, each);
-            }
-            unwind(subst, trail, mark);
-            keep_going
-        });
-        keep_going
-    } else {
-        let ground = subst.apply_atom(&lit.atom);
-        let fact = ground.to_fact().unwrap_or_else(|| {
-            panic!("negative literal not ground when evaluated: not {ground} (unsafe plan?)")
-        });
-        if interp.holds(&fact) {
-            true // this branch fails, enumeration continues elsewhere
-        } else {
-            solve_planned_rec(interp, literals, rest, subst, trail, each)
-        }
-    }
+    solve_steps(
+        interp,
+        literals,
+        Steps::Listed(order),
+        subst,
+        &mut Vec::new(),
+        each,
+    )
 }
 
 /// Does the conjunction have at least one solution extending `subst`?

@@ -7,10 +7,17 @@
 //! quantification is what makes it domain independent: a `∀`/`∃` only
 //! enumerates the solutions of its range conjunction, never the whole
 //! domain.
+//!
+//! A range is dispatched in the greedy order of [`crate::cq`], which
+//! [`satisfies`] computes once per quantifier call from the bindings on
+//! entry. A formula evaluated many times under bindings of the same free
+//! variables — a compiled integrity check — is [`Lowered`] once instead:
+//! its ranges are stored in that order, so each evaluation computes
+//! none.
 
-use crate::cq::solve_conjunction;
+use crate::cq::{greedy_order, ground_fact, solve_steps, Steps};
 use crate::interp::Interp;
-use uniform_logic::{Literal, Rq, Subst};
+use uniform_logic::{Atom, Rq, Subst, Sym, Term};
 
 /// Does `interp ⊨ rq·subst`? All free variables of `rq` must be bound by
 /// `subst`; quantified variables are bound by range enumeration.
@@ -20,34 +27,113 @@ use uniform_logic::{Literal, Rq, Subst};
 /// [`uniform_logic::normalize()`] (closed + range-restricted) never trigger
 /// this.
 pub fn satisfies(interp: &dyn Interp, rq: &Rq, subst: &mut Subst) -> bool {
-    match rq {
-        Rq::True => true,
-        Rq::False => false,
-        Rq::Lit(l) => {
-            let atom = subst.apply_atom(&l.atom);
-            let fact = atom.to_fact().unwrap_or_else(|| {
-                panic!("literal {atom} not ground during evaluation (unrestricted variable?)")
-            });
-            interp.holds(&fact) == l.positive
-        }
-        Rq::And(gs) => gs.iter().all(|g| satisfies(interp, g, subst)),
-        Rq::Or(gs) => gs.iter().any(|g| satisfies(interp, g, subst)),
-        Rq::Forall { range, body, .. } => {
-            let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-            // Completed enumeration == no counterexample found.
-            solve_conjunction(interp, &lits, subst, &mut |s| satisfies(interp, body, s))
-        }
-        Rq::Exists { range, body, .. } => {
-            let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
-            // Aborted enumeration == witness found.
-            !solve_conjunction(interp, &lits, subst, &mut |s| !satisfies(interp, body, s))
-        }
-    }
+    eval(interp, rq, subst, false)
 }
 
 /// Evaluate a closed formula.
 pub fn satisfies_closed(interp: &dyn Interp, rq: &Rq) -> bool {
     satisfies(interp, rq, &mut Subst::new())
+}
+
+/// A formula lowered for repeated evaluation: every quantifier range is
+/// stored in the order the greedy heuristic dispatches it once the
+/// formula's free variables are bound. That order depends only on which
+/// variables are bound, so [`Lowered::satisfies`] makes exactly the
+/// interpretation calls [`satisfies`] makes under the same binding.
+#[derive(Clone, Debug)]
+pub struct Lowered(Rq);
+
+impl Lowered {
+    /// `rq`, its free variables taken as bound on entry.
+    pub fn new(rq: &Rq) -> Lowered {
+        Lowered(lower(rq))
+    }
+
+    /// Does `interp ⊨ rq·subst`? `subst` must bind every free variable
+    /// of `rq` to a constant.
+    pub fn satisfies(&self, interp: &dyn Interp, subst: &mut Subst) -> bool {
+        eval(interp, &self.0, subst, true)
+    }
+}
+
+fn lower(rq: &Rq) -> Rq {
+    match rq {
+        Rq::True | Rq::False | Rq::Lit(_) => rq.clone(),
+        Rq::And(gs) => Rq::And(gs.iter().map(lower).collect()),
+        Rq::Or(gs) => Rq::Or(gs.iter().map(lower).collect()),
+        Rq::Forall { vars, range, body } => Rq::Forall {
+            vars: vars.clone(),
+            range: lower_range(vars, range),
+            body: Box::new(lower(body)),
+        },
+        Rq::Exists { vars, range, body } => Rq::Exists {
+            vars: vars.clone(),
+            range: lower_range(vars, range),
+            body: Box::new(lower(body)),
+        },
+    }
+}
+
+/// `range` in dispatch order. On entry every variable but the quantified
+/// `vars` is bound: a free one by the binding, an outer one by its range.
+fn lower_range(vars: &[Sym], range: &[Atom]) -> Vec<Atom> {
+    let walk = |t: Term| match t {
+        Term::Var(v) if !vars.contains(&v) => Term::Const(v),
+        _ => t,
+    };
+    greedy_order(range, walk)
+        .into_iter()
+        .map(|i| range[i].clone())
+        .collect()
+}
+
+/// [`satisfies`]; with `lowered`, every range is already in dispatch
+/// order.
+fn eval(interp: &dyn Interp, rq: &Rq, subst: &mut Subst, lowered: bool) -> bool {
+    match rq {
+        Rq::True => true,
+        Rq::False => false,
+        Rq::Lit(l) => {
+            let fact = ground_fact(subst, &l.atom).unwrap_or_else(|| {
+                panic!(
+                    "literal {} not ground during evaluation (unrestricted variable?)",
+                    subst.apply_atom(&l.atom)
+                )
+            });
+            interp.holds(&fact) == l.positive
+        }
+        Rq::And(gs) => gs.iter().all(|g| eval(interp, g, subst, lowered)),
+        Rq::Or(gs) => gs.iter().any(|g| eval(interp, g, subst, lowered)),
+        Rq::Forall { range, body, .. } => {
+            // Completed enumeration == no counterexample found.
+            solve_range(interp, range, subst, lowered, &mut |s| {
+                eval(interp, body, s, lowered)
+            })
+        }
+        Rq::Exists { range, body, .. } => {
+            // Aborted enumeration == witness found.
+            !solve_range(interp, range, subst, lowered, &mut |s| {
+                !eval(interp, body, s, lowered)
+            })
+        }
+    }
+}
+
+fn solve_range(
+    interp: &dyn Interp,
+    range: &[Atom],
+    subst: &mut Subst,
+    lowered: bool,
+    each: &mut dyn FnMut(&mut Subst) -> bool,
+) -> bool {
+    let order;
+    let steps = if lowered {
+        Steps::Stored(0)
+    } else {
+        order = greedy_order(range, |t| subst.walk(t));
+        Steps::Listed(&order)
+    };
+    solve_steps(interp, range, steps, subst, &mut Vec::new(), each)
 }
 
 #[cfg(test)]

@@ -59,10 +59,12 @@ pub mod topdown;
 pub mod txn;
 pub mod update;
 
-pub use cq::{all_solutions, bind_pattern, provable, solve_conjunction, solve_planned};
+pub use cq::{
+    all_solutions, bind_pattern, extend_match, provable, solve_conjunction, solve_planned,
+};
 pub use database::{validate_transaction_arities, ApplyError, Database, Snapshot};
 pub use depgraph::{DepGraph, StratificationError};
-pub use eval::{satisfies, satisfies_closed};
+pub use eval::{satisfies, satisfies_closed, Lowered};
 pub use footprint::{ConflictGranularity, KeyFp, ReadFootprint, ReadPattern, RelAccess};
 pub use interp::{Interp, Overlay};
 pub use magic::{answer_goal_magic, MagicAnswers, MagicError};

@@ -271,11 +271,11 @@ pub fn optimize_rq(rq: &Rq, stats: &dyn Cardinality) -> Rq {
 }
 
 /// A precomputed static evaluation order for a conjunctive query — the
-/// prepared-query counterpart of [`crate::cq::solve_conjunction`]'s
-/// per-step greedy selection. Computed once (per rule revision) by
-/// [`Planner::plan_conjunction`] and replayed by
-/// [`crate::cq::solve_planned`], so hot queries stop paying the
-/// most-bound-literal scan on every recursion step.
+/// prepared-query, cost-based counterpart of the greedy order
+/// [`crate::cq::solve_conjunction`] fixes per call. Computed once (per
+/// rule revision) by [`Planner::plan_conjunction`] and replayed by
+/// [`crate::cq::solve_planned`], so hot queries stop paying for the
+/// order on every call.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConjunctionPlan {
     /// Indices into the query's literal list, in dispatch order.

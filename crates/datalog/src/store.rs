@@ -370,10 +370,21 @@ impl Relation {
     /// Enumerate live tuples matching `pattern` (`Some(c)` pins a column).
     /// `each` returns `false` to stop early; `scan` reports whether the
     /// enumeration ran to completion. Enumeration order is insertion
-    /// order (pages in order, offsets in order within each page).
+    /// order (pages in order, offsets in order within each page). A fully
+    /// bound pattern names at most one tuple, which the router finds
+    /// without probing any page's index.
     pub fn scan(&self, pattern: &[Option<Sym>], each: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
         debug_assert_eq!(pattern.len(), self.arity);
         let has_bound = pattern.iter().any(|p| p.is_some());
+        if has_bound && pattern.iter().all(|p| p.is_some()) {
+            let key: Vec<Sym> = pattern.iter().flatten().copied().collect();
+            return match self.slots.get(&key) {
+                Some(sr) if self.pages[sr.page as usize].flags[sr.offset as usize] => {
+                    each(self.pages[sr.page as usize].tuple(sr.offset as usize))
+                }
+                _ => true,
+            };
+        }
         let matches = |tuple: &[Sym]| {
             pattern
                 .iter()
@@ -1052,6 +1063,36 @@ mod tests {
                     assert_eq!(collect(&rel, &pattern), expect, "pattern {pattern:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fully_bound_scans_find_the_one_live_tuple_across_pages() {
+        let t = |i: usize| [Sym::new(&format!("k{}", i % 7)), Sym::new(&format!("n{i}"))];
+        let n = 2 * PAGE_CAP + 50;
+        let mut rel = Relation::new(2);
+        for i in 0..n {
+            rel.insert(&t(i));
+        }
+        // Tombstone most of the first page (it compacts), a few tuples of
+        // the second (they stay tombstoned), then revive one tombstone in
+        // place and re-append one tuple the compaction dropped.
+        for i in (0..PAGE_CAP / 2 + 1).chain([PAGE_CAP + 3, PAGE_CAP + 9, PAGE_CAP + 11]) {
+            rel.remove(&t(i));
+        }
+        assert!(rel.insert(&t(PAGE_CAP + 9)));
+        assert!(rel.insert(&t(2)));
+        assert_eq!(rel.page_shape().len(), 3);
+        assert!(rel.stale_slots() > 0);
+        let all = collect(&rel, &[None, None]);
+        let mut probes: Vec<[Sym; 2]> = (0..n).map(t).collect();
+        probes.push([Sym::new("k1"), Sym::new("absent")]);
+        for probe in probes {
+            let pattern = [Some(probe[0]), Some(probe[1])];
+            let expect: Vec<Vec<Sym>> = all.iter().filter(|v| **v == probe).cloned().collect();
+            assert_eq!(collect(&rel, &pattern), expect, "probe {probe:?}");
+            assert_eq!(rel.contains(&probe), !expect.is_empty());
+            assert_eq!(rel.scan(&pattern, &mut |_| false), !rel.contains(&probe));
         }
     }
 

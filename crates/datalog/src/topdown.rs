@@ -181,8 +181,10 @@ impl Interp for OverlayEngine<'_> {
         // non-recursive goal cannot re-ask itself while it resolves, so
         // each goal is resolved once and every re-ask is a hit.
         let graph = self.rules.graph();
-        let memoizable = graph.is_idb(fact.pred) && !graph.reaches_recursion(fact.pred);
-        if !memoizable {
+        if !graph.is_idb(fact.pred) {
+            return self.overlay().holds(fact);
+        }
+        if graph.reaches_recursion(fact.pred) {
             return self.resolve(fact);
         }
         if let Some(&verdict) = self.goal_memo.borrow().get(fact) {

@@ -17,14 +17,14 @@
 //!   ¬new(U,L) ∨ new(U,s(C))" — §3.2), so instances are also evaluated
 //!   for trigger instances whose truth did not change.
 
-use crate::checker::{evaluate_update_constraints, CheckReport, CheckStats, Checker, Violation};
+use crate::checker::{scan_triggers, CheckReport, CheckStats, Checker, Program, Violation};
 use crate::relevance::RelevanceIndex;
 use crate::simplify::simplified_instances;
 use std::collections::{HashSet, VecDeque};
 use uniform_datalog::{
     satisfies_closed, solve_conjunction, Database, Interp, Model, OverlayEngine, Transaction,
 };
-use uniform_logic::{match_atom, Fact, Literal, Subst, Sym};
+use uniform_logic::{match_atom, Fact, Literal, Subst};
 
 /// Baseline A: apply the update to a copy and evaluate the full
 /// constraint set over the recomputed canonical model.
@@ -194,12 +194,17 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
     let current = db.model();
     let updated = OverlayEngine::over_model(&current, db.facts(), db.rules(), adds, dels);
     let mut answers = 0;
-    let violations = evaluate_update_constraints(
-        &compiled.update_constraints,
+    let violations = Program::new(&compiled, &[]).run(
+        Subst::new(),
         db.constraints(),
         &updated,
         |pattern| {
-            let found = enumerate_new_answers(&updated, &current, pattern);
+            // A negative pattern cannot scan the absent atoms: it scans
+            // the current ones and keeps those the update made false.
+            let found = match pattern.positive {
+                true => scan_triggers(pattern, &updated, |_| true),
+                false => scan_triggers(pattern, &*current, |f| !updated.holds(f)),
+            };
             answers += found.len();
             found
         },
@@ -207,32 +212,6 @@ pub fn lloyd_topor_check(db: &Database, tx: &Transaction) -> CheckReport {
     );
     stats.delta.answers = answers;
     CheckReport::new(violations, Vec::new(), stats, compiled.truncated)
-}
-
-/// `new`-based trigger enumeration: instances of the pattern true in the
-/// updated state, not only the changed ones. A positive pattern scans
-/// the updated state outright; a negative one cannot scan the (infinite)
-/// absent facts, so it scans the current state's atoms and keeps those
-/// the update made false.
-fn enumerate_new_answers(
-    updated: &OverlayEngine<'_>,
-    current: &Model,
-    pattern: &Literal,
-) -> Vec<Literal> {
-    let bound: Vec<Option<Sym>> = pattern.atom.args.iter().map(|t| t.as_const()).collect();
-    let mut out = Vec::new();
-    let state: &dyn Interp = if pattern.positive { updated } else { current };
-    state.scan(pattern.atom.pred, &bound, &mut |args| {
-        let f = Fact {
-            pred: pattern.atom.pred,
-            args: args.to_vec(),
-        };
-        if match_atom(&pattern.atom, &f).is_some() && (pattern.positive || !updated.holds(&f)) {
-            out.push(Literal::new(pattern.positive, f.to_atom()));
-        }
-        true
-    });
-    out
 }
 
 /// Run every method on the same input and assert verdict agreement —

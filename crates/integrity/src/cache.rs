@@ -14,11 +14,14 @@
 //! every other constant replaced by placeholder *k*, numbered by first
 //! occurrence across the whole transaction, so equal constants share a
 //! placeholder. A miss runs the ordinary compile and closure on the
-//! placeholder transaction; every check then substitutes its own
-//! constants back. The result is the ground compile exactly: the same
-//! potential updates and update constraints in the same order and the
-//! same read patterns, hence the same verdict, violations and work
-//! counts as [`Checker::check`].
+//! placeholder transaction and lowers the compile to a program whose
+//! placeholders are variables: trigger groups and their order, and each
+//! instance's join orders, are fixed then. Every check binds the
+//! placeholders to its own constants and runs that program; only the
+//! read patterns are instantiated per check. The result is the ground
+//! compile exactly: the same potential updates and update constraints in
+//! the same order and the same read patterns, hence the same verdict,
+//! violations and work counts as [`Checker::check`].
 //!
 //! Generalising constants to *variables* instead would not be exact: the
 //! read set of `not attends(w4, ddb)` would widen from `attends(w4, _)`
@@ -31,13 +34,13 @@
 //! or more distinct constants than the pool compiles uncached, as does a
 //! transaction of a new shape once [`MAX_ENTRIES`] shapes are cached.
 
-use crate::checker::{CheckOptions, CheckReport, Checker, CompiledCheck, UpdateConstraint};
+use crate::checker::{CheckOptions, CheckReport, Checker, Program};
 use crate::relevance::RelevanceIndex;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use uniform_datalog::{sort_read_patterns, ReadPattern, Snapshot, Transaction, Update};
-use uniform_logic::{Atom, Fact, Literal, Rq, Sym, Term};
+use uniform_logic::{Fact, Literal, Subst, Sym, Term};
 
 /// Most abstract transactions one cache holds.
 pub const MAX_ENTRIES: usize = 256;
@@ -59,7 +62,7 @@ fn pool() -> &'static [Sym] {
 
 /// One compiled abstract transaction.
 struct Entry {
-    compiled: CompiledCheck,
+    program: Program,
     read_patterns: Vec<ReadPattern>,
 }
 
@@ -120,16 +123,16 @@ impl CheckCache {
         let Some((key, constants)) = self.abstract_transaction(tx) else {
             return (checker.check(tx), false);
         };
+        let placeholders = &pool()[..constants.len()];
         let cached = self.entries.lock().get(&key).cloned();
         let hit = cached.is_some();
         let entry = cached.unwrap_or_else(|| {
             let abstract_tx = Transaction::new(key.clone());
             let literals: Vec<Literal> = key.iter().map(Update::to_literal).collect();
             let compiled = checker.compile(&literals);
-            let read_patterns = checker.read_patterns(&compiled, &abstract_tx);
             let entry = Arc::new(Entry {
-                compiled,
-                read_patterns,
+                read_patterns: checker.read_patterns(&compiled, &abstract_tx),
+                program: Program::new(&compiled, placeholders),
             });
             let mut entries = self.entries.lock();
             if entries.len() < MAX_ENTRIES {
@@ -137,18 +140,22 @@ impl CheckCache {
             }
             entry
         });
-        let ground = Instantiation {
-            placeholders: &pool()[..constants.len()],
-            constants: &constants,
-        };
-        let compiled = ground.compiled(&entry.compiled);
+        let mut binding = Subst::new();
+        for (&p, &c) in placeholders.iter().zip(&constants) {
+            binding.bind(p, Term::Const(c));
+        }
+        let constant = |c| binding.get(c).and_then(Term::as_const).unwrap_or(c);
         let mut read_patterns: Vec<ReadPattern> = entry
             .read_patterns
             .iter()
-            .map(|p| ground.pattern(p))
+            .map(|p| ReadPattern {
+                pred: p.pred,
+                args: p.args.iter().map(|a| a.map(constant)).collect(),
+            })
             .collect();
         sort_read_patterns(&mut read_patterns);
-        (checker.evaluate_reading(&compiled, tx, read_patterns), hit)
+        let report = checker.run(&entry.program, binding, tx, read_patterns);
+        (report, hit)
     }
 
     /// The abstract transaction of `tx` and the constants its
@@ -199,92 +206,10 @@ impl CheckCache {
     }
 }
 
-/// Placeholder `placeholders[k]` ↦ `constants[k]`, every other symbol
-/// kept.
-struct Instantiation<'a> {
-    placeholders: &'a [Sym],
-    constants: &'a [Sym],
-}
-
-impl Instantiation<'_> {
-    fn sym(&self, s: Sym) -> Sym {
-        match self.placeholders.iter().position(|&p| p == s) {
-            Some(k) => self.constants[k],
-            None => s,
-        }
-    }
-
-    fn atom(&self, a: &Atom) -> Atom {
-        Atom {
-            pred: a.pred,
-            args: a
-                .args
-                .iter()
-                .map(|&t| match t {
-                    Term::Const(c) => Term::Const(self.sym(c)),
-                    Term::Var(_) => t,
-                })
-                .collect(),
-        }
-    }
-
-    fn literal(&self, l: &Literal) -> Literal {
-        Literal {
-            positive: l.positive,
-            atom: self.atom(&l.atom),
-        }
-    }
-
-    /// `f` with its constants instantiated, node for node: no smart
-    /// constructor runs, so the shape is the compiled one.
-    fn rq(&self, f: &Rq) -> Rq {
-        let atoms = |range: &[Atom]| range.iter().map(|a| self.atom(a)).collect();
-        match f {
-            Rq::True => Rq::True,
-            Rq::False => Rq::False,
-            Rq::Lit(l) => Rq::Lit(self.literal(l)),
-            Rq::And(gs) => Rq::And(gs.iter().map(|g| self.rq(g)).collect()),
-            Rq::Or(gs) => Rq::Or(gs.iter().map(|g| self.rq(g)).collect()),
-            Rq::Forall { vars, range, body } => Rq::Forall {
-                vars: vars.clone(),
-                range: atoms(range),
-                body: Box::new(self.rq(body)),
-            },
-            Rq::Exists { vars, range, body } => Rq::Exists {
-                vars: vars.clone(),
-                range: atoms(range),
-                body: Box::new(self.rq(body)),
-            },
-        }
-    }
-
-    fn compiled(&self, c: &CompiledCheck) -> CompiledCheck {
-        CompiledCheck {
-            potential: c.potential.iter().map(|l| self.literal(l)).collect(),
-            update_constraints: c
-                .update_constraints
-                .iter()
-                .map(|uc| UpdateConstraint {
-                    constraint: uc.constraint,
-                    trigger: self.literal(&uc.trigger),
-                    instance: self.rq(&uc.instance),
-                })
-                .collect(),
-            truncated: c.truncated,
-        }
-    }
-
-    fn pattern(&self, p: &ReadPattern) -> ReadPattern {
-        ReadPattern {
-            pred: p.pred,
-            args: p.args.iter().map(|a| a.map(|c| self.sym(c))).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::Violation;
     use uniform_datalog::Database;
     use uniform_logic::parse_literal;
 
@@ -345,6 +270,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two trigger keys of these shapes first differ at a placeholder,
+    /// and `zed` takes the lower placeholder but sorts after `amy`: the
+    /// groups must be walked in the order of the check's own constants.
+    #[test]
+    fn violation_order_follows_the_constants_not_the_placeholders() {
+        let snap = snapshot();
+        let cache = CheckCache::for_snapshot(&snap, CheckOptions::default());
+        let oracle = Checker::for_snapshot(&snap);
+        let culprits = |r: &CheckReport| -> Vec<String> {
+            let culprit = |v: &Violation| v.culprit.as_ref().unwrap().to_string();
+            r.violations.iter().map(culprit).collect()
+        };
+        // One shape, compiled on its first check and hit by the second,
+        // whose constants sort the other way; then a second shape.
+        for round in 0..2 {
+            for (i, t) in [
+                tx(&["student(zed)", "student(amy)"]),
+                tx(&["student(amy)", "student(zed)"]),
+                tx(&["student(zed)", "student(bob)", "attends(amy, ddb)"]),
+            ]
+            .iter()
+            .enumerate()
+            {
+                let (cached, hit) = cache.check(&snap, t);
+                let want = oracle.check(t);
+                assert_eq!(hit, round == 1 || i == 1, "on {t:?}");
+                assert_eq!(fields(&cached), fields(&want), "on {t:?}");
+                let mut sorted = culprits(&want);
+                sorted.sort();
+                assert_eq!(culprits(&want), sorted, "on {t:?}");
+            }
+        }
+        let (report, _) = cache.check(&snap, &tx(&["student(zed)", "student(amy)"]));
+        assert_eq!(
+            culprits(&report),
+            [
+                "enrolled(amy,cs)",
+                "enrolled(zed,cs)",
+                "student(amy)",
+                "student(zed)"
+            ]
+        );
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //!   simplified instances of relevant constraints, packaged as *update
 //!   constraints* `¬delta(U, Lτ) ∨ new(U, s(C))` (Def. 6).
 //! * **Evaluate** — batch evaluation of all update constraints: group by
-//!   trigger pattern, enumerate `delta` once per group, instantiate and
-//!   evaluate every `s(C)` against the simulated updated state (`new`),
+//!   trigger pattern, enumerate `delta` once per group, bind and evaluate
+//!   every `s(C)` against the simulated updated state (`new`),
 //!   deduplicating ground instances so shared subqueries are not
-//!   re-evaluated (§3.2's "global evaluation").
+//!   re-evaluated (§3.2's "global evaluation"). The evaluation runs a
+//!   program lowered from the compile: groups, their order and every
+//!   join order are fixed before the first trigger is enumerated.
 //!
 //! All constraints are satisfied in `U(D)` iff they were satisfied in `D`
 //! and no evaluated instance is violated (Prop. 3).
@@ -21,18 +23,21 @@
 //! their modules, and the Lloyd–Topor baseline, which only swaps the
 //! source of the ground triggers.
 
-use crate::delta::{pattern_key, DeltaEngine, DeltaStats};
+use crate::delta::{DeltaEngine, DeltaStats};
 use crate::potential::potential_updates;
 use crate::relevance::RelevanceIndex;
 use crate::simplify::{simplified_instances, SimplifiedInstance};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use uniform_datalog::{
-    satisfies_closed, Database, FactSet, Interp, Model, OverlayEngine, ReadPattern, RuleSet,
+    extend_match, Database, FactSet, Interp, Lowered, Model, OverlayEngine, ReadPattern, RuleSet,
     Snapshot, Transaction, Update,
 };
-use uniform_logic::{match_atom, Constraint, Literal, Rq, Sym};
+use uniform_logic::{
+    match_atom, Atom, Constraint, Fact, Literal, PatternKey, Rq, Subst, Sym, Term,
+};
 
 /// Options controlling the compile phase.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +69,8 @@ pub struct UpdateConstraint {
 /// literals with every constant that occurs in no rule and no
 /// constraint renamed one-to-one. Constants the schema mentions must be
 /// kept; [`crate::CheckCache`] compiles each abstract transaction once
-/// and instantiates it with a transaction's own constants, exactly.
+/// and lowers it to a program whose placeholders a check binds to its
+/// own constants, exactly.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledCheck {
     pub potential: Vec<Literal>,
@@ -284,12 +290,12 @@ impl<'a> Checker<'a> {
     pub(crate) fn compile_over(&self, rules: &RuleSet, seeds: &[Literal]) -> CompiledCheck {
         let mut potential: Vec<Literal> = Vec::new();
         let mut truncated = false;
-        let mut seen_patterns: HashSet<String> = HashSet::new();
+        let mut seen_patterns: HashSet<PatternKey> = HashSet::new();
         for u in seeds {
             let p = potential_updates(rules, u, self.options.potential_limit);
             truncated |= p.truncated;
             for lit in p.literals {
-                if seen_patterns.insert(pattern_key(&lit)) {
+                if seen_patterns.insert(PatternKey::of(&lit)) {
                     potential.push(lit);
                 }
             }
@@ -345,18 +351,20 @@ impl<'a> Checker<'a> {
     /// Phase 2: evaluate a compiled check against the database and the
     /// transaction (Def. 1 net effect).
     pub fn evaluate(&self, compiled: &CompiledCheck, tx: &Transaction) -> CheckReport {
-        let read_patterns = self.read_patterns(compiled, tx);
-        self.evaluate_reading(compiled, tx, read_patterns)
+        let program = Program::new(compiled, &[]);
+        self.run(&program, Subst::new(), tx, self.read_patterns(compiled, tx))
     }
 
-    /// [`Checker::evaluate`] with the read set already computed.
-    pub(crate) fn evaluate_reading(
+    /// [`Checker::evaluate`] of a lowered check, its placeholders bound
+    /// by `binding`, with the read set already computed.
+    pub(crate) fn run(
         &self,
-        compiled: &CompiledCheck,
+        program: &Program,
+        binding: Subst,
         tx: &Transaction,
         read_patterns: Vec<ReadPattern>,
     ) -> CheckReport {
-        let mut stats = compiled.stats();
+        let mut stats = program.stats;
 
         let (adds, dels) = tx.net_effect(self.facts());
         if adds.is_empty() && dels.is_empty() {
@@ -376,16 +384,16 @@ impl<'a> Checker<'a> {
         let current = self.model();
         let updated = OverlayEngine::over_model(&current, self.facts(), self.rules(), adds, dels);
         let delta = DeltaEngine::new(&current, &updated, self.rules(), &net_updates);
-        let violations = evaluate_update_constraints(
-            &compiled.update_constraints,
+        let violations = program.run(
+            binding,
             self.constraints(),
             &updated,
-            |pattern| delta.delta(pattern),
+            |pattern| delta.answers(pattern),
             &mut stats,
         );
         stats.delta = delta.stats();
         stats.subquery_memo_hits = updated.memo_hits();
-        CheckReport::new(violations, read_patterns, stats, compiled.truncated)
+        CheckReport::new(violations, read_patterns, stats, program.truncated)
     }
 
     /// Both phases for a transaction.
@@ -401,70 +409,198 @@ impl<'a> Checker<'a> {
     }
 }
 
-/// Phase 2 of every update kind (Prop. 3): group the update constraints
-/// by trigger pattern, enumerate each group's ground triggers once
-/// through `triggers` (a rule update diffs two models, the Lloyd–Topor
-/// baseline scans `new`, the checker asks `delta`), and evaluate every
-/// instance they ground against `updated`, each distinct ground instance
-/// once (§3.2's global evaluation). Groups are walked in pattern-key
-/// order, so the violation list is deterministic. Counts groups and
-/// instances into `stats`; the trigger source counts its own
-/// [`DeltaStats`].
-pub(crate) fn evaluate_update_constraints<F>(
-    update_constraints: &[UpdateConstraint],
-    constraints: &[Constraint],
-    updated: &dyn Interp,
-    mut triggers: F,
-    stats: &mut CheckStats,
-) -> Vec<Violation>
-where
-    F: FnMut(&Literal) -> Vec<Literal>,
-{
-    let mut groups: BTreeMap<String, Vec<&UpdateConstraint>> = BTreeMap::new();
-    for uc in update_constraints {
-        groups.entry(pattern_key(&uc.trigger)).or_default().push(uc);
-    }
-    stats.trigger_groups = groups.len();
+/// A compiled check lowered for evaluation: its update constraints
+/// grouped by trigger pattern, in the order the groups are walked, and
+/// every instance [`Lowered`]. A cached check keeps its placeholders as
+/// variables, so one program serves every transaction of its shape: a
+/// check binds them to its own constants and builds no formula.
+pub(crate) struct Program {
+    stats: CheckStats,
+    truncated: bool,
+    groups: Vec<Group>,
+    /// `groups` are in walking order, unless that order depends on the
+    /// constants a check binds the placeholders to.
+    fixed_order: bool,
+}
 
-    // Verdicts are cached across groups, so `instances_evaluated` =
-    // distinct ground instances and `instances_shared` = re-occurrences.
-    let mut verdict_cache: HashMap<Rq, bool> = HashMap::new();
-    let mut violations = Vec::new();
-    for members in groups.values() {
-        for answer in triggers(&members[0].trigger) {
-            let fact = answer.atom.to_fact().expect("triggers are ground");
-            for uc in members {
-                let Some(theta) = match_atom(&uc.trigger.atom, &fact) else {
-                    continue;
-                };
-                let ground = uc.instance.apply(&theta);
-                debug_assert!(ground.is_closed(), "instance not closed: {ground}");
-                // Probe before cloning: hits (the common case the cache
-                // exists for) must not deep-clone the ground formula just
-                // to look it up.
-                let holds = match verdict_cache.get(&ground) {
-                    Some(&v) => {
-                        stats.instances_shared += 1;
-                        v
+struct Group {
+    key: PatternKey,
+    /// The first member's trigger, whose ground answers the group walks.
+    trigger: Literal,
+    members: Vec<Member>,
+}
+
+struct Member {
+    constraint: usize,
+    trigger: Atom,
+    instance: Rq,
+    lowered: Lowered,
+    /// Two ground instances are equal iff their skeletons are — the
+    /// instance with each term but a quantified variable made a hole —
+    /// and so are the constants that fill their holes.
+    skeleton: usize,
+    holes: Vec<Term>,
+}
+
+impl Program {
+    /// Lower `compiled`, in which constant `placeholders[k]` stands for a
+    /// check's `k`-th constant. Groups are walked in the order of their
+    /// trigger's [`PatternKey`] as rendered with a check's constants, so
+    /// the violation list is deterministic; when that order cannot
+    /// depend on them, it is fixed here.
+    pub(crate) fn new(compiled: &CompiledCheck, placeholders: &[Sym]) -> Program {
+        let mut var = |a: &Atom| {
+            let var = |t| match t {
+                Term::Const(c) if placeholders.contains(&c) => Term::Var(c),
+                _ => t,
+            };
+            Atom::new(a.pred, a.args.iter().map(|&t| var(t)).collect())
+        };
+        let mut skeletons: Vec<Rq> = Vec::new();
+        let mut groups: Vec<Group> = Vec::new();
+        for uc in &compiled.update_constraints {
+            let instance = uc.instance.map_atoms(&mut var);
+            let free = instance.free_vars();
+            let mut holes = Vec::new();
+            // A hole is marked with its atom's predicate.
+            let skeleton = instance.map_atoms(&mut |a| {
+                let mut hole = |t| match t {
+                    Term::Var(v) if !free.contains(&v) => t,
+                    _ => {
+                        holes.push(t);
+                        Term::Const(a.pred)
                     }
-                    None => {
-                        stats.instances_evaluated += 1;
-                        let v = satisfies_closed(updated, &ground);
-                        verdict_cache.insert(ground.clone(), v);
-                        v
-                    }
                 };
-                if !holds {
-                    violations.push(Violation {
-                        constraint: constraints[uc.constraint].name.clone(),
-                        culprit: Some(answer.clone()),
-                        instance: ground,
-                    });
+                Atom::new(a.pred, a.args.iter().map(|&t| hole(t)).collect())
+            });
+            let known = skeletons.iter().position(|s| *s == skeleton);
+            let skeleton = known.unwrap_or_else(|| {
+                skeletons.push(skeleton);
+                skeletons.len() - 1
+            });
+            let member = Member {
+                constraint: uc.constraint,
+                trigger: var(&uc.trigger.atom),
+                lowered: Lowered::new(&instance),
+                instance,
+                skeleton,
+                holes,
+            };
+            let key = PatternKey::of(&uc.trigger);
+            match groups.iter_mut().find(|g| g.key == key) {
+                Some(g) => g.members.push(member),
+                None => groups.push(Group {
+                    key,
+                    trigger: Literal::new(uc.trigger.positive, member.trigger.clone()),
+                    members: vec![member],
+                }),
+            }
+        }
+        let known = |c: Sym| (!placeholders.contains(&c)).then_some(c);
+        let fixed_order = groups.iter().enumerate().all(|(i, a)| {
+            (groups[i + 1..].iter()).all(|b| a.key.cmp_rendered(&b.key, known).is_some())
+        });
+        if fixed_order {
+            groups.sort_by(|a, b| a.key.cmp_rendered(&b.key, known).expect("fixed"));
+        }
+        Program {
+            stats: compiled.stats(),
+            truncated: compiled.truncated,
+            groups,
+            fixed_order,
+        }
+    }
+
+    /// Phase 2 of every update kind (Prop. 3), with the placeholders
+    /// bound by `binding`: enumerate each group's ground triggers once
+    /// through `triggers` (a rule update diffs two models, the Lloyd–Topor
+    /// baseline scans `new`, the checker asks `delta`), and evaluate every
+    /// instance they bind against `updated`, each distinct ground
+    /// instance once (§3.2's global evaluation). A ground formula is
+    /// built only for a violation. Counts groups and instances into
+    /// `stats`; the trigger source counts its own [`DeltaStats`].
+    pub(crate) fn run<F>(
+        &self,
+        mut binding: Subst,
+        constraints: &[Constraint],
+        updated: &dyn Interp,
+        mut triggers: F,
+        stats: &mut CheckStats,
+    ) -> Vec<Violation>
+    where
+        F: FnMut(&Literal) -> Rc<Vec<Literal>>,
+    {
+        let mut order: Vec<&Group> = self.groups.iter().collect();
+        if !self.fixed_order {
+            let constant = |c| Some(binding.get(c).and_then(Term::as_const).unwrap_or(c));
+            order.sort_by(|a, b| a.key.cmp_rendered(&b.key, constant).expect("all known"));
+        }
+        stats.trigger_groups = order.len();
+
+        // Verdicts are cached across groups, so `instances_evaluated` =
+        // distinct ground instances and `instances_shared` = re-occurrences.
+        let mut verdicts: HashMap<(usize, Vec<Sym>), bool> = HashMap::new();
+        let mut violations = Vec::new();
+        let mut trail = Vec::new();
+        for group in order {
+            for answer in triggers(&binding.apply_literal(&group.trigger)).iter() {
+                let fact = answer.atom.to_fact().expect("triggers are ground");
+                for member in &group.members {
+                    if extend_match(&mut binding, &member.trigger, &fact.args, &mut trail) {
+                        debug_assert!(
+                            member.instance.apply(&binding)
+                                == member.instance.map_atoms(&mut |a| binding.apply_atom(a)),
+                            "a ground instance is its skeleton filled"
+                        );
+                        let hole = |&t| binding.walk(t).as_const().expect("holes are bound");
+                        let key = (member.skeleton, member.holes.iter().map(hole).collect());
+                        let holds = match verdicts.get(&key) {
+                            Some(&v) => {
+                                stats.instances_shared += 1;
+                                v
+                            }
+                            None => {
+                                stats.instances_evaluated += 1;
+                                let v = member.lowered.satisfies(updated, &mut binding);
+                                verdicts.insert(key, v);
+                                v
+                            }
+                        };
+                        if !holds {
+                            violations.push(Violation {
+                                constraint: constraints[member.constraint].name.clone(),
+                                culprit: Some(answer.clone()),
+                                instance: member.instance.apply(&binding),
+                            });
+                        }
+                    }
+                    for v in trail.drain(..) {
+                        binding.unbind(v);
+                    }
                 }
             }
         }
+        violations
     }
-    violations
+}
+
+/// The ground instances of `pattern` that `state` holds and `keep`
+/// accepts: the trigger source of the checks that scan a whole state.
+pub(crate) fn scan_triggers(
+    pattern: &Literal,
+    state: &dyn Interp,
+    keep: impl Fn(&Fact) -> bool,
+) -> Rc<Vec<Literal>> {
+    let bound: Vec<Option<Sym>> = pattern.atom.args.iter().map(|t| t.as_const()).collect();
+    let mut out = Vec::new();
+    state.scan(pattern.atom.pred, &bound, &mut |args| {
+        let f = Fact::new(pattern.atom.pred, args.to_vec());
+        if match_atom(&pattern.atom, &f).is_some() && keep(&f) {
+            out.push(Literal::new(pattern.positive, f.to_atom()));
+        }
+        true
+    });
+    Rc::new(out)
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub use checker::{
     CheckOptions, CheckReport, CheckStats, Checker, CompiledCheck, UpdateConstraint, Violation,
 };
 pub use conditional::ConditionalUpdate;
-pub use delta::{induced_updates_by_diff, pattern_key, DeltaEngine, DeltaStats};
+pub use delta::{induced_updates_by_diff, DeltaEngine, DeltaStats};
 pub use potential::{direct_dependents, potential_updates, PotentialUpdates};
 pub use relevance::{RelevanceIndex, RelevantOccurrence};
 pub use rule_update::{check_rule_update, RuleUpdate};

@@ -105,7 +105,7 @@ mod tests {
 
     /// Render with variables canonicalized for stable assertions.
     fn canonical(l: &Literal) -> String {
-        crate::delta::pattern_key(l)
+        uniform_logic::PatternKey::of(l).to_string()
     }
 
     #[test]

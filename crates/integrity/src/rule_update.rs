@@ -29,11 +29,11 @@
 //! a system without this method must do; `tests/prop_schema_updates.rs`
 //! keeps it as the oracle the incremental verdict must match.
 
-use crate::checker::{evaluate_update_constraints, CheckReport, Checker, CompiledCheck};
+use crate::checker::{scan_triggers, CheckReport, Checker, CompiledCheck, Program};
 use crate::delta::DeltaStats;
 use std::fmt;
-use uniform_datalog::{Database, Interp as _, Model, RuleSet, StratificationError};
-use uniform_logic::{match_atom, Fact, Literal, Renaming};
+use uniform_datalog::{Database, Model, RuleSet, StratificationError};
+use uniform_logic::{Literal, Renaming, Subst};
 
 /// A change to the rule set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,12 +159,17 @@ impl Checker<'_> {
         let after = Model::compute(self.facts(), rules_after);
         stats.new_materializations = 1;
         let mut delta = DeltaStats::default();
-        let violations = evaluate_update_constraints(
-            &check.update_constraints,
+        let violations = Program::new(check, &[]).run(
+            Subst::new(),
             self.constraints(),
             &after,
             |pattern| {
-                let answers = model_diff(pattern, &before, &after);
+                // The instances that flip across the rule change.
+                let (scan_in, absent_from) = match pattern.positive {
+                    true => (&after, &*before),
+                    false => (&*before, &after),
+                };
+                let answers = scan_triggers(pattern, scan_in, |f| !absent_from.contains(f));
                 delta.patterns_evaluated += 1;
                 delta.answers += answers.len();
                 answers
@@ -185,31 +190,6 @@ impl Checker<'_> {
     }
 }
 
-/// Ground instances of `pattern` whose truth flips across the rule
-/// change: present in `after` but not `before` for positive patterns,
-/// the converse for negative ones.
-fn model_diff(pattern: &Literal, before: &Model, after: &Model) -> Vec<Literal> {
-    let (scan_in, absent_from) = if pattern.positive {
-        (after, before)
-    } else {
-        (before, after)
-    };
-    let bound: Vec<Option<uniform_logic::Sym>> =
-        pattern.atom.args.iter().map(|t| t.as_const()).collect();
-    let mut out = Vec::new();
-    scan_in.scan(pattern.atom.pred, &bound, &mut |args| {
-        let f = Fact {
-            pred: pattern.atom.pred,
-            args: args.to_vec(),
-        };
-        if match_atom(&pattern.atom, &f).is_some() && !absent_from.contains(&f) {
-            out.push(Literal::new(pattern.positive, f.to_atom()));
-        }
-        true
-    });
-    out
-}
-
 /// Convenience: compile and evaluate a rule update against `db` with
 /// default options.
 pub fn check_rule_update(
@@ -222,7 +202,7 @@ pub fn check_rule_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniform_logic::parse_rule;
+    use uniform_logic::{parse_rule, Fact};
 
     fn db(src: &str) -> Database {
         let db = Database::parse(src).unwrap();

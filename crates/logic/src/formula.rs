@@ -403,6 +403,31 @@ impl Rq {
         }
     }
 
+    /// `self` with every atom mapped through `f`, in the order
+    /// [`Rq::literals`] lists them, node for node: no smart constructor
+    /// runs, so the shape is kept.
+    pub fn map_atoms(&self, f: &mut impl FnMut(&Atom) -> Atom) -> Rq {
+        let mut quantified = |vars: &[Sym], range: &[Atom], body: &Rq| {
+            let range = range.iter().map(&mut *f).collect();
+            (vars.to_vec(), range, Box::new(body.map_atoms(f)))
+        };
+        match self {
+            Rq::True => Rq::True,
+            Rq::False => Rq::False,
+            Rq::Lit(l) => Rq::Lit(Literal::new(l.positive, f(&l.atom))),
+            Rq::And(gs) => Rq::And(gs.iter().map(|g| g.map_atoms(f)).collect()),
+            Rq::Or(gs) => Rq::Or(gs.iter().map(|g| g.map_atoms(f)).collect()),
+            Rq::Forall { vars, range, body } => {
+                let (vars, range, body) = quantified(vars, range, body);
+                Rq::Forall { vars, range, body }
+            }
+            Rq::Exists { vars, range, body } => {
+                let (vars, range, body) = quantified(vars, range, body);
+                Rq::Exists { vars, range, body }
+            }
+        }
+    }
+
     /// Build a `∀` node, degrading to a plain disjunction when no
     /// variables remain quantified (absorption of Def. 3 step b).
     pub fn forall_node(vars: Vec<Sym>, range: Vec<Atom>, body: Rq) -> Rq {

@@ -42,7 +42,7 @@ pub use parser::{
 };
 pub use rule::Rule;
 pub use subst::Subst;
-pub use subsume::{atom_subsumes, literal_subsumes, MinimalLiteralSet};
+pub use subsume::{atom_subsumes, literal_subsumes, MinimalLiteralSet, PatternKey};
 pub use symbol::{sort_by_name, Sym};
 pub use term::{Atom, Fact, Literal, Term};
 pub use unify::{

@@ -9,11 +9,34 @@ use crate::symbol::Sym;
 use crate::term::{Atom, Fact, Literal, Term};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A substitution σ. Empty means identity.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Subst {
-    map: HashMap<Sym, Term>,
+    map: HashMap<Sym, Term, BuildHasherDefault<SymHasher>>,
+}
+
+/// Hashes a variable — one interned `u32`, not outside input — with one
+/// multiply: the evaluators walk a substitution at every argument they
+/// touch, and no output depends on the map's order.
+#[derive(Default)]
+struct SymHasher(u64);
+
+impl Hasher for SymHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Subst {

@@ -7,10 +7,13 @@
 //!
 //! `L` subsumes `L'` iff they have the same sign and there is a
 //! substitution θ with `Lθ = L'` — i.e. every instance of `L'` is an
-//! instance of `L`.
+//! instance of `L`. Two literals that subsume each other are variants:
+//! equal up to renaming, and equal in their [`PatternKey`].
 
 use crate::symbol::Sym;
 use crate::term::{Atom, Literal, Term};
+use std::cmp::Ordering;
+use std::fmt;
 
 /// Does `general` subsume `specific` (is there θ with `general`·θ =
 /// `specific`)? One-way: only variables of `general` are bound, and they
@@ -89,6 +92,99 @@ impl MinimalLiteralSet {
 
     pub fn into_vec(self) -> Vec<Literal> {
         self.items
+    }
+}
+
+/// A literal up to variable renaming: sign, predicate and arguments,
+/// with variables numbered by first occurrence. Two literals have equal
+/// keys iff they are variants of each other.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct PatternKey {
+    positive: bool,
+    pred: Sym,
+    args: Vec<KeyArg>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum KeyArg {
+    Const(Sym),
+    Var(usize),
+}
+
+impl PatternKey {
+    pub fn of(lit: &Literal) -> PatternKey {
+        let terms = &lit.atom.args;
+        let mut vars = 0;
+        let mut args: Vec<KeyArg> = Vec::with_capacity(terms.len());
+        for (i, &t) in terms.iter().enumerate() {
+            args.push(match (t, terms[..i].iter().position(|&u| u == t)) {
+                (Term::Const(c), _) => KeyArg::Const(c),
+                (Term::Var(_), Some(j)) => args[j],
+                (Term::Var(_), None) => {
+                    vars += 1;
+                    KeyArg::Var(vars - 1)
+                }
+            });
+        }
+        PatternKey {
+            positive: lit.positive,
+            pred: lit.atom.pred,
+            args,
+        }
+    }
+
+    /// The key rendered as `+pred,c:a,v0`, byte by byte, every constant
+    /// first mapped through `constant`; `None` stands for the bytes of a
+    /// constant it does not know.
+    fn rendered<'a>(
+        &'a self,
+        constant: &'a impl Fn(Sym) -> Option<Sym>,
+    ) -> impl Iterator<Item = Option<u8>> + 'a {
+        let head = [if self.positive { b'+' } else { b'-' }];
+        let head = head.into_iter().chain(self.pred.as_str().bytes());
+        let args = self.args.iter().flat_map(move |&arg| {
+            let (tag, name, number, digits) = match arg {
+                KeyArg::Const(c) => (",c:", constant(c).map(Sym::as_str), 0, 0),
+                KeyArg::Var(n) => (",v", Some(""), n, n.checked_ilog10().unwrap_or(0) + 1),
+            };
+            let number = (0..digits)
+                .rev()
+                .map(move |i| b'0' + (number / 10usize.pow(i) % 10) as u8);
+            let known = tag.bytes().chain(name.unwrap_or("").bytes()).chain(number);
+            known.map(Some).chain(name.is_none().then_some(None))
+        });
+        head.map(Some).chain(args)
+    }
+
+    /// Order as the rendered keys order, every constant mapped through
+    /// `constant`; `None` when they first differ at or after a constant
+    /// it does not know.
+    pub fn cmp_rendered(
+        &self,
+        other: &PatternKey,
+        constant: impl Fn(Sym) -> Option<Sym>,
+    ) -> Option<Ordering> {
+        let (mut a, mut b) = (self.rendered(&constant), other.rendered(&constant));
+        loop {
+            match (a.next(), b.next()) {
+                (None, None) => return Some(Ordering::Equal),
+                (None, Some(_)) => return Some(Ordering::Less),
+                (Some(_), None) => return Some(Ordering::Greater),
+                (Some(Some(x)), Some(Some(y))) if x == y => {}
+                (Some(Some(x)), Some(Some(y))) => return Some(x.cmp(&y)),
+                _ => return None,
+            }
+        }
+    }
+}
+
+impl fmt::Display for PatternKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bytes = self
+            .rendered(&Some)
+            .map(|b| b.expect("every constant known"));
+        let bytes: Vec<u8> = bytes.collect();
+        f.write_str(&String::from_utf8(bytes).expect("names are UTF-8"))
     }
 }
 
@@ -181,5 +277,63 @@ mod tests {
         assert!(set.insert(lit("p", &["X", "Y"], true)));
         assert!(!set.insert(lit("p", &["U", "V"], true)));
         assert_eq!(set.len(), 1);
+    }
+
+    /// Keys order as their rendered strings do, whichever constants
+    /// take the place of the unknown ones, and report an order that
+    /// depends on those only when one exists.
+    #[test]
+    fn keys_order_as_rendered_strings() {
+        let names = ["a", "ab", "b", "_C$0", "v", "c", "p"];
+        let mut lits = Vec::new();
+        for pred in ["p", "pq", "q"] {
+            for positive in [true, false] {
+                for x in names.iter().chain(&["X", "Y"]) {
+                    for y in names.iter().chain(&["X", "Y", "Z"]).step_by(2) {
+                        lits.push(Literal::new(positive, Atom::parse_like(pred, &[x, y])));
+                    }
+                }
+            }
+        }
+        let vars: Vec<String> = (0..12).map(|i| format!("V{i}")).collect();
+        let vars: Vec<&str> = vars.iter().map(String::as_str).collect();
+        lits.push(Literal::new(true, Atom::parse_like("p", &vars)));
+        lits.push(Literal::new(true, Atom::parse_like("p", &vars[..11])));
+        let unknown = ["ab", "v"].map(Sym::new);
+        for (i, a) in lits.iter().enumerate() {
+            for b in &lits[i..] {
+                let (ka, kb) = (PatternKey::of(a), PatternKey::of(b));
+                let want = ka.to_string().cmp(&kb.to_string());
+                assert_eq!(ka.cmp_rendered(&kb, Some), Some(want), "{ka} {kb}");
+                let fixed = ka.cmp_rendered(&kb, |c| (!unknown.contains(&c)).then_some(c));
+                for constants in [["ab", "v"], ["zz", "a"], ["a", "ab"]] {
+                    let constants = constants.map(Sym::new);
+                    let map = |c: Sym| {
+                        unknown
+                            .iter()
+                            .position(|&u| u == c)
+                            .map_or(c, |k| constants[k])
+                    };
+                    let ground = |l: &Literal| {
+                        let args = l.atom.args.iter().map(|&t| match t {
+                            Term::Const(c) => Term::Const(map(c)),
+                            Term::Var(_) => t,
+                        });
+                        let atom = Atom::new(l.atom.pred, args.collect());
+                        PatternKey::of(&Literal::new(l.positive, atom)).to_string()
+                    };
+                    let want = ground(a).cmp(&ground(b));
+                    assert_eq!(
+                        ka.cmp_rendered(&kb, |c| Some(map(c))),
+                        Some(want),
+                        "{ka} {kb}"
+                    );
+                    assert!(
+                        fixed.is_none_or(|o| o == want),
+                        "{ka} {kb} fixed while unknown"
+                    );
+                }
+            }
+        }
     }
 }
