@@ -33,19 +33,18 @@ use crate::guard::{
 use crate::query::{
     Consistency, Params, PlanCache, PlanCacheStats, PreparedQuery, QueryError, Session,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uniform_analyze::{AnalyzeOptions, AnalyzedProgram, Analyzer};
 use uniform_datalog::txn::{
     CommitError, CommitQueue, CommitReceipt, ConflictStats, MaintenanceCounters, ModelPath,
 };
 use uniform_datalog::{
-    ConflictGranularity, Database, Provenance, Snapshot, Transaction, TxnBuilder, Update,
+    ConflictGranularity, Database, Provenance, Schema, Snapshot, Transaction, TxnBuilder, Update,
 };
-use uniform_integrity::{CheckCache, CheckReport, Checker, ConditionalUpdate, RuleUpdate};
+use uniform_integrity::{CheckCache, CheckReport, ConditionalUpdate, RuleUpdate};
 use uniform_logic::{
     normalize, parse_fact, parse_formula, parse_literal, parse_rule, Constraint, LogicError,
     ParseError, Sym,
@@ -293,16 +292,13 @@ pub(crate) struct Shared {
     /// inside each entry are keyed by rule revision and rebuilt when a
     /// schema change lands (see [`crate::PreparedQuery`]).
     plans: PlanCache,
-    /// Mirrors of the database's schema revisions (+ the version the
-    /// last schema change committed at), published by
-    /// [`ConcurrentDatabase::update_schema`] / `try_add_rule` right
-    /// after the change lands. Fenced sessions read these instead of
-    /// taking the queue lock per execute — the read path must not
-    /// convoy behind committing writers. Commits never move schema
-    /// revisions, so the mirrors only change under `update_schema`.
-    rule_rev: AtomicU64,
-    constraint_rev: AtomicU64,
-    schema_version: AtomicU64,
+    /// The head schema and the version it landed at, published by
+    /// [`ConcurrentDatabase::update_schema`] under the queue lock.
+    /// Fenced sessions compare their snapshot's schema with it by
+    /// identity instead of taking the queue lock per execute — the read
+    /// path must not convoy behind committing writers. Commits never
+    /// change the schema, so only `update_schema` writes it.
+    head: RwLock<(Arc<Schema>, u64)>,
     /// The shared certain-answer cache (see [`crate::certain_cache`]):
     /// repair lists and `Certain` row sets keyed by the exact semantic
     /// state — `(db_id, fact_rev, rule_rev, constraint_rev)` — shared
@@ -311,38 +307,24 @@ pub(crate) struct Shared {
     /// updates and `AutoRepair` commits.
     certain: CertainCache,
     /// The cached static analysis of the registered program (see
-    /// [`ConcurrentDatabase::analyze`]): one entry keyed by
-    /// `(rule_rev, constraint_rev)`. Schema changes move the key, so a
-    /// stale entry is simply never served again; it is replaced on the
-    /// next miss.
-    analyzed: Mutex<Option<(u64, u64, Arc<AnalyzedProgram>)>>,
-    /// The compiled checks of the head schema (see [`Shared::check`]):
-    /// one [`CheckCache`] keyed by `(rule_rev, constraint_rev)`,
-    /// replaced on the first check after a schema change.
-    checks: Mutex<Option<(u64, u64, Arc<CheckCache>)>>,
+    /// [`ConcurrentDatabase::analyze`]): one entry, keyed by the schema
+    /// it analyzed. A schema change publishes a new schema, so a stale
+    /// entry is simply never served again; it is replaced on the next
+    /// miss. It stays per handle: it carries the handle's `Obs` and SAT
+    /// options.
+    analyzed: Mutex<Option<(Arc<Schema>, Arc<AnalyzedProgram>)>>,
 }
 
 impl Shared {
-    /// Current schema revisions + the version of the last schema
-    /// change, for fenced sessions (see [`crate::Session`] and
-    /// [`crate::QueryError::SnapshotTooOld`]). Lock-free: a fence
-    /// racing an in-flight schema change may read the pre-change
-    /// revisions, which is indistinguishable from executing just
-    /// before the change — the snapshot it serves predates it either
-    /// way.
-    pub(crate) fn schema_revs(&self) -> (u64, u64, u64) {
-        (
-            self.rule_rev.load(Ordering::Acquire),
-            self.constraint_rev.load(Ordering::Acquire),
-            self.schema_version.load(Ordering::Acquire),
-        )
-    }
-
-    /// Re-publish the schema-revision mirrors after a schema mutation.
-    fn publish_schema_revs(&self, rule_rev: u64, constraint_rev: u64, version: u64) {
-        self.rule_rev.store(rule_rev, Ordering::Release);
-        self.constraint_rev.store(constraint_rev, Ordering::Release);
-        self.schema_version.store(version, Ordering::Release);
+    /// The version of the schema change that replaced `snapshot`'s
+    /// schema, if one has — for fenced sessions (see
+    /// [`crate::Session`] and [`crate::QueryError::SnapshotTooOld`]).
+    /// A fence racing an in-flight schema change may see the schema
+    /// before it, which is indistinguishable from executing just before
+    /// the change: the snapshot it serves predates it either way.
+    pub(crate) fn schema_replaced(&self, snapshot: &Snapshot) -> Option<u64> {
+        let head = self.head.read();
+        (!Arc::ptr_eq(&head.0, snapshot.schema())).then_some(head.1)
     }
 
     /// The shared certain-answer cache, for sessions opened through
@@ -367,16 +349,15 @@ impl Shared {
     }
 
     /// The static analysis of the schema as of `snapshot`, served from
-    /// the shared single-entry cache when the snapshot's schema
-    /// revisions match the cached key (`analyze.cache.hits`), rebuilt
-    /// from the snapshot and cached otherwise (`analyze.cache.misses`).
-    /// The satisfiability classification inside the returned program is
-    /// lazy, so a cache miss costs lints + closures + templates only.
+    /// the shared single-entry cache when the snapshot holds the cached
+    /// schema (`analyze.cache.hits`), rebuilt from the snapshot and
+    /// cached otherwise (`analyze.cache.misses`). The satisfiability
+    /// classification inside the returned program is lazy, so a cache
+    /// miss costs lints + closures + templates only.
     pub(crate) fn analyzed_for_snapshot(&self, snapshot: &Snapshot) -> Arc<AnalyzedProgram> {
-        let (rule_rev, constraint_rev) = (snapshot.rule_rev(), snapshot.constraint_rev());
         let mut slot = self.analyzed.lock();
-        if let Some((r, c, analyzed)) = slot.as_ref() {
-            if (*r, *c) == (rule_rev, constraint_rev) {
+        if let Some((schema, analyzed)) = slot.as_ref() {
+            if Arc::ptr_eq(schema, snapshot.schema()) {
                 self.metrics.analyze_hits.incr();
                 return analyzed.clone();
             }
@@ -391,36 +372,17 @@ impl Shared {
                 .with_obs(self.obs.clone())
                 .analyze(),
         );
-        *slot = Some((rule_rev, constraint_rev, analyzed.clone()));
+        *slot = Some((snapshot.schema().clone(), analyzed.clone()));
         analyzed
     }
 
     /// The integrity check of `tx` against `snapshot`, with the
-    /// database's [`UniformOptions::check`]. A snapshot at the head
-    /// schema revisions reads its compile from the head schema's
-    /// [`CheckCache`] (`check.cache.hits`); every other check compiles
-    /// (`check.cache.misses`). Either way the report equals
-    /// [`Checker::check`]'s.
+    /// database's [`UniformOptions::check`]: its compile is read from
+    /// (`check.cache.hits`) or added to (`check.cache.misses`) the
+    /// [`CheckCache`] of the snapshot's own schema. Either way the
+    /// report equals [`uniform_integrity::Checker::check`]'s.
     pub(crate) fn check(&self, snapshot: &Snapshot, tx: &Transaction) -> CheckReport {
-        let revs = (snapshot.rule_rev(), snapshot.constraint_rev());
-        let (head_rules, head_constraints, _) = self.schema_revs();
-        if revs != (head_rules, head_constraints) {
-            self.metrics.check_misses.incr();
-            return Checker::for_snapshot(snapshot)
-                .with_options(self.options.check)
-                .check(tx);
-        }
-        let cache = {
-            let mut slot = self.checks.lock();
-            match slot.as_ref() {
-                Some((r, c, cache)) if (*r, *c) == revs => cache.clone(),
-                _ => {
-                    let cache = Arc::new(CheckCache::for_snapshot(snapshot, self.options.check));
-                    *slot = Some((revs.0, revs.1, cache.clone()));
-                    cache
-                }
-            }
-        };
+        let cache = CheckCache::for_snapshot(snapshot, self.options.check);
         let (report, hit) = cache.check(snapshot, tx);
         if hit {
             self.metrics.check_hits.incr();
@@ -460,8 +422,7 @@ impl ConcurrentDatabase {
         options: UniformOptions,
         obs: Arc<Obs>,
     ) -> ConcurrentDatabase {
-        let (rule_rev, constraint_rev, version) =
-            (db.rule_rev(), db.constraint_rev(), db.version());
+        let head = RwLock::new((db.schema().clone(), db.version()));
         let queue = CommitQueue::with_obs(db, obs.clone());
         let metrics = CoreMetrics::register(&obs);
         ConcurrentDatabase {
@@ -469,12 +430,9 @@ impl ConcurrentDatabase {
                 queue,
                 options,
                 plans: PlanCache::new(&obs),
-                rule_rev: AtomicU64::new(rule_rev),
-                constraint_rev: AtomicU64::new(constraint_rev),
-                schema_version: AtomicU64::new(version),
+                head,
                 certain: CertainCache::new(&obs),
                 analyzed: Mutex::new(None),
-                checks: Mutex::new(None),
                 metrics,
                 obs,
             }),
@@ -639,17 +597,13 @@ impl ConcurrentDatabase {
                 // closures this commit's writes missed are carried
                 // forward to the post-commit revisions.
                 let _invalidate = self.shared.obs.span("commit.invalidate");
-                self.shared.certain.advance_commit(
-                    StateKey {
-                        db_id: txn.snapshot().db_id(),
-                        version,
-                        fact_rev,
-                        // Commits never move the schema revisions.
-                        rule_rev: txn.snapshot().rule_rev(),
-                        constraint_rev: txn.snapshot().constraint_rev(),
-                    },
-                    &effective,
-                );
+                // Commits never move the schema revisions.
+                let key = StateKey {
+                    version,
+                    fact_rev,
+                    ..StateKey::of(txn.snapshot())
+                };
+                self.shared.certain.advance_commit(key, &effective);
                 Ok(CommitOutcome {
                     version,
                     report,
@@ -857,7 +811,7 @@ impl ConcurrentDatabase {
 
     /// A *fenced* session: like [`ConcurrentDatabase::session`], but
     /// executes fail with [`QueryError::SnapshotTooOld`] once a schema
-    /// change (rule or constraint revision) lands after the pin —
+    /// change (a new schema value) lands after the pin —
     /// mirroring how the commit pipeline fences in-flight transactions
     /// whose pinned verdicts predate the new schema. Use for long-lived
     /// sessions that must not serve answers across schema epochs.
@@ -965,7 +919,7 @@ impl ConcurrentDatabase {
     /// `try_add_*` / `try_remove_rule` / `remove_constraint` entry
     /// points for schema changes.
     /// Fenced read sessions observe the change through the published
-    /// revision mirrors (see [`ConcurrentDatabase::session_fenced`]).
+    /// head schema (see [`ConcurrentDatabase::session_fenced`]).
     /// A closure that leaves the database untouched (a refused or no-op
     /// change) fences nothing and keeps the certain-answer cache.
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
@@ -973,11 +927,13 @@ impl ConcurrentDatabase {
             let before = db.version();
             let result = f(db);
             // Published while the queue lock still serializes schema
-            // changes: racing updates must publish in revision order,
-            // or the mirrors could stick at an older epoch and fenced
-            // sessions would keep serving across it.
-            self.shared
-                .publish_schema_revs(db.rule_rev(), db.constraint_rev(), db.version());
+            // changes: racing updates must publish in order, or the
+            // head could stick at an older schema and fenced sessions
+            // would keep serving across the newer one.
+            let mut head = self.shared.head.write();
+            if !Arc::ptr_eq(&head.0, db.schema()) {
+                *head = (db.schema().clone(), db.version());
+            }
             (result, db.version() != before)
         });
         if changed {
@@ -1016,14 +972,14 @@ impl ConcurrentDatabase {
     /// expensive part — the finite-satisfiability search over the
     /// candidate rule set — runs *optimistically outside the queue lock*
     /// on a pinned snapshot, so writers are never stalled for the
-    /// search's duration; before installation the rule and constraint
-    /// revisions are revalidated under the lock, and if another schema
-    /// change slipped in the search simply re-runs there.
+    /// search's duration; before installation the schema is
+    /// revalidated under the lock, and if another schema change slipped
+    /// in the search simply re-runs there.
     fn rule_update(&self, update: RuleUpdate) -> Result<bool, UniformError> {
         let options = &self.shared.options;
         // The snapshot is gone before the lock is taken: a pin held
         // across the mutation would turn it into a copy-on-write.
-        let (presat, pinned_revs) = {
+        let (presat, pinned) = {
             let snapshot = self.snapshot();
             // A no-op has nothing to search for; an unstratifiable
             // addition is left to the locked path to report.
@@ -1033,14 +989,14 @@ impl ConcurrentDatabase {
                     .with_options(options.sat.clone())
                     .check()
             });
-            (presat, (snapshot.rule_rev(), snapshot.constraint_rev()))
+            (presat, snapshot.schema().clone())
         };
-        // Through `Self::update_schema`, so the fencing revision
-        // mirrors are re-published after the rule set moves.
+        // Through `Self::update_schema`, so the head schema is
+        // re-published after the rule set moves.
         self.update_schema(|db| {
-            // Revalidate: the verdict transfers only if neither rules
-            // nor constraints moved since the snapshot.
-            let current = (db.rule_rev(), db.constraint_rev()) == pinned_revs;
+            // Revalidate: the verdict transfers only if the schema is
+            // still the one the search ran on.
+            let current = Arc::ptr_eq(db.schema(), &pinned);
             guarded_rule_update(db, options, update, presat.as_ref().filter(|_| current))
         })
     }
@@ -1048,10 +1004,10 @@ impl ConcurrentDatabase {
     /// The cached static analysis of the registered program (see
     /// [`uniform_analyze`]): lints, per-constraint closures,
     /// read-pattern templates and — computed lazily on first demand —
-    /// the §4 satisfiability classification. One entry keyed by
-    /// `(rule_rev, constraint_rev)`: the first caller after a schema
-    /// change rebuilds it, every later caller on any thread shares the
-    /// same `Arc` (`analyze.cache.hits` / `analyze.cache.misses`).
+    /// the §4 satisfiability classification. One entry keyed by the
+    /// schema: the first caller after a schema change rebuilds it,
+    /// every later caller on any thread shares the same `Arc`
+    /// (`analyze.cache.hits` / `analyze.cache.misses`).
     pub fn analyze(&self) -> Arc<AnalyzedProgram> {
         self.shared.analyzed_for_snapshot(&self.snapshot())
     }
@@ -1068,10 +1024,10 @@ impl ConcurrentDatabase {
     /// Atomic with respect to concurrent writers. Like
     /// [`ConcurrentDatabase::try_add_rule`], the expensive
     /// satisfiability search runs *optimistically outside the queue
-    /// lock* on a pinned snapshot; the schema revisions are revalidated
-    /// under the lock and the search re-runs there if another schema
-    /// change slipped in. Returns `false` when an identical constraint
-    /// (same name and formula) is already registered.
+    /// lock* on a pinned snapshot; the schema is revalidated under the
+    /// lock and the search re-runs there if another schema change
+    /// slipped in. Returns `false` when an identical constraint (same
+    /// name and formula) is already registered.
     pub fn try_add_constraint(&self, name: &str, formula: &str) -> Result<bool, UniformError> {
         let f = parse_formula(formula)?;
         let rq = normalize(&f).map_err(LogicError::Normalize)?;
@@ -1085,27 +1041,27 @@ impl ConcurrentDatabase {
         // Optimistic phase (no lock held): classify the candidate
         // constraint set on a pinned snapshot — dropped before the lock
         // is taken, so the mutation below is not a copy-on-write.
-        let (preverdict, pinned_revs) = {
+        let (preverdict, pinned) = {
             let snapshot = self.snapshot();
             let preverdict = (!duplicate(snapshot.constraints())).then(|| {
                 let mut candidate = snapshot.constraints().to_vec();
                 candidate.push(constraint.clone());
                 refuse_unsatisfiable_candidate(snapshot.rules(), candidate, &options.sat)
             });
-            (preverdict, (snapshot.rule_rev(), snapshot.constraint_rev()))
+            (preverdict, snapshot.schema().clone())
         };
 
-        // Through `Self::update_schema`, so the fencing revision
-        // mirrors are re-published after the constraint lands.
+        // Through `Self::update_schema`, so the head schema is
+        // re-published after the constraint lands.
         let mut refused = None;
         let added = self.update_schema(|db| -> Result<bool, UniformError> {
             if duplicate(db.constraints()) {
                 return Ok(false);
             }
-            // Revalidate: the verdict transfers only if neither rules
-            // nor constraints moved since the snapshot.
+            // Revalidate: the verdict transfers only if the schema is
+            // still the one the search ran on.
             match preverdict {
-                Some(verdict) if (db.rule_rev(), db.constraint_rev()) == pinned_revs => verdict?,
+                Some(verdict) if Arc::ptr_eq(db.schema(), &pinned) => verdict?,
                 _ => {
                     let mut candidate = db.constraints().to_vec();
                     candidate.push(constraint.clone());
@@ -1303,6 +1259,7 @@ impl fmt::Debug for ConcurrentDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniform_integrity::{CheckOptions, Checker};
     use uniform_logic::Fact;
 
     const ORG: &str = "
@@ -1897,11 +1854,11 @@ mod tests {
                 .len(),
             1
         );
-        // Racing schema changes publish their revision mirrors under
-        // the queue lock, in revision order: once they settle, a fresh
-        // fenced session pins the latest revisions and must execute
-        // cleanly — a stale mirror would refuse it spuriously (or let
-        // an old session through).
+        // Racing schema changes publish the head schema under the
+        // queue lock, in order: once they settle, a fresh fenced
+        // session pins the latest schema and must execute cleanly — a
+        // stale head would refuse it spuriously (or let an old session
+        // through).
         std::thread::scope(|scope| {
             for w in 0..4 {
                 let db = db.clone();
@@ -1914,6 +1871,123 @@ mod tests {
         db.session_fenced()
             .execute(&q, &Params::new(), Consistency::Latest)
             .unwrap();
+    }
+
+    /// Two databases at equal revisions hold two schemas: swapping one
+    /// for the other inside `update_schema` reaches the check, the
+    /// analysis and the fence.
+    #[test]
+    fn an_equal_revision_swap_replaces_the_schema() {
+        let pq = Database::parse("q(a). constraint pq: forall X: p(X) -> q(X).").unwrap();
+        let qp = Database::parse("q(a). p(a). constraint qp: forall X: q(X) -> p(X).").unwrap();
+        assert_eq!(
+            (pq.rule_rev(), pq.constraint_rev()),
+            (qp.rule_rev(), qp.constraint_rev())
+        );
+        let db = ConcurrentDatabase::from_database(pq, UniformOptions::default());
+        let tx = Transaction::single(upd(true, "p", &["b"]));
+        assert!(!db.check(&tx).satisfied);
+        db.analyze();
+        let q = db.prepare("q(X)").unwrap();
+        let fenced = db.session_fenced();
+        fenced
+            .execute(&q, &Params::new(), Consistency::Latest)
+            .unwrap();
+        db.update_schema(|d| *d = qp);
+        let oracle = Checker::for_snapshot(&db.snapshot()).check(&tx);
+        assert!(oracle.satisfied);
+        assert_eq!(format!("{:?}", db.check(&tx)), format!("{oracle:?}"));
+        let analyzed = db.analyze();
+        let names: Vec<&str> = analyzed
+            .constraints()
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(names, ["qp"]);
+        let err = fenced
+            .execute(&q, &Params::new(), Consistency::Latest)
+            .unwrap_err();
+        assert!(
+            matches!(err, crate::QueryError::SnapshotTooOld { .. }),
+            "{err}"
+        );
+    }
+
+    /// A transaction pinned before a schema change is checked through
+    /// its own snapshot's schema: a shape compiled there hits.
+    #[test]
+    fn a_pinned_snapshot_checks_through_its_own_schema() {
+        let db = ConcurrentDatabase::parse("q(a). constraint pq: forall X: p(X) -> q(X).").unwrap();
+        let counts = || {
+            let report = db.obs_report();
+            let get = |name| report.counter(name).unwrap();
+            (get("check.cache.misses"), get("check.cache.hits"))
+        };
+        let txn = |name: &str| {
+            let mut txn = db.begin();
+            txn.stage(upd(true, "p", &[name]));
+            txn.stage(upd(true, "q", &[name]));
+            txn
+        };
+        db.commit(&txn("b")).unwrap();
+        assert_eq!(counts(), (1, 0));
+        let pinned = txn("c");
+        assert!(db
+            .try_add_constraint("rs", "forall X: r(X) -> s(X)")
+            .unwrap());
+        let err = db.commit(&pinned).unwrap_err();
+        assert!(matches!(err, TxnError::SnapshotTooOld { .. }), "{err}");
+        assert_eq!(counts(), (1, 1));
+        // The head schema compiles the shape once more.
+        db.commit(&txn("c")).unwrap();
+        assert_eq!(counts(), (2, 1));
+    }
+
+    /// Handles over clones of one database share its schema, and with
+    /// it the compiled checks, yet each compiles and hits under its own
+    /// options, exactly as it would alone.
+    #[test]
+    fn handles_sharing_a_schema_keep_their_own_options() {
+        let db = Database::parse(
+            "
+            honours(X) :- student(X), award(X).
+            constraint hon_ok: forall X: honours(X) -> attends(X, sem).
+            student(w4). award(w4). attends(w4, sem).
+            ",
+        )
+        .unwrap();
+        let handles = [CheckOptions::default(), CheckOptions { potential_limit: 0 }].map(|check| {
+            let options = UniformOptions {
+                check,
+                ..UniformOptions::default()
+            };
+            (
+                check,
+                ConcurrentDatabase::from_database(db.clone(), options),
+            )
+        });
+        assert!(Arc::ptr_eq(
+            handles[0].1.snapshot().schema(),
+            handles[1].1.snapshot().schema()
+        ));
+        for name in ["n1", "n2", "n3"] {
+            let tx = Transaction::new(vec![
+                upd(true, "student", &[name]),
+                upd(true, "award", &[name]),
+            ]);
+            for (options, handle) in &handles {
+                let oracle = Checker::for_snapshot(&handle.snapshot())
+                    .with_options(*options)
+                    .check(&tx);
+                assert_eq!(oracle.truncated, options.potential_limit == 0);
+                assert_eq!(format!("{:?}", handle.check(&tx)), format!("{oracle:?}"));
+            }
+        }
+        for (_, handle) in &handles {
+            let report = handle.obs_report();
+            let get = |name| report.counter(name).unwrap();
+            assert_eq!((get("check.cache.misses"), get("check.cache.hits")), (1, 2));
+        }
     }
 
     #[test]

@@ -212,8 +212,8 @@ impl From<QueryError> for UniformError {
 /// `presat` is a satisfiability verdict computed *optimistically
 /// outside the caller's lock* for exactly this update's candidate rule
 /// set and the database's current constraints; the caller revalidates
-/// that rules and constraints have not moved since. With `None` the
-/// search runs here.
+/// that the schema has not changed since. With `None` the search runs
+/// here.
 pub(crate) fn guarded_rule_update(
     db: &mut Database,
     options: &UniformOptions,

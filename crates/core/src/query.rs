@@ -726,7 +726,7 @@ pub struct Session {
     /// The owning database's shared state: options, observability
     /// domain, the commit-invalidated certain-answer cache (see
     /// [`crate::certain_cache`]), the cached static analysis and, when
-    /// `fenced`, the schema-revision mirrors to revalidate against (see
+    /// `fenced`, the published head schema to revalidate against (see
     /// [`QueryError::SnapshotTooOld`]).
     shared: Arc<crate::concurrent::Shared>,
     /// Refuse executes once a schema change lands after the pin.
@@ -786,13 +786,10 @@ impl Session {
             }
         }
         if self.fenced {
-            let (rule_rev, constraint_rev, version) = self.shared.schema_revs();
-            if rule_rev != self.snapshot.rule_rev()
-                || constraint_rev != self.snapshot.constraint_rev()
-            {
+            if let Some(current) = self.shared.schema_replaced(&self.snapshot) {
                 return Err(QueryError::SnapshotTooOld {
                     pinned: self.snapshot.version(),
-                    current: version,
+                    current,
                 });
             }
         }

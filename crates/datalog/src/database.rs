@@ -3,7 +3,7 @@
 //! model.
 //!
 //! The database is `Send + Sync`: the model cache sits behind a lock and
-//! every shared component (rules, constraints, relations) is `Arc`ed.
+//! every shared component (the [`Schema`], relations) is `Arc`ed.
 //! [`Database::snapshot`] hands out a [`Snapshot`] — an immutable,
 //! `Send + Sync` read handle whose construction clones no tuple data
 //! (O(#relations), see [`crate::store::FactSet`]) and whose answers stay
@@ -16,9 +16,10 @@ use crate::store::FactSet;
 use crate::txn::TxnBuilder;
 use crate::update::Update;
 use parking_lot::RwLock;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uniform_logic::{normalize, parse_program, Constraint, Fact, LogicError, ParseError, Rq, Sym};
 
 /// Why [`Database::apply`] refused to touch the store. Arity misuse is a
@@ -54,19 +55,14 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// The arity `pred` is used with anywhere in `(facts, rules,
-/// constraints)`; `None` for unknown predicates. Single source of truth
-/// behind [`Database::arity_of`] and [`Snapshot::arity_of`].
-fn arity_in(
-    facts: &FactSet,
-    rules: &RuleSet,
-    constraints: &[Constraint],
-    pred: Sym,
-) -> Option<usize> {
+/// The arity `pred` is used with anywhere in `facts` and `schema`;
+/// `None` for unknown predicates. Single source of truth behind
+/// [`Database::arity_of`] and [`Snapshot::arity_of`].
+fn arity_in(facts: &FactSet, schema: &Schema, pred: Sym) -> Option<usize> {
     if let Some(rel) = facts.relation(pred) {
         return Some(rel.arity());
     }
-    for r in rules.rules() {
+    for r in schema.rules.rules() {
         if r.head.pred == pred {
             return Some(r.head.args.len());
         }
@@ -76,7 +72,7 @@ fn arity_in(
             }
         }
     }
-    for c in constraints {
+    for c in schema.constraints.iter() {
         for occ in c.rq.literals() {
             if occ.literal.atom.pred == pred {
                 return Some(occ.literal.atom.args.len());
@@ -188,11 +184,66 @@ fn fresh_db_id() -> u64 {
     NEXT_DB_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
+/// The schema of a database state: the rules (with their layers), the
+/// constraints and their revisions. A [`Database`] and its snapshots
+/// share one value by `Arc`; a schema change publishes a new one.
+///
+/// One write-once slot holds what is derived from the schema "without
+/// querying the facts" (§3.3.1): `uniform-integrity` fills it with its
+/// relevance index and compiled checks on first use.
+#[derive(Clone)]
+pub struct Schema {
+    /// Behind their own `Arc`s: a shared schema is copied to change it,
+    /// and the copy shares the part that does not change.
+    rules: Arc<RuleSet>,
+    constraints: Arc<Vec<Constraint>>,
+    /// Which *kind* of schema moved: a constraint-only change must not
+    /// drop a maintained model (constraints never affect it).
+    rule_rev: u64,
+    constraint_rev: u64,
+    derived: Derived,
+}
+
+/// The schema's write-once slot. A copy starts empty: a schema is
+/// copied only to be changed.
+#[derive(Default)]
+struct Derived(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Clone for Derived {
+    fn clone(&self) -> Derived {
+        Derived::default()
+    }
+}
+
+impl Schema {
+    pub fn rules(&self) -> &RuleSet {
+        &self.rules
+    }
+
+    pub fn constraints(&self) -> &[Constraint] {
+        &self.constraints
+    }
+
+    /// The data derived from this schema, built by `build` on first
+    /// use. The slot holds one type, which only `uniform-integrity`
+    /// fills.
+    ///
+    /// # Panics
+    ///
+    /// If the slot already holds a value of another type.
+    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&Schema) -> T) -> &T {
+        self.derived
+            .0
+            .get_or_init(|| Box::new(build(self)))
+            .downcast_ref()
+            .expect("a schema's derived-data slot holds one type")
+    }
+}
+
 /// A deductive database: facts `F`, rules `R`, constraints `I`.
 pub struct Database {
     edb: FactSet,
-    rules: Arc<RuleSet>,
-    constraints: Arc<Vec<Constraint>>,
+    schema: Arc<Schema>,
     model: RwLock<Option<Arc<Model>>>,
     /// Process-unique identity, never shared between two instances —
     /// even clones get a fresh one, because clones evolve (and bump
@@ -203,15 +254,8 @@ pub struct Database {
     /// or schema). Snapshots pin it; the commit pipeline's first-
     /// committer-wins conflict detection compares against it.
     version: u64,
-    /// Component revisions: which *kind* of state moved. `version` is
-    /// their sum in spirit; the commit pipeline uses the split to decide
-    /// what a schema mutation actually invalidated (constraints never
-    /// affect the canonical model, so a constraint-only change must not
-    /// drop a maintained model) and to revalidate optimistic
-    /// out-of-lock work (rule satisfiability searches).
+    /// Revision of the fact base alone; the schema carries the other two.
     fact_rev: u64,
-    rule_rev: u64,
-    constraint_rev: u64,
     /// The consistency latch of the *current* state (see
     /// [`Database::verified_consistent`]).
     consistent: Latch,
@@ -260,8 +304,7 @@ impl Clone for Database {
     fn clone(&self) -> Database {
         Database {
             edb: self.edb.clone(),
-            rules: self.rules.clone(),
-            constraints: self.constraints.clone(),
+            schema: self.schema.clone(),
             model: RwLock::new(self.model.read().clone()),
             // Fresh identity: the clone's revisions advance on their
             // own from here, so sharing the id would let two different
@@ -269,8 +312,6 @@ impl Clone for Database {
             db_id: fresh_db_id(),
             version: self.version,
             fact_rev: self.fact_rev,
-            rule_rev: self.rule_rev,
-            constraint_rev: self.constraint_rev,
             // Same state, same cell; the first mutation on either side
             // swaps in its own.
             consistent: self.consistent.clone(),
@@ -287,14 +328,17 @@ impl Database {
     pub fn with(edb: FactSet, rules: RuleSet, constraints: Vec<Constraint>) -> Database {
         Database {
             edb,
-            rules: Arc::new(rules),
-            constraints: Arc::new(constraints),
+            schema: Arc::new(Schema {
+                rules: Arc::new(rules),
+                constraints: Arc::new(constraints),
+                rule_rev: 0,
+                constraint_rev: 0,
+                derived: Derived::default(),
+            }),
             model: RwLock::new(None),
             db_id: fresh_db_id(),
             version: 0,
             fact_rev: 0,
-            rule_rev: 0,
-            constraint_rev: 0,
             consistent: Latch::default(),
         }
     }
@@ -329,41 +373,55 @@ impl Database {
     /// rule heads or bodies, constraint literals); `None` for unknown
     /// predicates.
     pub fn arity_of(&self, pred: Sym) -> Option<usize> {
-        arity_in(&self.edb, &self.rules, &self.constraints, pred)
+        arity_in(&self.edb, &self.schema, pred)
     }
 
     pub fn facts(&self) -> &FactSet {
         &self.edb
     }
 
+    /// The schema of the current state.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
     pub fn rules(&self) -> &RuleSet {
-        &self.rules
+        &self.schema.rules
     }
 
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.schema.constraints
     }
 
     pub fn constraint(&self, name: &str) -> Option<&Constraint> {
-        self.constraints.iter().find(|c| c.name == name)
+        self.constraints().iter().find(|c| c.name == name)
     }
 
     /// Replace the constraint set (satisfiability checking before doing
     /// this is the subject of §4).
     pub fn set_constraints(&mut self, constraints: Vec<Constraint>) {
-        self.constraints = Arc::new(constraints);
+        self.schema_mut().constraints = Arc::new(constraints);
         self.bump(Moved::Constraints);
     }
 
     pub fn add_constraint(&mut self, c: Constraint) {
-        Arc::make_mut(&mut self.constraints).push(c);
+        Arc::make_mut(&mut self.schema_mut().constraints).push(c);
         self.bump(Moved::Constraints);
     }
 
     /// Replace the rule set; invalidates the cached model.
     pub fn set_rules(&mut self, rules: RuleSet) {
-        self.rules = Arc::new(rules);
+        self.schema_mut().rules = Arc::new(rules);
         self.bump(Moved::Rules);
+    }
+
+    /// The schema, to change: in place while nothing else holds it (a
+    /// bulk load copies nothing), as a copy otherwise; its derived data
+    /// go either way.
+    fn schema_mut(&mut self) -> &mut Schema {
+        let schema = Arc::make_mut(&mut self.schema);
+        schema.derived = Derived::default();
+        schema
     }
 
     /// The one place a state becomes another: move the version and the
@@ -376,8 +434,8 @@ impl Database {
         self.version += 1;
         match moved {
             Moved::Facts => self.fact_rev += 1,
-            Moved::Rules => self.rule_rev += 1,
-            Moved::Constraints => self.constraint_rev += 1,
+            Moved::Rules => self.schema_mut().rule_rev += 1,
+            Moved::Constraints => self.schema_mut().constraint_rev += 1,
         }
         if !matches!(moved, Moved::Constraints) {
             *self.model.get_mut() = None;
@@ -451,12 +509,12 @@ impl Database {
 
     /// Revision of the rule set alone.
     pub fn rule_rev(&self) -> u64 {
-        self.rule_rev
+        self.schema.rule_rev
     }
 
     /// Revision of the constraint set alone.
     pub fn constraint_rev(&self) -> u64 {
-        self.constraint_rev
+        self.schema.constraint_rev
     }
 
     /// Apply an update to the fact base (no integrity checking here — the
@@ -510,7 +568,7 @@ impl Database {
         }
         let mut slot = self.model.write();
         if slot.is_none() {
-            *slot = Some(Arc::new(Model::compute(&self.edb, &self.rules)));
+            *slot = Some(Arc::new(Model::compute(&self.edb, self.rules())));
         }
         slot.as_ref().expect("just computed").clone()
     }
@@ -523,14 +581,11 @@ impl Database {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             edb: self.edb.clone(),
-            rules: self.rules.clone(),
-            constraints: self.constraints.clone(),
+            schema: self.schema.clone(),
             model: self.model(),
             db_id: self.db_id,
             version: self.version,
             fact_rev: self.fact_rev,
-            rule_rev: self.rule_rev,
-            constraint_rev: self.constraint_rev,
             consistent: self.consistent.clone(),
         }
     }
@@ -558,7 +613,7 @@ impl Database {
     /// A zero-violation answer establishes the consistency latch (see
     /// [`Database::verified_consistent`]).
     pub fn violated_constraints(&self) -> Vec<String> {
-        violated_in(&self.model(), &self.constraints, &self.consistent)
+        violated_in(&self.model(), self.constraints(), &self.consistent)
     }
 
     /// Do all constraints hold in the current state?
@@ -571,8 +626,8 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("facts", &self.edb.len())
-            .field("rules", &self.rules.len())
-            .field("constraints", &self.constraints.len())
+            .field("rules", &self.rules().len())
+            .field("constraints", &self.constraints().len())
             .finish()
     }
 }
@@ -587,14 +642,11 @@ impl std::fmt::Debug for Database {
 #[derive(Clone)]
 pub struct Snapshot {
     edb: FactSet,
-    rules: Arc<RuleSet>,
-    constraints: Arc<Vec<Constraint>>,
+    schema: Arc<Schema>,
     model: Arc<Model>,
     db_id: u64,
     version: u64,
     fact_rev: u64,
-    rule_rev: u64,
-    constraint_rev: u64,
     consistent: Latch,
 }
 
@@ -627,27 +679,32 @@ impl Snapshot {
     /// time. Prepared-query plans are keyed by this revision: a plan
     /// built under one rule revision is never served against another.
     pub fn rule_rev(&self) -> u64 {
-        self.rule_rev
+        self.schema.rule_rev
     }
 
     /// The originating database's [`Database::constraint_rev`] at
     /// snapshot time (certain answers depend on the constraint set).
     pub fn constraint_rev(&self) -> u64 {
-        self.constraint_rev
+        self.schema.constraint_rev
     }
 
     /// The arity `pred` is used with anywhere in the snapshotted state;
     /// `None` for unknown predicates (see [`Database::arity_of`]).
     pub fn arity_of(&self, pred: Sym) -> Option<usize> {
-        arity_in(&self.edb, &self.rules, &self.constraints, pred)
+        arity_in(&self.edb, &self.schema, pred)
+    }
+
+    /// The originating database's [`Database::schema`] at snapshot time.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
     }
 
     pub fn rules(&self) -> &RuleSet {
-        &self.rules
+        &self.schema.rules
     }
 
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.schema.constraints
     }
 
     /// The canonical model at snapshot time.
@@ -674,7 +731,7 @@ impl Snapshot {
     /// answer establishes the consistency latch of the pinned state
     /// (see [`Snapshot::verified_consistent`]).
     pub fn violated_constraints(&self) -> Vec<String> {
-        violated_in(&self.model, &self.constraints, &self.consistent)
+        violated_in(&self.model, self.constraints(), &self.consistent)
     }
 
     /// The consistency latch of the pinned state (see
@@ -698,8 +755,8 @@ impl std::fmt::Debug for Snapshot {
         f.debug_struct("Snapshot")
             .field("facts", &self.edb.len())
             .field("model", &self.model.len())
-            .field("rules", &self.rules.len())
-            .field("constraints", &self.constraints.len())
+            .field("rules", &self.rules().len())
+            .field("constraints", &self.constraints().len())
             .finish()
     }
 }

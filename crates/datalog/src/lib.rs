@@ -62,7 +62,7 @@ pub mod update;
 pub use cq::{
     all_solutions, bind_pattern, extend_match, provable, solve_conjunction, solve_planned,
 };
-pub use database::{validate_transaction_arities, ApplyError, Database, Snapshot};
+pub use database::{validate_transaction_arities, ApplyError, Database, Schema, Snapshot};
 pub use depgraph::{DepGraph, StratificationError};
 pub use eval::{satisfies, satisfies_closed, Lowered};
 pub use footprint::{ConflictGranularity, KeyFp, ReadFootprint, ReadPattern, RelAccess};

@@ -17,8 +17,8 @@
 //!   ¬new(U,L) ∨ new(U,s(C))" — §3.2), so instances are also evaluated
 //!   for trigger instances whose truth did not change.
 
+use crate::cache::Precompiled;
 use crate::checker::{scan_triggers, CheckReport, CheckStats, Checker, Program, Violation};
-use crate::relevance::RelevanceIndex;
 use crate::simplify::simplified_instances;
 use std::collections::{HashSet, VecDeque};
 use uniform_datalog::{
@@ -64,7 +64,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
         return CheckReport::new(Vec::new(), Vec::new(), stats, false);
     }
     let current = db.model();
-    let index = RelevanceIndex::build(db.constraints());
+    let index = &Precompiled::of(db.schema()).index;
 
     // One overlay engine for generating induced updates; instance
     // evaluations use fresh engines below (independent evaluation).
@@ -96,7 +96,7 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
 
         // Check simplified instances of constraints relevant to this
         // ground induced update — immediately and independently.
-        for si in simplified_instances(&index, db.constraints(), &delta_lit) {
+        for si in simplified_instances(index, db.constraints(), &delta_lit) {
             debug_assert!(si.instance.is_closed());
             stats.instances_evaluated += 1;
             // Fresh engine per evaluation: no sharing of any kind.

@@ -8,8 +8,8 @@
 //! constants that occur in no rule and no constraint therefore commutes
 //! with both.
 //!
-//! A [`CheckCache`] is built for one schema and one [`CheckOptions`].
-//! It keys its entries by *abstract transaction*: the staged updates in
+//! The entries live on the schema ([`Schema::derived`]), keyed by
+//! [`CheckOptions`] and *abstract transaction*: the staged updates in
 //! order, each argument that the schema mentions kept as itself, and
 //! every other constant replaced by placeholder *k*, numbered by first
 //! occurrence across the whole transaction, so equal constants share a
@@ -32,17 +32,18 @@
 //! Placeholders are the fixed, process-wide pool `_C$0 … _C$63`, interned
 //! once, so a check interns nothing. A transaction holding a pool name
 //! or more distinct constants than the pool compiles uncached, as does a
-//! transaction of a new shape once [`MAX_ENTRIES`] shapes are cached.
+//! transaction of a new shape once [`MAX_ENTRIES`] shapes are cached
+//! for its options.
 
 use crate::checker::{CheckOptions, CheckReport, Checker, Program};
 use crate::relevance::RelevanceIndex;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use uniform_datalog::{sort_read_patterns, ReadPattern, Snapshot, Transaction, Update};
+use uniform_datalog::{sort_read_patterns, ReadPattern, Schema, Snapshot, Transaction, Update};
 use uniform_logic::{Fact, Literal, Subst, Sym, Term};
 
-/// Most abstract transactions one cache holds.
+/// Most abstract transactions one schema holds per [`CheckOptions`].
 pub const MAX_ENTRIES: usize = 256;
 
 /// Size of the placeholder pool: the most distinct non-schema constants
@@ -60,102 +61,52 @@ fn pool() -> &'static [Sym] {
     })
 }
 
+/// An abstract transaction and the options it compiles under.
+type Shape = (CheckOptions, Vec<Update>);
+
 /// One compiled abstract transaction.
 struct Entry {
     program: Program,
     read_patterns: Vec<ReadPattern>,
 }
 
-/// Compiled checks of one schema, keyed by abstract transaction (see
-/// the module docs). Build one per rule and constraint revision; it is
-/// `Sync`, so every committing thread shares it.
-pub struct CheckCache {
-    options: CheckOptions,
-    index: RelevanceIndex,
+/// What checks read of one schema: its relevance index and compiled
+/// checks, built on first use into the schema's derived-data slot.
+pub(crate) struct Precompiled {
+    pub(crate) index: RelevanceIndex,
     /// Every constant of the rules and the constraints.
     schema_constants: HashSet<Sym>,
     /// A rule or constraint holds a placeholder: nothing is cached.
     holds_placeholder: bool,
-    entries: Mutex<HashMap<Vec<Update>, Arc<Entry>>>,
+    /// Compiled abstract transactions, keyed with their options:
+    /// handles with different options can share one schema.
+    entries: Mutex<HashMap<Shape, Arc<Entry>>>,
 }
 
-impl CheckCache {
-    /// An empty cache for the rules and constraints of `snapshot`,
-    /// compiling with `options`.
-    pub fn for_snapshot(snapshot: &Snapshot, options: CheckOptions) -> CheckCache {
-        let mut schema_constants = HashSet::new();
-        for rule in snapshot.rules().rules() {
-            let body = rule.body.iter().map(|l| &l.atom);
-            for atom in std::iter::once(&rule.head).chain(body) {
-                schema_constants.extend(atom.args.iter().filter_map(|t| t.as_const()));
+impl Precompiled {
+    /// The precompiled data of `schema`, built on first use.
+    pub(crate) fn of(schema: &Schema) -> &Precompiled {
+        schema.derived(|schema| {
+            let mut schema_constants = HashSet::new();
+            for rule in schema.rules().rules() {
+                let body = rule.body.iter().map(|l| &l.atom);
+                for atom in std::iter::once(&rule.head).chain(body) {
+                    schema_constants.extend(atom.args.iter().filter_map(|t| t.as_const()));
+                }
             }
-        }
-        for c in snapshot.constraints() {
-            for occ in c.rq.literals() {
-                schema_constants.extend(occ.literal.atom.args.iter().filter_map(|t| t.as_const()));
+            for c in schema.constraints() {
+                for occ in c.rq.literals() {
+                    let args = occ.literal.atom.args.iter();
+                    schema_constants.extend(args.filter_map(|t| t.as_const()));
+                }
             }
-        }
-        let holds_placeholder = pool().iter().any(|p| schema_constants.contains(p));
-        CheckCache {
-            options,
-            index: RelevanceIndex::build(snapshot.constraints()),
-            schema_constants,
-            holds_placeholder,
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Number of cached abstract transactions.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Check `tx` against `snapshot`, which must hold the rules and
-    /// constraints the cache was built from. Returns the report — equal
-    /// in every field to [`Checker::check`] with the cache's options —
-    /// and whether the compile came from the cache.
-    pub fn check(&self, snapshot: &Snapshot, tx: &Transaction) -> (CheckReport, bool) {
-        let checker = Checker::with_index(snapshot, &self.index, self.options);
-        let Some((key, constants)) = self.abstract_transaction(tx) else {
-            return (checker.check(tx), false);
-        };
-        let placeholders = &pool()[..constants.len()];
-        let cached = self.entries.lock().get(&key).cloned();
-        let hit = cached.is_some();
-        let entry = cached.unwrap_or_else(|| {
-            let abstract_tx = Transaction::new(key.clone());
-            let literals: Vec<Literal> = key.iter().map(Update::to_literal).collect();
-            let compiled = checker.compile(&literals);
-            let entry = Arc::new(Entry {
-                read_patterns: checker.read_patterns(&compiled, &abstract_tx),
-                program: Program::new(&compiled, placeholders),
-            });
-            let mut entries = self.entries.lock();
-            if entries.len() < MAX_ENTRIES {
-                entries.insert(key, entry.clone());
+            Precompiled {
+                index: RelevanceIndex::build(schema.constraints()),
+                holds_placeholder: pool().iter().any(|p| schema_constants.contains(p)),
+                schema_constants,
+                entries: Mutex::new(HashMap::new()),
             }
-            entry
-        });
-        let mut binding = Subst::new();
-        for (&p, &c) in placeholders.iter().zip(&constants) {
-            binding.bind(p, Term::Const(c));
-        }
-        let constant = |c| binding.get(c).and_then(Term::as_const).unwrap_or(c);
-        let mut read_patterns: Vec<ReadPattern> = entry
-            .read_patterns
-            .iter()
-            .map(|p| ReadPattern {
-                pred: p.pred,
-                args: p.args.iter().map(|a| a.map(constant)).collect(),
-            })
-            .collect();
-        sort_read_patterns(&mut read_patterns);
-        let report = checker.run(&entry.program, binding, tx, read_patterns);
-        (report, hit)
+        })
     }
 
     /// The abstract transaction of `tx` and the constants its
@@ -203,6 +154,80 @@ impl CheckCache {
             })
             .collect::<Option<Vec<Update>>>()?;
         Some((updates, constants))
+    }
+}
+
+/// The compiled checks of one schema under one [`CheckOptions`] (see
+/// the module docs). The entries live on the schema, so every cache of
+/// one schema and options shares them.
+pub struct CheckCache {
+    schema: Arc<Schema>,
+    options: CheckOptions,
+}
+
+impl CheckCache {
+    /// The cache of `snapshot`'s schema, compiling with `options`.
+    pub fn for_snapshot(snapshot: &Snapshot, options: CheckOptions) -> CheckCache {
+        CheckCache {
+            schema: snapshot.schema().clone(),
+            options,
+        }
+    }
+
+    /// Number of cached abstract transactions.
+    pub fn len(&self) -> usize {
+        let entries = Precompiled::of(&self.schema).entries.lock();
+        entries.keys().filter(|(o, _)| *o == self.options).count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Check `tx` against `snapshot`, which must hold the schema the
+    /// cache was built from. Returns the report — equal in every field
+    /// to [`Checker::check`] with the cache's options — and whether the
+    /// compile came from the cache.
+    pub fn check(&self, snapshot: &Snapshot, tx: &Transaction) -> (CheckReport, bool) {
+        let checker = Checker::for_snapshot(snapshot).with_options(self.options);
+        let precompiled = checker.precompiled();
+        let Some((shape, constants)) = precompiled.abstract_transaction(tx) else {
+            return (checker.check(tx), false);
+        };
+        let placeholders = &pool()[..constants.len()];
+        let key = (self.options, shape);
+        let cached = precompiled.entries.lock().get(&key).cloned();
+        let hit = cached.is_some();
+        let entry = cached.unwrap_or_else(|| {
+            let abstract_tx = Transaction::new(key.1.clone());
+            let literals: Vec<Literal> = key.1.iter().map(Update::to_literal).collect();
+            let compiled = checker.compile(&literals);
+            let entry = Arc::new(Entry {
+                read_patterns: checker.read_patterns(&compiled, &abstract_tx),
+                program: Program::new(&compiled, placeholders),
+            });
+            let mut entries = precompiled.entries.lock();
+            if entries.keys().filter(|(o, _)| *o == self.options).count() < MAX_ENTRIES {
+                entries.insert(key, entry.clone());
+            }
+            entry
+        });
+        let mut binding = Subst::new();
+        for (&p, &c) in placeholders.iter().zip(&constants) {
+            binding.bind(p, Term::Const(c));
+        }
+        let constant = |c| binding.get(c).and_then(Term::as_const).unwrap_or(c);
+        let mut read_patterns: Vec<ReadPattern> = entry
+            .read_patterns
+            .iter()
+            .map(|p| ReadPattern {
+                pred: p.pred,
+                args: p.args.iter().map(|a| a.map(constant)).collect(),
+            })
+            .collect();
+        sort_read_patterns(&mut read_patterns);
+        let report = checker.run(&entry.program, binding, tx, read_patterns);
+        (report, hit)
     }
 }
 

@@ -23,24 +23,23 @@
 //! their modules, and the Lloyd–Topor baseline, which only swaps the
 //! source of the ground triggers.
 
+use crate::cache::Precompiled;
 use crate::delta::{DeltaEngine, DeltaStats};
 use crate::potential::potential_updates;
-use crate::relevance::RelevanceIndex;
 use crate::simplify::{simplified_instances, SimplifiedInstance};
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use uniform_datalog::{
     extend_match, Database, FactSet, Interp, Lowered, Model, OverlayEngine, ReadPattern, RuleSet,
-    Snapshot, Transaction, Update,
+    Schema, Snapshot, Transaction, Update,
 };
 use uniform_logic::{
     match_atom, Atom, Constraint, Fact, Literal, PatternKey, Rq, Subst, Sym, Term,
 };
 
 /// Options controlling the compile phase.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CheckOptions {
     /// Safety bound on the potential-update closure.
     pub potential_limit: usize,
@@ -184,30 +183,25 @@ impl CheckReport {
     }
 }
 
-/// The state a checker evaluates against: a live [`Database`] or a
-/// pinned [`Snapshot`]. Both expose the same four components; the only
-/// behavioral difference is where the canonical model comes from (the
-/// database's cache vs the snapshot's pinned model).
-enum CheckTarget<'a> {
-    Db(&'a Database),
-    Snap(&'a Snapshot),
-}
-
 /// The two-phase integrity checker, bound to a database or a snapshot:
 /// fact updates and transactions here, conditional updates
 /// ([`Checker::check_conditional`]) and rule updates
 /// ([`Checker::check_rule_update`]) in their modules.
 pub struct Checker<'a> {
-    target: CheckTarget<'a>,
-    index: Cow<'a, RelevanceIndex>,
+    pub(crate) facts: &'a FactSet,
+    schema: &'a Schema,
+    model: Arc<Model>,
     options: CheckOptions,
 }
 
 impl<'a> Checker<'a> {
+    /// A checker evaluating against `db`'s current state, whose model
+    /// it materializes if the database has none cached.
     pub fn new(db: &'a Database) -> Checker<'a> {
         Checker {
-            target: CheckTarget::Db(db),
-            index: Cow::Owned(RelevanceIndex::build(db.constraints())),
+            facts: db.facts(),
+            schema: db.schema(),
+            model: db.model(),
             options: CheckOptions::default(),
         }
     }
@@ -223,23 +217,10 @@ impl<'a> Checker<'a> {
     /// reference, never rematerialized per check.
     pub fn for_snapshot(snapshot: &'a Snapshot) -> Checker<'a> {
         Checker {
-            target: CheckTarget::Snap(snapshot),
-            index: Cow::Owned(RelevanceIndex::build(snapshot.constraints())),
+            facts: snapshot.facts(),
+            schema: snapshot.schema(),
+            model: snapshot.model_arc(),
             options: CheckOptions::default(),
-        }
-    }
-
-    /// A snapshot checker over an index already built from the
-    /// snapshot's constraints.
-    pub(crate) fn with_index(
-        snapshot: &'a Snapshot,
-        index: &'a RelevanceIndex,
-        options: CheckOptions,
-    ) -> Checker<'a> {
-        Checker {
-            target: CheckTarget::Snap(snapshot),
-            index: Cow::Borrowed(index),
-            options,
         }
     }
 
@@ -248,33 +229,22 @@ impl<'a> Checker<'a> {
         Checker { options, ..self }
     }
 
-    pub(crate) fn facts(&self) -> &FactSet {
-        match self.target {
-            CheckTarget::Db(db) => db.facts(),
-            CheckTarget::Snap(s) => s.facts(),
-        }
+    pub(crate) fn rules(&self) -> &'a RuleSet {
+        self.schema.rules()
     }
 
-    pub(crate) fn rules(&self) -> &RuleSet {
-        match self.target {
-            CheckTarget::Db(db) => db.rules(),
-            CheckTarget::Snap(s) => s.rules(),
-        }
+    pub(crate) fn constraints(&self) -> &'a [Constraint] {
+        self.schema.constraints()
     }
 
-    pub(crate) fn constraints(&self) -> &[Constraint] {
-        match self.target {
-            CheckTarget::Db(db) => db.constraints(),
-            CheckTarget::Snap(s) => s.constraints(),
-        }
+    /// The schema's relevance index and compiled checks.
+    pub(crate) fn precompiled(&self) -> &'a Precompiled {
+        Precompiled::of(self.schema)
     }
 
     /// The canonical model of the checked state.
     pub fn model(&self) -> Arc<Model> {
-        match self.target {
-            CheckTarget::Db(db) => db.model(),
-            CheckTarget::Snap(s) => s.model_arc(),
-        }
+        self.model.clone()
     }
 
     /// Phase 1: compile update constraints for the given update literals.
@@ -306,7 +276,7 @@ impl<'a> Checker<'a> {
                 constraint,
                 trigger,
                 instance,
-            } in simplified_instances(&self.index, self.constraints(), lit)
+            } in simplified_instances(&self.precompiled().index, self.constraints(), lit)
             {
                 update_constraints.push(UpdateConstraint {
                     constraint,
@@ -366,7 +336,7 @@ impl<'a> Checker<'a> {
     ) -> CheckReport {
         let mut stats = program.stats;
 
-        let (adds, dels) = tx.net_effect(self.facts());
+        let (adds, dels) = tx.net_effect(self.facts);
         if adds.is_empty() && dels.is_empty() {
             return CheckReport::new(Vec::new(), read_patterns, stats, false);
         }
@@ -382,7 +352,7 @@ impl<'a> Checker<'a> {
         // overlaid with the update's propagation (computed once, shared
         // with `delta`).
         let current = self.model();
-        let updated = OverlayEngine::over_model(&current, self.facts(), self.rules(), adds, dels);
+        let updated = OverlayEngine::over_model(&current, self.facts, self.rules(), adds, dels);
         let delta = DeltaEngine::new(&current, &updated, self.rules(), &net_updates);
         let violations = program.run(
             binding,

@@ -92,15 +92,6 @@ impl RelevanceIndex {
     pub fn universals(&self, constraint: usize) -> &[Sym] {
         &self.universals[constraint]
     }
-
-    /// Number of indexed constraints.
-    pub fn len(&self) -> usize {
-        self.occurrences.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.occurrences.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -156,7 +156,7 @@ impl Checker<'_> {
         };
 
         let before = self.model();
-        let after = Model::compute(self.facts(), rules_after);
+        let after = Model::compute(self.facts, rules_after);
         stats.new_materializations = 1;
         let mut delta = DeltaStats::default();
         let violations = Program::new(check, &[]).run(
