@@ -12,7 +12,7 @@
 
 use crate::store::FactSet;
 use std::collections::{HashMap, HashSet};
-use uniform_logic::{Fact, Sym};
+use uniform_logic::{Fact, Sym, SymState};
 
 /// A (possibly virtual) interpretation: the set of true ground atoms.
 pub trait Interp {
@@ -117,7 +117,7 @@ impl<I: Interp + ?Sized> Interp for Overlay<'_, I> {
 pub(crate) struct Flipped<'a, I: ?Sized> {
     base: &'a I,
     added: FactSet,
-    removed: HashMap<Sym, HashSet<Vec<Sym>>>,
+    removed: HashMap<Sym, HashSet<Vec<Sym>, SymState>, SymState>,
 }
 
 impl<'a, I: Interp + ?Sized> Flipped<'a, I> {
@@ -125,7 +125,7 @@ impl<'a, I: Interp + ?Sized> Flipped<'a, I> {
         Flipped {
             base,
             added: FactSet::new(),
-            removed: HashMap::new(),
+            removed: HashMap::default(),
         }
     }
 

@@ -6,8 +6,9 @@
 //!
 //! * [`store`] — per-predicate relations as chunked copy-on-write page
 //!   tables ([`PAGE_CAP`]-slot leaves behind `Arc`s, routed by the
-//!   persistent trie in [`pagemap`]) with per-column hash indexes:
-//!   snapshot clones bump refcounts, mutation copies one page;
+//!   persistent trie in [`pagemap`], which stores hashes and slots,
+//!   not tuples) with per-column hash indexes from arity 2: snapshot
+//!   clones bump refcounts, mutation copies one page;
 //! * [`program`] — indexed rule sets with [`depgraph`] stratification;
 //! * [`model`] — stratified semi-naive materialization of the canonical
 //!   model (§2 semantics);

@@ -43,7 +43,7 @@ use crate::store::FactSet;
 use crate::update::{Transaction, Update};
 use std::collections::HashSet;
 use std::ops::AddAssign;
-use uniform_logic::{match_atom, Fact, Literal, Rule, Sym};
+use uniform_logic::{match_atom, Fact, Literal, Rule, Sym, SymState};
 
 /// Work of the propagation kernel, in facts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -218,7 +218,7 @@ impl<'r> Stratum<'r> {
             old,
             edb,
             facts: Vec::new(),
-            set: HashSet::new(),
+            set: HashSet::default(),
         };
         let mut delta: Vec<Fact> = Vec::new();
         for (fact, now) in explicit {
@@ -290,7 +290,7 @@ impl<'r> Stratum<'r> {
         delta: &mut Vec<Fact>,
     ) {
         let mut fresh: Vec<Fact> = Vec::new();
-        let mut fresh_set: HashSet<Fact> = HashSet::new();
+        let mut fresh_set: HashSet<Fact, SymState> = HashSet::default();
         for rule in &self.layer {
             for (pos, lit) in rule.body.iter().enumerate() {
                 for (fact, holds) in inputs {
@@ -318,7 +318,7 @@ struct Doomed<'a> {
     old: &'a dyn Interp,
     edb: &'a dyn Interp,
     facts: Vec<Fact>,
-    set: HashSet<Fact>,
+    set: HashSet<Fact, SymState>,
 }
 
 impl Frontier for Doomed<'_> {

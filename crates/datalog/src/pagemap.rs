@@ -9,16 +9,23 @@
 //! O(#pages) and a commit-time mutation O(delta): snapshot holders keep
 //! the old root, the writer re-links a handful of fresh nodes.
 //!
-//! Keys are hashed with [`DefaultHasher`], whose SipHash keys are fixed
-//! (not per-process randomized), and no iteration order is ever exposed
-//! — lookups, inserts and removes are the entire API — so the trie
+//! The trie stores no tuple. A leaf entry is a key's 64-bit hash and
+//! its slot, and every operation takes the key's hash (`hash_tuple`)
+//! with an `eq` that says whether a slot holds the key — the store
+//! compares against the page's flat tuple. A fresh insert therefore
+//! allocates no key, and a path copy memcpys plain data.
+//!
+//! Keys are hashed with [`SymHasher`], one multiply per interned
+//! symbol, and its high half is folded into the low half because the
+//! trie branches on the low nibbles first. The hash is fixed (not
+//! per-process randomized), and no iteration order is ever exposed —
+//! lookups, inserts and removes are the entire API — so the trie
 //! cannot leak hash-dependent order into user-visible output (the
 //! determinism-digest discipline of `tests/determinism.rs`).
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use uniform_logic::Sym;
+use uniform_logic::{Sym, SymHasher};
 
 /// Location of a tuple inside a chunked relation: the page ordinal in
 /// the relation's page table and the slot offset within that page.
@@ -35,22 +42,28 @@ const LEAF_MAX: usize = 8;
 
 #[derive(Clone, Debug)]
 enum Node {
-    /// Bucket of `(hash, tuple, slot)`; order is never observed.
-    Leaf(Vec<(u64, Box<[Sym]>, SlotRef)>),
+    /// Bucket of `(hash, slot)`; order is never observed.
+    Leaf(Vec<(u64, SlotRef)>),
     Branch(Box<[Option<Arc<Node>>; FANOUT]>),
 }
 
-fn hash_tuple(key: &[Sym]) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+/// The router hash of a tuple, given as its values in column order.
+pub(crate) fn hash_tuple<'a>(key: impl IntoIterator<Item = &'a Sym>) -> u64 {
+    let mut h = SymHasher::default();
+    for value in key {
+        value.hash(&mut h);
+    }
+    let x = h.finish();
+    x ^ x >> 32
 }
 
 fn branch_index(hash: u64, depth: u32) -> usize {
     ((hash >> (depth * BITS)) & (FANOUT as u64 - 1)) as usize
 }
 
-/// Persistent tuple → [`SlotRef`] map with O(1) clone.
+/// Persistent tuple → [`SlotRef`] map with O(1) clone. Each operation
+/// takes the key's `hash_tuple` and an `eq` telling whether a slot
+/// holds the key; `eq` is asked only about slots of equal hash.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotMap {
     root: Option<Arc<Node>>,
@@ -62,8 +75,7 @@ impl SlotMap {
         self.len
     }
 
-    pub fn get(&self, key: &[Sym]) -> Option<SlotRef> {
-        let hash = hash_tuple(key);
+    pub fn get(&self, hash: u64, eq: impl Fn(SlotRef) -> bool) -> Option<SlotRef> {
         let mut node = self.root.as_deref()?;
         let mut depth = 0;
         loop {
@@ -71,8 +83,8 @@ impl SlotMap {
                 Node::Leaf(entries) => {
                     return entries
                         .iter()
-                        .find(|(h, k, _)| *h == hash && **k == *key)
-                        .map(|&(_, _, slot)| slot);
+                        .find(|&&(h, slot)| h == hash && eq(slot))
+                        .map(|&(_, slot)| slot);
                 }
                 Node::Branch(children) => {
                     node = children[branch_index(hash, depth)].as_deref()?;
@@ -84,12 +96,16 @@ impl SlotMap {
 
     /// Insert or replace; returns the previous slot if the key was
     /// present. Copies only the path from the root to the touched leaf.
-    pub fn insert(&mut self, key: &[Sym], slot: SlotRef) -> Option<SlotRef> {
-        let hash = hash_tuple(key);
+    pub fn insert(
+        &mut self,
+        hash: u64,
+        slot: SlotRef,
+        eq: impl Fn(SlotRef) -> bool,
+    ) -> Option<SlotRef> {
         let root = self
             .root
             .get_or_insert_with(|| Arc::new(Node::Leaf(Vec::new())));
-        let prev = insert_rec(root, 0, hash, key, slot);
+        let prev = insert_rec(root, 0, hash, slot, &eq);
         if prev.is_none() {
             self.len += 1;
         }
@@ -97,10 +113,9 @@ impl SlotMap {
     }
 
     /// Remove; returns the slot the key mapped to, if any.
-    pub fn remove(&mut self, key: &[Sym]) -> Option<SlotRef> {
-        let hash = hash_tuple(key);
+    pub fn remove(&mut self, hash: u64, eq: impl Fn(SlotRef) -> bool) -> Option<SlotRef> {
         let root = self.root.as_mut()?;
-        let prev = remove_rec(root, 0, hash, key);
+        let prev = remove_rec(root, 0, hash, &eq);
         if prev.is_some() {
             self.len -= 1;
         }
@@ -112,19 +127,16 @@ fn insert_rec(
     node: &mut Arc<Node>,
     depth: u32,
     hash: u64,
-    key: &[Sym],
     slot: SlotRef,
+    eq: &impl Fn(SlotRef) -> bool,
 ) -> Option<SlotRef> {
     let n = Arc::make_mut(node);
     match n {
         Node::Leaf(entries) => {
-            if let Some(e) = entries
-                .iter_mut()
-                .find(|(h, k, _)| *h == hash && **k == *key)
-            {
-                return Some(std::mem::replace(&mut e.2, slot));
+            if let Some(e) = entries.iter_mut().find(|(h, s)| *h == hash && eq(*s)) {
+                return Some(std::mem::replace(&mut e.1, slot));
             }
-            entries.push((hash, key.into(), slot));
+            entries.push((hash, slot));
             if entries.len() > LEAF_MAX && depth < MAX_DEPTH {
                 let drained = std::mem::take(entries);
                 let mut children: [Option<Arc<Node>>; FANOUT] = std::array::from_fn(|_| None);
@@ -144,20 +156,23 @@ fn insert_rec(
         Node::Branch(children) => {
             let child = children[branch_index(hash, depth)]
                 .get_or_insert_with(|| Arc::new(Node::Leaf(Vec::new())));
-            insert_rec(child, depth + 1, hash, key, slot)
+            insert_rec(child, depth + 1, hash, slot, eq)
         }
     }
 }
 
-fn remove_rec(node: &mut Arc<Node>, depth: u32, hash: u64, key: &[Sym]) -> Option<SlotRef> {
+fn remove_rec(
+    node: &mut Arc<Node>,
+    depth: u32,
+    hash: u64,
+    eq: &impl Fn(SlotRef) -> bool,
+) -> Option<SlotRef> {
     // Probe before copying: a miss must not clone the path.
     match &**node {
         Node::Leaf(entries) => {
-            let at = entries
-                .iter()
-                .position(|(h, k, _)| *h == hash && **k == *key)?;
+            let at = entries.iter().position(|&(h, s)| h == hash && eq(s))?;
             match Arc::make_mut(node) {
-                Node::Leaf(entries) => Some(entries.swap_remove(at).2),
+                Node::Leaf(entries) => Some(entries.swap_remove(at).1),
                 Node::Branch(_) => unreachable!("node kind is stable across make_mut"),
             }
         }
@@ -171,7 +186,7 @@ fn remove_rec(node: &mut Arc<Node>, depth: u32, hash: u64, key: &[Sym]) -> Optio
             match Arc::make_mut(node) {
                 Node::Branch(children) => {
                     let child = children[idx].as_mut().expect("checked above");
-                    remove_rec(child, depth + 1, hash, key)
+                    remove_rec(child, depth + 1, hash, eq)
                 }
                 Node::Leaf(_) => unreachable!("node kind is stable across make_mut"),
             }
@@ -182,6 +197,7 @@ fn remove_rec(node: &mut Arc<Node>, depth: u32, hash: u64, key: &[Sym]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn key(parts: &[&str]) -> Box<[Sym]> {
         parts.iter().map(|s| Sym::new(s)).collect()
@@ -191,56 +207,117 @@ mod tests {
         SlotRef { page, offset }
     }
 
+    /// The tuples the test's slots hold: the role the store's pages play.
+    #[derive(Default)]
+    struct Pages(BTreeMap<(u32, u16), Box<[Sym]>>);
+
+    impl Pages {
+        fn holds(&self, s: SlotRef, key: &[Sym]) -> bool {
+            self.0.get(&(s.page, s.offset)).is_some_and(|k| **k == *key)
+        }
+    }
+
+    fn hash(key: &[Sym]) -> u64 {
+        hash_tuple(key)
+    }
+
+    fn get(m: &SlotMap, pages: &Pages, key: &[Sym]) -> Option<SlotRef> {
+        m.get(hash(key), |s| pages.holds(s, key))
+    }
+
+    fn insert(m: &mut SlotMap, pages: &mut Pages, key: &[Sym], s: SlotRef) -> Option<SlotRef> {
+        pages.0.insert((s.page, s.offset), key.into());
+        m.insert(hash(key), s, |t| pages.holds(t, key))
+    }
+
+    fn remove(m: &mut SlotMap, pages: &Pages, key: &[Sym]) -> Option<SlotRef> {
+        m.remove(hash(key), |s| pages.holds(s, key))
+    }
+
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut m = SlotMap::default();
+        let (mut m, mut pages) = (SlotMap::default(), Pages::default());
+        let k = |i: u32| key(&[&format!("a{i}"), &format!("b{}", i % 7)]);
         for i in 0..500u32 {
-            let k = key(&[&format!("a{i}"), &format!("b{}", i % 7)]);
-            assert_eq!(m.insert(&k, slot(i, 0)), None);
+            assert_eq!(insert(&mut m, &mut pages, &k(i), slot(i, 0)), None);
         }
         assert_eq!(m.len(), 500);
         for i in 0..500u32 {
-            let k = key(&[&format!("a{i}"), &format!("b{}", i % 7)]);
-            assert_eq!(m.get(&k), Some(slot(i, 0)));
+            assert_eq!(get(&m, &pages, &k(i)), Some(slot(i, 0)));
         }
-        assert_eq!(m.get(&key(&["zzz", "b0"])), None);
+        assert_eq!(get(&m, &pages, &key(&["zzz", "b0"])), None);
         for i in 0..250u32 {
-            let k = key(&[&format!("a{i}"), &format!("b{}", i % 7)]);
-            assert_eq!(m.remove(&k), Some(slot(i, 0)));
-            assert_eq!(m.remove(&k), None, "double remove");
+            assert_eq!(remove(&mut m, &pages, &k(i)), Some(slot(i, 0)));
+            assert_eq!(remove(&mut m, &pages, &k(i)), None, "double remove");
         }
         assert_eq!(m.len(), 250);
         for i in 250..500u32 {
-            let k = key(&[&format!("a{i}"), &format!("b{}", i % 7)]);
-            assert_eq!(m.get(&k), Some(slot(i, 0)));
+            assert_eq!(get(&m, &pages, &k(i)), Some(slot(i, 0)));
         }
     }
 
     #[test]
     fn insert_replaces_and_reports_previous() {
-        let mut m = SlotMap::default();
+        let (mut m, mut pages) = (SlotMap::default(), Pages::default());
         let k = key(&["x"]);
-        assert_eq!(m.insert(&k, slot(0, 3)), None);
-        assert_eq!(m.insert(&k, slot(1, 4)), Some(slot(0, 3)));
+        assert_eq!(insert(&mut m, &mut pages, &k, slot(0, 3)), None);
+        assert_eq!(insert(&mut m, &mut pages, &k, slot(1, 4)), Some(slot(0, 3)));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.get(&k), Some(slot(1, 4)));
+        assert_eq!(get(&m, &pages, &k), Some(slot(1, 4)));
     }
 
     #[test]
     fn clones_are_independent_and_share_structure() {
-        let mut a = SlotMap::default();
+        let (mut a, mut pages) = (SlotMap::default(), Pages::default());
         for i in 0..200u32 {
-            a.insert(&key(&[&format!("k{i}")]), slot(0, i as u16));
+            insert(
+                &mut a,
+                &mut pages,
+                &key(&[&format!("k{i}")]),
+                slot(0, i as u16),
+            );
         }
         let b = a.clone();
         // Mutate the original; the clone's view is stable.
-        a.remove(&key(&["k0"]));
-        a.insert(&key(&["k1"]), slot(9, 9));
-        a.insert(&key(&["fresh"]), slot(7, 7));
-        assert_eq!(b.get(&key(&["k0"])), Some(slot(0, 0)));
-        assert_eq!(b.get(&key(&["k1"])), Some(slot(0, 1)));
-        assert_eq!(b.get(&key(&["fresh"])), None);
+        remove(&mut a, &pages, &key(&["k0"]));
+        insert(&mut a, &mut pages, &key(&["k1"]), slot(9, 9));
+        insert(&mut a, &mut pages, &key(&["fresh"]), slot(7, 7));
+        assert_eq!(get(&b, &pages, &key(&["k0"])), Some(slot(0, 0)));
+        assert_eq!(get(&b, &pages, &key(&["k1"])), Some(slot(0, 1)));
+        assert_eq!(get(&b, &pages, &key(&["fresh"])), None);
         assert_eq!(b.len(), 200);
         assert_eq!(a.len(), 200);
+    }
+
+    /// Keys sharing one 64-bit hash are told apart by `eq` alone, in a
+    /// small leaf and in the collision bucket past the last level.
+    #[test]
+    fn eq_tells_apart_keys_of_one_hash() {
+        const H: u64 = 0x0123_4567_89ab_cdef;
+        for n in [2u16, 3 * LEAF_MAX as u16] {
+            let (mut m, mut pages) = (SlotMap::default(), Pages::default());
+            let keys: Vec<Box<[Sym]>> = (0..n).map(|i| key(&[&format!("c{i}")])).collect();
+            for (i, k) in keys.iter().enumerate() {
+                pages.0.insert((0, i as u16), k.clone());
+                assert_eq!(m.insert(H, slot(0, i as u16), |s| pages.holds(s, k)), None);
+            }
+            assert_eq!(m.len(), n as usize);
+            for (i, k) in keys.iter().enumerate() {
+                assert_eq!(m.get(H, |s| pages.holds(s, k)), Some(slot(0, i as u16)));
+            }
+            // Re-route the first key; every other key keeps its slot.
+            pages.0.insert((1, 0), keys[0].clone());
+            let first = |s| pages.holds(s, &keys[0]);
+            assert_eq!(m.insert(H, slot(1, 0), first), Some(slot(0, 0)));
+            assert_eq!(m.get(H, first), Some(slot(1, 0)));
+            let last = &keys[n as usize - 1];
+            assert_eq!(m.remove(H, |s| pages.holds(s, last)), Some(slot(0, n - 1)));
+            assert_eq!(m.get(H, |s| pages.holds(s, last)), None);
+            for (i, k) in keys.iter().enumerate().skip(1).take(n as usize - 2) {
+                assert_eq!(m.get(H, |s| pages.holds(s, k)), Some(slot(0, i as u16)));
+            }
+            assert_eq!(m.get(H, first), Some(slot(1, 0)));
+            assert_eq!(m.len(), n as usize - 1);
+        }
     }
 }

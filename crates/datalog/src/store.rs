@@ -6,19 +6,24 @@
 //! append to the tail page; deletion tombstones a slot in place
 //! (re-insertion revives it, preserving its position and therefore
 //! iteration order). A persistent `SlotMap` routes every tuple —
-//! live or tombstoned — to its `(page, offset)` slot. Each page carries
-//! its own per-column hash indexes, so a scan with any bound position
-//! is a chain walk per page rather than a full pass — this is what
-//! makes simplified-instance evaluation O(matching tuples) instead of
-//! O(relation).
+//! live or tombstoned — to its `(page, offset)` slot; it stores only
+//! the tuple's hash and slot, and compares keys against the page. A
+//! fully bound scan is one router lookup. A page of arity 2 or more
+//! also carries per-column hash indexes, so a scan with some bound
+//! position is a chain walk per page rather than a full pass — this is
+//! what makes simplified-instance evaluation O(matching tuples) instead
+//! of O(relation). An arity-1 page carries none: every bound scan of
+//! its relation is fully bound.
 //!
 //! A page is flat: one `Vec<Sym>` of `arity × slots` tuple values, one
-//! `Vec<bool>` of live flags, and per column a map from a value to the
-//! *chain* of slots holding it (first, last, length), the chains linked
-//! in ascending offset order through one `arity × slots` array of `u16`
-//! successors. Nothing in a page owns a further allocation, so copying
-//! one costs `arity + 4` allocations and memcpys of plain data, however
-//! many tuples and distinct values it holds.
+//! `Vec<bool>` of live flags, and (from arity 2) per column a map from
+//! a value to the *chain* of slots holding it (first, last, length),
+//! the chains linked in ascending offset order through one
+//! `arity × slots` array of `u16` successors. Nothing in a page owns a
+//! further allocation, so copying one costs at most `arity + 4`
+//! allocations and memcpys of plain data, however many tuples and
+//! distinct values it holds. Every map of the store hashes interned
+//! symbols with [`SymState`], one multiply per symbol.
 //!
 //! The chunking exists for the commit pipeline's copy-on-write
 //! economics: cloning a relation bumps one refcount per page (plus the
@@ -51,11 +56,11 @@
 //! a shared relation clones just that relation — and with chunked
 //! relations, "cloning" copies page refcounts, not tuple data.
 
-use crate::pagemap::{SlotMap, SlotRef};
+use crate::pagemap::{hash_tuple, SlotMap, SlotRef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uniform_logic::{sort_by_name, Fact, Sym};
+use uniform_logic::{sort_by_name, Fact, Sym, SymState};
 
 /// Maximum slots per leaf page.
 pub const PAGE_CAP: usize = 1024;
@@ -69,8 +74,10 @@ pub const COMPACT_FLOOR: usize = 32;
 /// (`tests/prop_chunked_store.rs` does this per commit).
 ///
 /// `bytes_cloned` counts a copied page's flat arrays: per slot, its
-/// tuple values, its live flag and one chain link per column, i.e.
-/// `slots × (arity × (size_of::<Sym>() + 2) + 1)`. The per-column maps
+/// tuple values, its live flag and, on a page with chains (arity 2 or
+/// more), one chain link per column, i.e.
+/// `slots × (arity × (size_of::<Sym>() + 2) + 1)` there and
+/// `slots × (arity × size_of::<Sym>() + 1)` below. The per-column maps
 /// from a value to its chain (one entry per distinct value) are copied
 /// too but not counted, so the figure depends on the page's shape
 /// alone, never on how many distinct values it happens to hold.
@@ -144,36 +151,41 @@ struct Chain {
 
 /// One leaf page, stored flat: slot `o` holds the tuple
 /// `tuples[o * arity..(o + 1) * arity]` and the live flag `flags[o]`.
-/// Per column, `chains[col]` maps a value to the chain of slots ever
-/// inserted with it, and `next[o * arity + col]` is the slot after `o`
-/// on that chain ([`NIL`] at its end). Tombstoned slots keep their
-/// tuple and chain links so revival preserves slot position and page
-/// compaction can fix the router.
+/// From arity 2, per column, `chains[col]` maps a value to the chain of
+/// slots ever inserted with it, and `next[o * arity + col]` is the slot
+/// after `o` on that chain ([`NIL`] at its end); below arity 2 both are
+/// empty, since no scan of such a page has a bound column left to
+/// chain-walk. Tombstoned slots keep their tuple and chain links so
+/// revival preserves slot position and page compaction can fix the
+/// router.
 ///
 /// Every field is `Copy` data in a `Vec` or a map, so a page clone is
-/// `arity + 4` allocations and memcpys, whatever the slot count.
+/// at most `arity + 4` allocations and memcpys, whatever the slot count.
 #[derive(Clone, Debug)]
 struct Page {
+    arity: usize,
     tuples: Vec<Sym>,
     flags: Vec<bool>,
     next: Vec<u16>,
     live: u32,
-    chains: Vec<HashMap<Sym, Chain>>,
+    chains: Vec<HashMap<Sym, Chain, SymState>>,
 }
 
 impl Page {
     fn new(arity: usize) -> Page {
+        let chained = if arity >= 2 { arity } else { 0 };
         Page {
+            arity,
             tuples: Vec::new(),
             flags: Vec::new(),
             next: Vec::new(),
             live: 0,
-            chains: (0..arity).map(|_| HashMap::new()).collect(),
+            chains: (0..chained).map(|_| HashMap::default()).collect(),
         }
     }
 
     fn arity(&self) -> usize {
-        self.chains.len()
+        self.arity
     }
 
     /// Slots in the arena, live or tombstoned.
@@ -197,14 +209,14 @@ impl Page {
             .map(|o| self.tuple(o))
     }
 
-    /// Append a live tuple, linking it onto every column's chain;
-    /// returns its offset.
+    /// Append a live tuple, linking it onto every column's chain (if
+    /// the page keeps chains); returns its offset.
     fn push(&mut self, args: &[Sym]) -> u16 {
         let offset = self.slots() as u16;
         let arity = args.len();
-        for (col, &value) in args.iter().enumerate() {
-            self.chains[col]
-                .entry(value)
+        for (col, index) in self.chains.iter_mut().enumerate() {
+            index
+                .entry(args[col])
                 .and_modify(|chain| {
                     self.next[chain.last as usize * arity + col] = offset;
                     chain.last = offset;
@@ -217,7 +229,7 @@ impl Page {
                 });
         }
         self.tuples.extend_from_slice(args);
-        self.next.resize(self.next.len() + arity, NIL);
+        self.next.resize(self.next.len() + self.chains.len(), NIL);
         self.flags.push(true);
         self.live += 1;
         offset
@@ -283,9 +295,14 @@ impl Relation {
     }
 
     pub fn contains(&self, args: &[Sym]) -> bool {
-        self.slots
-            .get(args)
+        self.route(hash_tuple(args), args)
             .is_some_and(|sr| self.pages[sr.page as usize].flags[sr.offset as usize])
+    }
+
+    /// The slot routed to `args` (of router hash `hash`), live or
+    /// tombstoned.
+    fn route(&self, hash: u64, args: &[Sym]) -> Option<SlotRef> {
+        self.slots.get(hash, |sr| tuple_at(&self.pages, sr) == args)
     }
 
     /// Mutable access to page `p`, counting the copy-on-write clone if
@@ -307,7 +324,8 @@ impl Relation {
     /// Insert a tuple; returns `true` if it was not present.
     pub fn insert(&mut self, args: &[Sym]) -> bool {
         debug_assert_eq!(args.len(), self.arity);
-        if let Some(sr) = self.slots.get(args) {
+        let hash = hash_tuple(args);
+        if let Some(sr) = self.route(hash, args) {
             let (p, o) = (sr.page as usize, sr.offset as usize);
             if self.pages[p].flags[o] {
                 return false;
@@ -333,12 +351,14 @@ impl Relation {
         };
         let offset = self.page_mut(p).push(args);
         self.live += 1;
+        let pages = &self.pages;
         self.slots.insert(
-            args,
+            hash,
             SlotRef {
                 page: p as u32,
                 offset,
             },
+            |sr| tuple_at(pages, sr) == args,
         );
         // Growing the arena can carry a small, tombstone-heavy tail
         // page across the compaction floor (removes below the floor
@@ -352,7 +372,7 @@ impl Relation {
     /// Delete a tuple; returns `true` if it was present. Triggers a
     /// page compaction when tombstones come to dominate that page.
     pub fn remove(&mut self, args: &[Sym]) -> bool {
-        let Some(sr) = self.slots.get(args) else {
+        let Some(sr) = self.route(hash_tuple(args), args) else {
             return false;
         };
         let (p, o) = (sr.page as usize, sr.offset as usize);
@@ -372,15 +392,22 @@ impl Relation {
     /// enumeration ran to completion. Enumeration order is insertion
     /// order (pages in order, offsets in order within each page). A fully
     /// bound pattern names at most one tuple, which the router finds
-    /// without probing any page's index.
+    /// without probing any page's index; that covers every bound scan
+    /// of an arity-1 relation, whose pages keep no chains.
     pub fn scan(&self, pattern: &[Option<Sym>], each: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
         debug_assert_eq!(pattern.len(), self.arity);
         let has_bound = pattern.iter().any(|p| p.is_some());
         if has_bound && pattern.iter().all(|p| p.is_some()) {
-            let key: Vec<Sym> = pattern.iter().flatten().copied().collect();
-            return match self.slots.get(&key) {
+            let hash = hash_tuple(pattern.iter().flatten());
+            let routed = self.slots.get(hash, |sr| {
+                pattern
+                    .iter()
+                    .copied()
+                    .eq(tuple_at(&self.pages, sr).iter().copied().map(Some))
+            });
+            return match routed {
                 Some(sr) if self.pages[sr.page as usize].flags[sr.offset as usize] => {
-                    each(self.pages[sr.page as usize].tuple(sr.offset as usize))
+                    each(tuple_at(&self.pages, sr))
                 }
                 _ => true,
             };
@@ -487,24 +514,40 @@ impl Relation {
     /// Rebuild page `p` with only its live tuples (preserving their
     /// order) and re-route them; router entries of its tombstones are
     /// dropped. Cost is bounded by the page, never the relation.
+    ///
+    /// Every route into `p` is dropped first, by slot, while the old
+    /// page still backs it; only then are the live tuples routed into
+    /// the rebuilt page. Mixing the two in one pass would let a route
+    /// that already points into the new page be compared against the
+    /// old one.
     fn compact_page(&mut self, p: usize) {
-        let old = self.pages[p].clone();
+        let page = p as u32;
+        let old = &self.pages[p];
+        for (offset, (tuple, _)) in old.all_slots().enumerate() {
+            let at = SlotRef {
+                page,
+                offset: offset as u16,
+            };
+            let dropped = self.slots.remove(hash_tuple(tuple), |sr| sr == at);
+            debug_assert_eq!(dropped, Some(at), "every slot is routed");
+        }
         let mut fresh = Page::new(self.arity);
-        for (tuple, live) in old.all_slots() {
-            if live {
-                let offset = fresh.push(tuple);
-                self.slots.insert(
-                    tuple,
-                    SlotRef {
-                        page: p as u32,
-                        offset,
-                    },
-                );
-            } else {
-                self.slots.remove(tuple);
-            }
+        for tuple in old.live_tuples() {
+            fresh.push(tuple);
         }
         self.pages[p] = Arc::new(fresh);
+        let pages = &self.pages;
+        for offset in 0..pages[p].slots() {
+            let tuple = pages[p].tuple(offset);
+            let at = SlotRef {
+                page,
+                offset: offset as u16,
+            };
+            let prev = self
+                .slots
+                .insert(hash_tuple(tuple), at, |sr| tuple_at(pages, sr) == tuple);
+            debug_assert_eq!(prev, None, "a tuple holds one slot");
+        }
     }
 
     /// Per-page compaction policy. The size floor keeps a small tail
@@ -525,6 +568,11 @@ impl Relation {
     }
 }
 
+/// The tuple in slot `sr` of a relation whose page table is `pages`.
+fn tuple_at(pages: &[Arc<Page>], sr: SlotRef) -> &[Sym] {
+    pages[sr.page as usize].tuple(sr.offset as usize)
+}
+
 /// All extensional facts of a database, keyed by predicate.
 ///
 /// Relations are kept in predicate-first-insertion order and all
@@ -532,7 +580,7 @@ impl Relation {
 /// identical iteration orders. This determinism is load-bearing — the
 /// satisfiability search enforces violated instances in
 /// model-iteration order, and a randomized order (as with a plain
-/// `HashMap` and its per-instance `RandomState`) makes search outcomes
+/// `HashMap` and its per-instance random keys) makes search outcomes
 /// within a fresh-constant budget irreproducible.
 ///
 /// Each relation sits behind an [`Arc`] with copy-on-write mutation:
@@ -544,7 +592,7 @@ impl Relation {
 /// at O(delta) copy cost.
 #[derive(Clone, Debug, Default)]
 pub struct FactSet {
-    index: HashMap<Sym, u32>,
+    index: HashMap<Sym, u32, SymState>,
     relations: Vec<(Sym, Arc<Relation>)>,
     len: usize,
 }
@@ -943,6 +991,12 @@ mod tests {
         let order: Vec<String> = rel.iter().map(|t| t[0].as_str().to_string()).collect();
         let expect: Vec<String> = (0..n).map(|i| format!("v{i:05}")).collect();
         assert_eq!(order, expect);
+        assert!(
+            rel.pages
+                .iter()
+                .all(|p| p.chains.is_empty() && p.next.is_empty()),
+            "arity-1 pages keep no chains"
+        );
         // Bound scans find tuples in any page.
         for probe in [0, PAGE_CAP - 1, PAGE_CAP, n - 1] {
             let mut hits = 0;
@@ -1094,6 +1148,69 @@ mod tests {
             assert_eq!(rel.contains(&probe), !expect.is_empty());
             assert_eq!(rel.scan(&pattern, &mut |_| false), !rel.contains(&probe));
         }
+    }
+
+    /// Compacting a tombstone-heavy sealed page drops its routes and
+    /// re-routes its live tuples into the rebuilt page: afterwards every
+    /// membership test, fully bound scan and column-bound scan agrees
+    /// with a mirror, before and after the dropped tuples come back.
+    #[test]
+    fn sealed_page_compaction_keeps_every_lookup_exact() {
+        use std::collections::BTreeSet;
+        let t = |i: usize| {
+            vec![
+                Sym::new(&format!("k{}", i % 13)),
+                Sym::new(&format!("v{i}")),
+            ]
+        };
+        let n = 2 * PAGE_CAP + 100;
+        let mut rel = Relation::new(2);
+        let mut mirror: BTreeSet<Vec<Sym>> = BTreeSet::new();
+        for i in 0..n {
+            rel.insert(&t(i));
+            mirror.insert(t(i));
+        }
+        // Two of three tuples of the middle (sealed) page go.
+        for i in (PAGE_CAP..2 * PAGE_CAP).filter(|i| i % 3 != 0) {
+            assert!(rel.remove(&t(i)));
+            mirror.remove(&t(i));
+        }
+        let shape = rel.page_shape();
+        assert_eq!(shape.len(), 3);
+        assert!(
+            shape[1].0 < PAGE_CAP,
+            "the sealed page compacted: {shape:?}"
+        );
+        let check = |rel: &Relation, mirror: &BTreeSet<Vec<Sym>>| {
+            for i in 0..n + 1 {
+                let probe = t(i);
+                let bound: Vec<Option<Sym>> = probe.iter().copied().map(Some).collect();
+                let expect: Vec<Vec<Sym>> = mirror.get(&probe).into_iter().cloned().collect();
+                assert_eq!(
+                    rel.contains(&probe),
+                    !expect.is_empty(),
+                    "contains {probe:?}"
+                );
+                assert_eq!(collect(rel, &bound), expect, "fully bound {probe:?}");
+                let by_value = collect(rel, &[None, Some(probe[1])]);
+                assert_eq!(by_value, expect, "column 1 bound to {}", probe[1]);
+            }
+            for k in 0..14 {
+                let key = Sym::new(&format!("k{k}"));
+                let seen = collect(rel, &[Some(key), None]);
+                let expect: BTreeSet<Vec<Sym>> =
+                    mirror.iter().filter(|v| v[0] == key).cloned().collect();
+                assert_eq!(seen.len(), expect.len(), "column 0 bound to {key}");
+                assert_eq!(seen.into_iter().collect::<BTreeSet<_>>(), expect);
+            }
+        };
+        check(&rel, &mirror);
+        // Tuples the compaction dropped come back on the tail page.
+        for i in (PAGE_CAP..PAGE_CAP + 60).filter(|i| i % 3 != 0) {
+            assert!(rel.insert(&t(i)));
+            mirror.insert(t(i));
+        }
+        check(&rel, &mirror);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::program::RuleSet;
 use crate::store::FactSet;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
-use uniform_logic::{Fact, Subst, Sym, Term};
+use uniform_logic::{Fact, Subst, Sym, SymState, Term};
 
 /// A virtual interpretation of the canonical model of `U(D)`, where the
 /// update is *not* applied to `edb`.
@@ -50,7 +50,7 @@ pub struct OverlayEngine<'a> {
     /// simplified instances are evaluated against one simulated state,
     /// shared subqueries (the paper's `attends(jack, ddb)` example) are
     /// answered once.
-    goal_memo: RefCell<HashMap<Fact, bool>>,
+    goal_memo: RefCell<HashMap<Fact, bool, SymState>>,
     memo_hits: Cell<usize>,
 }
 
@@ -74,7 +74,7 @@ impl<'a> OverlayEngine<'a> {
             removed: delete,
             model,
             propagation: OnceCell::new(),
-            goal_memo: RefCell::new(HashMap::new()),
+            goal_memo: RefCell::new(HashMap::default()),
             memo_hits: Cell::new(0),
         }
     }
@@ -136,7 +136,7 @@ impl<'a> OverlayEngine<'a> {
         &self,
         pred: Sym,
         pattern: &[Option<Sym>],
-        emitted: &mut HashSet<Vec<Sym>>,
+        emitted: &mut HashSet<Vec<Sym>, SymState>,
         each: &mut dyn FnMut(&[Sym]) -> bool,
     ) -> bool {
         // The call pattern is ground where bound, so the rule is matched
@@ -212,7 +212,7 @@ impl Interp for OverlayEngine<'_> {
         }
         // Non-recursive IDB: explicit facts first, then SLD over rules,
         // deduplicating across both sources.
-        let mut emitted: HashSet<Vec<Sym>> = HashSet::new();
+        let mut emitted: HashSet<Vec<Sym>, SymState> = HashSet::default();
         let completed = self.overlay().scan(pred, pattern, &mut |args| {
             if emitted.insert(args.to_vec()) {
                 each(args)

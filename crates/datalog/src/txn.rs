@@ -532,19 +532,18 @@ impl CommitQueue {
         self.state.into_inner().db
     }
 
-    /// The shared first-committer-wins scan: `Err` if a snapshot pinned
-    /// at `begin` can no longer be trusted for the `reads` footprint —
-    /// either a later commit wrote a tuple the footprint covers
-    /// (`Conflict`) or the log no longer reaches back that far
-    /// (`SnapshotTooOld`). Key-level reads match written tuples by
-    /// fingerprint projection; unbounded reads match any write to the
-    /// relation.
-    fn freshness_in(
-        state: &QueueState,
-        begin: u64,
-        reads: &ReadFootprint,
-    ) -> Result<(), CommitError> {
-        if begin < state.horizon {
+    /// The shared first-committer-wins scan: `Err` if `txn`'s snapshot
+    /// can no longer be trusted for its read footprint — either a later
+    /// commit wrote a tuple the footprint covers (`Conflict`) or the log
+    /// no longer reaches back that far (`SnapshotTooOld`). A snapshot
+    /// of another database (one swapped out by
+    /// [`CommitQueue::update_schema`]) is `SnapshotTooOld` too: versions
+    /// of two databases cannot be compared. Key-level reads match
+    /// written tuples by fingerprint projection; unbounded reads match
+    /// any write to the relation.
+    fn freshness_in(state: &QueueState, txn: &TxnBuilder) -> Result<(), CommitError> {
+        let (begin, reads) = (txn.begin_version(), &txn.reads);
+        if begin < state.horizon || txn.snapshot.db_id() != state.db.db_id() {
             return Err(CommitError::SnapshotTooOld {
                 begin_version: begin,
                 horizon: state.horizon,
@@ -586,7 +585,7 @@ impl CommitQueue {
     /// use this to distinguish a *final* integrity rejection (checked
     /// on a still-fresh snapshot) from a stale one worth re-checking.
     pub fn check_freshness(&self, txn: &TxnBuilder) -> Result<(), CommitError> {
-        Self::freshness_in(&self.state.lock(), txn.begin_version(), &txn.reads)
+        Self::freshness_in(&self.state.lock(), txn)
     }
 
     /// Admit or refuse `txn` (first-committer-wins). On admission the
@@ -623,7 +622,7 @@ impl CommitQueue {
             if txn.reads.has_unbounded() {
                 self.metrics.whole_relation_fallbacks.incr();
             }
-            if let Err(e) = Self::freshness_in(&state, txn.begin_version(), &txn.reads) {
+            if let Err(e) = Self::freshness_in(&state, txn) {
                 if let CommitError::Conflict { granularity, .. } = &e {
                     match granularity {
                         ConflictGranularity::Relation => self.metrics.relation_conflicts.incr(),
@@ -722,8 +721,9 @@ impl CommitQueue {
     }
 
     /// Run a schema mutation (rule or constraint changes) under the
-    /// queue lock. When `f` mutated the database (its version moved) the
-    /// conflict log is reset: every in-flight transaction began behind
+    /// queue lock. When `f` mutated the database (its version moved, or
+    /// `f` swapped in another database) the conflict log is reset:
+    /// every in-flight transaction began behind
     /// the new horizon and is refused with
     /// [`CommitError::SnapshotTooOld`], because a schema change
     /// invalidates any pinned check. Whether the *maintained model*
@@ -736,16 +736,18 @@ impl CommitQueue {
     /// step through [`Database::preserving_consistency`].
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut state = self.state.lock();
-        let before = state.db.version();
+        let (before_id, before) = (state.db.db_id(), state.db.version());
         let was_consistent = state.db.verified_consistent();
         let before_facts = state.db.fact_rev();
         let before_rules = state.db.rule_rev();
         let out = f(&mut state.db);
-        if state.db.version() != before {
+        let same_db = state.db.db_id() == before_id;
+        if !same_db || state.db.version() != before {
             self.metrics
                 .latch_moved(was_consistent, state.db.verified_consistent());
-            let constraint_only =
-                state.db.fact_rev() == before_facts && state.db.rule_rev() == before_rules;
+            let constraint_only = same_db
+                && state.db.fact_rev() == before_facts
+                && state.db.rule_rev() == before_rules;
             if constraint_only {
                 self.metrics.constraint_only_updates.incr();
             } else {
@@ -1276,6 +1278,48 @@ mod tests {
         let count = |name: &str| q.obs().report().counter(name).unwrap();
         assert_eq!(count("consistency.preserved"), 2);
         assert_eq!(count("consistency.cleared"), 2);
+    }
+
+    /// Versions of two databases cannot be compared: a transaction
+    /// pinned on a database that `update_schema` swapped out for another
+    /// at the same version is refused, and its checked verdict does not
+    /// carry the other database's latch.
+    #[test]
+    fn a_swap_at_an_equal_version_fences_inflight_txns() {
+        let src = |c: &str| format!("p({c}). q({c}). constraint c: forall X: p(X) -> q(X).");
+        let q = queue(&src("a"));
+        let mut pinned = q.begin();
+        pinned.insert(fact("p", &["b"]));
+        let other = Database::parse(&src("c")).unwrap();
+        assert_eq!(other.version(), q.version());
+        assert!(other.snapshot().is_consistent());
+        q.update_schema(|db| *db = other);
+        let err = q.commit_checked(&pinned).unwrap_err();
+        assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
+        let head = q.snapshot();
+        assert!(!head.holds(&fact("p", &["b"])));
+        assert!(head.verified_consistent());
+    }
+
+    /// A swap to a database at a lower version lowers the horizon, yet a
+    /// transaction pinned on the swapped-out database stays refused.
+    #[test]
+    fn a_swap_to_a_lower_version_fences_inflight_txns() {
+        let q = queue("p(a).");
+        for arg in ["b", "c"] {
+            let mut t = q.begin();
+            t.insert(fact("p", &[arg]));
+            q.commit(&t).unwrap();
+        }
+        let mut pinned = q.begin();
+        pinned.insert(fact("p", &["z"]));
+        let other = Database::parse("p(a).").unwrap();
+        assert!(other.version() < q.version());
+        q.update_schema(|db| *db = other);
+        let err = q.commit(&pinned).unwrap_err();
+        assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
+        assert!(!q.snapshot().holds(&fact("p", &["z"])));
+        assert_eq!(q.conflict_stats().admitted, 2);
     }
 
     #[test]

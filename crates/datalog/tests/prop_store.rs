@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use uniform_datalog::{FactSet, Relation};
+use uniform_datalog::{FactSet, Relation, PAGE_CAP};
 use uniform_logic::{Fact, Sym};
 
 const KEYS: usize = 12;
@@ -205,5 +205,151 @@ fn repeated_threshold_crossings_keep_indexes_exact() {
             "round {round}: compaction should have bounded staleness"
         );
         assert_matches_mirror(rel, &mirror, &format!("round {round}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Arity 1 and arity 3 across pages, through every scan shape.
+// ---------------------------------------------------------------------------
+
+/// Tuple indices span three pages, so churn reaches sealed pages.
+const SPAN: usize = 2 * PAGE_CAP + 52;
+/// Tuples one range delete tombstones: enough that a few of them make
+/// tombstones dominate a sealed page.
+const RUN: usize = 128;
+
+/// The arity-1 tuple of index `i`: a fully bound scan is its only bound
+/// scan, which the router answers.
+fn unary(i: usize) -> Vec<Sym> {
+    vec![Sym::new(&format!("x{i}"))]
+}
+
+/// The arity-3 tuple of index `i`: two shared columns with long chains
+/// and one unique column.
+fn ternary(i: usize) -> Vec<Sym> {
+    vec![
+        Sym::new(&format!("a{}", i % 7)),
+        Sym::new(&format!("b{}", i % 5)),
+        Sym::new(&format!("c{i}")),
+    ]
+}
+
+/// Every pattern built from `columns`, one choice per column.
+fn each_pattern(
+    columns: &[Vec<Option<Sym>>],
+    at: &mut Vec<Option<Sym>>,
+    f: &mut dyn FnMut(&[Option<Sym>]),
+) {
+    if at.len() == columns.len() {
+        return f(at);
+    }
+    for &choice in &columns[at.len()] {
+        at.push(choice);
+        each_pattern(columns, at, f);
+        at.pop();
+    }
+}
+
+/// `rel` holds exactly the tuples `tuple(i)` of the live indices in
+/// `mirror`: membership of every index, and every scan shape — unbound,
+/// each mix of bound and free columns, fully bound — over the values
+/// of the `probes` plus one absent value per column.
+fn assert_every_scan_matches(
+    rel: &Relation,
+    tuple: fn(usize) -> Vec<Sym>,
+    mirror: &BTreeSet<usize>,
+    probes: &[usize],
+    ctx: &str,
+) {
+    assert_eq!(rel.len(), mirror.len(), "{ctx}: live count");
+    for i in 0..SPAN {
+        assert_eq!(
+            rel.contains(&tuple(i)),
+            mirror.contains(&i),
+            "{ctx}: contains #{i}"
+        );
+    }
+    let live: Vec<Vec<Sym>> = mirror.iter().map(|&i| tuple(i)).collect();
+    let mut columns = vec![vec![None, Some(Sym::new("absent"))]; rel.arity()];
+    for &i in probes {
+        for (column, value) in columns.iter_mut().zip(tuple(i)) {
+            column.push(Some(value));
+        }
+    }
+    for column in &mut columns {
+        column.sort();
+        column.dedup();
+    }
+    each_pattern(&columns, &mut Vec::new(), &mut |pattern| {
+        let expect: BTreeSet<&Vec<Sym>> = live
+            .iter()
+            .filter(|t| {
+                pattern
+                    .iter()
+                    .zip(*t)
+                    .all(|(p, v)| p.is_none_or(|p| p == *v))
+            })
+            .collect();
+        let mut seen: Vec<Vec<Sym>> = Vec::new();
+        rel.scan(pattern, &mut |t| {
+            seen.push(t.to_vec());
+            true
+        });
+        assert_eq!(seen.len(), expect.len(), "{ctx}: {pattern:?} count");
+        assert_eq!(
+            seen.iter().collect::<BTreeSet<_>>(),
+            expect,
+            "{ctx}: {pattern:?}"
+        );
+    });
+}
+
+/// (op, index): op 0 = insert, 1 = delete, 2 = delete-then-reinsert
+/// (revival), 3 = delete the run of [`RUN`] indices from `index`.
+fn arb_span_ops() -> impl Strategy<Value = Vec<(u8, usize)>> {
+    prop::collection::vec((0u8..4, 0..SPAN), 1..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn arity_one_and_three_match_a_mirror_through_every_scan_shape(
+        fill in 0..SPAN + 1,
+        ops in arb_span_ops(),
+        probes in prop::collection::vec(0..SPAN, 4..5),
+    ) {
+        let probes: Vec<usize> = probes.into_iter().chain([0, PAGE_CAP, SPAN - 1]).collect();
+        for tuple in [unary as fn(usize) -> Vec<Sym>, ternary] {
+            let mut rel = Relation::new(tuple(0).len());
+            let mut mirror: BTreeSet<usize> = BTreeSet::new();
+            for i in 0..fill {
+                prop_assert!(rel.insert(&tuple(i)));
+                mirror.insert(i);
+            }
+            for (step, &(op, i)) in ops.iter().enumerate() {
+                match op {
+                    0 => prop_assert_eq!(rel.insert(&tuple(i)), mirror.insert(i)),
+                    1 => prop_assert_eq!(rel.remove(&tuple(i)), mirror.remove(&i)),
+                    2 => {
+                        rel.remove(&tuple(i));
+                        prop_assert!(rel.insert(&tuple(i)), "revival must report a change");
+                        mirror.insert(i);
+                    }
+                    _ => {
+                        for j in i..(i + RUN).min(SPAN) {
+                            prop_assert_eq!(rel.remove(&tuple(j)), mirror.remove(&j));
+                        }
+                    }
+                }
+                if step == ops.len() / 2 {
+                    assert_every_scan_matches(&rel, tuple, &mirror, &probes, "midway");
+                }
+            }
+            assert_every_scan_matches(&rel, tuple, &mirror, &probes, "after churn");
+            let mut compacted = rel.clone();
+            compacted.compact();
+            assert_every_scan_matches(&compacted, tuple, &mirror, &probes, "after compact");
+        }
     }
 }

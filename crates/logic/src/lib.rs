@@ -41,7 +41,7 @@ pub use parser::{
     ProgramSource, Span,
 };
 pub use rule::Rule;
-pub use subst::Subst;
+pub use subst::{Subst, SymHasher, SymState};
 pub use subsume::{atom_subsumes, literal_subsumes, MinimalLiteralSet, PatternKey};
 pub use symbol::{sort_by_name, Sym};
 pub use term::{Atom, Fact, Literal, Term};

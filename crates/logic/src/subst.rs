@@ -14,14 +14,22 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A substitution σ. Empty means identity.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Subst {
-    map: HashMap<Sym, Term, BuildHasherDefault<SymHasher>>,
+    map: HashMap<Sym, Term, SymState>,
 }
 
-/// Hashes a variable — one interned `u32`, not outside input — with one
-/// multiply: the evaluators walk a substitution at every argument they
-/// touch, and no output depends on the map's order.
+/// Hashes interned symbols — `u32`s, not outside input — with one
+/// multiply per symbol: a [`Sym`], a tuple of them (`[Sym]`, whose
+/// length goes through [`Hasher::write_usize`] as one more step) or a
+/// [`Fact`]. The evaluators walk a substitution at every argument they
+/// touch and the store hashes a tuple per lookup, so SipHash would be
+/// most of their cost. Use it only for maps whose order no output
+/// observes: the hash is fixed, and its low bits mix less than its
+/// high ones.
 #[derive(Default)]
-struct SymHasher(u64);
+pub struct SymHasher(u64);
+
+/// The [`SymHasher`] builder, for `HashMap<K, V, SymState>`.
+pub type SymState = BuildHasherDefault<SymHasher>;
 
 impl Hasher for SymHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -32,6 +40,10 @@ impl Hasher for SymHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u32(n as u32);
     }
 
     fn finish(&self) -> u64 {

@@ -59,11 +59,24 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Identifiers bound to a hash-table type anywhere in the file: struct
 /// fields and lets (`name: HashMap<...>`), plus direct constructions
-/// (`name = HashMap::new()` / `HashSet::new()`).
+/// (`name = HashMap::new()` / `HashSet::new()`, and the `default()`,
+/// `with_hasher(..)` and `with_capacity_and_hasher(..)` forms a
+/// non-default hasher such as `SymState` is built with).
 fn hash_idents(content: &str) -> BTreeSet<String> {
     let mut idents = BTreeSet::new();
     for line in content.lines() {
-        for marker in ["HashMap<", "HashSet<", "HashMap::new", "HashSet::new"] {
+        for marker in [
+            "HashMap<",
+            "HashSet<",
+            "HashMap::new",
+            "HashSet::new",
+            "HashMap::default",
+            "HashSet::default",
+            "HashMap::with_hasher",
+            "HashSet::with_hasher",
+            "HashMap::with_capacity_and_hasher",
+            "HashSet::with_capacity_and_hasher",
+        ] {
             for (at, _) in line.match_indices(marker) {
                 let head = line[..at].trim_end();
                 let head = head
@@ -245,6 +258,17 @@ fn scanner_flags_the_canonical_bug() {
         rows.sort();
     "#;
     assert!(scan("synthetic.rs", fixed).is_empty());
+
+    // Untyped tables built for a custom hasher are hash tables too.
+    let hashed = r#"
+        let mut by_pred = HashMap::default();
+        let mut seen = HashSet::with_hasher(SymState::default());
+        for (pred, n) in &by_pred {
+            writeln!(out, "{pred}: {n}").unwrap();
+        }
+        rendered.extend(seen.iter().map(|s| s.to_string()));
+    "#;
+    assert_eq!(scan("synthetic.rs", hashed).len(), 2);
 
     let membership = r#"
         let seen: HashSet<Sym> = HashSet::new();
