@@ -20,6 +20,8 @@
 //! the affected constraints finds nothing violated). Verification of a
 //! reported repair stays on the whole state: apply it, recompute, check
 //! every constraint — the soundness anchor, independent of the scope.
+//! Under [`RepairBackend::Auto`] the search splits the scope further,
+//! into the independent parts of its part key, one kernel run each.
 //!
 //! Every path from one level to the next applies at least one effective
 //! EDB operation and no branch ever touches the same fact twice, so the
@@ -30,14 +32,16 @@
 //! and reported in deterministic (size, then name) order.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
-use uniform_datalog::{satisfies_closed, FactSet, Model, RuleSet, Snapshot, Transaction, Update};
-use uniform_logic::{Constraint, Fact, Literal, Rq, Sym};
+use uniform_datalog::{
+    satisfies_closed, solve_conjunction, FactSet, Model, RuleSet, Snapshot, Transaction, Update,
+};
+use uniform_logic::{sort_by_name, Atom, Constraint, Fact, Literal, Rq, Subst, Sym, Term};
 use uniform_obs::Obs;
-use uniform_satisfiability::enforce::{self, consistent, violated, Enforcer, Limits, Moves};
+use uniform_satisfiability::enforce::{self, consistent, violated, Enforcer, Limits, Moves, Tally};
 use uniform_satisfiability::{SatChecker, SatOptions, SatOutcome, SolverStats};
 
 use crate::sat::{self, PreferredRepair, RepairChooser};
@@ -59,6 +63,12 @@ pub enum RepairBackend {
     /// repairs (budget trip, repair cap or domain clip), escalate to
     /// the SAT backend. A SAT failure other than a proven
     /// `Unrepairable` falls back to whatever the search produced.
+    ///
+    /// When the scope has a part key (see [`RepairStats::parts`]), the
+    /// search runs the kernel once per violated part — the facts of one
+    /// key constant, over the whole state's domain — and reports the
+    /// product of the parts' minimal repairs: `n` independent violations
+    /// cost `n` small searches instead of one tree over all of them.
     Auto,
 }
 
@@ -71,7 +81,9 @@ pub struct RepairOptions {
     pub max_changes: usize,
     /// Branch limit: the maximum number of enforcement nodes explored
     /// before the search gives up with
-    /// [`RepairError::BudgetExhausted`].
+    /// [`RepairError::BudgetExhausted`]. A search split into parts
+    /// (under [`RepairBackend::Auto`]) shares it across the parts, while
+    /// `max_changes` bounds each part and each union of them.
     pub max_branches: usize,
     /// Cap on distinct candidate repairs collected; hitting it marks
     /// the report incomplete.
@@ -230,6 +242,11 @@ impl RepairSet {
         self.ops.iter().all(|op| other.ops.contains(op))
     }
 
+    /// Both repairs' operations together.
+    pub(crate) fn union(&self, other: &RepairSet) -> RepairSet {
+        RepairSet::from_ops(self.ops.iter().chain(&other.ops).cloned())
+    }
+
     /// The repair as an overlay delta `(insertions, deletions)` for
     /// [`uniform_datalog::OverlayEngine::over_model`].
     pub fn overlay(&self) -> (Vec<Fact>, Vec<Fact>) {
@@ -303,6 +320,12 @@ pub struct RepairStats {
     pub candidates: usize,
     /// Deepest enforcement level reached.
     pub max_level: usize,
+    /// Violated parts searched one by one: under
+    /// [`RepairBackend::Auto`], a scope with a *part key* splits by key
+    /// constant into independent parts (see the crate docs), and the
+    /// other counters sum over the parts' kernel runs (`max_level` is
+    /// their maximum). Zero when the scope was searched whole.
+    pub parts: usize,
     /// SAT-solver effort counters; all zero under the search backend.
     pub solver: SolverStats,
 }
@@ -356,6 +379,193 @@ pub(crate) struct Scope {
     /// The whole state's active domain, name-sorted: repairs stay
     /// within the constants of the state they repair.
     pub(crate) domain: Vec<Sym>,
+}
+
+/// The leaves of one kernel run.
+struct KernelRun {
+    /// Every leaf delta, as a repair set, in (size, name) order.
+    found: BTreeSet<RepairSet>,
+    tally: Tally,
+    /// The repair cap stopped the run.
+    capped: bool,
+}
+
+impl KernelRun {
+    /// Was the run exhaustive over repairs within the fact budget?
+    fn complete(&self) -> bool {
+        !self.tally.node_limit_hit && !self.capped && !self.tally.domain_clipped
+    }
+}
+
+/// Placements a part-key derivation may try before it gives up and the
+/// scope is searched whole.
+const KEY_STEPS: usize = 4096;
+
+/// A scope's *part key*: one argument position per predicate, such that
+///
+/// * every scope constraint binds, in its outermost `∀`, a variable
+///   that sits at the key position of each of its atoms (nested
+///   quantifiers and negated atoms included), and
+/// * every rule defining a predicate the constraints reach has one
+///   variable at the key position of its head and of every body atom.
+///
+/// Then no ground rule or constraint instance mixes two key constants:
+/// the canonical model splits by the constant at the key position, a
+/// constraint holds exactly when it holds on each key constant's facts
+/// alone, and a repair is minimal exactly when its operations on each
+/// key constant are a minimal repair of that constant's facts. The
+/// minimal repairs of the scope are the product of its violated parts'.
+struct PartKey {
+    /// The key position of every predicate of the scope.
+    position: HashMap<Sym, usize>,
+    /// Per scope constraint, the outer `∀` variable at the key position.
+    vars: Vec<Sym>,
+}
+
+/// A variable to choose for some atoms: one of `vars` must sit at the
+/// key position of every atom of the list.
+type Duty<'r> = (Vec<Sym>, Vec<&'r Atom>);
+
+impl PartKey {
+    /// The key of the scope of `constraints` under `rules`, if it has
+    /// one. The first key found in a fixed order — constraints, then
+    /// rules, each in order, variables in binding order, positions
+    /// ascending — is taken.
+    fn of(rules: &RuleSet, constraints: &[Constraint]) -> Option<PartKey> {
+        if constraints.is_empty() {
+            return None;
+        }
+        let mut duties: Vec<Duty> = Vec::new();
+        for c in constraints {
+            let Rq::Forall { vars, range, body } = &c.rq else {
+                return None;
+            };
+            let mut atoms: Vec<&Atom> = range.iter().collect();
+            let mut rebound: Vec<Sym> = Vec::new();
+            inner_atoms(body, &mut atoms, &mut rebound);
+            let outer = vars.iter().filter(|v| !rebound.contains(v));
+            duties.push((outer.copied().collect(), atoms));
+        }
+        let graph = rules.graph();
+        let reached: BTreeSet<Sym> = constraints
+            .iter()
+            .flat_map(|c| c.rq.literals())
+            .flat_map(|occ| graph.reachable(occ.literal.atom.pred))
+            .collect();
+        for rule in rules.rules() {
+            if reached.contains(&rule.head.pred) {
+                let body = rule.body.iter().map(|l| &l.atom);
+                let atoms = std::iter::once(&rule.head).chain(body).collect();
+                duties.push((rule.head.vars().collect(), atoms));
+            }
+        }
+        let mut key = PartKey {
+            position: HashMap::new(),
+            vars: Vec::new(),
+        };
+        let mut steps = KEY_STEPS;
+        if !key.choose(&duties, &mut steps) {
+            return None;
+        }
+        key.vars.truncate(constraints.len());
+        Some(key)
+    }
+
+    /// Choose a variable for each duty in order, fixing the key position
+    /// of every predicate where it is first met; `false` when no choice
+    /// fits (or the steps ran out), with nothing left fixed.
+    fn choose(&mut self, duties: &[Duty], steps: &mut usize) -> bool {
+        let Some(((vars, atoms), rest)) = duties.split_first() else {
+            return true;
+        };
+        for &var in vars {
+            self.vars.push(var);
+            if self.place(atoms, var, steps, &mut |key, steps| key.choose(rest, steps)) {
+                return true;
+            }
+            self.vars.pop();
+        }
+        false
+    }
+
+    /// Put `var` at the key position of every atom of `atoms`, then run
+    /// `k`; undo on failure.
+    fn place(
+        &mut self,
+        atoms: &[&Atom],
+        var: Sym,
+        steps: &mut usize,
+        k: &mut dyn FnMut(&mut PartKey, &mut usize) -> bool,
+    ) -> bool {
+        let Some((atom, rest)) = atoms.split_first() else {
+            return k(self, steps);
+        };
+        if *steps == 0 {
+            return false;
+        }
+        *steps -= 1;
+        let holds_var = |i: usize| atom.args[i] == Term::Var(var);
+        if let Some(&i) = self.position.get(&atom.pred) {
+            return holds_var(i) && self.place(rest, var, steps, k);
+        }
+        for i in (0..atom.args.len()).filter(|&i| holds_var(i)) {
+            self.position.insert(atom.pred, i);
+            if self.place(rest, var, steps, k) {
+                return true;
+            }
+        }
+        self.position.remove(&atom.pred);
+        false
+    }
+
+    /// The scope's facts of every key constant with a violated instance
+    /// in `model` — derived facts included, as the model holds them —
+    /// one fact set per constant, in name order.
+    fn violated_parts(&self, model: &Model, scope: &Scope) -> Vec<FactSet> {
+        let mut keys: Vec<Sym> = Vec::new();
+        for (c, &var) in scope.constraints.iter().zip(&self.vars) {
+            let Rq::Forall { range, body, .. } = &c.rq else {
+                unreachable!("a keyed constraint is a ∀");
+            };
+            let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
+            solve_conjunction(model, &lits, &mut Subst::new(), &mut |s| {
+                if !satisfies_closed(model, &body.apply(s)) {
+                    keys.extend(s.walk(Term::Var(var)).as_const());
+                }
+                true
+            });
+        }
+        sort_by_name(&mut keys);
+        let slot: HashMap<Sym, usize> = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        let mut parts = vec![FactSet::new(); keys.len()];
+        for fact in scope.facts.iter() {
+            let at = self.position.get(&fact.pred);
+            let key = fact.args[*at.expect("every relation of the scope has a key position")];
+            if let Some(&i) = slot.get(&key) {
+                parts[i].insert(&fact);
+            }
+        }
+        parts
+    }
+}
+
+/// Every atom below a constraint's outer `∀`, and the variables the
+/// quantifiers there bind.
+fn inner_atoms<'r>(rq: &'r Rq, atoms: &mut Vec<&'r Atom>, bound: &mut Vec<Sym>) {
+    match rq {
+        Rq::True | Rq::False => {}
+        Rq::Lit(l) => atoms.push(&l.atom),
+        Rq::And(gs) | Rq::Or(gs) => {
+            for g in gs {
+                inner_atoms(g, atoms, bound);
+            }
+        }
+        Rq::Forall { vars, range, body } | Rq::Exists { vars, range, body } => {
+            bound.extend(vars);
+            atoms.extend(range);
+            inner_atoms(body, atoms, bound);
+        }
+    }
 }
 
 /// The repair engine for one (inconsistent) database state. See the
@@ -484,6 +694,10 @@ impl RepairEngine {
                 .add(stats.explored as u64);
             obs.counter("repair.search.models_computed")
                 .add(stats.models_computed as u64);
+            obs.counter("repair.search.parts").add(stats.parts as u64);
+            if stats.parts > 0 {
+                obs.counter("repair.runs.split").incr();
+            }
             obs.counter("repair.sat.decisions")
                 .add(stats.solver.decisions);
             obs.counter("repair.sat.propagations")
@@ -502,7 +716,7 @@ impl RepairEngine {
         match self.options.backend {
             RepairBackend::Search => self.search_repairs(&scope),
             RepairBackend::Sat => sat::sat_repairs(self, &scope),
-            RepairBackend::Auto => match self.search_repairs(&scope) {
+            RepairBackend::Auto => match self.auto_search(&scope) {
                 Ok(report) if report.covers_all_minimal_repairs() => Ok(report),
                 outcome => match sat::sat_repairs(self, &scope) {
                     Ok(report) => Ok(report),
@@ -514,21 +728,129 @@ impl RepairEngine {
         }
     }
 
+    /// `Auto`'s search: split into the scope's parts when it has a part
+    /// key, whole otherwise.
+    fn auto_search(&self, scope: &Scope) -> Result<RepairReport, RepairError> {
+        match PartKey::of(&self.rules, &scope.constraints) {
+            Some(key) => self.split_repairs(scope, &key),
+            None => self.search_repairs(scope),
+        }
+    }
+
     /// The bounded enforcement search (always available as the
     /// differential oracle for the SAT backend): the kernel with the
     /// repair move set on the scope, every leaf's delta collected.
     fn search_repairs(&self, scope: &Scope) -> Result<RepairReport, RepairError> {
+        let o = &self.options;
+        let run = self.kernel_run(scope, scope.facts.clone(), o.max_branches);
+        let tally = run.tally;
+        let stats = RepairStats {
+            explored: tally.nodes,
+            models_computed: tally.models_computed,
+            candidates: run.found.len(),
+            max_level: tally.max_level,
+            parts: 0,
+            solver: SolverStats::default(),
+        };
+
+        // Subset-minimal filter: `found` is ordered smallest-first, so
+        // every proper subset of a candidate precedes it.
+        let mut minimal: Vec<RepairSet> = Vec::new();
+        for cand in &run.found {
+            if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
+                continue;
+            }
+            if o.verify && !self.repair_restores_consistency(cand) {
+                debug_assert!(false, "unsound candidate repair: {cand}");
+                continue;
+            }
+            minimal.push(cand.clone());
+        }
+        self.report(minimal, stats, run.complete(), tally.change_budget_hit)
+    }
+
+    /// The search split into the scope's parts (see [`PartKey`]): one
+    /// kernel run per violated part, in key-constant name order, on the
+    /// part's facts over the whole state's domain, the node budget
+    /// shared and `max_changes` per part. The minimal repairs are the
+    /// product of the parts': a union over `max_changes` is dropped
+    /// (and clips the budget), and the product is capped at
+    /// `max_repairs` in (size, name) order. That order is monotone
+    /// under a union with ops of other parts, so keeping the
+    /// `max_repairs` smallest partial products after each part keeps
+    /// the smallest products overall.
+    fn split_repairs(&self, scope: &Scope, key: &PartKey) -> Result<RepairReport, RepairError> {
+        let o = &self.options;
+        let parts = key.violated_parts(self.model(), scope);
+        let mut stats = RepairStats {
+            parts: parts.len(),
+            ..RepairStats::default()
+        };
+        let (mut complete, mut clipped) = (true, false);
+        let mut product = vec![RepairSet::empty()];
+        let last = parts.len().saturating_sub(1);
+        for (i, facts) in parts.into_iter().enumerate() {
+            let run = self.kernel_run(scope, facts, o.max_branches.saturating_sub(stats.explored));
+            stats.explored += run.tally.nodes;
+            stats.models_computed += run.tally.models_computed;
+            stats.candidates += run.found.len();
+            stats.max_level = stats.max_level.max(run.tally.max_level);
+            complete &= run.complete();
+            clipped |= run.tally.change_budget_hit;
+            let mut minimal: Vec<&RepairSet> = Vec::new();
+            for cand in &run.found {
+                if !minimal.iter().any(|kept| kept.is_subset_of(cand)) {
+                    minimal.push(cand);
+                }
+            }
+            let mut next: Vec<RepairSet> = Vec::new();
+            for partial in &product {
+                for repair in &minimal {
+                    if partial.len() + repair.len() > o.max_changes {
+                        clipped = true;
+                    } else {
+                        next.push(partial.union(repair));
+                    }
+                }
+            }
+            next.sort();
+            if next.len() > o.max_repairs {
+                next.truncate(o.max_repairs);
+                complete = false;
+            }
+            product = next;
+            // A part the node budget cut off leaves the later ones
+            // unsearched: no union of the parts so far is a repair.
+            if run.tally.node_limit_hit && i < last {
+                product.clear();
+            }
+            if product.is_empty() {
+                break;
+            }
+        }
+        product.retain(|r| {
+            let sound = !o.verify || self.repair_restores_consistency(r);
+            debug_assert!(sound, "unsound product repair: {r}");
+            sound
+        });
+        self.report(product, stats, complete, clipped)
+    }
+
+    /// One kernel run with the repair move set from `facts`, inside the
+    /// scope's constraints and domain: every leaf's delta, up to the
+    /// repair cap.
+    fn kernel_run(&self, scope: &Scope, facts: FactSet, max_nodes: usize) -> KernelRun {
         let o = &self.options;
         let mut found: BTreeSet<RepairSet> = BTreeSet::new();
         let mut capped = false;
         let mut kernel = Enforcer::new(
             &self.rules,
             &scope.constraints,
-            scope.facts.clone(),
+            facts,
             scope.domain.clone(),
             Moves::repair(),
             Limits {
-                max_nodes: o.max_branches,
+                max_nodes,
                 max_changes: o.max_changes,
                 domain_cap: o.domain_cap,
             },
@@ -542,48 +864,40 @@ impl RepairEngine {
                 ControlFlow::Continue(())
             }
         });
-        let tally = kernel.tally;
-        let stats = RepairStats {
-            explored: tally.nodes,
-            models_computed: tally.models_computed,
-            candidates: found.len(),
-            max_level: tally.max_level,
-            solver: SolverStats::default(),
-        };
-        let complete = !tally.node_limit_hit && !capped && !tally.domain_clipped;
-
-        // Subset-minimal filter: `found` is ordered smallest-first, so
-        // every proper subset of a candidate precedes it.
-        let mut minimal: Vec<RepairSet> = Vec::new();
-        for cand in &found {
-            if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
-                continue;
-            }
-            if o.verify && !self.repair_restores_consistency(cand) {
-                debug_assert!(false, "unsound candidate repair: {cand}");
-                continue;
-            }
-            minimal.push(cand.clone());
+        KernelRun {
+            found,
+            tally: kernel.tally,
+            capped,
         }
+    }
 
-        if minimal.is_empty() {
+    /// The report of a search that found `repairs` (minimal and
+    /// verified), or why it has none.
+    fn report(
+        &self,
+        repairs: Vec<RepairSet>,
+        stats: RepairStats,
+        complete: bool,
+        budget_clipped: bool,
+    ) -> Result<RepairReport, RepairError> {
+        if repairs.is_empty() {
             if !complete {
                 return Err(RepairError::BudgetExhausted {
-                    explored: tally.nodes,
-                    max_branches: o.max_branches,
-                    budget_clipped: tally.change_budget_hit,
+                    explored: stats.explored,
+                    max_branches: self.options.max_branches,
+                    budget_clipped,
                 });
             }
             return Err(RepairError::Unrepairable {
                 schema_unsatisfiable: self.schema_unsatisfiable(),
-                budget_clipped: tally.change_budget_hit,
+                budget_clipped,
             });
         }
         Ok(RepairReport {
-            repairs: minimal,
+            repairs,
             stats,
             complete,
-            budget_clipped: tally.change_budget_hit,
+            budget_clipped,
         })
     }
 
@@ -1164,6 +1478,69 @@ mod tests {
         assert!(holds("p(b)"));
         assert!(!holds("p(a)"));
         assert!(!holds("q(a)"));
+    }
+
+    /// The benchmark's repair database: its schema and base facts, and
+    /// `extra` raw-loaded on top.
+    fn repair_db(extra: &str) -> RepairEngine {
+        let mut src = String::from(
+            "flagged(X) :- p(X), bad(X).
+             constraint imp: forall X: p(X) -> q(X).
+             constraint dom_s: forall X, Y: s(X, Y) -> r(X).
+             constraint span: forall X: r(X) -> (exists Y: s(X, Y)).
+             constraint flag_ok: forall X: flagged(X) -> ok(X).
+             constraint step: forall X: dp(X) -> dq(X).
+             constraint stop: forall X: dq(X) -> false.\n",
+        );
+        for i in 0..4 {
+            src.push_str(&format!("p(a{i}). q(a{i}).\n"));
+        }
+        for i in 4..8 {
+            src.push_str(&format!("r(a{i}). s(a{i}, a{}).\n", (i + 1) % 12));
+        }
+        for i in 8..12 {
+            src.push_str(&format!("ok(a{i}). noise(n{i}).\n"));
+        }
+        src.push_str(extra);
+        engine(&src).with_options(RepairOptions {
+            max_changes: 24,
+            backend: RepairBackend::Auto,
+            ..RepairOptions::default()
+        })
+    }
+
+    /// The benchmark's two `AutoRepair` shapes, split into parts. The
+    /// dense block (16 `dp` chains the whole-scope search cannot finish
+    /// within its 100 000 nodes) is 17 small searches and no SAT call;
+    /// the common shape (one `flag_ok`, one `dom_s`, one `imp`
+    /// violation) is three, with fewer nodes than the whole scope's 36.
+    #[test]
+    fn auto_splits_the_benchmark_repair_shapes() {
+        let mut dense = String::from("p(a5).");
+        for i in 0..16 {
+            dense.push_str(&format!(" dp(c{i})."));
+        }
+        let report = repair_db(&dense).repairs().unwrap();
+        assert_eq!(report.repairs.len(), 2);
+        assert!(report.repairs.iter().all(|r| r.len() == 17));
+        assert_eq!(report.repairs[0].ops()[16].to_string(), "-p(a5)");
+        assert!(report.covers_all_minimal_repairs());
+        assert_eq!(report.stats.solver, SolverStats::default());
+        assert_eq!((report.stats.parts, report.stats.explored), (17, 100));
+
+        let common = repair_db("bad(a1). s(a8, a3). p(a5).");
+        let report = common.repairs().unwrap();
+        let search = RepairOptions {
+            backend: RepairBackend::Search,
+            ..*common.options()
+        };
+        let whole = common.with_options(search).repairs().unwrap();
+        assert_eq!(report.repairs.len(), 12);
+        assert_eq!(report.repairs, whole.repairs);
+        assert!(report.covers_all_minimal_repairs());
+        assert_eq!(report.stats.solver, SolverStats::default());
+        assert_eq!((whole.stats.parts, whole.stats.explored), (0, 36));
+        assert_eq!((report.stats.parts, report.stats.explored), (3, 14));
     }
 
     #[test]

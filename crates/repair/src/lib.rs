@@ -46,6 +46,19 @@
 //! the search and escalates to SAT exactly when the search cannot prove
 //! it covered every minimal repair.
 //!
+//! `Auto`'s search splits the state into its independent parts when the
+//! repair scope has a *part key*: one argument position per predicate
+//! that every scope constraint's outermost `∀` variable occupies in each
+//! of its atoms, and that every rule defining a reached predicate keeps
+//! one variable at, head and body alike. No ground instance then mixes
+//! two key constants, so the kernel runs once per violated part (in
+//! key-constant name order, on that constant's facts over the whole
+//! state's domain, the node budget shared) and the minimal repairs are
+//! the product of the parts' ([`RepairStats::parts`] counts them).
+//! `n` independent violations cost `n` small searches instead of one
+//! tree over all of them. `RepairBackend::Search` always searches the
+//! scope whole; it is the reference the split is tested against.
+//!
 //! ```
 //! use uniform_datalog::Database;
 //! use uniform_repair::RepairEngine;

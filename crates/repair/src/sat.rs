@@ -632,6 +632,7 @@ pub(crate) fn sat_repairs(eng: &RepairEngine, scope: &Scope) -> Result<RepairRep
             models_computed: en.models_computed,
             candidates: en.models_seen,
             max_level,
+            parts: 0,
             solver: en.solver.stats(),
         },
         complete: clean && !en.enc.domain_clipped,
@@ -932,6 +933,10 @@ mod tests {
         assert!(report.covers_all_minimal_repairs());
     }
 
+    /// `Auto` settles `dense(8)` by splitting it into its eight parts;
+    /// one vacuous constraint joining `p` and `q` on two variables takes
+    /// the part key away, and the whole-scope search, starved, escalates
+    /// to SAT.
     #[test]
     fn auto_escalates_past_the_search_budget() {
         let opts = RepairOptions {
@@ -940,14 +945,23 @@ mod tests {
             backend: RepairBackend::Auto,
             ..RepairOptions::default()
         };
-        let report = engine(&dense(8)).with_options(opts).repairs().unwrap();
-        assert_eq!(report.repairs.len(), 1);
-        assert!(report.covers_all_minimal_repairs());
-        // Certain answers flow through the same escalation.
-        let eng = engine(&dense(8)).with_options(opts);
-        let query = [uniform_logic::Atom::parse_like("p", &["X"]).pos()];
-        let rows = eng.consistent_answers(&query).unwrap();
-        assert!(rows.is_empty(), "every repair deletes all p facts");
+        let unkeyed = format!(
+            "{} constraint link_pq: forall X, Y: p(X) & q(Y) & link(X, Y) -> false.",
+            dense(8)
+        );
+        for (src, parts, escalates) in [(dense(8), 8, false), (unkeyed, 0, true)] {
+            let report = engine(&src).with_options(opts).repairs().unwrap();
+            assert_eq!(report.repairs.len(), 1);
+            assert_eq!(report.repairs[0].len(), 8);
+            assert!(report.covers_all_minimal_repairs());
+            assert_eq!(report.stats.parts, parts);
+            assert_eq!(report.stats.solver.propagations > 0, escalates, "{src}");
+            // Certain answers flow through the same escalation.
+            let eng = engine(&src).with_options(opts);
+            let query = [uniform_logic::Atom::parse_like("p", &["X"]).pos()];
+            let rows = eng.consistent_answers(&query).unwrap();
+            assert!(rows.is_empty(), "every repair deletes all p facts");
+        }
     }
 
     #[test]

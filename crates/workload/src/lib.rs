@@ -509,10 +509,13 @@ pub fn violation_state(churn: usize, seed: u64) -> Database {
 /// A violation-*dense* state: `n` independent violations of a
 /// two-constraint chain (`p(X) -> q(X)` and `q(X) -> false`), so the
 /// **unique** minimal repair deletes all `n` `p` facts at once. The
-/// bounded enforcement search must thread all `n` enforcement chains
-/// within one branch budget (~3ⁿ nodes) and refuses with
-/// `BudgetExhausted` once `n` outgrows it, while the SAT backend
-/// settles the whole clause set by unit propagation. A disjoint `noise`
+/// whole-scope enforcement search (`RepairBackend::Search`) must
+/// thread all `n` enforcement chains within one branch budget (~3ⁿ
+/// nodes) and refuses with `BudgetExhausted` once `n` outgrows it,
+/// while the SAT backend settles the whole clause set by unit
+/// propagation, and `RepairBackend::Auto` splits the state into its
+/// `n` independent parts (one per constant) at a few nodes each. A
+/// disjoint `noise`
 /// relation rides along for affected-closure scoping tests. Fact order
 /// is shuffled per `seed`; the semantic state is the same for every
 /// seed.

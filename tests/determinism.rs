@@ -227,12 +227,14 @@ fn observation_log() -> String {
             let _ = writeln!(log, "repair error {e}");
         }
     }
-    // 5b. The SAT backend on the same state plus a violation-dense one:
-    //     the clause encoding's variable order, the blocking-clause
-    //     enumeration order and the CDCL effort counters are all
-    //     deterministic by construction, and all user-visible (repairs,
-    //     coverage, `RepairStats::solver`). Any nondeterminism in the
-    //     encoder's candidate order would show up here first.
+    // 5b. The SAT backend and `Auto`'s split search on the same state
+    //     plus a violation-dense one: the clause encoding's variable
+    //     order, the blocking-clause enumeration order, the CDCL effort
+    //     counters and the order the parts run in are all deterministic
+    //     by construction, and all user-visible (repairs, coverage,
+    //     `RepairStats::solver`, `explored`, `parts`). Any
+    //     nondeterminism in the encoder's candidate order would show up
+    //     here first.
     for (name, sdb) in [
         ("mix", workload::violation_state(5, 41)),
         ("dense", workload::violation_dense_db(12, 41)),
@@ -261,6 +263,34 @@ fn observation_log() -> String {
             }
             Err(e) => {
                 let _ = writeln!(log, "satrepair {name} error {e}");
+            }
+        }
+        // `Auto` splits both states into parts and runs them in
+        // key-constant name order, so its repairs and effort are as
+        // stable as the whole search's.
+        let auto_engine = RepairEngine::new(
+            sdb.facts().clone(),
+            sdb.rules().clone(),
+            sdb.constraints().to_vec(),
+        )
+        .with_options(RepairOptions {
+            max_changes: 12,
+            backend: RepairBackend::Auto,
+            ..RepairOptions::default()
+        });
+        match auto_engine.repairs() {
+            Ok(report) => {
+                for r in &report.repairs {
+                    let _ = writeln!(log, "autorepair {name} {r}");
+                }
+                let _ = writeln!(
+                    log,
+                    "autorepair {name} explored {} parts {}",
+                    report.stats.explored, report.stats.parts
+                );
+            }
+            Err(e) => {
+                let _ = writeln!(log, "autorepair {name} error {e}");
             }
         }
         let prefs = RepairPreferences::new().weight("p", 2).weight("q", 3);
