@@ -86,7 +86,9 @@ pub enum Code {
     /// rejects anything and only costs checking time.
     TautologicalConstraint,
     /// UA0304: the bounded satisfiability search exhausted its budget
-    /// before classifying (the property is only semi-decidable, §4).
+    /// before classifying (the property is only semi-decidable, §4). A
+    /// schema gate refuses on it at error severity
+    /// ([`Diagnostic::satisfiability_unknown`]).
     SatisfiabilityUnknown,
 }
 
@@ -185,6 +187,20 @@ impl Diagnostic {
                  state satisfies them together, so the schema admits no consistent state"
             ),
         )
+    }
+
+    /// The UA0304 finding a schema gate refuses with when its bounded
+    /// search ran out of budget; `reason` is the search's `Unknown`
+    /// reason. A gate admits only what it proves satisfiable, so here
+    /// the finding is an error.
+    pub fn satisfiability_unknown(reason: &str) -> Diagnostic {
+        Diagnostic {
+            severity: Severity::Error,
+            ..Diagnostic::new(
+                Code::SatisfiabilityUnknown,
+                format!("satisfiability could not be established: {reason}"),
+            )
+        }
     }
 }
 

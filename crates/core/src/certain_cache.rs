@@ -45,7 +45,6 @@
 use crate::query::Rows;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 use uniform_datalog::{ReadFootprint, Snapshot, Update};
 use uniform_logic::Sym;
@@ -96,29 +95,6 @@ impl StateKey {
             && self.rule_rev == other.rule_rev
             && self.constraint_rev == other.constraint_rev
     }
-}
-
-/// Running totals of a [`crate::ConcurrentDatabase`]'s shared
-/// certain-answer cache (see
-/// [`crate::ConcurrentDatabase::certain_cache_stats`]). All counters
-/// are monotonic; `entries` is the current row-set population.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CertainCacheStats {
-    /// `Certain` executes whose row set was served from the cache.
-    pub hits: u64,
-    /// `Certain` executes that computed (and installed) a fresh row set.
-    pub misses: u64,
-    /// Repair enumerations served from the cache (no enforcement search).
-    pub repair_hits: u64,
-    /// Repair enumerations that ran the bounded search.
-    pub repair_misses: u64,
-    /// Admitted commits whose write footprint missed every cached
-    /// closure: entries re-keyed to the new revisions, not dropped.
-    pub carried_forward: u64,
-    /// Commits and schema updates that dropped cached entries.
-    pub invalidated: u64,
-    /// Certain-answer row sets currently cached.
-    pub entries: usize,
 }
 
 /// The cached repair list of one state, with the closure that guards
@@ -221,11 +197,8 @@ impl Inner {
 /// database handle.
 pub(crate) struct CertainCache {
     inner: Mutex<Inner>,
-    /// Registry-backed counters (`cache.certain.*`). Every bump happens
-    /// while `inner` is held, so [`CertainCache::stats`] — which locks
-    /// `inner` before reading them — observes a point-in-time
-    /// consistent snapshot: `hits + misses` equals the lookups that
-    /// completed before the snapshot, never a torn in-between.
+    /// Registry-backed counters (`cache.certain.*`), bumped while
+    /// `inner` is held.
     hits: Counter,
     misses: Counter,
     repair_hits: Counter,
@@ -432,40 +405,9 @@ impl CertainCache {
         inner.clear();
     }
 
-    /// A point-in-time consistent snapshot: the lock is taken first and
-    /// held across every counter read, and all bumps happen under the
-    /// same lock, so the totals and `entries` describe one moment.
-    pub fn stats(&self) -> CertainCacheStats {
-        let inner = self.inner.lock();
-        CertainCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            repair_hits: self.repair_hits.get(),
-            repair_misses: self.repair_misses.get(),
-            carried_forward: self.carried_forward.get(),
-            invalidated: self.invalidated.get(),
-            entries: inner.gens.iter().map(|g| g.rows.len()).sum(),
-        }
-    }
-}
-
-impl fmt::Display for CertainCacheStats {
-    /// Renders through the registry naming (`cache.certain.*`), so logs
-    /// and [`uniform_obs::ObsReport`] agree on what each figure is.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cache.certain.hits={} cache.certain.misses={} \
-             cache.certain.repair_hits={} cache.certain.repair_misses={} \
-             cache.certain.carried_forward={} cache.certain.invalidated={} \
-             cache.certain.entries={}",
-            self.hits,
-            self.misses,
-            self.repair_hits,
-            self.repair_misses,
-            self.carried_forward,
-            self.invalidated,
-            self.entries
-        )
+    /// Certain-answer row sets currently cached (the
+    /// `cache.certain.entries` gauge).
+    pub fn len(&self) -> usize {
+        self.inner.lock().gens.iter().map(|g| g.rows.len()).sum()
     }
 }

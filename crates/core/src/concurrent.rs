@@ -26,21 +26,17 @@
 //! `tests/prop_commit_serializability.rs` asserts over randomized
 //! multi-writer schedules.
 
-use crate::certain_cache::{CertainCache, CertainCacheStats, StateKey};
+use crate::certain_cache::{CertainCache, StateKey};
 use crate::guard::{
     guarded_rule_update, refuse_unsatisfiable_candidate, UniformError, UniformOptions,
 };
-use crate::query::{
-    Consistency, Params, PlanCache, PlanCacheStats, PreparedQuery, QueryError, Session,
-};
+use crate::query::{Consistency, Params, PlanCache, PreparedQuery, QueryError, Session};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use uniform_analyze::{AnalyzeOptions, AnalyzedProgram, Analyzer};
-use uniform_datalog::txn::{
-    CommitError, CommitQueue, CommitReceipt, ConflictStats, MaintenanceCounters, ModelPath,
-};
+use uniform_datalog::txn::{CommitError, CommitQueue, CommitReceipt, ModelPath};
 use uniform_datalog::{
     ConflictGranularity, Database, Provenance, Schema, Snapshot, Transaction, TxnBuilder, Update,
 };
@@ -749,20 +745,6 @@ impl ConcurrentDatabase {
         Ok(engine.repairs().map_err(UniformError::Repair)?.repairs)
     }
 
-    /// Consistent (certain) answers of a conjunctive query against the
-    /// latest committed state: a thin shim over the prepared read path —
-    /// `prepare` (served from the shared plan cache) + a fresh
-    /// [`Session`] at [`Consistency::Certain`]. The whole computation
-    /// runs on a snapshot outside every lock; no repaired database is
-    /// ever materialized.
-    pub fn consistent_answer(&self, query: &str) -> Result<Vec<Vec<(Sym, Sym)>>, UniformError> {
-        let prepared = self.prepare(query)?;
-        Ok(self
-            .session()
-            .execute(&prepared, &Params::new(), Consistency::Certain)?
-            .bindings())
-    }
-
     // ---- the prepared read path -----------------------------------------
 
     /// Prepare a conjunctive query through the shared sharded plan
@@ -819,11 +801,6 @@ impl ConcurrentDatabase {
         Session::open(self.snapshot(), self.shared.clone(), true)
     }
 
-    /// Running totals of the shared prepared-plan cache.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.shared.plans.stats()
-    }
-
     /// The database-wide observability domain: the metrics registry,
     /// span recorder and clock every pipeline stage of this handle
     /// reports into. Useful to share one domain across several
@@ -859,21 +836,13 @@ impl ConcurrentDatabase {
         m.cow_pages.set(cow.pages_cloned);
         m.cow_tuples.set(cow.tuples_cloned);
         m.cow_bytes.set(cow.bytes_cloned);
-        m.plan_entries.set(self.shared.plans.stats().entries as u64);
-        m.certain_entries
-            .set(self.shared.certain.stats().entries as u64);
+        m.plan_entries.set(self.shared.plans.len() as u64);
+        m.certain_entries.set(self.shared.certain.len() as u64);
         self.shared.obs.report()
     }
 
-    /// Running totals of the shared certain-answer cache (hits,
-    /// misses, carry-forwards, invalidations; see
-    /// [`crate::CertainCacheStats`]).
-    pub fn certain_cache_stats(&self) -> CertainCacheStats {
-        self.shared.certain.stats()
-    }
-
     /// Evaluate a closed formula against the latest committed state —
-    /// a shim over the prepared path (cached parse + plan, fresh
+    /// sugar over the prepared path (cached parse + plan, fresh
     /// session, [`Consistency::Latest`]).
     pub fn query(&self, formula: &str) -> Result<bool, UniformError> {
         let prepared = self.prepare_formula(formula)?;
@@ -883,33 +852,10 @@ impl ConcurrentDatabase {
             .is_true())
     }
 
-    /// Enumerate a conjunctive query's answers against the latest
-    /// committed state — a shim over the prepared path.
-    pub fn solutions(&self, query: &str) -> Result<Vec<Vec<(Sym, Sym)>>, UniformError> {
-        let prepared = self.prepare(query)?;
-        Ok(self
-            .session()
-            .execute(&prepared, &Params::new(), Consistency::Latest)?
-            .bindings())
-    }
-
     /// The standing model-path marker: how the next snapshot of the
     /// current state gets its canonical model.
     pub fn model_path(&self) -> ModelPath {
         self.shared.queue.model_path()
-    }
-
-    /// Running model-maintenance counters of the underlying queue.
-    pub fn maintenance(&self) -> MaintenanceCounters {
-        self.shared.queue.maintenance()
-    }
-
-    /// Running conflict-detection counters of the underlying queue:
-    /// admitted commits, refusals by granularity (relation-level vs
-    /// key-level), and how many submissions carried an unbounded read
-    /// and thus fell back to whole-relation conflict detection.
-    pub fn conflict_stats(&self) -> ConflictStats {
-        self.shared.queue.conflict_stats()
     }
 
     /// Run a raw schema mutation under the queue lock (see
@@ -1015,7 +961,8 @@ impl ConcurrentDatabase {
     /// Add a constraint, guarded twice: first the §4 gate refuses
     /// candidate sets proven unsatisfiable with a typed
     /// [`UniformError::Analyze`] (UA0301; no state could ever satisfy
-    /// them, whatever the facts say), then the *current* state is
+    /// them, whatever the facts say), or UA0304 when its search ran out
+    /// of budget before it could tell; then the *current* state is
     /// checked and a violated-but-satisfiable constraint is refused with
     /// [`UniformError::CurrentlyViolated`] carrying the smallest minimal
     /// repair of the would-be state — computed by the [`RepairEngine`]
@@ -1259,6 +1206,7 @@ impl fmt::Debug for ConcurrentDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rows;
     use uniform_integrity::{CheckOptions, Checker};
     use uniform_logic::Fact;
 
@@ -1287,6 +1235,24 @@ mod tests {
         } else {
             Update::delete(fact)
         }
+    }
+
+    /// The registry counter or gauge `name` (gauges sampled now).
+    fn counter(db: &ConcurrentDatabase, name: &str) -> u64 {
+        db.obs_report().counter(name).unwrap_or(0)
+    }
+
+    /// The registry's `family.*` counters and gauges as of now, read by
+    /// the rest of their name.
+    fn metrics(db: &ConcurrentDatabase, family: &'static str) -> impl Fn(&str) -> u64 {
+        let report = db.obs_report();
+        move |name| report.counter(&format!("{family}.{name}")).unwrap()
+    }
+
+    /// `src`'s rows at `level`, read through a fresh session.
+    fn read(db: &ConcurrentDatabase, src: &str, level: Consistency) -> Rows {
+        let q = db.prepare(src).unwrap();
+        db.session().execute(&q, &Params::new(), level).unwrap()
     }
 
     #[test]
@@ -1342,9 +1308,8 @@ mod tests {
             .unwrap();
         assert!(outcome.report.satisfied);
         assert!(db.with_database(|d| d.facts().contains(&Fact::parse_like("seat", &["a"]))));
-        let stats = db.conflict_stats();
-        assert_eq!(stats.key_conflicts, 1);
-        assert_eq!(stats.relation_conflicts, 0);
+        assert_eq!(counter(&db, "txn.conflicts.key"), 1);
+        assert_eq!(counter(&db, "txn.conflicts.relation"), 0);
     }
 
     #[test]
@@ -1361,11 +1326,12 @@ mod tests {
         let outcome = db.commit(&t2).unwrap();
         assert!(outcome.report.satisfied);
         assert!(db.with_database(|d| d.facts().contains(&Fact::parse_like("seat", &["b"]))));
-        let stats = db.conflict_stats();
-        assert_eq!(stats.admitted, 2);
-        assert_eq!(stats.key_conflicts + stats.relation_conflicts, 0);
+        let stats = metrics(&db, "txn");
+        assert_eq!(stats("commits.admitted"), 2);
+        assert_eq!(stats("conflicts.key") + stats("conflicts.relation"), 0);
         assert_eq!(
-            stats.whole_relation_fallbacks, 0,
+            stats("conflicts.whole_relation_fallbacks"),
+            0,
             "blind appends must stay key-bounded"
         );
     }
@@ -1457,7 +1423,7 @@ mod tests {
         // The induced member(bob, hr) is in the maintained model.
         let snap = db.snapshot();
         assert!(snap.holds(&Fact::parse_like("member", &["bob", "hr"])));
-        assert!(db.maintenance().maintained >= 1);
+        assert!(counter(&db, "maintain.commits.maintained") >= 1);
     }
 
     #[test]
@@ -1473,7 +1439,7 @@ mod tests {
 
         assert!(db.try_add_rule("boss(X) :- leads(X, Y).").unwrap());
         assert_eq!(db.model_path(), uniform_datalog::ModelPath::Rematerialized);
-        assert_eq!(db.maintenance().schema_resets, 1);
+        assert_eq!(counter(&db, "maintain.schema_resets"), 1);
         let err = db.commit(&inflight).unwrap_err();
         assert!(
             matches!(err, TxnError::SnapshotTooOld { .. }),
@@ -1487,7 +1453,7 @@ mod tests {
         assert!(db
             .try_add_rule("absent(X) :- employee(X), not absent(X).")
             .is_err());
-        assert_eq!(db.maintenance().schema_resets, 1);
+        assert_eq!(counter(&db, "maintain.schema_resets"), 1);
 
         // Maintenance resumes on the next effective commit.
         let outcome = db
@@ -1619,9 +1585,9 @@ mod tests {
         let repairs = db.minimal_repairs().unwrap();
         assert_eq!(repairs.len(), 2, "{repairs:?}");
         // p(b) holds in every repair; p(a) only in one.
-        let answers = db.consistent_answer("p(X)").unwrap();
+        let answers = read(&db, "p(X)", Consistency::Certain);
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0][0].1.as_str(), "b");
+        assert_eq!(answers[0].value(0).unwrap().as_str(), "b");
         // The engine never mutated the shared state.
         assert!(!db.with_database(|d| d.is_consistent()));
     }
@@ -1643,7 +1609,7 @@ mod tests {
         for w in 0..4 {
             assert!(snap.holds(&Fact::parse_like(&format!("derived{w}"), &["ann"])));
         }
-        assert_eq!(db.maintenance().schema_resets, 4);
+        assert_eq!(counter(&db, "maintain.schema_resets"), 4);
         // Unsatisfiable additions are still refused by the (optimistic)
         // search, and re-adding is still a no-op.
         assert!(!db.try_add_rule("derived0(X) :- employee(X).").unwrap());
@@ -1697,6 +1663,45 @@ mod tests {
         );
         // Refusals left the schema at the accepted two constraints.
         assert_eq!(db.with_database(|d| d.constraints().len()), 2);
+    }
+
+    /// A §4 search that runs out of budget proves nothing either way:
+    /// both gates refuse with UA0304, carrying the search's reason, and
+    /// leave the database as it was.
+    #[test]
+    fn budget_exhausted_schema_searches_refuse_with_ua0304() {
+        use uniform_satisfiability::{SatOptions, SatOutcome};
+        // No fresh constant: even `exists X: p(X)` has no model in reach.
+        let sat = SatOptions {
+            max_fresh_constants: 0,
+            ..SatOptions::default()
+        };
+        let options = UniformOptions {
+            sat: sat.clone(),
+            ..UniformOptions::default()
+        };
+        let db = ConcurrentDatabase::parse_with_options(
+            "p(a). constraint some_p: exists X: p(X).",
+            options,
+        )
+        .unwrap();
+        let SatOutcome::Unknown { reason } = db.check_satisfiability().outcome else {
+            panic!("the search must run out of budget");
+        };
+        let before = db.to_program_source();
+        let additions: [&dyn Fn() -> Result<bool, UniformError>; 2] = [
+            &|| db.try_add_constraint("q_p", "forall X: q(X) -> p(X)"),
+            &|| db.try_add_rule("r(X) :- p(X)."),
+        ];
+        for add in additions {
+            let UniformError::Analyze(e) = add().unwrap_err() else {
+                panic!("expected an analyzer refusal");
+            };
+            let primary = e.primary().expect("a refusal carries a diagnostic");
+            assert_eq!(primary.code, uniform_analyze::Code::SatisfiabilityUnknown);
+            assert!(primary.message.contains(&reason), "{e}");
+            assert_eq!(db.to_program_source(), before);
+        }
     }
 
     #[test]
@@ -1770,8 +1775,11 @@ mod tests {
         let db = ConcurrentDatabase::parse(ORG).unwrap();
         let q1 = db.prepare("member(X, Y)").unwrap();
         let q2 = db.prepare("member(X, Y)").unwrap();
-        let stats = db.plan_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        let stats = metrics(&db, "cache.plan");
+        assert_eq!(
+            (stats("hits"), stats("misses"), stats("entries")),
+            (1, 1, 1)
+        );
         // Both handles share one plan: the second execute hits it.
         let s = db.session();
         s.execute(&q1, &Params::new(), Consistency::Latest).unwrap();
@@ -1780,7 +1788,7 @@ mod tests {
         // Formula and conjunctive entries never collide on one source.
         db.prepare_formula("exists X: employee(X)").unwrap();
         db.prepare("employee(X)").unwrap();
-        assert_eq!(db.plan_cache_stats().entries, 3);
+        assert_eq!(counter(&db, "cache.plan.entries"), 3);
         // Concurrent preparers all resolve to the shared entry.
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1795,9 +1803,9 @@ mod tests {
                 });
             }
         });
-        let stats = db.plan_cache_stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.hits + stats.misses, 8);
+        let stats = metrics(&db, "cache.plan");
+        assert_eq!(stats("entries"), 3);
+        assert_eq!(stats("hits") + stats("misses"), 8);
     }
 
     #[test]
@@ -1995,14 +2003,20 @@ mod tests {
         let db = ConcurrentDatabase::parse(ORG).unwrap();
         assert!(db.query("member(ann, sales)").unwrap());
         assert!(!db.query("member(ann, hr)").unwrap());
-        let sols = db.solutions("member(X, sales)").unwrap();
+        let sols = read(&db, "member(X, sales)", Consistency::Latest);
         assert_eq!(sols.len(), 1);
-        assert_eq!(sols[0][0].1, Sym::new("ann"));
-        // Each shim call hit the shared cache after its first parse.
+        assert_eq!(sols[0].value(0).unwrap().sym(), Sym::new("ann"));
+        // Each call hit the shared cache after its first parse.
         assert!(db.query("member(ann, sales)").unwrap());
-        let stats = db.plan_cache_stats();
-        assert_eq!(stats.misses, 3, "two formula + one conjunctive entry");
-        assert_eq!(stats.hits, 1, "the repeated formula was served cached");
+        let stats = metrics(&db, "cache.plan");
+        assert_eq!(stats("misses"), 3, "two formula + one conjunctive entry");
+        assert_eq!(stats("hits"), 1, "the repeated formula was served cached");
+        // A formula that does not parse is still a `Language` refusal.
+        let err = db.query("member(ann,").unwrap_err();
+        assert!(
+            matches!(err, UniformError::Language(LogicError::Parse(_))),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2061,10 +2075,10 @@ mod tests {
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert_eq!(first, second);
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.repair_misses, 1, "one enumeration total: {stats:?}");
-        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
-        assert_eq!(stats.entries, 1);
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("repair_misses"), 1, "one enumeration total");
+        assert_eq!((stats("hits"), stats("misses")), (1, 1));
+        assert_eq!(stats("entries"), 1);
         // A third session asking a different Certain query reuses the
         // cached *repairs* even though its row set is new.
         let f = db.prepare_formula("p(b)").unwrap();
@@ -2073,10 +2087,10 @@ mod tests {
             .execute(&f, &Params::new(), Consistency::Certain)
             .unwrap()
             .is_true());
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.repair_misses, 1, "{stats:?}");
-        assert_eq!(stats.repair_hits, 1, "{stats:?}");
-        assert_eq!(stats.entries, 2);
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("repair_misses"), 1);
+        assert_eq!(stats("repair_hits"), 1);
+        assert_eq!(stats("entries"), 2);
     }
 
     #[test]
@@ -2097,11 +2111,11 @@ mod tests {
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert_eq!(warm, after);
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.carried_forward, 1, "{stats:?}");
-        assert_eq!(stats.invalidated, 0, "{stats:?}");
-        assert_eq!(stats.repair_misses, 1, "the enumeration survived");
-        assert_eq!(stats.hits, 1, "the post-commit read was a row hit");
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("carried_forward"), 1);
+        assert_eq!(stats("invalidated"), 0);
+        assert_eq!(stats("repair_misses"), 1, "the enumeration survived");
+        assert_eq!(stats("hits"), 1, "the post-commit read was a row hit");
     }
 
     #[test]
@@ -2128,13 +2142,13 @@ mod tests {
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert_eq!(fresh.len(), 2, "{fresh}");
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.invalidated, 1, "{stats:?}");
-        assert_eq!(stats.carried_forward, 0, "{stats:?}");
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("invalidated"), 1);
+        assert_eq!(stats("carried_forward"), 0);
         // The repaired head was looked at, found violation-free, and
         // latched: no second enumeration, no entry for it.
-        assert_eq!(stats.repair_misses, 1, "{stats:?}");
-        assert_eq!(stats.entries, 0, "{stats:?}");
+        assert_eq!(stats("repair_misses"), 1);
+        assert_eq!(stats("entries"), 0);
         assert!(db.snapshot().verified_consistent());
     }
 
@@ -2164,11 +2178,11 @@ mod tests {
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert_eq!(wide.len(), 2, "{wide}");
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.invalidated, 1, "{stats:?}");
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("invalidated"), 1);
         // Nothing to repair under the empty constraint set: the plain
         // check latched the state instead of a second enumeration.
-        assert_eq!(stats.repair_misses, 1, "{stats:?}");
+        assert_eq!(stats("repair_misses"), 1);
         assert!(db.snapshot().verified_consistent());
     }
 
@@ -2188,9 +2202,9 @@ mod tests {
             .commit_with_policy(&t, ViolationPolicy::AutoRepair)
             .unwrap();
         assert!(outcome.repair.is_some());
-        let stats = db.certain_cache_stats();
-        assert_eq!(stats.invalidated, 1, "{stats:?}");
-        assert_eq!(stats.entries, 0);
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("invalidated"), 1);
+        assert_eq!(stats("entries"), 0);
         // And fresh sessions compute fresh, correct answers. The repair
         // delta covered the whole would-be state — the pre-existing
         // violation included — so the head is consistent now: the first
@@ -2200,7 +2214,7 @@ mod tests {
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert!(!fresh.is_empty(), "{fresh}");
-        assert_eq!(db.certain_cache_stats().repair_misses, 1);
+        assert_eq!(counter(&db, "cache.certain.repair_misses"), 1);
         assert!(db.snapshot().verified_consistent());
     }
 
@@ -2231,21 +2245,18 @@ mod tests {
                 .execute(&q, &Params::new(), Consistency::Certain)
                 .unwrap();
         }
-        let stats = db.certain_cache_stats();
+        let stats = metrics(&db, "cache.certain");
         // One row-set compute per state post-commit (plus the
         // pre-commit warm-up); the remaining six alternating executes
         // all hit. Before the ring, the pinned session missed every
         // pass and its installs were refused.
-        assert_eq!((stats.hits, stats.misses), (6, 3), "{stats:?}");
-        assert_eq!(stats.entries, 2, "one row set per cached state");
+        assert_eq!((stats("hits"), stats("misses")), (6, 3));
+        assert_eq!(stats("entries"), 2, "one row set per cached state");
         assert_eq!(
-            stats.repair_misses, 2,
-            "one enumeration per state, churn notwithstanding: {stats:?}"
+            stats("repair_misses"),
+            2,
+            "one enumeration per state, churn notwithstanding"
         );
-    }
-
-    fn counter(db: &ConcurrentDatabase, name: &str) -> u64 {
-        db.obs_report().counter(name).unwrap_or(0)
     }
 
     /// The outcome paths of the recorded `query.execute` spans, in order.
@@ -2283,9 +2294,12 @@ mod tests {
         assert_eq!(read(Consistency::Certain).len(), 2);
         // Not one of those reads touched the certain cache or the
         // repair engine.
-        let stats = db.certain_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-        assert_eq!(stats.repair_misses + stats.repair_hits, 0);
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(
+            (stats("hits"), stats("misses"), stats("entries")),
+            (0, 0, 0)
+        );
+        assert_eq!(stats("repair_misses") + stats("repair_hits"), 0);
         assert_eq!(counter(&db, "query.certain.consistent"), 2);
         assert_eq!(counter(&db, "consistency.preserved"), 3);
         assert_eq!(counter(&db, "consistency.established"), 0);
@@ -2318,7 +2332,7 @@ mod tests {
         assert!(db.snapshot().verified_consistent());
         assert_eq!(counter(&db, "consistency.established"), 1);
         assert!(db.recent_events().iter().all(|e| e.name != "repair.run"));
-        assert_eq!(db.certain_cache_stats().entries, 0);
+        assert_eq!(counter(&db, "cache.certain.entries"), 0);
         // A violating raw edit clears it again, and the cache path takes
         // over unchanged.
         db.update_schema(|d| d.insert_fact(&Fact::parse_like("p", &["a"])));
@@ -2329,8 +2343,8 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 1, "only p(b) is certain");
         assert!(!db.snapshot().verified_consistent());
-        let stats = db.certain_cache_stats();
-        assert_eq!((stats.repair_misses, stats.entries), (1, 1), "{stats:?}");
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!((stats("repair_misses"), stats("entries")), (1, 1));
         // Guarded commits on an unverified head prove the step, not the
         // base case: the latch stays unset.
         db.commit_updates_with_retry(&[upd(true, "noise", &["n"])], 4)
@@ -2353,17 +2367,16 @@ mod tests {
                 db.prepare(hot).unwrap();
             }
         }
-        let stats = db.plan_cache_stats();
+        let entries = counter(&db, "cache.plan.entries");
         assert!(
-            stats.entries <= 16 * 64,
-            "shards must stay bounded, got {} entries",
-            stats.entries
+            entries <= 16 * 64,
+            "shards must stay bounded, got {entries} entries"
         );
         // The hot key survived the churn: one more lookup is a hit.
-        let misses_before = db.plan_cache_stats().misses;
+        let misses_before = counter(&db, "cache.plan.misses");
         db.prepare(hot).unwrap();
-        let after = db.plan_cache_stats();
-        assert_eq!(after.misses, misses_before, "hot entry was evicted");
+        let after = counter(&db, "cache.plan.misses");
+        assert_eq!(after, misses_before, "hot entry was evicted");
     }
 
     // ---- the parsed one-shot surface -------------------------------------
@@ -2544,9 +2557,9 @@ mod tests {
         assert!(!db.try_remove_rule("ghost(X) :- p(X).").unwrap());
         assert_eq!(read(), warm);
         assert_eq!(execute_closes(&db), [Some("repair"), Some("cache_hit")]);
-        let stats = db.certain_cache_stats();
-        assert_eq!((stats.invalidated, stats.hits), (0, 1), "{stats:?}");
-        assert_eq!(stats.repair_misses, 1, "{stats:?}");
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!((stats("invalidated"), stats("hits")), (0, 1));
+        assert_eq!(stats("repair_misses"), 1);
         assert_eq!(counter(&db, "cache.certain.invalidated"), 0);
     }
 
@@ -2618,10 +2631,10 @@ mod tests {
         // its own reads one key.
         let db = ConcurrentDatabase::parse(ORG).unwrap();
         db.try_insert("veteran(zed).").unwrap();
-        assert_eq!(db.conflict_stats().whole_relation_fallbacks, 0);
+        assert_eq!(counter(&db, "txn.conflicts.whole_relation_fallbacks"), 0);
         let outcome = db.try_apply_where("veteran(X) where member(X, Y)").unwrap();
         assert_eq!(outcome.effective, [upd(true, "veteran", &["ann"])]);
-        assert_eq!(db.conflict_stats().whole_relation_fallbacks, 1);
+        assert_eq!(counter(&db, "txn.conflicts.whole_relation_fallbacks"), 1);
     }
 
     #[test]
@@ -2764,17 +2777,17 @@ mod tests {
         assert!(!db.snapshot().verified_consistent());
         let repairs = db.minimal_repairs().unwrap();
         assert_eq!(repairs.len(), 2, "{repairs:?}");
-        let answers = db.consistent_answer("p(X)").unwrap();
+        let answers = read(&db, "p(X)", Consistency::Certain);
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0][0].1, Sym::new("b"));
+        assert_eq!(answers[0].value(0).unwrap().sym(), Sym::new("b"));
         // Derived predicates answer consistently too.
         let db = ConcurrentDatabase::parse_tolerant(
             "r(X) :- p(X). p(a). p(b). q(b). constraint c: forall X: p(X) -> q(X).",
         )
         .unwrap();
-        let answers = db.consistent_answer("r(X)").unwrap();
+        let answers = read(&db, "r(X)", Consistency::Certain);
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0][0].1, Sym::new("b"));
+        assert_eq!(answers[0].value(0).unwrap().sym(), Sym::new("b"));
     }
 
     #[test]
@@ -2783,8 +2796,8 @@ mod tests {
         assert_eq!(db.minimal_repairs().unwrap().len(), 1);
         assert!(db.minimal_repairs().unwrap()[0].is_empty());
         assert_eq!(
-            db.consistent_answer("member(X, sales)").unwrap(),
-            db.solutions("member(X, sales)").unwrap()
+            read(&db, "member(X, sales)", Consistency::Certain),
+            read(&db, "member(X, sales)", Consistency::Latest)
         );
     }
 

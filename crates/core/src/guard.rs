@@ -5,7 +5,9 @@
 use crate::concurrent::TxnError;
 use crate::query::QueryError;
 use std::fmt;
-use uniform_analyze::{AnalyzeError, AnalyzeOptions, Analyzer, SatClass};
+use uniform_analyze::{
+    AnalyzeError, AnalyzeErrorKind, AnalyzeOptions, Analyzer, Diagnostic, SatClass,
+};
 use uniform_datalog::{Database, RuleSet};
 use uniform_integrity::{CheckOptions, CheckReport, Checker, RuleUpdate};
 use uniform_logic::{Constraint, LogicError};
@@ -19,10 +21,9 @@ pub struct UniformOptions {
     pub check: CheckOptions,
     /// Options for satisfiability checking of schema changes.
     pub sat: SatOptions,
-    /// Cost bounds for the repair engine behind
-    /// [`crate::ConcurrentDatabase::consistent_answer`] /
-    /// `minimal_repairs` and the `Explain`/`AutoRepair` violation
-    /// policies.
+    /// Cost bounds for the repair engine behind `Certain` reads,
+    /// [`crate::ConcurrentDatabase::minimal_repairs`] and the
+    /// `Explain`/`AutoRepair` violation policies.
     pub repair: RepairOptions,
     /// What the commit pipeline does when a transaction's integrity
     /// check fails (see [`ViolationPolicy`]); overridable per commit
@@ -43,12 +44,10 @@ pub enum UniformError {
     UpdateRejected(Box<CheckReport>),
     /// The program's initial facts violate its constraints.
     InitialViolation(Vec<String>),
-    /// A new constraint or rule makes the schema unsatisfiable (or the
-    /// checker could not find a model within its budget).
-    Unsatisfiable(Box<SatReport>),
     /// The static analyzer refused the schema: at least one
     /// error-severity diagnostic (stable `UAxxxx` codes — an
-    /// unsatisfiable constraint *set* above all, UA0301). Distinct from
+    /// unsatisfiable constraint *set* above all, UA0301, or a §4 search
+    /// that ran out of budget before it could tell, UA0304). Distinct from
     /// [`UniformError::CurrentlyViolated`]: a violated-but-satisfiable
     /// constraint is repairable, an analyzer-refused one admits no
     /// state at all, whatever the facts.
@@ -66,10 +65,8 @@ pub enum UniformError {
     /// The repair engine could not produce a repair set (budget
     /// exhausted, or the state is unrepairable).
     Repair(RepairError),
-    /// The typed read path refused (see [`QueryError`]); parse and
-    /// repair-budget refusals are mapped onto the older
-    /// [`UniformError::Language`] / [`UniformError::Repair`] variants
-    /// instead, so this carries only the genuinely new cases.
+    /// The typed read path refused (see [`QueryError`]); parse refusals
+    /// are mapped onto [`UniformError::Language`] instead.
     Query(QueryError),
     /// A guarded fact update (`try_insert` and friends) failed in the
     /// commit pipeline for a reason other than a plain integrity
@@ -100,19 +97,12 @@ impl fmt::Display for UniformError {
             UniformError::InitialViolation(names) => {
                 write!(f, "initial facts violate constraints: {}", names.join(", "))
             }
-            UniformError::Unsatisfiable(report) => match &report.outcome {
-                SatOutcome::Unsatisfiable => write!(
-                    f,
-                    "constraints and rules are unsatisfiable: no database state could ever satisfy them"
-                ),
-                SatOutcome::Unknown { reason } => {
-                    write!(f, "satisfiability could not be established: {reason}")
-                }
-                SatOutcome::Satisfiable { .. } => write!(f, "internal: satisfiable reported as error"),
-            },
             UniformError::Analyze(e) => write!(f, "{e}"),
             UniformError::CurrentlyViolated { constraint, repair } => {
-                write!(f, "constraint {constraint} is violated by the current database")?;
+                write!(
+                    f,
+                    "constraint {constraint} is violated by the current database"
+                )?;
                 if let Some(repair) = repair {
                     write!(f, "; applying {repair} would enforce it")?;
                 }
@@ -158,9 +148,8 @@ impl From<TxnError> for UniformError {
 /// [`crate::ConcurrentDatabase::try_add_constraint`]: classify the candidate constraint set
 /// against `rules` with the analyzer in gate mode (one bounded search —
 /// the cost of the pre-analyzer `SatChecker` call). A proven-impossible
-/// set is refused with the typed [`AnalyzeError`] (UA0301); an
-/// exhausted search keeps the legacy [`UniformError::Unsatisfiable`]
-/// refusal, whose report carries the search's reason and stats.
+/// set is refused with the typed [`AnalyzeError`] (UA0301), an
+/// exhausted search with UA0304 (see [`budget_refusal`]).
 pub(crate) fn refuse_unsatisfiable_candidate(
     rules: &RuleSet,
     candidate: Vec<Constraint>,
@@ -176,27 +165,34 @@ pub(crate) fn refuse_unsatisfiable_candidate(
             )))
         }
         SatClass::Unknown => {
-            let report = analyzed
-                .sat()
-                .set_report
-                .clone()
-                .expect("unknown class comes from the set search");
-            Err(UniformError::Unsatisfiable(Box::new(report)))
+            let report = analyzed.sat().set_report.as_ref();
+            let Some(SatOutcome::Unknown { reason }) = report.map(|r| &r.outcome) else {
+                unreachable!("unknown class comes from the set search")
+            };
+            Err(budget_refusal(reason))
         }
         SatClass::Tautological | SatClass::Contingent => Ok(()),
     }
 }
 
-/// The shim mapping: the typed read path's [`QueryError`] folded into
-/// this error taxonomy. Parse errors and repair-budget
-/// refusals keep their historical variants (callers match on them);
-/// everything genuinely new rides in [`UniformError::Query`].
+/// The refusal of a §4 gate whose bounded search ran out of budget:
+/// [`UniformError::Analyze`] whose primary diagnostic is UA0304,
+/// carrying the search's `Unknown` reason.
+fn budget_refusal(reason: &str) -> UniformError {
+    UniformError::Analyze(AnalyzeError::new(
+        AnalyzeErrorKind::Rejected,
+        vec![Diagnostic::satisfiability_unknown(reason)],
+    ))
+}
+
+/// The typed read path's [`QueryError`] folded into this error
+/// taxonomy: parse errors keep [`UniformError::Language`] (callers
+/// match on it); everything else rides in [`UniformError::Query`].
 impl From<QueryError> for UniformError {
     fn from(e: QueryError) -> Self {
         match e {
             QueryError::Parse(e) => UniformError::Language(LogicError::Parse(e)),
             QueryError::Normalize(e) => UniformError::Language(LogicError::Normalize(e)),
-            QueryError::Budget(e) => UniformError::Repair(e),
             other => UniformError::Query(other),
         }
     }
@@ -238,17 +234,17 @@ pub(crate) fn guarded_rule_update(
             &computed
         }
     };
-    if !sat.outcome.is_satisfiable() {
-        // A *proven* unsatisfiable candidate schema is a static
-        // refusal — the same UA0301 verdict the analyzer reaches —
-        // while an exhausted search keeps the legacy report-carrying
-        // error so callers can inspect the budget that ran out.
-        return Err(match sat.outcome {
-            SatOutcome::Unsatisfiable => {
-                UniformError::Analyze(AnalyzeError::unsatisfiable_set(db.constraints().len()))
-            }
-            _ => UniformError::Unsatisfiable(Box::new(sat.clone())),
-        });
+    // A *proven* unsatisfiable candidate schema is a static refusal —
+    // the same UA0301 verdict the analyzer reaches — and an exhausted
+    // search is refused with UA0304, as the constraint gate does.
+    match &sat.outcome {
+        SatOutcome::Satisfiable { .. } => {}
+        SatOutcome::Unsatisfiable => {
+            return Err(UniformError::Analyze(AnalyzeError::unsatisfiable_set(
+                db.constraints().len(),
+            )))
+        }
+        SatOutcome::Unknown { reason } => return Err(budget_refusal(reason)),
     }
 
     let report = checker.evaluate_rule_update(&compiled);

@@ -40,18 +40,24 @@
 //!     .unwrap_err();
 //! println!("rejected: {err}");
 //! ```
+//!
+//! Reads have one path: [`ConcurrentDatabase::prepare`] (or
+//! `prepare_with_params` / `prepare_formula`) and [`Session::execute`]
+//! at [`Consistency::Latest`] or [`Consistency::Certain`], answering
+//! [`Rows`]; [`ConcurrentDatabase::query`] is sugar for a closed
+//! formula. Counters are read by their registry names from
+//! [`ConcurrentDatabase::obs_report`]. A §4 gate refuses a schema change
+//! with [`UniformError::Analyze`]: UA0301 when the candidate is proven
+//! unsatisfiable, UA0304 when its search ran out of budget.
 
 pub mod certain_cache;
 pub mod concurrent;
 pub mod guard;
 pub mod query;
 
-pub use certain_cache::CertainCacheStats;
 pub use concurrent::{CommitOutcome, ConcurrentDatabase, TxnError};
 pub use guard::{UniformError, UniformOptions};
-pub use query::{
-    Consistency, Params, PlanCacheStats, PreparedQuery, QueryError, Row, Rows, Session, Value,
-};
+pub use query::{Consistency, Params, PreparedQuery, QueryError, Row, Rows, Session, Value};
 
 // Re-export the full stack for advanced use.
 pub use uniform_analyze as analyze;
@@ -73,9 +79,8 @@ pub use uniform_analyze::{
     SatAnalysis, SatClass, Severity,
 };
 pub use uniform_datalog::{
-    ApplyError, CommitError, CommitQueue, CommitReceipt, ConflictGranularity, ConflictStats,
-    Database, FactSet, MaintenanceCounters, Model, ModelPath, ReadPattern, Snapshot, Transaction,
-    TxnBuilder, Update,
+    ApplyError, CommitError, CommitQueue, CommitReceipt, ConflictGranularity, Database, FactSet,
+    Model, ModelPath, ReadPattern, Snapshot, Transaction, TxnBuilder, Update,
 };
 pub use uniform_integrity::{
     CheckOptions, CheckReport, Checker, ConditionalUpdate, RuleUpdate, Violation,

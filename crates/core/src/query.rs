@@ -24,8 +24,7 @@
 //!   repair-aware certain semantics (true in **every** minimal repair),
 //!   both through the same prepared plan;
 //! * results come back as [`Rows`] — a typed result set with a named
-//!   column schema, owned [`Value`]s and a deterministic order —
-//!   instead of the historical `Vec<Vec<(Sym, Sym)>>`.
+//!   column schema, owned [`Value`]s and a deterministic order.
 //!
 //! ```
 //! use uniform::{ConcurrentDatabase, Consistency, Params, PreparedQuery};
@@ -208,17 +207,17 @@ pub enum Consistency {
 // Errors
 // ---------------------------------------------------------------------------
 
-/// The one error type of the typed read path. Shims map it into
-/// [`crate::UniformError`] (and, where transactional context calls for
-/// it, [`crate::TxnError`]) at the crate boundary.
+/// The one error type of the typed read path.
+/// [`crate::ConcurrentDatabase::query`] maps it into
+/// [`crate::UniformError`] at the crate boundary.
 #[derive(Debug)]
 pub enum QueryError {
     /// The query source does not parse.
     Parse(ParseError),
     /// The formula parses but does not normalize to restricted
     /// quantification (free variables, non-restrictable quantifiers —
-    /// the domain-independence conditions). Kept structured so the
-    /// façade shims can map it onto the historical
+    /// the domain-independence conditions). Kept structured so
+    /// [`crate::ConcurrentDatabase::query`] can map it onto
     /// `UniformError::Language(LogicError::Normalize(..))`.
     Normalize(uniform_logic::NormalizeError),
     /// The query parses but cannot be planned: a free variable that is
@@ -388,16 +387,6 @@ impl Rows {
 
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
         self.rows.iter()
-    }
-
-    /// The legacy binding shape (`Vec` of `(variable, constant)` pairs
-    /// per answer) the pre-session façade methods used to return; the
-    /// shims go through this.
-    pub fn bindings(&self) -> Vec<Vec<(Sym, Sym)>> {
-        self.rows
-            .iter()
-            .map(|r| r.iter().map(|(c, v)| (c, v.sym())).collect())
-            .collect()
     }
 }
 
@@ -1133,18 +1122,6 @@ fn row_of(columns: &Arc<[Sym]>, walk: impl Fn(Sym) -> Term) -> Row {
 // The shared prepared-plan cache
 // ---------------------------------------------------------------------------
 
-/// Running totals of a [`crate::ConcurrentDatabase`]'s prepared-plan
-/// cache (see [`crate::ConcurrentDatabase::plan_cache_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups served from the cache (no re-parse, shared plans).
-    pub hits: u64,
-    /// Lookups that parsed and inserted a fresh prepared query.
-    pub misses: u64,
-    /// Prepared queries currently cached.
-    pub entries: usize,
-}
-
 const CACHE_SHARDS: usize = 16;
 
 /// Prepared queries one shard keeps (the whole cache holds at most
@@ -1186,8 +1163,7 @@ struct Shard {
 /// and rebuilt on demand (see [`PreparedQuery`]).
 pub(crate) struct PlanCache {
     shards: Vec<Mutex<Shard>>,
-    /// Registry-backed (`cache.plan.*`); bumped only while the owning
-    /// shard's mutex is held, so per-shard reads are consistent.
+    /// Registry-backed (`cache.plan.hits` / `cache.plan.misses`).
     hits: Counter,
     misses: Counter,
 }
@@ -1246,27 +1222,10 @@ impl PlanCache {
         Ok(query)
     }
 
-    /// Totals as of this call. Hit/miss bumps happen under the shard
-    /// locks; `entries` sums the shards one lock at a time, so across
-    /// shards the snapshot is per-shard (not globally) atomic.
-    pub(crate) fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            entries: self.shards.iter().map(|s| s.lock().entries.len()).sum(),
-        }
-    }
-}
-
-impl fmt::Display for PlanCacheStats {
-    /// Renders through the registry naming (`cache.plan.*`), matching
-    /// the [`uniform_obs::ObsReport`] counter names.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cache.plan.hits={} cache.plan.misses={} cache.plan.entries={}",
-            self.hits, self.misses, self.entries
-        )
+    /// Prepared queries currently cached (the `cache.plan.entries`
+    /// gauge), summed one shard lock at a time.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 }
 

@@ -156,7 +156,7 @@ pub struct ReadFootprint {
     /// code path that rebuilds or replaces the relation's entry. Kept
     /// separate from `map` so overflow-widening stays distinguishable
     /// from a deliberate [`ReadFootprint::record_whole`]
-    /// (`ConflictStats::whole_relation_fallbacks` counts the former).
+    /// (`txn.conflicts.whole_relation_fallbacks` counts the former).
     widened: BTreeSet<Sym>,
 }
 
@@ -337,7 +337,7 @@ mod tests {
         );
 
         // A deliberate whole-relation read is *not* an overflow: the
-        // latch keeps the two distinguishable for ConflictStats.
+        // latch keeps the two distinguishable for the conflict counters.
         fp.record_whole(q);
         assert!(!fp.overflowed(q));
         assert!(fp.overflowed(p));

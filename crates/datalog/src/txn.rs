@@ -22,8 +22,8 @@
 //! conflicting candidate is rejected with a typed
 //! [`CommitError::Conflict`] naming the relations and the granularity
 //! that refused it, so callers can re-begin against a fresh snapshot
-//! and retry; [`CommitQueue::conflict_stats`] counts refusals at each
-//! granularity. This is sound for the paper's incremental checking
+//! and retry; the `txn.conflicts.*` counters of [`CommitQueue::obs`]
+//! count refusals at each granularity. This is sound for the paper's incremental checking
 //! because Bry/Decker/Manthey's method makes a check a function of
 //! (snapshot state restricted to the tuples the read patterns cover,
 //! net delta): if no admitted writer touched those tuples since `v`,
@@ -277,40 +277,6 @@ pub enum ModelPath {
     Rematerialized,
 }
 
-/// Running counters of the queue's model-maintenance behavior, for
-/// tests and operators (see [`CommitQueue::maintenance`]).
-///
-/// This struct is a *view*: the authoritative storage is the queue's
-/// `uniform-obs` registry counters (`maintain.*`), and
-/// [`CommitQueue::maintenance`] snapshots them under the queue mutex —
-/// the same lock every bump holds — so the fields are mutually
-/// consistent at a single point in time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceCounters {
-    /// Effective commits that advanced the model incrementally.
-    pub maintained: u64,
-    /// Schema/rule updates that reset the maintained model.
-    pub schema_resets: u64,
-    /// Constraint-only schema updates: the conflict log was still reset
-    /// (pinned integrity checks are invalid under new constraints) but
-    /// the maintained model survived — constraints never affect the
-    /// canonical model.
-    pub constraint_only_updates: u64,
-}
-
-impl fmt::Display for MaintenanceCounters {
-    /// Renders with the registry's dotted metric names, one
-    /// `name=value` pair per counter.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "maintain.commits.maintained={} maintain.schema_resets={} \
-             maintain.constraint_only_updates={}",
-            self.maintained, self.schema_resets, self.constraint_only_updates
-        )
-    }
-}
-
 /// Proof of an admitted commit.
 #[derive(Clone, Debug)]
 pub struct CommitReceipt {
@@ -346,50 +312,9 @@ struct CommitRecord {
     writes: BTreeMap<Sym, Vec<Box<[Sym]>>>,
 }
 
-/// Running counters of the queue's conflict-detection behavior, by
-/// granularity (see [`CommitQueue::conflict_stats`]).
-///
-/// Like [`MaintenanceCounters`], a *view* over the queue's registry
-/// counters (`txn.*`), snapshotted under the queue mutex so
-/// cross-counter invariants (e.g. `admitted + conflicts == attempts`)
-/// hold within one returned value.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConflictStats {
-    /// Commits admitted by the freshness scan.
-    pub admitted: u64,
-    /// Commits refused because an unbounded (whole-relation) read
-    /// overlapped a later write.
-    pub relation_conflicts: u64,
-    /// Commits refused because a key fingerprint matched a written
-    /// tuple.
-    pub key_conflicts: u64,
-    /// Commit attempts whose read footprint carried at least one
-    /// whole-relation access — the fallback-to-relation-granularity
-    /// count (unbounded check reads, deliberate auto-repair widening,
-    /// or a per-relation key overflow).
-    pub whole_relation_fallbacks: u64,
-}
-
-impl fmt::Display for ConflictStats {
-    /// Renders with the registry's dotted metric names, one
-    /// `name=value` pair per counter.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "txn.commits.admitted={} txn.conflicts.relation={} txn.conflicts.key={} \
-             txn.conflicts.whole_relation_fallbacks={}",
-            self.admitted,
-            self.relation_conflicts,
-            self.key_conflicts,
-            self.whole_relation_fallbacks
-        )
-    }
-}
-
-/// Registry-backed counter handles behind the queue's stats surfaces.
-/// Every bump happens while the queue mutex is held, so locking the
-/// queue and reading all handles yields a consistent point-in-time
-/// snapshot even though each handle is individually relaxed-atomic.
+/// Registry-backed counter handles (`txn.*`, `maintain.*`,
+/// `consistency.*`), read by name through [`CommitQueue::obs`]. Every
+/// bump happens while the queue mutex is held.
 struct QueueMetrics {
     admitted: Counter,
     relation_conflicts: Counter,
@@ -765,36 +690,6 @@ impl CommitQueue {
     pub fn model_path(&self) -> ModelPath {
         self.state.lock().last_path
     }
-
-    /// Running model-maintenance counters — a point-in-time view over
-    /// the registry's `maintain.*` counters, read under the queue mutex
-    /// (the lock every bump holds) so the fields are mutually
-    /// consistent.
-    pub fn maintenance(&self) -> MaintenanceCounters {
-        let _state = self.state.lock();
-        MaintenanceCounters {
-            maintained: self.metrics.maintained.get(),
-            schema_resets: self.metrics.schema_resets.get(),
-            constraint_only_updates: self.metrics.constraint_only_updates.get(),
-        }
-    }
-
-    /// Running conflict-detection counters, by granularity: how many
-    /// commits were admitted, refused by a whole-relation read, refused
-    /// by a key fingerprint, and how many attempts fell back to
-    /// relation granularity because some read was unbounded. A
-    /// point-in-time view over the registry's `txn.*` counters, read
-    /// under the queue mutex so cross-counter arithmetic (e.g.
-    /// `admitted + refusals == attempts`) is exact.
-    pub fn conflict_stats(&self) -> ConflictStats {
-        let _state = self.state.lock();
-        ConflictStats {
-            admitted: self.metrics.admitted.get(),
-            relation_conflicts: self.metrics.relation_conflicts.get(),
-            key_conflicts: self.metrics.key_conflicts.get(),
-            whole_relation_fallbacks: self.metrics.whole_relation_fallbacks.get(),
-        }
-    }
 }
 
 impl fmt::Debug for CommitQueue {
@@ -818,6 +713,11 @@ mod tests {
 
     fn queue(src: &str) -> CommitQueue {
         CommitQueue::new(Database::parse(src).unwrap())
+    }
+
+    /// The queue's registry counter `name`.
+    fn counter(q: &CommitQueue, name: &str) -> u64 {
+        q.obs().report().counter(name).unwrap()
     }
 
     #[test]
@@ -860,7 +760,7 @@ mod tests {
             }
             other => panic!("expected conflict, got {other:?}"),
         }
-        assert_eq!(q.conflict_stats().key_conflicts, 1);
+        assert_eq!(counter(&q, "txn.conflicts.key"), 1);
         // Loser retries against a fresh snapshot and succeeds.
         let mut t3 = q.begin();
         t3.delete(fact("acct", &["k", "v1"]));
@@ -882,12 +782,12 @@ mod tests {
         let r2 = q.commit(&t2).expect("disjoint keys must not conflict");
         assert!(r1.changed() && r2.changed());
         assert!(r2.version > r1.version);
-        let stats = q.conflict_stats();
-        assert_eq!(stats.admitted, 2);
-        assert_eq!(stats.key_conflicts, 0);
-        assert_eq!(stats.relation_conflicts, 0);
+        assert_eq!(counter(&q, "txn.commits.admitted"), 2);
+        assert_eq!(counter(&q, "txn.conflicts.key"), 0);
+        assert_eq!(counter(&q, "txn.conflicts.relation"), 0);
         assert_eq!(
-            stats.whole_relation_fallbacks, 0,
+            counter(&q, "txn.conflicts.whole_relation_fallbacks"),
+            0,
             "blind appends must not fall back to relation granularity"
         );
         assert!(
@@ -918,9 +818,8 @@ mod tests {
             ),
             "{err:?}"
         );
-        let stats = q.conflict_stats();
-        assert_eq!(stats.relation_conflicts, 1);
-        assert_eq!(stats.whole_relation_fallbacks, 1);
+        assert_eq!(counter(&q, "txn.conflicts.relation"), 1);
+        assert_eq!(counter(&q, "txn.conflicts.whole_relation_fallbacks"), 1);
     }
 
     #[test]
@@ -1006,7 +905,7 @@ mod tests {
         // And the builder-side validation catches it before submission.
         assert!(t.validate_arities().is_err());
         assert_eq!(
-            q.conflict_stats().admitted,
+            counter(&q, "txn.commits.admitted"),
             0,
             "a refused commit is not admitted"
         );
@@ -1029,7 +928,7 @@ mod tests {
         ));
         assert_eq!(q.with_db(|db| db.facts().len()), 0, "nothing applied");
         assert_eq!(
-            q.conflict_stats().admitted,
+            counter(&q, "txn.commits.admitted"),
             0,
             "a refused commit is not admitted"
         );
@@ -1101,7 +1000,7 @@ mod tests {
         let snap = q.snapshot();
         assert!(!snap.holds(&fact("b", &["x"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
-        assert_eq!(q.maintenance().maintained, 2);
+        assert_eq!(counter(&q, "maintain.commits.maintained"), 2);
     }
 
     /// The model's relation for a predicate no rule defines *is* the
@@ -1147,7 +1046,11 @@ mod tests {
         let r = q.commit(&noop).unwrap();
         assert!(!r.changed());
         assert_eq!(r.model_path, ModelPath::Maintained);
-        assert_eq!(q.maintenance().maintained, 1, "no-ops maintain nothing");
+        assert_eq!(
+            counter(&q, "maintain.commits.maintained"),
+            1,
+            "no-ops maintain nothing"
+        );
     }
 
     #[test]
@@ -1168,7 +1071,7 @@ mod tests {
             db.set_rules(crate::program::RuleSet::new(rules).unwrap());
         });
         assert_eq!(q.model_path(), ModelPath::Rematerialized);
-        assert_eq!(q.maintenance().schema_resets, 1);
+        assert_eq!(counter(&q, "maintain.schema_resets"), 1);
         // The pinned check predates the schema: refused, retriably.
         let err = q.commit(&inflight).unwrap_err();
         assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
@@ -1210,8 +1113,8 @@ mod tests {
         });
         // The maintained model survived: constraints never affect it.
         assert_eq!(q.model_path(), ModelPath::Maintained);
-        assert_eq!(q.maintenance().schema_resets, 0);
-        assert_eq!(q.maintenance().constraint_only_updates, 1);
+        assert_eq!(counter(&q, "maintain.schema_resets"), 0);
+        assert_eq!(counter(&q, "maintain.constraint_only_updates"), 1);
         let err = q.commit(&inflight).unwrap_err();
         assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
         // The next commit keeps maintaining the same model instance.
@@ -1222,7 +1125,7 @@ mod tests {
         let snap = q.snapshot();
         assert!(snap.holds(&fact("b", &["y"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
-        assert_eq!(q.maintenance().maintained, 2);
+        assert_eq!(counter(&q, "maintain.commits.maintained"), 2);
     }
 
     #[test]
@@ -1233,7 +1136,7 @@ mod tests {
         q.commit(&t).unwrap();
         let n = q.update_schema(|db| db.facts().len());
         assert_eq!(n, 2);
-        assert_eq!(q.maintenance().schema_resets, 0);
+        assert_eq!(counter(&q, "maintain.schema_resets"), 0);
         assert_eq!(q.model_path(), ModelPath::Maintained);
     }
 
@@ -1319,7 +1222,7 @@ mod tests {
         let err = q.commit(&pinned).unwrap_err();
         assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
         assert!(!q.snapshot().holds(&fact("p", &["z"])));
-        assert_eq!(q.conflict_stats().admitted, 2);
+        assert_eq!(counter(&q, "txn.commits.admitted"), 2);
     }
 
     #[test]

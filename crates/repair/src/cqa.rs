@@ -31,35 +31,16 @@ pub(crate) fn query_vars(query: &[Literal]) -> Vec<Sym> {
 
 /// The answers of the conjunctive query `query` that hold in every one
 /// of `repairs` applied (as an overlay) to `edb` under `rules`, whose
-/// canonical model is `model`.
-/// Answers come back sorted by their rendered bindings, so the output
-/// is deterministic across runs and processes.
+/// canonical model is `model`, as bindings of `vars`. `init` pre-binds
+/// query parameters (evaluation extends it per repair) and `vars` names
+/// the output columns explicitly, so a prepared query's column schema —
+/// variables minus parameters, in first-occurrence order — is honored
+/// instead of being re-derived per call. Answers come back sorted by
+/// their rendered bindings, so the output is deterministic across runs
+/// and processes.
 ///
 /// `repairs` must be non-empty — a consistent state contributes the
 /// single empty repair, under which this is ordinary query answering.
-pub fn certain_answers(
-    model: &Model,
-    edb: &FactSet,
-    rules: &RuleSet,
-    repairs: &[RepairSet],
-    query: &[Literal],
-) -> Vec<Vec<(Sym, Sym)>> {
-    certain_answers_bound(
-        model,
-        edb,
-        rules,
-        repairs,
-        query,
-        &Subst::new(),
-        &query_vars(query),
-    )
-}
-
-/// [`certain_answers`] parameterized for prepared queries: `init`
-/// pre-binds query parameters (evaluation extends it per repair) and
-/// `vars` names the output columns explicitly, so a prepared query's
-/// column schema — variables minus parameters, in first-occurrence
-/// order — is honored instead of being re-derived per call.
 pub fn certain_answers_bound(
     model: &Model,
     edb: &FactSet,
@@ -109,19 +90,9 @@ pub fn certain_answers_bound(
     certain.unwrap_or_default().into_values().collect()
 }
 
-/// Is the closed formula true in every repair?
-pub fn certainly_satisfies(
-    model: &Model,
-    edb: &FactSet,
-    rules: &RuleSet,
-    repairs: &[RepairSet],
-    rq: &Rq,
-) -> bool {
-    certainly_satisfies_bound(model, edb, rules, repairs, rq, &Subst::new())
-}
-
-/// [`certainly_satisfies`] with the formula's free variables pre-bound
-/// by `init` (prepared formula queries bind parameters this way).
+/// Is the formula true in every repair, with its free variables
+/// pre-bound by `init` (prepared formula queries bind parameters this
+/// way; a closed formula takes the empty substitution)?
 pub fn certainly_satisfies_bound(
     model: &Model,
     edb: &FactSet,
@@ -130,7 +101,7 @@ pub fn certainly_satisfies_bound(
     rq: &Rq,
     init: &Subst,
 ) -> bool {
-    assert!(!repairs.is_empty(), "see certain_answers");
+    assert!(!repairs.is_empty(), "see certain_answers_bound");
     repairs.iter().all(|repair| {
         let (adds, dels) = repair.overlay();
         let engine = OverlayEngine::over_model(model, edb, rules, adds, dels);
@@ -144,16 +115,25 @@ mod tests {
     use uniform_datalog::{Database, Update};
     use uniform_logic::{parse_literal, Fact};
 
-    #[test]
-    fn empty_repair_is_plain_answering() {
-        let db = Database::parse("p(a). p(b). q(X) :- p(X).").unwrap();
-        let ans = certain_answers(
+    /// Certain answers of `query` over `db`'s state, every query
+    /// variable an output column.
+    fn certain_answers(db: &Database, repairs: &[RepairSet], query: &str) -> Vec<Vec<(Sym, Sym)>> {
+        let query = [parse_literal(query).unwrap()];
+        certain_answers_bound(
             &db.model(),
             db.facts(),
             db.rules(),
-            &[RepairSet::empty()],
-            &[parse_literal("q(X)").unwrap()],
-        );
+            repairs,
+            &query,
+            &Subst::new(),
+            &query_vars(&query),
+        )
+    }
+
+    #[test]
+    fn empty_repair_is_plain_answering() {
+        let db = Database::parse("p(a). p(b). q(X) :- p(X).").unwrap();
+        let ans = certain_answers(&db, &[RepairSet::empty()], "q(X)");
         assert_eq!(ans.len(), 2);
     }
 
@@ -162,13 +142,7 @@ mod tests {
         let db = Database::parse("p(a). p(b).").unwrap();
         let keep_a = RepairSet::from_ops(vec![Update::delete(Fact::parse_like("p", &["b"]))]);
         let keep_b = RepairSet::from_ops(vec![Update::delete(Fact::parse_like("p", &["a"]))]);
-        let ans = certain_answers(
-            &db.model(),
-            db.facts(),
-            db.rules(),
-            &[keep_a, keep_b],
-            &[parse_literal("p(X)").unwrap()],
-        );
+        let ans = certain_answers(&db, &[keep_a, keep_b], "p(X)");
         assert!(ans.is_empty(), "{ans:?}");
     }
 
@@ -176,13 +150,7 @@ mod tests {
     fn overlay_insertions_count() {
         let db = Database::parse("q(X) :- p(X).").unwrap();
         let r = RepairSet::from_ops(vec![Update::insert(Fact::parse_like("p", &["z"]))]);
-        let ans = certain_answers(
-            &db.model(),
-            db.facts(),
-            db.rules(),
-            &[r],
-            &[parse_literal("q(X)").unwrap()],
-        );
+        let ans = certain_answers(&db, &[r], "q(X)");
         assert_eq!(ans.len(), 1);
         assert_eq!(ans[0][0].1.as_str(), "z");
     }

@@ -919,31 +919,29 @@ impl RepairEngine {
         &self,
         query: &[Literal],
     ) -> Result<Vec<Vec<(Sym, Sym)>>, RepairError> {
-        match self.repairs_covering_all_minimal() {
-            Ok(report) => Ok(crate::cqa::certain_answers(
+        let vars = crate::cqa::query_vars(query);
+        let answers = |repairs: &[RepairSet]| {
+            crate::cqa::certain_answers_bound(
                 self.model(),
                 &self.edb,
                 &self.rules,
-                &report.repairs,
+                repairs,
                 query,
-            )),
-            Err(err) => {
-                if matches!(err, RepairError::BudgetExhausted { .. })
-                    && self.reads_outside_affected(query.iter().map(|l| l.atom.pred))
-                {
-                    // The query cannot observe any relation a repair may
-                    // touch: its answers agree across all repairs (and
-                    // with the unrepaired state), clipped budget or not.
-                    return Ok(crate::cqa::certain_answers(
-                        self.model(),
-                        &self.edb,
-                        &self.rules,
-                        &[RepairSet::empty()],
-                        query,
-                    ));
-                }
-                Err(err)
+                &Subst::new(),
+                &vars,
+            )
+        };
+        match self.repairs_covering_all_minimal() {
+            Ok(report) => Ok(answers(&report.repairs)),
+            // The query cannot observe any relation a repair may touch:
+            // its answers agree across all repairs (and with the
+            // unrepaired state), clipped budget or not.
+            Err(RepairError::BudgetExhausted { .. })
+                if self.reads_outside_affected(query.iter().map(|l| l.atom.pred)) =>
+            {
+                Ok(answers(&[RepairSet::empty()]))
             }
+            Err(err) => Err(err),
         }
     }
 
@@ -952,29 +950,25 @@ impl RepairEngine {
     /// with the same affected-closure exemption for formulas that read
     /// only unaffected relations.
     pub fn certainly_satisfies(&self, rq: &Rq) -> Result<bool, RepairError> {
-        match self.repairs_covering_all_minimal() {
-            Ok(report) => Ok(crate::cqa::certainly_satisfies(
+        let holds = |repairs: &[RepairSet]| {
+            crate::cqa::certainly_satisfies_bound(
                 self.model(),
                 &self.edb,
                 &self.rules,
-                &report.repairs,
+                repairs,
                 rq,
-            )),
-            Err(err) => {
-                if matches!(err, RepairError::BudgetExhausted { .. })
-                    && self
-                        .reads_outside_affected(rq.literals().iter().map(|o| o.literal.atom.pred))
-                {
-                    return Ok(crate::cqa::certainly_satisfies(
-                        self.model(),
-                        &self.edb,
-                        &self.rules,
-                        &[RepairSet::empty()],
-                        rq,
-                    ));
-                }
-                Err(err)
+                &Subst::new(),
+            )
+        };
+        match self.repairs_covering_all_minimal() {
+            Ok(report) => Ok(holds(&report.repairs)),
+            Err(RepairError::BudgetExhausted { .. })
+                if self
+                    .reads_outside_affected(rq.literals().iter().map(|o| o.literal.atom.pred)) =>
+            {
+                Ok(holds(&[RepairSet::empty()]))
             }
+            Err(err) => Err(err),
         }
     }
 

@@ -83,9 +83,7 @@ pub mod cqa;
 pub mod engine;
 pub mod sat;
 
-pub use cqa::{
-    certain_answers, certain_answers_bound, certainly_satisfies, certainly_satisfies_bound,
-};
+pub use cqa::{certain_answers_bound, certainly_satisfies_bound};
 pub use engine::{
     RepairBackend, RepairEngine, RepairError, RepairOptions, RepairReport, RepairSet, RepairStats,
 };

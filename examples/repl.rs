@@ -27,7 +27,7 @@
 use std::io::{BufRead, Write};
 use uniform::datalog::{Transaction, Update};
 use uniform::logic::parse_literal;
-use uniform::{ConcurrentDatabase, SatOutcome};
+use uniform::{ConcurrentDatabase, Consistency, Params, SatOutcome};
 
 fn main() {
     let mut db = ConcurrentDatabase::parse("").expect("the empty program is consistent");
@@ -200,17 +200,17 @@ fn dispatch(db: &mut ConcurrentDatabase, line: &str) -> Command {
     }
 
     if let Some(rest) = line.strip_prefix("?-") {
-        match db.solutions(rest.trim()) {
-            Ok(sols) if sols.is_empty() => println!("  no."),
-            Ok(sols) => {
-                for s in sols {
-                    if s.is_empty() {
-                        println!("  yes.");
-                    } else {
-                        let row: Vec<String> =
-                            s.iter().map(|(v, c)| format!("{v} = {c}")).collect();
-                        println!("  {}", row.join(", "));
-                    }
+        let rows = db.prepare(rest.trim()).and_then(|q| {
+            db.session()
+                .execute(&q, &Params::new(), Consistency::Latest)
+        });
+        match rows {
+            Ok(rows) if rows.is_empty() => println!("  no."),
+            Ok(rows) if rows.columns().is_empty() => println!("  yes."),
+            Ok(rows) => {
+                for row in &rows {
+                    let row: Vec<String> = row.iter().map(|(v, c)| format!("{v} = {c}")).collect();
+                    println!("  {}", row.join(", "));
                 }
             }
             Err(e) => println!("  {e}"),

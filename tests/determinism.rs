@@ -18,9 +18,9 @@ use uniform::integrity::Checker;
 use uniform::logic::{parse_query, parse_rule};
 use uniform::workload;
 use uniform::{
-    CommitQueue, ConcurrentDatabase, Consistency, Fact, Obs, Params, RepairBackend, RepairEngine,
-    RepairOptions, RepairPreferences, SatChecker, Transaction, UniformOptions, Update,
-    ViolationPolicy,
+    CommitQueue, ConcurrentDatabase, Consistency, Fact, Obs, ObsReport, Params, RepairBackend,
+    RepairEngine, RepairOptions, RepairPreferences, SatChecker, Transaction, UniformOptions,
+    Update, ViolationPolicy,
 };
 
 /// FNV-1a over the rendered observation log (no external deps).
@@ -31,6 +31,18 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// One log line: `label`, then every counter and gauge of `report`
+/// under `family` as `name=value`, in name order.
+fn log_family(log: &mut String, label: &str, report: &ObsReport, family: &str) {
+    let _ = write!(log, "{label}");
+    for (name, value) in &report.counters {
+        if name.starts_with(family) {
+            let _ = write!(log, " {name}={value}");
+        }
+    }
+    let _ = writeln!(log);
 }
 
 /// Everything user-visible from a mixed workload, rendered in the order
@@ -177,7 +189,7 @@ fn observation_log() -> String {
     for f in queue.snapshot().model().iter() {
         let _ = writeln!(log, "maintained {f}");
     }
-    let _ = writeln!(log, "maintenance {:?}", queue.maintenance());
+    log_family(&mut log, "maintenance", &queue.obs().report(), "maintain.");
     // A forced key overlap: the conflict log line (granularity, relation
     // names, version) and the queue's running conflict counters are
     // user-visible and must be order-stable.
@@ -190,7 +202,7 @@ fn observation_log() -> String {
         queue.commit(&first).unwrap();
         let err = queue.commit(&second).unwrap_err();
         let _ = writeln!(log, "conflict {err}");
-        let _ = writeln!(log, "conflictstats {:?}", queue.conflict_stats());
+        log_family(&mut log, "conflictstats", &queue.obs().report(), "txn.");
     }
 
     // 5. Repair sets and certain-answer lists over an inconsistent
@@ -368,7 +380,7 @@ fn observation_log() -> String {
             .unwrap();
         let _ = writeln!(log, "replanned {rows} plan {:?}", q.plan_counters());
     }
-    let _ = writeln!(log, "plancache {:?}", qdb.plan_cache_stats());
+    log_family(&mut log, "plancache", &qdb.obs_report(), "cache.plan.");
     // The shared certain-answer cache: one append outside every cached
     // closure, then re-reads through fresh sessions — the carried-
     // forward rows and the hit/miss/carry counters are user-visible
@@ -400,7 +412,12 @@ fn observation_log() -> String {
                 }
             }
         }
-        let _ = writeln!(log, "certaincache {:?}", qdb.certain_cache_stats());
+        log_family(
+            &mut log,
+            "certaincache",
+            &qdb.obs_report(),
+            "cache.certain.",
+        );
     }
     // 6b. The unified observability export over the same query
     //     database: sorted counter names and values, plus histogram

@@ -26,7 +26,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use uniform::logic::{normalize, parse_formula, parse_query, Sym};
 use uniform::repair::{RepairEngine, RepairOptions};
 use uniform::{
-    ConcurrentDatabase, Consistency, Database, Params, QueryError, UniformOptions, Update,
+    ConcurrentDatabase, Consistency, Database, ObsReport, Params, QueryError, Rows, UniformOptions,
+    Update,
 };
 
 /// ≥256 randomized schedules; `PROPTEST_CASES` scales the effort like
@@ -49,6 +50,12 @@ fn repair_options() -> RepairOptions {
 
 const QUERIES: &[&str] = &["p(X)", "q(X)", "s(X)", "noise(X)"];
 const FORMULA: &str = "forall X: p(X) -> q(X)";
+
+/// The rows as `(column, value)` bindings, the reference's shape.
+fn bindings(rows: &Rows) -> Vec<Vec<(Sym, Sym)>> {
+    let row = |r: &uniform::Row| r.iter().map(|(c, v)| (c, v.sym())).collect();
+    rows.iter().map(row).collect()
+}
 
 /// Fresh reference enumeration on the live database — shares nothing
 /// with the cache under test.
@@ -109,7 +116,7 @@ fn check_state(cdb: &ConcurrentDatabase, ctx: &str) {
             let s = cdb.session();
             match (s.execute(&q, &Params::new(), Consistency::Certain), &fresh) {
                 (Ok(rows), Ok(want)) => assert_eq!(
-                    &rows.bindings(),
+                    &bindings(&rows),
                     want,
                     "Certain mismatch for `{src}` ({pass}) on {ctx}"
                 ),
@@ -125,7 +132,7 @@ fn check_state(cdb: &ConcurrentDatabase, ctx: &str) {
             &fresh,
         ) {
             (Ok(rows), Ok(want)) => assert_eq!(
-                &rows.bindings(),
+                &bindings(&rows),
                 want,
                 "Certain mismatch for `{src}` (session memo) on {ctx}"
             ),
@@ -159,8 +166,8 @@ fn del(p: &str, k: &str) -> Update {
 
 /// One randomized schedule: build a violation-bearing state, then
 /// interleave commits, schema swaps and cached reads, comparing after
-/// every step. Returns this schedule's closing cache stats.
-fn run_schedule(seed: u64) -> uniform::CertainCacheStats {
+/// every step. Returns this schedule's closing metrics report.
+fn run_schedule(seed: u64) -> ObsReport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xcc_cafe);
     let cdb = ConcurrentDatabase::from_database(
         Database::parse(
@@ -228,33 +235,31 @@ fn run_schedule(seed: u64) -> uniform::CertainCacheStats {
         }
         check_state(&cdb, &ctx);
     }
-    cdb.certain_cache_stats()
+    cdb.obs_report()
 }
 
 #[test]
 fn cached_certain_answers_equal_fresh_enumeration_across_schedules() {
-    let mut totals = uniform::CertainCacheStats::default();
+    const COUNTERS: [&str; 4] = ["hits", "repair_hits", "carried_forward", "invalidated"];
+    let mut totals = [0u64; COUNTERS.len()];
     for seed in 0..cases() {
-        let stats = run_schedule(seed);
-        totals.hits += stats.hits;
-        totals.misses += stats.misses;
-        totals.repair_hits += stats.repair_hits;
-        totals.repair_misses += stats.repair_misses;
-        totals.carried_forward += stats.carried_forward;
-        totals.invalidated += stats.invalidated;
+        let report = run_schedule(seed);
+        for (total, name) in totals.iter_mut().zip(COUNTERS) {
+            *total += report
+                .counter(&format!("cache.certain.{name}"))
+                .expect("the cache registers its counters");
+        }
     }
+    let [hits, repair_hits, carried_forward, invalidated] = totals;
     // The differential pass is only meaningful if the cache actually
     // served answers: every interesting path must have fired across
     // the run — row hits, repair reuse, carry-forward and
     // invalidation alike.
-    assert!(totals.hits > 0, "no cached row was ever served: {totals:?}");
-    assert!(totals.repair_hits > 0, "repair cache never hit: {totals:?}");
+    assert!(hits > 0, "no cached row was ever served: {totals:?}");
+    assert!(repair_hits > 0, "repair cache never hit: {totals:?}");
     assert!(
-        totals.carried_forward > 0,
+        carried_forward > 0,
         "no commit ever carried the cache forward: {totals:?}"
     );
-    assert!(
-        totals.invalidated > 0,
-        "nothing ever invalidated: {totals:?}"
-    );
+    assert!(invalidated > 0, "nothing ever invalidated: {totals:?}");
 }

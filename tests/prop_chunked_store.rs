@@ -451,10 +451,18 @@ fn disjoint_key_writers_admit_and_clone_only_touched_pages() {
                 UniformOptions::default(),
             );
             let bytes = hot_relation_rounds(&db, ROUNDS, WRITERS);
-            let stats = db.conflict_stats();
-            assert_eq!(stats.admitted, (ROUNDS * WRITERS) as u64, "{stats:?}");
-            assert_eq!(stats.key_conflicts + stats.relation_conflicts, 0);
-            assert_eq!(stats.whole_relation_fallbacks, 0);
+            let report = db.obs_report();
+            let stats = |name| report.counter(name).unwrap();
+            assert_eq!(
+                stats("txn.commits.admitted"),
+                (ROUNDS * WRITERS) as u64,
+                "{report}"
+            );
+            assert_eq!(
+                stats("txn.conflicts.key") + stats("txn.conflicts.relation"),
+                0
+            );
+            assert_eq!(stats("txn.conflicts.whole_relation_fallbacks"), 0);
             assert_eq!(
                 db.with_database(|d| d.facts().len()),
                 rows + 1 + ROUNDS * WRITERS
@@ -470,7 +478,11 @@ fn disjoint_key_writers_admit_and_clone_only_touched_pages() {
                 )));
             }
             db.commit(&wide).expect("widened append admits unopposed");
-            assert_eq!(db.conflict_stats().whole_relation_fallbacks, 1);
+            assert_eq!(
+                db.obs_report()
+                    .counter("txn.conflicts.whole_relation_fallbacks"),
+                Some(1)
+            );
             bytes
         })
         .collect();

@@ -85,6 +85,11 @@ fn verify_snapshot(snap: &Snapshot, ctx: &str) {
     );
 }
 
+/// The queue's registry counter `name`.
+fn counter(q: &CommitQueue, name: &str) -> u64 {
+    q.obs().report().counter(name).unwrap()
+}
+
 /// Threaded guarded writers over a maintained queue: every admitted
 /// effective commit must take the incremental path and leave a snapshot
 /// identical to the oracle.
@@ -165,10 +170,9 @@ fn run_schema_update_schedule(seed: u64) {
             }
         }
     }
-    let counters = q.maintenance();
-    assert_eq!(counters.schema_resets, 1, "seed {seed}");
+    assert_eq!(counter(&q, "maintain.schema_resets"), 1, "seed {seed}");
     assert!(
-        counters.maintained > 0,
+        counter(&q, "maintain.commits.maintained") > 0,
         "seed {seed}: the incremental path must actually run"
     );
 }
@@ -243,7 +247,7 @@ fn recursive_rules_maintained_through_commit_churn() {
         }
         verify_snapshot(&q.snapshot(), &format!("tc churn step {step}"));
     }
-    assert!(q.maintenance().maintained > 0);
+    assert!(counter(&q, "maintain.commits.maintained") > 0);
 }
 
 /// ROADMAP follow-up from PR 3: a *constraint-only* registry change
@@ -267,7 +271,7 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             verify_snapshot(&q.snapshot(), &format!("seed {seed} warmup"));
         }
         assert_eq!(q.model_path(), ModelPath::Maintained, "seed {seed}");
-        let maintained_before = q.maintenance().maintained;
+        let maintained_before = counter(&q, "maintain.commits.maintained");
 
         // In flight across the constraint change: must be fenced.
         let mut inflight = q.begin();
@@ -284,8 +288,12 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             ModelPath::Maintained,
             "seed {seed}: constraint-only change must keep the maintained model"
         );
-        assert_eq!(q.maintenance().schema_resets, 0, "seed {seed}");
-        assert_eq!(q.maintenance().constraint_only_updates, 1, "seed {seed}");
+        assert_eq!(counter(&q, "maintain.schema_resets"), 0, "seed {seed}");
+        assert_eq!(
+            counter(&q, "maintain.constraint_only_updates"),
+            1,
+            "seed {seed}"
+        );
         verify_snapshot(&q.snapshot(), &format!("seed {seed} post-constraint"));
         assert!(
             matches!(
@@ -311,7 +319,7 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             );
         }
         assert!(
-            q.maintenance().maintained > maintained_before,
+            counter(&q, "maintain.commits.maintained") > maintained_before,
             "seed {seed}: the incremental path must keep running"
         );
 
@@ -322,7 +330,7 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             db.set_rules(RuleSet::new(rules).unwrap());
         });
         assert_eq!(q.model_path(), ModelPath::Rematerialized, "seed {seed}");
-        assert_eq!(q.maintenance().schema_resets, 1, "seed {seed}");
+        assert_eq!(counter(&q, "maintain.schema_resets"), 1, "seed {seed}");
         verify_snapshot(&q.snapshot(), &format!("seed {seed} post-rule"));
     }
 }

@@ -8,9 +8,8 @@
 //!   parentage nests per thread, and the close tags of `query.execute`
 //!   spans name real outcome paths (`eval`, `consistent`, `cache_hit`,
 //!   `repair`).
-//! * The typed legacy accessors (`conflict_stats`, `maintenance`,
-//!   `certain_cache_stats`, `plan_cache_stats`) are views over the
-//!   registry: both surfaces must agree exactly.
+//! * The `store.cow.*` gauges sample the store's own copy-on-write
+//!   totals (`FactSet::cow_stats`) exactly.
 //! * Under the pinned `NullClock` every histogram recording lands in
 //!   bucket 0, and the JSON export round-trips losslessly and carries
 //!   the metric names dashboards key on.
@@ -231,7 +230,7 @@ fn span_ring_is_well_formed() {
 }
 
 #[test]
-fn legacy_accessors_are_views_over_the_registry() {
+fn cow_gauges_sample_the_store() {
     let db = run_schedule(41);
     let report = db.obs_report();
     let counter = |name: &str| {
@@ -239,38 +238,6 @@ fn legacy_accessors_are_views_over_the_registry() {
             .counter(name)
             .unwrap_or_else(|| panic!("metric {name} not registered"))
     };
-
-    let conflicts = db.conflict_stats();
-    assert_eq!(counter("txn.commits.admitted"), conflicts.admitted);
-    assert_eq!(
-        counter("txn.conflicts.relation"),
-        conflicts.relation_conflicts
-    );
-    assert_eq!(counter("txn.conflicts.key"), conflicts.key_conflicts);
-    assert_eq!(
-        counter("txn.conflicts.whole_relation_fallbacks"),
-        conflicts.whole_relation_fallbacks
-    );
-
-    let maintenance = db.maintenance();
-    assert_eq!(
-        counter("maintain.commits.maintained"),
-        maintenance.maintained
-    );
-    assert_eq!(counter("maintain.schema_resets"), maintenance.schema_resets);
-
-    let cache = db.certain_cache_stats();
-    assert_eq!(counter("cache.certain.hits"), cache.hits);
-    assert_eq!(counter("cache.certain.misses"), cache.misses);
-    assert_eq!(counter("cache.certain.repair_misses"), cache.repair_misses);
-    assert_eq!(counter("cache.certain.invalidated"), cache.invalidated);
-    assert_eq!(counter("cache.certain.entries"), cache.entries as u64);
-
-    let plans = db.plan_cache_stats();
-    assert_eq!(counter("cache.plan.hits"), plans.hits);
-    assert_eq!(counter("cache.plan.misses"), plans.misses);
-    assert_eq!(counter("cache.plan.entries"), plans.entries as u64);
-
     let cow = db.with_database(|d| d.facts().cow_stats());
     assert_eq!(counter("store.cow.pages_cloned"), cow.pages_cloned);
     assert_eq!(counter("store.cow.tuples_cloned"), cow.tuples_cloned);

@@ -17,7 +17,7 @@ use uniform::datalog::{all_solutions, Database, RuleSet};
 use uniform::logic::{parse_query, parse_rule, Subst, Sym, Term};
 use uniform::repair::{RepairEngine, RepairError, RepairOptions};
 use uniform::workload;
-use uniform::{ConcurrentDatabase, Consistency, Params, QueryError, UniformOptions};
+use uniform::{ConcurrentDatabase, Consistency, Params, QueryError, Rows, UniformOptions};
 
 /// ≥256 randomized databases; `PROPTEST_CASES` scales the effort like
 /// every other property suite in the repo.
@@ -44,6 +44,12 @@ fn concurrent(db: &Database) -> ConcurrentDatabase {
             ..UniformOptions::default()
         },
     )
+}
+
+/// The rows as `(column, value)` bindings, the references' shape.
+fn bindings(rows: &Rows) -> Vec<Vec<(Sym, Sym)>> {
+    let row = |r: &uniform::Row| r.iter().map(|(c, v)| (c, v.sym())).collect();
+    rows.iter().map(row).collect()
 }
 
 /// The canonical result order the typed read path guarantees: sorted by
@@ -108,7 +114,7 @@ fn check_db(db: &Database, queries: &[&str], ctx: &str) {
             .execute(&q, &Params::new(), Consistency::Latest)
             .expect("latest executes");
         assert_eq!(
-            rows.bindings(),
+            bindings(&rows),
             legacy_latest(db, src),
             "Latest mismatch for `{src}` on {ctx}"
         );
@@ -117,7 +123,7 @@ fn check_db(db: &Database, queries: &[&str], ctx: &str) {
             legacy_certain(db, src),
         ) {
             (Ok(rows), Ok(want)) => assert_eq!(
-                rows.bindings(),
+                bindings(&rows),
                 want,
                 "Certain mismatch for `{src}` on {ctx}"
             ),
@@ -194,7 +200,7 @@ fn prepared_params_equal_substituted_one_shots_incl_recursive_goals() {
                 .execute(&q, &params, Consistency::Latest)
                 .expect("latest executes");
             assert_eq!(
-                rows.bindings(),
+                bindings(&rows),
                 legacy_latest(&db, &substituted),
                 "Latest mismatch for S={start}, seed {seed}"
             );
@@ -203,7 +209,7 @@ fn prepared_params_equal_substituted_one_shots_incl_recursive_goals() {
                 legacy_certain(&db, &substituted),
             ) {
                 (Ok(rows), Ok(want)) => assert_eq!(
-                    rows.bindings(),
+                    bindings(&rows),
                     want,
                     "Certain mismatch for S={start}, seed {seed}"
                 ),
@@ -226,7 +232,7 @@ fn cached_plans_invalidate_on_rule_updates_and_schema_changes() {
             .execute(&q, &Params::new(), Consistency::Latest)
             .unwrap();
         assert_eq!(
-            before.bindings(),
+            bindings(&before),
             cdb.with_database(|d| legacy_latest(d, "enrolled(X, C)"))
         );
         let (_, misses0) = q.plan_counters();
@@ -242,7 +248,7 @@ fn cached_plans_invalidate_on_rule_updates_and_schema_changes() {
             .execute(&q_again, &Params::new(), Consistency::Latest)
             .unwrap();
         assert_eq!(
-            after_rule.bindings(),
+            bindings(&after_rule),
             cdb.with_database(|d| legacy_latest(d, "enrolled(X, C)")),
             "stale plan served after try_add_rule (seed {seed})"
         );
@@ -264,7 +270,7 @@ fn cached_plans_invalidate_on_rule_updates_and_schema_changes() {
             .execute(&q, &Params::new(), Consistency::Latest)
             .unwrap();
         assert_eq!(
-            after_schema.bindings(),
+            bindings(&after_schema),
             cdb.with_database(|d| legacy_latest(d, "enrolled(X, C)")),
             "stale plan served after update_schema (seed {seed})"
         );
