@@ -45,7 +45,7 @@ impl fmt::Display for Severity {
 /// | UA0201 | dead rule                   | warning          |
 /// | UA0202 | unreachable from constraints| info             |
 /// | UA0203 | empty by construction       | warning          |
-/// | UA0204 | closure covers schema       | warning          |
+/// | UA0204 | *retired; never reused*     | —                |
 /// | UA0301 | unsatisfiable constraint set| error            |
 /// | UA0302 | unsatisfiable constraint    | error            |
 /// | UA0303 | tautological constraint     | warning          |
@@ -72,11 +72,6 @@ pub enum Code {
     /// UA0203: a rule body contains complementary literals and is
     /// unsatisfiable by construction.
     EmptyByConstruction,
-    /// UA0204: the union of the constraint closures covers every
-    /// predicate in the schema — every commit invalidates cached
-    /// certain-answer verdicts and repair reports; carry-forward never
-    /// applies.
-    ClosureCoversSchema,
     /// UA0301: the constraint set as a whole admits no database state at
     /// all — the schema is unusable regardless of the facts.
     UnsatisfiableSet,
@@ -103,7 +98,6 @@ impl Code {
             Code::DeadRule => "UA0201",
             Code::UnreachableFromConstraints => "UA0202",
             Code::EmptyByConstruction => "UA0203",
-            Code::ClosureCoversSchema => "UA0204",
             Code::UnsatisfiableSet => "UA0301",
             Code::UnsatisfiableConstraint => "UA0302",
             Code::TautologicalConstraint => "UA0303",
@@ -122,7 +116,6 @@ impl Code {
             | Code::SingletonVariable
             | Code::DeadRule
             | Code::EmptyByConstruction
-            | Code::ClosureCoversSchema
             | Code::TautologicalConstraint => Severity::Warning,
             Code::UnreachableFromConstraints | Code::SatisfiabilityUnknown => Severity::Info,
         }
@@ -288,7 +281,6 @@ mod tests {
             Code::DeadRule,
             Code::UnreachableFromConstraints,
             Code::EmptyByConstruction,
-            Code::ClosureCoversSchema,
             Code::UnsatisfiableSet,
             Code::UnsatisfiableConstraint,
             Code::TautologicalConstraint,

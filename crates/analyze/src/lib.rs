@@ -86,8 +86,7 @@ mod tests {
         .with_declared(vec![(Sym::new("emp"), 2), (Sym::new("dept"), 1)])
         .analyze();
         let lint_codes: Vec<Code> = ap.lint_diagnostics().iter().map(|d| d.code).collect();
-        // The constraint reaches works -> emp, dept: the whole schema.
-        assert_eq!(lint_codes, vec![Code::ClosureCoversSchema]);
+        assert_eq!(lint_codes, vec![]);
         assert!(ap.refusal().is_none());
         assert_eq!(ap.set_class(), SatClass::Contingent);
     }

@@ -294,25 +294,3 @@ fn empty_by_construction(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
 }
-
-/// UA0204 is emitted by the caller once the closure union is known (it
-/// needs the per-constraint closures that [`crate::AnalyzedProgram`]
-/// computes anyway).
-pub(crate) fn closure_covers_schema(
-    schema_preds: &[Sym],
-    closure_union_len: usize,
-    n_constraints: usize,
-) -> Option<Diagnostic> {
-    if n_constraints == 0 || schema_preds.len() < 2 || closure_union_len < schema_preds.len() {
-        return None;
-    }
-    Some(Diagnostic::new(
-        Code::ClosureCoversSchema,
-        format!(
-            "the constraint closure covers all {} schema predicates; every commit \
-             invalidates cached certain-answer verdicts and repair reports \
-             (carry-forward never applies)",
-            schema_preds.len()
-        ),
-    ))
-}

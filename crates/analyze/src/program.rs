@@ -149,7 +149,7 @@ impl Analyzer {
             rule_spans: &self.rule_spans,
             constraint_spans: &self.constraint_spans,
         };
-        let mut diagnostics = lint::run(&input);
+        let diagnostics = lint::run(&input);
         let schema_preds = lint::schema_predicates(&input);
 
         // Per-constraint closures: exactly the static portion of
@@ -168,12 +168,6 @@ impl Analyzer {
             closures.push(one.into_iter().collect::<Vec<Sym>>());
         }
         let closure_union: Vec<Sym> = union.into_iter().collect();
-
-        if let Some(d) =
-            lint::closure_covers_schema(&schema_preds, closure_union.len(), self.constraints.len())
-        {
-            diagnostics.push(d);
-        }
 
         obs.counter("analyze.diagnostics")
             .add(diagnostics.len() as u64);

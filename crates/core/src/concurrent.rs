@@ -587,19 +587,16 @@ impl ConcurrentDatabase {
                 effective,
                 model_path,
             }) => {
-                // Delta-driven cache advance (outside the queue lock —
-                // the version fence inside `advance_commit` keeps
-                // racing, out-of-order hooks sound): entries whose
-                // closures this commit's writes missed are carried
-                // forward to the post-commit revisions.
+                // The certain cache keeps only the new head's state
+                // (outside the queue lock: a racing hook drops entries,
+                // never serves a stale one). Commits never move the
+                // schema revisions.
                 let _invalidate = self.shared.obs.span("commit.invalidate");
-                // Commits never move the schema revisions.
-                let key = StateKey {
-                    version,
+                let head = StateKey {
                     fact_rev,
                     ..StateKey::of(txn.snapshot())
                 };
-                self.shared.certain.advance_commit(key, &effective);
+                self.shared.certain.advance(head);
                 Ok(CommitOutcome {
                     version,
                     report,
@@ -671,16 +668,16 @@ impl ConcurrentDatabase {
         match self.submit_checked(&txn, &combined_report) {
             Ok(CommitReceipt {
                 version,
-                fact_rev: _,
+                fact_rev,
                 effective,
                 model_path,
             }) => {
-                // An auto-repaired commit's effect is the widened
-                // constraint closure (the repair choice surveyed every
-                // relation any constraint can reach), which every
-                // cached verdict intersects — invalidate wholesale.
                 let _invalidate = self.shared.obs.span("commit.invalidate");
-                self.shared.certain.invalidate_all();
+                let head = StateKey {
+                    fact_rev,
+                    ..StateKey::of(txn.snapshot())
+                };
+                self.shared.certain.advance(head);
                 Ok(CommitOutcome {
                     version,
                     report: combined_report,
@@ -869,8 +866,8 @@ impl ConcurrentDatabase {
     /// A closure that leaves the database untouched (a refused or no-op
     /// change) fences nothing and keeps the certain-answer cache.
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        let (result, changed) = self.shared.queue.update_schema(|db| {
-            let before = db.version();
+        let (result, moved) = self.shared.queue.update_schema(|db| {
+            let before = StateKey::of_db(db);
             let result = f(db);
             // Published while the queue lock still serializes schema
             // changes: racing updates must publish in order, or the
@@ -880,14 +877,11 @@ impl ConcurrentDatabase {
             if !Arc::ptr_eq(&head.0, db.schema()) {
                 *head = (db.schema().clone(), db.version());
             }
-            (result, db.version() != before)
+            let after = StateKey::of_db(db);
+            (result, (after != before).then_some(after))
         });
-        if changed {
-            // A schema change moves the constraint closure itself;
-            // cached repair verdicts cannot be carried across it. (Raw
-            // fact edits through this entry point also land here —
-            // wholesale is the only sound answer either way.)
-            self.shared.certain.invalidate_all();
+        if let Some(head) = moved {
+            self.shared.certain.advance(head);
         }
         result
     }
@@ -2094,28 +2088,50 @@ mod tests {
     }
 
     #[test]
-    fn commits_outside_the_closure_carry_the_certain_cache_forward() {
+    fn one_session_enumerates_once_across_certain_queries() {
+        // A session keeps no repair memo of its own: its second
+        // `Certain` query finds the repairs in the shared cache.
+        let db = inconsistent_pq();
+        let session = db.session();
+        for src in ["p(X)", "q(X)"] {
+            let q = db.prepare(src).unwrap();
+            session
+                .execute(&q, &Params::new(), Consistency::Certain)
+                .unwrap();
+        }
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!(stats("repair_misses"), 1, "one enumeration");
+        assert_eq!(stats("repair_hits"), 1);
+        assert_eq!(stats("entries"), 2);
+    }
+
+    #[test]
+    fn every_admitted_commit_drops_the_certain_cache() {
         let db = inconsistent_pq();
         let q = db.prepare("p(X)").unwrap();
         let warm = db
             .session()
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
-        // `noise` is outside the constraint closure and outside the
-        // query's own closure: the admitted commit carries every cached
-        // entry forward to the new revisions instead of dropping them.
+        // `noise` is outside every constraint closure, so the answers
+        // cannot change; the cache keys by exact state all the same,
+        // and the commit drops the entry.
         db.commit_updates_with_retry(&[upd(true, "noise", &["n1"])], 4)
             .unwrap();
+        let stats = metrics(&db, "cache.certain");
+        assert_eq!((stats("entries"), stats("invalidated")), (0, 1));
         let after = db
             .session()
             .execute(&q, &Params::new(), Consistency::Certain)
             .unwrap();
         assert_eq!(warm, after);
         let stats = metrics(&db, "cache.certain");
-        assert_eq!(stats("carried_forward"), 1);
-        assert_eq!(stats("invalidated"), 0);
-        assert_eq!(stats("repair_misses"), 1, "the enumeration survived");
-        assert_eq!(stats("hits"), 1, "the post-commit read was a row hit");
+        assert_eq!(
+            stats("repair_misses"),
+            2,
+            "the new state re-enumerates once"
+        );
+        assert_eq!(stats("hits"), 0);
     }
 
     #[test]
@@ -2123,8 +2139,8 @@ mod tests {
         // Satellite of the PR 6 fence gap: sessions only compare
         // rule/constraint revisions, so a *fact*-level staleness hole in
         // the cache would serve answers of a dead state. The cache key
-        // carries `fact_rev`, and the advance hook drops entries whose
-        // closure the commit wrote into — both asserted here.
+        // carries `fact_rev`, and the advance hook drops the entries of
+        // every other state — both asserted here.
         let db = inconsistent_pq();
         let q = db.prepare("p(X)").unwrap();
         let stale = db
@@ -2144,7 +2160,6 @@ mod tests {
         assert_eq!(fresh.len(), 2, "{fresh}");
         let stats = metrics(&db, "cache.certain");
         assert_eq!(stats("invalidated"), 1);
-        assert_eq!(stats("carried_forward"), 0);
         // The repaired head was looked at, found violation-free, and
         // latched: no second enumeration, no entry for it.
         assert_eq!(stats("repair_misses"), 1);
@@ -2252,11 +2267,10 @@ mod tests {
         // pass and its installs were refused.
         assert_eq!((stats("hits"), stats("misses")), (6, 3));
         assert_eq!(stats("entries"), 2, "one row set per cached state");
-        assert_eq!(
-            stats("repair_misses"),
-            2,
-            "one enumeration per state, churn notwithstanding"
-        );
+        // The commit dropped the pinned state's generation, repairs
+        // included: the warm-up, then one enumeration per state after
+        // the commit, churn notwithstanding.
+        assert_eq!(stats("repair_misses"), 3);
     }
 
     /// The outcome paths of the recorded `query.execute` spans, in order.

@@ -45,7 +45,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -525,6 +525,24 @@ impl PreparedQuery {
             }
         }
         let params = declared_params(params, &vars)?;
+        // §2's range restriction, as rules obey it: a negative literal
+        // is evaluated ground, so a positive literal or a parameter
+        // must bind each of its variables.
+        let bound = |v: &Sym| {
+            params.contains(v)
+                || literals
+                    .iter()
+                    .any(|l| l.positive && l.vars().any(|w| w == *v))
+        };
+        for l in literals.iter().filter(|l| !l.positive) {
+            if let Some(v) = l.vars().find(|v| !bound(v)) {
+                return Err(QueryError::Plan {
+                    reason: format!(
+                        "variable {v} of `{l}` occurs in no positive literal and is not a declared parameter"
+                    ),
+                });
+            }
+        }
         let columns: Vec<Sym> = vars.into_iter().filter(|v| !params.contains(v)).collect();
         Ok(PreparedQuery::from_kind(
             src,
@@ -703,15 +721,12 @@ fn declared_params(params: &[&str], vars: &[Sym]) -> Result<Vec<Sym>, QueryError
 ///
 /// Sessions are cheap (the snapshot clone copies no tuple data), are
 /// `Send + Sync`, and keep serving stable answers while writers commit
-/// to the originating database. Session-local caches amortize work that
-/// is per-*state* rather than per-query: the `Certain` path enumerates
-/// the snapshot's minimal repairs once and intersects every subsequent
-/// certain-answer query over the same list.
+/// to the originating database. A session holds no cache of its own:
+/// the `Certain` path reads the snapshot's minimal repairs and row sets
+/// from the database's shared certain-answer cache, so every session
+/// pinned to one state shares one enumeration.
 pub struct Session {
     snapshot: Snapshot,
-    /// The minimal repairs of this snapshot, memoized per session (the
-    /// fast path — no shared-cache lock on repeat `Certain` executes).
-    repairs: RwLock<Option<Arc<Vec<RepairSet>>>>,
     /// The owning database's shared state: options, observability
     /// domain, the commit-invalidated certain-answer cache (see
     /// [`crate::certain_cache`]), the cached static analysis and, when
@@ -730,7 +745,6 @@ impl Session {
     ) -> Session {
         Session {
             snapshot,
-            repairs: RwLock::new(None),
             shared,
             fenced,
         }
@@ -754,10 +768,11 @@ impl Session {
     /// * The plan is fetched (or built) for the snapshot's rule
     ///   revision — never a stale one.
     /// * `Certain` on a snapshot verified consistent is `Latest`; on
-    ///   any other it enumerates the snapshot's minimal repairs on
-    ///   first use (after looking whether there is anything to repair)
-    ///   and serves the intersection semantics through the same
-    ///   prepared plan; budget refusals are [`QueryError::Budget`].
+    ///   any other it takes the state's minimal repairs from the shared
+    ///   cache, or enumerates them once for every session (after
+    ///   looking whether there is anything to repair), and serves the
+    ///   intersection semantics through the same prepared plan; budget
+    ///   refusals are [`QueryError::Budget`].
     pub fn execute(
         &self,
         query: &PreparedQuery,
@@ -871,10 +886,9 @@ impl Session {
     /// state nobody has looked at, starts with the plain constraint
     /// evaluation — see [`Session::certain_repairs`] — and may end
     /// right there, back on the `latest` path), `over_repairs`
-    /// intersects over them, and the result is installed guarded by the
-    /// query's closure unioned with the constraint closure (the
-    /// carry-forward guard). `preds` — the relations the query reads —
-    /// is only called past the latch.
+    /// intersects over them, and the result is installed under the
+    /// state's key. `preds` — the relations the query reads — is only
+    /// called past the latch.
     fn certain(
         &self,
         query: &PreparedQuery,
@@ -895,8 +909,7 @@ impl Session {
             let preds = preds();
             if let Some(repairs) = self.certain_repairs_scoped(&preds, path)? {
                 let rows = over_repairs(&repairs);
-                let closure = self.certain_row_closure(&preds);
-                cache.install_rows(key, fingerprint, rows.clone(), &closure);
+                cache.install_rows(key, fingerprint, rows.clone());
                 return Ok(rows);
             }
         }
@@ -917,26 +930,6 @@ impl Session {
             let _ = write!(fp, "\u{1}{name}={value}");
         }
         fp
-    }
-
-    /// Everything a cached `Certain` row set can depend on: the query's
-    /// own relations closed downward through rule bodies (its answers
-    /// read those relations even when the repairs are unaffected),
-    /// unioned with the constraint closure (its answers are
-    /// intersections over the minimal repairs).
-    fn certain_row_closure(&self, preds: &[Sym]) -> Vec<Sym> {
-        let graph = self.snapshot.rules().graph();
-        let mut closure: BTreeSet<Sym> = BTreeSet::new();
-        for &pred in preds {
-            closure.extend(graph.reachable(pred));
-        }
-        // The constraint part is a pure function of the schema, taken
-        // precomputed from the shared static analysis instead of
-        // re-walking the dependency graph per install
-        // (`tests/prop_analyze.rs` holds the two bit-identical).
-        let analyzed = self.shared.analyzed_for_snapshot(&self.snapshot);
-        closure.extend(analyzed.closure_union().iter().copied());
-        closure.into_iter().collect()
     }
 
     /// `Latest`: enumerate over the snapshot's canonical model in the
@@ -998,27 +991,23 @@ impl Session {
         Rows::from_rows(columns, rows)
     }
 
-    /// The snapshot's minimal repairs: the session-local memo first,
-    /// then the shared certain-answer cache (any session pinned to the
-    /// same semantic state reuses one enumeration). A state neither knows has not been looked at yet,
-    /// so look before searching: the plain constraint evaluation on the
-    /// snapshot's already-materialised model. Zero violations
+    /// The snapshot's minimal repairs, from the shared certain-answer
+    /// cache when any session pinned to the same state has enumerated
+    /// them. A state the cache does not know has not been looked at
+    /// yet, so look before searching: the plain constraint evaluation
+    /// on the snapshot's already-materialised model. Zero violations
     /// establishes the consistency latch and yields `None` — there is
-    /// nothing to repair, nothing to memoize and nothing to cache. Only
-    /// an actually inconsistent state reaches the bounded repair
-    /// search, whose result is installed shared under its verdict
-    /// closure.
+    /// nothing to repair and nothing to cache. Only an actually
+    /// inconsistent state reaches the bounded repair search, whose
+    /// result is installed shared under the state's key.
     fn certain_repairs(
         &self,
         path: &Cell<&'static str>,
     ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
-        if let Some(repairs) = self.repairs.read().as_ref() {
-            return Ok(Some(repairs.clone()));
-        }
         let shared = &self.shared;
         let key = crate::certain_cache::StateKey::of(&self.snapshot);
         if let Some(repairs) = shared.certain().lookup_repairs(&key) {
-            return Ok(Some(self.memoize_repairs(repairs)));
+            return Ok(Some(repairs));
         }
         if self.snapshot.is_consistent() {
             shared.query_metrics().consistency_established.incr();
@@ -1034,23 +1023,8 @@ impl Session {
             .repairs_covering_all_minimal()
             .map_err(QueryError::Budget)?;
         let repairs = Arc::new(report.repairs);
-        // The closure this entry may be carried forward under: the
-        // static (constraint) part comes precomputed from the shared
-        // analysis, the repair-op predicates are per-report — together
-        // exactly `RepairEngine::report_closure`, without re-walking
-        // the dependency graph per state.
-        let analyzed = shared.analyzed_for_snapshot(&self.snapshot);
-        let mut closure: BTreeSet<Sym> = analyzed.closure_union().iter().copied().collect();
-        for repair in repairs.iter() {
-            for op in repair.ops() {
-                closure.insert(op.fact.pred);
-            }
-        }
-        let closure: Vec<Sym> = closure.into_iter().collect();
-        shared
-            .certain()
-            .install_repairs(key, repairs.clone(), &closure);
-        Ok(Some(self.memoize_repairs(repairs)))
+        shared.certain().install_repairs(key, repairs.clone());
+        Ok(Some(repairs))
     }
 
     /// [`Session::certain_repairs`], with the refusal scoped to the
@@ -1059,9 +1033,9 @@ impl Session {
     /// from every violated constraint's closure, its answers agree
     /// across all minimal repairs — found or clipped — and across the
     /// unrepaired state, so the singleton empty repair serves them
-    /// soundly. The substitute is *not* memoized or installed shared:
-    /// it is correct only for queries outside the closure, while the
-    /// memo and cache are state-scoped.
+    /// soundly. The substitute is *not* installed shared: it is correct
+    /// only for queries outside the closure, while the cache is
+    /// state-scoped.
     fn certain_repairs_scoped(
         &self,
         preds: &[Sym],
@@ -1079,17 +1053,6 @@ impl Session {
             }
             outcome => outcome,
         }
-    }
-
-    /// Publish `repairs` into the session-local memo (first writer
-    /// wins, so concurrent executes agree on one list).
-    fn memoize_repairs(&self, repairs: Arc<Vec<RepairSet>>) -> Arc<Vec<RepairSet>> {
-        let mut slot = self.repairs.write();
-        if let Some(existing) = slot.as_ref() {
-            return existing.clone();
-        }
-        *slot = Some(repairs.clone());
-        repairs
     }
 }
 
@@ -1233,6 +1196,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::ConcurrentDatabase;
+    use std::collections::BTreeSet;
 
     const ORG: &str = "
         member(X, Y) :- leads(X, Y).
@@ -1256,6 +1220,31 @@ mod tests {
         assert_eq!(rows[0].get("Y").unwrap().as_str(), "sales");
         assert_eq!(rows[0].value(0).unwrap(), Value::new("ann"));
         assert_eq!(rows.to_string(), "[X=ann, Y=sales]");
+    }
+
+    #[test]
+    fn unsafe_negative_literals_are_refused_at_prepare() {
+        for src in ["not p(X)", "q(Y), not p(X)"] {
+            let err = PreparedQuery::prepare(src).unwrap_err();
+            assert!(matches!(err, QueryError::Plan { .. }), "{src}: {err}");
+            assert!(err.to_string().starts_with("cannot plan query"), "{err}");
+        }
+        // A declared parameter binds the negative literal's variable.
+        let db = ConcurrentDatabase::parse("q(b). constraint c: forall X: p(X) -> q(X).").unwrap();
+        db.update_schema(|d| {
+            d.insert_fact(&crate::Fact::parse_like("p", &["a"]));
+            d.insert_fact(&crate::Fact::parse_like("p", &["b"]));
+        });
+        let q = PreparedQuery::prepare_with_params("not q(X)", &["X"]).unwrap();
+        let session = db.session();
+        for consistency in [Consistency::Latest, Consistency::Certain] {
+            for (x, want) in [("b", 0), ("c", 1)] {
+                let rows = session
+                    .execute(&q, &Params::new().bind("X", x), consistency)
+                    .unwrap();
+                assert_eq!(rows.len(), want, "{x} at {consistency:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! across runs and processes.
 //!
 //! Metric names are dotted paths in a single global namespace per
-//! `Obs`, e.g. `txn.conflicts.key`, `cache.certain.carried_forward`,
+//! `Obs`, e.g. `txn.conflicts.key`, `cache.certain.invalidated`,
 //! `repair.sat.conflicts`. The full table lives in the repository
 //! README under "Observability".
 

@@ -1100,13 +1100,11 @@ impl RepairEngine {
     /// measure (they are EDB predicates of the same constraints, so
     /// this is a no-op unless a rule set makes it otherwise).
     ///
-    /// Soundness of carry-forward rests on this set: a committed write
-    /// entirely outside it cannot change any constraint's truth in any
-    /// candidate state, hence neither the violation set nor the
-    /// subset-minimal repairs — which is what lets a shared
-    /// certain-answer cache carry `report` forward across such commits
-    /// instead of re-enumerating (see `uniform::ConcurrentDatabase`).
-    /// Returned sorted, in `Sym` order.
+    /// A write entirely outside this set cannot change any
+    /// constraint's truth in any candidate state, hence neither the
+    /// violation set nor the subset-minimal repairs. Its static part is
+    /// the schema analyzer's closure union, which `AutoRepair` reads
+    /// whole. Returned sorted, in `Sym` order.
     pub fn report_closure(&self, report: &RepairReport) -> Vec<Sym> {
         let graph = self.rules.graph();
         let mut closure: BTreeSet<Sym> = BTreeSet::new();

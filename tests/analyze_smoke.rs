@@ -42,7 +42,6 @@ const ALLOWED: &[AnalyzeCode] = &[
     // runs, so its induction rule is statically dead on the base state.
     AnalyzeCode::DeadRule,
     AnalyzeCode::UnreachableFromConstraints,
-    AnalyzeCode::ClosureCoversSchema,
     AnalyzeCode::TautologicalConstraint,
     AnalyzeCode::SatisfiabilityUnknown,
 ];

@@ -381,15 +381,16 @@ fn observation_log() -> String {
         let _ = writeln!(log, "replanned {rows} plan {:?}", q.plan_counters());
     }
     log_family(&mut log, "plancache", &qdb.obs_report(), "cache.plan.");
-    // The shared certain-answer cache: one append outside every cached
-    // closure, then re-reads through fresh sessions — the carried-
-    // forward rows and the hit/miss/carry counters are user-visible
-    // and must digest identically across runs and processes
-    // (all reads here are sequential, so the counters are exact).
+    // The shared certain-answer cache: one append outside every
+    // constraint closure, then re-reads through fresh sessions — the
+    // re-enumerated rows and the hit/miss/invalidation counters are
+    // user-visible and must digest identically across runs and
+    // processes (all reads here are sequential, so the counters are
+    // exact).
     {
         // Prime the cache post-rule-update (the `try_add_rule` above
-        // invalidated it wholesale), so the audit append below
-        // exercises the carry-forward path, not a cold install.
+        // invalidated it), so the audit append below exercises the
+        // invalidation path, not a cold install.
         for src in ["p(X)", "flagged(X)"] {
             let q = qdb.prepare(src).unwrap();
             let _ = qdb

@@ -1,9 +1,9 @@
 //! The shared certain-answer cache's differential proof: across
 //! randomized schedules of guarded commits, raw fact edits,
 //! constraint-only schema swaps and `Certain` reads, every answer
-//! served through the shared cache — cold, warm, or carried forward
-//! across commits that missed its closure — must be **bit-identical**
-//! to a fresh `RepairEngine` enumeration of the same committed state.
+//! served through the shared cache — cold, or warm from an entry of the
+//! same exact state — must be **bit-identical** to a fresh
+//! `RepairEngine` enumeration of the same committed state.
 //!
 //! The reference shares nothing with the cache: it re-enumerates the
 //! minimal repairs from the live database on every comparison. The
@@ -13,9 +13,9 @@
 //! deliberately interleave:
 //!
 //! * commits *inside* the constraint closure (`p`/`q`) — these must
-//!   invalidate or re-key-and-drop, never serve the dead state;
-//! * commits *outside* every closure (`noise`) — these carry entries
-//!   forward, and the carried entries are then re-compared;
+//!   invalidate, never serve the dead state;
+//! * commits *outside* every closure (`noise`) — these move the state
+//!   key too, so the next reads re-enumerate and are re-compared;
 //! * constraint-only `update_schema` swaps (facts and rules untouched —
 //!   the PR 6 session fence would not catch a stale report keyed on
 //!   `(rule_rev, constraint_rev)` alone if `fact_rev` were missing);
@@ -111,8 +111,8 @@ fn check_state(cdb: &ConcurrentDatabase, ctx: &str) {
         let q = cdb.prepare(src).expect("query prepares");
         let fresh = cdb.with_database(|d| fresh_certain(d, src));
         for pass in ["install", "row-hit"] {
-            // A fresh session per pass: the second one cannot fall back
-            // on a session-local memo — it must hit the shared cache.
+            // A fresh session per pass: the second one must hit the
+            // shared cache.
             let s = cdb.session();
             match (s.execute(&q, &Params::new(), Consistency::Certain), &fresh) {
                 (Ok(rows), Ok(want)) => assert_eq!(
@@ -126,7 +126,7 @@ fn check_state(cdb: &ConcurrentDatabase, ctx: &str) {
                 }
             }
         }
-        // And through one long-lived session (the session-local memo).
+        // And through one long-lived session, which has read before.
         match (
             session.execute(&q, &Params::new(), Consistency::Certain),
             &fresh,
@@ -134,11 +134,11 @@ fn check_state(cdb: &ConcurrentDatabase, ctx: &str) {
             (Ok(rows), Ok(want)) => assert_eq!(
                 &bindings(&rows),
                 want,
-                "Certain mismatch for `{src}` (session memo) on {ctx}"
+                "Certain mismatch for `{src}` (long-lived session) on {ctx}"
             ),
             (Err(QueryError::Budget(_)), Err(())) => {}
             (got, want) => {
-                panic!("Certain divergence for `{src}` (memo) on {ctx}: {got:?} vs {want:?}")
+                panic!("Certain divergence for `{src}` (long-lived session) on {ctx}: {got:?} vs {want:?}")
             }
         }
     }
@@ -205,7 +205,7 @@ fn run_schedule(seed: u64) -> ObsReport {
             // Deleting q may be rejected while some p needs it — either
             // outcome is fine, the state just must stay comparable.
             3 => drop(cdb.commit_updates_with_retry(&[del("q", k)], 4)),
-            // Commits outside every closure: carried-forward entries.
+            // Commits outside every closure: they still move the key.
             4 => drop(cdb.commit_updates_with_retry(&[ins("noise", k)], 4)),
             5 => drop(cdb.commit_updates_with_retry(&[del("noise", k)], 4)),
             // Constraint-only schema swap: toggle an extra constraint
@@ -240,7 +240,7 @@ fn run_schedule(seed: u64) -> ObsReport {
 
 #[test]
 fn cached_certain_answers_equal_fresh_enumeration_across_schedules() {
-    const COUNTERS: [&str; 4] = ["hits", "repair_hits", "carried_forward", "invalidated"];
+    const COUNTERS: [&str; 3] = ["hits", "repair_hits", "invalidated"];
     let mut totals = [0u64; COUNTERS.len()];
     for seed in 0..cases() {
         let report = run_schedule(seed);
@@ -250,16 +250,11 @@ fn cached_certain_answers_equal_fresh_enumeration_across_schedules() {
                 .expect("the cache registers its counters");
         }
     }
-    let [hits, repair_hits, carried_forward, invalidated] = totals;
+    let [hits, repair_hits, invalidated] = totals;
     // The differential pass is only meaningful if the cache actually
     // served answers: every interesting path must have fired across
-    // the run — row hits, repair reuse, carry-forward and
-    // invalidation alike.
+    // the run — row hits, repair reuse and invalidation alike.
     assert!(hits > 0, "no cached row was ever served: {totals:?}");
     assert!(repair_hits > 0, "repair cache never hit: {totals:?}");
-    assert!(
-        carried_forward > 0,
-        "no commit ever carried the cache forward: {totals:?}"
-    );
     assert!(invalidated > 0, "nothing ever invalidated: {totals:?}");
 }
