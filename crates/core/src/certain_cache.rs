@@ -12,9 +12,11 @@
 //! state's repairs.
 //!
 //! Entries live in a small ring of per-state **generations** (LRU over
-//! `GENERATION_SLOTS` state keys): a long-pinned old session and the
-//! head-state readers each populate their own slot instead of evicting
-//! each other every pass.
+//! `GENERATION_SLOTS` state keys). Between two head moves, sessions
+//! pinned to older states and the head-state readers each populate
+//! their own slot instead of evicting each other every pass; a head
+//! move drops them all but the head's (below), so a session pinned
+//! behind the head re-enumerates its repairs after every commit.
 //!
 //! Every commit and schema change that moves the head calls
 //! `CertainCache::advance` with the new head's key, which drops every
@@ -35,11 +37,12 @@ use uniform_repair::RepairSet;
 /// one per state by construction).
 const MAX_ROW_ENTRIES: usize = 256;
 
-/// Distinct states cached at once (LRU over generations). One slot per
-/// state would thrash: a long-pinned old session alternating with
+/// Distinct states cached at once (LRU over generations). One slot
+/// would thrash: a session pinned to an older state alternating with
 /// head-state readers would evict the hot entries every pass. Two
-/// slots break that cycle; a couple more absorb several pinned readers
-/// cheaply.
+/// slots break that cycle until the head next moves, when
+/// `CertainCache::advance` drops every slot but the head's; a couple
+/// more absorb several pinned readers cheaply.
 const GENERATION_SLOTS: usize = 4;
 
 /// The exact state a cache entry was computed against. `db_id` keeps

@@ -721,8 +721,8 @@ impl ConcurrentDatabase {
                 })
             }
         };
-        let (net_adds, net_dels) = tx.net_effect(txn.snapshot().facts());
-        let own: BTreeSet<&uniform_logic::Fact> = net_adds.iter().chain(net_dels.iter()).collect();
+        let (net_adds, net_dels) = engine.state().net();
+        let own: BTreeSet<&uniform_logic::Fact> = net_adds.iter().chain(net_dels).collect();
         let repair = repairs
             .repairs
             .iter()
@@ -1010,9 +1010,12 @@ impl ConcurrentDatabase {
                 }
             }
             if !db.satisfies(&constraint.rq) {
-                // Refused. The repair suggestion is an enumeration:
-                // pin the state and compute it once the lock is gone.
-                refused = Some(db.snapshot());
+                // Refused. The repair suggestion is an enumeration: pin
+                // the would-be state (a constraint-only change keeps the
+                // model) and compute it once the lock is gone.
+                let mut would_be = db.clone();
+                would_be.add_constraint(constraint.clone());
+                refused = Some(would_be.snapshot());
                 return Ok(false);
             }
             // The old constraints held if the latch says so, the new one
@@ -1023,15 +1026,9 @@ impl ConcurrentDatabase {
         let Some(refused) = refused else {
             return Ok(added);
         };
-        let mut constraints = refused.constraints().to_vec();
-        constraints.push(constraint);
-        let engine = RepairEngine::new(
-            refused.facts().clone(),
-            refused.rules().clone(),
-            constraints,
-        )
-        .with_options(options.repair)
-        .with_obs(self.shared.obs.clone());
+        let engine = RepairEngine::for_snapshot(&refused)
+            .with_options(options.repair)
+            .with_obs(self.shared.obs.clone());
         Err(UniformError::CurrentlyViolated {
             constraint: name.to_string(),
             repair: engine.repairs().ok().map(|report| report.best().clone()),

@@ -12,6 +12,7 @@
 
 use crate::store::FactSet;
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use uniform_logic::{Fact, Sym, SymState};
 
 /// A (possibly virtual) interpretation: the set of true ground atoms.
@@ -113,15 +114,17 @@ impl<I: Interp + ?Sized> Interp for Overlay<'_, I> {
 /// Unlike [`Overlay`]'s slices both sides are hashed (the true side is
 /// an indexed [`FactSet`]), so a probe costs the same however many facts
 /// have flipped — the view the propagation kernel
-/// ([`crate::maintain`]) builds its states from.
-pub(crate) struct Flipped<'a, I: ?Sized> {
-    base: &'a I,
+/// ([`crate::maintain`]) builds its states from. `base` is a reference,
+/// or an owning pointer (a hypothetical state holds its base model's
+/// `Arc`).
+pub(crate) struct Flipped<B> {
+    base: B,
     added: FactSet,
     removed: HashMap<Sym, HashSet<Vec<Sym>, SymState>, SymState>,
 }
 
-impl<'a, I: Interp + ?Sized> Flipped<'a, I> {
-    pub(crate) fn new(base: &'a I) -> Self {
+impl<B> Flipped<B> {
+    pub(crate) fn new(base: B) -> Self {
         Flipped {
             base,
             added: FactSet::new(),
@@ -154,7 +157,7 @@ impl<'a, I: Interp + ?Sized> Flipped<'a, I> {
     }
 }
 
-impl<I: Interp + ?Sized> Interp for Flipped<'_, I> {
+impl<B: Deref<Target: Interp>> Interp for Flipped<B> {
     fn holds(&self, fact: &Fact) -> bool {
         self.added.contains(fact)
             || (!self

@@ -69,7 +69,7 @@ pub use eval::{satisfies, satisfies_closed, Lowered};
 pub use footprint::{ConflictGranularity, KeyFp, ReadFootprint, ReadPattern, RelAccess};
 pub use interp::{Interp, Overlay};
 pub use magic::{answer_goal_magic, MagicAnswers, MagicError};
-pub use maintain::{MaintainStats, MaintainedModel, Propagation, PropagationStats};
+pub use maintain::{Hypothetical, MaintainStats, MaintainedModel, Propagation, PropagationStats};
 pub use model::Model;
 pub use patterns::{
     sort_read_patterns, PatternSpecializer, PatternTemplates, MAX_PATTERNS_PER_PRED,

@@ -25,24 +25,29 @@
 //!
 //! One stratum loop, [`Propagation`], runs the kernel lowest stratum
 //! first; a stratum whose rules read no flipped predicate and whose
-//! heads have no explicit change is skipped. It has two callers. The
+//! heads have no explicit change is skipped. It has three callers. The
 //! integrity checker walks the subprogram below recursion and reads the
 //! result as `delta` and `new` for predicates that reach recursion.
 //! Maintenance walks every stratum and then commits the flips into the
-//! model. Over the same old model, the two agree flip for flip, in
-//! order, on every predicate both walk; the maintained flip list equals
-//! the brute-force model diff (both property-tested). A predicate no
-//! rule defines holds exactly its explicit facts, so the model takes
-//! their relation itself: each explicit tuple is written once.
+//! model. A [`Hypothetical`] walks every stratum too and keeps the
+//! derived flips as a view over the model. Over the same old model,
+//! checker and maintenance agree flip for flip, in order, on every
+//! predicate both walk; the maintained flip list equals the brute-force
+//! model diff, and a hypothetical reads as the recomputed model (all
+//! property-tested).
+//! A predicate no rule defines holds exactly its explicit facts, so the
+//! model takes their relation itself: each explicit tuple is written
+//! once.
 
 use crate::cq::provable;
-use crate::interp::{Flipped, Interp};
+use crate::interp::{Flipped, Interp, Overlay};
 use crate::model::{derive_through, saturate, Frontier, Model};
 use crate::program::{Layer, RuleSet};
 use crate::store::FactSet;
-use crate::update::{Transaction, Update};
+use crate::update::{net_effect, Transaction, Update};
 use std::collections::HashSet;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Deref};
+use std::sync::Arc;
 use uniform_logic::{match_atom, Fact, Literal, Rule, Sym, SymState};
 
 /// Work of the propagation kernel, in facts.
@@ -158,7 +163,7 @@ pub(crate) fn advance(
     (added, removed): &(Vec<Fact>, Vec<Fact>),
 ) -> (Vec<(Fact, bool)>, PropagationStats) {
     let Propagation { flips, stats, .. } =
-        Propagation::new(model, rules, rules.layers(), edb, added, removed);
+        Propagation::new(&*model, rules, rules.layers(), edb, added, removed);
     for (fact, now) in &flips {
         if !rules.graph().is_idb(fact.pred) {
             model.adopt(fact.pred, edb);
@@ -336,7 +341,7 @@ impl Frontier for Doomed<'_> {
     }
 }
 
-impl<I: Interp + ?Sized> Frontier for Flipped<'_, I> {
+impl<B: Deref<Target: Interp>> Frontier for Flipped<B> {
     fn view(&self) -> &dyn Interp {
         self
     }
@@ -357,33 +362,34 @@ impl<I: Interp + ?Sized> Frontier for Flipped<'_, I> {
 /// layers define or read; any other reads as in `D`. The flip list
 /// covers every explicit predicate too. The checker passes the
 /// subprogram below recursion (the predicates that reach recursion and
-/// those they depend on); maintenance passes every layer.
-pub struct Propagation<'a> {
-    state: Flipped<'a, FactSet>,
+/// those they depend on); maintenance passes every layer. `B` points at
+/// the model: a reference, or the `Arc` a [`Hypothetical`] owns.
+pub struct Propagation<B> {
+    pub(crate) state: Flipped<B>,
     flips: Vec<(Fact, bool)>,
     stats: PropagationStats,
 }
 
-impl<'a> Propagation<'a> {
+impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
     /// Propagate the explicit insertions `added` and deletions `removed`
     /// (no-ops allowed) of an update whose explicit facts afterwards are
     /// `edb`, over `model`, the canonical model of the state before it,
     /// through `layers` (one per stratum of `rules`, lowest first).
     pub(crate) fn new(
-        model: &'a FactSet,
+        model: B,
         rules: &RuleSet,
         layers: &[Layer],
         edb: &dyn Interp,
         added: &[Fact],
         removed: &[Fact],
-    ) -> Propagation<'a> {
+    ) -> Propagation<B> {
         let explicit: Vec<(Fact, bool)> = added
             .iter()
             .map(|fact| (fact.clone(), true))
             .chain(removed.iter().map(|fact| (fact.clone(), false)))
             .collect();
         let graph = rules.graph();
-        let mut state = Flipped::new(model);
+        let mut state = Flipped::new(model.clone());
         let mut flips: Vec<(Fact, bool)> = Vec::new();
         let mut stats = PropagationStats::default();
         for (fact, now) in &explicit {
@@ -403,7 +409,7 @@ impl<'a> Propagation<'a> {
                 continue;
             }
             let changes = Stratum::new(rules, layer)
-                .propagate(model, &state, edb, &explicit, &flips, &mut stats);
+                .propagate(&*model, &state, edb, &explicit, &flips, &mut stats);
             for (fact, now) in &changes {
                 state.set(fact, *now);
             }
@@ -428,9 +434,98 @@ impl<'a> Propagation<'a> {
     }
 }
 
-impl Interp for Propagation<'_> {
+/// A state `U(D)` never materialized: a base state `D` (its canonical
+/// model, explicit facts and rules) and one Def. 1 net update `U` of
+/// `D`'s facts. It reads through [`Interp`] as the canonical model of
+/// `U(D)`: `D`'s model, shared, with the net on top for explicit
+/// predicates and the kernel's flips of `U` over every stratum, computed
+/// once, for derived ones. What-ifs over one base compose by composing
+/// net updates ([`Hypothetical::then`]).
+pub struct Hypothetical {
+    base: Arc<Base>,
+    added: Vec<Fact>,
+    removed: Vec<Fact>,
+    state: Flipped<Arc<Model>>,
+}
+
+/// What every hypothetical over a base shares.
+struct Base {
+    model: Arc<Model>,
+    edb: FactSet,
+    rules: Arc<RuleSet>,
+}
+
+impl Hypothetical {
+    /// The base state itself (the empty update), where `model` is the
+    /// canonical model of `edb` under `rules`.
+    pub fn new(model: Arc<Model>, edb: FactSet, rules: Arc<RuleSet>) -> Hypothetical {
+        Hypothetical {
+            state: Flipped::new(model.clone()),
+            base: Arc::new(Base { model, edb, rules }),
+            added: Vec::new(),
+            removed: Vec::new(),
+        }
+    }
+
+    /// This state with `updates` applied in order: one net update over
+    /// the same base, propagated once.
+    pub fn then(&self, updates: &[Update]) -> Hypothetical {
+        let (added, removed) = self.compose(updates);
+        let Base { model, edb, rules } = &*self.base;
+        let edb = Overlay::new(edb, &added, &removed);
+        let Propagation { state, .. } =
+            Propagation::new(model.clone(), rules, rules.layers(), &edb, &added, &removed);
+        Hypothetical {
+            base: self.base.clone(),
+            added,
+            removed,
+            state,
+        }
+    }
+
+    /// The net update of the base's facts that makes this state and
+    /// then applies `updates` in order: `(insertions, deletions)`.
+    pub fn compose(&self, updates: &[Update]) -> (Vec<Fact>, Vec<Fact>) {
+        let net = self.added.iter().map(|f| (f, true));
+        let net = net.chain(self.removed.iter().map(|f| (f, false)));
+        let writes = net.chain(updates.iter().map(|u| (&u.fact, u.insert)));
+        net_effect(writes, &self.base.edb)
+    }
+
+    /// The net update of the base's facts: `(insertions, deletions)`.
+    pub fn net(&self) -> (&[Fact], &[Fact]) {
+        (&self.added, &self.removed)
+    }
+
+    /// The explicit facts of this state: a copy of the base's (sharing
+    /// every page the net update leaves alone) with the net applied.
+    pub fn edb(&self) -> FactSet {
+        let mut edb = self.base.edb.clone();
+        for fact in &self.added {
+            edb.insert(fact);
+        }
+        for fact in &self.removed {
+            edb.remove(fact);
+        }
+        edb
+    }
+
+    /// The base state: its canonical model, explicit facts and rules.
+    pub fn base(&self) -> (&Model, &FactSet, &RuleSet) {
+        let Base { model, edb, rules } = &*self.base;
+        (model, edb, rules)
+    }
+}
+
+/// A derived predicate reads the kernel's state. An explicit one reads
+/// the base model, which holds exactly its explicit facts, with the net
+/// on top: the overlay engine reads explicit predicates the same way.
+impl Interp for Hypothetical {
     fn holds(&self, fact: &Fact) -> bool {
-        self.state.holds(fact)
+        if self.base.rules.graph().is_idb(fact.pred) {
+            return self.state.holds(fact);
+        }
+        Overlay::new(&*self.base.model, &self.added, &self.removed).holds(fact)
     }
 
     fn scan(
@@ -439,7 +534,11 @@ impl Interp for Propagation<'_> {
         pattern: &[Option<Sym>],
         each: &mut dyn FnMut(&[Sym]) -> bool,
     ) -> bool {
-        self.state.scan(pred, pattern, each)
+        if self.base.rules.graph().is_idb(pred) {
+            return self.state.scan(pred, pattern, each);
+        }
+        let explicit = Overlay::new(&*self.base.model, &self.added, &self.removed);
+        explicit.scan(pred, pattern, each)
     }
 }
 

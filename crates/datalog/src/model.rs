@@ -11,6 +11,7 @@ use crate::cq::solve_conjunction;
 use crate::interp::Interp;
 use crate::program::RuleSet;
 use crate::store::FactSet;
+use std::cell::Cell;
 use std::collections::HashSet;
 use uniform_logic::{Fact, Literal, Rule, Subst, Sym};
 
@@ -21,10 +22,13 @@ pub struct Model {
     facts: FactSet,
 }
 
+thread_local!(static COMPUTES: Cell<u64> = const { Cell::new(0) });
+
 impl Model {
     /// Compute the canonical model of `edb` under `rules`. Its relations
     /// for predicates no rule defines are `edb`'s own, shared.
     pub fn compute(edb: &FactSet, rules: &RuleSet) -> Model {
+        COMPUTES.with(|n| n.set(n.get() + 1));
         let mut facts = edb.clone();
         let graph = rules.graph();
         let height = graph.height();
@@ -68,6 +72,13 @@ impl Model {
             );
         }
         Model { facts }
+    }
+
+    /// How many times [`Model::compute`] has run on the calling thread:
+    /// an exact count, with no lock, for tests that pin where whole-state
+    /// models are computed.
+    pub fn computes_on_this_thread() -> u64 {
+        COMPUTES.with(Cell::get)
     }
 
     /// Wrap an already-materialized canonical model. The caller asserts

@@ -44,7 +44,7 @@ pub struct OverlayEngine<'a> {
     model: &'a Model,
     /// The update's propagation over `model`, computed when a
     /// recursion-reaching predicate is first queried.
-    propagation: OnceCell<Propagation<'a>>,
+    propagation: OnceCell<Propagation<&'a FactSet>>,
     /// Memo for ground IDB goals solved through the SLD path. This is the
     /// engine-level realization of §3.2's "global evaluation": when many
     /// simplified instances are evaluated against one simulated state,
@@ -92,7 +92,7 @@ impl<'a> OverlayEngine<'a> {
     /// The update's propagation over [`OverlayEngine::model`] — the
     /// induced flips below recursion, and the updated state as that
     /// model overlaid with them — computed once per engine.
-    pub fn propagation(&self) -> &Propagation<'a> {
+    pub fn propagation(&self) -> &Propagation<&'a FactSet> {
         self.propagation.get_or_init(|| {
             Propagation::new(
                 self.model.facts(),
@@ -208,7 +208,7 @@ impl Interp for OverlayEngine<'_> {
             return self.overlay().scan(pred, pattern, each);
         }
         if graph.reaches_recursion(pred) {
-            return self.propagation().scan(pred, pattern, each);
+            return self.propagation().state.scan(pred, pattern, each);
         }
         // Non-recursive IDB: explicit facts first, then SLD over rules,
         // deduplicating across both sources.

@@ -6,8 +6,9 @@
 //! no-ops.
 
 use crate::store::FactSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use uniform_logic::{Fact, Literal};
+use uniform_logic::{Fact, Literal, SymState};
 
 /// A ground single-fact update.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -149,31 +150,37 @@ impl Transaction {
     /// insert-then-delete (and vice versa) pairs cancel out. Integrity
     /// checking only ever needs the net effect.
     pub fn net_effect(&self, edb: &FactSet) -> (Vec<Fact>, Vec<Fact>) {
-        use std::collections::{HashMap, HashSet};
-        let mut desired: HashMap<&Fact, bool> = HashMap::new();
-        for u in &self.updates {
-            desired.insert(&u.fact, u.insert);
-        }
-        // Walk the transaction, not the map: HashMap iteration order is
-        // per-instance random, and downstream delta enumeration (and so
-        // violation/culprit order) must be identical run to run.
-        let mut seen: HashSet<&Fact> = HashSet::new();
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        for u in &self.updates {
-            if !seen.insert(&u.fact) {
-                continue;
-            }
-            let want = desired[&u.fact];
-            let have = edb.contains(&u.fact);
-            match (have, want) {
-                (false, true) => added.push(u.fact.clone()),
-                (true, false) => removed.push(u.fact.clone()),
-                _ => {}
-            }
-        }
-        (added, removed)
+        net_effect(self.updates.iter().map(|u| (&u.fact, u.insert)), edb)
     }
+}
+
+/// The net effect on `edb` of the writes `(fact, insert)` in order: a
+/// fact's last write decides it; facts come out in first-write order.
+pub(crate) fn net_effect<'f>(
+    writes: impl IntoIterator<Item = (&'f Fact, bool)>,
+    edb: &FactSet,
+) -> (Vec<Fact>, Vec<Fact>) {
+    let mut at: HashMap<&Fact, usize, SymState> = HashMap::default();
+    let mut last: Vec<(&Fact, bool)> = Vec::new();
+    for (fact, insert) in writes {
+        match at.entry(fact) {
+            Entry::Occupied(slot) => last[*slot.get()].1 = insert,
+            Entry::Vacant(slot) => {
+                slot.insert(last.len());
+                last.push((fact, insert));
+            }
+        }
+    }
+    let mut added = Vec::new();
+    let mut removed = Vec::new();
+    for (fact, want) in last {
+        match (edb.contains(fact), want) {
+            (false, true) => added.push(fact.clone()),
+            (true, false) => removed.push(fact.clone()),
+            _ => {}
+        }
+    }
+    (added, removed)
 }
 
 impl FromIterator<Update> for Transaction {

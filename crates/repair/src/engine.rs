@@ -18,8 +18,9 @@
 //! *recomputed canonical model* of each candidate state, in full, at
 //! every level (a delta is only recorded once a full determination of
 //! the affected constraints finds nothing violated). Verification of a
-//! reported repair stays on the whole state: apply it, recompute, check
-//! every constraint — the soundness anchor, independent of the scope.
+//! reported repair stays on the whole state: the repaired state is one
+//! [`Hypothetical`] over the engine's base model, and every constraint
+//! is evaluated on it — the soundness anchor, independent of the scope.
 //! Under [`RepairBackend::Auto`] the search splits the scope further,
 //! into the independent parts of its part key, one kernel run each.
 //!
@@ -28,16 +29,17 @@
 //! depth is bounded by the fact budget and the enumeration — unless the
 //! branch limit cuts it — is exhaustive over repairs of at most
 //! [`RepairOptions::max_changes`] operations. Candidates are collected,
-//! filtered to the subset-minimal ones, verified by full recomputation,
-//! and reported in deterministic (size, then name) order.
+//! filtered to the subset-minimal ones, verified on the whole repaired
+//! state, and reported in deterministic (size, then name) order.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use uniform_datalog::{
-    satisfies_closed, solve_conjunction, FactSet, Model, RuleSet, Snapshot, Transaction, Update,
+    satisfies_closed, solve_conjunction, FactSet, Hypothetical, Interp, Model, RuleSet, Snapshot,
+    Transaction, Update,
 };
 use uniform_logic::{sort_by_name, Atom, Constraint, Fact, Literal, Rq, Subst, Sym, Term};
 use uniform_obs::Obs;
@@ -72,7 +74,9 @@ pub enum RepairBackend {
     Auto,
 }
 
-/// Cost bounds of the repair search.
+/// Cost bounds of the repair search. They bound the search only: every
+/// reported repair (and every SAT candidate) is verified on the whole
+/// repaired state, whatever the options.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
     /// Fact budget: the maximum number of EDB operations per repair.
@@ -92,12 +96,6 @@ pub struct RepairOptions {
     /// body; exceeding it skips the alternative and marks the report
     /// incomplete.
     pub domain_cap: usize,
-    /// Verify every reported repair by recomputing the repaired model
-    /// and checking all constraints outright (cheap at repair scale).
-    /// The SAT backend verifies every candidate model regardless — its
-    /// propositional completion is a relaxation, so verification is
-    /// load-bearing there, not optional.
-    pub verify: bool,
     /// Which enumeration engine to run. For the SAT backend,
     /// `max_branches` bounds solver *conflicts* instead of enforcement
     /// nodes — the same "give up, typed" contract at the same order of
@@ -112,7 +110,6 @@ impl Default for RepairOptions {
             max_branches: 100_000,
             max_repairs: 256,
             domain_cap: 256,
-            verify: true,
             backend: RepairBackend::Search,
         }
     }
@@ -314,7 +311,9 @@ impl fmt::Display for RepairSet {
 pub struct RepairStats {
     /// Enforcement nodes explored.
     pub explored: usize,
-    /// Canonical-model recomputations of candidate states.
+    /// Candidate states evaluated: the kernel's canonical-model
+    /// computations under the search, the verified candidate change sets
+    /// under SAT.
     pub models_computed: usize,
     /// Candidate repairs recorded before minimality filtering.
     pub candidates: usize,
@@ -521,7 +520,7 @@ impl PartKey {
     /// The scope's facts of every key constant with a violated instance
     /// in `model` — derived facts included, as the model holds them —
     /// one fact set per constant, in name order.
-    fn violated_parts(&self, model: &Model, scope: &Scope) -> Vec<FactSet> {
+    fn violated_parts(&self, model: &dyn Interp, scope: &Scope) -> Vec<FactSet> {
         let mut keys: Vec<Sym> = Vec::new();
         for (c, &var) in scope.constraints.iter().zip(&self.vars) {
             let Rq::Forall { range, body, .. } = &c.rq else {
@@ -571,13 +570,13 @@ fn inner_atoms<'r>(rq: &'r Rq, atoms: &mut Vec<&'r Atom>, bound: &mut Vec<Sym>) 
 /// The repair engine for one (inconsistent) database state. See the
 /// crate docs.
 pub struct RepairEngine {
-    edb: FactSet,
-    rules: RuleSet,
+    /// The engine's state as a hypothetical over a base state's model: a
+    /// snapshot's model with a transaction's net update for
+    /// [`RepairEngine::for_update`], a snapshot's model alone for
+    /// [`RepairEngine::for_snapshot`], and a model computed from loose
+    /// parts for [`RepairEngine::new`].
+    state: Hypothetical,
     constraints: Vec<Constraint>,
-    /// The canonical model of `edb` under `rules`: a snapshot's own
-    /// for [`RepairEngine::for_snapshot`], computed on first use
-    /// otherwise.
-    model: OnceLock<Arc<Model>>,
     options: RepairOptions,
     /// Observability domain for `repair.run` spans, `repair.latency.*`
     /// histograms and `repair.*` effort counters; `None` runs silent.
@@ -585,50 +584,47 @@ pub struct RepairEngine {
 }
 
 impl RepairEngine {
-    pub fn new(edb: FactSet, rules: RuleSet, constraints: Vec<Constraint>) -> RepairEngine {
+    pub fn new(
+        edb: FactSet,
+        rules: impl Into<Arc<RuleSet>>,
+        constraints: Vec<Constraint>,
+    ) -> RepairEngine {
+        let rules = rules.into();
+        let model = Arc::new(Model::compute(&edb, &rules));
+        RepairEngine::over(Hypothetical::new(model, edb, rules), constraints)
+    }
+
+    fn over(state: Hypothetical, constraints: Vec<Constraint>) -> RepairEngine {
         RepairEngine {
-            edb,
-            rules,
+            state,
             constraints,
-            model: OnceLock::new(),
             options: RepairOptions::default(),
             obs: None,
         }
     }
 
-    /// Repair the state a snapshot pins, reading the snapshot's model.
-    pub fn for_snapshot(snapshot: &Snapshot) -> RepairEngine {
-        RepairEngine {
-            model: OnceLock::from(snapshot.model_arc()),
-            ..RepairEngine::new(
-                snapshot.facts().clone(),
-                snapshot.rules().clone(),
-                snapshot.constraints().to_vec(),
-            )
-        }
+    /// The state a snapshot pins, as a hypothetical with no update.
+    fn pinned(snapshot: &Snapshot) -> Hypothetical {
+        let rules = Arc::new(snapshot.rules().clone());
+        Hypothetical::new(snapshot.model_arc(), snapshot.facts().clone(), rules)
     }
 
-    /// Repair the *would-be* state `U(D)`: the snapshot with the
-    /// transaction's net effect applied. This is how a commit pipeline
-    /// turns a violating transaction's [`CheckReport`] into a repair —
-    /// the reported violations are exactly the violations of this
-    /// state.
+    /// Repair the state a snapshot pins, reading the snapshot's model.
+    pub fn for_snapshot(snapshot: &Snapshot) -> RepairEngine {
+        let constraints = snapshot.constraints().to_vec();
+        RepairEngine::over(RepairEngine::pinned(snapshot), constraints)
+    }
+
+    /// Repair the *would-be* state `U(D)`: the snapshot's model with the
+    /// transaction's net effect propagated on top. This is how a commit
+    /// pipeline turns a violating transaction's [`CheckReport`] into a
+    /// repair — the reported violations are exactly the violations of
+    /// this state.
     ///
     /// [`CheckReport`]: uniform_integrity::CheckReport
     pub fn for_update(snapshot: &Snapshot, tx: &Transaction) -> RepairEngine {
-        let mut edb = snapshot.facts().clone();
-        let (adds, dels) = tx.net_effect(snapshot.facts());
-        for f in &adds {
-            edb.insert(f);
-        }
-        for f in &dels {
-            edb.remove(f);
-        }
-        RepairEngine::new(
-            edb,
-            snapshot.rules().clone(),
-            snapshot.constraints().to_vec(),
-        )
+        let state = RepairEngine::pinned(snapshot).then(&tx.updates);
+        RepairEngine::over(state, snapshot.constraints().to_vec())
     }
 
     pub fn with_options(mut self, options: RepairOptions) -> RepairEngine {
@@ -650,26 +646,24 @@ impl RepairEngine {
         &self.options
     }
 
-    pub fn facts(&self) -> &FactSet {
-        &self.edb
-    }
-
     pub fn rules(&self) -> &RuleSet {
-        &self.rules
+        self.state.base().2
     }
 
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 
-    fn model(&self) -> &Model {
-        self.model
-            .get_or_init(|| Arc::new(Model::compute(&self.edb, &self.rules)))
+    /// The engine's state as a [`Hypothetical`] over its base state's
+    /// model (see [`RepairEngine::for_update`]); for an engine built by
+    /// [`RepairEngine::new`], the base is the state itself.
+    pub fn state(&self) -> &Hypothetical {
+        &self.state
     }
 
     /// Names of the constraints violated in the engine's state.
     pub fn violations(&self) -> Vec<String> {
-        violated(self.model(), &self.constraints)
+        violated(self.state(), &self.constraints)
             .map(|c| c.name.clone())
             .collect()
     }
@@ -731,7 +725,7 @@ impl RepairEngine {
     /// `Auto`'s search: split into the scope's parts when it has a part
     /// key, whole otherwise.
     fn auto_search(&self, scope: &Scope) -> Result<RepairReport, RepairError> {
-        match PartKey::of(&self.rules, &scope.constraints) {
+        match PartKey::of(self.rules(), &scope.constraints) {
             Some(key) => self.split_repairs(scope, &key),
             None => self.search_repairs(scope),
         }
@@ -760,7 +754,7 @@ impl RepairEngine {
             if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
                 continue;
             }
-            if o.verify && !self.repair_restores_consistency(cand) {
+            if !self.repair_restores_consistency(cand) {
                 debug_assert!(false, "unsound candidate repair: {cand}");
                 continue;
             }
@@ -781,7 +775,7 @@ impl RepairEngine {
     /// the smallest products overall.
     fn split_repairs(&self, scope: &Scope, key: &PartKey) -> Result<RepairReport, RepairError> {
         let o = &self.options;
-        let parts = key.violated_parts(self.model(), scope);
+        let parts = key.violated_parts(self.state(), scope);
         let mut stats = RepairStats {
             parts: parts.len(),
             ..RepairStats::default()
@@ -829,7 +823,7 @@ impl RepairEngine {
             }
         }
         product.retain(|r| {
-            let sound = !o.verify || self.repair_restores_consistency(r);
+            let sound = self.repair_restores_consistency(r);
             debug_assert!(sound, "unsound product repair: {r}");
             sound
         });
@@ -844,7 +838,7 @@ impl RepairEngine {
         let mut found: BTreeSet<RepairSet> = BTreeSet::new();
         let mut capped = false;
         let mut kernel = Enforcer::new(
-            &self.rules,
+            self.rules(),
             &scope.constraints,
             facts,
             scope.domain.clone(),
@@ -902,10 +896,22 @@ impl RepairEngine {
     }
 
     /// Does applying `repair` leave a state in which every constraint
-    /// holds? Full recomputation — the independent soundness check.
+    /// holds? The independent soundness check: the repaired state is the
+    /// engine's state with `repair` composed in, one hypothetical over
+    /// the base model, and every constraint is evaluated on it.
     pub fn repair_restores_consistency(&self, repair: &RepairSet) -> bool {
-        let model = Model::compute(&repair.apply_to(&self.edb), &self.rules);
-        consistent(&model, &self.constraints)
+        consistent(&self.state().then(repair.ops()), &self.constraints)
+    }
+
+    /// Each of `repairs` composed into the engine's state: the net
+    /// update of the base state that reaches the repaired state.
+    fn over_base(&self, repairs: &[RepairSet]) -> Vec<RepairSet> {
+        let net = |r: &RepairSet| {
+            let (adds, dels) = self.state().compose(r.ops());
+            let dels = dels.into_iter().map(Update::delete);
+            RepairSet::from_ops(adds.into_iter().map(Update::insert).chain(dels))
+        };
+        repairs.iter().map(net).collect()
     }
 
     /// Certain answers of a conjunctive query: the answers true in
@@ -921,11 +927,13 @@ impl RepairEngine {
     ) -> Result<Vec<Vec<(Sym, Sym)>>, RepairError> {
         let vars = crate::cqa::query_vars(query);
         let answers = |repairs: &[RepairSet]| {
+            let (model, edb, rules) = self.state().base();
+            let repairs = self.over_base(repairs);
             crate::cqa::certain_answers_bound(
-                self.model(),
-                &self.edb,
-                &self.rules,
-                repairs,
+                model,
+                edb,
+                rules,
+                &repairs,
                 query,
                 &Subst::new(),
                 &vars,
@@ -951,14 +959,10 @@ impl RepairEngine {
     /// only unaffected relations.
     pub fn certainly_satisfies(&self, rq: &Rq) -> Result<bool, RepairError> {
         let holds = |repairs: &[RepairSet]| {
-            crate::cqa::certainly_satisfies_bound(
-                self.model(),
-                &self.edb,
-                &self.rules,
-                repairs,
-                rq,
-                &Subst::new(),
-            )
+            let (model, edb, rules) = self.state().base();
+            let repairs = self.over_base(repairs);
+            let init = Subst::new();
+            crate::cqa::certainly_satisfies_bound(model, edb, rules, &repairs, rq, &init)
         };
         match self.repairs_covering_all_minimal() {
             Ok(report) => Ok(holds(&report.repairs)),
@@ -989,13 +993,13 @@ impl RepairEngine {
     /// The affected closure, and per constraint whether it lies inside
     /// (violated, or coupled in by an overlapping closure).
     fn affected(&self) -> (BTreeSet<Sym>, Vec<bool>) {
-        let graph = self.rules.graph();
+        let graph = self.rules().graph();
         let closure_of = |c: &Constraint| -> BTreeSet<Sym> {
             let preds = c.rq.literals().into_iter().map(|occ| occ.literal.atom.pred);
             preds.flat_map(|p| graph.reachable(p)).collect()
         };
         let closures: Vec<BTreeSet<Sym>> = self.constraints.iter().map(closure_of).collect();
-        let model = self.model();
+        let model = self.state();
         // Every violated constraint is inside, even one whose closure is
         // empty (a bare `false`).
         let mut included: Vec<bool> = self
@@ -1037,13 +1041,14 @@ impl RepairEngine {
     pub(crate) fn scope(&self) -> Scope {
         let (relations, inside) = self.affected();
         let constraints = self.constraints.iter().zip(inside);
+        let edb = self.state.edb();
         Scope {
-            facts: self.edb.restricted_to(|p| relations.contains(&p)),
+            facts: edb.restricted_to(|p| relations.contains(&p)),
             constraints: constraints
                 .filter(|(_, i)| *i)
                 .map(|(c, _)| c.clone())
                 .collect(),
-            domain: enforce::domain(&self.edb, &self.rules, &self.constraints),
+            domain: enforce::domain(&edb, self.rules(), &self.constraints),
         }
     }
 
@@ -1054,7 +1059,7 @@ impl RepairEngine {
     /// answers be served even when the repair enumeration refuses.
     pub fn reads_outside_affected(&self, preds: impl IntoIterator<Item = Sym>) -> bool {
         let affected: BTreeSet<Sym> = self.affected_closure().into_iter().collect();
-        let graph = self.rules.graph();
+        let graph = self.rules().graph();
         preds
             .into_iter()
             .all(|p| graph.reachable(p).iter().all(|r| !affected.contains(r)))
@@ -1106,7 +1111,7 @@ impl RepairEngine {
     /// the schema analyzer's closure union, which `AutoRepair` reads
     /// whole. Returned sorted, in `Sym` order.
     pub fn report_closure(&self, report: &RepairReport) -> Vec<Sym> {
-        let graph = self.rules.graph();
+        let graph = self.rules().graph();
         let mut closure: BTreeSet<Sym> = BTreeSet::new();
         for c in &self.constraints {
             for occ in c.rq.literals() {
@@ -1126,7 +1131,7 @@ impl RepairEngine {
     /// database state at all satisfies the constraints, no budget will
     /// ever find a repair.
     pub(crate) fn schema_unsatisfiable(&self) -> bool {
-        let report = SatChecker::new(self.rules.clone(), self.constraints.clone())
+        let report = SatChecker::new(self.rules().clone(), self.constraints.clone())
             .with_options(SatOptions::classification())
             .check();
         matches!(report.outcome, SatOutcome::Unsatisfiable)
@@ -1158,17 +1163,14 @@ mod tests {
         )
         .unwrap();
         let s = db.snapshot();
-        let mut eng = RepairEngine::for_snapshot(&s);
-        let shares = |eng: &RepairEngine| Arc::ptr_eq(eng.model.get().unwrap(), &s.model_arc());
-        assert!(shares(&eng));
-        // Computing a model would now see no facts, hence no violation:
-        // both answers must come from the snapshot's model.
-        eng.edb = FactSet::default();
+        // Both answers come from the snapshot's model: none is computed.
+        let computes = Model::computes_on_this_thread();
+        let eng = RepairEngine::for_snapshot(&s);
         let mut closure: Vec<&str> = eng.affected_closure().iter().map(|p| p.as_str()).collect();
         closure.sort_unstable();
         assert_eq!(closure, ["p", "q", "r"]);
         assert_eq!(eng.violations(), ["c"]);
-        assert!(shares(&eng));
+        assert_eq!(Model::computes_on_this_thread(), computes);
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! The propositional completion is a *relaxation*: under recursion it
 //! admits unfounded self-supporting models the stratified semantics
 //! rejects. Every SAT model is therefore **verified** against the real
-//! engine on the whole state (apply the change set, recompute the
-//! canonical model, check all constraints, in or out of the scope); a
+//! semantics on the whole state (the change set composed into the
+//! engine's state as one hypothetical over its base model, every
+//! constraint checked, in or out of the scope); a
 //! spurious model is excluded by a clause pinning its exact change set
 //! (sound: the change set determines the real model, so no genuine
 //! repair is lost). A genuine model is shrunk to a
@@ -48,7 +49,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use uniform_datalog::{Model, Update};
+use uniform_datalog::Update;
 use uniform_logic::{Atom, Fact, Rq, Subst, Sym};
 use uniform_satisfiability::{
     enforce, Assignment, CdclSolver, Cnf, Lit, SanityCheckingSolver, SolveResult, Solver,
@@ -479,12 +480,12 @@ impl<'a> Enumerator<'a> {
     /// scope.
     fn genuine(&mut self, set: &[usize]) -> bool {
         self.models_computed += 1;
-        let mut edb = self.enc.eng.facts().clone();
-        for &i in set {
-            self.enc.candidates[i].apply(&mut edb);
-        }
-        let model = Model::compute(&edb, self.enc.eng.rules());
-        enforce::consistent(&model, self.enc.eng.constraints())
+        let ops: Vec<Update> = set
+            .iter()
+            .map(|&i| self.enc.candidates[i].clone())
+            .collect();
+        let repaired = self.enc.eng.state().then(&ops);
+        enforce::consistent(&repaired, self.enc.eng.constraints())
     }
 
     /// Exclude exactly this assignment's change set (sound for spurious

@@ -42,7 +42,8 @@ use std::collections::{HashMap, HashSet};
 use std::ops::{ControlFlow, Deref};
 use std::sync::Arc;
 use uniform_datalog::{
-    all_solutions, provable, satisfies_closed, solve_conjunction, FactSet, Model, RuleSet, Update,
+    all_solutions, provable, satisfies_closed, solve_conjunction, FactSet, Interp, Model, RuleSet,
+    Update,
 };
 use uniform_integrity::{simplified_instances, RelevanceIndex};
 use uniform_logic::{
@@ -226,19 +227,20 @@ pub fn rule_for_fact(rule: &Rule, fact: &Fact) -> Option<(Subst, Vec<Sym>)> {
     Some((subst, free))
 }
 
-/// Violation determination: the constraints false in `model`.
+/// Violation determination: the constraints false in `state` — a
+/// materialized model or any other interpretation of a whole state.
 pub fn violated<'c>(
-    model: &'c Model,
+    state: &'c dyn Interp,
     constraints: &'c [Constraint],
 ) -> impl Iterator<Item = &'c Constraint> {
     constraints
         .iter()
-        .filter(move |c| !satisfies_closed(model, &c.rq))
+        .filter(move |c| !satisfies_closed(state, &c.rq))
 }
 
-/// Does every constraint hold in `model`?
-pub fn consistent(model: &Model, constraints: &[Constraint]) -> bool {
-    violated(model, constraints).next().is_none()
+/// Does every constraint hold in `state`?
+pub fn consistent(state: &dyn Interp, constraints: &[Constraint]) -> bool {
+    violated(state, constraints).next().is_none()
 }
 
 /// One run of the enforcement procedure from a seed fact set.
@@ -441,7 +443,7 @@ impl<'a> Enforcer<'a> {
             // Also the confirmation of an incremental "nothing violated":
             // a leaf is only ever reported after a full determination.
             self.tally.full_checks += 1;
-            agenda = violated(&current, self.constraints)
+            agenda = violated(&*current, self.constraints)
                 .map(|c| c.rq.clone())
                 .collect();
         }

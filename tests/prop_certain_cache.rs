@@ -43,7 +43,6 @@ fn repair_options() -> RepairOptions {
         max_branches: 500_000,
         max_repairs: 4096,
         domain_cap: 512,
-        verify: false,
         ..RepairOptions::default()
     }
 }

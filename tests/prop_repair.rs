@@ -42,7 +42,6 @@ fn options() -> RepairOptions {
         max_branches: 500_000,
         max_repairs: 4096,
         domain_cap: 512,
-        verify: true,
         ..RepairOptions::default()
     }
 }
