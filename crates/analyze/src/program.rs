@@ -2,11 +2,13 @@
 //!
 //! [`Analyzer`] is a builder over the three components of a schema —
 //! rules, constraints, declared relations — plus optional source spans
-//! and observability. [`Analyzer::analyze`] runs the cheap passes
-//! eagerly (UA01xx/UA02xx lints, dependency artifacts, per-constraint
-//! closures) and defers the satisfiability classification (UA03xx) to
-//! the first call of [`AnalyzedProgram::sat`]: classifying runs bounded
-//! model searches and integration layers only need it on schema
+//! and observability. [`Analyzer::analyze`] packages them and runs no
+//! pass: the UA01xx/UA02xx lints, the schema's predicate list and the
+//! per-constraint closures are each built on first use, and the
+//! satisfiability classification (UA03xx) on the first call of
+//! [`AnalyzedProgram::sat`]. A schema gate that accepts its candidate
+//! reads the classification alone and never lints; classifying runs
+//! bounded model searches, which integration layers only need on schema
 //! mutation, not on every cache hit.
 
 use crate::diag::{AnalyzeError, AnalyzeErrorKind, Code, Diagnostic};
@@ -134,57 +136,37 @@ impl Analyzer {
         self
     }
 
-    /// Run the eager passes and package the artifacts. Never fails: a
-    /// constructed `RuleSet` is already stratified and range-restricted,
-    /// so everything else is a diagnostic, not an error.
+    /// Package the program for analysis; every pass runs on first use.
+    /// Never fails: a constructed `RuleSet` is already stratified and
+    /// range-restricted, so everything else is a diagnostic, not an
+    /// error.
     pub fn analyze(self) -> AnalyzedProgram {
         let obs = self.obs.clone();
         let _span = obs.span("analyze.run");
         obs.counter("analyze.runs").incr();
-
-        let input = LintInput {
-            rules: &self.rules,
-            constraints: &self.constraints,
-            declared: &self.declared,
-            rule_spans: &self.rule_spans,
-            constraint_spans: &self.constraint_spans,
-        };
-        let diagnostics = lint::run(&input);
-        let schema_preds = lint::schema_predicates(&input);
-
-        // Per-constraint closures: exactly the static portion of
-        // `RepairEngine::report_closure` — every predicate reachable
-        // through rule bodies from any literal of the constraint, in
-        // `Sym` order.
-        let graph = self.rules.graph();
-        let mut closures = Vec::with_capacity(self.constraints.len());
-        let mut union: BTreeSet<Sym> = BTreeSet::new();
-        for c in &self.constraints {
-            let mut one: BTreeSet<Sym> = BTreeSet::new();
-            for occ in c.rq.literals() {
-                one.extend(graph.reachable(occ.literal.atom.pred));
-            }
-            union.extend(one.iter().copied());
-            closures.push(one.into_iter().collect::<Vec<Sym>>());
-        }
-        let closure_union: Vec<Sym> = union.into_iter().collect();
-
-        obs.counter("analyze.diagnostics")
-            .add(diagnostics.len() as u64);
-
         AnalyzedProgram {
             rules: self.rules,
             constraints: self.constraints,
             declared: self.declared,
-            lint: diagnostics,
-            schema_preds,
-            closures,
-            closure_union,
+            rule_spans: self.rule_spans,
+            constraint_spans: self.constraint_spans,
+            lint: OnceLock::new(),
+            schema_preds: OnceLock::new(),
+            closures: OnceLock::new(),
             options: self.options,
             obs: self.obs,
             sat: OnceLock::new(),
         }
     }
+}
+
+/// Per-constraint predicate closures and their union.
+struct Closures {
+    /// Parallel to the constraints, each in `Sym` order (matching
+    /// `report_closure`).
+    each: Vec<Vec<Sym>>,
+    /// Union of `each`, in `Sym` order.
+    union: Vec<Sym>,
 }
 
 /// The product of a static analysis run: lint findings plus the
@@ -196,14 +178,12 @@ pub struct AnalyzedProgram {
     rules: RuleSet,
     constraints: Vec<Constraint>,
     declared: Vec<(Sym, usize)>,
-    lint: Vec<Diagnostic>,
+    rule_spans: Vec<Span>,
+    constraint_spans: Vec<Span>,
+    lint: OnceLock<Vec<Diagnostic>>,
     /// Every predicate of the schema, sorted by name.
-    schema_preds: Vec<Sym>,
-    /// Per-constraint predicate closures, parallel to `constraints`,
-    /// each in `Sym` order (matching `report_closure`).
-    closures: Vec<Vec<Sym>>,
-    /// Union of `closures`, in `Sym` order.
-    closure_union: Vec<Sym>,
+    schema_preds: OnceLock<Vec<Sym>>,
+    closures: OnceLock<Closures>,
     options: AnalyzeOptions,
     obs: Arc<Obs>,
     sat: OnceLock<SatAnalysis>,
@@ -214,7 +194,7 @@ impl std::fmt::Debug for AnalyzedProgram {
         f.debug_struct("AnalyzedProgram")
             .field("rules", &self.rules.len())
             .field("constraints", &self.constraints.len())
-            .field("lint", &self.lint)
+            .field("lint", &self.lint.get())
             .field("sat", &self.sat.get())
             .finish_non_exhaustive()
     }
@@ -246,20 +226,62 @@ impl AnalyzedProgram {
         self.rules.templates()
     }
 
-    /// Eager findings (UA01xx/UA02xx), deterministic order.
+    fn lint_input(&self) -> LintInput<'_> {
+        LintInput {
+            rules: &self.rules,
+            constraints: &self.constraints,
+            declared: &self.declared,
+            rule_spans: &self.rule_spans,
+            constraint_spans: &self.constraint_spans,
+        }
+    }
+
+    /// The lint findings (UA01xx/UA02xx), deterministic order; linted on
+    /// first call.
     pub fn lint_diagnostics(&self) -> &[Diagnostic] {
-        &self.lint
+        self.lint.get_or_init(|| {
+            let diagnostics = lint::run(&self.lint_input());
+            self.obs
+                .counter("analyze.diagnostics")
+                .add(diagnostics.len() as u64);
+            diagnostics
+        })
     }
 
     /// Every predicate of the schema, sorted by name.
     pub fn schema_predicates(&self) -> &[Sym] {
-        &self.schema_preds
+        self.schema_preds
+            .get_or_init(|| lint::schema_predicates(&self.lint_input()))
+    }
+
+    /// Per-constraint closures: exactly the static portion of
+    /// `RepairEngine::report_closure` — every predicate reachable
+    /// through rule bodies from any literal of the constraint, in `Sym`
+    /// order. Built on first call.
+    fn closures(&self) -> &Closures {
+        self.closures.get_or_init(|| {
+            let graph = self.rules.graph();
+            let mut each = Vec::with_capacity(self.constraints.len());
+            let mut union: BTreeSet<Sym> = BTreeSet::new();
+            for c in &self.constraints {
+                let mut one: BTreeSet<Sym> = BTreeSet::new();
+                for occ in c.rq.literals() {
+                    one.extend(graph.reachable(occ.literal.atom.pred));
+                }
+                union.extend(one.iter().copied());
+                each.push(one.into_iter().collect::<Vec<Sym>>());
+            }
+            Closures {
+                each,
+                union: union.into_iter().collect(),
+            }
+        })
     }
 
     /// The closure of the `idx`-th constraint: every predicate whose
     /// facts can influence its truth, in `Sym` order.
     pub fn closure_of(&self, idx: usize) -> &[Sym] {
-        &self.closures[idx]
+        &self.closures().each[idx]
     }
 
     /// The closure of the named constraint, if it exists.
@@ -267,14 +289,14 @@ impl AnalyzedProgram {
         self.constraints
             .iter()
             .position(|c| c.name == name)
-            .map(|i| self.closures[i].as_slice())
+            .map(|i| self.closure_of(i))
     }
 
     /// Union of all constraint closures, in `Sym` order: the static part
     /// of `RepairEngine::report_closure`, and the set a commit must
     /// intersect to invalidate cached certain-answer verdicts.
     pub fn closure_union(&self) -> &[Sym] {
-        &self.closure_union
+        &self.closures().union
     }
 
     /// The UA03xx classification, computed on first call and cached.
@@ -311,9 +333,9 @@ impl AnalyzedProgram {
         self.sat().set_class
     }
 
-    /// All findings: lints plus the UA03xx classification (forced).
+    /// All findings: lints plus the UA03xx classification (both forced).
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        let mut out = self.lint.clone();
+        let mut out = self.lint_diagnostics().to_vec();
         out.extend(self.sat().diagnostics.iter().cloned());
         out
     }

@@ -347,9 +347,10 @@ impl Shared {
     /// The static analysis of the schema as of `snapshot`, served from
     /// the shared single-entry cache when the snapshot holds the cached
     /// schema (`analyze.cache.hits`), rebuilt from the snapshot and
-    /// cached otherwise (`analyze.cache.misses`). The satisfiability
-    /// classification inside the returned program is lazy, so a cache
-    /// miss costs lints + closures + templates only.
+    /// cached otherwise (`analyze.cache.misses`). Every pass inside the
+    /// returned program is lazy (lints, closures, the satisfiability
+    /// classification), so a cache miss costs the copy of the
+    /// snapshot's program and the passes its callers read.
     pub(crate) fn analyzed_for_snapshot(&self, snapshot: &Snapshot) -> Arc<AnalyzedProgram> {
         let mut slot = self.analyzed.lock();
         if let Some((schema, analyzed)) = slot.as_ref() {

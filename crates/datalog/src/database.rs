@@ -220,6 +220,11 @@ impl Schema {
         &self.rules
     }
 
+    /// The rules as the shared handle every copy of this schema holds.
+    pub fn rules_arc(&self) -> &Arc<RuleSet> {
+        &self.rules
+    }
+
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }

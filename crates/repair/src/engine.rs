@@ -17,20 +17,27 @@
 //! database. Within it, violations are determined against the
 //! *recomputed canonical model* of each candidate state, in full, at
 //! every level (a delta is only recorded once a full determination of
-//! the affected constraints finds nothing violated). Verification of a
-//! reported repair stays on the whole state: the repaired state is one
-//! [`Hypothetical`] over the engine's base model, and every constraint
-//! is evaluated on it — the soundness anchor, independent of the scope.
-//! Under [`RepairBackend::Auto`] the search splits the scope further,
-//! into the independent parts of its part key, one kernel run each.
+//! the affected constraints finds nothing violated). Under
+//! [`RepairBackend::Auto`] the search splits the scope further, into
+//! the independent parts of its part key, one kernel run each.
 //!
 //! Every path from one level to the next applies at least one effective
 //! EDB operation and no branch ever touches the same fact twice, so the
 //! depth is bounded by the fact budget and the enumeration — unless the
 //! branch limit cuts it — is exhaustive over repairs of at most
 //! [`RepairOptions::max_changes`] operations. Candidates are collected,
-//! filtered to the subset-minimal ones, verified on the whole repaired
-//! state, and reported in deterministic (size, then name) order.
+//! filtered to the subset-minimal ones, verified, and reported in
+//! deterministic (size, then name) order. Each minimal candidate is
+//! verified where it can matter ([`RepairEngine::verifies`]): the
+//! repaired state is one [`Hypothetical`] over the engine's base model,
+//! evaluated on the scope's constraints for a whole-scope search, and
+//! per part — the key variable bound to the part's constant — before
+//! the part's repairs enter the product of a split one. The constraints
+//! left out hold in the repaired state by the affected-closure
+//! partition and the part-key theorem, so the search evaluates no
+//! repair on the whole state (SAT still does, see `crate::sat`);
+//! [`RepairEngine::repair_restores_consistency`] is that whole-state
+//! oracle, which debug builds assert on every repair a search reports.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -38,8 +45,8 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use uniform_datalog::{
-    satisfies_closed, solve_conjunction, FactSet, Hypothetical, Interp, Model, RuleSet, Snapshot,
-    Transaction, Update,
+    satisfies, satisfies_closed, solve_conjunction, FactSet, Hypothetical, Interp, Model, RuleSet,
+    Snapshot, Transaction, Update,
 };
 use uniform_logic::{sort_by_name, Atom, Constraint, Fact, Literal, Rq, Subst, Sym, Term};
 use uniform_obs::Obs;
@@ -75,8 +82,8 @@ pub enum RepairBackend {
 }
 
 /// Cost bounds of the repair search. They bound the search only: every
-/// reported repair (and every SAT candidate) is verified on the whole
-/// repaired state, whatever the options.
+/// reported repair (and every SAT candidate) is verified, whatever the
+/// options (see [`RepairEngine::verifies`]).
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
     /// Fact budget: the maximum number of EDB operations per repair.
@@ -325,6 +332,11 @@ pub struct RepairStats {
     /// other counters sum over the parts' kernel runs (`max_level` is
     /// their maximum). Zero when the scope was searched whole.
     pub parts: usize,
+    /// Candidate repairs verified: each part's minimal repairs under a
+    /// split search (their sum, not their product), the minimal
+    /// candidates of a whole-scope search, the change sets SAT checked
+    /// (see [`RepairEngine::verifies`]).
+    pub verified: usize,
     /// SAT-solver effort counters; all zero under the search backend.
     pub solver: SolverStats,
 }
@@ -373,11 +385,25 @@ pub(crate) struct Scope {
     /// The facts of the affected relations, sharing the engine's
     /// relations in the engine's order.
     pub(crate) facts: FactSet,
+    /// The relations of the closure.
+    relations: BTreeSet<Sym>,
     /// The constraints inside the closure, in registration order.
     pub(crate) constraints: Vec<Constraint>,
     /// The whole state's active domain, name-sorted: repairs stay
     /// within the constants of the state they repair.
     pub(crate) domain: Vec<Sym>,
+}
+
+impl Scope {
+    /// Does `repair` repair the scope? Its ops lie in the scope's
+    /// relations, and every scope constraint holds in `state` with
+    /// `repair` composed in. The constraints outside the scope read none
+    /// of those relations and hold in `state` (see
+    /// [`RepairEngine::affected_closure`]), so they hold after it too.
+    fn verifies(&self, state: &Hypothetical, repair: &RepairSet) -> bool {
+        let inside = |op: &Update| self.relations.contains(&op.fact.pred);
+        repair.ops().iter().all(inside) && consistent(&state.then(repair.ops()), &self.constraints)
+    }
 }
 
 /// The leaves of one kernel run.
@@ -517,10 +543,32 @@ impl PartKey {
         false
     }
 
+    /// Does `repair` repair the violated part at `key`? Every op holds
+    /// `key` at its predicate's key position, and every scope
+    /// constraint, its key variable bound to `key`, holds in `state` with
+    /// `repair` composed in. The other parts' instances see none of
+    /// those ops, so a union of such repairs, one per violated part, is
+    /// a repair of the scope.
+    fn verifies(&self, state: &Hypothetical, scope: &Scope, key: Sym, repair: &RepairSet) -> bool {
+        let at_key = |op: &Update| {
+            let at = self.position.get(&op.fact.pred);
+            at.is_some_and(|&i| op.fact.args[i] == key)
+        };
+        if !repair.ops().iter().all(at_key) {
+            return false;
+        }
+        let repaired = state.then(repair.ops());
+        scope.constraints.iter().zip(&self.vars).all(|(c, &var)| {
+            let mut at = Subst::new();
+            at.bind(var, Term::Const(key));
+            satisfies(&repaired, &c.rq, &mut at)
+        })
+    }
+
     /// The scope's facts of every key constant with a violated instance
     /// in `model` — derived facts included, as the model holds them —
-    /// one fact set per constant, in name order.
-    fn violated_parts(&self, model: &dyn Interp, scope: &Scope) -> Vec<FactSet> {
+    /// one fact set per constant, with the constant, in name order.
+    fn violated_parts(&self, model: &dyn Interp, scope: &Scope) -> Vec<(Sym, FactSet)> {
         let mut keys: Vec<Sym> = Vec::new();
         for (c, &var) in scope.constraints.iter().zip(&self.vars) {
             let Rq::Forall { range, body, .. } = &c.rq else {
@@ -536,16 +584,41 @@ impl PartKey {
         }
         sort_by_name(&mut keys);
         let slot: HashMap<Sym, usize> = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let mut parts = vec![FactSet::new(); keys.len()];
+        let mut parts: Vec<(Sym, FactSet)> = keys.iter().map(|&k| (k, FactSet::new())).collect();
         for fact in scope.facts.iter() {
             let at = self.position.get(&fact.pred);
             let key = fact.args[*at.expect("every relation of the scope has a key position")];
             if let Some(&i) = slot.get(&key) {
-                parts[i].insert(&fact);
+                parts[i].1.insert(&fact);
             }
         }
         parts
     }
+}
+
+/// The subset-minimal candidates of a run that verify under `sound`, in
+/// (size, name) order: `found` is ordered smallest-first, so every
+/// proper subset of a candidate precedes it. Each minimal candidate is
+/// verified once and counted in `stats.verified`; one that fails is a
+/// kernel fault (debug builds panic) and is dropped.
+fn minimal_verified(
+    run: &KernelRun,
+    stats: &mut RepairStats,
+    sound: impl Fn(&RepairSet) -> bool,
+) -> Vec<RepairSet> {
+    let mut minimal: Vec<RepairSet> = Vec::new();
+    for cand in &run.found {
+        if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
+            continue;
+        }
+        stats.verified += 1;
+        if !sound(cand) {
+            debug_assert!(false, "unsound candidate repair: {cand}");
+            continue;
+        }
+        minimal.push(cand.clone());
+    }
+    minimal
 }
 
 /// Every atom below a constraint's outer `∀`, and the variables the
@@ -605,7 +678,7 @@ impl RepairEngine {
 
     /// The state a snapshot pins, as a hypothetical with no update.
     fn pinned(snapshot: &Snapshot) -> Hypothetical {
-        let rules = Arc::new(snapshot.rules().clone());
+        let rules = snapshot.schema().rules_arc().clone();
         Hypothetical::new(snapshot.model_arc(), snapshot.facts().clone(), rules)
     }
 
@@ -689,6 +762,8 @@ impl RepairEngine {
             obs.counter("repair.search.models_computed")
                 .add(stats.models_computed as u64);
             obs.counter("repair.search.parts").add(stats.parts as u64);
+            obs.counter("repair.search.verified")
+                .add(stats.verified as u64);
             if stats.parts > 0 {
                 obs.counter("repair.runs.split").incr();
             }
@@ -738,28 +813,14 @@ impl RepairEngine {
         let o = &self.options;
         let run = self.kernel_run(scope, scope.facts.clone(), o.max_branches);
         let tally = run.tally;
-        let stats = RepairStats {
+        let mut stats = RepairStats {
             explored: tally.nodes,
             models_computed: tally.models_computed,
             candidates: run.found.len(),
             max_level: tally.max_level,
-            parts: 0,
-            solver: SolverStats::default(),
+            ..RepairStats::default()
         };
-
-        // Subset-minimal filter: `found` is ordered smallest-first, so
-        // every proper subset of a candidate precedes it.
-        let mut minimal: Vec<RepairSet> = Vec::new();
-        for cand in &run.found {
-            if minimal.iter().any(|kept| kept.is_subset_of(cand)) {
-                continue;
-            }
-            if !self.repair_restores_consistency(cand) {
-                debug_assert!(false, "unsound candidate repair: {cand}");
-                continue;
-            }
-            minimal.push(cand.clone());
-        }
+        let minimal = minimal_verified(&run, &mut stats, |r| scope.verifies(self.state(), r));
         self.report(minimal, stats, run.complete(), tally.change_budget_hit)
     }
 
@@ -772,7 +833,9 @@ impl RepairEngine {
     /// `max_repairs` in (size, name) order. That order is monotone
     /// under a union with ops of other parts, so keeping the
     /// `max_repairs` smallest partial products after each part keeps
-    /// the smallest products overall.
+    /// the smallest products overall. Each part's minimal repairs are
+    /// verified for that part alone (see [`PartKey::verifies`]), so the
+    /// product needs no verification of its own.
     fn split_repairs(&self, scope: &Scope, key: &PartKey) -> Result<RepairReport, RepairError> {
         let o = &self.options;
         let parts = key.violated_parts(self.state(), scope);
@@ -783,7 +846,7 @@ impl RepairEngine {
         let (mut complete, mut clipped) = (true, false);
         let mut product = vec![RepairSet::empty()];
         let last = parts.len().saturating_sub(1);
-        for (i, facts) in parts.into_iter().enumerate() {
+        for (i, (part, facts)) in parts.into_iter().enumerate() {
             let run = self.kernel_run(scope, facts, o.max_branches.saturating_sub(stats.explored));
             stats.explored += run.tally.nodes;
             stats.models_computed += run.tally.models_computed;
@@ -791,12 +854,9 @@ impl RepairEngine {
             stats.max_level = stats.max_level.max(run.tally.max_level);
             complete &= run.complete();
             clipped |= run.tally.change_budget_hit;
-            let mut minimal: Vec<&RepairSet> = Vec::new();
-            for cand in &run.found {
-                if !minimal.iter().any(|kept| kept.is_subset_of(cand)) {
-                    minimal.push(cand);
-                }
-            }
+            let minimal = minimal_verified(&run, &mut stats, |r| {
+                key.verifies(self.state(), scope, part, r)
+            });
             let mut next: Vec<RepairSet> = Vec::new();
             for partial in &product {
                 for repair in &minimal {
@@ -822,11 +882,6 @@ impl RepairEngine {
                 break;
             }
         }
-        product.retain(|r| {
-            let sound = self.repair_restores_consistency(r);
-            debug_assert!(sound, "unsound product repair: {r}");
-            sound
-        });
         self.report(product, stats, complete, clipped)
     }
 
@@ -874,6 +929,10 @@ impl RepairEngine {
         complete: bool,
         budget_clipped: bool,
     ) -> Result<RepairReport, RepairError> {
+        debug_assert!(
+            repairs.iter().all(|r| self.repair_restores_consistency(r)),
+            "an unsound repair in {repairs:?}"
+        );
         if repairs.is_empty() {
             if !complete {
                 return Err(RepairError::BudgetExhausted {
@@ -896,11 +955,57 @@ impl RepairEngine {
     }
 
     /// Does applying `repair` leave a state in which every constraint
-    /// holds? The independent soundness check: the repaired state is the
-    /// engine's state with `repair` composed in, one hypothetical over
-    /// the base model, and every constraint is evaluated on it.
+    /// holds? The whole-state oracle: the repaired state is the engine's
+    /// state with `repair` composed in, one hypothetical over the base
+    /// model, and every constraint is evaluated on it, whatever the
+    /// scope. The backends verify less (see [`RepairEngine::verifies`]);
+    /// debug builds assert this on every repair a search reports, and
+    /// SAT checks every candidate with it.
     pub fn repair_restores_consistency(&self, repair: &RepairSet) -> bool {
         consistent(&self.state().then(repair.ops()), &self.constraints)
+    }
+
+    /// The part key of the engine's repair scope (see the crate docs):
+    /// the key position of every predicate of the scope, in name order;
+    /// `None` when the scope has none and `Auto` searches it whole.
+    pub fn part_key(&self) -> Option<Vec<(Sym, usize)>> {
+        let scope = self.scope();
+        let key = PartKey::of(self.rules(), &scope.constraints)?;
+        let mut positions: Vec<(Sym, usize)> = key.position.into_iter().collect();
+        positions.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+        Some(positions)
+    }
+
+    /// The key constants of the violated parts of the engine's state, in
+    /// name order, when its repair scope has a part key (see
+    /// [`RepairStats::parts`]); `None` when it has none.
+    pub fn violated_parts(&self) -> Option<Vec<Sym>> {
+        let scope = self.scope();
+        let key = PartKey::of(self.rules(), &scope.constraints)?;
+        let parts = key.violated_parts(self.state(), &scope);
+        Some(parts.into_iter().map(|(k, _)| k).collect())
+    }
+
+    /// The verification a search gives a minimal candidate before it
+    /// reports it. With `part: None`, as a repair of the whole scope:
+    /// every op lies in the affected closure's relations and every
+    /// scope constraint holds in the repaired state. With `Some(key)`,
+    /// as a split search's repair of the violated part at `key`: every
+    /// op holds `key` at its predicate's key position and every scope
+    /// constraint, its outer `∀` key variable bound to `key`, holds in
+    /// the repaired state (`false` when the scope has no part key).
+    ///
+    /// For a repair whose ops lie in the scope, the scope verdict is
+    /// [`RepairEngine::repair_restores_consistency`]'s; for one whose
+    /// ops all lie at `key`, the part verdict is the oracle's on the
+    /// repair joined with sound repairs of the other violated parts.
+    pub fn verifies(&self, repair: &RepairSet, part: Option<Sym>) -> bool {
+        let scope = self.scope();
+        match part {
+            None => scope.verifies(self.state(), repair),
+            Some(k) => PartKey::of(self.rules(), &scope.constraints)
+                .is_some_and(|key| key.verifies(self.state(), &scope, k, repair)),
+        }
     }
 
     /// Each of `repairs` composed into the engine's state: the net
@@ -1044,6 +1149,7 @@ impl RepairEngine {
         let edb = self.state.edb();
         Scope {
             facts: edb.restricted_to(|p| relations.contains(&p)),
+            relations,
             constraints: constraints
                 .filter(|(_, i)| *i)
                 .map(|(c, _)| c.clone())
@@ -1508,6 +1614,9 @@ mod tests {
     /// within its 100 000 nodes) is 17 small searches and no SAT call;
     /// the common shape (one `flag_ok`, one `dom_s`, one `imp`
     /// violation) is three, with fewer nodes than the whole scope's 36.
+    /// Each part's minimal repairs are verified once: the verifications
+    /// are their sum (16 × 1 + 2 = 18, and 3 + 2 + 2 = 7), not the
+    /// product's size.
     #[test]
     fn auto_splits_the_benchmark_repair_shapes() {
         let mut dense = String::from("p(a5).");
@@ -1521,6 +1630,7 @@ mod tests {
         assert!(report.covers_all_minimal_repairs());
         assert_eq!(report.stats.solver, SolverStats::default());
         assert_eq!((report.stats.parts, report.stats.explored), (17, 100));
+        assert_eq!(report.stats.verified, 18);
 
         let common = repair_db("bad(a1). s(a8, a3). p(a5).");
         let report = common.repairs().unwrap();
@@ -1535,6 +1645,8 @@ mod tests {
         assert_eq!(report.stats.solver, SolverStats::default());
         assert_eq!((whole.stats.parts, whole.stats.explored), (0, 36));
         assert_eq!((report.stats.parts, report.stats.explored), (3, 14));
+        assert_eq!(report.stats.verified, 7);
+        assert_eq!(whole.stats.verified, 12);
     }
 
     #[test]

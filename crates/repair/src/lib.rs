@@ -59,6 +59,18 @@
 //! tree over all of them. `RepairBackend::Search` always searches the
 //! scope whole; it is the reference the split is tested against.
 //!
+//! Each repair is verified where it can matter
+//! ([`RepairEngine::verifies`]): a whole-scope search's candidates on
+//! the scope's constraints, a split search's per part, with the part's
+//! key constant bound, before they enter the product — `n` parts cost
+//! the sum of their repairs in verifications, not the product's size
+//! ([`RepairStats::verified`]). The constraints left out hold by the
+//! affected-closure partition and the part key, so nothing is verified
+//! on the whole state but SAT's candidates;
+//! [`RepairEngine::repair_restores_consistency`] is the whole-state
+//! oracle the verdicts are tested against, and debug builds assert it
+//! on every repair a search reports.
+//!
 //! ```
 //! use uniform_datalog::Database;
 //! use uniform_repair::RepairEngine;

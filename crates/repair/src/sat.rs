@@ -634,6 +634,7 @@ pub(crate) fn sat_repairs(eng: &RepairEngine, scope: &Scope) -> Result<RepairRep
             candidates: en.models_seen,
             max_level,
             parts: 0,
+            verified: en.models_computed,
             solver: en.solver.stats(),
         },
         complete: clean && !en.enc.domain_clipped,
