@@ -6,10 +6,10 @@
 //! pass: the UA01xx/UA02xx lints, the schema's predicate list and the
 //! per-constraint closures are each built on first use, and the
 //! satisfiability classification (UA03xx) on the first call of
-//! [`AnalyzedProgram::sat`]. A schema gate that accepts its candidate
-//! reads the classification alone and never lints; classifying runs
-//! bounded model searches, which integration layers only need on schema
-//! mutation, not on every cache hit.
+//! [`AnalyzedProgram::sat`]. Classifying runs bounded model searches,
+//! which integration layers only need on schema mutation, not on every
+//! cache hit; the schema gates of `uniform` run that search themselves
+//! (a bare `SatChecker`) and never build an analyzer.
 
 use crate::diag::{AnalyzeError, AnalyzeErrorKind, Code, Diagnostic};
 use crate::lint::{self, LintInput};
@@ -50,10 +50,15 @@ impl Default for AnalyzeOptions {
 }
 
 impl AnalyzeOptions {
-    /// The schema-gate preset: one satisfiability search over the whole
-    /// candidate set with the given budget, no per-constraint
-    /// classification and no tautology probes — the same cost as a bare
-    /// `SatChecker` run.
+    /// The single-search preset: one satisfiability search over the
+    /// whole candidate set with the given budget, no per-constraint
+    /// classification and no tautology probes. It costs more than a bare
+    /// `SatChecker` run: the analyzer holds its own copy of the rules
+    /// and the constraints, `classify` copies both again for the search,
+    /// and a refusal forces the lints. The schema gates therefore call
+    /// `SatChecker` directly; this preset stays for the benchmark's
+    /// per-layer split (`bench-layers`) and `tests/model_computes.rs`,
+    /// which time and count the analyzer's classification.
     pub fn gate(sat: SatOptions) -> AnalyzeOptions {
         AnalyzeOptions {
             sat,

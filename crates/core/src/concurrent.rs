@@ -953,7 +953,9 @@ impl ConcurrentDatabase {
         self.shared.analyzed_for_snapshot(&self.snapshot())
     }
 
-    /// Add a constraint, guarded twice: first the §4 gate refuses
+    /// Add a constraint, guarded twice: first the §4 gate — one bounded
+    /// [`SatChecker`] search over the schema's shared rules and the
+    /// candidate set, with no analyzer run and no lints — refuses
     /// candidate sets proven unsatisfiable with a typed
     /// [`UniformError::Analyze`] (UA0301; no state could ever satisfy
     /// them, whatever the facts say), or UA0304 when its search ran out
@@ -969,15 +971,18 @@ impl ConcurrentDatabase {
     /// lock* on a pinned snapshot; the schema is revalidated under the
     /// lock and the search re-runs there if another schema change
     /// slipped in. Returns `false` when an identical constraint (same
-    /// name and formula) is already registered.
+    /// name and normalized formula, compared structurally) is already
+    /// registered.
     pub fn try_add_constraint(&self, name: &str, formula: &str) -> Result<bool, UniformError> {
         let f = parse_formula(formula)?;
         let rq = normalize(&f).map_err(LogicError::Normalize)?;
         let constraint = Constraint::new(name, rq);
-        // `Constraint` carries no `PartialEq`; the `name: rq` rendering
-        // is injective on normalized constraints and serves as identity.
-        let rendered = constraint.to_string();
-        let duplicate = |cs: &[Constraint]| cs.iter().any(|c| c.to_string() == rendered);
+        // A constraint is already there when one of the same name has
+        // the same normalized formula.
+        let duplicate = |cs: &[Constraint]| {
+            cs.iter()
+                .any(|c| c.name == constraint.name && c.rq == constraint.rq)
+        };
         let options = &self.shared.options;
 
         // Optimistic phase (no lock held): classify the candidate
@@ -988,7 +993,11 @@ impl ConcurrentDatabase {
             let preverdict = (!duplicate(snapshot.constraints())).then(|| {
                 let mut candidate = snapshot.constraints().to_vec();
                 candidate.push(constraint.clone());
-                refuse_unsatisfiable_candidate(snapshot.rules(), candidate, &options.sat)
+                refuse_unsatisfiable_candidate(
+                    snapshot.schema().rules_arc(),
+                    candidate,
+                    &options.sat,
+                )
             });
             (preverdict, snapshot.schema().clone())
         };
@@ -1007,7 +1016,11 @@ impl ConcurrentDatabase {
                 _ => {
                     let mut candidate = db.constraints().to_vec();
                     candidate.push(constraint.clone());
-                    refuse_unsatisfiable_candidate(db.rules(), candidate, &options.sat)?;
+                    refuse_unsatisfiable_candidate(
+                        db.schema().rules_arc(),
+                        candidate,
+                        &options.sat,
+                    )?;
                 }
             }
             if !db.satisfies(&constraint.rq) {
@@ -1060,9 +1073,12 @@ impl ConcurrentDatabase {
     /// Satisfiability of the current rules + constraints (§4).
     pub fn check_satisfiability(&self) -> SatReport {
         let snapshot = self.snapshot();
-        SatChecker::new(snapshot.rules().clone(), snapshot.constraints().to_vec())
-            .with_options(self.shared.options.sat.clone())
-            .check()
+        SatChecker::new(
+            snapshot.schema().rules_arc().clone(),
+            snapshot.constraints().to_vec(),
+        )
+        .with_options(self.shared.options.sat.clone())
+        .check()
     }
 
     /// Commit `updates` as one transaction, re-beginning against a

@@ -5,9 +5,8 @@
 use crate::concurrent::TxnError;
 use crate::query::QueryError;
 use std::fmt;
-use uniform_analyze::{
-    AnalyzeError, AnalyzeErrorKind, AnalyzeOptions, Analyzer, Diagnostic, SatClass,
-};
+use std::sync::Arc;
+use uniform_analyze::{AnalyzeError, AnalyzeErrorKind, Diagnostic};
 use uniform_datalog::{Database, RuleSet};
 use uniform_integrity::{CheckOptions, CheckReport, Checker, RuleUpdate};
 use uniform_logic::{Constraint, LogicError};
@@ -145,33 +144,34 @@ impl From<TxnError> for UniformError {
 }
 
 /// The schema-satisfiability gate of
-/// [`crate::ConcurrentDatabase::try_add_constraint`]: classify the candidate constraint set
-/// against `rules` with the analyzer in gate mode (one bounded search —
-/// the cost of the pre-analyzer `SatChecker` call). A proven-impossible
-/// set is refused with the typed [`AnalyzeError`] (UA0301), an
-/// exhausted search with UA0304 (see [`budget_refusal`]).
+/// [`crate::ConcurrentDatabase::try_add_constraint`]: one bounded §4
+/// search over `rules` (the schema's shared handle, not a copy) and the
+/// candidate constraint set, refused as [`guarded_rule_update`] refuses
+/// a candidate rule set (see [`sat_refusal`]). No analyzer runs and no
+/// lint is computed: a gate reads only the search's verdict.
 pub(crate) fn refuse_unsatisfiable_candidate(
-    rules: &RuleSet,
+    rules: &Arc<RuleSet>,
     candidate: Vec<Constraint>,
     sat: &SatOptions,
 ) -> Result<(), UniformError> {
-    let analyzed = Analyzer::new(rules.clone(), candidate)
-        .with_options(AnalyzeOptions::gate(sat.clone()))
-        .analyze();
-    match analyzed.set_class() {
-        SatClass::Unsatisfiable => {
-            Err(UniformError::Analyze(analyzed.refusal().expect(
-                "an unsatisfiable set always carries an error diagnostic",
-            )))
-        }
-        SatClass::Unknown => {
-            let report = analyzed.sat().set_report.as_ref();
-            let Some(SatOutcome::Unknown { reason }) = report.map(|r| &r.outcome) else {
-                unreachable!("unknown class comes from the set search")
-            };
-            Err(budget_refusal(reason))
-        }
-        SatClass::Tautological | SatClass::Contingent => Ok(()),
+    let n_constraints = candidate.len();
+    let report = SatChecker::new(Arc::clone(rules), candidate)
+        .with_options(sat.clone())
+        .check();
+    sat_refusal(&report.outcome, n_constraints)
+}
+
+/// The refusal of a §4 gate whose search over `n_constraints`
+/// constraints ended in `outcome`: none when it found a model,
+/// UA0301 ([`AnalyzeError::unsatisfiable_set`]) when it proved the set
+/// unsatisfiable, UA0304 ([`budget_refusal`]) when it ran out of budget.
+fn sat_refusal(outcome: &SatOutcome, n_constraints: usize) -> Result<(), UniformError> {
+    match outcome {
+        SatOutcome::Satisfiable { .. } => Ok(()),
+        SatOutcome::Unsatisfiable => Err(UniformError::Analyze(AnalyzeError::unsatisfiable_set(
+            n_constraints,
+        ))),
+        SatOutcome::Unknown { reason } => Err(budget_refusal(reason)),
     }
 }
 
@@ -237,15 +237,7 @@ pub(crate) fn guarded_rule_update(
     // A *proven* unsatisfiable candidate schema is a static refusal —
     // the same UA0301 verdict the analyzer reaches — and an exhausted
     // search is refused with UA0304, as the constraint gate does.
-    match &sat.outcome {
-        SatOutcome::Satisfiable { .. } => {}
-        SatOutcome::Unsatisfiable => {
-            return Err(UniformError::Analyze(AnalyzeError::unsatisfiable_set(
-                db.constraints().len(),
-            )))
-        }
-        SatOutcome::Unknown { reason } => return Err(budget_refusal(reason)),
-    }
+    sat_refusal(&sat.outcome, db.constraints().len())?;
 
     let report = checker.evaluate_rule_update(&compiled);
     if !report.satisfied {

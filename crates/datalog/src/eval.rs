@@ -15,7 +15,7 @@
 //! its ranges are stored in that order, so each evaluation computes
 //! none.
 
-use crate::cq::{greedy_order, ground_fact, solve_steps, Steps};
+use crate::cq::{greedy_order, holds_ground, solve_greedy, solve_steps, Steps};
 use crate::interp::Interp;
 use uniform_logic::{Atom, Rq, Subst, Sym, Term};
 
@@ -94,13 +94,13 @@ fn eval(interp: &dyn Interp, rq: &Rq, subst: &mut Subst, lowered: bool) -> bool 
         Rq::True => true,
         Rq::False => false,
         Rq::Lit(l) => {
-            let fact = ground_fact(subst, &l.atom).unwrap_or_else(|| {
+            let holds = holds_ground(interp, subst, &l.atom).unwrap_or_else(|| {
                 panic!(
                     "literal {} not ground during evaluation (unrestricted variable?)",
                     subst.apply_atom(&l.atom)
                 )
             });
-            interp.holds(&fact) == l.positive
+            holds == l.positive
         }
         Rq::And(gs) => gs.iter().all(|g| eval(interp, g, subst, lowered)),
         Rq::Or(gs) => gs.iter().any(|g| eval(interp, g, subst, lowered)),
@@ -126,14 +126,11 @@ fn solve_range(
     lowered: bool,
     each: &mut dyn FnMut(&mut Subst) -> bool,
 ) -> bool {
-    let order;
-    let steps = if lowered {
-        Steps::Stored(0)
+    if lowered {
+        solve_steps(interp, range, Steps::Stored(0), subst, each)
     } else {
-        order = greedy_order(range, |t| subst.walk(t));
-        Steps::Listed(&order)
-    };
-    solve_steps(interp, range, steps, subst, &mut Vec::new(), each)
+        solve_greedy(interp, range, None, subst, each)
+    }
 }
 
 #[cfg(test)]

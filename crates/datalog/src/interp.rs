@@ -20,6 +20,20 @@ pub trait Interp {
     /// Is `fact` true?
     fn holds(&self, fact: &Fact) -> bool;
 
+    /// Is `pred(args)` true? The evaluators' ground-literal test, asked
+    /// with a borrowed tuple. The default builds the fact and asks
+    /// [`Interp::holds`]; the store's interpretations ([`FactSet`],
+    /// [`crate::Model`], [`Overlay`], [`crate::Hypothetical`],
+    /// [`crate::MaintainedModel`] and the kernel's flipped views)
+    /// answer from the tuple itself and allocate nothing. An override
+    /// must agree with `holds`.
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.holds(&Fact {
+            pred,
+            args: args.to_vec(),
+        })
+    }
+
     /// Enumerate true facts of `pred` whose argument at position `i`
     /// equals `pattern[i]` wherever it is `Some`. `each` returns `false`
     /// to abort; the return value reports whether the scan completed.
@@ -34,6 +48,10 @@ pub trait Interp {
 impl Interp for FactSet {
     fn holds(&self, fact: &Fact) -> bool {
         self.contains(fact)
+    }
+
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.contains_tuple(pred, args)
     }
 
     fn scan(
@@ -72,13 +90,18 @@ impl<'a, I: Interp + ?Sized> Overlay<'a, I> {
 
 impl<I: Interp + ?Sized> Interp for Overlay<'_, I> {
     fn holds(&self, fact: &Fact) -> bool {
-        if self.added.contains(fact) {
+        self.holds_tuple(fact.pred, &fact.args)
+    }
+
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        let is = |f: &Fact| f.pred == pred && f.args == args;
+        if self.added.iter().any(is) {
             return true;
         }
-        if self.removed.contains(fact) {
+        if self.removed.iter().any(is) {
             return false;
         }
-        self.base.holds(fact)
+        self.base.holds_tuple(pred, args)
     }
 
     fn scan(
@@ -159,12 +182,16 @@ impl<B> Flipped<B> {
 
 impl<B: Deref<Target: Interp>> Interp for Flipped<B> {
     fn holds(&self, fact: &Fact) -> bool {
-        self.added.contains(fact)
+        self.holds_tuple(fact.pred, &fact.args)
+    }
+
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.added.contains_tuple(pred, args)
             || (!self
                 .removed
-                .get(&fact.pred)
-                .is_some_and(|rel| rel.contains(&fact.args))
-                && self.base.holds(fact))
+                .get(&pred)
+                .is_some_and(|rel| rel.contains(args))
+                && self.base.holds_tuple(pred, args))
     }
 
     fn scan(

@@ -61,7 +61,8 @@ pub mod txn;
 pub mod update;
 
 pub use cq::{
-    all_solutions, bind_pattern, extend_match, provable, solve_conjunction, solve_planned,
+    all_solutions, extend_match, provable, solve_conjunction, solve_conjunction_without,
+    solve_planned,
 };
 pub use database::{validate_transaction_arities, ApplyError, Database, Schema, Snapshot};
 pub use depgraph::{DepGraph, StratificationError};

@@ -522,10 +522,14 @@ impl Hypothetical {
 /// on top: the overlay engine reads explicit predicates the same way.
 impl Interp for Hypothetical {
     fn holds(&self, fact: &Fact) -> bool {
-        if self.base.rules.graph().is_idb(fact.pred) {
-            return self.state.holds(fact);
+        self.holds_tuple(fact.pred, &fact.args)
+    }
+
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        if self.base.rules.graph().is_idb(pred) {
+            return self.state.holds_tuple(pred, args);
         }
-        Overlay::new(&*self.base.model, &self.added, &self.removed).holds(fact)
+        Overlay::new(&*self.base.model, &self.added, &self.removed).holds_tuple(pred, args)
     }
 
     fn scan(
@@ -545,6 +549,10 @@ impl Interp for Hypothetical {
 impl Interp for MaintainedModel {
     fn holds(&self, fact: &Fact) -> bool {
         self.model.contains(fact)
+    }
+
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.model.contains_tuple(pred, args)
     }
 
     fn scan(

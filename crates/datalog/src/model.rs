@@ -7,13 +7,13 @@
 //! computes that interpretation bottom-up, stratum by stratum, with
 //! semi-naive differentiation inside each stratum.
 
-use crate::cq::solve_conjunction;
+use crate::cq::{solve_conjunction, solve_conjunction_without};
 use crate::interp::Interp;
 use crate::program::RuleSet;
 use crate::store::FactSet;
 use std::cell::Cell;
 use std::collections::HashSet;
-use uniform_logic::{Fact, Literal, Rule, Subst, Sym};
+use uniform_logic::{Fact, Rule, Subst, Sym};
 
 /// A materialized canonical model. Wraps a [`FactSet`] holding explicit
 /// and derived facts together.
@@ -117,6 +117,10 @@ impl Interp for Model {
         self.facts.contains(fact)
     }
 
+    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.facts.contains_tuple(pred, args)
+    }
+
     fn scan(
         &self,
         pred: Sym,
@@ -210,8 +214,7 @@ pub(crate) fn derive_through(
     let Some(mut subst) = uniform_logic::match_atom(&lit.atom, d) else {
         return;
     };
-    let rest: Vec<Literal> = rule.body_without(pos);
-    solve_conjunction(interp, &rest, &mut subst, &mut |s| {
+    solve_conjunction_without(interp, &rule.body, pos, &mut subst, &mut |s| {
         if let Some(f) = s.ground_atom(&rule.head) {
             emit(f);
         }

@@ -620,9 +620,15 @@ impl FactSet {
     }
 
     pub fn contains(&self, fact: &Fact) -> bool {
-        self.index.get(&fact.pred).is_some_and(|&slot| {
+        self.contains_tuple(fact.pred, &fact.args)
+    }
+
+    /// Is `pred(args)` stored? [`FactSet::contains`] on a borrowed
+    /// tuple.
+    pub fn contains_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
+        self.index.get(&pred).is_some_and(|&slot| {
             let r = &self.relations[slot as usize].1;
-            r.arity() == fact.args.len() && r.contains(&fact.args)
+            r.arity() == args.len() && r.contains(args)
         })
     }
 

@@ -22,7 +22,8 @@ use crate::checker::{scan_triggers, CheckReport, CheckStats, Checker, Program, V
 use crate::simplify::simplified_instances;
 use std::collections::{HashSet, VecDeque};
 use uniform_datalog::{
-    satisfies_closed, solve_conjunction, Database, Interp, Model, OverlayEngine, Transaction,
+    satisfies_closed, solve_conjunction_without, Database, Interp, Model, OverlayEngine,
+    Transaction,
 };
 use uniform_logic::{match_atom, Fact, Literal, Subst};
 
@@ -140,19 +141,24 @@ pub fn interleaved_check(db: &Database, tx: &Transaction) -> CheckReport {
                 }) else {
                     continue;
                 };
-                let residue = rule.body_without(occ.position);
                 let residue_interp: &dyn Interp = if positive_head {
                     &generator
                 } else {
                     current.as_ref()
                 };
                 let mut produced: Vec<Fact> = Vec::new();
-                solve_conjunction(residue_interp, &residue, &mut binding, &mut |s| {
-                    if let Some(head) = s.ground_atom(&rule.head) {
-                        produced.push(head);
-                    }
-                    true
-                });
+                solve_conjunction_without(
+                    residue_interp,
+                    &rule.body,
+                    occ.position,
+                    &mut binding,
+                    &mut |s| {
+                        if let Some(head) = s.ground_atom(&rule.head) {
+                            produced.push(head);
+                        }
+                        true
+                    },
+                );
                 for head in produced {
                     let flipped = if positive_head {
                         !current.contains(&head)

@@ -31,7 +31,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use uniform_datalog::{
-    solve_conjunction, Interp, Model, OverlayEngine, PropagationStats, RuleSet, Update,
+    solve_conjunction_without, Interp, Model, OverlayEngine, PropagationStats, RuleSet, Update,
 };
 use uniform_logic::{match_atom, unify_atoms, Fact, Literal, PatternKey, Renaming};
 
@@ -182,31 +182,35 @@ impl<'a> DeltaEngine<'a> {
                     if !binding.try_union(&theta) {
                         continue;
                     }
-                    let residue: Vec<Literal> = rule
-                        .body_without(pos)
-                        .iter()
-                        .map(|l| head_subst.apply_literal(l))
-                        .collect();
                     // Residue state: U(D) for insertions, D for deletions
-                    // (see module docs).
+                    // (see module docs). The residue is the body without
+                    // `pos`, solved in place: `binding` extends
+                    // `head_subst`, so it walks each literal as far as
+                    // the substituted copy would.
                     let residue_interp: &dyn Interp = if pattern.positive {
                         self.updated
                     } else {
                         self.current
                     };
-                    solve_conjunction(residue_interp, &residue, &mut binding, &mut |s| {
-                        if let Some(head) = s.ground_atom(&rule.head) {
-                            let flipped = if pattern.positive {
-                                !self.current.contains(&head)
-                            } else {
-                                self.current.contains(&head) && !self.updated.holds(&head)
-                            };
-                            if flipped {
-                                emit(&head);
+                    solve_conjunction_without(
+                        residue_interp,
+                        &rule.body,
+                        pos,
+                        &mut binding,
+                        &mut |s| {
+                            if let Some(head) = s.ground_atom(&rule.head) {
+                                let flipped = if pattern.positive {
+                                    !self.current.contains(&head)
+                                } else {
+                                    self.current.contains(&head) && !self.updated.holds(&head)
+                                };
+                                if flipped {
+                                    emit(&head);
+                                }
                             }
-                        }
-                        true
-                    });
+                            true
+                        },
+                    );
                 }
             }
         }

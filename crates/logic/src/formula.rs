@@ -257,6 +257,27 @@ impl Rq {
         out
     }
 
+    /// Call `f` on every atom of the formula, literal and range atoms
+    /// alike, in the order of [`Rq::literals`], without copying one:
+    /// the walk for callers that read only atoms or predicates.
+    pub fn for_each_atom<'a>(&'a self, f: &mut impl FnMut(&'a Atom)) {
+        match self {
+            Rq::True | Rq::False => {}
+            Rq::Lit(l) => f(&l.atom),
+            Rq::And(gs) | Rq::Or(gs) => {
+                for g in gs {
+                    g.for_each_atom(f);
+                }
+            }
+            Rq::Forall { range, body, .. } | Rq::Exists { range, body, .. } => {
+                for a in range {
+                    f(a);
+                }
+                body.for_each_atom(f);
+            }
+        }
+    }
+
     fn collect_literals(&self, path: &mut RqPath, out: &mut Vec<RqLiteral>) {
         match self {
             Rq::True | Rq::False => {}
@@ -647,6 +668,18 @@ mod tests {
         let lits = c2().literals();
         let rendered: Vec<String> = lits.iter().map(|o| o.literal.to_string()).collect();
         assert_eq!(rendered, vec!["not p(X,Y)", "q(X,Z)", "not s(Y,Z,a)"]);
+    }
+
+    #[test]
+    fn atom_walk_follows_the_literal_order() {
+        let mut atoms = Vec::new();
+        c2().for_each_atom(&mut |a| atoms.push(a.to_string()));
+        let lits: Vec<String> = c2()
+            .literals()
+            .iter()
+            .map(|o| o.literal.atom.to_string())
+            .collect();
+        assert_eq!(atoms, lits);
     }
 
     #[test]

@@ -82,17 +82,6 @@ impl Rule {
         self.body.iter().filter(|l| !l.positive)
     }
 
-    /// The body literals except the one at `skip` — the paper's `B \ L'`
-    /// from Def. 4.
-    pub fn body_without(&self, skip: usize) -> Vec<Literal> {
-        self.body
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != skip)
-            .map(|(_, l)| l.clone())
-            .collect()
-    }
-
     /// All variables occurring in the rule.
     pub fn vars(&self) -> BTreeSet<Sym> {
         let mut out: BTreeSet<Sym> = self.head.vars().collect();
@@ -195,18 +184,6 @@ mod tests {
         // And apart from the partner, the rule's own head: no variable
         // of the rule survives.
         assert!(rn.vars().is_disjoint(&r.vars()));
-    }
-
-    #[test]
-    fn body_without_removes_single_literal() {
-        let r = Rule::new(
-            Atom::parse_like("r", &["X"]),
-            vec![lit("a", &["X"], true), lit("b", &["X"], true)],
-        )
-        .unwrap();
-        let rest = r.body_without(0);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].atom.pred, Sym::new("b"));
     }
 
     #[test]

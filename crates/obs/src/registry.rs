@@ -75,6 +75,7 @@ impl Gauge {
     }
 }
 
+#[derive(Clone)]
 enum Slot {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -97,38 +98,37 @@ impl MetricsRegistry {
     /// already registered as a different metric kind — dotted names are
     /// a global namespace and kind mismatches are programming errors.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))))
-        {
-            Slot::Counter(c) => Counter(Arc::clone(c)),
+        match self.slot(name, || Slot::Counter(Arc::new(AtomicU64::new(0)))) {
+            Slot::Counter(c) => Counter(c),
             _ => panic!("metric `{name}` already registered with a different kind"),
         }
     }
 
     /// Create or look up the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0))))
-        {
-            Slot::Gauge(g) => Gauge(Arc::clone(g)),
+        match self.slot(name, || Slot::Gauge(Arc::new(AtomicU64::new(0)))) {
+            Slot::Gauge(g) => Gauge(g),
             _ => panic!("metric `{name}` already registered with a different kind"),
         }
     }
 
     /// Create or look up the histogram `name`.
     pub fn histogram(&self, name: &str) -> Hist {
-        let mut slots = self.slots.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Hist(Arc::new(Histogram::new())))
-        {
-            Slot::Hist(h) => Hist(Arc::clone(h)),
+        match self.slot(name, || Slot::Hist(Arc::new(Histogram::new()))) {
+            Slot::Hist(h) => Hist(h),
             _ => panic!("metric `{name}` already registered with a different kind"),
         }
+    }
+
+    /// A handle on the slot `name`, registered as `make()` on first
+    /// use. Only a first registration allocates the name: a lookup
+    /// probes with the borrowed one.
+    fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {
+        let mut slots = self.slots.lock();
+        if let Some(slot) = slots.get(name) {
+            return slot.clone();
+        }
+        slots.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// Sorted `(name, value)` export of every counter and gauge.

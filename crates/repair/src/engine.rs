@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uniform_datalog::{
     satisfies, satisfies_closed, solve_conjunction, FactSet, Hypothetical, Interp, Model, RuleSet,
     Snapshot, Transaction, Update,
@@ -472,11 +472,10 @@ impl PartKey {
             duties.push((outer.copied().collect(), atoms));
         }
         let graph = rules.graph();
-        let reached: BTreeSet<Sym> = constraints
-            .iter()
-            .flat_map(|c| c.rq.literals())
-            .flat_map(|occ| graph.reachable(occ.literal.atom.pred))
-            .collect();
+        let mut reached: BTreeSet<Sym> = BTreeSet::new();
+        for c in constraints {
+            c.rq.for_each_atom(&mut |a| reached.extend(graph.reachable(a.pred)));
+        }
         for rule in rules.rules() {
             if reached.contains(&rule.head.pred) {
                 let body = rule.body.iter().map(|l| &l.atom);
@@ -558,10 +557,12 @@ impl PartKey {
             return false;
         }
         let repaired = state.then(repair.ops());
+        let mut at = Subst::new();
         scope.constraints.iter().zip(&self.vars).all(|(c, &var)| {
-            let mut at = Subst::new();
             at.bind(var, Term::Const(key));
-            satisfies(&repaired, &c.rq, &mut at)
+            let holds = satisfies(&repaired, &c.rq, &mut at);
+            at.unbind(var);
+            holds
         })
     }
 
@@ -576,7 +577,7 @@ impl PartKey {
             };
             let lits: Vec<Literal> = range.iter().map(|a| a.clone().pos()).collect();
             solve_conjunction(model, &lits, &mut Subst::new(), &mut |s| {
-                if !satisfies_closed(model, &body.apply(s)) {
+                if !satisfies(model, body, s) {
                     keys.extend(s.walk(Term::Var(var)).as_const());
                 }
                 true
@@ -654,7 +655,13 @@ pub struct RepairEngine {
     /// Observability domain for `repair.run` spans, `repair.latency.*`
     /// histograms and `repair.*` effort counters; `None` runs silent.
     obs: Option<Arc<Obs>>,
+    /// [`RepairEngine::affected`], decided on first use: the state and
+    /// the constraints never change.
+    affected: OnceLock<Affected>,
 }
+
+/// The affected closure, and per constraint whether it lies inside.
+type Affected = (BTreeSet<Sym>, Vec<bool>);
 
 impl RepairEngine {
     pub fn new(
@@ -673,6 +680,7 @@ impl RepairEngine {
             constraints,
             options: RepairOptions::default(),
             obs: None,
+            affected: OnceLock::new(),
         }
     }
 
@@ -1092,16 +1100,23 @@ impl RepairEngine {
     /// `R_A`), hence minimality forces `R_out = ∅`. Returned sorted, in
     /// `Sym` order.
     pub fn affected_closure(&self) -> Vec<Sym> {
-        self.affected().0.into_iter().collect()
+        self.affected().0.iter().copied().collect()
     }
 
     /// The affected closure, and per constraint whether it lies inside
-    /// (violated, or coupled in by an overlapping closure).
-    fn affected(&self) -> (BTreeSet<Sym>, Vec<bool>) {
+    /// (violated, or coupled in by an overlapping closure). Every
+    /// constraint is evaluated on the whole state once per engine; the
+    /// scope, the part key and the exemptions read the memo.
+    fn affected(&self) -> &Affected {
+        self.affected.get_or_init(|| self.decide_affected())
+    }
+
+    fn decide_affected(&self) -> Affected {
         let graph = self.rules().graph();
         let closure_of = |c: &Constraint| -> BTreeSet<Sym> {
-            let preds = c.rq.literals().into_iter().map(|occ| occ.literal.atom.pred);
-            preds.flat_map(|p| graph.reachable(p)).collect()
+            let mut closure = BTreeSet::new();
+            c.rq.for_each_atom(&mut |a| closure.extend(graph.reachable(a.pred)));
+            closure
         };
         let closures: Vec<BTreeSet<Sym>> = self.constraints.iter().map(closure_of).collect();
         let model = self.state();
@@ -1149,9 +1164,9 @@ impl RepairEngine {
         let edb = self.state.edb();
         Scope {
             facts: edb.restricted_to(|p| relations.contains(&p)),
-            relations,
+            relations: relations.clone(),
             constraints: constraints
-                .filter(|(_, i)| *i)
+                .filter(|(_, i)| **i)
                 .map(|(c, _)| c.clone())
                 .collect(),
             domain: enforce::domain(&edb, self.rules(), &self.constraints),
@@ -1164,7 +1179,7 @@ impl RepairEngine {
     /// or from the unrepaired state — the exemption that lets certain
     /// answers be served even when the repair enumeration refuses.
     pub fn reads_outside_affected(&self, preds: impl IntoIterator<Item = Sym>) -> bool {
-        let affected: BTreeSet<Sym> = self.affected_closure().into_iter().collect();
+        let affected = &self.affected().0;
         let graph = self.rules().graph();
         preds
             .into_iter()
@@ -1220,9 +1235,7 @@ impl RepairEngine {
         let graph = self.rules().graph();
         let mut closure: BTreeSet<Sym> = BTreeSet::new();
         for c in &self.constraints {
-            for occ in c.rq.literals() {
-                closure.extend(graph.reachable(occ.literal.atom.pred));
-            }
+            c.rq.for_each_atom(&mut |a| closure.extend(graph.reachable(a.pred)));
         }
         for repair in &report.repairs {
             for op in repair.ops() {
@@ -1277,6 +1290,33 @@ mod tests {
         assert_eq!(closure, ["p", "q", "r"]);
         assert_eq!(eng.violations(), ["c"]);
         assert_eq!(Model::computes_on_this_thread(), computes);
+    }
+
+    /// The affected closure is decided once per engine: the first call
+    /// evaluates the constraints, and the scope, the part key, the
+    /// violated parts, the exemption test and a whole enumeration then
+    /// read the same memo.
+    #[test]
+    fn the_affected_closure_is_decided_once() {
+        let eng = engine(
+            "p(a). p(b). q(a). s(c). t(c). \
+             constraint c: forall X: p(X) -> q(X). \
+             constraint d: forall X: s(X) -> t(X).",
+        );
+        assert!(eng.affected.get().is_none(), "nothing decided at build");
+        let mut closure: Vec<&str> = eng.affected_closure().iter().map(|p| p.as_str()).collect();
+        closure.sort_unstable();
+        assert_eq!(closure, ["p", "q"]);
+        let first: *const Affected = eng.affected.get().expect("decided on first use");
+        assert_eq!(eng.scope().constraints.len(), 1);
+        assert!(eng.part_key().is_some());
+        assert_eq!(eng.violated_parts().unwrap(), [Sym::new("b")]);
+        assert!(eng.reads_outside_affected([Sym::new("s")]));
+        assert_eq!(rendered(&eng.repairs().unwrap()), ["{-p(b)}", "{+q(b)}"]);
+        assert!(
+            std::ptr::eq(first, eng.affected()),
+            "every later reader shares the first decision"
+        );
     }
 
     #[test]

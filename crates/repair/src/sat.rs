@@ -100,9 +100,7 @@ impl<'a> Encoder<'a> {
         let graph = eng.rules().graph();
         let mut relevant: BTreeSet<Sym> = BTreeSet::new();
         for c in &scope.constraints {
-            for occ in c.rq.literals() {
-                relevant.extend(graph.reachable(occ.literal.atom.pred));
-            }
+            c.rq.for_each_atom(&mut |a| relevant.extend(graph.reachable(a.pred)));
         }
 
         let mut arity: BTreeMap<Sym, usize> = BTreeMap::new();
@@ -110,11 +108,9 @@ impl<'a> Encoder<'a> {
             arity.insert(f.pred, f.args.len());
         }
         for c in &scope.constraints {
-            for occ in c.rq.literals() {
-                arity
-                    .entry(occ.literal.atom.pred)
-                    .or_insert(occ.literal.atom.args.len());
-            }
+            c.rq.for_each_atom(&mut |a| {
+                arity.entry(a.pred).or_insert(a.args.len());
+            });
         }
         for r in eng.rules().rules() {
             arity.entry(r.head.pred).or_insert(r.head.args.len());

@@ -145,9 +145,7 @@ fn schema_constants(rules: &RuleSet, constraints: &[Constraint]) -> Vec<Sym> {
     let mut out = Vec::new();
     let mut take = |atom: &Atom| out.extend(atom.args.iter().filter_map(|t| t.as_const()));
     for c in constraints {
-        for occ in c.rq.literals() {
-            take(&occ.literal.atom);
-        }
+        c.rq.for_each_atom(&mut take);
     }
     for r in rules.rules() {
         take(&r.head);

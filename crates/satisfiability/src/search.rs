@@ -21,9 +21,10 @@
 use crate::completion::completion_constraints;
 use crate::enforce::{domain, Enforcer, Limits, Moves};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 use uniform_datalog::{Database, FactSet, Model, RuleSet};
 use uniform_integrity::RelevanceIndex;
-use uniform_logic::{Constraint, Fact};
+use uniform_logic::{Constraint, Fact, Rule};
 
 /// Tunable knobs; the defaults implement the paper's method plus the
 /// rigorous completeness extensions.
@@ -148,8 +149,9 @@ pub struct SatReport {
 
 /// Satisfiability checker for a set of rules and constraints.
 pub struct SatChecker {
-    /// The full rule set (reported models are canonical under these).
-    rules: RuleSet,
+    /// The full rule set (reported models are canonical under these),
+    /// shared with the schema it came from.
+    rules: Arc<RuleSet>,
     /// Rules used for derivation *during the search*: the positive ones
     /// only. Rules with negative body literals participate through their
     /// §4 completion constraints instead — letting them fire as
@@ -160,7 +162,7 @@ pub struct SatChecker {
     /// constraint holds in the positive-rules canonical model, that model
     /// provably coincides with the full stratified canonical model, so
     /// sample databases accepted by the search are genuine witnesses.
-    search_rules: RuleSet,
+    search_rules: Arc<RuleSet>,
     constraints: Vec<Constraint>,
     index: RelevanceIndex,
     seed: Vec<Fact>,
@@ -169,18 +171,23 @@ pub struct SatChecker {
 
 impl SatChecker {
     /// Build a checker; the §4 completion constraints for rules with
-    /// negative body literals are added automatically.
-    pub fn new(rules: RuleSet, mut constraints: Vec<Constraint>) -> SatChecker {
+    /// negative body literals are added automatically. A schema's
+    /// shared rules (`Schema::rules_arc`) are taken without a copy.
+    pub fn new(rules: impl Into<Arc<RuleSet>>, mut constraints: Vec<Constraint>) -> SatChecker {
+        let rules = rules.into();
         constraints.extend(completion_constraints(rules.rules()));
         let index = RelevanceIndex::build(&constraints);
-        let positive: Vec<_> = rules
-            .rules()
-            .iter()
-            .filter(|r| r.negative_body().count() == 0)
-            .cloned()
-            .collect();
-        let search_rules =
-            RuleSet::new(positive).expect("a subset of a stratified rule set is stratified");
+        let negative = |r: &Rule| r.negative_body().next().is_some();
+        // Without a negative rule the search runs on the rules themselves.
+        let search_rules = if rules.rules().iter().any(negative) {
+            let positive = rules.rules().iter().filter(|r| !negative(r)).cloned();
+            Arc::new(
+                RuleSet::new(positive.collect())
+                    .expect("a subset of a stratified rule set is stratified"),
+            )
+        } else {
+            Arc::clone(&rules)
+        };
         SatChecker {
             rules,
             search_rules,
