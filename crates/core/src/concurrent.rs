@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use uniform_analyze::{AnalyzeOptions, AnalyzedProgram, Analyzer};
-use uniform_datalog::txn::{CommitError, CommitQueue, CommitReceipt, ModelPath};
+use uniform_datalog::txn::{CommitError, CommitQueue, CommitReceipt};
 use uniform_datalog::{
     ConflictGranularity, Database, Provenance, Schema, Snapshot, Transaction, TxnBuilder, Update,
 };
@@ -203,10 +203,6 @@ pub struct CommitOutcome {
     pub retries: usize,
     /// The Def. 1 effective updates, in staging order.
     pub effective: Vec<Update>,
-    /// How post-commit snapshots get their canonical model: maintained
-    /// incrementally by the commit queue, or rematerialized from scratch
-    /// (see [`ModelPath`]).
-    pub model_path: ModelPath,
     /// The repair delta folded into this commit by
     /// [`ViolationPolicy::AutoRepair`] (`None` on the ordinary path).
     pub repair: Option<RepairSet>,
@@ -531,7 +527,7 @@ impl ConcurrentDatabase {
         policy: ViolationPolicy,
     ) -> Result<CommitOutcome, TxnError> {
         // The root commit span, tagged with the policy; the queue's
-        // `commit.admit`/`commit.apply`/`commit.maintain` spans and the
+        // `commit.admit`/`commit.apply` spans and the
         // repair engine's `repair.run` nest under it (same obs domain,
         // same thread). Its close feeds the `commit.latency` histogram.
         let _commit = self.shared.obs.span_timed(
@@ -586,7 +582,6 @@ impl ConcurrentDatabase {
                 version,
                 fact_rev,
                 effective,
-                model_path,
             }) => {
                 // The certain cache keeps only the new head's state
                 // (outside the queue lock: a racing hook drops entries,
@@ -603,7 +598,6 @@ impl ConcurrentDatabase {
                     report,
                     retries: 0,
                     effective,
-                    model_path,
                     repair: None,
                 })
             }
@@ -671,7 +665,6 @@ impl ConcurrentDatabase {
                 version,
                 fact_rev,
                 effective,
-                model_path,
             }) => {
                 let _invalidate = self.shared.obs.span("commit.invalidate");
                 let head = StateKey {
@@ -684,7 +677,6 @@ impl ConcurrentDatabase {
                     report: combined_report,
                     retries: 0,
                     effective,
-                    model_path,
                     repair: Some(repair),
                 })
             }
@@ -813,8 +805,9 @@ impl ConcurrentDatabase {
     /// query execute and repair run contributes a small span tree:
     /// `commit` (tagged by policy) over `commit.stage` / `commit.check`
     /// (the integrity check, its compile read from or added to the head
-    /// schema's check cache) / `commit.admit` / `commit.apply` /
-    /// `commit.maintain` / `commit.repair` / `commit.invalidate`;
+    /// schema's check cache) / `commit.admit` / `commit.apply` (the
+    /// write and the model's advance) / `commit.repair` /
+    /// `commit.invalidate`;
     /// `query.execute` (tagged `latest`/`certain`, closed with its
     /// outcome path `eval` / `consistent` / `cache_hit` / `repair`);
     /// `repair.run` (tagged by backend).
@@ -850,15 +843,9 @@ impl ConcurrentDatabase {
             .is_true())
     }
 
-    /// The standing model-path marker: how the next snapshot of the
-    /// current state gets its canonical model.
-    pub fn model_path(&self) -> ModelPath {
-        self.shared.queue.model_path()
-    }
-
     /// Run a raw schema mutation under the queue lock (see
-    /// [`CommitQueue::update_schema`]): the maintained model is reset
-    /// and in-flight transactions are fenced with a retriable
+    /// [`CommitQueue::update_schema`]): the database's model moves with
+    /// whatever `f` changes, and in-flight transactions are fenced with a retriable
     /// [`TxnError::SnapshotTooOld`]. Prefer the guarded
     /// `try_add_*` / `try_remove_rule` / `remove_constraint` entry
     /// points for schema changes.
@@ -1426,8 +1413,7 @@ mod tests {
                 4,
             )
             .unwrap();
-        assert_eq!(outcome.model_path, uniform_datalog::ModelPath::Maintained);
-        assert_eq!(db.model_path(), uniform_datalog::ModelPath::Maintained);
+        assert_eq!(outcome.effective.len(), 3);
         // The induced member(bob, hr) is in the maintained model.
         let snap = db.snapshot();
         assert!(snap.holds(&Fact::parse_like("member", &["bob", "hr"])));
@@ -1435,40 +1421,41 @@ mod tests {
     }
 
     #[test]
-    fn rule_additions_are_guarded_and_reset_maintenance() {
+    fn rule_additions_are_guarded_and_advance_the_model() {
         let db = ConcurrentDatabase::parse(ORG).unwrap();
         db.commit_updates_with_retry(&[upd(true, "veteran", &["ann"])], 1)
             .unwrap();
-        assert_eq!(db.model_path(), uniform_datalog::ModelPath::Maintained);
 
         // An in-flight transaction is fenced by the schema change.
         let mut inflight = db.begin();
         inflight.stage(upd(true, "veteran", &["zed"]));
 
         assert!(db.try_add_rule("boss(X) :- leads(X, Y).").unwrap());
-        assert_eq!(db.model_path(), uniform_datalog::ModelPath::Rematerialized);
-        assert_eq!(counter(&db, "maintain.schema_resets"), 1);
         let err = db.commit(&inflight).unwrap_err();
         assert!(
             matches!(err, TxnError::SnapshotTooOld { .. }),
             "schema change must fence pinned checks: {err}"
         );
+        // The rule change advanced the model: the snapshot computes none.
+        let computes = uniform_datalog::Model::computes_on_this_thread();
         assert!(db.snapshot().holds(&Fact::parse_like("boss", &["ann"])));
+        assert_eq!(uniform_datalog::Model::computes_on_this_thread(), computes);
 
         // Re-adding is a no-op; unstratifiable and violating rules are
-        // refused without resetting anything further.
+        // refused.
         assert!(!db.try_add_rule("boss(X) :- leads(X, Y).").unwrap());
         assert!(db
             .try_add_rule("absent(X) :- employee(X), not absent(X).")
             .is_err());
-        assert_eq!(counter(&db, "maintain.schema_resets"), 1);
 
-        // Maintenance resumes on the next effective commit.
-        let outcome = db
-            .commit_updates_with_retry(&[upd(true, "veteran", &["zed"])], 4)
+        // Commits keep maintaining the model.
+        db.commit_updates_with_retry(&[upd(true, "veteran", &["zed"])], 4)
             .unwrap();
-        assert_eq!(outcome.model_path, uniform_datalog::ModelPath::Maintained);
-        assert!(db.snapshot().holds(&Fact::parse_like("boss", &["ann"])));
+        let snap = db.snapshot();
+        assert!(snap.holds(&Fact::parse_like("boss", &["ann"])));
+        let fresh = uniform_datalog::Model::compute(snap.facts(), snap.rules());
+        assert_eq!(snap.model().len(), fresh.len());
+        assert!(fresh.iter().all(|f| snap.holds(&f)));
     }
 
     #[test]
@@ -1523,7 +1510,6 @@ mod tests {
             .unwrap();
         let repair = outcome.repair.expect("repair applied");
         assert_eq!(repair.to_string(), "{-p(a)}", "delete the dangling p(a)");
-        assert_eq!(outcome.model_path, uniform_datalog::ModelPath::Maintained);
         assert!(db.with_database(|d| d.is_consistent()));
         assert!(!db.snapshot().holds(&Fact::parse_like("p", &["a"])));
     }
@@ -1612,12 +1598,11 @@ mod tests {
                 });
             }
         });
-        // All four landed, each reset the maintenance state.
+        // All four landed, each advancing the model.
         let snap = db.snapshot();
         for w in 0..4 {
             assert!(snap.holds(&Fact::parse_like(&format!("derived{w}"), &["ann"])));
         }
-        assert_eq!(counter(&db, "maintain.schema_resets"), 4);
         // Unsatisfiable additions are still refused by the (optimistic)
         // search, and re-adding is still a no-op.
         assert!(!db.try_add_rule("derived0(X) :- employee(X).").unwrap());

@@ -80,7 +80,7 @@ pub use uniform_analyze::{
 };
 pub use uniform_datalog::{
     ApplyError, CommitError, CommitQueue, CommitReceipt, ConflictGranularity, Database, FactSet,
-    Model, ModelPath, ReadPattern, Snapshot, Transaction, TxnBuilder, Update,
+    Model, ReadPattern, Snapshot, Transaction, TxnBuilder, Update,
 };
 pub use uniform_integrity::{
     CheckOptions, CheckReport, Checker, ConditionalUpdate, RuleUpdate, Violation,

@@ -1000,8 +1000,19 @@ impl Session {
     /// nothing to repair and nothing to cache. Only an actually
     /// inconsistent state reaches the bounded repair search, whose
     /// result is installed shared under the state's key.
-    fn certain_repairs(
+    ///
+    /// The refusal is scoped to the affected closure: when the
+    /// enumeration was cut short (`BudgetExhausted`) but the query reads
+    /// only relations `preds` disjoint from every violated constraint's
+    /// closure, its answers agree across all minimal repairs — found or
+    /// clipped — and across the unrepaired state, so the singleton empty
+    /// repair serves them soundly. The enumerating engine decides that,
+    /// from the closure it has already computed. The substitute is *not*
+    /// installed shared: it is correct only for queries outside the
+    /// closure, while the cache is state-scoped.
+    fn certain_repairs_scoped(
         &self,
+        preds: &[Sym],
         path: &Cell<&'static str>,
     ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
         let shared = &self.shared;
@@ -1017,42 +1028,21 @@ impl Session {
         // span's close path, and hand the engine the database's obs so
         // its `repair.run` span and `repair.*` counters nest here.
         path.set("repair");
-        let report = RepairEngine::for_snapshot(&self.snapshot)
+        let engine = RepairEngine::for_snapshot(&self.snapshot)
             .with_options(shared.repair_options())
-            .with_obs(shared.obs().clone())
-            .repairs_covering_all_minimal()
-            .map_err(QueryError::Budget)?;
+            .with_obs(shared.obs().clone());
+        let report = match engine.repairs_covering_all_minimal() {
+            Ok(report) => report,
+            Err(RepairError::BudgetExhausted { .. })
+                if engine.reads_outside_affected(preds.iter().copied()) =>
+            {
+                return Ok(Some(Arc::new(vec![RepairSet::empty()])));
+            }
+            Err(err) => return Err(QueryError::Budget(err)),
+        };
         let repairs = Arc::new(report.repairs);
         shared.certain().install_repairs(key, repairs.clone());
         Ok(Some(repairs))
-    }
-
-    /// [`Session::certain_repairs`], with the refusal scoped to the
-    /// affected closure: when the enumeration was cut short
-    /// (`BudgetExhausted`) but the query reads only relations disjoint
-    /// from every violated constraint's closure, its answers agree
-    /// across all minimal repairs — found or clipped — and across the
-    /// unrepaired state, so the singleton empty repair serves them
-    /// soundly. The substitute is *not* installed shared: it is correct
-    /// only for queries outside the closure, while the cache is
-    /// state-scoped.
-    fn certain_repairs_scoped(
-        &self,
-        preds: &[Sym],
-        path: &Cell<&'static str>,
-    ) -> Result<Option<Arc<Vec<RepairSet>>>, QueryError> {
-        match self.certain_repairs(path) {
-            Err(err @ QueryError::Budget(RepairError::BudgetExhausted { .. })) => {
-                let engine = RepairEngine::for_snapshot(&self.snapshot)
-                    .with_options(self.shared.repair_options());
-                if engine.reads_outside_affected(preds.iter().copied()) {
-                    Ok(Some(Arc::new(vec![RepairSet::empty()])))
-                } else {
-                    Err(err)
-                }
-            }
-            outcome => outcome,
-        }
     }
 }
 

@@ -1,6 +1,8 @@
 //! The deductive database `D = (F, R, I)` (§2): explicit facts, stratified
 //! rules, and normalized integrity constraints, with a cached canonical
-//! model.
+//! model. The model is computed once, on first use; every later change —
+//! fact writes, a rule change — advances it through the propagation
+//! kernel ([`crate::maintain`]) instead of dropping it.
 //!
 //! The database is `Send + Sync`: the model cache sits behind a lock and
 //! every shared component (the [`Schema`], relations) is `Arc`ed.
@@ -10,6 +12,7 @@
 //! stable while writers keep committing to the originating database.
 
 use crate::eval::satisfies_closed;
+use crate::maintain::{advance, Net};
 use crate::model::Model;
 use crate::program::RuleSet;
 use crate::store::FactSet;
@@ -17,10 +20,12 @@ use crate::txn::TxnBuilder;
 use crate::update::Update;
 use parking_lot::RwLock;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use uniform_logic::{normalize, parse_program, Constraint, Fact, LogicError, ParseError, Rq, Sym};
+use uniform_logic::{
+    normalize, parse_program, Constraint, Fact, LogicError, ParseError, Rq, Rule, Sym, SymState,
+};
 
 /// Why [`Database::apply`] refused to touch the store. Arity misuse is a
 /// caller error distinct from a constraint rejection (which never reaches
@@ -102,8 +107,8 @@ fn violated_in(model: &Model, constraints: &[Constraint], latch: &Latch) -> Vec<
 /// *including* arities introduced by earlier updates in the same
 /// transaction: `[+fresh(a,b), +fresh(c)]` must be refused up front,
 /// not panic halfway through application. Every pre-apply validation
-/// path (façade, [`crate::txn::TxnBuilder`], [`crate::txn::CommitQueue`])
-/// goes through here so the rules cannot drift apart.
+/// path ([`Database::apply_all`], [`crate::txn::TxnBuilder`]) goes
+/// through here so the rules cannot drift apart.
 pub fn validate_transaction_arities<'a>(
     arity_of: impl Fn(Sym) -> Option<usize>,
     updates: impl IntoIterator<Item = &'a Update>,
@@ -197,8 +202,8 @@ pub struct Schema {
     /// and the copy shares the part that does not change.
     rules: Arc<RuleSet>,
     constraints: Arc<Vec<Constraint>>,
-    /// Which *kind* of schema moved: a constraint-only change must not
-    /// drop a maintained model (constraints never affect it).
+    /// Which *kind* of schema moved (prepared plans key on the rules',
+    /// certain answers on both).
     rule_rev: u64,
     constraint_rev: u64,
     derived: Derived,
@@ -249,7 +254,7 @@ impl Schema {
 pub struct Database {
     edb: FactSet,
     schema: Arc<Schema>,
-    model: RwLock<Option<Arc<Model>>>,
+    model: RwLock<ModelCache>,
     /// Process-unique identity, never shared between two instances —
     /// even clones get a fresh one, because clones evolve (and bump
     /// their revisions) independently, so `(db_id, rule_rev)` globally
@@ -264,6 +269,50 @@ pub struct Database {
     /// The consistency latch of the *current* state (see
     /// [`Database::verified_consistent`]).
     consistent: Latch,
+}
+
+/// A database's canonical model, once there is one: the model of its
+/// explicit facts before `written`, the effective writes since. Reading
+/// it advances it past them.
+#[derive(Clone, Default)]
+struct ModelCache {
+    model: Option<Arc<Model>>,
+    written: Vec<Update>,
+}
+
+impl ModelCache {
+    /// The model, if it describes the explicit facts as they are.
+    fn current(&self) -> Option<&Arc<Model>> {
+        self.model.as_ref().filter(|_| self.written.is_empty())
+    }
+
+    /// The model of `edb` under `rules`: computed if there is none yet,
+    /// else advanced in one kernel run past the writes since and a
+    /// change of the rules to `rules` by `changed` ([`RuleSet::diff`]).
+    fn update(&mut self, edb: &FactSet, rules: &RuleSet, changed: &[(&Rule, bool)]) -> Arc<Model> {
+        let model = match self.model.take() {
+            None => Model::compute(edb, rules),
+            Some(model) => {
+                // A fact's first write says what it was before, `edb`
+                // what it is now: the writes' Def. 1 net effect.
+                let (mut net, mut seen) = (Net::default(), HashSet::<_, SymState>::default());
+                let written = std::mem::take(&mut self.written);
+                for u in written.iter().filter(|u| seen.insert(&u.fact)) {
+                    if u.insert == edb.contains(&u.fact) {
+                        let side = if u.insert { &mut net.0 } else { &mut net.1 };
+                        side.push(u.fact.clone());
+                    }
+                }
+                // Letting go of the old model first lets derived relations
+                // no snapshot shares take their flips in place.
+                let mut facts = model.facts().clone();
+                drop(model);
+                advance(&mut facts, rules, changed, edb, &net);
+                Model::from_facts(facts)
+            }
+        };
+        self.model.insert(Arc::new(model)).clone()
+    }
 }
 
 /// Which component revision a mutation moves (see [`Database::bump`]).
@@ -340,7 +389,7 @@ impl Database {
                 constraint_rev: 0,
                 derived: Derived::default(),
             }),
-            model: RwLock::new(None),
+            model: RwLock::default(),
             db_id: fresh_db_id(),
             version: 0,
             fact_rev: 0,
@@ -414,8 +463,14 @@ impl Database {
         self.bump(Moved::Constraints);
     }
 
-    /// Replace the rule set; invalidates the cached model.
+    /// Replace the rule set. A cached model is advanced to the canonical
+    /// model under `rules` by the propagation kernel, seeded with the
+    /// rules the change adds and removes (rules compare structurally).
     pub fn set_rules(&mut self, rules: RuleSet) {
+        let cache = self.model.get_mut();
+        if cache.model.is_some() {
+            cache.update(&self.edb, &rules, &self.schema.rules.diff(&rules));
+        }
         self.schema_mut().rules = Arc::new(rules);
         self.bump(Moved::Rules);
     }
@@ -430,20 +485,16 @@ impl Database {
     }
 
     /// The one place a state becomes another: move the version and the
-    /// component revision, drop the cached model where it can no longer
-    /// describe the state (constraints never contribute to it), and
-    /// give the new state a fresh, unset consistency latch — nothing is
-    /// known about it until someone looks (or
-    /// [`Database::preserving_consistency`] vouches for the step).
+    /// component revision, and give the new state a fresh, unset
+    /// consistency latch — nothing is known about it until someone looks
+    /// (or [`Database::preserving_consistency`] vouches for the step).
+    /// The cached model is the caller's to advance.
     fn bump(&mut self, moved: Moved) {
         self.version += 1;
         match moved {
             Moved::Facts => self.fact_rev += 1,
             Moved::Rules => self.schema_mut().rule_rev += 1,
             Moved::Constraints => self.schema_mut().constraint_rev += 1,
-        }
-        if !matches!(moved, Moved::Constraints) {
-            *self.model.get_mut() = None;
         }
         // Bulk loads bump once per fact: keep the cell while nobody
         // else can see it and there is nothing to forget.
@@ -522,66 +573,67 @@ impl Database {
         self.schema.constraint_rev
     }
 
-    /// Apply an update to the fact base (no integrity checking here — the
-    /// guarded path lives in `uniform-integrity`/`uniform-core`).
-    /// `Ok(true)` if the database changed, `Ok(false)` for a Def. 1
-    /// no-op, and a typed [`ApplyError`] — not a silent `false` or a
-    /// store panic — when the update misuses a predicate's arity.
-    /// Effective updates invalidate the cached model.
-    pub fn apply(&mut self, update: &Update) -> Result<bool, ApplyError> {
-        if let Some(expected) = self.arity_of(update.fact.pred) {
-            if expected != update.fact.args.len() {
-                return Err(ApplyError::ArityMismatch {
-                    pred: update.fact.pred,
-                    expected,
-                    got: update.fact.args.len(),
-                });
-            }
-        }
-        let changed = update.apply(&mut self.edb);
-        if changed {
+    /// Apply `updates` to the fact base in order, as one batch (no
+    /// integrity checking here — the guarded path lives in
+    /// `uniform-integrity`/`uniform-core`). Every arity is validated
+    /// first, against the database and the batch's own earlier updates:
+    /// on a typed [`ApplyError`] nothing is applied. Returns the Def. 1
+    /// effective updates, in order; each moves the version. A cached
+    /// model is advanced past them, and past every write since it was
+    /// last read, by one kernel run when it is next read.
+    pub fn apply_all(&mut self, updates: &[Update]) -> Result<Vec<Update>, ApplyError> {
+        validate_transaction_arities(|pred| self.arity_of(pred), updates)?;
+        let effective: Vec<Update> = (updates.iter())
+            .filter(|u| u.apply(&mut self.edb))
+            .cloned()
+            .collect();
+        for _ in &effective {
             self.bump(Moved::Facts);
         }
-        Ok(changed)
+        let cache = self.model.get_mut();
+        if cache.model.is_some() {
+            cache.written.extend_from_slice(&effective);
+        }
+        Ok(effective)
+    }
+
+    /// Apply one update (see [`Database::apply_all`]): `Ok(true)` if the
+    /// database changed, `Ok(false)` for a Def. 1 no-op, and a typed
+    /// [`ApplyError`] — not a silent `false` or a store panic — when the
+    /// update misuses a predicate's arity.
+    pub fn apply(&mut self, update: &Update) -> Result<bool, ApplyError> {
+        let effective = self.apply_all(std::slice::from_ref(update))?;
+        Ok(!effective.is_empty())
     }
 
     /// Direct fact insertion (convenience for loading). Panics on arity
     /// misuse — use [`Database::apply`] for a typed error.
     pub fn insert_fact(&mut self, fact: &Fact) -> bool {
-        let changed = self.edb.insert(fact);
-        if changed {
-            self.bump(Moved::Facts);
-        }
-        changed
+        self.apply(&Update::insert(fact.clone()))
+            .unwrap_or_else(|e| panic!("insert_fact({fact}): {e}"))
     }
 
-    /// Install an externally produced canonical model into the cache.
-    /// Crate-internal: the commit queue advances the previous model to
-    /// the canonical model of the just-committed state (see
-    /// [`crate::txn::CommitQueue`]), so installing it lets the next
-    /// [`Database::snapshot`] skip rematerialization entirely.
-    pub(crate) fn install_model(&mut self, model: Arc<Model>) {
-        *self.model.get_mut() = Some(model);
-    }
-
-    /// The canonical model (cached until the next mutation). Concurrent
-    /// callers share one materialization: the first to take the write
-    /// lock computes, everyone else reuses the `Arc`.
+    /// The canonical model. Computed here only while the database has
+    /// none: once cached, every change advances it (see
+    /// [`Database::apply_all`] and [`Database::set_rules`]). Concurrent
+    /// callers share one materialization or advance: the first to take
+    /// the write lock does it, everyone else reuses the `Arc`.
     pub fn model(&self) -> Arc<Model> {
-        if let Some(model) = self.model.read().as_ref() {
+        if let Some(model) = self.model.read().current() {
             return model.clone();
         }
-        let mut slot = self.model.write();
-        if slot.is_none() {
-            *slot = Some(Arc::new(Model::compute(&self.edb, self.rules())));
+        let mut cache = self.model.write();
+        match cache.current() {
+            Some(model) => model.clone(),
+            None => cache.update(&self.edb, self.rules(), &[]),
         }
-        slot.as_ref().expect("just computed").clone()
     }
 
     /// An immutable, `Send + Sync` read handle on the current state:
     /// facts, rules, constraints and the canonical model, all behind
-    /// `Arc`s. Construction clones no tuple data — O(#relations) plus a
-    /// model materialization if none was cached — and the handle's
+    /// `Arc`s. Construction clones no tuple data — O(#relations), plus
+    /// the database's first model if it has none yet, or the model's
+    /// advance past the writes since it was last read — and the handle's
     /// answers are unaffected by later commits to `self`.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {

@@ -23,8 +23,8 @@ pub trait Interp {
     /// Is `pred(args)` true? The evaluators' ground-literal test, asked
     /// with a borrowed tuple. The default builds the fact and asks
     /// [`Interp::holds`]; the store's interpretations ([`FactSet`],
-    /// [`crate::Model`], [`Overlay`], [`crate::Hypothetical`],
-    /// [`crate::MaintainedModel`] and the kernel's flipped views)
+    /// [`crate::Model`], [`Overlay`], [`crate::Hypothetical`] and the
+    /// kernel's flipped views)
     /// answer from the tuple itself and allocate nothing. An override
     /// must agree with `holds`.
     fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {

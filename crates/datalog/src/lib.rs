@@ -81,5 +81,5 @@ pub use provenance::{Derivation, Provenance};
 pub use serialize::to_program_source;
 pub use store::{CowStats, FactSet, Relation, COMPACT_FLOOR, PAGE_CAP};
 pub use topdown::OverlayEngine;
-pub use txn::{CommitError, CommitQueue, CommitReceipt, ModelPath, TxnBuilder};
+pub use txn::{CommitError, CommitQueue, CommitReceipt, TxnBuilder};
 pub use update::{Transaction, Update};

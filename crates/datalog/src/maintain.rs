@@ -1,15 +1,13 @@
 //! Incremental maintenance of the materialized canonical model.
 //!
 //! Induced updates (Def. 4) are exactly the *view deltas* of the
-//! canonical model across an EDB change. The paper's checkers consume
-//! them transiently — `delta` enumerates descendants of the update, the
+//! canonical model across an update. The paper's checkers consume them
+//! transiently — `delta` enumerates descendants of the update, the
 //! overlay engine simulates the new state without materializing it.
-//! This module provides the complementary systems piece a resident
-//! deductive database needs: advancing a materialized canonical model
-//! across an update *incrementally*, not from scratch. The commit queue
-//! advances the database's own model; [`MaintainedModel`] is the
-//! standalone form. Both views of the induced updates come from one
-//! algorithm.
+//! This module advances a materialized canonical model across an update
+//! *incrementally*: a database computes its model once and advances it
+//! across every later change; [`MaintainedModel`] is the standalone
+//! form. Both views of the induced updates come from one algorithm.
 //!
 //! ## The propagation kernel
 //!
@@ -23,25 +21,34 @@
 //! that change, never the model's size ([`PropagationStats`] counts
 //! it). It is sound for any stratum, recursive or not.
 //!
+//! A rule change ("treated like conditional updates", §3.2) runs it
+//! under the new rules with rule seeds: an added rule seeds its
+//! stratum's insertions with its body's instances over the new state, a
+//! removed rule the over-deletion with the facts of a one-step
+//! derivation through it in the old one (read whole, so a head may move
+//! to another stratum). A predicate that loses its last rule keeps its
+//! explicit facts only; the rest flips first.
+//!
 //! One stratum loop, [`Propagation`], runs the kernel lowest stratum
-//! first; a stratum whose rules read no flipped predicate and whose
-//! heads have no explicit change is skipped. It has three callers. The
-//! integrity checker walks the subprogram below recursion and reads the
-//! result as `delta` and `new` for predicates that reach recursion.
-//! Maintenance walks every stratum and then commits the flips into the
-//! model. A [`Hypothetical`] walks every stratum too and keeps the
-//! derived flips as a view over the model. Over the same old model,
-//! checker and maintenance agree flip for flip, in order, on every
-//! predicate both walk; the maintained flip list equals the brute-force
-//! model diff, and a hypothetical reads as the recomputed model (all
-//! property-tested).
-//! A predicate no rule defines holds exactly its explicit facts, so the
-//! model takes their relation itself: each explicit tuple is written
-//! once.
+//! first, skipping a stratum with no rule seed, no flipped input and no
+//! explicit change of its heads. The integrity checker walks the
+//! subprogram below recursion and reads `delta` and `new` off it for
+//! predicates that reach recursion. A database walks every stratum and
+//! commits the flips into its cached model, as [`MaintainedModel`]
+//! does: at the first read after fact writes, and at a rule change. A
+//! rule-update check reads its triggers off a rule change's flips
+//! ([`Propagation::of_rule_change`]); a [`Hypothetical`] keeps them as
+//! a view over the model. Over the same old model, checker and
+//! maintenance agree flip for flip, in order, on every predicate both
+//! walk; the maintained flip list equals the brute-force model diff,
+//! and an advanced model or a hypothetical reads as the recomputed one
+//! (all property-tested). A predicate no rule defines holds exactly its
+//! explicit facts, so the model takes their relation itself: each
+//! explicit tuple is written once.
 
 use crate::cq::provable;
 use crate::interp::{Flipped, Interp, Overlay};
-use crate::model::{derive_through, saturate, Frontier, Model};
+use crate::model::{derive_all, derive_through, saturate, Frontier, Model};
 use crate::program::{Layer, RuleSet};
 use crate::store::FactSet;
 use crate::update::{net_effect, Transaction, Update};
@@ -141,7 +148,7 @@ impl MaintainedModel {
         for u in &tx.updates {
             u.apply(&mut self.edb);
         }
-        let (flips, stats) = advance(&mut self.model, &self.rules, &self.edb, &net);
+        let (flips, stats) = advance(&mut self.model, &self.rules, &[], &self.edb, &net);
         self.stats.propagation += stats;
         self.stats.flips += flips.len();
         flips
@@ -151,21 +158,25 @@ impl MaintainedModel {
     }
 }
 
-/// Advance `model` from the canonical model before an update with Def. 1
-/// net effect `(added, removed)` to the one after it, whose explicit
-/// facts are `edb`, through every stratum; return the flips (explicit
-/// ones first, as the checker orders them) and the kernel's work. A
-/// flipped predicate no rule defines takes `edb`'s relation itself.
+/// A Def. 1 net effect on explicit facts: `(insertions, deletions)`.
+pub(crate) type Net = (Vec<Fact>, Vec<Fact>);
+
+/// Advance `model` across an update that moves the explicit facts by
+/// `(added, removed)` to `edb` and the rules to `rules` by `changed`;
+/// return the flips (explicit ones first, as the checker orders them)
+/// and the kernel's work. A flipped predicate no rule defines takes
+/// `edb`'s relation itself.
 pub(crate) fn advance(
     model: &mut FactSet,
     rules: &RuleSet,
+    changed: &[(&Rule, bool)],
     edb: &FactSet,
-    (added, removed): &(Vec<Fact>, Vec<Fact>),
+    (added, removed): &Net,
 ) -> (Vec<(Fact, bool)>, PropagationStats) {
     let Propagation { flips, stats, .. } =
-        Propagation::new(&*model, rules, rules.layers(), edb, added, removed);
+        Propagation::new(&*model, rules, rules.layers(), edb, added, removed, changed);
     for (fact, now) in &flips {
-        if !rules.graph().is_idb(fact.pred) {
+        if !rules.graph().is_idb(fact.pred) && edb.relation(fact.pred).is_some() {
             model.adopt(fact.pred, edb);
         } else if *now {
             model.insert(fact);
@@ -176,18 +187,20 @@ pub(crate) fn advance(
     (flips, stats)
 }
 
-/// One stratum as the propagation kernel sees it: its rules and their
-/// head predicates.
+/// One stratum as the propagation kernel sees it: its rules, their head
+/// predicates and the rule change (`true` added, `false` removed).
 struct Stratum<'r> {
     layer: Vec<&'r Rule>,
     heads: &'r [Sym],
+    changed: &'r [(&'r Rule, bool)],
 }
 
 impl<'r> Stratum<'r> {
-    fn new(rules: &'r RuleSet, layer: &'r Layer) -> Self {
+    fn new(rules: &'r RuleSet, layer: &'r Layer, changed: &'r [(&'r Rule, bool)]) -> Self {
         Stratum {
             layer: layer.rules.iter().map(|&idx| rules.rule(idx)).collect(),
             heads: &layer.heads,
+            changed,
         }
     }
 
@@ -199,7 +212,7 @@ impl<'r> Stratum<'r> {
     /// its head predicates whose truth differs between `old` and the
     /// new state, deletions first.
     ///
-    /// * `old` — a canonical model of the state before the update;
+    /// * `old` — a canonical model of the state (and rules) before it;
     /// * `new` — the state after it for every lower predicate, with
     ///   this stratum's predicates still as in `old`;
     /// * `edb` — the explicit facts after the update;
@@ -284,9 +297,10 @@ impl<'r> Stratum<'r> {
         changes
     }
 
-    /// The first semi-naive delta from the inputs: fire every rule
-    /// through each body literal an input made `now` (true or false),
-    /// the rest evaluated in `state`, and admit the new heads.
+    /// The first semi-naive delta: fire every rule through each body
+    /// literal an input made `now` (true or false), the rest evaluated
+    /// in `state`, and in full each of its heads' rules the change added
+    /// (`now` true) or removed (false); admit the new heads.
     fn seed(
         &self,
         state: &mut impl Frontier,
@@ -309,6 +323,16 @@ impl<'r> Stratum<'r> {
                     });
                 }
             }
+        }
+        for &(rule, added) in self.changed {
+            if added != now || !self.is_head(rule.head.pred) {
+                continue;
+            }
+            derive_all(state.view(), rule, &mut |head| {
+                if state.admits(&head) && fresh_set.insert(head.clone()) {
+                    fresh.push(head);
+                }
+            });
         }
         for fact in &fresh {
             state.admit(fact);
@@ -370,11 +394,25 @@ pub struct Propagation<B> {
     stats: PropagationStats,
 }
 
+impl<'m> Propagation<&'m Model> {
+    /// A change of rules from `old` to `new` over `model`, the canonical
+    /// model of `edb` under `old`; its state reads as the one under `new`.
+    pub fn of_rule_change(
+        model: &'m Model,
+        edb: &FactSet,
+        old: &RuleSet,
+        new: &RuleSet,
+    ) -> Propagation<&'m Model> {
+        Propagation::new(model, new, new.layers(), edb, &[], &[], &old.diff(new))
+    }
+}
+
 impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
     /// Propagate the explicit insertions `added` and deletions `removed`
     /// (no-ops allowed) of an update whose explicit facts afterwards are
-    /// `edb`, over `model`, the canonical model of the state before it,
-    /// through `layers` (one per stratum of `rules`, lowest first).
+    /// `edb`, and its change of rules to `rules` by `changed`
+    /// ([`RuleSet::diff`]), over `model`, the canonical model of the
+    /// state before it, through `layers` (one per stratum of `rules`).
     pub(crate) fn new(
         model: B,
         rules: &RuleSet,
@@ -382,6 +420,7 @@ impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
         edb: &dyn Interp,
         added: &[Fact],
         removed: &[Fact],
+        changed: &[(&Rule, bool)],
     ) -> Propagation<B> {
         let explicit: Vec<(Fact, bool)> = added
             .iter()
@@ -402,13 +441,28 @@ impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
                 flips.push((fact.clone(), *now));
             }
         }
+        // A predicate whose last rule went holds its explicit facts only:
+        // whatever else its removed rules derived stops holding.
+        for &(rule, _) in changed.iter().filter(|(_, added)| !added) {
+            if !graph.is_idb(rule.head.pred) {
+                derive_all(&*model, rule, &mut |fact| {
+                    if state.holds(&fact) && !edb.holds(&fact) {
+                        state.set(&fact, false);
+                        flips.push((fact, false));
+                    }
+                });
+            }
+        }
         for layer in layers {
-            let touched = flips.iter().any(|(fact, _)| layer.reads(fact.pred))
+            let touched = changed
+                .iter()
+                .any(|(rule, _)| layer.defines(rule.head.pred))
+                || flips.iter().any(|(fact, _)| layer.reads(fact.pred))
                 || explicit.iter().any(|(fact, _)| layer.defines(fact.pred));
             if !touched {
                 continue;
             }
-            let changes = Stratum::new(rules, layer)
+            let changes = Stratum::new(rules, layer, changed)
                 .propagate(&*model, &state, edb, &explicit, &flips, &mut stats);
             for (fact, now) in &changes {
                 state.set(fact, *now);
@@ -431,6 +485,11 @@ impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
 
     pub fn stats(&self) -> PropagationStats {
         self.stats
+    }
+
+    /// The state after the update (see [`Propagation`]).
+    pub fn state(&self) -> &dyn Interp {
+        &self.state
     }
 }
 
@@ -473,8 +532,15 @@ impl Hypothetical {
         let (added, removed) = self.compose(updates);
         let Base { model, edb, rules } = &*self.base;
         let edb = Overlay::new(edb, &added, &removed);
-        let Propagation { state, .. } =
-            Propagation::new(model.clone(), rules, rules.layers(), &edb, &added, &removed);
+        let Propagation { state, .. } = Propagation::new(
+            model.clone(),
+            rules,
+            rules.layers(),
+            &edb,
+            &added,
+            &removed,
+            &[],
+        );
         Hypothetical {
             base: self.base.clone(),
             added,
@@ -543,25 +609,6 @@ impl Interp for Hypothetical {
         }
         let explicit = Overlay::new(&*self.base.model, &self.added, &self.removed);
         explicit.scan(pred, pattern, each)
-    }
-}
-
-impl Interp for MaintainedModel {
-    fn holds(&self, fact: &Fact) -> bool {
-        self.model.contains(fact)
-    }
-
-    fn holds_tuple(&self, pred: Sym, args: &[Sym]) -> bool {
-        self.model.contains_tuple(pred, args)
-    }
-
-    fn scan(
-        &self,
-        pred: Sym,
-        pattern: &[Option<Sym>],
-        each: &mut dyn FnMut(&[Sym]) -> bool,
-    ) -> bool {
-        self.model.scan(pred, pattern, each)
     }
 }
 

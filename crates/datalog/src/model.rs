@@ -82,11 +82,8 @@ impl Model {
     }
 
     /// Wrap an already-materialized canonical model. The caller asserts
-    /// that `facts` *is* the canonical model of some `(edb, rules)` pair
-    /// — this is how the commit pipeline installs the database's model
-    /// after advancing it incrementally (see [`crate::maintain`], whose
-    /// results are property-tested against [`Model::compute`]) without
-    /// paying a rematerialization.
+    /// that `facts` *is* the canonical model of some `(edb, rules)` pair,
+    /// as one the kernel advanced ([`crate::maintain`]) is.
     pub fn from_facts(facts: FactSet) -> Model {
         Model { facts }
     }
@@ -133,7 +130,7 @@ impl Interp for Model {
 
 /// Fire `rule` in `interp`, emitting every (possibly already known) head
 /// fact.
-fn derive_all(interp: &dyn Interp, rule: &Rule, emit: &mut dyn FnMut(Fact)) {
+pub(crate) fn derive_all(interp: &dyn Interp, rule: &Rule, emit: &mut dyn FnMut(Fact)) {
     let mut subst = Subst::new();
     solve_conjunction(interp, &rule.body, &mut subst, &mut |s| {
         if let Some(f) = s.ground_atom(&rule.head) {

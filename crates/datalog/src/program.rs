@@ -219,6 +219,22 @@ impl RuleSet {
     pub fn rule(&self, idx: usize) -> &Rule {
         &self.rules[idx]
     }
+
+    /// Does this set hold `rule`? Rules compare structurally.
+    pub fn contains(&self, rule: &Rule) -> bool {
+        self.rules_for(rule.head.pred).any(|(_, r)| r == rule)
+    }
+
+    /// The rules `new` has and `self` lacks, `(rule, true)`, and those
+    /// `self` has and `new` lacks, `(rule, false)`.
+    pub(crate) fn diff<'r>(&'r self, new: &'r RuleSet) -> Vec<(&'r Rule, bool)> {
+        let added = new.rules.iter().filter(|r| !self.contains(r));
+        let removed = self.rules.iter().filter(|r| !new.contains(r));
+        added
+            .map(|r| (r, true))
+            .chain(removed.map(|r| (r, false)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -101,6 +101,7 @@ impl<'a> OverlayEngine<'a> {
                 &self.overlay(),
                 &self.added,
                 &self.removed,
+                &[],
             )
         })
     }

@@ -33,23 +33,18 @@
 //! asserts. Fingerprint collisions only ever produce spurious
 //! conflicts (a safe retry), never admissions.
 //!
-//! The queue also owns the **lifetime of the canonical model**: each
-//! admitted commit advances the database's own model by its net effect
-//! (the paper's induced-update view, Def. 4, as maintenance) and
-//! installs the result, so post-commit snapshots reuse it instead of
-//! paying a full rematerialization. There is one set of explicit facts,
-//! the database's: the model's relations for predicates no rule defines
-//! *are* the database's, so each committed tuple is written once. Only
-//! schema/rule updates ([`CommitQueue::update_schema`]) fall back to
-//! rematerialization; every commit receipt records which path the model
-//! took ([`ModelPath`]), and `tests/prop_model_maintenance` proves the
+//! An admitted commit writes through [`Database::apply_all`]; the next
+//! snapshot advances the database's own model by the commit's net
+//! effect (the paper's induced-update view, Def. 4, as maintenance)
+//! instead of paying a rematerialization. There is one set of explicit
+//! facts, the database's: the model's relations for predicates no rule
+//! defines *are* the database's, so each committed tuple is written
+//! once. `tests/prop_model_maintenance` proves the
 //! maintained model bit-identical to a from-scratch recomputation after
 //! every admitted commit.
 
 use crate::database::{ApplyError, Database, Snapshot};
 use crate::footprint::{ConflictGranularity, ReadFootprint, ReadPattern};
-use crate::maintain::advance;
-use crate::model::Model;
 use crate::update::{Transaction, Update};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -263,20 +258,6 @@ impl From<ApplyError> for CommitError {
     }
 }
 
-/// How the canonical model behind post-commit snapshots is produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelPath {
-    /// The database's model was advanced by the commit's net effect
-    /// incrementally; [`Database::snapshot`] reuses it without
-    /// rematerializing (cost proportional to the induced update, the
-    /// paper's Def. 4 view of maintenance).
-    Maintained,
-    /// The next snapshot must rematerialize the model from scratch: a
-    /// schema/rule update reset maintenance. Also the standing marker
-    /// before the queue's first effective commit.
-    Rematerialized,
-}
-
 /// Proof of an admitted commit.
 #[derive(Clone, Debug)]
 pub struct CommitReceipt {
@@ -289,10 +270,6 @@ pub struct CommitReceipt {
     /// The updates that actually changed the store (Def. 1 effective
     /// subset, in staging order).
     pub effective: Vec<Update>,
-    /// How snapshots of the post-commit state get their model. For a
-    /// Def. 1 no-op commit this reports the queue's standing marker —
-    /// nothing was invalidated.
-    pub model_path: ModelPath,
 }
 
 impl CommitReceipt {
@@ -321,8 +298,6 @@ struct QueueMetrics {
     key_conflicts: Counter,
     whole_relation_fallbacks: Counter,
     maintained: Counter,
-    schema_resets: Counter,
-    constraint_only_updates: Counter,
     /// The head state's consistency latch (see
     /// [`Database::verified_consistent`]): steps that carried a set bit
     /// across a mutation, and steps that dropped one.
@@ -338,8 +313,6 @@ impl QueueMetrics {
             key_conflicts: obs.counter("txn.conflicts.key"),
             whole_relation_fallbacks: obs.counter("txn.conflicts.whole_relation_fallbacks"),
             maintained: obs.counter("maintain.commits.maintained"),
-            schema_resets: obs.counter("maintain.schema_resets"),
-            constraint_only_updates: obs.counter("maintain.constraint_only_updates"),
             consistency_preserved: obs.counter("consistency.preserved"),
             consistency_cleared: obs.counter("consistency.cleared"),
         }
@@ -359,15 +332,12 @@ impl QueueMetrics {
 
 struct QueueState {
     /// The one state: its explicit facts, and its cached canonical model,
-    /// which every effective commit advances and reinstalls.
+    /// which the next read advances past every effective commit.
     db: Database,
     log: VecDeque<CommitRecord>,
     /// Begin-versions older than this can no longer be conflict-checked
     /// (their overlapping commit records were pruned).
     horizon: u64,
-    /// The standing [`ModelPath`] marker: how the *next* snapshot of the
-    /// current state gets its model.
-    last_path: ModelPath,
 }
 
 /// The serialization point of the commit pipeline. Shares one
@@ -418,7 +388,6 @@ impl CommitQueue {
                 db,
                 log: VecDeque::new(),
                 horizon,
-                last_path: ModelPath::Rematerialized,
             }),
             log_capacity: log_capacity.max(1),
             obs,
@@ -556,71 +525,27 @@ impl CommitQueue {
                 }
                 return Err(e);
             }
-
-            // Arity errors must leave the store untouched: validate the
-            // whole transaction (including arities its own earlier updates
-            // introduce) against the live schema before applying any of it.
-            // Only then is the commit admitted.
-            crate::database::validate_transaction_arities(
-                |pred| state.db.arity_of(pred),
-                &txn.updates,
-            )
-            .map_err(CommitError::Apply)?;
-            self.metrics.admitted.incr();
         }
 
-        let (effective, old, net) = {
+        let effective = {
+            // One batch: an arity error leaves the store untouched and
+            // admits nothing.
             let _apply = self.obs.span("commit.apply");
-            // The pre-commit state's model (cached, or computed here the
-            // first time and after a schema reset) and the commit's net
-            // effect on it, both taken before the store moves.
-            let old = state.db.model();
-            let net = txn.transaction().net_effect(state.db.facts());
-
             let was = state.db.verified_consistent();
-            let apply = |db: &mut Database| {
-                let mut effective = Vec::new();
-                for u in &txn.updates {
-                    if db.apply(u).expect("arities validated above") {
-                        effective.push(u.clone());
-                    }
-                }
-                effective
-            };
+            let apply = |db: &mut Database| db.apply_all(&txn.updates);
             let effective = if checked {
                 state.db.preserving_consistency(apply)
             } else {
                 apply(&mut state.db)
-            };
+            }?;
+            self.metrics.admitted.incr();
             if !effective.is_empty() {
                 self.metrics
                     .latch_moved(was, state.db.verified_consistent());
-            }
-            (effective, old, net)
-        };
-
-        let model_path = {
-            let _maintain = self.obs.span("commit.maintain");
-            if effective.is_empty() {
-                // Def. 1 no-op: nothing was invalidated, the cached model
-                // still describes the state exactly.
-                state.last_path
-            } else {
-                // Advance the old model against the database's explicit
-                // facts, which the store has just moved: its base
-                // relations become the database's own. Letting go of the
-                // old model first lets derived relations no snapshot
-                // shares take their flips in place.
-                let mut model = old.facts().clone();
-                drop(old);
-                let db = &mut state.db;
-                advance(&mut model, db.rules(), db.facts(), &net);
-                db.install_model(Arc::new(Model::from_facts(model)));
                 self.metrics.maintained.incr();
-                ModelPath::Maintained
             }
+            effective
         };
-        state.last_path = model_path;
 
         let version = state.db.version();
         if !effective.is_empty() {
@@ -641,7 +566,6 @@ impl CommitQueue {
             version,
             fact_rev: state.db.fact_rev(),
             effective,
-            model_path,
         })
     }
 
@@ -651,44 +575,25 @@ impl CommitQueue {
     /// every in-flight transaction began behind
     /// the new horizon and is refused with
     /// [`CommitError::SnapshotTooOld`], because a schema change
-    /// invalidates any pinned check. Whether the *maintained model*
-    /// survives depends on what moved: a rule or fact change drops the
-    /// database's cached model (the next snapshot rematerializes), while
-    /// a constraint-only change keeps it — constraints never contribute
-    /// to the canonical model, only to admission verdicts. Fact updates
-    /// belong in [`CommitQueue::commit`], not here. Whatever `f` mutates
-    /// clears the consistency latch, unless `f` itself vouches for the
-    /// step through [`Database::preserving_consistency`].
+    /// invalidates any pinned check. The database's model moves with
+    /// whatever `f` changes (see [`Database::apply_all`] and
+    /// [`Database::set_rules`]); constraints never contribute to it.
+    /// Fact updates belong in [`CommitQueue::commit`], not here.
+    /// Whatever `f` mutates clears the consistency latch, unless `f`
+    /// itself vouches for the step through
+    /// [`Database::preserving_consistency`].
     pub fn update_schema<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut state = self.state.lock();
         let (before_id, before) = (state.db.db_id(), state.db.version());
         let was_consistent = state.db.verified_consistent();
-        let before_facts = state.db.fact_rev();
-        let before_rules = state.db.rule_rev();
         let out = f(&mut state.db);
-        let same_db = state.db.db_id() == before_id;
-        if !same_db || state.db.version() != before {
+        if state.db.db_id() != before_id || state.db.version() != before {
             self.metrics
                 .latch_moved(was_consistent, state.db.verified_consistent());
-            let constraint_only = same_db
-                && state.db.fact_rev() == before_facts
-                && state.db.rule_rev() == before_rules;
-            if constraint_only {
-                self.metrics.constraint_only_updates.incr();
-            } else {
-                state.last_path = ModelPath::Rematerialized;
-                self.metrics.schema_resets.incr();
-            }
             state.log.clear();
             state.horizon = state.db.version();
         }
         out
-    }
-
-    /// The standing path marker: how the next snapshot of the current
-    /// state gets its model.
-    pub fn model_path(&self) -> ModelPath {
-        self.state.lock().last_path
     }
 }
 
@@ -706,6 +611,7 @@ impl fmt::Debug for CommitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
 
     fn fact(p: &str, args: &[&str]) -> Fact {
         Fact::parse_like(p, args)
@@ -976,7 +882,7 @@ mod tests {
     }
 
     fn sorted_fresh(snapshot: &Snapshot) -> Vec<String> {
-        let fresh = crate::model::Model::compute(snapshot.facts(), snapshot.rules());
+        let fresh = Model::compute(snapshot.facts(), snapshot.rules());
         let mut out: Vec<String> = fresh.iter().map(|f| f.to_string()).collect();
         out.sort();
         out
@@ -987,16 +893,14 @@ mod tests {
         let q = queue("b(X) :- a(X). a(seed).");
         let mut t = q.begin();
         t.insert(fact("a", &["x"]));
-        let r = q.commit(&t).unwrap();
-        assert_eq!(r.model_path, ModelPath::Maintained);
+        q.commit(&t).unwrap();
         let snap = q.snapshot();
         assert!(snap.holds(&fact("b", &["x"])), "induced fact maintained");
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
         // Deletions flip back through the same path.
         let mut t = q.begin();
         t.delete(fact("a", &["x"]));
-        let r = q.commit(&t).unwrap();
-        assert_eq!(r.model_path, ModelPath::Maintained);
+        q.commit(&t).unwrap();
         let snap = q.snapshot();
         assert!(!snap.holds(&fact("b", &["x"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
@@ -1036,16 +940,17 @@ mod tests {
     }
 
     #[test]
-    fn noop_commit_keeps_the_standing_path() {
+    fn noop_commits_maintain_nothing() {
         let q = queue("p(a).");
         let mut t = q.begin();
         t.insert(fact("p", &["b"]));
-        assert_eq!(q.commit(&t).unwrap().model_path, ModelPath::Maintained);
+        assert!(q.commit(&t).unwrap().changed());
+        let model = q.snapshot().model_arc();
         let mut noop = q.begin();
         noop.insert(fact("p", &["b"]));
         let r = q.commit(&noop).unwrap();
         assert!(!r.changed());
-        assert_eq!(r.model_path, ModelPath::Maintained);
+        assert!(Arc::ptr_eq(&model, &q.snapshot().model_arc()));
         assert_eq!(
             counter(&q, "maintain.commits.maintained"),
             1,
@@ -1054,36 +959,34 @@ mod tests {
     }
 
     #[test]
-    fn schema_update_resets_maintenance_and_fences_inflight_txns() {
+    fn rule_changes_advance_the_model_and_fence_inflight_txns() {
         let q = queue("b(X) :- a(X). a(seed).");
         let mut warm = q.begin();
         warm.insert(fact("a", &["x"]));
         q.commit(&warm).unwrap();
-        assert_eq!(q.model_path(), ModelPath::Maintained);
 
         // A transaction in flight across the schema change.
         let mut inflight = q.begin();
         inflight.insert(fact("a", &["y"]));
 
+        let computes = Model::computes_on_this_thread();
         q.update_schema(|db| {
             let mut rules: Vec<uniform_logic::Rule> = db.rules().rules().to_vec();
             rules.push(uniform_logic::parse_rule("c(X) :- b(X).").unwrap());
             db.set_rules(crate::program::RuleSet::new(rules).unwrap());
         });
-        assert_eq!(q.model_path(), ModelPath::Rematerialized);
-        assert_eq!(counter(&q, "maintain.schema_resets"), 1);
         // The pinned check predates the schema: refused, retriably.
         let err = q.commit(&inflight).unwrap_err();
         assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
-        // The rematerialized snapshot reflects the new rule…
+        // The advanced model reflects the new rule…
         let snap = q.snapshot();
+        assert_eq!(Model::computes_on_this_thread(), computes);
         assert!(snap.holds(&fact("c", &["x"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
-        // …and the next effective commit rebuilds maintenance.
+        // …and commits keep maintaining it.
         let mut t = q.begin();
         t.insert(fact("a", &["y"]));
-        let r = q.commit(&t).unwrap();
-        assert_eq!(r.model_path, ModelPath::Maintained);
+        q.commit(&t).unwrap();
         let snap = q.snapshot();
         assert!(snap.holds(&fact("c", &["y"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
@@ -1095,7 +998,7 @@ mod tests {
         let mut warm = q.begin();
         warm.insert(fact("a", &["x"]));
         q.commit(&warm).unwrap();
-        assert_eq!(q.model_path(), ModelPath::Maintained);
+        let model = q.snapshot().model_arc();
 
         // In-flight across the constraint change: still fenced (its
         // pinned integrity verdict predates the new constraint set).
@@ -1112,16 +1015,13 @@ mod tests {
             ));
         });
         // The maintained model survived: constraints never affect it.
-        assert_eq!(q.model_path(), ModelPath::Maintained);
-        assert_eq!(counter(&q, "maintain.schema_resets"), 0);
-        assert_eq!(counter(&q, "maintain.constraint_only_updates"), 1);
+        assert!(Arc::ptr_eq(&model, &q.snapshot().model_arc()));
         let err = q.commit(&inflight).unwrap_err();
         assert!(matches!(err, CommitError::SnapshotTooOld { .. }), "{err:?}");
-        // The next commit keeps maintaining the same model instance.
+        // The next commit keeps maintaining the same model.
         let mut t = q.begin();
         t.insert(fact("a", &["y"]));
-        let r = q.commit(&t).unwrap();
-        assert_eq!(r.model_path, ModelPath::Maintained);
+        q.commit(&t).unwrap();
         let snap = q.snapshot();
         assert!(snap.holds(&fact("b", &["y"])));
         assert_eq!(sorted_model(&snap), sorted_fresh(&snap));
@@ -1134,10 +1034,13 @@ mod tests {
         let mut t = q.begin();
         t.insert(fact("p", &["b"]));
         q.commit(&t).unwrap();
+        let mut pinned = q.begin();
+        pinned.insert(fact("p", &["c"]));
+        let model = q.snapshot().model_arc();
         let n = q.update_schema(|db| db.facts().len());
         assert_eq!(n, 2);
-        assert_eq!(counter(&q, "maintain.schema_resets"), 0);
-        assert_eq!(q.model_path(), ModelPath::Maintained);
+        assert!(Arc::ptr_eq(&model, &q.snapshot().model_arc()));
+        assert!(q.commit(&pinned).unwrap().changed(), "nothing was fenced");
     }
 
     #[test]

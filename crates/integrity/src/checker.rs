@@ -211,10 +211,10 @@ impl<'a> Checker<'a> {
     /// usable from any thread while writers keep committing. This is
     /// the checking mode of the concurrent commit pipeline — and the
     /// point where that pipeline's incremental model maintenance pays
-    /// off twice: the snapshot's pinned model *is* the commit queue's
-    /// maintained model (`uniform_datalog::txn::ModelPath::Maintained`),
-    /// so the `evaluate` phase's `current` interpretation is shared by
-    /// reference, never rematerialized per check.
+    /// off twice: the snapshot's pinned model *is* the database's
+    /// maintained model, so the `evaluate` phase's `current`
+    /// interpretation is shared by reference, never rematerialized per
+    /// check.
     pub fn for_snapshot(snapshot: &'a Snapshot) -> Checker<'a> {
         Checker {
             facts: snapshot.facts(),
@@ -483,7 +483,7 @@ impl Program {
 
     /// Phase 2 of every update kind (Prop. 3), with the placeholders
     /// bound by `binding`: enumerate each group's ground triggers once
-    /// through `triggers` (a rule update diffs two models, the Lloyd–Topor
+    /// through `triggers` (a rule update filters its propagation's flips, the Lloyd–Topor
     /// baseline scans `new`, the checker asks `delta`), and evaluate every
     /// instance they bind against `updated`, each distinct ground
     /// instance once (§3.2's global evaluation). A ground formula is
@@ -871,12 +871,15 @@ mod tests {
             delta: DeltaStats {
                 patterns_evaluated: 2,
                 answers: 2,
-                ..DeltaStats::default()
+                propagation: PropagationStats {
+                    derived: 2,
+                    ..PropagationStats::default()
+                },
             },
             instances_evaluated: 1,
             instances_shared: 1,
             subquery_memo_hits: 0,
-            new_materializations: 1,
+            new_materializations: 0,
         };
         assert_eq!(report.stats, expected);
         assert_eq!(rendered(&report), school_violations[..2]);

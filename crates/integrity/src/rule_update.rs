@@ -16,12 +16,14 @@
 //!   as well" (§3.2) — hence the post-update set: insertions propagate
 //!   through rules present afterwards, and a deletion propagating
 //!   through the removed rule itself is already an instance of the seed.
-//! * **Evaluate**: the checker's one evaluation loop, with the induced
-//!   updates of each trigger pattern enumerated by diffing the canonical
-//!   models before and after the rule change (the before-model is the
-//!   checked state's own) instead of by `delta`. Only the relevant
-//!   simplified instances are evaluated against the new state — never
-//!   the full constraint set.
+//! * **Evaluate**: the checker's one evaluation loop. The propagation
+//!   kernel advances the checked state's model across the rule change
+//!   (seeded with the rules it adds and removes), as a database's
+//!   `set_rules` does; the induced updates of each trigger pattern are
+//!   that propagation's flips, filtered as `delta` filters them for
+//!   recursive patterns. Only the relevant simplified instances are
+//!   evaluated, against the state the propagation reaches — never the
+//!   full constraint set, and no model is computed.
 //!
 //! Both phases are [`Checker`] methods: [`Checker::compile_rule_update`],
 //! [`Checker::evaluate_rule_update`] and [`Checker::check_rule_update`].
@@ -29,24 +31,25 @@
 //! a system without this method must do; `tests/prop_schema_updates.rs`
 //! keeps it as the oracle the incremental verdict must match.
 
-use crate::checker::{scan_triggers, CheckReport, Checker, CompiledCheck, Program};
+use crate::checker::{CheckReport, Checker, CompiledCheck, Program};
 use crate::delta::DeltaStats;
 use std::fmt;
-use uniform_datalog::{Database, Model, RuleSet, StratificationError};
-use uniform_logic::{Literal, Renaming, Subst};
+use std::rc::Rc;
+use uniform_datalog::{Database, Propagation, RuleSet, StratificationError};
+use uniform_logic::{match_atom, Literal, Renaming, Rule, Subst};
 
 /// A change to the rule set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RuleUpdate {
     /// Add a deduction rule.
-    Add(uniform_logic::Rule),
-    /// Remove a deduction rule (matched by its printed form).
-    Remove(uniform_logic::Rule),
+    Add(Rule),
+    /// Remove a deduction rule (matched structurally).
+    Remove(Rule),
 }
 
 impl RuleUpdate {
     /// The rule being added or removed.
-    pub fn rule(&self) -> &uniform_logic::Rule {
+    pub fn rule(&self) -> &Rule {
         match self {
             RuleUpdate::Add(r) | RuleUpdate::Remove(r) => r,
         }
@@ -67,36 +70,25 @@ impl RuleUpdate {
         Literal::new(self.is_addition(), head)
     }
 
-    /// The rule set after applying this update to `rules`. `None` for a
-    /// removal whose rule is not present (nothing to do), an error when
-    /// an addition breaks stratification.
+    /// The rule set after applying this update to `rules` (rules compare
+    /// structurally). `None` when it changes nothing — adding a present
+    /// rule, removing an absent one — and an error when an addition
+    /// breaks stratification.
     pub fn rules_after(&self, rules: &RuleSet) -> Result<Option<RuleSet>, StratificationError> {
-        match self {
-            RuleUpdate::Add(r) => {
-                let printed = r.to_string();
-                if rules.rules().iter().any(|x| x.to_string() == printed) {
-                    return Ok(None);
-                }
-                let mut all = rules.rules().to_vec();
-                all.push(r.clone());
-                RuleSet::new(all).map(Some)
-            }
-            RuleUpdate::Remove(r) => {
-                let printed = r.to_string();
-                let remaining: Vec<uniform_logic::Rule> = rules
-                    .rules()
-                    .iter()
-                    .filter(|x| x.to_string() != printed)
-                    .cloned()
-                    .collect();
-                if remaining.len() == rules.len() {
-                    return Ok(None);
-                }
-                Ok(Some(RuleSet::new(remaining).expect(
-                    "removing a rule from a stratified set cannot break stratification",
-                )))
-            }
+        let rule = self.rule();
+        if rules.contains(rule) == self.is_addition() {
+            return Ok(None);
         }
+        let mut after: Vec<Rule> = rules
+            .rules()
+            .iter()
+            .filter(|&r| r != rule)
+            .cloned()
+            .collect();
+        if self.is_addition() {
+            after.push(rule.clone());
+        }
+        RuleSet::new(after).map(Some)
     }
 }
 
@@ -142,37 +134,41 @@ impl Checker<'_> {
     }
 
     /// Phase 2 of a rule update: the induced updates of each trigger
-    /// pattern are the model diff across the rule change, and the
-    /// relevant simplified instances are evaluated against the new
-    /// state.
+    /// pattern are the flips of the rule change's propagation over the
+    /// checked state's model, and the relevant simplified instances are
+    /// evaluated against the state it reaches.
     pub fn evaluate_rule_update(&self, compiled: &CompiledRuleUpdate) -> CheckReport {
         let check = &compiled.check;
         let mut stats = check.stats();
         let rules_after = match &compiled.rules_after {
             Some(rules) if !check.update_constraints.is_empty() => rules,
             // A no-op, or no constraint is relevant to anything the rule
-            // change can reach: accepted without computing the new model.
+            // change can reach: accepted without propagating it.
             _ => return CheckReport::new(Vec::new(), Vec::new(), stats, check.truncated),
         };
 
-        let before = self.model();
-        let after = Model::compute(self.facts, rules_after);
-        stats.new_materializations = 1;
-        let mut delta = DeltaStats::default();
+        let model = self.model();
+        let propagation =
+            Propagation::of_rule_change(&model, self.facts, self.rules(), rules_after);
+        let mut delta = DeltaStats {
+            propagation: propagation.stats(),
+            ..DeltaStats::default()
+        };
         let violations = Program::new(check, &[]).run(
             Subst::new(),
             self.constraints(),
-            &after,
+            propagation.state(),
             |pattern| {
                 // The instances that flip across the rule change.
-                let (scan_in, absent_from) = match pattern.positive {
-                    true => (&after, &*before),
-                    false => (&*before, &after),
-                };
-                let answers = scan_triggers(pattern, scan_in, |f| !absent_from.contains(f));
+                let answers: Vec<Literal> = (propagation.flips().iter())
+                    .filter(|(fact, now)| {
+                        *now == pattern.positive && match_atom(&pattern.atom, fact).is_some()
+                    })
+                    .map(|(fact, _)| Literal::new(pattern.positive, fact.to_atom()))
+                    .collect();
                 delta.patterns_evaluated += 1;
                 delta.answers += answers.len();
-                answers
+                Rc::new(answers)
             },
             &mut stats,
         );

@@ -361,7 +361,7 @@ fn enforcement_requests_allocate_as_pinned() {
     assert_eq!(
         got,
         [
-            ("auto_repair", 1275),
+            ("auto_repair", 1198),
             ("schema_add", 383),
             ("schema_refuse_unsat", 872),
             ("schema_refuse_violated", 762),

@@ -148,11 +148,10 @@ fn observation_log() -> String {
         let _ = writeln!(log, "mixfact {f}");
     }
 
-    // 4. Commit-pipeline model maintenance: per-commit ModelPath
-    //    markers, the maintenance counters, and the post-commit
-    //    maintained model's *iteration order* (user-visible through
-    //    snapshots) — including a mid-stream schema reset that forces
-    //    the rematerialization fallback.
+    // 4. Commit-pipeline model maintenance: the maintenance counters,
+    //    and the post-commit maintained model's *iteration order*
+    //    (user-visible through snapshots) — including a mid-stream rule
+    //    change that the kernel advances the model across.
     let (mut mdb, mstreams) = workload::commit_mix(2, 5, 37);
     {
         let mut rules = mdb.rules().rules().to_vec();
@@ -168,13 +167,7 @@ fn observation_log() -> String {
                 t.stage(u.clone());
             }
             let r = queue.commit(&t).unwrap();
-            let _ = writeln!(
-                log,
-                "commit v{} path {:?} effective {}",
-                r.version,
-                r.model_path,
-                r.effective.len()
-            );
+            let _ = writeln!(log, "commit v{} effective {}", r.version, r.effective.len());
             committed += 1;
             if committed == 4 {
                 queue.update_schema(|db| {
@@ -182,7 +175,6 @@ fn observation_log() -> String {
                     rules.push(parse_rule("audited_vip(X) :- vip(X), audit(X).").unwrap());
                     db.set_rules(RuleSet::new(rules).unwrap());
                 });
-                let _ = writeln!(log, "schema reset path {:?}", queue.model_path());
             }
         }
     }
@@ -328,9 +320,8 @@ fn observation_log() -> String {
             Ok(outcome) => {
                 let _ = writeln!(
                     log,
-                    "auto v{} path {:?} repair {:?}",
+                    "auto v{} repair {:?}",
                     outcome.version,
-                    outcome.model_path,
                     outcome.repair.map(|r| r.to_string())
                 );
             }

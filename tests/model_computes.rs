@@ -10,15 +10,21 @@
 //! (`RepairStats::models_computed`), and the §4 gate's, which depend on
 //! the schema alone.
 //!
+//! A database computes its own model once. A commit, a raw write, a
+//! rule change and the snapshot after each advance the cached model
+//! through the propagation kernel and compute none; a guarded rule
+//! change's §4 gate computes only its own search's models.
+//!
 //! Each path runs on `tc_forest(64)` and on `tc_forest(2048)` (recursive
 //! `tc` over an `edge` forest, plus `forall X: p(X) -> q(X)`), and the
 //! counts ([`Model::computes_on_this_thread`]) are the same at both
 //! sizes.
 
-use uniform::datalog::Hypothetical;
+use uniform::datalog::{Hypothetical, Propagation, RuleSet};
+use uniform::logic::parse_rule;
 use uniform::{
     workload, AnalyzeOptions, Analyzer, ConcurrentDatabase, Database, Fact, Model, RepairBackend,
-    RepairEngine, RepairOptions, Transaction, UniformError, UniformOptions, Update,
+    RepairEngine, RepairOptions, SatChecker, Transaction, UniformError, UniformOptions, Update,
 };
 
 const SIZES: [usize; 2] = [64, 2048];
@@ -177,4 +183,111 @@ fn hypotheticals_share_the_base_model() {
         cow,
         "no page of the base is copied"
     );
+}
+
+/// `rules` with `rule` added.
+fn with_rule(rules: &RuleSet, rule: &str) -> RuleSet {
+    let mut all = rules.rules().to_vec();
+    all.push(parse_rule(rule).unwrap());
+    RuleSet::new(all).unwrap()
+}
+
+/// The models the §4 gate of a guarded rule change computes: its search
+/// over the candidate rules and the database's constraints, run alone.
+fn gate(cdb: &ConcurrentDatabase, candidate: RuleSet) -> u64 {
+    let snap = cdb.snapshot();
+    let search = SatChecker::new(candidate, snap.constraints().to_vec())
+        .with_options(UniformOptions::default().sat);
+    computes(|| search.check()).1
+}
+
+/// Apart from a database's first model, no commit, raw write or rule
+/// change computes one, nor does the snapshot after it; a guarded rule
+/// change computes its gate's models only. The rules' derivations stay
+/// inside the first tree, so nothing here grows with the forest.
+#[test]
+fn changes_advance_the_model_and_compute_none() {
+    const BELOW: &str = "below(X) :- tc(t0_1, X).";
+    for n in SIZES {
+        let cdb = ConcurrentDatabase::from_database(forest(n), UniformOptions::default());
+        drop(cdb.snapshot());
+        let mut rows = Vec::new();
+        let mut row = |name: &str, gate: u64, f: &dyn Fn()| {
+            let ((), count) = computes(|| {
+                f();
+                drop(cdb.snapshot());
+            });
+            rows.push((name.to_string(), count - gate));
+        };
+
+        let maintained = || {
+            let report = cdb.obs_report();
+            report.counter("maintain.commits.maintained").unwrap_or(0)
+        };
+        let before = maintained();
+        row("guarded commit", 0, &|| {
+            let outcome = cdb.try_insert("edge(t0_9, t0_new)").unwrap();
+            assert_eq!(outcome.effective.len(), 1);
+        });
+        assert_eq!(maintained() - before, 1, "tc_forest({n}): one kernel run");
+
+        let rules = cdb.snapshot().rules().clone();
+        let add_gate = gate(&cdb, with_rule(&rules, BELOW));
+        row("accepted try_add_rule", add_gate, &|| {
+            assert!(cdb.try_add_rule(BELOW).unwrap());
+        });
+        assert!(cdb
+            .snapshot()
+            .holds(&Fact::parse_like("below", &["t0_new"])));
+        let remove_gate = gate(&cdb, rules.clone());
+        row("try_remove_rule", remove_gate, &|| {
+            assert!(cdb.try_remove_rule(BELOW).unwrap());
+        });
+        row("update_schema(set_rules(..))", 0, &|| {
+            let swapped = with_rule(&rules, "reach(X) :- edge(t0_0, X).");
+            cdb.update_schema(|d| d.set_rules(swapped));
+        });
+        row("raw update_schema fact writes", 0, &|| {
+            cdb.update_schema(|d| {
+                d.apply(&Update::insert(Fact::parse_like(
+                    "edge",
+                    &["t0_9", "t0_raw"],
+                )))
+                .unwrap();
+                d.apply(&Update::delete(Fact::parse_like(
+                    "edge",
+                    &["t0_9", "t0_new"],
+                )))
+                .unwrap();
+            });
+        });
+        assert!(cdb
+            .snapshot()
+            .holds(&Fact::parse_like("tc", &["t0_0", "t0_raw"])));
+        for (name, count) in rows {
+            assert_eq!(count, 0, "tc_forest({n}): {name}");
+        }
+    }
+}
+
+/// Adding and removing a recursive rule propagates the same work at
+/// both sizes: its derivations stay inside the first tree.
+#[test]
+fn recursive_rule_changes_propagate_per_tree() {
+    let mut stats = Vec::new();
+    for n in SIZES {
+        let db = forest(n);
+        let base = with_rule(db.rules(), "reach(X) :- edge(t0_0, X).");
+        let recursive = with_rule(&base, "reach(Y) :- reach(X), edge(X, Y).");
+        let before = Model::compute(db.facts(), &base);
+        let after = Model::compute(db.facts(), &recursive);
+        let added = Propagation::of_rule_change(&before, db.facts(), &base, &recursive);
+        let removed = Propagation::of_rule_change(&after, db.facts(), &recursive, &base);
+        // t0_0's children are reached directly; the other 12 nodes of
+        // the tree only through the recursive rule.
+        assert_eq!(added.flips().len(), 12, "tc_forest({n})");
+        assert_eq!(removed.flips().len(), 12, "tc_forest({n})");
+        stats.push((added.stats(), removed.stats()));
+    }
+    assert_eq!(stats[0], stats[1], "the work does not grow with the forest");
 }

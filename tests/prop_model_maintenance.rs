@@ -12,25 +12,22 @@
 //! * the snapshot's model equals `Model::compute(facts, rules)` of the
 //!   same snapshot — contents, not provenance;
 //! * the violation list evaluated over the maintained model equals the
-//!   one evaluated over a freshly recomputed model;
-//! * the receipt's [`ModelPath`] marker matches the path that actually
-//!   ran: `Maintained` on the incremental path, `Rematerialized` when
-//!   a schema/rule update reset it.
+//!   one evaluated over a freshly recomputed model.
 //!
 //! Schedules rotate through three modes: threaded guarded writers
 //! (twice) and a sequential raw-queue schedule with a mid-stream rule
-//! update forcing the fallback path (and admitting integrity-violating
-//! transactions, so violation lists are non-trivially compared).
+//! update the kernel advances the model across (and admitting
+//! integrity-violating transactions, so violation lists are
+//! non-trivially compared).
 //!
 //! [`MaintainedModel`]: uniform::datalog::MaintainedModel
-//! [`ModelPath`]: uniform::ModelPath
 
 use uniform::datalog::RuleSet;
 use uniform::logic::parse_rule;
 use uniform::workload;
 use uniform::{
-    CommitQueue, ConcurrentDatabase, Database, Fact, Model, ModelPath, Rule, Snapshot, Transaction,
-    TxnError, UniformOptions, Update,
+    CommitQueue, ConcurrentDatabase, Database, Fact, Model, Rule, Snapshot, Transaction, TxnError,
+    UniformOptions, Update,
 };
 
 const WRITERS: usize = 3;
@@ -109,14 +106,7 @@ fn run_guarded_schedule(seed: u64) {
                             txn.stage(u.clone());
                         }
                         match cdb.commit(&txn) {
-                            Ok(outcome) => {
-                                if !outcome.effective.is_empty() {
-                                    assert_eq!(
-                                        outcome.model_path,
-                                        ModelPath::Maintained,
-                                        "seed {seed}: effective guarded commits maintain"
-                                    );
-                                }
+                            Ok(_) => {
                                 verify_snapshot(&cdb.snapshot(), &format!("seed {seed} guarded"));
                                 break;
                             }
@@ -135,7 +125,7 @@ fn run_guarded_schedule(seed: u64) {
 
 /// Sequential raw-queue schedule (no integrity guard, so violating
 /// transactions are admitted and violation lists are non-trivial), with
-/// a mid-stream rule update forcing the rematerialization fallback.
+/// a mid-stream rule update the kernel advances the model across.
 fn run_schema_update_schedule(seed: u64) {
     let (db, streams) = base_with_rules(seed);
     let q = CommitQueue::new(db);
@@ -146,31 +136,21 @@ fn run_schema_update_schedule(seed: u64) {
             for u in &stream[i].updates {
                 t.stage(u.clone());
             }
-            let r = q.commit(&t).expect("sequential raw commits admit");
-            if !r.effective.is_empty() {
-                assert_eq!(
-                    r.model_path,
-                    ModelPath::Maintained,
-                    "seed {seed}: effective raw commits maintain"
-                );
-            }
+            q.commit(&t).expect("sequential raw commits admit");
             verify_snapshot(&q.snapshot(), &format!("seed {seed} raw commit {commits}"));
             commits += 1;
 
             if commits == WRITERS + 1 {
-                // A rule update cannot be absorbed incrementally: the
-                // maintained model resets and the marker flips.
+                // A rule update: the kernel advances the model.
                 q.update_schema(|db| {
                     let mut rules = db.rules().rules().to_vec();
                     rules.push(parse_rule("audited_pair(X) :- vip(X), audit(X).").unwrap());
                     db.set_rules(RuleSet::new(rules).unwrap());
                 });
-                assert_eq!(q.model_path(), ModelPath::Rematerialized);
                 verify_snapshot(&q.snapshot(), &format!("seed {seed} post-schema"));
             }
         }
     }
-    assert_eq!(counter(&q, "maintain.schema_resets"), 1, "seed {seed}");
     assert!(
         counter(&q, "maintain.commits.maintained") > 0,
         "seed {seed}: the incremental path must actually run"
@@ -241,10 +221,7 @@ fn recursive_rules_maintained_through_commit_churn() {
             }
             t.stage(Update::insert(edge(step * 7, step + step / 6)));
         }
-        let r = q.commit(&t).unwrap();
-        if !r.effective.is_empty() {
-            assert_eq!(r.model_path, ModelPath::Maintained, "step {step}");
-        }
+        q.commit(&t).unwrap();
         verify_snapshot(&q.snapshot(), &format!("tc churn step {step}"));
     }
     assert!(counter(&q, "maintain.commits.maintained") > 0);
@@ -254,7 +231,7 @@ fn recursive_rules_maintained_through_commit_churn() {
 /// must not reset the maintained model — constraints never contribute
 /// to the canonical model — while still fencing in-flight transactions
 /// (their pinned integrity verdicts predate the new constraint set).
-/// Rule updates in the same schedule still reset as before.
+/// A rule update in the same schedule advances the model too.
 #[test]
 fn constraint_only_registry_changes_keep_the_maintained_model() {
     use uniform::logic::{normalize, parse_formula, Constraint};
@@ -270,7 +247,6 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             q.commit(&t).unwrap();
             verify_snapshot(&q.snapshot(), &format!("seed {seed} warmup"));
         }
-        assert_eq!(q.model_path(), ModelPath::Maintained, "seed {seed}");
         let maintained_before = counter(&q, "maintain.commits.maintained");
 
         // In flight across the constraint change: must be fenced.
@@ -283,17 +259,6 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
                 normalize(&parse_formula("forall X: never(X) -> false").unwrap()).unwrap(),
             ));
         });
-        assert_eq!(
-            q.model_path(),
-            ModelPath::Maintained,
-            "seed {seed}: constraint-only change must keep the maintained model"
-        );
-        assert_eq!(counter(&q, "maintain.schema_resets"), 0, "seed {seed}");
-        assert_eq!(
-            counter(&q, "maintain.constraint_only_updates"),
-            1,
-            "seed {seed}"
-        );
         verify_snapshot(&q.snapshot(), &format!("seed {seed} post-constraint"));
         assert!(
             matches!(
@@ -309,10 +274,7 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             for u in &stream[1].updates {
                 t.stage(u.clone());
             }
-            let r = q.commit(&t).unwrap();
-            if !r.effective.is_empty() {
-                assert_eq!(r.model_path, ModelPath::Maintained, "seed {seed}");
-            }
+            q.commit(&t).unwrap();
             verify_snapshot(
                 &q.snapshot(),
                 &format!("seed {seed} post-constraint commit"),
@@ -323,14 +285,12 @@ fn constraint_only_registry_changes_keep_the_maintained_model() {
             "seed {seed}: the incremental path must keep running"
         );
 
-        // A rule update afterwards still resets, as before.
+        // A rule update afterwards advances the model too.
         q.update_schema(|db| {
             let mut rules = db.rules().rules().to_vec();
             rules.push(parse_rule("late(X) :- vip(X).").unwrap());
             db.set_rules(RuleSet::new(rules).unwrap());
         });
-        assert_eq!(q.model_path(), ModelPath::Rematerialized, "seed {seed}");
-        assert_eq!(counter(&q, "maintain.schema_resets"), 1, "seed {seed}");
         verify_snapshot(&q.snapshot(), &format!("seed {seed} post-rule"));
     }
 }

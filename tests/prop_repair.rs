@@ -28,9 +28,7 @@ use uniform::datalog::satisfies_closed;
 use uniform::logic::{parse_query, Literal, Subst, Sym, Term};
 use uniform::repair::{RepairEngine, RepairError, RepairOptions, RepairSet, ViolationPolicy};
 use uniform::workload;
-use uniform::{
-    ConcurrentDatabase, Database, Fact, Model, ModelPath, TxnError, UniformOptions, Update,
-};
+use uniform::{ConcurrentDatabase, Database, Fact, Model, TxnError, UniformOptions, Update};
 
 /// The shared fact budget: both the engine and the brute-force oracle
 /// enumerate repairs of at most this many operations.
@@ -360,13 +358,6 @@ fn auto_repair_commits_keep_the_maintained_model_exact() {
                             }
                             match cdb.commit(&txn) {
                                 Ok(outcome) => {
-                                    if !outcome.effective.is_empty() {
-                                        assert_eq!(
-                                            outcome.model_path,
-                                            ModelPath::Maintained,
-                                            "seed {seed}: repaired commits maintain too"
-                                        );
-                                    }
                                     if let Some(repair) = &outcome.repair {
                                         assert!(
                                             !repair.is_empty(),
