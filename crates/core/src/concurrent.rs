@@ -27,9 +27,7 @@
 //! multi-writer schedules.
 
 use crate::certain_cache::{CertainCache, StateKey};
-use crate::guard::{
-    guarded_rule_update, refuse_unsatisfiable_candidate, UniformError, UniformOptions,
-};
+use crate::guard::{sat_search, SchemaChange, UniformError, UniformOptions};
 use crate::query::{Consistency, Params, PlanCache, PreparedQuery, QueryError, Session};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
@@ -38,16 +36,21 @@ use std::sync::Arc;
 use uniform_analyze::{AnalyzeOptions, AnalyzedProgram, Analyzer};
 use uniform_datalog::txn::{CommitError, CommitQueue, CommitReceipt};
 use uniform_datalog::{
-    ConflictGranularity, Database, Provenance, Schema, Snapshot, Transaction, TxnBuilder, Update,
+    ConflictGranularity, Database, Provenance, RuleSet, Schema, Snapshot, Transaction, TxnBuilder,
+    Update,
 };
-use uniform_integrity::{CheckCache, CheckReport, ConditionalUpdate, RuleUpdate};
+use uniform_integrity::{CheckCache, CheckReport, Checker, ConditionalUpdate, RuleUpdate};
 use uniform_logic::{
     normalize, parse_fact, parse_formula, parse_literal, parse_rule, Constraint, LogicError,
     ParseError, Sym,
 };
 use uniform_obs::{Counter, Gauge, Hist, Obs, ObsReport, SpanEvent};
 use uniform_repair::{RepairEngine, RepairError, RepairOptions, RepairSet, ViolationPolicy};
-use uniform_satisfiability::{SatChecker, SatReport};
+use uniform_satisfiability::SatReport;
+
+/// A guarded schema change's candidate rules and §4 verdict
+/// ([`SchemaChange::gate`]), and the schema they were built from.
+type Gated = (Arc<Schema>, Result<Option<Arc<RuleSet>>, UniformError>);
 
 /// Why a guarded concurrent commit failed.
 #[derive(Debug)]
@@ -883,7 +886,8 @@ impl ConcurrentDatabase {
     /// transactions and fenced sessions are fenced when the rule lands.
     /// Returns `false` when the rule was already present.
     pub fn try_add_rule(&self, rule: &str) -> Result<bool, UniformError> {
-        self.rule_update(RuleUpdate::Add(parse_rule(rule)?))
+        let change = SchemaChange::Rule(RuleUpdate::Add(parse_rule(rule)?));
+        self.land(&change, self.gate(&change))
     }
 
     /// Remove a rule (given in source syntax), guarded and fenced like
@@ -893,39 +897,89 @@ impl ConcurrentDatabase {
     /// a conditional deletion of the rule's head (§3.2). Returns `false`
     /// if no such rule exists.
     pub fn try_remove_rule(&self, rule: &str) -> Result<bool, UniformError> {
-        self.rule_update(RuleUpdate::Remove(parse_rule(rule)?))
+        let change = SchemaChange::Rule(RuleUpdate::Remove(parse_rule(rule)?));
+        self.land(&change, self.gate(&change))
     }
 
-    /// The one guarded rule update (see [`guarded_rule_update`]). The
-    /// expensive part — the finite-satisfiability search over the
-    /// candidate rule set — runs *optimistically outside the queue lock*
-    /// on a pinned snapshot, so writers are never stalled for the
-    /// search's duration; before installation the schema is
-    /// revalidated under the lock, and if another schema change slipped
-    /// in the search simply re-runs there.
-    fn rule_update(&self, update: RuleUpdate) -> Result<bool, UniformError> {
+    /// The first half of the one guarded schema change, behind
+    /// `try_add_rule`, `try_remove_rule` and `try_add_constraint`: the
+    /// change's candidate and §4 gate ([`SchemaChange::gate`]), built
+    /// *optimistically outside the queue lock* from the head's schema,
+    /// so writers never stall for the search; and that schema.
+    fn gate(&self, change: &SchemaChange) -> Gated {
+        let pinned = self.snapshot().schema().clone();
+        let verdict = change.gate(&pinned, &self.shared.options.sat);
+        (pinned, verdict)
+    }
+
+    /// The second half: land a gated schema change under the queue lock,
+    /// through `Self::update_schema` so the head schema is re-published.
+    /// The candidate and its verdict are reused whole if the schema is
+    /// still the one they were built from, and rebuilt from the current
+    /// schema otherwise. Then the change's own check runs: a rule
+    /// change's incremental check (§3.2), whose propagation an accepted
+    /// change installs, or the new constraint evaluated on the current
+    /// state; a violated constraint's repair is computed on the would-be
+    /// state once the lock is released.
+    fn land(&self, change: &SchemaChange, (pinned, verdict): Gated) -> Result<bool, UniformError> {
         let options = &self.shared.options;
-        // The snapshot is gone before the lock is taken: a pin held
-        // across the mutation would turn it into a copy-on-write.
-        let (presat, pinned) = {
-            let snapshot = self.snapshot();
-            // A no-op has nothing to search for; an unstratifiable
-            // addition is left to the locked path to report.
-            let candidate = update.rules_after(snapshot.rules()).ok().flatten();
-            let presat = candidate.map(|rules| {
-                SatChecker::new(rules, snapshot.constraints().to_vec())
-                    .with_options(options.sat.clone())
-                    .check()
-            });
-            (presat, snapshot.schema().clone())
+        let mut refused = None;
+        let changed = self.update_schema(|db| {
+            let verdict = if Arc::ptr_eq(db.schema(), &pinned) {
+                verdict
+            } else {
+                change.gate(db.schema(), &options.sat)
+            };
+            let Some(rules) = verdict? else {
+                return Ok(false);
+            };
+            match change {
+                SchemaChange::Rule(update) => {
+                    let checker = Checker::new(db).with_options(options.check);
+                    let check = checker.compile_rule_update(update, &rules);
+                    let (report, propagation) = checker.evaluate_rule_update(&check, &rules);
+                    // Its model handle goes first: the install writes the
+                    // flips in place where no one else shares a relation.
+                    drop(checker);
+                    if !report.satisfied {
+                        return Err(UniformError::UpdateRejected(Box::new(report)));
+                    }
+                    // Stratification, satisfiability and a complete
+                    // incremental check all passed: the induction step
+                    // that carries the consistency latch.
+                    let install = |db: &mut Database| db.set_rules_propagated(rules, propagation);
+                    if report.proves_consistency() {
+                        db.preserving_consistency(install);
+                    } else {
+                        install(db);
+                    }
+                }
+                SchemaChange::Constraint(new) if !db.satisfies(&new.rq) => {
+                    // The repair suggestion is an enumeration: pin the
+                    // would-be state (a constraint-only change keeps the
+                    // model) and compute it once the lock is gone.
+                    let mut would_be = db.clone();
+                    would_be.add_constraint(new.clone());
+                    refused = Some((new.name.clone(), would_be.snapshot()));
+                    return Ok(false);
+                }
+                // The old constraints held if the latch says so, the new
+                // one was just evaluated: the step preserves the latch.
+                SchemaChange::Constraint(new) => {
+                    db.preserving_consistency(|db| db.add_constraint(new.clone()));
+                }
+            }
+            Ok(true)
+        })?;
+        let Some((constraint, refused)) = refused else {
+            return Ok(changed);
         };
-        // Through `Self::update_schema`, so the head schema is
-        // re-published after the rule set moves.
-        self.update_schema(|db| {
-            // Revalidate: the verdict transfers only if the schema is
-            // still the one the search ran on.
-            let current = Arc::ptr_eq(db.schema(), &pinned);
-            guarded_rule_update(db, options, update, presat.as_ref().filter(|_| current))
+        let engine = RepairEngine::for_snapshot(&refused)
+            .with_options(options.repair)
+            .with_obs(self.shared.obs.clone());
+        Err(UniformError::CurrentlyViolated {
+            constraint,
+            repair: engine.repairs().ok().map(|report| report.best().clone()),
         })
     }
 
@@ -941,99 +995,27 @@ impl ConcurrentDatabase {
     }
 
     /// Add a constraint, guarded twice: first the §4 gate — one bounded
-    /// [`SatChecker`] search over the schema's shared rules and the
-    /// candidate set, with no analyzer run and no lints — refuses
-    /// candidate sets proven unsatisfiable with a typed
-    /// [`UniformError::Analyze`] (UA0301; no state could ever satisfy
-    /// them, whatever the facts say), or UA0304 when its search ran out
-    /// of budget before it could tell; then the *current* state is
-    /// checked and a violated-but-satisfiable constraint is refused with
-    /// [`UniformError::CurrentlyViolated`] carrying the smallest minimal
-    /// repair of the would-be state — computed by the [`RepairEngine`]
-    /// behind [`ConcurrentDatabase::minimal_repairs`], on a snapshot
-    /// pinned at the refusal, after the queue lock is released.
-    /// Atomic with respect to concurrent writers. Like
-    /// [`ConcurrentDatabase::try_add_rule`], the expensive
-    /// satisfiability search runs *optimistically outside the queue
-    /// lock* on a pinned snapshot; the schema is revalidated under the
-    /// lock and the search re-runs there if another schema change
-    /// slipped in. Returns `false` when an identical constraint (same
-    /// name and normalized formula, compared structurally) is already
-    /// registered.
+    /// search over the schema's shared rules and the candidate set, with
+    /// no analyzer run and no lints — refuses candidate sets proven
+    /// unsatisfiable with a typed [`UniformError::Analyze`] (UA0301; no
+    /// state could ever satisfy them, whatever the facts say), or UA0304
+    /// when its search ran out of budget before it could tell; then the
+    /// *current* state is checked and a violated-but-satisfiable
+    /// constraint is refused with [`UniformError::CurrentlyViolated`]
+    /// carrying the smallest minimal repair of the would-be state —
+    /// computed by the [`RepairEngine`] behind
+    /// [`ConcurrentDatabase::minimal_repairs`], on a snapshot pinned at
+    /// the refusal, after the queue lock is released. Atomic with
+    /// respect to concurrent writers; the search runs optimistically
+    /// outside the queue lock, as for
+    /// [`ConcurrentDatabase::try_add_rule`]. Returns `false` when an
+    /// identical constraint (same name and normalized formula, compared
+    /// structurally) is already registered.
     pub fn try_add_constraint(&self, name: &str, formula: &str) -> Result<bool, UniformError> {
         let f = parse_formula(formula)?;
         let rq = normalize(&f).map_err(LogicError::Normalize)?;
-        let constraint = Constraint::new(name, rq);
-        // A constraint is already there when one of the same name has
-        // the same normalized formula.
-        let duplicate = |cs: &[Constraint]| {
-            cs.iter()
-                .any(|c| c.name == constraint.name && c.rq == constraint.rq)
-        };
-        let options = &self.shared.options;
-
-        // Optimistic phase (no lock held): classify the candidate
-        // constraint set on a pinned snapshot — dropped before the lock
-        // is taken, so the mutation below is not a copy-on-write.
-        let (preverdict, pinned) = {
-            let snapshot = self.snapshot();
-            let preverdict = (!duplicate(snapshot.constraints())).then(|| {
-                let mut candidate = snapshot.constraints().to_vec();
-                candidate.push(constraint.clone());
-                refuse_unsatisfiable_candidate(
-                    snapshot.schema().rules_arc(),
-                    candidate,
-                    &options.sat,
-                )
-            });
-            (preverdict, snapshot.schema().clone())
-        };
-
-        // Through `Self::update_schema`, so the head schema is
-        // re-published after the constraint lands.
-        let mut refused = None;
-        let added = self.update_schema(|db| -> Result<bool, UniformError> {
-            if duplicate(db.constraints()) {
-                return Ok(false);
-            }
-            // Revalidate: the verdict transfers only if the schema is
-            // still the one the search ran on.
-            match preverdict {
-                Some(verdict) if Arc::ptr_eq(db.schema(), &pinned) => verdict?,
-                _ => {
-                    let mut candidate = db.constraints().to_vec();
-                    candidate.push(constraint.clone());
-                    refuse_unsatisfiable_candidate(
-                        db.schema().rules_arc(),
-                        candidate,
-                        &options.sat,
-                    )?;
-                }
-            }
-            if !db.satisfies(&constraint.rq) {
-                // Refused. The repair suggestion is an enumeration: pin
-                // the would-be state (a constraint-only change keeps the
-                // model) and compute it once the lock is gone.
-                let mut would_be = db.clone();
-                would_be.add_constraint(constraint.clone());
-                refused = Some(would_be.snapshot());
-                return Ok(false);
-            }
-            // The old constraints held if the latch says so, the new one
-            // was just evaluated: the step preserves the latch.
-            db.preserving_consistency(|db| db.add_constraint(constraint.clone()));
-            Ok(true)
-        })?;
-        let Some(refused) = refused else {
-            return Ok(added);
-        };
-        let engine = RepairEngine::for_snapshot(&refused)
-            .with_options(options.repair)
-            .with_obs(self.shared.obs.clone());
-        Err(UniformError::CurrentlyViolated {
-            constraint: name.to_string(),
-            repair: engine.repairs().ok().map(|report| report.best().clone()),
-        })
+        let change = SchemaChange::Constraint(Constraint::new(name, rq));
+        self.land(&change, self.gate(&change))
     }
 
     /// Remove a constraint by name. Always safe (removing a constraint
@@ -1060,12 +1042,11 @@ impl ConcurrentDatabase {
     /// Satisfiability of the current rules + constraints (§4).
     pub fn check_satisfiability(&self) -> SatReport {
         let snapshot = self.snapshot();
-        SatChecker::new(
+        sat_search(
             snapshot.schema().rules_arc().clone(),
             snapshot.constraints().to_vec(),
+            &self.shared.options.sat,
         )
-        .with_options(self.shared.options.sat.clone())
-        .check()
     }
 
     /// Commit `updates` as one transaction, re-beginning against a
@@ -1202,7 +1183,7 @@ impl fmt::Debug for ConcurrentDatabase {
 mod tests {
     use super::*;
     use crate::Rows;
-    use uniform_integrity::{CheckOptions, Checker};
+    use uniform_integrity::CheckOptions;
     use uniform_logic::Fact;
 
     const ORG: &str = "
@@ -1695,6 +1676,48 @@ mod tests {
             assert!(primary.message.contains(&reason), "{e}");
             assert_eq!(db.to_program_source(), before);
         }
+    }
+
+    /// A verdict reached on a schema that another change superseded
+    /// before the lock is not reused: the candidate is built and gated
+    /// again on the current schema. Each time, the second change makes
+    /// the first one's candidate unsatisfiable, which only the second
+    /// search sees: reusing the stale verdict would let the change past
+    /// the gate, to be refused by its own check instead.
+    #[test]
+    fn a_superseded_verdict_is_gated_again() {
+        const SRC: &str = "p(a). constraint some_p: exists X: p(X).";
+        let no_s = || {
+            let rq = normalize(&parse_formula("forall X: s(X) -> false").unwrap()).unwrap();
+            Constraint::new("no_s", rq)
+        };
+        let s_rule = || parse_rule("s(X) :- p(X).").unwrap();
+        let unsatisfiable = |landed: &Result<bool, UniformError>| match landed {
+            Err(UniformError::Analyze(e)) => {
+                e.primary().map(|d| d.code) == Some(uniform_analyze::Code::UnsatisfiableSet)
+            }
+            _ => false,
+        };
+
+        // (a) A rule addition, gated satisfiable; then a constraint lands.
+        let db = ConcurrentDatabase::parse(SRC).unwrap();
+        let change = SchemaChange::Rule(RuleUpdate::Add(s_rule()));
+        let gated = db.gate(&change);
+        assert!(matches!(gated.1, Ok(Some(_))), "satisfiable as pinned");
+        db.update_schema(|d| d.add_constraint(no_s()));
+        let landed = db.land(&change, gated);
+        assert!(unsatisfiable(&landed), "{landed:?}");
+        assert!(db.with_database(|d| d.rules().is_empty()));
+
+        // (b) A constraint addition, gated satisfiable; then a rule lands.
+        let db = ConcurrentDatabase::parse(SRC).unwrap();
+        let change = SchemaChange::Constraint(no_s());
+        let gated = db.gate(&change);
+        assert!(matches!(gated.1, Ok(Some(_))), "satisfiable as pinned");
+        db.update_schema(|d| d.set_rules(RuleSet::new(vec![s_rule()]).unwrap()));
+        let landed = db.land(&change, gated);
+        assert!(unsatisfiable(&landed), "{landed:?}");
+        assert_eq!(db.with_database(|d| d.constraints().len()), 1);
     }
 
     #[test]

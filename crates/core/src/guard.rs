@@ -1,14 +1,14 @@
 //! What every guarded entry point of [`crate::ConcurrentDatabase`]
-//! shares: its options, its error taxonomy and the two schema-change
-//! gates of the paper's §4.
+//! shares: its options, its error taxonomy, and the candidate and §4
+//! gate of a guarded schema change, whichever part of the schema moves.
 
 use crate::concurrent::TxnError;
 use crate::query::QueryError;
 use std::fmt;
 use std::sync::Arc;
 use uniform_analyze::{AnalyzeError, AnalyzeErrorKind, Diagnostic};
-use uniform_datalog::{Database, RuleSet};
-use uniform_integrity::{CheckOptions, CheckReport, Checker, RuleUpdate};
+use uniform_datalog::{RuleSet, Schema};
+use uniform_integrity::{CheckOptions, CheckReport, RuleUpdate};
 use uniform_logic::{Constraint, LogicError};
 use uniform_repair::{RepairError, RepairOptions, RepairSet, ViolationPolicy};
 use uniform_satisfiability::{SatChecker, SatOptions, SatOutcome, SatReport};
@@ -143,22 +143,64 @@ impl From<TxnError> for UniformError {
     }
 }
 
-/// The schema-satisfiability gate of
-/// [`crate::ConcurrentDatabase::try_add_constraint`]: one bounded §4
-/// search over `rules` (the schema's shared handle, not a copy) and the
-/// candidate constraint set, refused as [`guarded_rule_update`] refuses
-/// a candidate rule set (see [`sat_refusal`]). No analyzer runs and no
-/// lint is computed: a gate reads only the search's verdict.
-pub(crate) fn refuse_unsatisfiable_candidate(
-    rules: &Arc<RuleSet>,
-    candidate: Vec<Constraint>,
+/// One bounded §4 search over a schema's `rules` and `constraints`:
+/// the gate of every guarded schema change, and
+/// [`crate::ConcurrentDatabase::check_satisfiability`].
+pub(crate) fn sat_search(
+    rules: Arc<RuleSet>,
+    constraints: Vec<Constraint>,
     sat: &SatOptions,
-) -> Result<(), UniformError> {
-    let n_constraints = candidate.len();
-    let report = SatChecker::new(Arc::clone(rules), candidate)
+) -> SatReport {
+    SatChecker::new(rules, constraints)
         .with_options(sat.clone())
-        .check();
-    sat_refusal(&report.outcome, n_constraints)
+        .check()
+}
+
+/// A guarded schema change: a rule added or removed (§3.2), or a
+/// constraint added.
+pub(crate) enum SchemaChange {
+    Rule(RuleUpdate),
+    Constraint(Constraint),
+}
+
+impl SchemaChange {
+    /// This change's candidate over `schema`, through the §4 gate: the
+    /// candidate schema's rules, or `Ok(None)` for a no-op (adding a
+    /// present rule, removing an absent one, adding a constraint of the
+    /// same name and normalized formula). Candidate rules that do not
+    /// stratify are refused with [`UniformError::Stratification`], and a
+    /// candidate schema in which one bounded search finds no model is
+    /// refused as [`sat_refusal`] says. No analyzer runs and no lint is
+    /// computed.
+    pub(crate) fn gate(
+        &self,
+        schema: &Schema,
+        sat: &SatOptions,
+    ) -> Result<Option<Arc<RuleSet>>, UniformError> {
+        let (rules, new) = match self {
+            SchemaChange::Rule(update) => {
+                let rules = (update.rules_after(schema.rules()))
+                    .map_err(|e| UniformError::Stratification(e.to_string()))?;
+                let Some(rules) = rules else { return Ok(None) };
+                (Arc::new(rules), None)
+            }
+            SchemaChange::Constraint(new) => {
+                let present = schema.constraints();
+                if present.iter().any(|c| c.name == new.name && c.rq == new.rq) {
+                    return Ok(None);
+                }
+                (Arc::clone(schema.rules_arc()), Some(new))
+            }
+        };
+        let constraints: Vec<Constraint> =
+            schema.constraints().iter().chain(new).cloned().collect();
+        let n_constraints = constraints.len();
+        sat_refusal(
+            &sat_search(Arc::clone(&rules), constraints, sat).outcome,
+            n_constraints,
+        )?;
+        Ok(Some(rules))
+    }
 }
 
 /// The refusal of a §4 gate whose search over `n_constraints`
@@ -196,59 +238,4 @@ impl From<QueryError> for UniformError {
             other => UniformError::Query(other),
         }
     }
-}
-
-/// The guarded rule-update protocol, run under the commit-queue lock by
-/// [`crate::ConcurrentDatabase::try_add_rule`] / `try_remove_rule`:
-/// compile the update (stratification), check schema satisfiability
-/// with the candidate rule set, evaluate the incremental integrity
-/// check, and only then install. Returns whether the rule set actually
-/// changed.
-///
-/// `presat` is a satisfiability verdict computed *optimistically
-/// outside the caller's lock* for exactly this update's candidate rule
-/// set and the database's current constraints; the caller revalidates
-/// that the schema has not changed since. With `None` the search runs
-/// here.
-pub(crate) fn guarded_rule_update(
-    db: &mut Database,
-    options: &UniformOptions,
-    update: RuleUpdate,
-    presat: Option<&SatReport>,
-) -> Result<bool, UniformError> {
-    let checker = Checker::new(db).with_options(options.check);
-    let compiled = checker
-        .compile_rule_update(&update)
-        .map_err(|e| UniformError::Stratification(e.to_string()))?;
-    let Some(rule_set) = compiled.rules_after.clone() else {
-        return Ok(false); // no-op: rule already present / absent
-    };
-
-    let computed;
-    let sat = match presat {
-        Some(report) => report,
-        None => {
-            computed = SatChecker::new(rule_set.clone(), db.constraints().to_vec())
-                .with_options(options.sat.clone())
-                .check();
-            &computed
-        }
-    };
-    // A *proven* unsatisfiable candidate schema is a static refusal —
-    // the same UA0301 verdict the analyzer reaches — and an exhausted
-    // search is refused with UA0304, as the constraint gate does.
-    sat_refusal(&sat.outcome, db.constraints().len())?;
-
-    let report = checker.evaluate_rule_update(&compiled);
-    if !report.satisfied {
-        return Err(UniformError::UpdateRejected(Box::new(report)));
-    }
-    // Stratification, satisfiability and a complete incremental check
-    // all passed: the induction step that carries the consistency latch.
-    if report.proves_consistency() {
-        db.preserving_consistency(|db| db.set_rules(rule_set));
-    } else {
-        db.set_rules(rule_set);
-    }
-    Ok(true)
 }

@@ -12,7 +12,7 @@
 //! stable while writers keep committing to the originating database.
 
 use crate::eval::satisfies_closed;
-use crate::maintain::{advance, Net};
+use crate::maintain::{install_flips, Net, Propagation};
 use crate::model::Model;
 use crate::program::RuleSet;
 use crate::store::FactSet;
@@ -287,31 +287,52 @@ impl ModelCache {
     }
 
     /// The model of `edb` under `rules`: computed if there is none yet,
-    /// else advanced in one kernel run past the writes since and a
-    /// change of the rules to `rules` by `changed` ([`RuleSet::diff`]).
-    fn update(&mut self, edb: &FactSet, rules: &RuleSet, changed: &[(&Rule, bool)]) -> Arc<Model> {
-        let model = match self.model.take() {
-            None => Model::compute(edb, rules),
-            Some(model) => {
-                // A fact's first write says what it was before, `edb`
-                // what it is now: the writes' Def. 1 net effect.
-                let (mut net, mut seen) = (Net::default(), HashSet::<_, SymState>::default());
-                let written = std::mem::take(&mut self.written);
-                for u in written.iter().filter(|u| seen.insert(&u.fact)) {
-                    if u.insert == edb.contains(&u.fact) {
-                        let side = if u.insert { &mut net.0 } else { &mut net.1 };
-                        side.push(u.fact.clone());
-                    }
-                }
-                // Letting go of the old model first lets derived relations
-                // no snapshot shares take their flips in place.
-                let mut facts = model.facts().clone();
-                drop(model);
-                advance(&mut facts, rules, changed, edb, &net);
-                Model::from_facts(facts)
-            }
+    /// else advanced past the writes since and a change of the rules to
+    /// `rules` by `changed` ([`RuleSet::diff`]) in one kernel run — the
+    /// `propagated` one, when a check already ran it over this model.
+    fn update(
+        &mut self,
+        edb: &FactSet,
+        rules: &RuleSet,
+        changed: &[(&Rule, bool)],
+        propagated: Option<Propagation<Arc<Model>>>,
+    ) -> Arc<Model> {
+        let Some(model) = self.model.take() else {
+            let model = Arc::new(Model::compute(edb, rules));
+            return self.model.insert(model).clone();
         };
-        self.model.insert(Arc::new(model)).clone()
+        // A fact's first write says what it was before, `edb` what it is
+        // now: the writes' Def. 1 net effect.
+        let (mut net, mut seen) = (Net::default(), HashSet::<_, SymState>::default());
+        let written = std::mem::take(&mut self.written);
+        for u in written.iter().filter(|u| seen.insert(&u.fact)) {
+            if u.insert == edb.contains(&u.fact) {
+                let side = if u.insert { &mut net.0 } else { &mut net.1 };
+                side.push(u.fact.clone());
+            }
+        }
+        debug_assert!(propagated
+            .as_ref()
+            .is_none_or(|p| written.is_empty() && Arc::ptr_eq(&model, &p.state.base)));
+        let Propagation { state, flips, .. } = propagated.unwrap_or_else(|| {
+            Propagation::new(
+                model.clone(),
+                rules,
+                rules.layers(),
+                edb,
+                &net.0,
+                &net.1,
+                changed,
+            )
+        });
+        // Letting go of the old model first lets derived relations no
+        // snapshot shares take their flips in place.
+        let mut facts = model.facts().clone();
+        drop((model, state));
+        install_flips(&mut facts, rules, edb, &flips);
+        self.model
+            .insert(Arc::new(Model::from_facts(facts)))
+            .clone()
     }
 }
 
@@ -467,11 +488,26 @@ impl Database {
     /// model under `rules` by the propagation kernel, seeded with the
     /// rules the change adds and removes (rules compare structurally).
     pub fn set_rules(&mut self, rules: RuleSet) {
+        self.set_rules_propagated(Arc::new(rules), None);
+    }
+
+    /// [`Database::set_rules`], given the change's `propagation` when a
+    /// check already ran the kernel over the current model
+    /// ([`Propagation::of_rule_change`]): the model takes its flips.
+    pub fn set_rules_propagated(
+        &mut self,
+        rules: Arc<RuleSet>,
+        propagation: Option<Propagation<Arc<Model>>>,
+    ) {
         let cache = self.model.get_mut();
         if cache.model.is_some() {
-            cache.update(&self.edb, &rules, &self.schema.rules.diff(&rules));
+            let changed = propagation
+                .is_none()
+                .then(|| self.schema.rules.diff(&rules));
+            let changed = changed.as_deref().unwrap_or_default();
+            cache.update(&self.edb, &rules, changed, propagation);
         }
-        self.schema_mut().rules = Arc::new(rules);
+        self.schema_mut().rules = rules;
         self.bump(Moved::Rules);
     }
 
@@ -625,7 +661,7 @@ impl Database {
         let mut cache = self.model.write();
         match cache.current() {
             Some(model) => model.clone(),
-            None => cache.update(&self.edb, self.rules(), &[]),
+            None => cache.update(&self.edb, self.rules(), &[], None),
         }
     }
 

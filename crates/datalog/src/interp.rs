@@ -141,7 +141,7 @@ impl<I: Interp + ?Sized> Interp for Overlay<'_, I> {
 /// or an owning pointer (a hypothetical state holds its base model's
 /// `Arc`).
 pub(crate) struct Flipped<B> {
-    base: B,
+    pub(crate) base: B,
     added: FactSet,
     removed: HashMap<Sym, HashSet<Vec<Sym>, SymState>, SymState>,
 }

@@ -35,10 +35,12 @@
 //! subprogram below recursion and reads `delta` and `new` off it for
 //! predicates that reach recursion. A database walks every stratum and
 //! commits the flips into its cached model, as [`MaintainedModel`]
-//! does: at the first read after fact writes, and at a rule change. A
-//! rule-update check reads its triggers off a rule change's flips
-//! ([`Propagation::of_rule_change`]); a [`Hypothetical`] keeps them as
-//! a view over the model. Over the same old model, checker and
+//! does: at the first read after fact writes, and at a rule change.
+//! Running the kernel and writing its flips in are separate steps, so a
+//! rule-update check that reads its triggers off a rule change's flips
+//! ([`Propagation::of_rule_change`]) hands that propagation to the
+//! database to install; a [`Hypothetical`] keeps the flips as a view
+//! over the model. Over the same old model, checker and
 //! maintenance agree flip for flip, in order, on every predicate both
 //! walk; the maintained flip list equals the brute-force model diff,
 //! and an advanced model or a hypothetical reads as the recomputed one
@@ -48,7 +50,7 @@
 
 use crate::cq::provable;
 use crate::interp::{Flipped, Interp, Overlay};
-use crate::model::{derive_all, derive_through, saturate, Frontier, Model};
+use crate::model::{derive_all, derive_through, saturate, Frontier, Model, KERNEL_RUNS};
 use crate::program::{Layer, RuleSet};
 use crate::store::FactSet;
 use crate::update::{net_effect, Transaction, Update};
@@ -148,7 +150,10 @@ impl MaintainedModel {
         for u in &tx.updates {
             u.apply(&mut self.edb);
         }
-        let (flips, stats) = advance(&mut self.model, &self.rules, &[], &self.edb, &net);
+        let (rules, edb) = (&self.rules, &self.edb);
+        let Propagation { flips, stats, .. } =
+            Propagation::new(&self.model, rules, rules.layers(), edb, &net.0, &net.1, &[]);
+        install_flips(&mut self.model, rules, edb, &flips);
         self.stats.propagation += stats;
         self.stats.flips += flips.len();
         flips
@@ -161,21 +166,17 @@ impl MaintainedModel {
 /// A Def. 1 net effect on explicit facts: `(insertions, deletions)`.
 pub(crate) type Net = (Vec<Fact>, Vec<Fact>);
 
-/// Advance `model` across an update that moves the explicit facts by
-/// `(added, removed)` to `edb` and the rules to `rules` by `changed`;
-/// return the flips (explicit ones first, as the checker orders them)
-/// and the kernel's work. A flipped predicate no rule defines takes
-/// `edb`'s relation itself.
-pub(crate) fn advance(
+/// Write the kernel's `flips` of an update into `model`, the model they
+/// were propagated over, under `rules`, the rules after the update:
+/// the one place flips enter a materialized model. A flipped predicate
+/// no rule defines takes `edb`'s relation itself.
+pub(crate) fn install_flips(
     model: &mut FactSet,
     rules: &RuleSet,
-    changed: &[(&Rule, bool)],
     edb: &FactSet,
-    (added, removed): &Net,
-) -> (Vec<(Fact, bool)>, PropagationStats) {
-    let Propagation { flips, stats, .. } =
-        Propagation::new(&*model, rules, rules.layers(), edb, added, removed, changed);
-    for (fact, now) in &flips {
+    flips: &[(Fact, bool)],
+) {
+    for (fact, now) in flips {
         if !rules.graph().is_idb(fact.pred) && edb.relation(fact.pred).is_some() {
             model.adopt(fact.pred, edb);
         } else if *now {
@@ -184,7 +185,6 @@ pub(crate) fn advance(
             model.remove(fact);
         }
     }
-    (flips, stats)
 }
 
 /// One stratum as the propagation kernel sees it: its rules, their head
@@ -390,19 +390,16 @@ impl<B: Deref<Target: Interp>> Frontier for Flipped<B> {
 /// the model: a reference, or the `Arc` a [`Hypothetical`] owns.
 pub struct Propagation<B> {
     pub(crate) state: Flipped<B>,
-    flips: Vec<(Fact, bool)>,
+    pub(crate) flips: Vec<(Fact, bool)>,
     stats: PropagationStats,
 }
 
-impl<'m> Propagation<&'m Model> {
+impl<B: Deref<Target = Model> + Clone> Propagation<B> {
     /// A change of rules from `old` to `new` over `model`, the canonical
     /// model of `edb` under `old`; its state reads as the one under `new`.
-    pub fn of_rule_change(
-        model: &'m Model,
-        edb: &FactSet,
-        old: &RuleSet,
-        new: &RuleSet,
-    ) -> Propagation<&'m Model> {
+    /// Over a database's own model (an `Arc`), the database can install
+    /// it as it is (`Database::set_rules_propagated`).
+    pub fn of_rule_change(model: B, edb: &FactSet, old: &RuleSet, new: &RuleSet) -> Propagation<B> {
         Propagation::new(model, new, new.layers(), edb, &[], &[], &old.diff(new))
     }
 }
@@ -422,6 +419,7 @@ impl<B: Deref<Target: Interp + Sized> + Clone> Propagation<B> {
         removed: &[Fact],
         changed: &[(&Rule, bool)],
     ) -> Propagation<B> {
+        KERNEL_RUNS.with(|n| n.set(n.get() + 1));
         let explicit: Vec<(Fact, bool)> = added
             .iter()
             .map(|fact| (fact.clone(), true))

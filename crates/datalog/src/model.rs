@@ -22,7 +22,10 @@ pub struct Model {
     facts: FactSet,
 }
 
-thread_local!(static COMPUTES: Cell<u64> = const { Cell::new(0) });
+thread_local! {
+    static COMPUTES: Cell<u64> = const { Cell::new(0) };
+    pub(crate) static KERNEL_RUNS: Cell<u64> = const { Cell::new(0) };
+}
 
 impl Model {
     /// Compute the canonical model of `edb` under `rules`. Its relations
@@ -79,6 +82,12 @@ impl Model {
     /// models are computed.
     pub fn computes_on_this_thread() -> u64 {
         COMPUTES.with(Cell::get)
+    }
+
+    /// How many times the propagation kernel ([`crate::Propagation`])
+    /// has run on the calling thread, counted as computes are.
+    pub fn kernel_runs_on_this_thread() -> u64 {
+        KERNEL_RUNS.with(Cell::get)
     }
 
     /// Wrap an already-materialized canonical model. The caller asserts

@@ -116,13 +116,6 @@ impl TxnBuilder {
         self
     }
 
-    /// Record one binding-pattern read: key-level when the pattern pins
-    /// at least one argument position, unbounded otherwise.
-    pub fn record_read_pattern(&mut self, pattern: &ReadPattern) -> &mut TxnBuilder {
-        self.reads.record_pattern(pattern);
-        self
-    }
-
     /// Record a batch of binding-pattern reads (e.g. a `CheckReport`'s
     /// `read_patterns`).
     pub fn record_read_patterns<'p>(
@@ -158,11 +151,6 @@ impl TxnBuilder {
     /// write set once updates are staged), at relation granularity.
     pub fn read_set(&self) -> BTreeSet<Sym> {
         self.reads.relations().collect()
-    }
-
-    /// The full key-fingerprint read footprint.
-    pub fn read_footprint(&self) -> &ReadFootprint {
-        &self.reads
     }
 
     /// The net effect of the staged updates on the pinned snapshot

@@ -23,9 +23,13 @@
 //!   that propagation's flips, filtered as `delta` filters them for
 //!   recursive patterns. Only the relevant simplified instances are
 //!   evaluated, against the state the propagation reaches — never the
-//!   full constraint set, and no model is computed.
+//!   full constraint set, and no model is computed. The propagation is
+//!   handed back with the report: an accepted change installs it
+//!   (`Database::set_rules_propagated`) instead of running the kernel
+//!   again.
 //!
-//! Both phases are [`Checker`] methods: [`Checker::compile_rule_update`],
+//! Both phases are [`Checker`] methods: [`Checker::compile_rule_update`]
+//! (over the rule set after the change, [`RuleUpdate::rules_after`]),
 //! [`Checker::evaluate_rule_update`] and [`Checker::check_rule_update`].
 //! The full re-check of every constraint on the candidate state is what
 //! a system without this method must do; `tests/prop_schema_updates.rs`
@@ -35,7 +39,8 @@ use crate::checker::{CheckReport, Checker, CompiledCheck, Program};
 use crate::delta::DeltaStats;
 use std::fmt;
 use std::rc::Rc;
-use uniform_datalog::{Database, Propagation, RuleSet, StratificationError};
+use std::sync::Arc;
+use uniform_datalog::{Database, Model, Propagation, RuleSet, StratificationError};
 use uniform_logic::{match_atom, Literal, Renaming, Rule, Subst};
 
 /// A change to the rule set.
@@ -101,55 +106,32 @@ impl fmt::Display for RuleUpdate {
     }
 }
 
-/// Output of the compile phase for a rule update: the post-update rule
-/// set plus the update constraints — computed without any fact access.
-#[derive(Clone, Debug)]
-pub struct CompiledRuleUpdate {
-    /// The rule set after the change; `None` when the update is a no-op
-    /// (adding a present rule, removing an absent one).
-    pub rules_after: Option<RuleSet>,
-    /// Potential updates and update constraints seeded from the head.
-    pub check: CompiledCheck,
-}
-
 impl Checker<'_> {
-    /// Phase 1 of a rule update: the rule set after the change and the
-    /// update constraints seeded from the head over it. Touches rules and
-    /// constraints only.
-    pub fn compile_rule_update(
-        &self,
-        update: &RuleUpdate,
-    ) -> Result<CompiledRuleUpdate, StratificationError> {
-        let Some(rules_after) = update.rules_after(self.rules())? else {
-            return Ok(CompiledRuleUpdate {
-                rules_after: None,
-                check: CompiledCheck::default(),
-            });
-        };
-        let check = self.compile_over(&rules_after, &[update.seed()]);
-        Ok(CompiledRuleUpdate {
-            rules_after: Some(rules_after),
-            check,
-        })
+    /// Phase 1 of a rule update that changes the rules to `rules_after`
+    /// ([`RuleUpdate::rules_after`]): the update constraints seeded from
+    /// the head over them. Touches rules and constraints only.
+    pub fn compile_rule_update(&self, update: &RuleUpdate, rules_after: &RuleSet) -> CompiledCheck {
+        self.compile_over(rules_after, &[update.seed()])
     }
 
     /// Phase 2 of a rule update: the induced updates of each trigger
     /// pattern are the flips of the rule change's propagation over the
     /// checked state's model, and the relevant simplified instances are
-    /// evaluated against the state it reaches.
-    pub fn evaluate_rule_update(&self, compiled: &CompiledRuleUpdate) -> CheckReport {
-        let check = &compiled.check;
+    /// evaluated against the state it reaches. Returns the report and
+    /// that propagation, for the checked database to install; none runs
+    /// when no constraint is relevant to anything the change can reach.
+    pub fn evaluate_rule_update(
+        &self,
+        check: &CompiledCheck,
+        rules_after: &RuleSet,
+    ) -> (CheckReport, Option<Propagation<Arc<Model>>>) {
         let mut stats = check.stats();
-        let rules_after = match &compiled.rules_after {
-            Some(rules) if !check.update_constraints.is_empty() => rules,
-            // A no-op, or no constraint is relevant to anything the rule
-            // change can reach: accepted without propagating it.
-            _ => return CheckReport::new(Vec::new(), Vec::new(), stats, check.truncated),
-        };
-
-        let model = self.model();
+        if check.update_constraints.is_empty() {
+            let report = CheckReport::new(Vec::new(), Vec::new(), stats, check.truncated);
+            return (report, None);
+        }
         let propagation =
-            Propagation::of_rule_change(&model, self.facts, self.rules(), rules_after);
+            Propagation::of_rule_change(self.model(), self.facts, self.rules(), rules_after);
         let mut delta = DeltaStats {
             propagation: propagation.stats(),
             ..DeltaStats::default()
@@ -173,16 +155,23 @@ impl Checker<'_> {
             &mut stats,
         );
         stats.delta = delta;
-        CheckReport::new(violations, Vec::new(), stats, check.truncated)
+        let report = CheckReport::new(violations, Vec::new(), stats, check.truncated);
+        (report, Some(propagation))
     }
 
-    /// Both phases of a rule update.
+    /// Both phases of a rule update. A no-op (adding a present rule,
+    /// removing an absent one) is accepted without work.
     pub fn check_rule_update(
         &self,
         update: &RuleUpdate,
     ) -> Result<CheckReport, StratificationError> {
-        let compiled = self.compile_rule_update(update)?;
-        Ok(self.evaluate_rule_update(&compiled))
+        let Some(rules_after) = update.rules_after(self.rules())? else {
+            return Ok(self
+                .evaluate_rule_update(&CompiledCheck::default(), self.rules())
+                .0);
+        };
+        let check = self.compile_rule_update(update, &rules_after);
+        Ok(self.evaluate_rule_update(&check, &rules_after).0)
     }
 }
 
@@ -334,18 +323,18 @@ mod tests {
     fn compile_is_fact_free() {
         let d = db("constraint c: forall X: loud(X) -> warned(X).");
         let checker = Checker::new(&d);
-        let compiled = checker
-            .compile_rule_update(&add("loud(X) :- speaker(X)."))
-            .unwrap();
-        assert_eq!(compiled.check.update_constraints.len(), 1);
+        let update = add("loud(X) :- speaker(X).");
+        let rules = update.rules_after(d.rules()).unwrap().unwrap();
+        let compiled = checker.compile_rule_update(&update, &rules);
+        assert_eq!(compiled.update_constraints.len(), 1);
         // Facts appear only at evaluation time.
         let mut d2 = d.clone();
         d2.insert_fact(&Fact::parse_like("speaker", &["s"]));
         let checker2 = Checker::new(&d2);
-        assert!(!checker2.evaluate_rule_update(&compiled).satisfied);
+        assert!(!checker2.evaluate_rule_update(&compiled, &rules).0.satisfied);
         d2.insert_fact(&Fact::parse_like("warned", &["s"]));
         let checker3 = Checker::new(&d2);
-        assert!(checker3.evaluate_rule_update(&compiled).satisfied);
+        assert!(checker3.evaluate_rule_update(&compiled, &rules).0.satisfied);
     }
 
     #[test]
@@ -371,12 +360,12 @@ mod tests {
         for u in updates {
             let fast = check_rule_update(&d, &u).unwrap().satisfied;
             let rules_after = u.rules_after(d.rules()).unwrap();
+            // The candidate computes its own model: the oracle does not
+            // run the propagation kernel it judges.
             let slow = match rules_after {
                 None => true,
                 Some(rs) => {
-                    let mut copy = d.clone();
-                    copy.set_rules(rs);
-                    copy.is_consistent()
+                    Database::with(d.facts().clone(), rs, d.constraints().to_vec()).is_consistent()
                 }
             };
             assert_eq!(fast, slow, "divergence on {u}");

@@ -104,11 +104,6 @@ impl Subst {
         }
     }
 
-    /// Apply to a term.
-    pub fn apply_term(&self, t: Term) -> Term {
-        self.walk(t)
-    }
-
     /// Apply to an atom.
     pub fn apply_atom(&self, a: &Atom) -> Atom {
         Atom {

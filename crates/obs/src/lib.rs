@@ -99,11 +99,6 @@ impl Obs {
         SpanGuard::open(&self.spans, &*self.clock, name, None, None)
     }
 
-    /// Open a span carrying a variant tag (e.g. `"certain"`).
-    pub fn span_tagged(&self, name: &'static str, tag: &'static str) -> SpanGuard<'_> {
-        SpanGuard::open(&self.spans, &*self.clock, name, Some(tag), None)
-    }
-
     /// Open a tagged span whose duration is also recorded into `hist`
     /// on close.
     pub fn span_timed(

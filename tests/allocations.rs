@@ -15,12 +15,12 @@
 //!   two-atom range and a negative literal. A second lookup of a
 //!   registered metric name allocates nothing either.
 //! - In release builds only (debug assertions allocate), the exact count
-//!   of four enforcement requests on the benchmark's shapes, each on the
+//!   of five enforcement requests on the benchmark's shapes, each on the
 //!   second run of its shape: an `AutoRepair` commit on the violation-
 //!   bearing repair database, and an accepted, a UA0301-refused and a
-//!   refused-as-violated `try_add_constraint` on a university with a
-//!   dean. A change that moves one of these counts says why and updates
-//!   the pin.
+//!   refused-as-violated `try_add_constraint` and an accepted
+//!   `try_add_rule` on a university with a dean. A change that moves one
+//!   of these counts says why and updates the pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -298,17 +298,22 @@ staff(d0).
     program
 }
 
-/// Allocations of the three `try_add_constraint` classes in one cycle of
-/// the benchmark's schema phase: accepted, refused as unsatisfiable
-/// (UA0301) and refused as violated; the schema is reset after.
+/// Allocations of the four schema-change classes in one cycle of the
+/// benchmark's schema phase: a `try_add_constraint` accepted, refused as
+/// unsatisfiable (UA0301) and refused as violated, then an accepted
+/// `try_add_rule`; the schema is reset after.
 struct SchemaCycle {
     add: u64,
     refuse_unsat: u64,
     refuse_violated: u64,
+    add_rule: u64,
 }
 
 fn schema_cycle(db: &ConcurrentDatabase, k: usize) -> SchemaCycle {
-    let base = db.snapshot().constraints().to_vec();
+    let (base, base_rules) = {
+        let snapshot = db.snapshot();
+        (snapshot.constraints().to_vec(), snapshot.rules().clone())
+    };
     let (added, add) =
         counted(|| db.try_add_constraint(&format!("ok{k}"), "forall X: award(X) -> student(X)"));
     assert!(added.unwrap());
@@ -331,11 +336,17 @@ fn schema_cycle(db: &ConcurrentDatabase, k: usize) -> SchemaCycle {
         }
         other => panic!("expected a violated refusal, got {other:?}"),
     }
-    db.update_schema(|d| d.set_constraints(base));
+    let (added, add_rule) = counted(|| db.try_add_rule("senior(X) :- student(X), award(X)."));
+    assert!(added.unwrap());
+    db.update_schema(|d| {
+        d.set_constraints(base);
+        d.set_rules(base_rules);
+    });
     SchemaCycle {
         add,
         refuse_unsat,
         refuse_violated,
+        add_rule,
     }
 }
 
@@ -356,15 +367,17 @@ fn enforcement_requests_allocate_as_pinned() {
         ("schema_add", schema.add),
         ("schema_refuse_unsat", schema.refuse_unsat),
         ("schema_refuse_violated", schema.refuse_violated),
+        ("add_rule", schema.add_rule),
     ];
     eprintln!("allocations per request: {got:?}");
     assert_eq!(
         got,
         [
             ("auto_repair", 1198),
-            ("schema_add", 383),
-            ("schema_refuse_unsat", 872),
-            ("schema_refuse_violated", 762),
+            ("schema_add", 382),
+            ("schema_refuse_unsat", 871),
+            ("schema_refuse_violated", 761),
+            ("add_rule", 750),
         ]
     );
 }

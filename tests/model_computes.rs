@@ -15,10 +15,14 @@
 //! through the propagation kernel and compute none; a guarded rule
 //! change's §4 gate computes only its own search's models.
 //!
+//! A guarded rule change runs the propagation kernel once at most: its
+//! check's propagation, when a constraint is relevant to the change, is
+//! the one the accepted change installs.
+//!
 //! Each path runs on `tc_forest(64)` and on `tc_forest(2048)` (recursive
 //! `tc` over an `edge` forest, plus `forall X: p(X) -> q(X)`), and the
-//! counts ([`Model::computes_on_this_thread`]) are the same at both
-//! sizes.
+//! counts ([`Model::computes_on_this_thread`],
+//! [`Model::kernel_runs_on_this_thread`]) are the same at both sizes.
 
 use uniform::datalog::{Hypothetical, Propagation, RuleSet};
 use uniform::logic::parse_rule;
@@ -290,4 +294,72 @@ fn recursive_rule_changes_propagate_per_tree() {
         stats.push((added.stats(), removed.stats()));
     }
     assert_eq!(stats[0], stats[1], "the work does not grow with the forest");
+}
+
+/// Kernel runs of each guarded rule change, the snapshot after it
+/// included: an accepted change runs one whether or not a constraint is
+/// relevant to it (the check's propagation is installed, or the install
+/// propagates the change), a refused one runs its check's and installs
+/// nothing, and a no-op runs none.
+#[test]
+fn a_guarded_rule_change_runs_the_kernel_once() {
+    for n in SIZES {
+        let cdb = ConcurrentDatabase::from_database(forest(n), UniformOptions::default());
+        drop(cdb.snapshot());
+        let runs = |f: &dyn Fn()| {
+            let before = Model::kernel_runs_on_this_thread();
+            f();
+            drop(cdb.snapshot());
+            Model::kernel_runs_on_this_thread() - before
+        };
+        let rows = [
+            // `imp` is relevant to a new `p`; `q(a)` gives `p(a)`, which
+            // is explicit already.
+            (
+                "accepted, relevant constraint",
+                runs(&|| {
+                    assert!(cdb.try_add_rule("p(X) :- q(X).").unwrap());
+                }),
+            ),
+            (
+                "accepted, no relevant constraint",
+                runs(&|| {
+                    assert!(cdb.try_add_rule("below(X) :- tc(t0_1, X).").unwrap());
+                }),
+            ),
+            (
+                "refused",
+                runs(&|| {
+                    let version = cdb.version();
+                    let refused = cdb.try_add_rule("p(X) :- edge(X, Y).");
+                    assert!(
+                        matches!(refused, Err(UniformError::UpdateRejected(_))),
+                        "{refused:?}"
+                    );
+                    assert_eq!(cdb.version(), version, "a refused change installs nothing");
+                }),
+            ),
+            (
+                "no-op",
+                runs(&|| {
+                    assert!(!cdb.try_add_rule("p(X) :- q(X).").unwrap());
+                    assert!(!cdb.try_remove_rule("absent(X) :- q(X).").unwrap());
+                }),
+            ),
+        ];
+        assert_eq!(
+            rows,
+            [
+                ("accepted, relevant constraint", 1),
+                ("accepted, no relevant constraint", 1),
+                ("refused", 1),
+                ("no-op", 0),
+            ],
+            "tc_forest({n})"
+        );
+        let snap = cdb.snapshot();
+        assert!(snap.holds(&Fact::parse_like("below", &["t0_3"])));
+        assert!(!snap.holds(&Fact::parse_like("p", &["t0_0"])));
+        assert!(snap.is_consistent());
+    }
 }
